@@ -65,7 +65,10 @@ def place_from(s: str) -> Place:
     if s == "arch":
         return ARCH
     if s.startswith("p:"):
-        return padic(int(s[2:]))
+        try:
+            return padic(int(s[2:]))
+        except ValueError as e:
+            raise VerifyError(f"bad place {s!r}: {e}") from None
     raise VerifyError(f"bad place {s!r}")
 
 

@@ -23,7 +23,7 @@ from .dynamics import (
     power_to_proximal,
     singular_profile,
 )
-from .pingpong import PingPongPlayer, certify_simple_tuple, certify_tuple, freeness_oracle, simple_player
+from .pingpong import PingPongPlayer, certify_tuple, freeness_oracle, simple_player
 from .projective import Ball, HNbhd, ProjMat, ProjSet, ball, hnbhd
 from .scalar import ARCH, Place, padic, parse_rat
 from .synthesis import (
@@ -361,9 +361,11 @@ def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
         if v.kind == "yes":
             claims.extend(certfmt.claims_for_proximal(m, v.cert))
             result = {"cert": certfmt.proximal_json(v.cert)}
-        elif v.kind == "no" and v.counterexample is not None:
-            dirs = direction_candidates(m)
-            claims.append(certfmt.claim_contraction_refuted(m, eps_sq, v.counterexample, dirs.attract, dirs.repel))
+        elif v.kind == "no":
+            dirs = direction_candidates(v.refutes)
+            claims.append(
+                certfmt.claim_contraction_refuted(v.refutes, eps_sq, v.counterexample, dirs.attract, dirs.repel)
+            )
             result = {"counterexample": certfmt.point_json(v.counterexample)}
         else:
             result = {}
@@ -457,7 +459,7 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
         else:
             a_p, r_p, a_m, r_m = proximal_sets(cert)
             players.append(PingPongPlayer(name, m, a_p, r_p, a_m, r_m, cert))
-    tup = certify_tuple(players) if subop == "tuple" else certify_simple_tuple(players)
+    tup = certify_tuple(players)
     claims = _tuple_claims(players, tup, place)
     result = {
         "verdict": tup.verdict,

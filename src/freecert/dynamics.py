@@ -4,9 +4,10 @@ The central sufficient test: if kappa = sigma_2/sigma_1 satisfies
 kappa <= eps^2, the matrix maps the complement of the eps-neighborhood of
 its (candidate) repelling hyperplane into the closed eps-ball around its
 (candidate) attracting point.  Candidates are exact at p-adic places
-(Smith form over the localization, whose transforms are sup-norm
-isometries) and rational enclosures at the archimedean place (power
-iteration with a residual bound against the certified second eigenvalue).
+(the column and row through an entry of minimal valuation, the first
+pivot of the Smith elimination over the localization) and rational
+enclosures at the archimedean place (power iteration with a residual
+bound against the certified second eigenvalue).
 
 Fixed points are certified by a self-mapping ball: a region on which the
 map is certifiably L-Lipschitz with L < 1 and which it maps strictly into
@@ -34,10 +35,11 @@ from .projective import (
     dist_to_hyperplane_sq,
     dot,
     dual_ball_of_hnbhd,
+    integer_rows,
     is_zero_vec,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Rat, cmp_sqrt_sum, padic_valuation, sqrt_lower, sqrt_upper
+from .scalar import Rat, cmp_sqrt_sum, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
@@ -62,80 +64,66 @@ class SingularProfile:
 
 def padic_exponents(rows, p: int) -> list[int]:
     """Ascending elementary-divisor exponents of an invertible matrix over
-    the localization of Z at p, via valuations of determinantal divisors.
+    the localization of Z at p; |sigma_i| = p^(-e_i).
 
-    Accepts integer or Fraction entries; |sigma_i| = p^(-e_i) with the
-    e_i ascending.  The 3x3 integer case is the workhorse of the bulk
-    acceptance sweep and takes a dedicated tight path.
+    Accepts integer or Fraction entries.  See `_padic_smith`.
+    """
+    return _padic_smith(rows, p)[0]
+
+
+def _padic_smith(rows, p: int) -> tuple[list[int], tuple[int, int]]:
+    """Fraction-free (Bareiss) elimination with p-adic pivoting.
+
+    Denominators are cleared by one common integer scale.  Each step
+    pivots on the first entry of minimal valuation in row-major order of
+    the remaining block.  After k steps every remaining entry is det of
+    the leading k x k pivot block times an entry of its Schur complement,
+    so the k-th pivot has valuation e_1 + ... + e_k and consecutive
+    differences are the ascending exponents.  Returns them with the
+    first pivot (i, j): column j of the matrix is the exact top singular
+    (attracting) direction and row i the functional of the exact
+    repelling hyperplane.
     """
     n = len(rows)
-    if n == 3 and all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for r in rows for x in r):
-        return _padic_exponents_3x3_int(rows, p)
-    scale = 1
-    for r in rows:
-        for x in r:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                scale = scale * x.denominator // _igcd(scale, x.denominator)
-    if scale != 1:
-        mat = [[int(x * scale) for x in r] for r in rows]
-        shift = padic_valuation(scale, p)
-    else:
-        mat = [[int(x) for x in r] for r in rows]
-        shift = 0
-    dets_val = [0]  # v_p(gcd of k x k minors), k = 0 .. n
-    for k in range(1, n + 1):
-        best: int | None = None
-        for rsel in itertools.combinations(range(n), k):
-            for csel in itertools.combinations(range(n), k):
-                m = _int_minor(mat, rsel, csel)
-                if m:
-                    v = _int_vp(m, p)
+    a, scale = integer_rows(rows)
+    exps: list[int] = []
+    prev = 1
+    prev_v = floor = 0  # floor: least valuation the next pivot can have
+    for k in range(n):
+        best = None
+        for i in range(k, n):
+            row = a[i]
+            for j in range(k, n):
+                x = row[j]
+                if x:
+                    v = _int_vp(x, p)
                     if best is None or v < best:
-                        best = v
-                        if best == 0:
+                        best, pi, pj = v, i, j
+                        if v == floor:
                             break
-            if best == 0:
+            if best == floor:
                 break
         if best is None:
             raise ValueError("singular matrix has no p-adic profile")
-        dets_val.append(best)
-    return [dets_val[k] - dets_val[k - 1] - shift for k in range(1, n + 1)]
-
-
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _padic_exponents_3x3_int(rows, p: int) -> list[int]:
-    (a, b, c), (d, e, f), (g, h, i) = ((int(x) for x in r) for r in rows)
-    d1 = None
-    for x in (a, b, c, d, e, f, g, h, i):
-        if x:
-            if x % p:
-                d1 = 0
-                break
-            v = _int_vp(x, p)
-            if d1 is None or v < d1:
-                d1 = v
-    m1 = e * i - f * h
-    m2 = d * i - f * g
-    m3 = d * h - e * g
-    d2 = None
-    for x in (m1, m2, m3, b * i - c * h, a * i - c * g, a * h - b * g, b * f - c * e, a * f - c * d, a * e - b * d):
-        if x:
-            if x % p:
-                d2 = 0
-                break
-            v = _int_vp(x, p)
-            if d2 is None or v < d2:
-                d2 = v
-    det = a * m1 - b * m2 + c * m3
-    if det == 0 or d1 is None or d2 is None:
-        raise ValueError("singular matrix has no p-adic profile")
-    d3 = _int_vp(det, p)
-    return [d1, d2 - d1, d3 - d2]
+        if k == 0:
+            first = (pi, pj)
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+        if pj != k:
+            for row in a[k:]:
+                row[k], row[pj] = row[pj], row[k]
+        rk = a[k]
+        piv = rk[k]
+        for row in a[k + 1 :]:
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - x * rk[j]) // prev
+        prev = piv
+        exps.append(best - prev_v)
+        floor = 2 * best - prev_v
+        prev_v = best
+    shift = _int_vp(scale, p)
+    return [e - shift for e in exps], first
 
 
 def _int_vp(x: int, p: int) -> int:
@@ -144,79 +132,6 @@ def _int_vp(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def _int_minor(mat, rsel, csel) -> int:
-    k = len(rsel)
-    if k == 1:
-        return mat[rsel[0]][csel[0]]
-    if k == 2:
-        a, b = rsel
-        c, d = csel
-        return mat[a][c] * mat[b][d] - mat[a][d] * mat[b][c]
-    total = 0
-    sign = 1
-    for idx, col in enumerate(csel):
-        sub = _int_minor(mat, rsel[1:], csel[:idx] + csel[idx + 1 :])
-        if sub:
-            total += sign * mat[rsel[0]][col] * sub
-        sign = -sign
-    return total
-
-
-def _padic_snf_transforms(g: ProjMat) -> tuple[list[int], tuple, tuple]:
-    """Smith form over the localization at p with accumulated transforms.
-
-    Returns (exponents ascending, Uinv, Vinv) with g = Uinv . D . Vinv,
-    both transforms p-integral with p-unit determinant, hence sup-norm
-    isometries of Q_p^n.  Column 1 of Uinv is the exact top singular
-    direction; row 1 of Vinv is the exact top dual direction.
-    """
-    p = g.place.prime
-    n = g.dim
-    d = [list(r) for r in g.entries]
-    uinv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    vinv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    exps: list[int] = []
-    for k in range(n):
-        piv_v: int | None = None
-        pi = pj = -1
-        for i in range(k, n):
-            for j in range(k, n):
-                x = d[i][j]
-                if x:
-                    v = padic_valuation(x, p)
-                    if piv_v is None or v < piv_v:
-                        piv_v, pi, pj = v, i, j
-        if piv_v is None:
-            raise ValueError("singular matrix")
-        if pi != k:
-            d[k], d[pi] = d[pi], d[k]
-            for row in uinv:
-                row[k], row[pi] = row[pi], row[k]
-        if pj != k:
-            for row in d:
-                row[k], row[pj] = row[pj], row[k]
-            vinv[k], vinv[pj] = vinv[pj], vinv[k]
-        piv = d[k][k]
-        for i in range(k + 1, n):
-            x = d[i][k]
-            if x:
-                c = x / piv  # valuation >= 0 by pivot minimality
-                for j in range(k, n):
-                    d[i][j] -= c * d[k][j]
-                for t in range(n):
-                    uinv[t][k] += c * uinv[t][i]
-        for j in range(k + 1, n):
-            x = d[k][j]
-            if x:
-                c = x / piv
-                for i in range(k, n):
-                    d[i][j] -= c * d[i][k]
-                for t in range(n):
-                    vinv[k][t] += c * vinv[j][t]
-        exps.append(piv_v)
-    return exps, tuple(tuple(r) for r in uinv), tuple(tuple(r) for r in vinv)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +273,8 @@ def _direction_candidates_cached(g: ProjMat) -> DirectionData:
 def _direction_candidates_impl(g: ProjMat, profile: SingularProfile) -> DirectionData:
     n = g.dim
     if g.place.is_padic:
-        _, uinv, vinv = _padic_snf_transforms(g)
-        attract = ProjPoint(tuple(uinv[i][0] for i in range(n)))
-        repel = ProjHyperplane(vinv[0])
-        return DirectionData(attract, Fraction(0), repel, Fraction(0))
+        _, (i, j) = _padic_smith(g.entries, g.place.prime)
+        return DirectionData(ProjPoint(g.col(j)), Fraction(0), ProjHyperplane(g.row(i)), Fraction(0))
     lam2_hi = profile.values_sq[1].hi
     ggt = [[dot(g.row(i), g.row(j)) for j in range(n)] for i in range(n)]
     gtg = [[dot(g.col(i), g.col(j)) for j in range(n)] for i in range(n)]
@@ -565,9 +478,13 @@ class ProximalCert:
 
 @dataclass(frozen=True)
 class ProximalVerdict:
+    """On "no", counterexample refutes the contraction candidates of
+    refutes, which is g itself or, from certify_very_proximal, g^-1."""
+
     kind: str  # "yes" | "no" | "unknown"
     cert: ProximalCert | None = None
     counterexample: ProjPoint | None = None
+    refutes: ProjMat | None = None
 
 
 def _dual_enclosure(g: ProjMat, cert: ContractionCert) -> Enclosure | None:
@@ -592,7 +509,7 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
         raise ValueError("r <= 2eps")
     cv = certify_contracting(g, epsilon_sq)
     if cv.kind == "no":
-        return ProximalVerdict("no", counterexample=cv.counterexample)
+        return ProximalVerdict("no", counterexample=cv.counterexample, refutes=g)
     if cv.kind == "unknown":
         return ProximalVerdict("unknown")
     cert = cv.cert
@@ -609,7 +526,11 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
 
 def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
     """Both g and g^-1 (r, eps)-proximal, plus the four cross-disjointness
-    conditions on the eps-sets of the pair."""
+    conditions on the eps-sets of the pair.
+
+    A "no" from g^-1 names g^-1 in `refutes`.  A failed cross-disjointness
+    check is "unknown": a point common to two candidate sets refutes no
+    contraction claim."""
     from .projective import set_disjoint  # local import to keep module load light
 
     fwd = certify_proximal(g, r_sq, epsilon_sq)
@@ -623,9 +544,8 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVer
     a_m = _as_set(bwd.cert.attract_set)
     r_m = _as_set(bwd.cert.repel_set)
     for left, right in ((a_p, r_p), (a_p, a_m), (a_m, r_m)):
-        v = set_disjoint(left, right, g.place)
-        if v.kind != "disjoint":
-            return ProximalVerdict("unknown") if v.kind == "unknown" else ProximalVerdict("no", counterexample=v.witness)
+        if set_disjoint(left, right, g.place).kind != "disjoint":
+            return ProximalVerdict("unknown")
     paired = ProximalCert(
         fwd.cert.r_sq,
         fwd.cert.epsilon_sq,
@@ -650,17 +570,6 @@ def power_to_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat, max_n: int) -> tup
     acc = g
     for n in range(1, max_n + 1):
         verdict = certify_proximal(acc, r_sq, epsilon_sq)
-        if verdict.kind == "yes":
-            return n, verdict.cert
-        if n < max_n:
-            acc = acc @ g
-    return None
-
-
-def power_to_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat, max_n: int) -> tuple[int, ProximalCert] | None:
-    acc = g
-    for n in range(1, max_n + 1):
-        verdict = certify_very_proximal(acc, r_sq, epsilon_sq)
         if verdict.kind == "yes":
             return n, verdict.cert
         if n < max_n:

@@ -169,18 +169,13 @@ def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
 
 
 def simple_player(name: str, element, attract, repel, evidence) -> PingPongPlayer:
-    """The two-set convention R- = A+ and R+ = A-: attract plays A+, repel plays A-."""
-    return PingPongPlayer(name, element, attract, repel, repel, attract, evidence)
+    """The two-set convention R- = A+ and R+ = A-: attract plays A+, repel plays A-.
 
-
-def certify_simple_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
-    """Certify a tuple in the simplified disjoint form.
-
-    Players should come from simple_player(); the conditions reduce to
+    certify_tuple takes such players as they are; its conditions reduce to
     pairwise disjointness of all attracting and repelling sets plus the
     usual mapping evidence.
     """
-    return certify_tuple(players)
+    return PingPongPlayer(name, element, attract, repel, repel, attract, evidence)
 
 
 # ---------------------------------------------------------------------------

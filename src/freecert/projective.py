@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalar import Place, Rat, abs_sq, abs_value, cmp_sqrt_sum
 
@@ -208,20 +209,41 @@ class ProjMat:
 
 
 def det(rows: tuple[Vec, ...]) -> Rat:
-    """Exact determinant by fraction-free expansion (n stays desk-scale)."""
+    """Exact determinant: closed form for 2 x 2, else fraction-free
+    (Bareiss) elimination on the integer matrix scale * rows."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
+    a, scale = integer_rows(rows)
     sign = 1
-    for j in range(n):
-        if rows[0][j] != 0:
-            minor = tuple(tuple(r[k] for k in range(n) if k != j) for r in rows[1:])
-            total += sign * rows[0][j] * det(minor)
-        sign = -sign
-    return total
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        rk = a[k]
+        piv = rk[k]
+        for row in a[k + 1 :]:
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - x * rk[j]) // prev
+        prev = piv
+    return Fraction(sign * a[-1][-1], scale**n)
+
+
+def integer_rows(rows) -> tuple[list[list[int]], int]:
+    """(scale * rows as integer lists, scale), scale the lcm of the denominators."""
+    scale = 1
+    for r in rows:
+        for x in r:
+            if x.denominator != 1:
+                scale = lcm(scale, x.denominator)
+    if scale == 1:
+        return [[x.numerator for x in r] for r in rows], 1
+    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale
 
 
 def mat_inverse(rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
@@ -322,10 +344,6 @@ def hnbhd(plane: ProjHyperplane, radius_sq: Rat) -> ProjSet:
 class DisjointVerdict:
     kind: str  # "disjoint" | "overlap" | "unknown"
     witness: ProjPoint | None = None
-
-    @property
-    def is_disjoint(self) -> bool:
-        return self.kind == "disjoint"
 
 
 CERTIFIED_DISJOINT = DisjointVerdict("disjoint")

@@ -22,18 +22,35 @@ Rat = Fraction
 SQRT_BOUND_BITS = 40
 
 
+#: Bases of the deterministic Miller-Rabin test: the primes up to 41.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: The least strong pseudoprime to all of MR_BASES; below it the test is proven.
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MR_LIMIT; larger n raise."""
+    if n >= MR_LIMIT:
+        raise ValueError(f"prime too large: {n} (primality is decided only below {MR_LIMIT})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -173,21 +190,6 @@ def cmp_sqrt_sum(a: Rat, b: Rat, c: Rat) -> int:
     if s < 0:
         return -1
     return 0
-
-
-def sqrt_sum_leq(a: Rat, b: Rat, c: Rat) -> bool:
-    """sqrt(a) + sqrt(b) <= sqrt(c), exactly."""
-    return cmp_sqrt_sum(a, b, c) <= 0
-
-
-def sqrt_sum_lt(a: Rat, b: Rat, c: Rat) -> bool:
-    """sqrt(a) + sqrt(b) < sqrt(c), exactly."""
-    return cmp_sqrt_sum(a, b, c) < 0
-
-
-def sqrt_leq_sqrt_sum(c: Rat, a: Rat, b: Rat) -> bool:
-    """sqrt(c) <= sqrt(a) + sqrt(b), exactly."""
-    return cmp_sqrt_sum(a, b, c) >= 0
 
 
 def parse_rat(text: str) -> Rat:

@@ -227,18 +227,6 @@ def validate_normal_data(group: MarkedGroup, data: NormalData) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pow4_at_most(x: Rat, depth: int = 60) -> Rat | None:
-    """Largest 4^-j <= x with j >= 1, or None."""
-    if x <= 0:
-        return None
-    q = Fraction(1, 4)
-    for _ in range(depth):
-        if q <= x:
-            return q
-        q /= 4
-    return None
-
-
 def _pow4_at_least(x: Rat, lo_bits: int = 60) -> Rat | None:
     """Smallest 4^-j >= x with j >= 1, or None (x must be < 1)."""
     if x >= Fraction(1, 4):

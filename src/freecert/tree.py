@@ -14,7 +14,6 @@ a lazily expanded finite ball of the tree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 DEFAULT_RADIUS = 8
@@ -105,31 +104,6 @@ class FiniteGroup:
             tuple(index[tuple(p[q[i]] for i in range(deg))] for q in elems) for p in elems
         )
         return cls(table)
-
-    def subgroup_closure(self, gens: set[int]) -> frozenset[int]:
-        out = {self.identity} | set(gens)
-        changed = True
-        while changed:
-            changed = False
-            for x in list(out):
-                for y in list(out):
-                    z = self.mul(x, y)
-                    if z not in out:
-                        out.add(z)
-                        changed = True
-                if self.inv(x) not in out:
-                    out.add(self.inv(x))
-                    changed = True
-        return frozenset(out)
-
-    def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, by closing all subsets of generators (desk scale)."""
-        subs = {frozenset([self.identity])}
-        elems = list(range(self.order))
-        for r in range(1, self.order + 1):
-            for combo in itertools.combinations(elems, r):
-                subs.add(self.subgroup_closure(set(combo)))
-        return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 Letter = tuple[str, int]  # ("A" | "B", element index in that factor)
@@ -348,11 +322,6 @@ class BassSerreTree:
         if syl and syl[-1][0] == tag:
             syl = syl[:-1]
         return (tag, syl)
-
-    def edge_endpoints(self, key: tuple[Letter, ...]) -> tuple[Vertex, Vertex]:
-        a = key[:-1] if key and key[-1][0] == "A" else key
-        b = key[:-1] if key and key[-1][0] == "B" else key
-        return ("A", a), ("B", b)
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         cached = self._adj.get(v)

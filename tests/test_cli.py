@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,49 @@ def test_analyze_malformed_rational(tmp_path):
     text = "format 1\nplace arch\n[matrix-group]\ngen g = [[1/0, 0], [0, 1]]\n[task]\nop analyze\nsubop profile\nelement g\n"
     code, cert, _ = run(tmp_path, "analyze", text)
     assert code == 2 and cert is None
+
+
+def test_analyze_very_proximal_inverse_refutation_verifies(tmp_path):
+    # g is proximal but g^-1 is not: the refutation must be stated against g^-1
+    text = (
+        "format 1\nplace p:5\n[matrix-group]\n"
+        "gen g = [[-18734, -29976, 0], [12490, 19985, 0], [39968, 59952, 1250]]\n"
+        "[task]\nop analyze\nsubop very-proximal\nelement g\nepsilon-sq 1/25\nr-sq 1/4\n"
+    )
+    code, cert, out = run(tmp_path, "analyze", text)
+    assert code == 3
+    assert cert["verdict"] == "no"
+    assert verify_file(out) == 0
+
+
+def test_place_prime_beyond_primality_limit_fails_fast(tmp_path):
+    text = (
+        "format 1\nplace p:100000000000000000000000000319\n[matrix-group]\ngen g = [[5, 0], [0, 1]]\n"
+        "[task]\nop analyze\nsubop profile\nelement g\n"
+    )
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and cert is None
+
+
+def test_verify_rejects_certificate_place_beyond_primality_limit(tmp_path):
+    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    _, cert, out = run(tmp_path, "analyze", text, "--place", "p:5")
+    cert["place"] = "p:100000000000000000000000000319"
+    out.write_text(json.dumps(cert))
+    assert verify_file(out) == 2
+
+
+def test_place_large_prime_accepted(tmp_path):
+    p = 1000000000039
+    text = (
+        f"format 1\nplace p:{p}\n[matrix-group]\ngen g = [[{p}, 0], [0, 1]]\n"
+        "[task]\nop analyze\nsubop profile\nelement g\n"
+    )
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 0
+    assert cert["result"]["values_sq"][1] == {"lo": f"1/{p * p}", "hi": f"1/{p * p}"}
 
 
 def test_pingpong_certified_and_verify(tmp_path):

@@ -14,7 +14,6 @@ from freecert.dynamics import (
     push_ball,
     push_set,
     singular_profile,
-    _padic_snf_transforms,
 )
 from freecert.projective import (
     Ball,
@@ -23,11 +22,12 @@ from freecert.projective import (
     ProjPoint,
     apply,
     ball,
+    det,
     dist_sq,
     dist_to_hyperplane_sq,
     set_member,
 )
-from freecert.scalar import ARCH, padic, sqrt_lower, sqrt_upper
+from freecert.scalar import ARCH, padic, padic_valuation, sqrt_lower, sqrt_upper
 
 P5 = padic(5)
 
@@ -91,6 +91,70 @@ def test_gap_multiplicative_for_diagonal_powers():
         assert contraction_gap_sq(g.power(n)).lo == base**n
 
 
+def _padic_snf_transforms(g: ProjMat) -> tuple[list[int], tuple, tuple]:
+    """Reference Smith form over the localization at p with accumulated
+    transforms, in Fraction arithmetic.
+
+    Returns (exponents ascending, Uinv, Vinv) with g = Uinv . D . Vinv,
+    both transforms p-integral with p-unit determinant, hence sup-norm
+    isometries of Q_p^n.  Column 1 of Uinv is the exact top singular
+    direction; row 1 of Vinv is the exact top dual direction.
+    """
+    p = g.place.prime
+    n = g.dim
+    d = [list(r) for r in g.entries]
+    uinv = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    vinv = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    exps: list[int] = []
+    for k in range(n):
+        piv_v = None
+        pi = pj = -1
+        for i in range(k, n):
+            for j in range(k, n):
+                x = d[i][j]
+                if x:
+                    v = padic_valuation(x, p)
+                    if piv_v is None or v < piv_v:
+                        piv_v, pi, pj = v, i, j
+        assert piv_v is not None, "singular matrix"
+        if pi != k:
+            d[k], d[pi] = d[pi], d[k]
+            for row in uinv:
+                row[k], row[pi] = row[pi], row[k]
+        if pj != k:
+            for row in d:
+                row[k], row[pj] = row[pj], row[k]
+            vinv[k], vinv[pj] = vinv[pj], vinv[k]
+        piv = d[k][k]
+        for i in range(k + 1, n):
+            x = d[i][k]
+            if x:
+                c = x / piv  # valuation >= 0 by pivot minimality
+                for j in range(k, n):
+                    d[i][j] -= c * d[k][j]
+                for t in range(n):
+                    uinv[t][k] += c * uinv[t][i]
+        for j in range(k + 1, n):
+            x = d[k][j]
+            if x:
+                c = x / piv
+                for i in range(k, n):
+                    d[i][j] -= c * d[i][k]
+                for t in range(n):
+                    vinv[k][t] += c * vinv[j][t]
+        exps.append(piv_v)
+    return exps, tuple(tuple(r) for r in uinv), tuple(tuple(r) for r in vinv)
+
+
+def _random_invertible(rng, n, place, entry):
+    while True:
+        rows = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+        try:
+            return ProjMat(rows, place)
+        except ValueError:
+            continue
+
+
 def test_snf_transforms_reconstruct():
     rng = random.Random(9)
     for _ in range(25):
@@ -104,6 +168,58 @@ def test_snf_transforms_reconstruct():
         exps, uinv, vinv = _padic_snf_transforms(g)
         assert exps == sorted(exps)
         assert exps == padic_exponents(g.entries, 5)
+
+
+def test_padic_kernel_matches_snf_reference():
+    # exponents, attracting point and repelling hyperplane of the
+    # fraction-free kernel against the Fraction Smith form with transforms
+    rng = random.Random(23)
+
+    def entry():
+        return F(rng.randint(-30, 30), rng.choice((1, 1, 1, 2, 3, 4, 5, 7, 9, 25, 49)))
+
+    for n in range(2, 8):
+        for p in (2, 3, 5, 7):
+            for _ in range(20):
+                g = _random_invertible(rng, n, padic(p), entry)
+                exps, uinv, vinv = _padic_snf_transforms(g)
+                assert padic_exponents(g.entries, p) == exps
+                dirs = direction_candidates(g)
+                assert dirs.attract == ProjPoint(tuple(uinv[i][0] for i in range(n)))
+                assert dirs.repel == ProjHyperplane(vinv[0])
+
+
+def test_padic_exponents_match_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(31)
+    for n in (8, 10, 12):
+        for p in (2, 3, 5):
+            place = padic(p)
+            a, b = (_random_invertible(rng, n, place, lambda: F(rng.randint(-5, 5))) for _ in range(2))
+            d = ProjMat(tuple(tuple(p ** rng.randint(0, 3) if i == j else 0 for j in range(n)) for i in range(n)), place)
+            rows = [[int(x) for x in r] for r in (a @ d @ b).entries]
+            factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+            expected = sorted(padic_valuation(int(f), p) for f in factors)
+            assert padic_exponents(rows, p) == expected
+
+
+def test_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    for n in range(2, 13):
+        for sparse, singular in ((False, False), (True, False), (False, True), (True, True)):
+            # sparse rows put zeros on the diagonal, which forces row swaps
+            span = (0, 0, 0, 1) if sparse else (1,)
+            rows = [[F(rng.choice(span) * rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            if singular:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[-2])]
+            got = det(tuple(tuple(r) for r in rows))
+            want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).det()
+            assert got == F(int(want.p), int(want.q))
+            if singular:
+                assert got == 0
 
 
 def test_certify_contracting_oracle_values():

@@ -5,7 +5,6 @@ import pytest
 from freecert.dynamics import certify_very_proximal
 from freecert.pingpong import (
     PingPongPlayer,
-    certify_simple_tuple,
     certify_tuple,
     freeness_oracle,
     simple_player,
@@ -81,7 +80,7 @@ def test_simple_tuple_certified():
     v = certify_very_proximal(g, F(1, 4), F(1, 64))
     assert v.kind == "yes"
     p = simple_player("g", g, ball(E1, F(1, 10)), ball(E2, F(1, 10)), v.cert)
-    out = certify_simple_tuple([p])
+    out = certify_tuple([p])
     assert out.verdict == "certified"
 
 
@@ -90,7 +89,7 @@ def test_simple_tuple_duplicates_refuted():
     v = certify_very_proximal(g, F(1, 4), F(1, 64))
     p1 = simple_player("g", g, ball(E1, F(1, 10)), ball(E2, F(1, 10)), v.cert)
     p2 = simple_player("h", g, ball(E1, F(1, 10)), ball(E2, F(1, 10)), v.cert)
-    assert certify_simple_tuple([p1, p2]).verdict == "refuted"
+    assert certify_tuple([p1, p2]).verdict == "refuted"
 
 
 def test_unipotent_has_no_valid_evidence():
@@ -99,7 +98,7 @@ def test_unipotent_has_no_valid_evidence():
     v = certify_very_proximal(g, F(1, 4), F(1, 64))
     good = simple_player("g", g, ball(E1, F(1, 10)), ball(E2, F(1, 10)), v.cert)
     bad = simple_player("u", uni, ball(ProjPoint((1, 1)), F(1, 100)), ball(ProjPoint((1, -1)), F(1, 100)), None)
-    out = certify_simple_tuple([good, bad])
+    out = certify_tuple([good, bad])
     assert out.verdict in ("unknown", "refuted")
 
 

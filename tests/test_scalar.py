@@ -30,6 +30,14 @@ def test_place_validation():
         Place("complex")
 
 
+def test_place_primality_is_deterministic_miller_rabin():
+    assert padic(1000000000039).prime == 1000000000039
+    with pytest.raises(ValueError):
+        padic(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="prime too large"):
+        padic(100000000000000000000000000319)
+
+
 def test_valuation_oracle_values():
     # 50 = 2 * 5^2
     assert padic_valuation(F(50), 5) == 2
