@@ -20,10 +20,8 @@ from .dynamics import (
     ContractionCert,
     Enclosure,
     ProximalCert,
-    certify_contracting,
     contraction_gap_sq,
     direction_candidates,
-    singular_profile,
 )
 from .projective import (
     Ball,
@@ -193,14 +191,16 @@ def claim_contraction(matrix: ProjMat, cert: ContractionCert) -> dict:
     return {"type": "contraction", "matrix": mat_json(matrix), "cert": contraction_json(cert)}
 
 
-def claim_contraction_refuted(matrix: ProjMat, epsilon_sq: Rat, witness: ProjPoint, attract: ProjPoint, repel: ProjHyperplane) -> dict:
+def claim_contraction_refuted(matrix: ProjMat, epsilon_sq: Rat, witness: ProjPoint) -> dict:
+    """The witness refutes eps-contraction for the matrix's direction candidates."""
+    dirs = direction_candidates(matrix)
     return {
         "type": "contraction-refuted",
         "matrix": mat_json(matrix),
         "epsilon_sq": rat(epsilon_sq),
         "witness": point_json(witness),
-        "attract": point_json(attract),
-        "repel": plane_json(repel),
+        "attract": point_json(dirs.attract),
+        "repel": plane_json(dirs.repel),
     }
 
 
@@ -258,6 +258,70 @@ def claims_for_proximal(matrix: ProjMat, cert: ProximalCert) -> list[dict]:
 
 def claim_oracle(max_len: int, result_kind: str, word: str | None, names: list[str]) -> dict:
     return {"type": "oracle", "max_len": max_len, "result": result_kind, "word": word, "names": names}
+
+
+def claim_normal_membership(element: str, factorization: str) -> dict:
+    return {"type": "normal-membership", "element": element, "factorization": factorization}
+
+
+def claims_for_cert(word: str, matrix: ProjMat, cert: ContractionCert | ProximalCert, *between: dict) -> list[dict]:
+    """Claims for a certified word: its word-eval, then the claims in
+    `between` (normal membership), then its contraction or proximal evidence."""
+    out = [claim_word_eval(word, matrix), *between]
+    if isinstance(cert, ProximalCert):
+        return out + claims_for_proximal(matrix, cert)
+    return out + [claim_contraction(matrix, cert)]
+
+
+def _disjoint_claims(tup, claim) -> list[dict]:
+    """One claim(left, right, note) per cross-set disjointness the tuple certified."""
+    by_name = {f"{p.name}.{label}": s for p in tup.players for label, s in p.sets()}
+    out = []
+    for check in tup.checks:
+        if check.kind == "disjoint" and check.ok:
+            left, right = check.detail.split(" vs ")
+            out.append(claim(by_name[left], by_name[right], check.detail))
+    return out
+
+
+def claims_for_tuple(tup) -> list[dict]:
+    """Claims for a projective ping-pong tuple: its disjointnesses, then
+    each player's proximal evidence."""
+    out = _disjoint_claims(tup, claim_set_disjoint)
+    for p in tup.players:
+        if isinstance(p.evidence, ProximalCert):
+            out.extend(claims_for_proximal(p.element, p.evidence))
+    return out
+
+
+def claim_tree_normal_form(word: str, w) -> dict:
+    return {"type": "tree-normal-form", "word": word, "syllables": [list(s) for s in w.syllables], "tail": w.tail}
+
+
+def claim_tree_classify(word: str, cls) -> dict:
+    return {"type": "tree-classify", "word": word, "kind": cls.kind, "translation_length": cls.translation_length}
+
+
+def claim_tree_degree(vertex, degree: int) -> dict:
+    return {"type": "tree-degree", "vertex": vertex_json(vertex), "degree": degree}
+
+
+def claim_kernel(elements: list[int]) -> dict:
+    return {"type": "kernel", "elements": elements}
+
+
+def claim_shadow_disjoint(left, right, note: str) -> dict:
+    return {"type": "shadow-disjoint", "left": shadow_json(left), "right": shadow_json(right), "note": note}
+
+
+def claims_for_tree_tuple(tup, words: list[str]) -> list[dict]:
+    """Claims for a tree ping-pong tuple, read off the evidence it already
+    holds: each word's classification, each player's axis shadows, then the
+    tuple's disjointnesses."""
+    players = list(zip(tup.players, words))
+    out = [claim_tree_classify(word, p.evidence.classification) for p, word in players]
+    out += [{"type": "tree-evidence", "word": word, "sets": [shadow_json(s) for _, s in p.sets()]} for p, word in players]
+    return out + _disjoint_claims(tup, claim_shadow_disjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +473,23 @@ def _group_from_header(header: dict, place: Place):
     return MarkedGroup(tuple((name, mat_from(m, place)) for name, m in sorted(gens.items())))
 
 
-def _amalgam_from_header(header: dict):
+def amalgam_from(data: dict):
+    """The amalgam described by a header's `amalgam` tables."""
     from .tree import AmalgamData, FiniteGroup
 
-    data = header.get("amalgam")
-    if not data:
-        raise VerifyError("certificate lacks an amalgam table")
-    ga = FiniteGroup(tuple(tuple(r) for r in data["table_a"]), tuple(data["names_a"]) if data.get("names_a") else None)
-    gb = FiniteGroup(tuple(tuple(r) for r in data["table_b"]), tuple(data["names_b"]) if data.get("names_b") else None)
-    gh = FiniteGroup(tuple(tuple(r) for r in data["table_h"]), tuple(data["names_h"]) if data.get("names_h") else None)
-    return AmalgamData(ga, gb, gh, tuple(data["embed_a"]), tuple(data["embed_b"]))
+    def factor(tag: str) -> FiniteGroup:
+        names = data.get(f"names_{tag}")
+        return FiniteGroup(tuple(tuple(r) for r in data[f"table_{tag}"]), tuple(names) if names else None)
+
+    return AmalgamData(factor("a"), factor("b"), factor("h"), tuple(data["embed_a"]), tuple(data["embed_b"]))
 
 
 def _check_tree_claim(kind: str, claim: dict, header: dict) -> bool:
     from .tree import BassSerreTree, ShadowSet, classify, kernel_of_action, parse_word
 
-    am = _amalgam_from_header(header)
+    if not header.get("amalgam"):
+        raise VerifyError("certificate lacks an amalgam table")
+    am = amalgam_from(header["amalgam"])
     if kind == "kernel":
         return kernel_of_action(am) == list(claim["elements"])
     if kind == "tree-normal-form":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields as dc_fields
 from fractions import Fraction
 
@@ -19,14 +20,14 @@ from .dynamics import (
     certify_contracting,
     certify_proximal,
     certify_very_proximal,
-    direction_candidates,
     power_to_proximal,
     singular_profile,
 )
 from .pingpong import PingPongPlayer, certify_tuple, freeness_oracle, simple_player
-from .projective import Ball, HNbhd, ProjMat, ProjSet, ball, hnbhd
+from .projective import ProjHyperplane, ProjMat, ProjPoint, ProjSet, ball, hnbhd
 from .scalar import ARCH, Place, padic, parse_rat
 from .synthesis import (
+    PRODENSE_ORACLE_LEN,
     Budgets,
     MarkedGroup,
     NormalData,
@@ -45,7 +46,6 @@ from .synthesis import (
 from .tree import (
     AmalgamData,
     BassSerreTree,
-    FiniteGroup,
     TreeError,
     classify,
     expand_tree,
@@ -90,11 +90,18 @@ class Problem:
         return self.task.get(key, [])
 
 
-def _parse_rat_at(text: str, line: int, col: int) -> Fraction:
+@contextmanager
+def _input_error(kind: type[Exception] = ValueError, line: int = 1, col: int = 1):
+    """Report a `kind` error raised on bad input as a positioned ProblemError."""
     try:
-        return parse_rat(text)
-    except ValueError as e:
+        yield
+    except kind as e:
         raise ProblemError(line, col, str(e)) from None
+
+
+def _parse_rat_at(text: str, line: int, col: int) -> Fraction:
+    with _input_error(line=line, col=col):
+        return parse_rat(text)
 
 
 def _parse_matrix_literal(text: str, line: int) -> list[list[Fraction]]:
@@ -180,10 +187,8 @@ def parse_problem(text: str) -> Problem:
                 if rest == "arch":
                     prob.place = ARCH
                 elif rest.startswith("p:"):
-                    try:
+                    with _input_error(line=line_no, col=len(key) + 2):
                         prob.place = padic(int(rest[2:]))
-                    except ValueError as e:
-                        raise ProblemError(line_no, len(key) + 2, str(e)) from None
                 else:
                     raise ProblemError(line_no, len(key) + 2, f"place must be arch or p:PRIME, got {rest!r}")
             else:
@@ -230,35 +235,18 @@ def _build_group(prob: Problem) -> MarkedGroup:
         raise ProblemError(1, 1, f"bad generator: {e}") from None
 
 
-def _build_amalgam(prob: Problem) -> AmalgamData:
+def _build_amalgam(prob: Problem) -> tuple[AmalgamData, dict]:
+    """The amalgam and the certificate header that records its tables."""
     raw = prob.amalgam_raw
     needed = ("table_a", "table_b", "table_h", "embed_a", "embed_b")
     missing = [k for k in needed if k not in raw]
     if missing:
         raise ProblemError(1, 1, f"amalgam section incomplete: missing {missing[0].replace('_', '-')}")
+    data = {k: raw.get(k) for k in needed + ("names_a", "names_b", "names_h")}
     try:
-        ga = FiniteGroup(tuple(tuple(r) for r in raw["table_a"]), tuple(raw["names_a"]) if raw.get("names_a") else None)
-        gb = FiniteGroup(tuple(tuple(r) for r in raw["table_b"]), tuple(raw["names_b"]) if raw.get("names_b") else None)
-        gh = FiniteGroup(tuple(tuple(r) for r in raw["table_h"]), tuple(raw["names_h"]) if raw.get("names_h") else None)
-        return AmalgamData(ga, gb, gh, tuple(raw["embed_a"]), tuple(raw["embed_b"]))
+        return certfmt.amalgam_from(data), {"amalgam": data}
     except TreeError as e:
         raise ProblemError(1, 1, f"bad amalgam: {e}") from None
-
-
-def _amalgam_header(prob: Problem) -> dict:
-    raw = prob.amalgam_raw
-    return {
-        "amalgam": {
-            "table_a": raw["table_a"],
-            "table_b": raw["table_b"],
-            "table_h": raw["table_h"],
-            "names_a": raw.get("names_a"),
-            "names_b": raw.get("names_b"),
-            "names_h": raw.get("names_h"),
-            "embed_a": raw["embed_a"],
-            "embed_b": raw["embed_b"],
-        }
-    }
 
 
 def _group_header(group: MarkedGroup) -> dict:
@@ -299,16 +287,10 @@ def _parse_set(text: str, line: int, place: Place) -> ProjSet:
         _parse_rat_at(tok.strip(), line, 1) for tok in coords_text.split(",") if tok.strip()
     ]
     radius = _parse_rat_at(parts[1].strip(), line, 1)
-    try:
+    with _input_error(line=line):
         if kind == "ball":
-            from .projective import ProjPoint
-
             return ball(ProjPoint(tuple(coords)), radius)
-        from .projective import ProjHyperplane
-
         return hnbhd(ProjHyperplane(tuple(coords)), radius)
-    except ValueError as e:
-        raise ProblemError(line, 1, str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,52 +306,44 @@ def _verdict_exit(verdict: str) -> int:
     return EXIT_UNKNOWN
 
 
+def _emitter(place: Place | None, backend: str, header: dict, task: dict):
+    """emit(verdict, result, claims) -> (certificate, exit code) for one command."""
+
+    def emit(verdict: str, result: dict | None = None, claims: list[dict] | None = None) -> tuple[dict, int]:
+        return certfmt.certificate(place, backend, header, task, verdict, result or {}, claims or []), _verdict_exit(verdict)
+
+    return emit
+
+
 def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
     group = _build_group(prob)
-    place = group.place
     subop = _need(prob, "subop")
     word = group.parse_word(_need(prob, "element"))
     m = group.eval(word)
     task = {"op": "analyze", "subop": subop, "element": group.word_str(word)}
-    header = _group_header(group)
-    claims = [certfmt.claim_word_eval(group.word_str(word), m)]
+    emit = _emitter(group.place, "matrix", _group_header(group), task)
+    word_eval = [certfmt.claim_word_eval(task["element"], m)]
     if subop == "profile":
         prof = singular_profile(m)
         result = {"values_sq": [certfmt.interval_json(v) for v in prof.values_sq], "exact": prof.exact}
-        return certfmt.certificate(place, "matrix", header, task, "ok", result, claims), EXIT_OK
-    if subop == "contracting":
+        return emit("ok", result, word_eval)
+    if subop in ("contracting", "proximal", "very-proximal"):
         eps_sq = parse_rat(_need(prob, "epsilon-sq"))
         task["epsilon_sq"] = certfmt.rat(eps_sq)
-        v = certify_contracting(m, eps_sq)
-        if v.kind == "yes":
-            claims.append(certfmt.claim_contraction(m, v.cert))
-            result = {"cert": certfmt.contraction_json(v.cert)}
-        elif v.kind == "no":
-            dirs = direction_candidates(m)
-            claims.append(certfmt.claim_contraction_refuted(m, eps_sq, v.counterexample, dirs.attract, dirs.repel))
-            result = {"counterexample": certfmt.point_json(v.counterexample)}
+        if subop == "contracting":
+            v = certify_contracting(m, eps_sq)
+            refutes, cert_json = m, certfmt.contraction_json
         else:
-            result = {}
-        return certfmt.certificate(place, "matrix", header, task, v.kind, result, claims), _verdict_exit(v.kind)
-    if subop in ("proximal", "very-proximal"):
-        eps_sq = parse_rat(_need(prob, "epsilon-sq"))
-        r_sq = parse_rat(_need(prob, "r-sq"))
-        task["epsilon_sq"] = certfmt.rat(eps_sq)
-        task["r_sq"] = certfmt.rat(r_sq)
-        fn = certify_proximal if subop == "proximal" else certify_very_proximal
-        v = fn(m, r_sq, eps_sq)
+            r_sq = parse_rat(_need(prob, "r-sq"))
+            task["r_sq"] = certfmt.rat(r_sq)
+            v = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq)
+            refutes, cert_json = v.refutes, certfmt.proximal_json
         if v.kind == "yes":
-            claims.extend(certfmt.claims_for_proximal(m, v.cert))
-            result = {"cert": certfmt.proximal_json(v.cert)}
-        elif v.kind == "no":
-            dirs = direction_candidates(v.refutes)
-            claims.append(
-                certfmt.claim_contraction_refuted(v.refutes, eps_sq, v.counterexample, dirs.attract, dirs.repel)
-            )
-            result = {"counterexample": certfmt.point_json(v.counterexample)}
-        else:
-            result = {}
-        return certfmt.certificate(place, "matrix", header, task, v.kind, result, claims), _verdict_exit(v.kind)
+            return emit("yes", {"cert": cert_json(v.cert)}, certfmt.claims_for_cert(task["element"], m, v.cert))
+        if v.kind == "no":
+            refuted = certfmt.claim_contraction_refuted(refutes, eps_sq, v.counterexample)
+            return emit("no", {"counterexample": certfmt.point_json(v.counterexample)}, word_eval + [refuted])
+        return emit(v.kind, {}, word_eval)
     if subop == "power-proximal":
         eps_sq = parse_rat(_need(prob, "epsilon-sq"))
         r_sq = parse_rat(_need(prob, "r-sq"))
@@ -377,28 +351,11 @@ def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
         task.update({"epsilon_sq": certfmt.rat(eps_sq), "r_sq": certfmt.rat(r_sq), "max_n": max_n})
         out = power_to_proximal(m, r_sq, eps_sq, max_n)
         if out is None:
-            return certfmt.certificate(place, "matrix", header, task, "not-found", {}, claims), EXIT_UNKNOWN
+            return emit("not-found", {}, word_eval)
         n, cert = out
-        claims.extend(certfmt.claims_for_proximal(m.power(n), cert))
         result = {"n": n, "cert": certfmt.proximal_json(cert)}
-        return certfmt.certificate(place, "matrix", header, task, "yes", result, claims), EXIT_OK
+        return emit("yes", result, word_eval + certfmt.claims_for_proximal(m.power(n), cert))
     raise ProblemError(1, 1, f"unknown analyze subop {subop!r}")
-
-
-def _tuple_claims(players, tup, place) -> list[dict]:
-    claims = []
-    by_name = {}
-    for p in players:
-        for label, s in p.sets():
-            by_name[f"{p.name}.{label}"] = s
-    for check in tup.checks:
-        if check.kind == "disjoint" and check.ok:
-            left, right = check.detail.split(" vs ")
-            claims.append(certfmt.claim_set_disjoint(by_name[left], by_name[right], check.detail))
-    for p in players:
-        if hasattr(p.evidence, "contraction"):
-            claims.extend(certfmt.claims_for_proximal(p.element, p.evidence))
-    return claims
 
 
 def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
@@ -407,7 +364,6 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
     if prob.amalgam_raw:
         return _tree_pingpong_cert(prob, args)
     group = _build_group(prob)
-    place = group.place
     subop = prob.task_get("subop", "tuple")
     oracle_len = int(args.oracle_len or prob.task_get("oracle-len", "6"))
     players_spec = prob.task_all("player")
@@ -419,26 +375,22 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
         if not eq:
             raise ProblemError(line_no, 1, "expected: player NAME = word")
         names.append(name.strip())
-        try:
+        with _input_error(KeyError, line_no):
             w = group.parse_word(word_text.strip())
-        except KeyError as e:
-            raise ProblemError(line_no, 1, str(e)) from None
         words.append(w)
         mats.append(group.eval(w))
     task = {"op": "pingpong", "subop": subop, "players": {n: group.word_str(w) for n, w in zip(names, words)}, "oracle_len": oracle_len}
-    header = _group_header(group)
+    emit = _emitter(group.place, "matrix", _group_header(group), task)
     if subop == "oracle":
         out = freeness_oracle(mats, oracle_len, names=names)
-        claims = [certfmt.claim_oracle(oracle_len, out.kind, out.word, names)]
         result = {"oracle": out.kind, "relation": out.word}
-        return certfmt.certificate(place, "matrix", header, task, out.kind, result, claims), _verdict_exit(out.kind)
+        return emit(out.kind, result, [certfmt.claim_oracle(oracle_len, out.kind, out.word, names)])
     declared = prob.task_get("radius-sq")
     players = []
     for name, w, m in zip(names, words, mats):
         cert = auto_very_proximal(m)
         if cert is None:
-            result = {"failed_player": name}
-            return certfmt.certificate(place, "matrix", header, task, "unknown", result, []), EXIT_UNKNOWN
+            return emit("unknown", {"failed_player": name})
         if declared is not None:
             radius = parse_rat(declared)
             c_f, c_b = cert.contraction, cert.very.contraction
@@ -460,7 +412,7 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
             a_p, r_p, a_m, r_m = proximal_sets(cert)
             players.append(PingPongPlayer(name, m, a_p, r_p, a_m, r_m, cert))
     tup = certify_tuple(players)
-    claims = _tuple_claims(players, tup, place)
+    claims = certfmt.claims_for_tuple(tup)
     result = {
         "verdict": tup.verdict,
         "witness_detail": tup.witness_detail,
@@ -474,70 +426,39 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
         oracle = freeness_oracle(mats, oracle_len, names=names)
         claims.append(certfmt.claim_oracle(oracle_len, oracle.kind, oracle.word, names))
         result["oracle"] = oracle.kind
-    return certfmt.certificate(place, "matrix", header, task, tup.verdict, result, claims), _verdict_exit(tup.verdict)
+    return emit(tup.verdict, result, claims)
 
 
 def _tree_pingpong_cert(prob: Problem, args) -> tuple[dict, int]:
-    am = _build_amalgam(prob)
+    am, header = _build_amalgam(prob)
     oracle_len = int(args.oracle_len or prob.task_get("oracle-len", "8"))
     words_spec = prob.task_all("word")
     if not words_spec:
         raise ProblemError(1, 1, "tree pingpong needs 'word' lines")
     elements = []
-    texts = []
     for line_no, text in words_spec:
-        try:
+        with _input_error(TreeError, line_no):
             elements.append(tree_parse_word(am, text))
-        except TreeError as e:
-            raise ProblemError(line_no, 1, str(e)) from None
-        texts.append(text)
-    task = {"op": "pingpong", "subop": "tree", "words": texts, "oracle_len": oracle_len}
-    header = _amalgam_header(prob)
-    try:
+    texts = [text for _, text in words_spec]
+    emit = _emitter(None, "amalgam", header, {"op": "pingpong", "subop": "tree", "words": texts, "oracle_len": oracle_len})
+    with _input_error(TreeError):
         tup = tree_pingpong(elements, am, radius_budget=int(args.radius or prob.task_get("radius", "8")))
-    except TreeError as e:
-        raise ProblemError(1, 1, str(e)) from None
-    claims = []
-    for text in texts:
-        cls = classify(tree_parse_word(am, text), am)
-        claims.append({"type": "tree-classify", "word": text, "kind": cls.kind, "translation_length": cls.translation_length})
-    for p, text in zip(tup.players, texts):
-        from .tree import axis_shadow_sets
-
-        tree = p.a_plus.tree
-        cls = p.evidence.classification
-        sets = axis_shadow_sets(tree, p.element, cls)
-        claims.append({"type": "tree-evidence", "word": text, "sets": [certfmt.shadow_json(s) for s in sets]})
-    for check in tup.checks:
-        if check.kind == "disjoint" and check.ok:
-            names = dict()
-            for p, text in zip(tup.players, texts):
-                for label, s in p.sets():
-                    names[f"{p.name}.{label}"] = s
-            left, right = check.detail.split(" vs ")
-            claims.append(
-                {
-                    "type": "shadow-disjoint",
-                    "left": certfmt.shadow_json(names[left]),
-                    "right": certfmt.shadow_json(names[right]),
-                    "note": check.detail,
-                }
-            )
+    claims = certfmt.claims_for_tree_tuple(tup, texts)
     result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail}
     if tup.verdict == "certified":
         oracle = freeness_oracle(elements, oracle_len, names=[f"t{i}" for i in range(len(elements))])
         claims.append(certfmt.claim_oracle(oracle_len, oracle.kind, oracle.word, texts))
         result["oracle"] = oracle.kind
-    return certfmt.certificate(None, "amalgam", header, task, tup.verdict, result, claims), _verdict_exit(tup.verdict)
+    return emit(tup.verdict, result, claims)
 
 
 def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
     group = _build_group(prob)
-    place = group.place
+    ws = group.word_str
     subop = _need(prob, "subop")
-    header = _group_header(group)
-    budgets = _budgets(prob, args.budget or [])
     task = {"op": "synthesize", "subop": subop}
+    emit = _emitter(group.place, "matrix", _group_header(group), task)
+    budgets = _budgets(prob, args.budget or [])
 
     def parse_normals() -> list[NormalData]:
         normals = {}
@@ -557,35 +478,50 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
             normals[label][1] = tuple(group.parse_word(w.strip()) if w.strip() else () for w in reps.split("|"))
         return [NormalData(lbl, reps, cosets) for lbl, (reps, cosets) in normals.items()]
 
+    def claims_for(word, cert, *between) -> list[dict]:
+        return certfmt.claims_for_cert(ws(word), group.eval(word), cert, *between)
+
     if subop == "truncated-prodense":
         normals = parse_normals()
         if not normals:
             raise ProblemError(1, 1, "truncated-prodense needs at least one 'normal' line")
-        try:
+        with _input_error():
             report = truncated_prodense(group, normals, budgets=budgets)
-        except ValueError as e:
-            raise ProblemError(1, 1, str(e)) from None
-        claims, result = _report_payload(group, report)
-        task["normals"] = {d.label: [group.word_str(w) for w in d.class_reps] for d in normals}
-        verdict = report.verdict
-        return certfmt.certificate(place, "matrix", header, task, verdict, result, claims), _verdict_exit(verdict)
+        task["normals"] = {d.label: [ws(w) for w in d.class_reps] for d in normals}
+        claims, step1, step2 = [], [], {}
+        for r in report.step1:
+            claims += claims_for(r.word, r.cert)
+            step1.append({"label": r.label, "word": ws(r.word), "nest": r.nest_exponent})
+        for label, crs in report.step2.items():
+            step2[label] = []
+            for cr in crs:
+                claims += claims_for(cr.word, cr.cert)
+                step2[label].append({"coset": ws(cr.coset_rep), "word": ws(cr.word), "power": cr.power})
+        result = {
+            "host": {"word": ws(report.host_word), "power": report.host_power},
+            "notes": list(report.notes),
+            "verdict": report.verdict,
+            "step1": step1,
+            "step1_tuple": report.step1_tuple.verdict if report.step1_tuple else None,
+            "step2": step2,
+            "combined": report.combined.verdict if report.combined else None,
+        }
+        if report.oracle is not None:
+            result["oracle"] = report.oracle.kind
+            claims.append(certfmt.claim_oracle(PRODENSE_ORACLE_LEN, report.oracle.kind, report.oracle.word, []))
+        return emit(report.verdict, result, claims)
     if subop == "conjugate-contract":
         g = group.parse_word(_need(prob, "element"))
         x = group.parse_word(_need(prob, "x-element"))
         eps_sq = parse_rat(_need(prob, "epsilon-sq"))
         m_max = int(prob.task_get("m-max", "8"))
-        task.update({"element": group.word_str(g), "x": group.word_str(x), "epsilon_sq": certfmt.rat(eps_sq)})
-        try:
+        task.update({"element": ws(g), "x": ws(x), "epsilon_sq": certfmt.rat(eps_sq)})
+        with _input_error():
             out = conjugate_contract(group, g, x, m_max, eps_sq)
-        except ValueError as e:
-            raise ProblemError(1, 1, str(e)) from None
         if out is None:
-            return certfmt.certificate(place, "matrix", header, task, "not-found", {}, []), EXIT_UNKNOWN
+            return emit("not-found")
         m, word, cert = out
-        mat = group.eval(word)
-        claims = [certfmt.claim_word_eval(group.word_str(word), mat), certfmt.claim_contraction(mat, cert)]
-        result = {"m": m, "word": group.word_str(word), "cert": certfmt.contraction_json(cert)}
-        return certfmt.certificate(place, "matrix", header, task, "yes", result, claims), EXIT_OK
+        return emit("yes", {"m": m, "word": ws(word), "cert": certfmt.contraction_json(cert)}, claims_for(word, cert))
     if subop == "b1b2b3":
         g = group.parse_word(_need(prob, "element"))
         words = {k: group.parse_word(_need(prob, k)) for k in ("b1", "b2", "b3")}
@@ -593,76 +529,51 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         repel_line = prob.task_all("repel")
         if not attract_line or not repel_line:
             raise ProblemError(1, 1, "b1b2b3 needs 'attract' and 'repel' set literals")
-        a_set = _parse_set(attract_line[0][1], attract_line[0][0], place)
-        r_set = _parse_set(repel_line[0][1], repel_line[0][0], place)
+        a_set = _parse_set(attract_line[0][1], attract_line[0][0], group.place)
+        r_set = _parse_set(repel_line[0][1], repel_line[0][0], group.place)
         k_max = int(prob.task_get("k-max", "32"))
-        task.update({"element": group.word_str(g), "k_max": k_max})
-        try:
+        task.update({"element": ws(g), "k_max": k_max})
+        with _input_error():
             out = b1b2b3_synthesize(group, g, a_set, r_set, words["b1"], words["b2"], words["b3"], k_max)
-        except ValueError as e:
-            raise ProblemError(1, 1, str(e)) from None
         if out is None:
-            return certfmt.certificate(place, "matrix", header, task, "not-found", {}, []), EXIT_UNKNOWN
-        mat = group.eval(out.word)
-        claims = [
-            certfmt.claim_word_eval(group.word_str(out.word), mat),
-            certfmt.claim_contraction(mat, out.cert),
+            return emit("not-found")
+        claims = claims_for(out.word, out.cert) + [
             certfmt.claim_set_disjoint(out.attract, out.repel, "produced sets disjoint"),
             certfmt.claim_set_contains(a_set, out.attract, note="attracting set inside host"),
             certfmt.claim_set_contains(a_set, out.repel, note="repelling set inside host"),
         ]
         result = {
             "k": out.k,
-            "word": group.word_str(out.word),
+            "word": ws(out.word),
             "attract": certfmt.set_json(out.attract),
             "repel": certfmt.set_json(out.repel),
             "cert": certfmt.contraction_json(out.cert),
         }
-        return certfmt.certificate(place, "matrix", header, task, "yes", result, claims), EXIT_OK
+        return emit("yes", result, claims)
     if subop == "very-proximal":
         g = group.parse_word(_need(prob, "element"))
         word_len = int(prob.task_get("word-len", "2"))
         r_sq = parse_rat(_need(prob, "r-sq"))
         eps_sq = parse_rat(_need(prob, "epsilon-sq"))
-        task.update({"element": group.word_str(g), "r_sq": certfmt.rat(r_sq), "epsilon_sq": certfmt.rat(eps_sq)})
-        try:
+        task.update({"element": ws(g), "r_sq": certfmt.rat(r_sq), "epsilon_sq": certfmt.rat(eps_sq)})
+        with _input_error():
             out = very_proximal_search(group, g, word_len, r_sq, eps_sq)
-        except ValueError as e:
-            raise ProblemError(1, 1, str(e)) from None
         if out is None:
-            return certfmt.certificate(place, "matrix", header, task, "not-found", {}, []), EXIT_UNKNOWN
+            return emit("not-found")
         f1, f2, w, cert = out
-        mat = group.eval(w)
-        claims = [certfmt.claim_word_eval(group.word_str(w), mat)] + certfmt.claims_for_proximal(mat, cert)
-        result = {
-            "f1": group.word_str(f1),
-            "f2": group.word_str(f2),
-            "word": group.word_str(w),
-            "cert": certfmt.proximal_json(cert),
-        }
-        return certfmt.certificate(place, "matrix", header, task, "yes", result, claims), EXIT_OK
+        result = {"f1": ws(f1), "f2": ws(f2), "word": ws(w), "cert": certfmt.proximal_json(cert)}
+        return emit("yes", result, claims_for(w, cert))
     if subop == "normal-proximal":
         normals = parse_normals()
         if len(normals) != 1:
             raise ProblemError(1, 1, "normal-proximal takes exactly one 'normal' line")
-        try:
+        with _input_error():
             out = normal_proximal(group, normals[0], None, budgets)
-        except ValueError as e:
-            raise ProblemError(1, 1, str(e)) from None
         if out is None:
-            return certfmt.certificate(place, "matrix", header, task, "not-found", {}, []), EXIT_UNKNOWN
-        mat = group.eval(out.word)
-        proof_word = out.proof.to_word(list(normals[0].class_reps))
-        claims = [
-            certfmt.claim_word_eval(group.word_str(out.word), mat),
-            {
-                "type": "normal-membership",
-                "element": group.word_str(out.word),
-                "factorization": group.word_str(proof_word),
-            },
-        ] + certfmt.claims_for_proximal(mat, out.cert)
-        result = {"word": group.word_str(out.word), "cert": certfmt.proximal_json(out.cert)}
-        return certfmt.certificate(place, "matrix", header, task, "yes", result, claims), EXIT_OK
+            return emit("not-found")
+        membership = certfmt.claim_normal_membership(ws(out.word), ws(out.proof.to_word(list(normals[0].class_reps))))
+        result = {"word": ws(out.word), "cert": certfmt.proximal_json(out.cert)}
+        return emit("yes", result, claims_for(out.word, out.cert, membership))
     if subop == "coset-pingpong":
         normals = parse_normals()
         if len(normals) != 1:
@@ -672,25 +583,17 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
             raise ProblemError(1, 1, "coset-pingpong needs a 'cosets' line")
         a_n = normal_proximal(group, data, None, budgets)
         if a_n is None:
-            return certfmt.certificate(place, "matrix", header, task, "not-found", {}, []), EXIT_UNKNOWN
+            return emit("not-found")
         got, failed = coset_pingpong(group, data, a_n, budgets)
-        claims = []
-        deltas = []
+        claims, deltas = [], []
         for cr in got:
-            mat = group.eval(cr.word)
-            claims.append(certfmt.claim_word_eval(group.word_str(cr.word), mat))
-            claims.append(
-                {
-                    "type": "normal-membership",
-                    "element": group.word_str(concat(cr.word, word_inverse(cr.coset_rep))),
-                    "factorization": group.word_str(cr.membership.to_word(list(data.class_reps))),
-                }
+            membership = certfmt.claim_normal_membership(
+                ws(concat(cr.word, word_inverse(cr.coset_rep))), ws(cr.membership.to_word(list(data.class_reps)))
             )
-            claims.extend(certfmt.claims_for_proximal(mat, cr.cert))
-            deltas.append({"coset": group.word_str(cr.coset_rep), "word": group.word_str(cr.word), "power": cr.power})
-        result = {"deltas": deltas, "failed": [group.word_str(w) for w in failed], "a_N": group.word_str(a_n.word)}
-        verdict = "yes" if got and not failed else ("unknown" if got else "not-found")
-        return certfmt.certificate(place, "matrix", header, task, verdict, result, claims), _verdict_exit(verdict)
+            claims += claims_for(cr.word, cr.cert, membership)
+            deltas.append({"coset": ws(cr.coset_rep), "word": ws(cr.word), "power": cr.power})
+        result = {"deltas": deltas, "failed": [ws(w) for w in failed], "a_N": ws(a_n.word)}
+        return emit("yes" if got and not failed else ("unknown" if got else "not-found"), result, claims)
     if subop == "double-coset":
         h1 = group.parse_word(_need(prob, "h1"))
         h2 = group.parse_word(_need(prob, "h2"))
@@ -698,121 +601,60 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         c1 = auto_very_proximal(group.eval(h1))
         c2 = auto_very_proximal(group.eval(h2))
         if c1 is None or c2 is None:
-            return certfmt.certificate(place, "matrix", header, task, "unknown", {"reason": "h1/h2 not certified"}, []), EXIT_UNKNOWN
+            return emit("unknown", {"reason": "h1/h2 not certified"})
         out = double_coset_wrap(group, h1, h2, c1, c2, cs, budgets)
-        claims = []
-        items = []
+        claims, items = [], []
         for r in out:
             if r.skipped:
-                items.append({"coset": group.word_str(r.original), "skipped": r.skipped})
+                items.append({"coset": ws(r.original), "skipped": r.skipped})
                 continue
-            mat = group.eval(r.word)
-            claims.append(certfmt.claim_word_eval(group.word_str(r.word), mat))
-            claims.append(certfmt.claim_contraction(mat, r.cert))
-            items.append({"coset": group.word_str(r.original), "m": r.m, "n": r.n, "word": group.word_str(r.word)})
+            claims += claims_for(r.word, r.cert)
+            items.append({"coset": ws(r.original), "m": r.m, "n": r.n, "word": ws(r.word)})
         produced = [r for r in out if not r.skipped]
         verdict = "yes" if len(produced) == len([c for c in cs if c]) else "unknown"
-        result = {"wrapped": items}
-        return certfmt.certificate(place, "matrix", header, task, verdict, result, claims), _verdict_exit(verdict)
+        return emit(verdict, {"wrapped": items}, claims)
     raise ProblemError(1, 1, f"unknown synthesize subop {subop!r}")
 
 
-def _report_payload(group: MarkedGroup, report) -> tuple[list[dict], dict]:
-    claims: list[dict] = []
-    result: dict = {
-        "host": {"word": group.word_str(report.host_word), "power": report.host_power},
-        "notes": list(report.notes),
-        "verdict": report.verdict,
-    }
-    step1 = []
-    for r in report.step1:
-        mat = group.eval(r.word)
-        claims.append(certfmt.claim_word_eval(group.word_str(r.word), mat))
-        claims.extend(certfmt.claims_for_proximal(mat, r.cert))
-        step1.append({"label": r.label, "word": group.word_str(r.word), "nest": r.nest_exponent})
-    result["step1"] = step1
-    result["step1_tuple"] = report.step1_tuple.verdict if report.step1_tuple else None
-    step2 = {}
-    for label, crs in report.step2.items():
-        entries = []
-        for cr in crs:
-            mat = group.eval(cr.word)
-            claims.append(certfmt.claim_word_eval(group.word_str(cr.word), mat))
-            claims.extend(certfmt.claims_for_proximal(mat, cr.cert))
-            entries.append({"coset": group.word_str(cr.coset_rep), "word": group.word_str(cr.word), "power": cr.power})
-        step2[label] = entries
-    result["step2"] = step2
-    result["combined"] = report.combined.verdict if report.combined else None
-    if report.oracle is not None:
-        result["oracle"] = report.oracle.kind
-        claims.append(certfmt.claim_oracle(6, report.oracle.kind, report.oracle.word, []))
-    return claims, result
-
-
 def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
-    am = _build_amalgam(prob)
+    am, header = _build_amalgam(prob)
     subop = _need(prob, "subop")
-    header = _amalgam_header(prob)
     task = {"op": "tree", "subop": subop}
+    emit = _emitter(None, "amalgam", header, task)
     radius = int(args.radius or prob.task_get("radius", "8"))
+    if subop in ("normal-form", "classify"):
+        text = _need(prob, "word")
+        with _input_error(TreeError):
+            w = tree_parse_word(am, text)
+        task["word"] = text
     if subop == "normal-form":
-        text = _need(prob, "word")
-        try:
-            w = tree_parse_word(am, text)
-        except TreeError as e:
-            raise ProblemError(1, 1, str(e)) from None
-        task["word"] = text
-        claims = [
-            {
-                "type": "tree-normal-form",
-                "word": text,
-                "syllables": [list(s) for s in w.syllables],
-                "tail": w.tail,
-            }
-        ]
         result = {"syllables": [list(s) for s in w.syllables], "tail": w.tail, "is_identity": w.is_identity()}
-        return certfmt.certificate(None, "amalgam", header, task, "ok", result, claims), EXIT_OK
+        return emit("ok", result, [certfmt.claim_tree_normal_form(text, w)])
     if subop == "classify":
-        text = _need(prob, "word")
-        try:
-            w = tree_parse_word(am, text)
-        except TreeError as e:
-            raise ProblemError(1, 1, str(e)) from None
         out = classify(w, am, radius_budget=radius)
-        task["word"] = text
-        claims = [
-            {"type": "tree-classify", "word": text, "kind": out.kind, "translation_length": out.translation_length}
-        ]
         result = {"kind": out.kind}
         if out.kind == "hyperbolic":
             result["translation_length"] = out.translation_length
             result["axis_edge"] = [certfmt.vertex_json(out.axis_edge[0]), certfmt.vertex_json(out.axis_edge[1])]
         elif out.kind == "elliptic":
             result["fixed_vertex"] = certfmt.vertex_json(out.fixed_vertex)
-        verdict = "ok" if out.kind != "unknown" else "unknown"
-        return certfmt.certificate(None, "amalgam", header, task, verdict, result, claims), _verdict_exit(verdict)
+        return emit("ok" if out.kind != "unknown" else "unknown", result, [certfmt.claim_tree_classify(text, out)])
     if subop == "expand":
-        ball_map = expand_tree(am, radius=radius)
         tree = BassSerreTree(am)
-        claims = []
-        listing = []
-        for v, depth in sorted(ball_map.items(), key=lambda kv: (kv[1], str(kv[0]))):
+        claims, listing = [], []
+        for v, depth in sorted(expand_tree(am, radius=radius).items(), key=lambda kv: (kv[1], str(kv[0]))):
             entry = {"vertex": certfmt.vertex_json(v), "depth": depth}
             if depth < radius:
-                deg = len(tree.neighbors(v))
-                entry["degree"] = deg
-                claims.append({"type": "tree-degree", "vertex": certfmt.vertex_json(v), "degree": deg})
+                entry["degree"] = len(tree.neighbors(v))
+                claims.append(certfmt.claim_tree_degree(v, entry["degree"]))
             listing.append(entry)
         task["radius"] = radius
-        result = {"vertices": listing, "count": len(listing)}
-        return certfmt.certificate(None, "amalgam", header, task, "ok", result, claims), EXIT_OK
+        return emit("ok", {"vertices": listing, "count": len(listing)}, claims)
     if subop == "pingpong":
         return _tree_pingpong_cert(prob, args)
     if subop == "kernel":
         k = kernel_of_action(am)
-        claims = [{"type": "kernel", "elements": k}]
-        result = {"elements": k, "names": [am.group_h.name_of(x) for x in k]}
-        return certfmt.certificate(None, "amalgam", header, task, "ok", result, claims), EXIT_OK
+        return emit("ok", {"elements": k, "names": [am.group_h.name_of(x) for x in k]}, [certfmt.claim_kernel(k)])
     raise ProblemError(1, 1, f"unknown tree subop {subop!r}")
 
 

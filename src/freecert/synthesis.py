@@ -25,17 +25,12 @@ from .dynamics import (
     contraction_gap_sq,
     direction_candidates,
     push_set,
-    singular_profile,
 )
 from .pingpong import OracleResult, PingPongPlayer, PingPongTuple, certify_tuple, freeness_oracle
 from .projective import (
     Ball,
     ProjMat,
     ProjSet,
-    ProjPoint,
-    apply,
-    ball,
-    dist_sq,
     dist_to_hyperplane_sq,
     identity,
     set_contains,
@@ -335,8 +330,6 @@ class Budgets:
     num_factors: int = 2
     power_max: int = 6
     nest_max: int = 10
-    pair_word_len: int = 2
-    k_max: int = 32
     m_max: int = 12
     n_max: int = 12
     general_position: int = 8
@@ -395,7 +388,6 @@ class BBBResult:
     attract: ProjSet
     repel: ProjSet
     cert: ContractionCert
-    inside_host: bool
 
 
 def b1b2b3_synthesize(
@@ -445,7 +437,7 @@ def b1b2b3_synthesize(
             word = concat(
                 g, b1, word_power(g, -(1 + k)), b2, word_power(g, k + 1), b3, word_inverse(g)
             )
-            return BBBResult(k, word, new_attract, new_repel, cert, True)
+            return BBBResult(k, word, new_attract, new_repel, cert)
     return None
 
 
@@ -735,7 +727,6 @@ def _check_membership(group: MarkedGroup, delta_word: Word, rep: Word, proof: No
 @dataclass(frozen=True)
 class DoubleCosetResult:
     original: Word
-    shifted: Word  # after premultiplying by a power of h1
     m: int
     n: int
     word: Word
@@ -765,7 +756,7 @@ def double_coset_wrap(
     for c in coset_reps:
         cm = group.eval(c)
         if cm.is_identity():
-            out.append(DoubleCosetResult(c, c, 0, 0, (), None, skipped="trivial double coset"))
+            out.append(DoubleCosetResult(c, 0, 0, (), None, skipped="trivial double coset"))
             continue
         shifted = c
         shifted_m = cm
@@ -795,7 +786,7 @@ def double_coset_wrap(
                 word = concat(
                     word_power(h1, m), word_power(h2, n), shifted, word_power(h2, n), word_power(h1, -m)
                 )
-                found = DoubleCosetResult(c, shifted, m, n, word, cert)
+                found = DoubleCosetResult(c, m, n, word, cert)
                 break
             if found:
                 break
@@ -810,6 +801,10 @@ def double_coset_wrap(
 # ---------------------------------------------------------------------------
 
 
+# Word length up to which the combined tuple is cross-checked by the freeness oracle.
+PRODENSE_ORACLE_LEN = 6
+
+
 @dataclass(frozen=True)
 class SynthesisReport:
     host_word: Word
@@ -819,7 +814,6 @@ class SynthesisReport:
     step1_tuple: PingPongTuple | None
     step2: dict[str, tuple[CosetResult, ...]]
     step2_failed: dict[str, tuple[Word, ...]]
-    wrap: tuple[DoubleCosetResult, ...] | None
     combined: PingPongTuple | None
     oracle: OracleResult | None
     verdict: str  # "certified" | "unknown"
@@ -882,21 +876,20 @@ def _host_power_avoiding(
 def truncated_prodense(
     group: MarkedGroup,
     normals: list[NormalData],
-    wrap: tuple[Word, Word, list[Word]] | None = None,
     budgets: Budgets | None = None,
 ) -> SynthesisReport:
     """Desk-scale embodiment of the two-step construction: a very-proximal
     element in every listed normal closure (nested along a fixed host), a
-    certified coset element for every listed coset, optionally the
-    double-coset wrap, and one combined certified tuple cross-checked by
-    the freeness oracle."""
+    certified coset element for every listed coset, and one combined
+    certified tuple cross-checked by the freeness oracle up to
+    PRODENSE_ORACLE_LEN."""
     if not normals:
         raise ValueError("nothing to intersect")
     budgets = budgets or Budgets()
     notes: list[str] = []
     host = find_host(group, budgets)
     if host is None:
-        return SynthesisReport((), 0, None, (), None, {}, {}, None, None, None, "unknown", ("no host element",))
+        return SynthesisReport((), 0, None, (), None, {}, {}, None, None, "unknown", ("no host element",))
     host_word, host_power, host_cert = host
     host_full_word = word_power(host_word, host_power)
     place = group.place
@@ -942,16 +935,6 @@ def truncated_prodense(
             step2_failed[data.label] = tuple(failed)
             notes.append(f"step 2 incomplete for {data.label}")
 
-    wrap_out = None
-    if wrap is not None:
-        h1w, h2w, cs = wrap
-        c1 = auto_very_proximal(group.eval(h1w))
-        c2 = auto_very_proximal(group.eval(h2w))
-        if c1 is None or c2 is None:
-            notes.append("wrap elements not certified very-proximal")
-        else:
-            wrap_out = tuple(double_coset_wrap(group, h1w, h2w, c1, c2, cs, budgets))
-
     combined = None
     oracle = None
     elements: list[ProjMat] = []
@@ -970,7 +953,7 @@ def truncated_prodense(
         elements.append(hm)
         names.append("host")
         combined = certify_tuple(players)
-        oracle = freeness_oracle(elements, 6, names=names)
+        oracle = freeness_oracle(elements, PRODENSE_ORACLE_LEN, names=names)
 
     complete = (
         bool(step1)
@@ -980,7 +963,6 @@ def truncated_prodense(
         and combined.verdict == "certified"
         and oracle is not None
         and oracle.kind == "no-relation"
-        and (wrap is None or wrap_out is not None)
     )
     return SynthesisReport(
         host_word,
@@ -990,7 +972,6 @@ def truncated_prodense(
         step1_tuple,
         step2,
         step2_failed,
-        wrap_out,
         combined,
         oracle,
         "certified" if complete else "unknown",

@@ -368,7 +368,7 @@ class BassSerreTree:
         factor types at the turn (the vertex types from which the next
         letters append), the distance is ra + rb, plus 1 when the turn
         vertices sit on opposite sides of the c-edge.  Cross-checked
-        against distance_bfs in the test suite.
+        against a breadth-first search in the test suite.
         """
         (s, p), (t, q) = u, v
         c = 0
@@ -386,24 +386,6 @@ class BassSerreTree:
         if cap is not None and d > cap:
             raise TreeError("expand further: distance exceeds the radius budget")
         return d
-
-    def distance_bfs(self, u: Vertex, v: Vertex, cap: int = 64) -> int:
-        """Independent breadth-first distance (oracle for `distance`)."""
-        if u == v:
-            return 0
-        depth = {u: 0}
-        frontier = [u]
-        for d in range(1, cap + 1):
-            nxt = []
-            for x in frontier:
-                for y in self.neighbors(x):
-                    if y == v:
-                        return d
-                    if y not in depth:
-                        depth[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        raise TreeError("expand further: distance exceeds the radius budget")
 
     def geodesic(self, u: Vertex, v: Vertex, cap: int = 64) -> list[Vertex]:
         if u == v:
@@ -502,19 +484,6 @@ def _coherent(tree: BassSerreTree, s: Vertex, t: Vertex, gs: Vertex, gt: Vertex,
     return on_path == 1
 
 
-def min_displacement(tree: BassSerreTree, w: TreeAut, radius: int = DEFAULT_RADIUS) -> int:
-    """Brute-force displacement minimum over the ball (oracle for classify)."""
-    best = None
-    cap = 2 * radius + 2 * (w.length + 1)
-    for v in tree.ball(tree.base_vertex("A"), radius):
-        d = tree.distance(v, tree.act(w, v), cap=cap)
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Shadows
 # ---------------------------------------------------------------------------
@@ -572,19 +541,6 @@ class ShadowSet:
 class _TreeVerdict:
     kind: str
     witness: object | None
-
-
-def shadow_member(prefix_vertex: Vertex, shadow: ShadowSet, radius_budget: int = DEFAULT_RADIUS) -> bool:
-    """Whether the geodesic from the shadow's basepoint through the given
-    vertex passes through the shadow's gate y."""
-    tree = shadow.tree
-    try:
-        d_xw = tree.distance(shadow.x, prefix_vertex, cap=radius_budget)
-        d_xy = tree.distance(shadow.x, shadow.y, cap=radius_budget)
-        d_yw = tree.distance(shadow.y, prefix_vertex, cap=radius_budget)
-    except TreeError:
-        raise TreeError("expand further: prefix outside the expanded region") from None
-    return d_xy + d_yw == d_xw
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,16 @@ def test_synthesize_conjugate_contract(tmp_path):
     assert verify_file(out) == 0
 
 
+def test_removed_budget_is_unknown(tmp_path, capsys):
+    text = (
+        "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n"
+        "[task]\nop synthesize\nsubop conjugate-contract\nelement g\nx-element r\nepsilon-sq 1/100\nm-max 6\n"
+    )
+    code, cert, _ = run(tmp_path, "synthesize", text, "--budget", "k_max=1")
+    assert code == 2 and cert is None
+    assert "unknown budget 'k_max'" in capsys.readouterr().err
+
+
 def test_synthesize_b1b2b3(tmp_path):
     text = (
         "format 1\nplace arch\n[matrix-group]\n"

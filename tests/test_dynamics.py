@@ -229,10 +229,13 @@ def test_certify_contracting_oracle_values():
     assert v.cert.repel == ProjHyperplane((1, 0))
     assert v.cert.attract_err_sq == 0 and v.cert.repel_err_sq == 0
 
-    v = certify_contracting(ProjMat(((1, 0), (0, 1)), ARCH), F(1, 4))
+    ident = ProjMat(((1, 0), (0, 1)), ARCH)
+    v = certify_contracting(ident, F(1, 4))
     assert v.kind == "no"
+    dirs = direction_candidates(ident)
     x = v.counterexample
-    assert dist_to_hyperplane_sq(x, ProjHyperplane((1, 0)), ARCH) > F(1, 4) or True
+    assert dist_to_hyperplane_sq(x, dirs.repel, ARCH) > F(1, 4)
+    assert dist_sq(apply(ident, x), dirs.attract, ARCH) > F(1, 4)
 
     v = certify_contracting(diag(25, 1, P5), F(1, 25))
     assert v.kind == "yes"

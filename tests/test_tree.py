@@ -12,13 +12,11 @@ from freecert.tree import (
     classify,
     expand_tree,
     kernel_of_action,
-    min_displacement,
     normal_form,
     parse_word,
-    shadow_member,
     tree_pingpong,
 )
-from oracles import all_subgroups
+from oracles import all_subgroups, distance_bfs, min_displacement, shadow_member
 
 
 def c2():
@@ -281,4 +279,4 @@ def test_distance_formula_matches_bfs():
         rng = random.Random(31)
         for _ in range(300):
             u, v = rng.choice(ball), rng.choice(ball)
-            assert tree.distance(u, v, cap=None) == tree.distance_bfs(u, v, cap=40)
+            assert tree.distance(u, v, cap=None) == distance_bfs(tree, u, v, cap=40)
