@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from .dynamics import (
@@ -38,6 +39,8 @@ from .projective import (
     set_member,
 )
 from .scalar import ARCH, Place, Rat, cmp_sqrt_sum, format_rat, padic, parse_rat, sqrt_lower, sqrt_upper
+from .synthesis import MarkedGroup
+from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, classify, kernel_of_action, parse_word
 
 FORMAT = "freecert-certificate/1"
 
@@ -173,18 +176,18 @@ def claim_set_disjoint(left: ProjSet, right: ProjSet, note: str = "") -> dict:
     return {"type": "set-disjoint", "left": set_json(left), "right": set_json(right), "note": note}
 
 
-def claim_set_contains(outer: ProjSet, inner: ProjSet, closed_inner: bool = False, note: str = "") -> dict:
+def claim_set_contains(outer: ProjSet, inner: ProjSet, note: str = "") -> dict:
     return {
         "type": "set-contains",
         "outer": set_json(outer),
         "inner": set_json(inner),
-        "closed_inner": closed_inner,
+        "closed_inner": False,
         "note": note,
     }
 
 
-def claim_word_eval(word: str, matrix: ProjMat, note: str = "") -> dict:
-    return {"type": "word-eval", "word": word, "matrix": mat_json(matrix), "note": note}
+def claim_word_eval(word: str, matrix: ProjMat) -> dict:
+    return {"type": "word-eval", "word": word, "matrix": mat_json(matrix), "note": ""}
 
 
 def claim_contraction(matrix: ProjMat, cert: ContractionCert) -> dict:
@@ -275,13 +278,7 @@ def claims_for_cert(word: str, matrix: ProjMat, cert: ContractionCert | Proximal
 
 def _disjoint_claims(tup, claim) -> list[dict]:
     """One claim(left, right, note) per cross-set disjointness the tuple certified."""
-    by_name = {f"{p.name}.{label}": s for p in tup.players for label, s in p.sets()}
-    out = []
-    for check in tup.checks:
-        if check.kind == "disjoint" and check.ok:
-            left, right = check.detail.split(" vs ")
-            out.append(claim(by_name[left], by_name[right], check.detail))
-    return out
+    return [claim(c.left, c.right, c.detail) for c in tup.checks if c.kind == "disjoint" and c.ok]
 
 
 def claims_for_tuple(tup) -> list[dict]:
@@ -426,7 +423,61 @@ def _check_selfmap(claim: dict, place: Place) -> bool:
     return cmp_sqrt_sum(dist_sq(center, attract, place), t_sq, eps_sq) <= 0
 
 
-def check_claim(claim: dict, place: Place | None, header: dict) -> bool:
+class CertContext:
+    """What a certificate's claims are checked against, beyond the claim
+    itself: the generator group, the amalgam and its Bass-Serre tree that
+    the header describes, and the header evaluation of each word (the
+    task's element among them).  Each is built once, on first use, for all
+    claims of the certificate."""
+
+    def __init__(self, place: Place | None, header: dict, task: dict):
+        self.place, self.header, self.task = place, header, task
+        self._evals: dict[str, ProjMat] = {}
+
+    @cached_property
+    def group(self):
+        gens = self.header.get("generators")
+        if not gens:
+            raise VerifyError("certificate lacks a generator table")
+        return MarkedGroup(tuple((name, mat_from(m, self.place)) for name, m in sorted(gens.items())))
+
+    def eval(self, word: str) -> ProjMat:
+        if word not in self._evals:
+            self._evals[word] = self.group.eval(self.group.parse_word(word))
+        return self._evals[word]
+
+    @cached_property
+    def amalgam(self):
+        if not self.header.get("amalgam"):
+            raise VerifyError("certificate lacks an amalgam table")
+        return amalgam_from(self.header["amalgam"])
+
+    @cached_property
+    def tree(self):
+        return BassSerreTree(self.amalgam)
+
+
+def _check_refutation(claim: dict, ctx: CertContext) -> bool:
+    """The witness refutes eps-contraction for the pair of the task's
+    element e, or of e^-1 in a very-proximal task.  At p-adic places the
+    pair must be that matrix's direction candidates; the archimedean ones
+    come from power iteration, which is not re-run here."""
+    m, e = mat_from(claim["matrix"], ctx.place), ctx.eval(ctx.task["element"])
+    # m @ e ∝ I is tested only when m ∝ e fails, so no inverse is computed
+    if not (m.proportional_to(e) or (ctx.task.get("subop") == "very-proximal" and (m @ e).is_identity())):
+        return False
+    x, attract, repel = point_from(claim["witness"]), point_from(claim["attract"]), plane_from(claim["repel"])
+    if ctx.place.is_padic:
+        dirs = direction_candidates(m)
+        if (dirs.attract, dirs.repel) != (attract, repel):
+            return False
+    eps_sq = parse_rat(claim["epsilon_sq"])
+    return dist_to_hyperplane_sq(x, repel, ctx.place) > eps_sq and dist_sq(apply(m, x), attract, ctx.place) > eps_sq
+
+
+def check_claim(claim: dict, ctx: CertContext) -> bool:
+    """Re-check one claim against the certificate context `verify` builds."""
+    place = ctx.place
     kind = claim.get("type")
     if kind == "set-disjoint":
         return set_disjoint(set_from(claim["left"]), set_from(claim["right"]), place).kind == "disjoint"
@@ -439,43 +490,24 @@ def check_claim(claim: dict, place: Place | None, header: dict) -> bool:
         d2 = dist_to_hyperplane_sq(point_from(claim["point"]), plane_from(claim["plane"]), place)
         return d2 >= parse_rat(claim["r_sq"])
     if kind == "word-eval":
-        group = _group_from_header(header, place)
-        return group.eval(group.parse_word(claim["word"])).proportional_to(mat_from(claim["matrix"], place))
+        return ctx.eval(claim["word"]).proportional_to(mat_from(claim["matrix"], place))
     if kind == "contraction":
         return _check_contraction(mat_from(claim["matrix"], place), claim["cert"])
     if kind == "contraction-refuted":
-        m = mat_from(claim["matrix"], place)
-        eps_sq = parse_rat(claim["epsilon_sq"])
-        x = point_from(claim["witness"])
-        repel = plane_from(claim["repel"])
-        attract = point_from(claim["attract"])
-        return dist_to_hyperplane_sq(x, repel, place) > eps_sq and dist_sq(apply(m, x), attract, place) > eps_sq
+        return _check_refutation(claim, ctx)
     if kind == "selfmap-enclosure":
         return _check_selfmap(claim, place)
     if kind == "normal-membership":
-        group = _group_from_header(header, place)
-        lhs = group.eval(group.parse_word(claim["element"]))
-        rhs = group.eval(group.parse_word(claim["factorization"]))
-        return lhs.proportional_to(rhs)
+        return ctx.eval(claim["element"]).proportional_to(ctx.eval(claim["factorization"]))
     if kind == "oracle":
         return True  # search outcome: echoed, not re-run
     if kind in ("tree-classify", "tree-evidence", "shadow-disjoint", "kernel", "tree-normal-form", "tree-degree"):
-        return _check_tree_claim(kind, claim, header)
+        return _check_tree_claim(kind, claim, ctx)
     raise VerifyError(f"unknown claim type {kind!r}")
-
-
-def _group_from_header(header: dict, place: Place):
-    from .synthesis import MarkedGroup
-
-    gens = header.get("generators")
-    if not gens:
-        raise VerifyError("certificate lacks a generator table")
-    return MarkedGroup(tuple((name, mat_from(m, place)) for name, m in sorted(gens.items())))
 
 
 def amalgam_from(data: dict):
     """The amalgam described by a header's `amalgam` tables."""
-    from .tree import AmalgamData, FiniteGroup
 
     def factor(tag: str) -> FiniteGroup:
         names = data.get(f"names_{tag}")
@@ -484,12 +516,8 @@ def amalgam_from(data: dict):
     return AmalgamData(factor("a"), factor("b"), factor("h"), tuple(data["embed_a"]), tuple(data["embed_b"]))
 
 
-def _check_tree_claim(kind: str, claim: dict, header: dict) -> bool:
-    from .tree import BassSerreTree, ShadowSet, classify, kernel_of_action, parse_word
-
-    if not header.get("amalgam"):
-        raise VerifyError("certificate lacks an amalgam table")
-    am = amalgam_from(header["amalgam"])
+def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
+    am = ctx.amalgam
     if kind == "kernel":
         return kernel_of_action(am) == list(claim["elements"])
     if kind == "tree-normal-form":
@@ -503,24 +531,19 @@ def _check_tree_claim(kind: str, claim: dict, header: dict) -> bool:
             return out.translation_length == claim["translation_length"]
         return True
     if kind == "shadow-disjoint":
-        tree = BassSerreTree(am)
+        tree = ctx.tree
         s1 = ShadowSet(tree, _vertex_from(claim["left"]["x"]), _vertex_from(claim["left"]["y"]))
         s2 = ShadowSet(tree, _vertex_from(claim["right"]["x"]), _vertex_from(claim["right"]["y"]))
         return s1.disjoint_from(s2).kind == "disjoint"
     if kind == "tree-evidence":
-        from .tree import axis_shadow_sets
-
-        tree = BassSerreTree(am)
         g = parse_word(am, claim["word"])
         cls = classify(g, am)
         if cls.kind != "hyperbolic":
             return False
-        a_p, r_p, a_m, r_m = axis_shadow_sets(tree, g, cls)
+        a_p, r_p, a_m, r_m = axis_shadow_sets(ctx.tree, g, cls)
         return [shadow_json(a_p), shadow_json(r_p), shadow_json(a_m), shadow_json(r_m)] == claim["sets"]
     if kind == "tree-degree":
-        tree = BassSerreTree(am)
-        v = _vertex_from(claim["vertex"])
-        return len(tree.neighbors(v)) == claim["degree"]
+        return len(ctx.tree.neighbors(_vertex_from(claim["vertex"]))) == claim["degree"]
     raise VerifyError(f"unknown tree claim {kind!r}")
 
 
@@ -539,14 +562,14 @@ def shadow_json(s) -> dict:
 def verify(cert: dict) -> tuple[bool, list[str]]:
     """Re-check every claim; returns (all passed, failure messages)."""
     place = place_from(cert["place"]) if cert.get("place") else None
-    header = cert.get("header", {})
+    ctx = CertContext(place, cert.get("header", {}), cert.get("task") or {})
     failures = []
     claims = cert.get("claims")
     if claims is None:
         raise VerifyError("certificate lacks a claims list")
     for i, claim in enumerate(claims):
         try:
-            ok = check_claim(claim, place, header)
+            ok = check_claim(claim, ctx)
         except VerifyError:
             raise
         except Exception as e:  # malformed payloads inside a claim

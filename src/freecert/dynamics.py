@@ -3,11 +3,12 @@
 The central sufficient test: if kappa = sigma_2/sigma_1 satisfies
 kappa <= eps^2, the matrix maps the complement of the eps-neighborhood of
 its (candidate) repelling hyperplane into the closed eps-ball around its
-(candidate) attracting point.  Candidates are exact at p-adic places
-(the column and row through an entry of minimal valuation, the first
-pivot of the Smith elimination over the localization) and rational
-enclosures at the archimedean place (power iteration with a residual
-bound against the certified second eigenvalue).
+(candidate) attracting point.  Candidates are exact at p-adic places:
+a scan of the entries finds the first one of least valuation in
+row-major order, and its column and row are the candidates (that entry
+is the first pivot of the Smith elimination over the localization).
+At the archimedean place they are rational enclosures (power iteration
+with a residual bound against the certified second eigenvalue).
 
 Fixed points are certified by a self-mapping ball: a region on which the
 map is certifiably L-Lipschitz with L < 1 and which it maps strictly into
@@ -29,14 +30,17 @@ from .projective import (
     ProjHyperplane,
     ProjMat,
     ProjPoint,
+    ProjSet,
     apply,
     apply_hyperplane,
+    canonical_rep,
     dist_sq,
     dist_to_hyperplane_sq,
     dot,
     dual_ball_of_hnbhd,
     integer_rows,
     is_zero_vec,
+    set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
 from .scalar import Rat, cmp_sqrt_sum, sqrt_lower, sqrt_upper
@@ -66,23 +70,13 @@ def padic_exponents(rows, p: int) -> list[int]:
     """Ascending elementary-divisor exponents of an invertible matrix over
     the localization of Z at p; |sigma_i| = p^(-e_i).
 
-    Accepts integer or Fraction entries.  See `_padic_smith`.
-    """
-    return _padic_smith(rows, p)[0]
-
-
-def _padic_smith(rows, p: int) -> tuple[list[int], tuple[int, int]]:
-    """Fraction-free (Bareiss) elimination with p-adic pivoting.
-
-    Denominators are cleared by one common integer scale.  Each step
-    pivots on the first entry of minimal valuation in row-major order of
-    the remaining block.  After k steps every remaining entry is det of
-    the leading k x k pivot block times an entry of its Schur complement,
-    so the k-th pivot has valuation e_1 + ... + e_k and consecutive
-    differences are the ascending exponents.  Returns them with the
-    first pivot (i, j): column j of the matrix is the exact top singular
-    (attracting) direction and row i the functional of the exact
-    repelling hyperplane.
+    Fraction-free (Bareiss) elimination with p-adic pivoting on integer
+    or Fraction entries, whose denominators are cleared by one common
+    integer scale.  Each step pivots on the first entry of minimal
+    valuation in row-major order of the remaining block.  After k steps
+    every remaining entry is det of the leading k x k pivot block times an
+    entry of its Schur complement, so the k-th pivot has valuation
+    e_1 + ... + e_k and consecutive differences are the exponents.
     """
     n = len(rows)
     a, scale = integer_rows(rows)
@@ -105,8 +99,6 @@ def _padic_smith(rows, p: int) -> tuple[list[int], tuple[int, int]]:
                 break
         if best is None:
             raise ValueError("singular matrix has no p-adic profile")
-        if k == 0:
-            first = (pi, pj)
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
         if pj != k:
@@ -123,7 +115,7 @@ def _padic_smith(rows, p: int) -> tuple[list[int], tuple[int, int]]:
         floor = 2 * best - prev_v
         prev_v = best
     shift = _int_vp(scale, p)
-    return [e - shift for e in exps], first
+    return [e - shift for e in exps]
 
 
 def _int_vp(x: int, p: int) -> int:
@@ -156,6 +148,7 @@ def _charpoly_gram(g: ProjMat) -> list[Fraction]:
     return list(reversed(coeffs))
 
 
+@lru_cache(maxsize=4096)
 def singular_profile(g: ProjMat) -> SingularProfile:
     """Certified squared singular values of g, descending.
 
@@ -166,11 +159,6 @@ def singular_profile(g: ProjMat) -> SingularProfile:
 
     Results are memoized; the searches upstream revisit matrices often.
     """
-    return _singular_profile_cached(g)
-
-
-@lru_cache(maxsize=4096)
-def _singular_profile_cached(g: ProjMat) -> SingularProfile:
     if g.place.is_padic:
         exps = padic_exponents(g.entries, g.place.prime)
         p = g.place.prime
@@ -229,7 +217,7 @@ def _power_direction(s_rows: list[list[Fraction]], lam2_hi: Rat) -> tuple[ProjPo
         if not is_zero_vec(col):
             starts.append(col)
     for start in starts:
-        v = canonical_scale(start)
+        v = canonical_rep(start)
         for _ in range(ITER_BUDGET):
             sv = mul(v)
             if is_zero_vec(sv):
@@ -244,38 +232,35 @@ def _power_direction(s_rows: list[list[Fraction]], lam2_hi: Rat) -> tuple[ProjPo
                     best = (ProjPoint(v), err)
                 if err <= Fraction(1, 2**80):
                     return best
-            nxt = canonical_scale(sv)
+            nxt = canonical_rep(sv)
             if nxt == v:
                 break  # stalled on an eigenvector; bound won't improve
             v = nxt
     return best
 
 
-def canonical_scale(v: tuple) -> tuple:
-    for c in v:
-        if c != 0:
-            return tuple(x / c for x in v)
-    return v
-
-
-def direction_candidates(g: ProjMat, profile: SingularProfile | None = None) -> DirectionData:
-    """Attracting/repelling candidates with certified enclosure errors."""
-    if profile is None or profile == singular_profile(g):
-        return _direction_candidates_cached(g)
-    return _direction_candidates_impl(g, profile)
-
-
 @lru_cache(maxsize=4096)
-def _direction_candidates_cached(g: ProjMat) -> DirectionData:
-    return _direction_candidates_impl(g, singular_profile(g))
+def direction_candidates(g: ProjMat) -> DirectionData:
+    """Attracting/repelling candidates with certified enclosure errors.
 
-
-def _direction_candidates_impl(g: ProjMat, profile: SingularProfile) -> DirectionData:
-    n = g.dim
+    p-adic: exact, from a scan of the entries for the first one of least
+    valuation in row-major order, which is the first pivot of the
+    elimination in `padic_exponents`.  Its column is the top singular
+    (attracting) direction and its row the functional of the repelling
+    hyperplane.  Archimedean: power iteration on g g^T and g^T g with
+    residual bounds against the second eigenvalue's enclosure.
+    """
     if g.place.is_padic:
-        _, (i, j) = _padic_smith(g.entries, g.place.prime)
+        p = g.place.prime
+        _, i, j = min(
+            (_int_vp(x.numerator, p) - _int_vp(x.denominator, p), i, j)
+            for i, row in enumerate(g.entries)
+            for j, x in enumerate(row)
+            if x
+        )
         return DirectionData(ProjPoint(g.col(j)), Fraction(0), ProjHyperplane(g.row(i)), Fraction(0))
-    lam2_hi = profile.values_sq[1].hi
+    n = g.dim
+    lam2_hi = singular_profile(g).values_sq[1].hi
     ggt = [[dot(g.row(i), g.row(j)) for j in range(n)] for i in range(n)]
     gtg = [[dot(g.col(i), g.col(j)) for j in range(n)] for i in range(n)]
     attract, a_err = _power_direction(ggt, lam2_hi)
@@ -368,9 +353,8 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> ContractionVerdict:
     epsilon_sq = Fraction(epsilon_sq)
     if not 0 < epsilon_sq < 1:
         raise ValueError("epsilon_sq must lie in (0, 1)")
-    profile = singular_profile(g)
-    gap = profile.values_sq[1].divide(profile.values_sq[0])
-    dirs = direction_candidates(g, profile)
+    gap = contraction_gap_sq(g)
+    dirs = direction_candidates(g)
     bound = image_radius_bound(gap.hi, epsilon_sq, dirs.attract_err_sq, dirs.repel_err_sq)
     if bound is not None:
         l_eps = sqrt_lower(epsilon_sq)
@@ -531,8 +515,6 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVer
     A "no" from g^-1 names g^-1 in `refutes`.  A failed cross-disjointness
     check is "unknown": a point common to two candidate sets refutes no
     contraction claim."""
-    from .projective import set_disjoint  # local import to keep module load light
-
     fwd = certify_proximal(g, r_sq, epsilon_sq)
     if fwd.kind != "yes":
         return fwd
@@ -558,8 +540,6 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVer
 
 
 def _as_set(component):
-    from .projective import ProjSet
-
     return ProjSet((component,))
 
 
@@ -567,13 +547,10 @@ def power_to_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat, max_n: int) -> tup
     """Smallest n <= max_n with certify_proximal(g^n) = Yes, else None."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    acc = g
-    for n in range(1, max_n + 1):
-        verdict = certify_proximal(acc, r_sq, epsilon_sq)
+    for n, gn in g.powers(max_n + 1):
+        verdict = certify_proximal(gn, r_sq, epsilon_sq)
         if verdict.kind == "yes":
             return n, verdict.cert
-        if n < max_n:
-            acc = acc @ g
     return None
 
 
@@ -600,13 +577,12 @@ def push_ball(m: ProjMat, b: Ball) -> Ball:
         # (sigma1 sigma2 / sigma_n^2)^2 = lam1 lam2 / lam_n^2
         glob_sq = profile.values_sq[0].hi * profile.values_sq[1].hi / (lam_n_lo * lam_n_lo)
         candidates.append(glob_sq * b.radius_sq)
-    dirs = direction_candidates(m, profile)
+    dirs = direction_candidates(m)
     if dirs.repel_err_sq is not None:
         l_d = sqrt_lower(dist_to_hyperplane_sq(b.center, dirs.repel, place))
         d_low = l_d - sqrt_upper(b.radius_sq) - sqrt_upper(dirs.repel_err_sq)
         if d_low > 0:
-            gap_hi = profile.values_sq[1].divide(profile.values_sq[0]).hi
-            candidates.append(gap_hi * b.radius_sq / d_low**4)
+            candidates.append(contraction_gap_sq(m).hi * b.radius_sq / d_low**4)
     radius_sq = min(candidates) if candidates else Fraction(1)
     if radius_sq > 1:
         radius_sq = Fraction(1)
@@ -644,6 +620,4 @@ def _hnbhd_of_ball(b: Ball) -> HNbhd:
 
 
 def push_set(m: ProjMat, s) -> "object":
-    from .projective import ProjSet
-
     return ProjSet(tuple(push_component(m, c) for c in s.components))

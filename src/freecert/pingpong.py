@@ -52,6 +52,8 @@ class TupleCheck:
     kind: str  # "disjoint" | "evidence"
     detail: str
     ok: bool
+    left: object = None  # the two sets a "disjoint" check compared
+    right: object = None
 
 
 @dataclass(frozen=True)
@@ -128,12 +130,12 @@ def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
     checks: list[TupleCheck] = []
     unknown: str | None = None
 
-    def record(kind: str, detail: str, verdict) -> object | None:
+    def record(detail: str, a, b) -> object | None:
         nonlocal unknown
+        verdict = _disjoint(a, b, place)
+        checks.append(TupleCheck("disjoint", detail, verdict.kind == "disjoint", a, b))
         if verdict.kind == "disjoint":
-            checks.append(TupleCheck(kind, detail, True))
             return None
-        checks.append(TupleCheck(kind, detail, False))
         if verdict.kind == "overlap":
             return verdict
         unknown = detail
@@ -142,8 +144,7 @@ def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
     for p in players:
         own = (("A+", p.a_plus, "A-", p.a_minus), ("A+", p.a_plus, "R+", p.r_plus), ("A-", p.a_minus, "R-", p.r_minus))
         for la, a, lb, b in own:
-            v = _disjoint(a, b, place)
-            bad = record("disjoint", f"{p.name}.{la} vs {p.name}.{lb}", v)
+            bad = record(f"{p.name}.{la} vs {p.name}.{lb}", a, b)
             if bad is not None:
                 return PingPongTuple(tuple(players), "refuted", bad.witness, f"{p.name}.{la} meets {p.name}.{lb}", tuple(checks))
     for i, p in enumerate(players):
@@ -152,8 +153,7 @@ def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
                 continue
             for la, a in (("A+", p.a_plus), ("A-", p.a_minus)):
                 for lb, b in q.sets():
-                    v = _disjoint(a, b, place)
-                    bad = record("disjoint", f"{p.name}.{la} vs {q.name}.{lb}", v)
+                    bad = record(f"{p.name}.{la} vs {q.name}.{lb}", a, b)
                     if bad is not None:
                         return PingPongTuple(
                             tuple(players), "refuted", bad.witness, f"{p.name}.{la} meets {q.name}.{lb}", tuple(checks)

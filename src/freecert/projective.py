@@ -187,6 +187,13 @@ class ProjMat:
                 acc = acc @ acc
         return out
 
+    def powers(self, stop: int, start: int = 1):
+        """(n, self^n) for start <= n < stop, one product per step."""
+        acc = None
+        for n in range(start, stop):
+            acc = self.power(n) if acc is None else acc @ self
+            yield n, acc
+
     def proportional_to(self, other: "ProjMat") -> bool:
         """Equality in PGL: entries agree up to a global nonzero scalar."""
         if self.dim != other.dim:

@@ -18,8 +18,11 @@ from .scalar import Rat
 
 Poly = list[Fraction]
 
-#: Default relative width target for refined root enclosures.
+#: Relative width target for refined root enclosures.
 ROOT_REL_BITS = 30
+
+#: Largest trial divisor the rational root test factors with.
+DIVISOR_TRIAL_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ def cauchy_bound(p: Poly) -> Rat:
     return Fraction(1) + m / lead
 
 
-def _divisors(n: int, cap: int = 200_000) -> list[int] | None:
+def _divisors(n: int) -> list[int] | None:
     """All positive divisors of n, or None when n is too hard to factor cheaply."""
     n = abs(n)
     if n == 0:
@@ -193,7 +196,7 @@ def _divisors(n: int, cap: int = 200_000) -> list[int] | None:
     d = 2
     m = n
     while d * d <= m:
-        if d > cap:
+        if d > DIVISOR_TRIAL_CAP:
             return None
         while m % d == 0:
             fac[d] = fac.get(d, 0) + 1
@@ -261,12 +264,12 @@ def root_multiplicity(p: Poly, r: Rat) -> int:
     return m
 
 
-def isolate_positive_roots(p: Poly, rel_bits: int = ROOT_REL_BITS) -> list[tuple[Interval, int]]:
+def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
     """Enclosures for every positive real root of p, with multiplicities.
 
     Rational roots come back as degenerate intervals.  Irrational ones are
     isolated on the squarefree part with Sturm counts and refined by
-    bisection until hi - lo <= lo * 2^-rel_bits.  The union of returned
+    bisection until hi - lo <= lo * 2^-ROOT_REL_BITS.  The union of returned
     intervals is pairwise disjoint and, counted with multiplicity, covers
     exactly the positive roots.
     """
@@ -311,16 +314,16 @@ def isolate_positive_roots(p: Poly, rel_bits: int = ROOT_REL_BITS) -> list[tuple
             stack.append((a, mid, lo_cnt))
             stack.append((mid, b, cnt - lo_cnt))
         for a, b in isolated:
-            lo, hi = _refine(sf, seq, a, b, rel_bits)
+            lo, hi = _refine(sf, seq, a, b)
             m = _multiplicity_in(work, sf, lo, hi)
             out.append((Interval(lo, hi), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return out
 
 
-def _refine(sf: Poly, seq: list[Poly], a: Rat, b: Rat, rel_bits: int) -> tuple[Rat, Rat]:
-    # keep exactly one root in (a, b]; shrink to relative width 2^-rel_bits
-    scale = Fraction(1, 2**rel_bits)
+def _refine(sf: Poly, seq: list[Poly], a: Rat, b: Rat) -> tuple[Rat, Rat]:
+    # keep exactly one root in (a, b]; shrink to relative width 2^-ROOT_REL_BITS
+    scale = Fraction(1, 2**ROOT_REL_BITS)
     while a <= 0 or (b - a) > a * scale:
         mid = (a + b) / 2
         v = peval(sf, mid)

@@ -222,13 +222,17 @@ def validate_normal_data(group: MarkedGroup, data: NormalData) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pow4_at_least(x: Rat, lo_bits: int = 60) -> Rat | None:
+#: The automatic eps^2 choices start no lower than 2^-EPS_SQ_FLOOR_BITS.
+EPS_SQ_FLOOR_BITS = 120
+
+
+def _pow4_at_least(x: Rat) -> Rat | None:
     """Smallest 4^-j >= x with j >= 1, or None (x must be < 1)."""
     if x >= Fraction(1, 4):
         return Fraction(1, 4) if x <= Fraction(1, 4) else None
     q = Fraction(1, 4)
     best = None
-    for _ in range(lo_bits):
+    for _ in range(EPS_SQ_FLOOR_BITS // 2):
         if q >= x:
             best = q
             q /= 4
@@ -237,13 +241,13 @@ def _pow4_at_least(x: Rat, lo_bits: int = 60) -> Rat | None:
     return best
 
 
-def _pow2_at_least(x: Rat, depth: int = 120) -> Rat | None:
+def _pow2_at_least(x: Rat) -> Rat | None:
     """Smallest 2^-j >= x with j >= 1, or None (needs x <= 1/2)."""
     if x <= 0 or x > Fraction(1, 2):
         return None
     q = Fraction(1, 2)
     best = None
-    for _ in range(depth):
+    for _ in range(EPS_SQ_FLOOR_BITS):
         if q >= x:
             best = q
             q /= 2
@@ -369,15 +373,11 @@ def conjugate_contract(
     plane_enc = ProjSet((g_cert.fixed_plane_nbhd,))
     if set_disjoint(moved, plane_enc, group.place).kind != "disjoint":
         raise ValueError("x not in general position")
-    acc = gm
-    for m in range(1, m_max + 1):
-        y = acc @ xm @ acc.inverse()
-        v = certify_contracting(y, epsilon_sq)
+    for (m, gm_m), (_, gm_inv_m) in zip(gm.powers(m_max + 1), gm.inverse().powers(m_max + 1)):
+        v = certify_contracting(gm_m @ xm @ gm_inv_m, epsilon_sq)
         if v.kind == "yes":
             word = concat(word_power(g, m), x, word_power(g, -m))
             return m, word, v.cert
-        if m < m_max:
-            acc = acc @ gm
     return None
 
 
@@ -410,20 +410,23 @@ def b1b2b3_synthesize(
     place = group.place
     gm = group.eval(g)
     b1m, b2m, b3m = group.eval(b1), group.eval(b2), group.eval(b3)
+    b3_inv = b3m.inverse()
     hyps = (
         ("b1 R meets R", push_set(b1m, repel), repel),
         ("b2 A meets A", push_set(b2m, attract), attract),
-        ("b3^-1 R meets R", push_set(b3m.inverse(), repel), repel),
-        ("b1 R meets b3^-1 R", push_set(b1m, repel), push_set(b3m.inverse(), repel)),
+        ("b3^-1 R meets R", push_set(b3_inv, repel), repel),
+        ("b1 R meets b3^-1 R", push_set(b1m, repel), push_set(b3_inv, repel)),
     )
     for label, left, right in hyps:
         if set_disjoint(left, right, place).kind != "disjoint":
             raise ValueError(f"hypothesis not certified: {label}")
     g_inv = gm.inverse()
-    for k in range(0, k_max + 1):
-        a = gm @ b1m @ g_inv.power(1 + k) @ b2m @ gm.power(k + 1) @ b3m @ g_inv
-        mover_a = gm @ b1m @ g_inv.power(k)
-        mover_r = gm @ b3m.inverse() @ g_inv.power(k)
+    # g^-k and g^-(k+1) from one inverse ladder, zipped with g^(k+1)
+    ladders = zip(itertools.pairwise(g_inv.powers(k_max + 2, start=0)), gm.powers(k_max + 2))
+    for ((k, g_inv_k), (_, g_inv_k1)), (_, g_k1) in ladders:
+        a = gm @ b1m @ g_inv_k1 @ b2m @ g_k1 @ b3m @ g_inv
+        mover_a = gm @ b1m @ g_inv_k
+        mover_r = gm @ b3_inv @ g_inv_k
         new_attract = push_set(mover_a, repel)
         new_repel = push_set(mover_r, repel)
         if any(c.radius_sq >= 1 for c in new_attract.components + new_repel.components):
@@ -564,6 +567,7 @@ def normal_proximal(
     validate_normal_data(group, data)
     class_reps = list(data.class_reps)
     nest_m = group.eval(nest_element) if nest_element else None
+    nest_inv = nest_m.inverse() if nest_m is not None else None
     for cand in _normal_pool(group, data, budgets):
         base_word = cand.to_word(class_reps)
         if not base_word:
@@ -571,30 +575,26 @@ def normal_proximal(
         base = group.eval(base_word)
         if base.is_identity():
             continue
-        for q in range(1, budgets.power_max + 1):
-            m = base.power(q)
-            proof = cand.power(q)
+        for q, m in base.powers(budgets.power_max + 1):
             cert = auto_very_proximal(m)
             if cert is None:
                 continue
+            proof = cand.power(q)
             if host is None:
                 return NormalProximalResult(data.label, proof, proof.to_word(class_reps), cert, 0)
             if host.contains_cert_sets(cert, group.place):
                 return NormalProximalResult(data.label, proof, proof.to_word(class_reps), cert, 0)
             if nest_m is None:
                 continue
-            acc = nest_m
-            for l in range(1, budgets.nest_max + 1):
-                conj = acc @ m @ acc.inverse()
-                conj_cert = auto_very_proximal(conj)
+            nest_ladders = zip(nest_m.powers(budgets.nest_max + 1), nest_inv.powers(budgets.nest_max + 1))
+            for (l, nest_l), (_, nest_inv_l) in nest_ladders:
+                conj_cert = auto_very_proximal(nest_l @ m @ nest_inv_l)
                 if conj_cert is not None and host.contains_cert_sets(conj_cert, group.place):
                     nest_word = word_power(nest_element, l)
                     nested_proof = proof.conjugated_by(nest_word)
                     return NormalProximalResult(
                         data.label, nested_proof, nested_proof.to_word(class_reps), conj_cert, l
                     )
-                if l < budgets.nest_max:
-                    acc = acc @ nest_m
     return None
 
 
@@ -660,10 +660,8 @@ def coset_pingpong(
             x_m = group.eval(x_word)
             if not _general_position_ok(group, x_m, a_n.cert):
                 continue
-            acc = beta
-            for l in range(1, budgets.nest_max + 1):
-                delta = acc @ x_m @ acc
-                cert = auto_very_proximal(delta)
+            for l, beta_l in beta.powers(budgets.nest_max + 1):
+                cert = auto_very_proximal(beta_l @ x_m @ beta_l)
                 ok = (
                     cert is not None
                     and _remark_nesting_ok(cert, a_n.cert, group.place)
@@ -683,8 +681,6 @@ def coset_pingpong(
                     _check_membership(group, delta_word, rep, membership, class_reps)
                     found = CosetResult(rep, n1, n2, l, delta_word, cert, membership)
                     break
-                if l < budgets.nest_max:
-                    acc = acc @ beta
             if found:
                 break
         if found:
@@ -748,6 +744,7 @@ def double_coset_wrap(
     across the produced list; identity representatives are skipped."""
     place = group.place
     h1m, h2m = group.eval(h1), group.eval(h2)
+    h1_inv = h1m.inverse()
     out: list[DoubleCosetResult] = []
     taken: list[ProjSet] = []
     h2_plus = ProjSet((h2_cert.fixed_point.ball,))
@@ -771,11 +768,10 @@ def double_coset_wrap(
         if not ok_shift:
             continue
         found = None
-        for n in range(1, budgets.n_max + 1):
-            w_n = h2m.power(n) @ shifted_m @ h2m.power(n)
-            for m in range(1, budgets.m_max + 1):
-                cand = h1m.power(m) @ w_n @ h1m.power(-m)
-                cert = auto_contracting(cand)
+        for n, h2_n in h2m.powers(budgets.n_max + 1):
+            w_n = h2_n @ shifted_m @ h2_n
+            for (m, h1_m), (_, h1_inv_m) in zip(h1m.powers(budgets.m_max + 1), h1_inv.powers(budgets.m_max + 1)):
+                cert = auto_contracting(h1_m @ w_n @ h1_inv_m)
                 if cert is None:
                     continue
                 sets = ProjSet((cert.attract_set, cert.repel_set))
@@ -824,14 +820,10 @@ def find_host(group: MarkedGroup, budgets: Budgets) -> tuple[Word, int, Proximal
     """Fixed very-proximal element used throughout Step 1: the shortlex
     first short word with a certifiable power."""
     for w in group.words_upto(budgets.host_word_len):
-        m = group.eval(w)
-        acc = m
-        for n in range(1, budgets.host_power_max + 1):
-            cert = auto_very_proximal(acc)
+        for n, m in group.eval(w).powers(budgets.host_power_max + 1):
+            cert = auto_very_proximal(m)
             if cert is not None:
                 return w, n, cert
-            if n < budgets.host_power_max:
-                acc = acc @ m
     return None
 
 
@@ -860,16 +852,13 @@ def _host_power_avoiding(
 ) -> tuple[int, ProximalCert] | None:
     """Host power whose canonical sets are certifiably disjoint from every
     used set (the paper's shrinking A(g^l), R(g^l))."""
-    base = group.eval(host_word)
-    acc = base.power(start_power)
-    for extra in range(0, budgets.host_power_max + 1):
-        power = start_power + extra
-        cert = auto_very_proximal(acc)
+    stop = start_power + budgets.host_power_max + 1
+    for power, m in group.eval(host_word).powers(stop, start_power):
+        cert = auto_very_proximal(m)
         if cert is not None and all(
             set_disjoint(s, t, group.place).kind == "disjoint" for s in _all_sets(cert) for t in used
         ):
             return power, cert
-        acc = acc @ base
     return None
 
 

@@ -81,7 +81,7 @@ class FiniteGroup:
         return self.names[x] if self.names else str(x)
 
     @classmethod
-    def from_permutations(cls, gens: list[tuple[int, ...]], names_hint: str = "g") -> "FiniteGroup":
+    def from_permutations(cls, gens: list[tuple[int, ...]]) -> "FiniteGroup":
         """Closure of permutation generators (tuples mapping i -> perm[i])."""
         deg = len(gens[0])
         ident = tuple(range(deg))
@@ -408,14 +408,13 @@ class BassSerreTree:
         raise TreeError("expand further: geodesic exceeds the radius budget")
 
 
-def expand_tree(amalgam: AmalgamData, center: Vertex | None = None, radius: int = 1) -> dict[Vertex, int]:
-    """Finite ball of the tree: vertices with their depths."""
+def expand_tree(amalgam: AmalgamData, radius: int = 1) -> dict[Vertex, int]:
+    """Finite ball of the tree around the base vertex of A: vertices with
+    their depths."""
     if radius < 0:
         raise TreeError("radius must be >= 0")
     tree = BassSerreTree(amalgam)
-    if center is None:
-        center = tree.base_vertex("A")
-    return tree.ball(center, radius)
+    return tree.ball(tree.base_vertex("A"), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +502,9 @@ class ShadowSet:
         if self.y not in self.tree.neighbors(self.x):
             raise TreeError("shadow base vertices are not adjacent")
 
-    def side_contains_vertex(self, z: Vertex, cap: int = 64) -> bool:
+    def side_contains_vertex(self, z: Vertex) -> bool:
         """z lies in the halftree behind y (ends through z belong to the shadow)."""
-        return self.tree.distance(z, self.y, cap) < self.tree.distance(z, self.x, cap)
+        return self.tree.distance(z, self.y) < self.tree.distance(z, self.x)
 
     def disjoint_from(self, other: "ShadowSet"):
         """Exact disjointness of two boundary shadows.

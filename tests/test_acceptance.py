@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from freecert.certfmt import check_claim, claim_selfmap
+from freecert.certfmt import CertContext, check_claim, claim_selfmap
 from freecert.cli import main
 from freecert.dynamics import (
     certify_contracting,
@@ -240,7 +240,7 @@ def test_criterion_04_fixed_point_enclosures_and_decay():
             cert.epsilon_sq,
             cert.contraction.attract,
         )
-        assert check_claim(claim, g.place, {})
+        assert check_claim(claim, CertContext(g.place, {}, {}))
         uppers = [contraction_gap_sq(g.power(n)).hi for n in range(1, 9)]
         assert all(x >= y for x, y in zip(uppers, uppers[1:]))
     for d in (4, 9, 25):

@@ -98,6 +98,39 @@ def test_analyze_identity_no(tmp_path):
     assert verify_file(out) == 0
 
 
+def _forged_refutation_code(tmp_path, text: str, refuted: dict, subop: str | None = None) -> int:
+    """verify's exit code for the certificate of `text` rewritten to verdict
+    `no` with one more contraction-refuted claim (and the task's subop)."""
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 0
+    cert["verdict"] = "no"
+    cert["task"]["subop"] = subop or cert["task"]["subop"]
+    cert["claims"].append(dict(refuted, type="contraction-refuted", epsilon_sq="1/4"))
+    forged = tmp_path / "forged.cert"
+    forged.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    return verify_file(forged)
+
+
+def test_verify_binds_contraction_refutation_to_the_element(tmp_path):
+    task = "[task]\nop analyze\nsubop contracting\nelement {}\nepsilon-sq 1/4\n"
+    # a refutation of the identity says nothing about the contracting a
+    identity = {"matrix": [["1", "0"], ["0", "1"]], "witness": ["1", "0"], "attract": ["0", "1"], "repel": ["1", "0"]}
+    assert _forged_refutation_code(tmp_path, MATRIX_HEADER + "\n" + task.format("a"), identity) == 3
+    # a = diag(25, 1) at p:5 has candidates attract [0, 1], repel ker(0, 1);
+    # the forged pair swaps in attract [1, 0]
+    padic = "format 1\nplace p:5\n[matrix-group]\ngen a = [[25, 0], [0, 1]]\n" + task.format("a")
+    swapped = {"matrix": [["25", "0"], ["0", "1"]], "witness": ["0", "1"], "attract": ["1", "0"], "repel": ["0", "1"]}
+    assert _forged_refutation_code(tmp_path, padic, swapped) == 3
+    # e = diag(1, 25, 25) at p:5 is contracting and e^-1 is not: the witness
+    # [0, 1, 1] refutes the candidates of e^-1, which only a very-proximal
+    # task may cite
+    padic = "format 1\nplace p:5\n[matrix-group]\ngen e = [[1, 0, 0], [0, 25, 0], [0, 0, 25]]\n" + task.format("e")
+    inverse = [["25", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    refuted = {"matrix": inverse, "witness": ["0", "1", "1"], "attract": ["0", "1", "0"], "repel": ["0", "1", "0"]}
+    assert _forged_refutation_code(tmp_path, padic, refuted) == 3
+    assert _forged_refutation_code(tmp_path, padic, refuted, "very-proximal") == 0
+
+
 def test_analyze_profile_padic(tmp_path):
     text = (
         "format 1\nplace p:5\n[matrix-group]\ngen g = [[5, 0], [0, 1]]\n"
@@ -178,6 +211,15 @@ def test_pingpong_certified_and_verify(tmp_path):
     assert verify_file(out) == 0
 
 
+def test_pingpong_player_name_with_vs(tmp_path):
+    text = MATRIX_HEADER + "\n[task]\nop pingpong\nsubop tuple\nplayer x vs y = a\nplayer g2 = b\nradius-sq 1/10\n"
+    code, cert, out = run(tmp_path, "pingpong", text)
+    assert code == 0
+    assert cert["verdict"] == "certified"
+    assert any(c.get("note") == "x vs y.A+ vs x vs y.A-" for c in cert["claims"])
+    assert verify_file(out) == 0
+
+
 def test_pingpong_duplicates_refuted(tmp_path):
     text = MATRIX_HEADER + "\n[task]\nop pingpong\nplayer g1 = a\nplayer g2 = a\nradius-sq 1/10\n"
     code, cert, _ = run(tmp_path, "pingpong", text)
@@ -229,6 +271,25 @@ def test_tree_expand(tmp_path):
     assert code == 0
     assert cert["result"]["count"] == 1 + 2 + 2 * 2
     assert verify_file(out) == 0
+
+
+def test_verify_builds_the_amalgam_once(tmp_path, monkeypatch):
+    from freecert import certfmt
+
+    text = s3_amalgam_header("c2") + "\n[task]\nop tree\nsubop expand\nradius 3\n"
+    code, cert, out = run(tmp_path, "tree", text)
+    assert code == 0
+    assert len(cert["claims"]) >= 10
+    calls = []
+    build = certfmt.amalgam_from
+
+    def counting(data):
+        calls.append(1)
+        return build(data)
+
+    monkeypatch.setattr(certfmt, "amalgam_from", counting)
+    assert verify_file(out) == 0
+    assert len(calls) == 1
 
 
 def test_tree_pingpong_via_cli(tmp_path):

@@ -46,3 +46,50 @@ def unreferenced_definitions() -> list[str]:
 def test_no_unreferenced_definitions():
     dead = unreferenced_definitions()
     assert not dead, "unreferenced definitions:\n" + "\n".join(dead)
+
+
+def _optional_params(func: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
+    """(name, position among the call's positional arguments or None) of
+    every parameter with a default.  A method's first parameter is bound by
+    the attribute access, so positions skip it."""
+    args = func.args
+    skip = 1 if is_method else 0
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first_default]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unpassed_optional_parameters() -> list[str]:
+    """Optional parameters of package functions that no call passes, by
+    position or by keyword.  Calls match by bare name or attribute name."""
+    optional: dict[str, list[tuple[str, int | None, str]]] = {}
+    for path, tree in _trees(PACKAGE):
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(node.name):
+                for name, pos in _optional_params(node, id(node) in methods):
+                    where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name})"
+                    optional.setdefault(node.name, []).append((name, pos, where))
+    passed: set[tuple[str, str]] = set()
+    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            fname = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if fname not in optional:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            for name, pos, _ in optional[fname]:
+                by_position = pos is not None and (starred or pos < len(node.args))
+                if by_position or name in keywords or None in keywords:
+                    passed.add((fname, name))
+    return sorted(where for fname, params in optional.items() for name, _, where in params if (fname, name) not in passed)
+
+
+def test_every_optional_parameter_is_passed():
+    unpassed = unpassed_optional_parameters()
+    assert not unpassed, "optional parameters no call passes:\n" + "\n".join(unpassed)

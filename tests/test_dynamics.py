@@ -189,6 +189,23 @@ def test_padic_kernel_matches_snf_reference():
                 assert dirs.repel == ProjHyperplane(vinv[0])
 
 
+def test_padic_certify_contracting_eliminates_once(monkeypatch):
+    from freecert import dynamics
+
+    calls = []
+    clear = dynamics.integer_rows
+
+    def counting(rows):
+        calls.append(1)
+        return clear(rows)
+
+    monkeypatch.setattr(dynamics, "integer_rows", counting)
+    singular_profile.cache_clear()
+    direction_candidates.cache_clear()
+    certify_contracting(ProjMat(((F(1, 3), 10, 7), (25, 4, 11), (6, 50, 13)), padic(5)), F(1, 4))
+    assert len(calls) == 1
+
+
 def test_padic_exponents_match_sympy_invariant_factors():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors

@@ -101,6 +101,9 @@ def test_matrix_invariants():
     assert (g @ g.inverse()).is_identity()
     assert g.power(3).proportional_to(g @ g @ g)
     assert g.power(-1).proportional_to(g.inverse())
+    for start in (0, 1, 3):
+        assert list(g.powers(8, start)) == [(n, g.power(n)) for n in range(start, 8)]
+    assert list(g.powers(2, 3)) == []
 
 
 def test_apply_hyperplane_preserves_incidence():
