@@ -36,9 +36,8 @@ from .projective import (
     dist_to_hyperplane_sq,
     set_contains,
     set_disjoint,
-    set_member,
 )
-from .scalar import ARCH, Place, Rat, cmp_sqrt_sum, format_rat, padic, parse_rat, sqrt_lower, sqrt_upper
+from .scalar import Place, Rat, cmp_sqrt_sum, format_rat, parse_place, parse_rat, sqrt_lower, sqrt_upper
 from .synthesis import MarkedGroup
 from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, classify, kernel_of_action, parse_word
 
@@ -63,14 +62,12 @@ def place_str(place: Place) -> str:
 
 
 def place_from(s: str) -> Place:
-    if s == "arch":
-        return ARCH
-    if s.startswith("p:"):
-        try:
-            return padic(int(s[2:]))
-        except ValueError as e:
-            raise VerifyError(f"bad place {s!r}: {e}") from None
-    raise VerifyError(f"bad place {s!r}")
+    try:
+        if not isinstance(s, str):
+            raise ValueError("not a string")
+        return parse_place(s)
+    except ValueError as e:
+        raise VerifyError(f"bad place {s!r}: {e}") from None
 
 
 def vec_json(v) -> list[str]:
@@ -249,13 +246,7 @@ def claims_for_proximal(matrix: ProjMat, cert: ProximalCert) -> list[dict]:
     ]
     if cert.very is not None:
         out.extend(claims_for_proximal(matrix.inverse(), cert.very))
-        a_p = ProjSet((cert.contraction.attract_set,))
-        r_p = ProjSet((cert.contraction.repel_set,))
-        a_m = ProjSet((cert.very.contraction.attract_set,))
-        r_m = ProjSet((cert.very.contraction.repel_set,))
-        out.append(claim_set_disjoint(a_p, r_p, "very: A+ vs R+"))
-        out.append(claim_set_disjoint(a_p, a_m, "very: A+ vs A-"))
-        out.append(claim_set_disjoint(a_m, r_m, "very: A- vs R-"))
+        out += [claim_set_disjoint(left, right, note) for left, right, note in cert.very_pairs()]
     return out
 
 
@@ -483,9 +474,6 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
         return set_disjoint(set_from(claim["left"]), set_from(claim["right"]), place).kind == "disjoint"
     if kind == "set-contains":
         return set_contains(set_from(claim["outer"]), set_from(claim["inner"]), place, claim.get("closed_inner", False))
-    if kind == "member":
-        got = set_member(point_from(claim["point"]), set_from(claim["set"]), place)
-        return got == claim["value"]
     if kind == "point-plane-far":
         d2 = dist_to_hyperplane_sq(point_from(claim["point"]), plane_from(claim["plane"]), place)
         return d2 >= parse_rat(claim["r_sq"])

@@ -25,7 +25,7 @@ from .dynamics import (
 )
 from .pingpong import PingPongPlayer, certify_tuple, freeness_oracle, simple_player
 from .projective import ProjHyperplane, ProjMat, ProjPoint, ProjSet, ball, hnbhd
-from .scalar import ARCH, Place, padic, parse_rat
+from .scalar import ARCH, Place, parse_place, parse_rat
 from .synthesis import (
     PRODENSE_ORACLE_LEN,
     Budgets,
@@ -38,12 +38,12 @@ from .synthesis import (
     coset_pingpong,
     double_coset_wrap,
     normal_proximal,
-    proximal_sets,
     truncated_prodense,
     very_proximal_search,
     word_inverse,
 )
 from .tree import (
+    DEFAULT_RADIUS,
     AmalgamData,
     BassSerreTree,
     TreeError,
@@ -80,7 +80,6 @@ class Problem:
         self.generators: list[tuple[str, list[list[Fraction]]]] = []
         self.amalgam_raw: dict = {}
         self.task: dict[str, list[tuple[int, str]]] = {}  # key -> [(line, value)]
-        self.task_order: list[tuple[str, int, str]] = []
 
     def task_get(self, key: str, default: str | None = None) -> str | None:
         vals = self.task.get(key)
@@ -184,19 +183,15 @@ def parse_problem(text: str) -> Problem:
                     raise ProblemError(line_no, len(key) + 2, f"unsupported format {rest!r}")
                 saw_format = True
             elif key == "place":
-                if rest == "arch":
-                    prob.place = ARCH
-                elif rest.startswith("p:"):
-                    with _input_error(line=line_no, col=len(key) + 2):
-                        prob.place = padic(int(rest[2:]))
-                else:
-                    raise ProblemError(line_no, len(key) + 2, f"place must be arch or p:PRIME, got {rest!r}")
+                with _input_error(line=line_no, col=len(key) + 2):
+                    prob.place = parse_place(rest)
             else:
                 raise ProblemError(line_no, 1, f"unexpected directive {key!r} before any section")
             continue
         if section == "matrix-group":
             if key == "dim":
-                prob.dim = int(rest)
+                with _input_error(line=line_no, col=len(key) + 2):
+                    prob.dim = int(rest)
             elif key == "gen":
                 name, eq, literal = rest.partition("=")
                 name = name.strip()
@@ -205,6 +200,11 @@ def parse_problem(text: str) -> Problem:
                 prob.generators.append((name, _parse_matrix_literal(literal.strip(), line_no)))
             else:
                 raise ProblemError(line_no, 1, f"unknown matrix-group directive {key!r}")
+            # reported on whichever of the generator and the dim line comes later
+            wrong = [(name, len(rows)) for name, rows in prob.generators if prob.dim not in (None, len(rows))]
+            if wrong:
+                name, k = wrong[0]
+                raise ProblemError(line_no, 1, f"generator {name} is {k}x{k}, but dim is {prob.dim}")
         elif section == "amalgam":
             if key in ("table-a", "table-b", "table-h"):
                 pending_table = key
@@ -217,7 +217,6 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemError(line_no, 1, f"unknown amalgam directive {key!r}")
         elif section == "task":
             prob.task.setdefault(key, []).append((line_no, rest))
-            prob.task_order.append((key, line_no, rest))
     close_table(len(text.splitlines()) + 1)
     if not saw_format:
         raise ProblemError(1, 1, "missing 'format 1' header")
@@ -409,8 +408,7 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
                     )
                 )
         else:
-            a_p, r_p, a_m, r_m = proximal_sets(cert)
-            players.append(PingPongPlayer(name, m, a_p, r_p, a_m, r_m, cert))
+            players.append(PingPongPlayer(name, m, *cert.eps_sets, cert))
     tup = certify_tuple(players)
     claims = certfmt.claims_for_tuple(tup)
     result = {
@@ -442,7 +440,7 @@ def _tree_pingpong_cert(prob: Problem, args) -> tuple[dict, int]:
     texts = [text for _, text in words_spec]
     emit = _emitter(None, "amalgam", header, {"op": "pingpong", "subop": "tree", "words": texts, "oracle_len": oracle_len})
     with _input_error(TreeError):
-        tup = tree_pingpong(elements, am, radius_budget=int(args.radius or prob.task_get("radius", "8")))
+        tup = tree_pingpong(elements, am)
     claims = certfmt.claims_for_tree_tuple(tup, texts)
     result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail}
     if tup.verdict == "certified":
@@ -621,7 +619,6 @@ def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
     subop = _need(prob, "subop")
     task = {"op": "tree", "subop": subop}
     emit = _emitter(None, "amalgam", header, task)
-    radius = int(args.radius or prob.task_get("radius", "8"))
     if subop in ("normal-form", "classify"):
         text = _need(prob, "word")
         with _input_error(TreeError):
@@ -631,15 +628,16 @@ def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
         result = {"syllables": [list(s) for s in w.syllables], "tail": w.tail, "is_identity": w.is_identity()}
         return emit("ok", result, [certfmt.claim_tree_normal_form(text, w)])
     if subop == "classify":
-        out = classify(w, am, radius_budget=radius)
+        out = classify(w, am)
         result = {"kind": out.kind}
         if out.kind == "hyperbolic":
             result["translation_length"] = out.translation_length
             result["axis_edge"] = [certfmt.vertex_json(out.axis_edge[0]), certfmt.vertex_json(out.axis_edge[1])]
-        elif out.kind == "elliptic":
+        else:
             result["fixed_vertex"] = certfmt.vertex_json(out.fixed_vertex)
-        return emit("ok" if out.kind != "unknown" else "unknown", result, [certfmt.claim_tree_classify(text, out)])
+        return emit("ok", result, [certfmt.claim_tree_classify(text, out)])
     if subop == "expand":
+        radius = int(args.radius or prob.task_get("radius", str(DEFAULT_RADIUS)))
         tree = BassSerreTree(am)
         claims, listing = [], []
         for v, depth in sorted(expand_tree(am, radius=radius).items(), key=lambda kv: (kv[1], str(kv[0]))):
@@ -689,12 +687,7 @@ def _run_problem(args, runner) -> int:
     try:
         prob = parse_problem(text)
         if args.place:
-            if args.place == "arch":
-                prob.place = ARCH
-            elif args.place.startswith("p:"):
-                prob.place = padic(int(args.place[2:]))
-            else:
-                raise ValueError(f"--place must be arch or p:PRIME, got {args.place!r}")
+            prob.place = parse_place(args.place)
         cert, code = runner(prob, args)
     except ProblemError as e:
         print(f"{args.problem}:{e}", file=sys.stderr)
@@ -720,7 +713,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="write the certificate here instead of stdout")
         p.add_argument("--place", help="override the place: arch or p:PRIME")
         p.add_argument("--budget", action="append", help="NAME=VALUE, repeatable")
-        p.add_argument("--radius", type=int, help="tree radius budget")
+        p.add_argument("--radius", type=int, help="radius of the ball `tree expand` lists")
         p.add_argument("--oracle-len", type=int, dest="oracle_len", help="freeness oracle word length")
 
     for name in ("analyze", "pingpong", "synthesize", "tree"):

@@ -20,7 +20,7 @@ Unknown is a legal outcome of the sufficient tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,7 +43,7 @@ from .projective import (
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Rat, cmp_sqrt_sum, sqrt_lower, sqrt_upper
+from .scalar import Rat, cmp_sqrt_sum, int_valuation, padic_valuation, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
@@ -90,7 +90,7 @@ def padic_exponents(rows, p: int) -> list[int]:
             for j in range(k, n):
                 x = row[j]
                 if x:
-                    v = _int_vp(x, p)
+                    v = int_valuation(x, p)
                     if best is None or v < best:
                         best, pi, pj = v, i, j
                         if v == floor:
@@ -114,16 +114,8 @@ def padic_exponents(rows, p: int) -> list[int]:
         exps.append(best - prev_v)
         floor = 2 * best - prev_v
         prev_v = best
-    shift = _int_vp(scale, p)
+    shift = int_valuation(scale, p)
     return [e - shift for e in exps]
-
-
-def _int_vp(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +245,7 @@ def direction_candidates(g: ProjMat) -> DirectionData:
     if g.place.is_padic:
         p = g.place.prime
         _, i, j = min(
-            (_int_vp(x.numerator, p) - _int_vp(x.denominator, p), i, j)
+            (padic_valuation(x, p), i, j)
             for i, row in enumerate(g.entries)
             for j, x in enumerate(row)
             if x
@@ -327,18 +319,14 @@ def image_radius_bound(
     return u_kappa / denom + u_alpha
 
 
-def _witness_pool(n: int) -> list[ProjPoint]:
-    pool = []
-    seen = set()
-    for coords in itertools.product((0, 1, -1), repeat=n):
-        if all(c == 0 for c in coords):
-            continue
-        p = ProjPoint(tuple(Fraction(c) for c in coords))
-        if p.rep not in seen:
-            seen.add(p.rep)
-            pool.append(p)
-    pool.sort(key=lambda p: (sum(1 for c in p.rep if c != 0), p.rep))
-    return pool
+def _witness_pool(n: int):
+    """Every point of P^(n-1) with coordinates in {-1, 0, 1}, once each,
+    lazily: by support size, then lexicographically among the
+    representatives whose first nonzero coordinate is 1."""
+    for size in range(1, n + 1):
+        for coords in itertools.product((-1, 0, 1), repeat=n):
+            if n - coords.count(0) == size and next(c for c in coords if c) == 1:
+                yield ProjPoint(coords)
 
 
 def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> ContractionVerdict:
@@ -459,6 +447,19 @@ class ProximalCert:
     def repel_set(self) -> HNbhd:
         return self.contraction.repel_set
 
+    @property
+    def eps_sets(self) -> tuple[ProjSet, ProjSet, ProjSet, ProjSet]:
+        """(A+, R+, A-, R-): the eps-sets of g and, from `very`, of g^-1."""
+        c, ci = self.contraction, self.very.contraction
+        return tuple(ProjSet((s,)) for s in (c.attract_set, c.repel_set, ci.attract_set, ci.repel_set))
+
+    def very_pairs(self) -> tuple[tuple[ProjSet, ProjSet, str], ...]:
+        """The disjointnesses a very-proximal certificate needs, as
+        (left, right, claim note); `certify_very_proximal` checks these
+        and `certfmt` emits them."""
+        a_p, r_p, a_m, r_m = self.eps_sets
+        return ((a_p, r_p, "very: A+ vs R+"), (a_p, a_m, "very: A+ vs A-"), (a_m, r_m, "very: A- vs R-"))
+
 
 @dataclass(frozen=True)
 class ProximalVerdict:
@@ -509,8 +510,9 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
 
 
 def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
-    """Both g and g^-1 (r, eps)-proximal, plus the four cross-disjointness
-    conditions on the eps-sets of the pair.
+    """Both g and g^-1 (r, eps)-proximal, plus the three cross-disjointness
+    conditions of `ProximalCert.very_pairs` on the eps-sets of the pair:
+    A+ from R+, A+ from A-, and A- from R-.
 
     A "no" from g^-1 names g^-1 in `refutes`.  A failed cross-disjointness
     check is "unknown": a point common to two candidate sets refutes no
@@ -521,26 +523,10 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVer
     bwd = certify_proximal(g.inverse(), r_sq, epsilon_sq)
     if bwd.kind != "yes":
         return bwd
-    a_p = _as_set(fwd.cert.attract_set)
-    r_p = _as_set(fwd.cert.repel_set)
-    a_m = _as_set(bwd.cert.attract_set)
-    r_m = _as_set(bwd.cert.repel_set)
-    for left, right in ((a_p, r_p), (a_p, a_m), (a_m, r_m)):
-        if set_disjoint(left, right, g.place).kind != "disjoint":
-            return ProximalVerdict("unknown")
-    paired = ProximalCert(
-        fwd.cert.r_sq,
-        fwd.cert.epsilon_sq,
-        fwd.cert.contraction,
-        fwd.cert.fixed_point,
-        fwd.cert.fixed_plane_dual,
-        very=bwd.cert,
-    )
+    paired = replace(fwd.cert, very=bwd.cert)
+    if any(set_disjoint(left, right, g.place).kind != "disjoint" for left, right, _ in paired.very_pairs()):
+        return ProximalVerdict("unknown")
     return ProximalVerdict("yes", cert=paired)
-
-
-def _as_set(component):
-    return ProjSet((component,))
 
 
 def power_to_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat, max_n: int) -> tuple[int, ProximalCert] | None:

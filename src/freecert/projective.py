@@ -368,11 +368,6 @@ def component_member(p: ProjPoint, c: Component, place: Place) -> bool:
     return dist_to_hyperplane_sq(p, c.plane, place) < c.radius_sq
 
 
-def set_member(p: ProjPoint, s: ProjSet, place: Place) -> bool:
-    """Exact membership; a union is a disjunction."""
-    return any(component_member(p, c, place) for c in s.components)
-
-
 def dual_ball_of_hnbhd(c: HNbhd) -> Ball:
     """In P(Q^2) a hyperplane is a point; its neighborhood is the ball
     around the kernel point, with identical radius."""

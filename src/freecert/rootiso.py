@@ -40,9 +40,6 @@ class Interval:
     def exact(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
     def __mul__(self, other: "Interval") -> "Interval":
         cands = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
         return Interval(min(cands), max(cands))
@@ -52,12 +49,6 @@ class Interval:
             raise ZeroDivisionError("interval division through zero")
         inv = Interval(Fraction(1) / other.hi, Fraction(1) / other.lo)
         return self * inv
-
-    def power(self, n: int) -> "Interval":
-        out = Interval(Fraction(1), Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
 
 
 def point(x: Rat) -> Interval:
@@ -84,17 +75,6 @@ def peval(p: Poly, x: Rat) -> Rat:
 
 def pderiv(p: Poly) -> Poly:
     return [c * i for i, c in enumerate(p)][1:]
-
-
-def pmul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
 
 
 def prem(p: Poly, q: Poly) -> Poly:

@@ -90,30 +90,37 @@ def padic(p: int) -> Place:
     return Place("p-adic", p)
 
 
+def parse_place(text: str) -> Place:
+    """The place written `arch` or `p:PRIME`; ValueError on anything else."""
+    if text == "arch":
+        return ARCH
+    if text.startswith("p:"):
+        return padic(int(text[2:]))
+    raise ValueError(f"place must be arch or p:PRIME, got {text!r}")
+
+
+def int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def padic_valuation(x: Rat | int, p: int) -> int:
     """v_p(x) for nonzero rational x: x = p^v * (a/b) with p dividing neither a nor b."""
     if x == 0:
         raise ZeroDivisionError("valuation of zero undefined")
-    x = Fraction(x)
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
 def abs_value(x: Rat | int, place: Place) -> Rat:
     """|x| at the given place, always an exact rational (p^-v in the p-adic case)."""
-    x = Fraction(x)
     if x == 0:
         return Fraction(0)
     if not place.is_padic:
-        return -x if x < 0 else x
+        return abs(Fraction(x))
     v = padic_valuation(x, place.prime)
     if v >= 0:
         return Fraction(1, place.prime**v)

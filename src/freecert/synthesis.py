@@ -26,7 +26,7 @@ from .dynamics import (
     direction_candidates,
     push_set,
 )
-from .pingpong import OracleResult, PingPongPlayer, PingPongTuple, certify_tuple, freeness_oracle
+from .pingpong import OracleResult, PingPongPlayer, PingPongTuple, certify_tuple, freeness_oracle, word_string
 from .projective import (
     Ball,
     ProjMat,
@@ -39,16 +39,6 @@ from .projective import (
 from .scalar import Rat, sqrt_upper
 
 Word = tuple[tuple[int, int], ...]  # letters (generator index, +-1), freely reduced
-
-
-def reduce_word(letters) -> Word:
-    out: list[tuple[int, int]] = []
-    for idx, exp in letters:
-        if out and out[-1][0] == idx and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((idx, exp))
-    return tuple(out)
 
 
 def word_inverse(w: Word) -> Word:
@@ -122,15 +112,10 @@ class MarkedGroup:
             idx = self.gen_index(name)
             e = int(power) if power else 1
             letters.extend([(idx, 1 if e > 0 else -1)] * abs(e))
-        return reduce_word(letters)
+        return concat(letters)
 
     def word_str(self, w: Word) -> str:
-        if not w:
-            return "e"
-        parts = []
-        for idx, exp in w:
-            parts.append(self.names[idx] if exp > 0 else f"{self.names[idx]}^-1")
-        return " ".join(parts)
+        return word_string(w, self.names) if w else "e"
 
     def words_upto(self, max_len: int):
         """All nonempty freely reduced words of length <= max_len, shortlex,
@@ -305,20 +290,9 @@ def auto_contracting(m: ProjMat) -> ContractionCert | None:
     return None
 
 
-def proximal_sets(cert: ProximalCert) -> tuple[ProjSet, ProjSet, ProjSet, ProjSet]:
-    """(A+, R+, A-, R-) as declared epsilon-sets of the certificate pair."""
-    c, ci = cert.contraction, cert.very.contraction
-    return (
-        ProjSet((c.attract_set,)),
-        ProjSet((c.repel_set,)),
-        ProjSet((ci.attract_set,)),
-        ProjSet((ci.repel_set,)),
-    )
-
-
 def player_from_cert(name: str, g: ProjMat, cert: ProximalCert) -> PingPongPlayer:
-    a_p, r_p, a_m, r_m = proximal_sets(cert)
-    return PingPongPlayer(name, g, a_p, r_p, a_m, r_m, cert)
+    """A player whose declared sets are the certificate's eps-sets."""
+    return PingPongPlayer(name, g, *cert.eps_sets, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +486,7 @@ class HostRegion:
     avoid: tuple[ProjSet, ...] = ()
 
     def contains_cert_sets(self, cert: ProximalCert, place) -> bool:
-        a_p, r_p, a_m, r_m = proximal_sets(cert)
+        a_p, r_p, a_m, r_m = cert.eps_sets
         reg_inv = self.region_inv or self.region
         if not (
             set_contains(self.region, a_p, place)
@@ -667,7 +641,7 @@ def coset_pingpong(
                     and _remark_nesting_ok(cert, a_n.cert, group.place)
                     and all(
                         set_disjoint(s, t, group.place).kind == "disjoint"
-                        for s in _all_sets(cert)
+                        for s in cert.eps_sets
                         for t in taken_sets
                     )
                 )
@@ -685,25 +659,14 @@ def coset_pingpong(
                 break
         if found:
             results.append(found)
-            taken_sets.extend(_all_sets(found.cert))
+            taken_sets.extend(found.cert.eps_sets)
         else:
             failed.append(rep)
     return results, failed
 
 
-def _all_sets(cert: ProximalCert) -> list[ProjSet]:
-    return list(proximal_sets(cert))
-
-
 def _remark_nesting_ok(cert: ProximalCert, outer: ProximalCert, place) -> bool:
-    a_p, r_p, a_m, r_m = proximal_sets(cert)
-    o_a, o_r, o_ai, o_ri = proximal_sets(outer)
-    return (
-        set_contains(o_a, a_p, place)
-        and set_contains(o_r, r_p, place)
-        and set_contains(o_ai, a_m, place)
-        and set_contains(o_ri, r_m, place)
-    )
+    return all(set_contains(o, s, place) for o, s in zip(outer.eps_sets, cert.eps_sets))
 
 
 def _check_membership(group: MarkedGroup, delta_word: Word, rep: Word, proof: NormalWord, class_reps) -> None:
@@ -856,7 +819,7 @@ def _host_power_avoiding(
     for power, m in group.eval(host_word).powers(stop, start_power):
         cert = auto_very_proximal(m)
         if cert is not None and all(
-            set_disjoint(s, t, group.place).kind == "disjoint" for s in _all_sets(cert) for t in used
+            set_disjoint(s, t, group.place).kind == "disjoint" for s in cert.eps_sets for t in used
         ):
             return power, cert
     return None
@@ -892,7 +855,7 @@ def truncated_prodense(
             notes.append(f"step 1 not found for {data.label}")
             continue
         step1.append(res)
-        used_sets.extend(_all_sets(res.cert))
+        used_sets.extend(res.cert.eps_sets)
         region = _shrunken_host(host_cert, used_sets, place)
         if region is None:
             notes.append("host region exhausted")

@@ -14,7 +14,9 @@ a lazily expanded finite ball of the tree.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 DEFAULT_RADIUS = 8
 
@@ -80,31 +82,6 @@ class FiniteGroup:
     def name_of(self, x: int) -> str:
         return self.names[x] if self.names else str(x)
 
-    @classmethod
-    def from_permutations(cls, gens: list[tuple[int, ...]]) -> "FiniteGroup":
-        """Closure of permutation generators (tuples mapping i -> perm[i])."""
-        deg = len(gens[0])
-        ident = tuple(range(deg))
-        elems = [ident]
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt: list[tuple[int, ...]] = []
-            for p in frontier:
-                for g in gens:
-                    q = tuple(p[g[i]] for i in range(deg))
-                    if q not in seen:
-                        seen.add(q)
-                        elems.append(q)
-                        nxt.append(q)
-            frontier = nxt
-        elems.sort()
-        index = {p: i for i, p in enumerate(elems)}
-        table = tuple(
-            tuple(index[tuple(p[q[i]] for i in range(deg))] for q in elems) for p in elems
-        )
-        return cls(table)
-
 
 Letter = tuple[str, int]  # ("A" | "B", element index in that factor)
 
@@ -161,17 +138,11 @@ class AmalgamData:
     def coset_rep(self, tag: str, x: int) -> int:
         return self._transversal[tag][x]
 
-    def index(self, tag: str) -> int:
-        return self.factor(tag).order // self.group_h.order
-
     def transversal(self, tag: str) -> list[int]:
         """Nontrivial coset representatives, ascending."""
         grp = self.factor(tag)
         reps = sorted(set(self._transversal[tag].values()))
         return [r for r in reps if r != grp.identity]
-
-    def higman_neumann_applicable(self) -> bool:
-        return (self.index("A") - 1) * (self.index("B") - 1) >= 2
 
     def letter_names(self) -> dict[str, Letter]:
         out: dict[str, Letter] = {}
@@ -265,7 +236,7 @@ def identity_aut(amalgam: AmalgamData) -> TreeAut:
     return TreeAut(amalgam, (), amalgam.group_h.identity)
 
 
-def normal_form(amalgam: AmalgamData, letters: list[Letter]) -> TreeAut:
+def normal_form(amalgam: AmalgamData, letters: Iterable[Letter]) -> TreeAut:
     """Fold letters into the unique reduced alternating form; empty iff identity."""
     out = identity_aut(amalgam)
     for tag, x in letters:
@@ -280,24 +251,20 @@ def normal_form(amalgam: AmalgamData, letters: list[Letter]) -> TreeAut:
 def parse_word(amalgam: AmalgamData, text: str) -> TreeAut:
     """Parse a whitespace word of element names, with optional ^-1."""
     table = amalgam.letter_names()
-    out = identity_aut(amalgam)
-    for token in text.split():
-        name, _, power = token.partition("^")
-        if name not in table:
-            raise TreeError(f"unknown letter {name!r}")
-        tag, idx = table[name]
-        if power:
+
+    def letters():
+        for token in text.split():
+            name, _, power = token.partition("^")
+            if name not in table:
+                raise TreeError(f"unknown letter {name!r}")
+            tag, idx = table[name]
             try:
-                e = int(power)
+                e = int(power) if power else 1
             except ValueError:
                 raise TreeError(f"bad exponent in {token!r}") from None
-        else:
-            e = 1
-        grp = amalgam.factor(tag)
-        step = idx if e >= 0 else grp.inv(idx)
-        for _ in range(abs(e)):
-            out = out.append_letter(tag, step)
-    return out
+            yield from repeat((tag, idx if e >= 0 else amalgam.factor(tag).inv(idx)), abs(e))
+
+    return normal_form(amalgam, letters())
 
 
 # ---------------------------------------------------------------------------
@@ -359,53 +326,30 @@ class BassSerreTree:
             frontier = nxt
         return depth
 
-    def distance(self, u: Vertex, v: Vertex, cap: int | None = 64) -> int:
-        """Exact distance from the canonical keys.
+    def geodesic(self, u: Vertex, v: Vertex, cap: int | None = 64) -> list[Vertex]:
+        """The path from u to v, read off the canonical keys.
 
-        Walking from a vertex toward the base strips one trailing letter
-        per edge; the geodesic between u and v turns at their longest
-        common key prefix c.  Writing the residual lengths ra, rb and the
-        factor types at the turn (the vertex types from which the next
-        letters append), the distance is ra + rb, plus 1 when the turn
-        vertices sit on opposite sides of the c-edge.  Cross-checked
-        against a breadth-first search in the test suite.
+        The edge from a vertex toward the base edge drops the key's last
+        letter and lands on a vertex of that letter's factor, so the path
+        climbs from each end to the longest common key prefix.  The two
+        turn vertices are equal, or they are the two ends of the base edge.
+        Raises TreeError when the path has more than `cap` edges.
         """
-        (s, p), (t, q) = u, v
+        (_, p), (_, q) = u, v
         c = 0
         for x, y in zip(p, q):
             if x != y:
                 break
             c += 1
-        ra, rb = len(p) - c, len(q) - c
-        if ra == 0 and rb == 0:
-            d = 0 if s == t else 1
-        else:
-            tu = s if ra == 0 else p[c][0]
-            tv = t if rb == 0 else q[c][0]
-            d = ra + rb + (0 if tu == tv else 1)
-        if cap is not None and d > cap:
-            raise TreeError("expand further: distance exceeds the radius budget")
-        return d
+        up = [u] + [(p[k][0], p[:k]) for k in range(len(p) - 1, c - 1, -1)]
+        down = [(q[k][0], q[:k]) for k in range(c, len(q))] + [v]
+        path = up + down[1:] if up[-1] == down[0] else up + down
+        if cap is not None and len(path) - 1 > cap:
+            raise TreeError("expand further: path exceeds the radius budget")
+        return path
 
-    def geodesic(self, u: Vertex, v: Vertex, cap: int = 64) -> list[Vertex]:
-        if u == v:
-            return [u]
-        parent: dict[Vertex, Vertex] = {u: u}
-        frontier = [u]
-        for _ in range(cap):
-            nxt = []
-            for x in frontier:
-                for y in self.neighbors(x):
-                    if y not in parent:
-                        parent[y] = x
-                        if y == v:
-                            path = [y]
-                            while path[-1] != u:
-                                path.append(parent[path[-1]])
-                            return list(reversed(path))
-                        nxt.append(y)
-            frontier = nxt
-        raise TreeError("expand further: geodesic exceeds the radius budget")
+    def distance(self, u: Vertex, v: Vertex, cap: int | None = 64) -> int:
+        return len(self.geodesic(u, v, cap)) - 1
 
 
 def expand_tree(amalgam: AmalgamData, radius: int = 1) -> dict[Vertex, int]:
@@ -424,7 +368,7 @@ def expand_tree(amalgam: AmalgamData, radius: int = 1) -> dict[Vertex, int]:
 
 @dataclass(frozen=True)
 class Classification:
-    kind: str  # "elliptic" | "hyperbolic" | "unknown"
+    kind: str  # "elliptic" | "hyperbolic"
     fixed_vertex: Vertex | None = None
     translation_length: int | None = None
     axis_edge: tuple[Vertex, Vertex] | None = None
@@ -443,10 +387,11 @@ def _cyclic_reduce(w: TreeAut) -> tuple[TreeAut, TreeAut]:
     return c, core
 
 
-def classify(w: TreeAut, amalgam: AmalgamData | None = None, radius_budget: int = DEFAULT_RADIUS) -> Classification:
+def classify(w: TreeAut, amalgam: AmalgamData | None = None) -> Classification:
     """Elliptic iff the cyclically reduced length is <= 1 (with an explicit
     fixed vertex); else hyperbolic with translation length the cyclically
-    reduced length, cross-checked by a coherent-edge witness in the ball."""
+    reduced length, cross-checked against the displacement of the base
+    vertex and by a coherent-edge witness."""
     am = amalgam or w.amalgam
     tree = BassSerreTree(am)
     c, core = _cyclic_reduce(w)
@@ -459,11 +404,7 @@ def classify(w: TreeAut, amalgam: AmalgamData | None = None, radius_budget: int 
         return Classification("elliptic", fixed_vertex=tree.act(c, fixed))
     tau = core.length
     base = tree.base_vertex("A")
-    try:
-        img = tree.act(core, base)
-        path = tree.geodesic(base, img, cap=max(radius_budget, tau) + 2)
-    except TreeError:
-        return Classification("unknown")
+    path = tree.geodesic(base, tree.act(core, base), cap=None)
     if len(path) - 1 != tau:
         raise AssertionError("translation length disagrees with the geodesic displacement")
     s, t = path[0], path[1]
@@ -603,7 +544,7 @@ class TreeEvidence:
         return True, ""
 
 
-def tree_pingpong(elements: list[TreeAut], amalgam: AmalgamData, radius_budget: int = DEFAULT_RADIUS):
+def tree_pingpong(elements: list[TreeAut], amalgam: AmalgamData):
     """Certify a ping-pong tuple of hyperbolic tree automorphisms with
     localized shadow sets read off their axes; shadow disjointness is
     decided exactly on the expanded ball."""
@@ -612,7 +553,7 @@ def tree_pingpong(elements: list[TreeAut], amalgam: AmalgamData, radius_budget: 
     tree = BassSerreTree(amalgam)
     players = []
     for i, g in enumerate(elements):
-        cls = classify(g, amalgam, radius_budget)
+        cls = classify(g, amalgam)
         if cls.kind != "hyperbolic":
             raise TreeError(f"element {i} is not hyperbolic")
         a_plus, r_plus, a_minus, r_minus = axis_shadow_sets(tree, g, cls)

@@ -1,8 +1,11 @@
 """Brute-force reference computations shared by the test modules."""
 
 import itertools
+from fractions import Fraction
 
-from freecert.tree import DEFAULT_RADIUS, TreeError
+from freecert.projective import component_member
+from freecert.rootiso import Interval
+from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
 
 def subgroup_closure(group, gens) -> frozenset:
@@ -32,23 +35,27 @@ def all_subgroups(group) -> list[frozenset]:
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
-def distance_bfs(tree, u, v, cap: int = 64) -> int:
-    """Independent breadth-first distance (oracle for `BassSerreTree.distance`)."""
+def geodesic_bfs(tree, u, v, cap: int = 64) -> list:
+    """Breadth-first path from u to v over the lazily expanded tree
+    (reference for `BassSerreTree.geodesic` and `distance`)."""
     if u == v:
-        return 0
-    depth = {u: 0}
+        return [u]
+    parent = {u: u}
     frontier = [u]
-    for d in range(1, cap + 1):
+    for _ in range(cap):
         nxt = []
         for x in frontier:
             for y in tree.neighbors(x):
-                if y == v:
-                    return d
-                if y not in depth:
-                    depth[y] = d
+                if y not in parent:
+                    parent[y] = x
+                    if y == v:
+                        path = [y]
+                        while path[-1] != u:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
                     nxt.append(y)
         frontier = nxt
-    raise TreeError("expand further: distance exceeds the radius budget")
+    raise TreeError("expand further: path exceeds the radius budget")
 
 
 def min_displacement(tree, w, radius: int = DEFAULT_RADIUS) -> int:
@@ -75,3 +82,63 @@ def shadow_member(prefix_vertex, shadow, radius_budget: int = DEFAULT_RADIUS) ->
     except TreeError:
         raise TreeError("expand further: prefix outside the expanded region") from None
     return d_xy + d_yw == d_xw
+
+
+def group_from_permutations(gens: list[tuple[int, ...]]) -> FiniteGroup:
+    """Closure of permutation generators (tuples mapping i -> perm[i]),
+    elements indexed in sorted order."""
+    deg = len(gens[0])
+    ident = tuple(range(deg))
+    elems = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[i]] for i in range(deg))
+                if q not in seen:
+                    seen.add(q)
+                    elems.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    elems.sort()
+    index = {p: i for i, p in enumerate(elems)}
+    return FiniteGroup(tuple(tuple(index[tuple(p[q[i]] for i in range(deg))] for q in elems) for p in elems))
+
+
+def coset_index(amalgam, tag: str) -> int:
+    """|A:H| or |B:H|."""
+    return amalgam.factor(tag).order // amalgam.group_h.order
+
+
+def higman_neumann_applicable(amalgam) -> bool:
+    """The index condition (|A:H| - 1)(|B:H| - 1) >= 2."""
+    return (coset_index(amalgam, "A") - 1) * (coset_index(amalgam, "B") - 1) >= 2
+
+
+def pmul(p: list, q: list) -> list:
+    """Product of coefficient lists, lowest degree first."""
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def interval_contains(iv: Interval, x) -> bool:
+    return iv.lo <= x <= iv.hi
+
+
+def interval_power(iv: Interval, n: int) -> Interval:
+    out = Interval(Fraction(1), Fraction(1))
+    for _ in range(n):
+        out = out * iv
+    return out
+
+
+def set_member(p, s, place) -> bool:
+    """Exact membership in an open set; a union is a disjunction."""
+    return any(component_member(p, c, place) for c in s.components)

@@ -25,7 +25,6 @@ from freecert.projective import (
     dist_sq,
     dist_to_hyperplane_sq,
     set_contains,
-    set_member,
 )
 from freecert.scalar import ARCH, cmp_sqrt_sum, padic, sqrt_lower
 from freecert.synthesis import (
@@ -35,7 +34,6 @@ from freecert.synthesis import (
     auto_very_proximal,
     b1b2b3_synthesize,
     concat,
-    proximal_sets,
     truncated_prodense,
     word_inverse,
 )
@@ -48,7 +46,7 @@ from freecert.tree import (
     parse_word,
     tree_pingpong,
 )
-from oracles import all_subgroups
+from oracles import all_subgroups, group_from_permutations, set_member
 
 P5 = padic(5)
 
@@ -365,7 +363,7 @@ def test_criterion_07_truncated_prodense():
     for cr in deltas:
         lhs = grp.eval(concat(cr.word, word_inverse(cr.coset_rep)))
         assert lhs.proportional_to(grp.eval(cr.membership.to_word(reps_list)))
-        inner, outer = proximal_sets(cr.cert), proximal_sets(a_n.cert)
+        inner, outer = cr.cert.eps_sets, a_n.cert.eps_sets
         for i_set, o_set in zip(inner, outer):
             assert set_contains(o_set, i_set, ARCH)
     report(7, "Sanov truncated prodense: combined tuple certified, memberships word-checked", 300, t0)
@@ -428,7 +426,7 @@ def test_criterion_08_tree_classification_vs_bfs():
 
 
 def s3_amalgams():
-    s3 = FiniteGroup.from_permutations([(0, 2, 1), (1, 2, 0)])
+    s3 = group_from_permutations([(0, 2, 1), (1, 2, 0)])
     c3 = FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     c2 = FiniteGroup(((0, 1), (1, 0)))
     return AmalgamData(s3, s3, c3, (0, 3, 4), (0, 3, 4)), AmalgamData(s3, s3, c2, (0, 1), (0, 1))

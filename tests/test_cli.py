@@ -4,7 +4,7 @@ import time
 import pytest
 
 from freecert.cli import main
-from freecert.tree import FiniteGroup
+from oracles import group_from_permutations
 
 MATRIX_HEADER = """format 1
 place arch
@@ -47,7 +47,7 @@ embed-b 0
 
 
 def s3_amalgam_header(h: str) -> str:
-    s3 = FiniteGroup.from_permutations([(0, 2, 1), (1, 2, 0)])
+    s3 = group_from_permutations([(0, 2, 1), (1, 2, 0)])
     rows = "\n".join(" ".join(str(x) for x in r) for r in s3.table)
     if h == "a3":
         h_block = "names-h e p q\ntable-h\n0 1 2\n1 2 0\n2 0 1\nembed-a 0 3 4\nembed-b 0 3 4"
@@ -454,3 +454,36 @@ def test_unknown_section_is_positioned_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "2:2" in err
+
+
+@pytest.mark.parametrize("order", ["dim first", "dim last"])
+def test_generator_size_must_match_dim(tmp_path, capsys, order):
+    dim, gen = "dim 3\n", "gen a = [[2, 0], [0, 1]]\n"
+    body = dim + gen if order == "dim first" else gen + dim
+    text = "format 1\nplace arch\n[matrix-group]\n" + body + "[task]\nop analyze\nsubop profile\nelement a\n"
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 2 and cert is None
+    assert "5:1: generator a is 2x2, but dim is 3" in capsys.readouterr().err
+
+
+def test_place_syntax_errors_keep_their_framing(tmp_path, capsys):
+    text = MATRIX_HEADER.replace("place arch", "place q:5") + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    assert run(tmp_path, "analyze", text)[0] == 2
+    assert "2:7: place must be arch or p:PRIME" in capsys.readouterr().err
+    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    assert run(tmp_path, "analyze", text, "--place", "p:6")[0] == 2
+    _, cert, out = run(tmp_path, "analyze", text)
+    for bad in ("p:x", 5):
+        cert["place"] = bad
+        out.write_text(json.dumps(cert))
+        assert verify_file(out) == 2
+
+
+def test_verify_rejects_member_claims(tmp_path):
+    # no command emits a `member` claim, so the checker knows no such type
+    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    _, cert, out = run(tmp_path, "analyze", text)
+    far = [{"kind": "ball", "center": ["0", "1"], "radius_sq": "1/4"}]
+    cert["claims"].append({"type": "member", "point": ["1", "0"], "set": far, "value": False})
+    out.write_text(json.dumps(cert))
+    assert verify_file(out) == 2

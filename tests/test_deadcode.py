@@ -1,5 +1,6 @@
 """Dead-code guard: every function and class defined in the package must
-be referenced somewhere in the sources or the tests.
+be referenced somewhere in the sources; code that only the tests use
+belongs in `tests/`.
 
 A reference is any bare name, attribute access or import alias, so the
 check is purely syntactic (standard-library `ast`).  Dunder names are
@@ -23,14 +24,15 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unreferenced_definitions() -> list[str]:
+def unreferenced_definitions(*dirs: Path) -> list[str]:
+    """Package definitions whose name no module under `dirs` references."""
     defined: dict[str, str] = {}
     for path, tree in _trees(PACKAGE):
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not _is_dunder(node.name):
                 defined.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     used: set[str] = set()
-    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+    for _, tree in _trees(*dirs):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -44,8 +46,13 @@ def unreferenced_definitions() -> list[str]:
 
 
 def test_no_unreferenced_definitions():
-    dead = unreferenced_definitions()
+    dead = unreferenced_definitions(ROOT / "src", ROOT / "tests")
     assert not dead, "unreferenced definitions:\n" + "\n".join(dead)
+
+
+def test_no_definition_referenced_only_from_tests():
+    test_only = sorted(set(unreferenced_definitions(ROOT / "src")) - set(unreferenced_definitions(ROOT / "src", ROOT / "tests")))
+    assert not test_only, "definitions only the tests use (move them to tests/):\n" + "\n".join(test_only)
 
 
 def _optional_params(func: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from freecert.dynamics import (
+    _witness_pool,
     certify_contracting,
     certify_proximal,
     certify_very_proximal,
@@ -25,9 +27,9 @@ from freecert.projective import (
     det,
     dist_sq,
     dist_to_hyperplane_sq,
-    set_member,
 )
 from freecert.scalar import ARCH, padic, padic_valuation, sqrt_lower, sqrt_upper
+from oracles import interval_contains, set_member
 
 P5 = padic(5)
 
@@ -63,7 +65,7 @@ def test_arch_profile_identity_exact():
 
 def test_arch_profile_diag_encloses_exact_values():
     prof = singular_profile(diag(4, 1))
-    assert prof.values_sq[0].contains(F(16)) and prof.values_sq[1].contains(F(1))
+    assert interval_contains(prof.values_sq[0], F(16)) and interval_contains(prof.values_sq[1], F(1))
 
 
 def test_arch_profile_irrational_enclosure():
@@ -439,3 +441,18 @@ def test_padic_exponents_fast_path_matches_general():
             general = padic_exponents([[F(x, 7) for x in r] for r in rows], p)
             assert fast == general
             assert fast == sorted(fast)
+
+
+def test_witness_pool_order():
+    # the pool is yielded lazily in the order of the full list, deduplicated
+    # up to sign and sorted by support size, then coordinates
+    for n in range(2, 8):
+        seen, expected = set(), []
+        for coords in itertools.product((0, 1, -1), repeat=n):
+            if any(coords):
+                p = ProjPoint(coords)
+                if p.rep not in seen:
+                    seen.add(p.rep)
+                    expected.append(p)
+        expected.sort(key=lambda p: (sum(1 for c in p.rep if c != 0), p.rep))
+        assert list(_witness_pool(n)) == expected

@@ -10,8 +10,9 @@ from freecert.pingpong import (
     simple_player,
     word_string,
 )
-from freecert.projective import ProjHyperplane, ProjMat, ProjPoint, ball, hnbhd, set_member
+from freecert.projective import ProjHyperplane, ProjMat, ProjPoint, ball, hnbhd
 from freecert.scalar import ARCH
+from oracles import set_member
 
 E1 = ProjPoint((1, 0))
 E2 = ProjPoint((0, 1))

@@ -18,10 +18,10 @@ from freecert.projective import (
     norm_sq,
     set_contains,
     set_disjoint,
-    set_member,
     wedge,
 )
 from freecert.scalar import ARCH, cmp_sqrt_sum, padic, sqrt_lower
+from oracles import set_member
 
 P5 = padic(5)
 

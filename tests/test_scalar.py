@@ -11,6 +11,7 @@ from freecert.scalar import (
     format_rat,
     padic,
     padic_valuation,
+    parse_place,
     parse_rat,
     sqrt_lower,
     sqrt_upper,
@@ -44,6 +45,15 @@ def test_valuation_oracle_values():
     assert padic_valuation(F(1), 7) == 0
     # 49 = 7^2, numerator coprime to 7
     assert padic_valuation(F(3, 49), 7) == -2
+    assert padic_valuation(-250, 5) == 3  # plain integers need no Fraction
+
+
+def test_parse_place():
+    assert parse_place("arch") == ARCH
+    assert parse_place("p:5") == padic(5)
+    for bad in ("p:6", "p:x", "q:5", "Arch", ""):
+        with pytest.raises(ValueError):
+            parse_place(bad)
 
 
 def test_valuation_of_zero():

@@ -18,8 +18,6 @@ from freecert.synthesis import (
     double_coset_wrap,
     find_host,
     normal_proximal,
-    proximal_sets,
-    reduce_word,
     truncated_prodense,
     very_proximal_search,
     word_inverse,
@@ -40,7 +38,7 @@ def sanov():
 
 
 def test_word_utilities():
-    w = reduce_word([(0, 1), (0, -1), (1, 1)])
+    w = concat([(0, 1), (0, -1), (1, 1)])
     assert w == ((1, 1),)
     assert word_inverse(((0, 1), (1, -1))) == ((1, 1), (0, -1))
     assert concat(((0, 1),), ((0, -1), (1, 1))) == ((1, 1),)
@@ -232,8 +230,8 @@ def test_truncated_prodense_sanov_end_to_end():
         assert lhs.proportional_to(rhs)
         # Remark-style nesting into a_N's sets re-verified
         a_n = rep.step1[0]
-        inner = proximal_sets(cr.cert)
-        outer = proximal_sets(a_n.cert)
+        inner = cr.cert.eps_sets
+        outer = a_n.cert.eps_sets
         for i_set, o_set in zip(inner, outer):
             assert set_contains(o_set, i_set, ARCH)
     # the step-1 element stays clear of the final host sets (tuple checked it)

@@ -16,7 +16,7 @@ from freecert.tree import (
     parse_word,
     tree_pingpong,
 )
-from oracles import all_subgroups, distance_bfs, min_displacement, shadow_member
+from oracles import all_subgroups, coset_index, geodesic_bfs, group_from_permutations, higman_neumann_applicable, min_displacement, shadow_member
 
 
 def c2():
@@ -37,7 +37,7 @@ def mod_amalgam():
 
 
 def s3():
-    return FiniteGroup.from_permutations([(0, 2, 1), (1, 2, 0)])
+    return group_from_permutations([(0, 2, 1), (1, 2, 0)])
 
 
 def s3_over_a3():
@@ -114,7 +114,7 @@ def test_expand_tree_degrees():
     for v, depth in ball.items():
         if depth < 3:
             deg = len(tree.neighbors(v))
-            assert deg == am.index(v[0])
+            assert deg == coset_index(am, v[0])
     assert expand_tree(am, radius=0) == {("A", ()): 0}
     # ball of radius 1 around the A-vertex has [A:H] = 2 edges
     assert len(expand_tree(am, radius=1)) == 1 + 2
@@ -266,8 +266,8 @@ def test_kernel_maximality_against_subgroup_enumeration():
 
 
 def test_higman_neumann_index_condition():
-    assert mod_amalgam().higman_neumann_applicable()  # (2-1)(3-1) = 2
-    assert not s3_over_a3().higman_neumann_applicable()  # (2-1)(2-1) = 1
+    assert higman_neumann_applicable(mod_amalgam())  # (2-1)(3-1) = 2
+    assert not higman_neumann_applicable(s3_over_a3())  # (2-1)(2-1) = 1
 
 
 def test_distance_formula_matches_bfs():
@@ -279,4 +279,22 @@ def test_distance_formula_matches_bfs():
         rng = random.Random(31)
         for _ in range(300):
             u, v = rng.choice(ball), rng.choice(ball)
-            assert tree.distance(u, v, cap=None) == distance_bfs(tree, u, v, cap=40)
+            assert tree.distance(u, v, cap=None) == len(geodesic_bfs(tree, u, v, cap=40)) - 1
+
+
+def test_geodesic_matches_bfs_on_radius_4_balls():
+    for am in (mod_amalgam(), s3_over_a3(), s3_over_c2()):
+        tree = BassSerreTree(am)
+        ball = list(tree.ball(tree.base_vertex("A"), 4))
+        for u in ball:
+            for v in ball:
+                path = tree.geodesic(u, v, cap=None)
+                assert path == geodesic_bfs(tree, u, v, cap=8)
+                d = len(path) - 1
+                assert tree.distance(u, v) == d
+                assert tree.geodesic(u, v, cap=d) == path
+                if d:
+                    with pytest.raises(TreeError, match="expand further"):
+                        tree.geodesic(u, v, cap=d - 1)
+                    with pytest.raises(TreeError, match="expand further"):
+                        tree.distance(u, v, cap=d - 1)
