@@ -553,8 +553,8 @@ def verify(cert: dict) -> tuple[bool, list[str]]:
     ctx = CertContext(place, cert.get("header", {}), cert.get("task") or {})
     failures = []
     claims = cert.get("claims")
-    if claims is None:
-        raise VerifyError("certificate lacks a claims list")
+    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
+        raise VerifyError("certificate lacks a claims list of objects")
     for i, claim in enumerate(claims):
         try:
             ok = check_claim(claim, ctx)

@@ -59,6 +59,11 @@ EXIT_INPUT = 2
 EXIT_REFUTED = 3
 EXIT_UNKNOWN = 4
 
+#: Longest word the freeness oracle may be asked to search.  It visits
+#: every reduced word, (2k - 1)^L of them for k players, so a larger
+#: oracle-len would not fail but run for hours.
+MAX_ORACLE_LEN = 12
+
 
 class ProblemError(ValueError):
     def __init__(self, line: int, col: int, message: str):
@@ -216,11 +221,19 @@ def parse_problem(text: str) -> Problem:
             else:
                 raise ProblemError(line_no, 1, f"unknown amalgam directive {key!r}")
         elif section == "task":
+            if key == "oracle-len":
+                with _input_error(line=line_no, col=len(key) + 2):
+                    _check_oracle_len(int(rest), key)
             prob.task.setdefault(key, []).append((line_no, rest))
     close_table(len(text.splitlines()) + 1)
     if not saw_format:
         raise ProblemError(1, 1, "missing 'format 1' header")
     return prob
+
+
+def _check_oracle_len(n: int, source: str) -> None:
+    if not 1 <= n <= MAX_ORACLE_LEN:
+        raise ValueError(f"{source} {n} is outside 1..{MAX_ORACLE_LEN}")
 
 
 def _build_group(prob: Problem) -> MarkedGroup:
@@ -688,6 +701,8 @@ def _run_problem(args, runner) -> int:
         prob = parse_problem(text)
         if args.place:
             prob.place = parse_place(args.place)
+        if args.oracle_len is not None:
+            _check_oracle_len(args.oracle_len, "--oracle-len")
         cert, code = runner(prob, args)
     except ProblemError as e:
         print(f"{args.problem}:{e}", file=sys.stderr)

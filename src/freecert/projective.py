@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .scalar import Place, Rat, abs_sq, abs_value, cmp_sqrt_sum
 
@@ -126,7 +127,12 @@ def dual_dist_sq(h1: ProjHyperplane, h2: ProjHyperplane, place: Place) -> Rat:
 
 @dataclass(frozen=True)
 class ProjMat:
-    """Invertible n x n matrix over Q acting on P(Q^n) at a fixed place."""
+    """Invertible n x n matrix over Q acting on P(Q^n) at a fixed place.
+
+    Invertibility is checked once, on construction from input.  Products,
+    transposes and inverses of invertible matrices are invertible, so they
+    are built by `_trusted`, which skips `det`.
+    """
 
     entries: tuple[Vec, ...]
     place: Place
@@ -139,6 +145,14 @@ class ProjMat:
         object.__setattr__(self, "entries", rows)
         if det(rows) == 0:
             raise ValueError("matrix must be invertible")
+
+    @classmethod
+    def _trusted(cls, rows: tuple[Vec, ...], place: Place) -> "ProjMat":
+        """A matrix from Fraction rows already known to be square and invertible."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "place", place)
+        return m
 
     @property
     def dim(self) -> int:
@@ -153,19 +167,19 @@ class ProjMat:
     def __matmul__(self, other: "ProjMat") -> "ProjMat":
         if self.place != other.place or self.dim != other.dim:
             raise ValueError("matrix product across places or dimensions")
-        n = self.dim
-        rows = tuple(
-            tuple(sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-            for i in range(n)
-        )
-        return ProjMat(rows, self.place)
+        # (A/sa)(B/sb) = AB/(sa sb) on the integer rows; Fraction reduces each entry
+        a, sa = integer_rows(self.entries)
+        b, sb = integer_rows(other.entries)
+        s = sa * sb
+        cols = tuple(zip(*b))
+        rows = tuple(tuple(Fraction(sum(map(mul, r, c)), s) for c in cols) for r in a)
+        return ProjMat._trusted(rows, self.place)
 
     def transpose(self) -> "ProjMat":
-        n = self.dim
-        return ProjMat(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)), self.place)
+        return ProjMat._trusted(tuple(zip(*self.entries)), self.place)
 
     def inverse(self) -> "ProjMat":
-        return ProjMat(mat_inverse(self.entries), self.place)
+        return ProjMat._trusted(mat_inverse(self.entries), self.place)
 
     def mul_vec(self, v: Vec) -> Vec:
         if len(v) != self.dim:
@@ -212,7 +226,9 @@ class ProjMat:
         return lam is not None
 
     def is_identity(self) -> bool:
-        return self.proportional_to(identity(self.dim, self.place))
+        """Scalar matrix: zero off the diagonal, one constant on it."""
+        d = self.entries[0][0]
+        return all(x == (d if i == j else 0) for i, r in enumerate(self.entries) for j, x in enumerate(r))
 
 
 def det(rows: tuple[Vec, ...]) -> Rat:
@@ -271,7 +287,7 @@ def mat_inverse(rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
 
 
 def identity(n: int, place: Place) -> ProjMat:
-    return ProjMat(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), place)
+    return ProjMat._trusted(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), place)
 
 
 def apply(g: ProjMat, p: ProjPoint) -> ProjPoint:

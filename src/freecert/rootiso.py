@@ -2,7 +2,7 @@
 
 Supports the archimedean singular profiles: characteristic polynomials are
 evaluated exactly, rational roots are split off exactly, and the remaining
-real roots are isolated with Sturm sequences and refined by bisection to a
+real roots are enclosed by Sturm isolation, sign-change bisection, to a
 requested relative width.  Intervals carry rational endpoints; a degenerate
 interval (lo == hi) marks an exactly known root.
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalar import Rat
 
@@ -202,11 +203,7 @@ def rational_roots(p: Poly) -> list[Rat]:
     p = ptrim(list(p))
     if pdeg(p) < 1:
         return []
-    # scale to integer coefficients
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    ip = [int(c * den) for c in p]
+    ip = _cleared(p)
     while ip and ip[0] == 0:
         ip = ip[1:]  # factor x out; root 0 handled below
     roots: list[Fraction] = []
@@ -218,20 +215,12 @@ def rational_roots(p: Poly) -> list[Rat]:
     dens = _divisors(ip[-1])
     if nums is None or dens is None:
         return roots
-    seen = set(roots)
+    high_first = ip[::-1]
     for dn in dens:
         for nm in nums:
-            for cand in (Fraction(nm, dn), Fraction(-nm, dn)):
-                if cand not in seen and peval(p, cand) == 0:
-                    roots.append(cand)
-                    seen.add(cand)
+            if gcd(nm, dn) == 1:
+                roots.extend(Fraction(x, dn) for x in (nm, -nm) if _homogeneous(high_first, x, dn) == 0)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def root_multiplicity(p: Poly, r: Rat) -> int:
@@ -248,10 +237,12 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
     """Enclosures for every positive real root of p, with multiplicities.
 
     Rational roots come back as degenerate intervals.  Irrational ones are
-    isolated on the squarefree part with Sturm counts and refined by
-    bisection until hi - lo <= lo * 2^-ROOT_REL_BITS.  The union of returned
-    intervals is pairwise disjoint and, counted with multiplicity, covers
-    exactly the positive roots.
+    enclosed on the squarefree part by Sturm isolation, sign-change
+    bisection: Sturm counts split (0, bound] until each piece holds one
+    root, then `_refine` halves that piece by sign tests until
+    hi - lo <= lo * 2^-ROOT_REL_BITS.  The union of returned intervals is
+    pairwise disjoint and, counted with multiplicity, covers exactly the
+    positive roots.
     """
     p = ptrim(list(p))
     if pdeg(p) < 1:
@@ -294,26 +285,60 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
             stack.append((a, mid, lo_cnt))
             stack.append((mid, b, cnt - lo_cnt))
         for a, b in isolated:
-            lo, hi = _refine(sf, seq, a, b)
+            lo, hi = _refine(sf, a, b)
             m = _multiplicity_in(work, sf, lo, hi)
             out.append((Interval(lo, hi), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return out
 
 
-def _refine(sf: Poly, seq: list[Poly], a: Rat, b: Rat) -> tuple[Rat, Rat]:
-    # keep exactly one root in (a, b]; shrink to relative width 2^-ROOT_REL_BITS
-    scale = Fraction(1, 2**ROOT_REL_BITS)
-    while a <= 0 or (b - a) > a * scale:
-        mid = (a + b) / 2
-        v = peval(sf, mid)
-        if v == 0:
-            return mid, mid
-        if count_roots(seq, a, mid) == 1:
-            b = mid
+def _refine(sf: Poly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
+    """Sturm isolation, sign-change bisection: the one root of sf inside
+    the isolated (a, b) is bisected down to relative width
+    2^-ROOT_REL_BITS; an exactly hit root returns (mid, mid).
+
+    The open interval holds exactly one root, which is simple, so it lies
+    below mid iff sf(mid) has the sign sf takes just left of b.  That sign
+    never changes as b moves, and b itself may be a root only when
+    isolation split it off as rational; there the sign comes from sf'(b).
+    The endpoint a may be a root too (0, or a split-off root), so its sign
+    is never read.
+
+    The bisection runs on integers: sf with its denominators cleared, and
+    the points as numerators over one denominator that doubles each step.
+    """
+    fb = peval(sf, b)
+    positive_left_of_b = fb > 0 if fb else peval(pderiv(sf), b) < 0
+    coeffs = _cleared(sf)[::-1]
+    w = lcm(a.denominator, b.denominator)
+    na, nb = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
+    while na <= 0 or (nb - na) << ROOT_REL_BITS > na:
+        mid, w = na + nb, 2 * w
+        acc = _homogeneous(coeffs, mid, w)
+        if acc == 0:
+            return Fraction(mid, w), Fraction(mid, w)
+        if (acc > 0) == positive_left_of_b:
+            na, nb = 2 * na, mid
         else:
-            a = mid
-    return a, b
+            na, nb = mid, 2 * nb
+    return Fraction(na, w), Fraction(nb, w)
+
+
+def _homogeneous(coeffs: list[int], num: int, den: int) -> int:
+    """den^deg * f(num / den) for f with integer coefficients listed
+    highest degree first: Horner on the homogenized polynomial."""
+    acc, dk = 0, 1
+    for c in coeffs:
+        acc = acc * num + c * dk
+        dk *= den
+    return acc
+
+
+def _cleared(p: Poly) -> list[int]:
+    """p times the lcm of its denominators: integer coefficients with the
+    same roots and signs."""
+    den = lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p]
 
 
 def _multiplicity_in(full: Poly, sf: Poly, lo: Rat, hi: Rat) -> int:

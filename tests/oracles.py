@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 from freecert.projective import component_member
-from freecert.rootiso import Interval
+from freecert.rootiso import ROOT_REL_BITS, Interval, count_roots, peval, sturm_sequence
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
 
@@ -142,3 +142,26 @@ def interval_power(iv: Interval, n: int) -> Interval:
 def set_member(p, s, place) -> bool:
     """Exact membership in an open set; a union is a disjunction."""
     return any(component_member(p, c, place) for c in s.components)
+
+
+def fraction_matmul(a, b) -> tuple:
+    """Entry-wise Fraction product of two square row tuples (reference for
+    `ProjMat.__matmul__`)."""
+    n = len(a)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)) for i in range(n))
+
+
+def sturm_refine(sf: list, a, b) -> tuple:
+    """Bisection of the one root of sf inside (a, b) that asks the Sturm
+    count which half holds it (reference for `rootiso._refine`)."""
+    seq = sturm_sequence(sf)
+    scale = Fraction(1, 2**ROOT_REL_BITS)
+    while a <= 0 or (b - a) > a * scale:
+        mid = (a + b) / 2
+        if peval(sf, mid) == 0:
+            return mid, mid
+        if count_roots(seq, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    return a, b

@@ -487,3 +487,29 @@ def test_verify_rejects_member_claims(tmp_path):
     cert["claims"].append({"type": "member", "point": ["1", "0"], "set": far, "value": False})
     out.write_text(json.dumps(cert))
     assert verify_file(out) == 2
+
+
+@pytest.mark.parametrize("claims", [["oops"], {"x": 1}], ids=["list-of-strings", "object"])
+def test_verify_rejects_claims_that_are_not_a_list_of_objects(tmp_path, capsys, claims):
+    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    _, cert, out = run(tmp_path, "analyze", text)
+    cert["claims"] = claims
+    out.write_text(json.dumps(cert))
+    assert verify_file(out) == 2
+    assert "claims list of objects" in capsys.readouterr().err
+
+
+def test_oracle_len_beyond_limit_fails_fast(tmp_path, capsys):
+    body = "\n[task]\nop pingpong\nsubop oracle\nplayer a = a\nplayer b = b\n"
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + body + "oracle-len 13\n")
+    assert code == 2 and cert is None
+    assert "in.prob:14:12: oracle-len 13 is outside 1..12" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + body, "--oracle-len", "40")
+    assert code == 2 and cert is None
+    assert "--oracle-len 40 is outside 1..12" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "tree", mod_amalgam_header() + "\n[task]\nop pingpong\nword s t\noracle-len 99\n")
+    assert code == 2 and cert is None
+    assert time.perf_counter() - t0 < 1
+    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + body + "oracle-len 4\n")
+    assert code == 0 and cert["result"]["oracle"] == "no-relation"

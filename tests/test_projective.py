@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from freecert import projective
 from freecert.projective import (
     Ball,
     HNbhd,
@@ -21,7 +25,7 @@ from freecert.projective import (
     wedge,
 )
 from freecert.scalar import ARCH, cmp_sqrt_sum, padic, sqrt_lower
-from oracles import set_member
+from oracles import fraction_matmul, set_member
 
 P5 = padic(5)
 
@@ -218,3 +222,56 @@ def test_component_validation():
         Ball(E1, F(0))
     with pytest.raises(ValueError):
         HNbhd(KER_X1, F(2))
+
+
+_ENTRY = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def _square_rows(draw):
+    n = draw(st.integers(2, 5))
+    return tuple(tuple(draw(_ENTRY) for _ in range(n)) for _ in range(n))
+
+
+def _invertible(rows) -> ProjMat:
+    try:
+        return ProjMat(rows, ARCH)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_rows(), st.data())
+def test_products_match_fraction_reference_without_det(rows, data):
+    g = _invertible(rows)
+    h = _invertible(data.draw(st.lists(st.lists(_ENTRY, min_size=g.dim, max_size=g.dim), min_size=g.dim, max_size=g.dim)))
+    n = g.dim
+    with mock.patch.object(projective, "det", wraps=projective.det) as det_spy:
+        gh, gt, gi = g @ h, g.transpose(), g.inverse()
+        ladder = list(g.powers(5))
+        assert det_spy.call_count == 0
+    assert gh.entries == fraction_matmul(g.entries, h.entries)
+    assert gt.entries == tuple(tuple(g.entries[j][i] for j in range(n)) for i in range(n))
+    ident = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+    assert fraction_matmul(g.entries, gi.entries) == ident
+    acc = ident
+    for k, gk in ladder:
+        acc = fraction_matmul(acc, g.entries)
+        assert gk.entries == acc, k
+    assert hash(gh) == hash(ProjMat(gh.entries, ARCH)) and gh == ProjMat(gh.entries, ARCH)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_square_rows(), st.data())
+def test_singular_input_still_raises(rows, data):
+    weights = data.draw(st.lists(_ENTRY, min_size=len(rows) - 1, max_size=len(rows) - 1))
+    dependent = tuple(sum((w * r[j] for w, r in zip(weights, rows)), F(0)) for j in range(len(rows)))
+    with pytest.raises(ValueError, match="invertible"):
+        ProjMat(rows[:-1] + (dependent,), ARCH)
+
+
+def test_is_identity_means_scalar():
+    for rows in (((3, 0), (0, 3)), ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), ((F(1, 2), 0), (0, F(1, 2)))):
+        assert ProjMat(rows, ARCH).is_identity()
+    for rows in (((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 1, 1))):
+        assert not ProjMat(rows, ARCH).is_identity()

@@ -1,7 +1,12 @@
 from fractions import Fraction as F
+from math import isqrt
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freecert.rootiso import (
     Interval,
+    _refine,
     cauchy_bound,
     count_roots,
     isolate_positive_roots,
@@ -12,7 +17,7 @@ from freecert.rootiso import (
     squarefree_part,
     sturm_sequence,
 )
-from oracles import interval_contains, interval_power, pmul
+from oracles import interval_contains, interval_power, pmul, sturm_refine
 
 
 def poly_from_roots(roots):
@@ -81,3 +86,47 @@ def test_interval_arithmetic():
     q = b.divide(a)
     assert q.lo == F(3, 2) and q.hi == 4
     assert interval_power(a, 2).lo == 1 and interval_power(a, 2).hi == 4
+
+
+def _one_root_brackets(sf, points):
+    """Pairs a < b of the points whose open interval holds exactly one root of sf."""
+    seq = sturm_sequence(sf)
+    for i, a in enumerate(points):
+        for b in points[i + 1 :]:
+            if count_roots(seq, a, b) - (peval(sf, b) == 0) == 1:
+                yield a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=3, unique=True),
+    st.lists(st.integers(2, 60).filter(lambda q: isqrt(q) ** 2 != q), min_size=1, max_size=3, unique=True),
+)
+def test_refine_and_rational_roots_match_references(rational, irrational_sq):
+    # square-free: distinct rational roots times distinct x^2 - q with q no square
+    sf = poly_from_roots(rational)
+    for q in irrational_sq:
+        sf = pmul(sf, [F(-q), F(0), F(1)])
+    assert rational_roots(sf) == sorted(rational)
+    near = {F(isqrt(q * 4096) + d, 64) for q in irrational_sq for d in (0, 1)}
+    points = sorted({F(0), cauchy_bound(sf)} | {r for r in rational if r > 0} | near)
+    brackets = list(_one_root_brackets(sf, points))
+    assert brackets
+    for a, b in brackets:
+        assert _refine(sf, a, b) == sturm_refine(sf, a, b), (a, b)
+
+
+def test_refine_with_a_root_at_an_endpoint():
+    # sf(0) = 0 with the bracket starting at 0
+    sf = pmul([F(0), F(1)], [F(-2), F(0), F(1)])
+    assert _refine(sf, F(0), F(2)) == sturm_refine(sf, F(0), F(2))
+    # left end a split-off rational root, then right end one
+    for r in (F(1), F(2)):
+        sf = pmul(poly_from_roots([r]), [F(-3), F(0), F(1)])
+        assert _refine(sf, F(1), F(2)) == sturm_refine(sf, F(1), F(2))
+    # both ends roots
+    sf = pmul(poly_from_roots([F(3, 2), F(2)]), [F(-3), F(0), F(1)])
+    assert _refine(sf, F(3, 2), F(2)) == sturm_refine(sf, F(3, 2), F(2))
+    # a root the bisection hits exactly
+    sf = pmul(poly_from_roots([F(3, 2)]), [F(-5), F(0), F(1)])
+    assert _refine(sf, F(1), F(2)) == sturm_refine(sf, F(1), F(2)) == (F(3, 2), F(3, 2))
