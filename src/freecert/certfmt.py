@@ -17,13 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import __version__
-from .dynamics import (
-    ContractionCert,
-    Enclosure,
-    ProximalCert,
-    contraction_gap_sq,
-    direction_candidates,
-)
+from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, witness_refutes
+from .dynamics import ContractionCert, ProximalCert, contraction_gap_sq, direction_candidates
 from .projective import (
     Ball,
     HNbhd,
@@ -31,13 +26,10 @@ from .projective import (
     ProjMat,
     ProjPoint,
     ProjSet,
-    apply,
-    dist_sq,
-    dist_to_hyperplane_sq,
     set_contains,
     set_disjoint,
 )
-from .scalar import Place, Rat, cmp_sqrt_sum, format_rat, parse_place, parse_rat, sqrt_lower, sqrt_upper
+from .scalar import Place, Rat, format_rat, parse_place, parse_rat
 from .synthesis import MarkedGroup
 from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, classify, kernel_of_action, parse_word
 
@@ -222,28 +214,10 @@ def claim_selfmap(matrix: ProjMat, enclosure: Enclosure, repel: ProjHyperplane, 
 
 
 def claims_for_proximal(matrix: ProjMat, cert: ProximalCert) -> list[dict]:
-    out = [
-        claim_contraction(matrix, cert.contraction),
-        claim_point_plane_far(cert.contraction.attract, cert.contraction.repel, cert.r_sq),
-        claim_selfmap(
-            matrix,
-            cert.fixed_point,
-            cert.contraction.repel,
-            cert.contraction.repel_err_sq,
-            cert.contraction.gap_sq_hi,
-            cert.epsilon_sq,
-            cert.contraction.attract,
-        ),
-        claim_selfmap(
-            matrix.transpose(),
-            cert.fixed_plane_dual,
-            ProjHyperplane(cert.contraction.attract.rep),
-            cert.contraction.attract_err_sq,
-            cert.contraction.gap_sq_hi,
-            cert.epsilon_sq,
-            cert.contraction.repel.dual_point(),
-        ),
-    ]
+    c = cert.contraction
+    out = [claim_contraction(matrix, c), claim_point_plane_far(c.attract, c.repel, cert.r_sq)]
+    for (m, attract, repel, repel_err_sq), enc in zip(c.selfmap_problems(matrix), (cert.fixed_point, cert.fixed_plane_dual)):
+        out.append(claim_selfmap(m, enc, repel, repel_err_sq, c.gap_sq_hi, cert.epsilon_sq, attract))
     if cert.very is not None:
         out.extend(claims_for_proximal(matrix.inverse(), cert.very))
         out += [claim_set_disjoint(left, right, note) for left, right, note in cert.very_pairs()]
@@ -357,61 +331,38 @@ def _check_contraction(matrix: ProjMat, stored: dict) -> bool:
     Checks, in order: the stored gap bound is a genuine upper bound for
     kappa^2; the stored direction errors bound the recomputed ones for the
     same candidates; the image-radius inequality B <= eps holds from the
-    stored numbers.
+    stored numbers, and the stored image radius lies between B and eps.
     """
     eps_sq = parse_rat(stored["epsilon_sq"])
-    attract = point_from(stored["attract"])
-    repel = plane_from(stored["repel"])
     gap_hi = parse_rat(stored["gap_sq_hi"])
     a_err = parse_rat(stored["attract_err_sq"])
     r_err = parse_rat(stored["repel_err_sq"])
-    image_sq = parse_rat(stored["image_radius_sq"])
-    recomputed = contraction_gap_sq(matrix)
-    if gap_hi < recomputed.hi:
+    if gap_hi < contraction_gap_sq(matrix).hi:
         return False
     dirs = direction_candidates(matrix)
-    if dirs.attract != attract or dirs.repel != repel:
+    if dirs.attract != point_from(stored["attract"]) or dirs.repel != plane_from(stored["repel"]):
         return False
     if dirs.attract_err_sq is None or dirs.repel_err_sq is None:
         return False
     if a_err < dirs.attract_err_sq or r_err < dirs.repel_err_sq:
         return False
-    u_kappa = sqrt_upper(gap_hi)
-    l_eps = sqrt_lower(eps_sq)
-    denom = l_eps - sqrt_upper(r_err)
-    if denom <= 0:
-        return False
-    bound = u_kappa / denom + sqrt_upper(a_err)
-    if bound > l_eps:
-        return False
-    # the stored image radius must dominate the re-derived bound and stay
-    # within the epsilon ball
-    return image_sq >= bound * bound and image_sq <= eps_sq
+    bound = image_radius_bound(gap_hi, eps_sq, a_err, r_err)
+    return bound is not None and bound * bound <= parse_rat(stored["image_radius_sq"]) <= eps_sq
 
 
 def _check_selfmap(claim: dict, place: Place) -> bool:
+    """The stored ball passes the self-map test with the stored numbers,
+    and the stored Lipschitz, region and move numbers are the derived ones."""
     matrix = mat_from(claim["matrix"], place)
-    enc = claim["enclosure"]
-    center = point_from(enc["center"])
-    t_sq = parse_rat(enc["radius_sq"])
-    repel = plane_from(claim["repel"])
-    r_err = parse_rat(claim["repel_err_sq"])
     gap_hi = parse_rat(claim["gap_sq_hi"])
-    eps_sq = parse_rat(claim["epsilon_sq"])
-    attract = point_from(claim["attract"])
     if contraction_gap_sq(matrix).hi > gap_hi:
         return False
-    l_d = sqrt_lower(dist_to_hyperplane_sq(center, repel, place))
-    d_low = l_d - sqrt_upper(t_sq) - sqrt_upper(r_err)
-    if d_low <= 0:
-        return False
-    lip = sqrt_upper(gap_hi) / (d_low * d_low)
-    if lip >= 1:
-        return False
-    move_sq = dist_sq(apply(matrix, center), center, place)
-    if not move_sq < (1 - lip) ** 2 * t_sq:
-        return False
-    return cmp_sqrt_sum(dist_sq(center, attract, place), t_sq, eps_sq) <= 0
+    enc = claim["enclosure"]
+    center, t_sq = point_from(enc["center"]), parse_rat(enc["radius_sq"])
+    r_err, eps_sq = parse_rat(claim["repel_err_sq"]), parse_rat(claim["epsilon_sq"])
+    _, derived = selfmap_at(matrix, center, point_from(claim["attract"]), plane_from(claim["repel"]), r_err, gap_hi, eps_sq, [t_sq])
+    stored = Enclosure(Ball(center, t_sq), *(parse_rat(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
+    return derived == stored
 
 
 class CertContext:
@@ -462,8 +413,7 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
         dirs = direction_candidates(m)
         if (dirs.attract, dirs.repel) != (attract, repel):
             return False
-    eps_sq = parse_rat(claim["epsilon_sq"])
-    return dist_to_hyperplane_sq(x, repel, ctx.place) > eps_sq and dist_sq(apply(m, x), attract, ctx.place) > eps_sq
+    return witness_refutes(m, x, attract, repel, parse_rat(claim["epsilon_sq"]))
 
 
 def check_claim(claim: dict, ctx: CertContext) -> bool:
@@ -475,8 +425,7 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
     if kind == "set-contains":
         return set_contains(set_from(claim["outer"]), set_from(claim["inner"]), place, claim.get("closed_inner", False))
     if kind == "point-plane-far":
-        d2 = dist_to_hyperplane_sq(point_from(claim["point"]), plane_from(claim["plane"]), place)
-        return d2 >= parse_rat(claim["r_sq"])
+        return point_plane_far(point_from(claim["point"]), plane_from(claim["plane"]), parse_rat(claim["r_sq"]), place)
     if kind == "word-eval":
         return ctx.eval(claim["word"]).proportional_to(mat_from(claim["matrix"], place))
     if kind == "contraction":

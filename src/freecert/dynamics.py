@@ -13,8 +13,9 @@ with a residual bound against the certified second eigenvalue).
 Fixed points are certified by a self-mapping ball: a region on which the
 map is certifiably L-Lipschitz with L < 1 and which it maps strictly into
 itself contains exactly one fixed point.  No constants are taken on
-faith; every verdict re-derives its claim from these inequalities, and
-Unknown is a legal outcome of the sufficient tests.
+faith: this module proposes candidates, every verdict is decided by the
+inequalities in `checker` that `verify` also calls, and Unknown is a
+legal outcome of the sufficient tests.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
+from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, witness_refutes
 from .projective import (
     Ball,
     HNbhd,
@@ -34,7 +36,6 @@ from .projective import (
     apply,
     apply_hyperplane,
     canonical_rep,
-    dist_sq,
     dist_to_hyperplane_sq,
     dot,
     dual_ball_of_hnbhd,
@@ -43,7 +44,7 @@ from .projective import (
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Rat, cmp_sqrt_sum, int_valuation, padic_valuation, sqrt_lower, sqrt_upper
+from .scalar import Place, Rat, int_valuation, padic_valuation, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
@@ -294,29 +295,21 @@ class ContractionCert:
     def repel_set(self) -> HNbhd:
         return HNbhd(self.repel, self.epsilon_sq)
 
+    def selfmap_problems(self, g: ProjMat) -> tuple[tuple[ProjMat, ProjPoint, ProjHyperplane, Rat], ...]:
+        """(map, attract, repel, repel_err_sq) of the two self-map searches
+        that pin g's fixed point and fixed hyperplane: g itself, then the
+        transpose acting on dual points, with the roles of the pair swapped."""
+        return (
+            (g, self.attract, self.repel, self.repel_err_sq),
+            (g.transpose(), self.repel.dual_point(), ProjHyperplane(self.attract.rep), self.attract_err_sq),
+        )
+
 
 @dataclass(frozen=True)
 class ContractionVerdict:
     kind: str  # "yes" | "no" | "unknown"
     cert: ContractionCert | None = None
     counterexample: ProjPoint | None = None
-
-
-def image_radius_bound(
-    gap_sq_hi: Rat, epsilon_sq: Rat, attract_err_sq: Rat | None, repel_err_sq: Rat | None
-) -> Rat | None:
-    """Certified upper bound for the attained image radius
-    kappa/(eps - beta) + alpha, or None when undefined."""
-    if attract_err_sq is None or repel_err_sq is None:
-        return None
-    u_kappa = sqrt_upper(gap_sq_hi)
-    l_eps = sqrt_lower(epsilon_sq)
-    u_beta = sqrt_upper(repel_err_sq)
-    u_alpha = sqrt_upper(attract_err_sq)
-    denom = l_eps - u_beta
-    if denom <= 0:
-        return None
-    return u_kappa / denom + u_alpha
 
 
 def _witness_pool(n: int):
@@ -345,24 +338,21 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> ContractionVerdict:
     dirs = direction_candidates(g)
     bound = image_radius_bound(gap.hi, epsilon_sq, dirs.attract_err_sq, dirs.repel_err_sq)
     if bound is not None:
-        l_eps = sqrt_lower(epsilon_sq)
-        if bound <= l_eps:
-            cert = ContractionCert(
-                epsilon_sq=epsilon_sq,
-                attract=dirs.attract,
-                repel=dirs.repel,
-                method="singular-gap",
-                place=g.place,
-                attract_err_sq=dirs.attract_err_sq,
-                repel_err_sq=dirs.repel_err_sq,
-                gap_sq_hi=gap.hi,
-                image_radius_sq=bound * bound,
-            )
-            return ContractionVerdict("yes", cert=cert)
+        cert = ContractionCert(
+            epsilon_sq=epsilon_sq,
+            attract=dirs.attract,
+            repel=dirs.repel,
+            method="singular-gap",
+            place=g.place,
+            attract_err_sq=dirs.attract_err_sq,
+            repel_err_sq=dirs.repel_err_sq,
+            gap_sq_hi=gap.hi,
+            image_radius_sq=bound * bound,
+        )
+        return ContractionVerdict("yes", cert=cert)
     for x in _witness_pool(g.dim):
-        if dist_to_hyperplane_sq(x, dirs.repel, g.place) > epsilon_sq:
-            if dist_sq(apply(g, x), dirs.attract, g.place) > epsilon_sq:
-                return ContractionVerdict("no", counterexample=x)
+        if witness_refutes(g, x, dirs.attract, dirs.repel, epsilon_sq):
+            return ContractionVerdict("no", counterexample=x)
     return ContractionVerdict("unknown")
 
 
@@ -371,53 +361,17 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> ContractionVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """Ball certified to contain exactly one fixed point of the map.
-
-    Checked facts: the map is lipschitz_sq^(1/2)-Lipschitz (< 1) on the
-    closed ball, maps it strictly into itself, and the ball sits inside
-    the attracting set; region_low_sq is the certified squared lower
-    bound on distances from the ball to the true repelling hyperplane.
-    """
-
-    ball: Ball
-    lipschitz_sq: Rat
-    region_low_sq: Rat
-    move_sq: Rat  # d(g.center, center)^2, re-checkable
-
-
 def selfmap_enclosure(
-    g: ProjMat,
-    attract: ProjPoint,
-    repel: ProjHyperplane,
-    repel_err_sq: Rat,
-    gap_sq_hi: Rat,
-    epsilon_sq: Rat,
+    g: ProjMat, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat
 ) -> Enclosure | None:
-    """Iterate g on the attracting candidate until a ball certifiably maps
-    strictly into itself with a certified Lipschitz constant < 1."""
-    place = g.place
-    u_kappa = sqrt_upper(gap_sq_hi)
-    u_beta = sqrt_upper(repel_err_sq)
+    """Iterate g on the attracting candidate until a ball, of radius
+    eps / 2^j for j = 45 down to 1, passes the checker's self-map test."""
+    radii_sq = [epsilon_sq / Fraction(4**j) for j in range(45, 0, -1)]
     c = attract
     for _ in range(ITER_BUDGET):
-        gc = apply(g, c)
-        move2 = dist_sq(gc, c, place)
-        l_d = sqrt_lower(dist_to_hyperplane_sq(c, repel, place))
-        for j in range(45, 0, -1):
-            t_sq = epsilon_sq / Fraction(4**j)
-            u_t = sqrt_upper(t_sq)
-            d_low = l_d - u_t - u_beta
-            if d_low <= 0:
-                break  # larger radii only make it worse
-            lip = u_kappa / (d_low * d_low)
-            if lip >= 1:
-                continue
-            if move2 < (1 - lip) ** 2 * t_sq:
-                if cmp_sqrt_sum(dist_sq(c, attract, place), t_sq, epsilon_sq) <= 0:
-                    return Enclosure(Ball(c, t_sq), lip * lip, d_low * d_low, move2)
-        c = gc
+        c, enc = selfmap_at(g, c, attract, repel, repel_err_sq, gap_sq_hi, epsilon_sq, radii_sq)
+        if enc is not None:
+            return enc
     return None
 
 
@@ -472,15 +426,6 @@ class ProximalVerdict:
     refutes: ProjMat | None = None
 
 
-def _dual_enclosure(g: ProjMat, cert: ContractionCert) -> Enclosure | None:
-    """Enclosure of the invariant hyperplane, computed as the fixed point
-    of the transpose acting on dual points."""
-    gt = g.transpose()
-    dual_attract = cert.repel.dual_point()
-    dual_repel = ProjHyperplane(cert.attract.rep)
-    return selfmap_enclosure(gt, dual_attract, dual_repel, cert.attract_err_sq, cert.gap_sq_hi, cert.epsilon_sq)
-
-
 def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
     """(r, eps)-proximality with r > 2 eps enforced.
 
@@ -498,15 +443,15 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
     if cv.kind == "unknown":
         return ProximalVerdict("unknown")
     cert = cv.cert
-    if dist_to_hyperplane_sq(cert.attract, cert.repel, g.place) < r_sq:
+    if not point_plane_far(cert.attract, cert.repel, r_sq, g.place):
         return ProximalVerdict("unknown")
-    fp = selfmap_enclosure(g, cert.attract, cert.repel, cert.repel_err_sq, cert.gap_sq_hi, epsilon_sq)
-    if fp is None:
-        return ProximalVerdict("unknown")
-    fh = _dual_enclosure(g, cert)
-    if fh is None:
-        return ProximalVerdict("unknown")
-    return ProximalVerdict("yes", cert=ProximalCert(r_sq, epsilon_sq, cert, fp, fh))
+    encs = []
+    for m, attract, repel, repel_err_sq in cert.selfmap_problems(g):
+        enc = selfmap_enclosure(m, attract, repel, repel_err_sq, cert.gap_sq_hi, epsilon_sq)
+        if enc is None:
+            return ProximalVerdict("unknown")
+        encs.append(enc)
+    return ProximalVerdict("yes", cert=ProximalCert(r_sq, epsilon_sq, cert, *encs))
 
 
 def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:

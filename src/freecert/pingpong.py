@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .checker import evidence_outside
 from .dynamics import ProximalCert
-from .projective import ProjSet, set_contains, set_disjoint
+from .projective import ProjSet, set_disjoint
 from .scalar import Place
 
 
@@ -94,13 +95,9 @@ def _proj_evidence_ok(player: PingPongPlayer, place: Place) -> tuple[bool, str]:
         (ev.very, player.a_minus, player.r_minus, "inverse"),
     )
     for cert, a_decl, r_decl, tag in pairs:
-        c = cert.contraction
-        image = ProjSet((type(c.attract_set)(c.attract, c.image_radius_sq),))
-        if not set_contains(a_decl, image, place, closed_inner=True):
-            return False, f"{player.name}: {tag} image ball not certified inside the declared attracting set"
-        repel_ev = ProjSet((c.repel_set,))
-        if not set_contains(r_decl, repel_ev, place):
-            return False, f"{player.name}: {tag} evidence repelling set not certified inside the declared one"
+        why = evidence_outside(cert.contraction, a_decl, r_decl, place)
+        if why is not None:
+            return False, f"{player.name}: {tag} {why}"
     return True, ""
 
 

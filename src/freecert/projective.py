@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -158,6 +159,14 @@ class ProjMat:
     def dim(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """`integer_rows` of the entries as tuples, cleared once per matrix
+        for `__matmul__`; `det` and `padic_exponents` eliminate in place on
+        fresh lists of their own."""
+        rows, scale = integer_rows(self.entries)
+        return tuple(map(tuple, rows)), scale
+
     def row(self, i: int) -> Vec:
         return self.entries[i]
 
@@ -168,8 +177,8 @@ class ProjMat:
         if self.place != other.place or self.dim != other.dim:
             raise ValueError("matrix product across places or dimensions")
         # (A/sa)(B/sb) = AB/(sa sb) on the integer rows; Fraction reduces each entry
-        a, sa = integer_rows(self.entries)
-        b, sb = integer_rows(other.entries)
+        a, sa = self._integer_form
+        b, sb = other._integer_form
         s = sa * sb
         cols = tuple(zip(*b))
         rows = tuple(tuple(Fraction(sum(map(mul, r, c)), s) for c in cols) for r in a)

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .checker import evidence_outside
 from .dynamics import (
     ContractionCert,
     ProximalCert,
@@ -211,34 +212,18 @@ def validate_normal_data(group: MarkedGroup, data: NormalData) -> None:
 EPS_SQ_FLOOR_BITS = 120
 
 
-def _pow4_at_least(x: Rat) -> Rat | None:
-    """Smallest 4^-j >= x with j >= 1, or None (x must be < 1)."""
-    if x >= Fraction(1, 4):
-        return Fraction(1, 4) if x <= Fraction(1, 4) else None
-    q = Fraction(1, 4)
-    best = None
-    for _ in range(EPS_SQ_FLOOR_BITS // 2):
-        if q >= x:
-            best = q
-            q /= 4
-        else:
-            break
-    return best
-
-
-def _pow2_at_least(x: Rat) -> Rat | None:
-    """Smallest 2^-j >= x with j >= 1, or None (needs x <= 1/2)."""
-    if x <= 0 or x > Fraction(1, 2):
+def _eps_ladder(x: Rat, step: int) -> Rat | None:
+    """Smallest rung 2^(-step j) >= x with 1 <= j <= EPS_SQ_FLOOR_BITS // step,
+    or the bottom rung when x lies below it; None when x is above the top
+    rung 2^-step.  The base-2 ladder (step 1) also gives None for x <= 0,
+    which no certified contraction bound is."""
+    if x > Fraction(1, 2**step) or (x <= 0 and step == 1):
         return None
-    q = Fraction(1, 2)
-    best = None
-    for _ in range(EPS_SQ_FLOOR_BITS):
-        if q >= x:
-            best = q
-            q /= 2
-        else:
-            break
-    return best
+    j = EPS_SQ_FLOOR_BITS // step
+    if x > 0:
+        # 2^-i >= x = p/q iff 2^i <= q/p iff 2^i <= q // p
+        j = min(j, ((x.denominator // x.numerator).bit_length() - 1) // step)
+    return Fraction(1, 2 ** (step * j))
 
 
 def auto_very_proximal(m: ProjMat) -> ProximalCert | None:
@@ -252,7 +237,7 @@ def auto_very_proximal(m: ProjMat) -> ProximalCert | None:
     mi = m.inverse()
     gap = max(contraction_gap_sq(m).hi, contraction_gap_sq(mi).hi)
     kappa_up = sqrt_upper(gap)
-    eps0 = _pow2_at_least(kappa_up)
+    eps0 = _eps_ladder(kappa_up, 1)
     if eps0 is None:
         return None
     d_fwd = _candidate_gap(m)
@@ -278,7 +263,7 @@ def _candidate_gap(m: ProjMat) -> Rat | None:
 
 def auto_contracting(m: ProjMat) -> ContractionCert | None:
     gap = contraction_gap_sq(m).hi
-    eps0 = _pow2_at_least(sqrt_upper(gap))
+    eps0 = _eps_ladder(sqrt_upper(gap), 1)
     if eps0 is None:
         return None
     for eps_sq in (eps0, 2 * eps0, 4 * eps0):
@@ -422,9 +407,8 @@ def _declared_contraction(a: ProjMat, attract: ProjSet, repel: ProjSet) -> Contr
     """Certify a(X - repel) inside attract through a's canonical certificate:
     the canonical repelling neighborhood must sit inside the declared repel
     and the canonical image ball inside the declared attract."""
-    place = a.place
     gap = contraction_gap_sq(a).hi
-    start = _pow4_at_least(4 * sqrt_upper(gap))
+    start = _eps_ladder(4 * sqrt_upper(gap), 2)
     if start is None:
         return None
     eps_sq = start
@@ -432,11 +416,8 @@ def _declared_contraction(a: ProjMat, attract: ProjSet, repel: ProjSet) -> Contr
         v = certify_contracting(a, eps_sq)
         if v.kind != "yes":
             return None
-        c = v.cert
-        image = ProjSet((Ball(c.attract, c.image_radius_sq),))
-        canonical_repel = ProjSet((c.repel_set,))
-        if set_contains(attract, image, place, closed_inner=True) and set_contains(repel, canonical_repel, place):
-            return c
+        if evidence_outside(v.cert, attract, repel, a.place) is None:
+            return v.cert
         eps_sq /= 4
         if eps_sq < Fraction(1, 4**40):
             return None

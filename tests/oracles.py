@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from freecert.projective import component_member
 from freecert.rootiso import ROOT_REL_BITS, Interval, count_roots, peval, sturm_sequence
+from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
 
@@ -165,3 +166,35 @@ def sturm_refine(sf: list, a, b) -> tuple:
         else:
             a = mid
     return a, b
+
+
+def pow4_at_least_loop(x):
+    """Smallest 4^-j >= x with j >= 1, or None (x must be < 1): the
+    stepwise search the closed-form epsilon ladder replaced."""
+    if x >= Fraction(1, 4):
+        return Fraction(1, 4) if x <= Fraction(1, 4) else None
+    q = Fraction(1, 4)
+    best = None
+    for _ in range(EPS_SQ_FLOOR_BITS // 2):
+        if q >= x:
+            best = q
+            q /= 4
+        else:
+            break
+    return best
+
+
+def pow2_at_least_loop(x):
+    """Smallest 2^-j >= x with j >= 1, or None (needs x <= 1/2): the
+    stepwise search the closed-form epsilon ladder replaced."""
+    if x <= 0 or x > Fraction(1, 2):
+        return None
+    q = Fraction(1, 2)
+    best = None
+    for _ in range(EPS_SQ_FLOOR_BITS):
+        if q >= x:
+            best = q
+            q /= 2
+        else:
+            break
+    return best

@@ -172,6 +172,19 @@ def test_analyze_very_proximal_inverse_refutation_verifies(tmp_path):
     assert verify_file(out) == 0
 
 
+def test_verify_binds_the_stored_enclosure_numbers(tmp_path):
+    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop very-proximal\nelement b\nepsilon-sq 1/25\nr-sq 1/4\n"
+    code, cert, out = run(tmp_path, "analyze", text)
+    assert code == 0 and cert["verdict"] == "yes"
+    assert verify_file(out) == 0
+    for field, value in (("lipschitz_sq", "0"), ("region_low_sq", "1"), ("move_sq", "0")):
+        tampered = json.loads(out.read_text())
+        next(c for c in tampered["claims"] if c["type"] == "selfmap-enclosure")["enclosure"][field] = value
+        bad = tmp_path / "bad.cert"
+        bad.write_text(json.dumps(tampered, sort_keys=True, indent=2) + "\n")
+        assert verify_file(bad) == 3, field
+
+
 def test_place_prime_beyond_primality_limit_fails_fast(tmp_path):
     text = (
         "format 1\nplace p:100000000000000000000000000319\n[matrix-group]\ngen g = [[5, 0], [0, 1]]\n"

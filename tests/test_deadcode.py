@@ -8,6 +8,7 @@ exempt because the interpreter calls them implicitly.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,3 +101,24 @@ def unpassed_optional_parameters() -> list[str]:
 def test_every_optional_parameter_is_passed():
     unpassed = unpassed_optional_parameters()
     assert not unpassed, "optional parameters no call passes:\n" + "\n".join(unpassed)
+
+
+def test_checker_imports_only_scalar_and_projective():
+    """The certified inequalities stand on exact arithmetic and the
+    projective metric alone, never on the search code they check: within
+    the package `checker.py` imports `scalar` and `projective`, and beyond
+    it only the standard library."""
+    tree = ast.parse((PACKAGE / "checker.py").read_text(encoding="utf-8"))
+    internal, external = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            internal.add(node.module or "")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]:
+                top, _, rest = name.partition(".")
+                if top == "freecert":
+                    internal.add(rest)
+                else:
+                    external.add(top)
+    assert internal <= {"scalar", "projective"}, f"checker.py imports freecert modules {sorted(internal)}"
+    assert external <= sys.stdlib_module_names, f"checker.py imports {sorted(external - sys.stdlib_module_names)}"

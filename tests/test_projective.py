@@ -261,6 +261,18 @@ def test_products_match_fraction_reference_without_det(rows, data):
     assert hash(gh) == hash(ProjMat(gh.entries, ARCH)) and gh == ProjMat(gh.entries, ARCH)
 
 
+def test_products_clear_each_matrix_once():
+    g = ProjMat(((F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 0, F(5, 7))), ARCH)
+    h = ProjMat(((2, 0, 1), (F(1, 3), 1, 0), (0, 0, 1)), ARCH)
+    with mock.patch.object(projective, "integer_rows", wraps=projective.integer_rows) as spy:
+        first = g @ h
+        d = projective.det(g.entries)  # eliminates in place on lists of its own
+        again = [g @ h for _ in range(3)]
+        assert spy.call_count == 3  # g, h, then det's fresh copy
+    assert all(x.entries == first.entries == fraction_matmul(g.entries, h.entries) for x in again)
+    assert projective.det(g.entries) == d
+
+
 @settings(max_examples=30, deadline=None)
 @given(_square_rows(), st.data())
 def test_singular_input_still_raises(rows, data):

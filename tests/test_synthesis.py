@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freecert.projective import ProjMat, ProjPoint, ball, set_contains, set_disjoint
 from freecert.scalar import ARCH
 from freecert.synthesis import (
+    EPS_SQ_FLOOR_BITS,
     Budgets,
     ConjugateFactor,
     MarkedGroup,
@@ -23,7 +26,9 @@ from freecert.synthesis import (
     word_inverse,
     word_power,
     HostRegion,
+    _eps_ladder,
 )
+from oracles import pow2_at_least_loop, pow4_at_least_loop
 
 E1, E2 = ProjPoint((1, 0)), ProjPoint((0, 1))
 G25 = ProjMat(((25, 0), (0, 1)), ARCH)
@@ -263,3 +268,21 @@ def test_double_coset_wrap_empty():
     grp = MarkedGroup((("h1", h1), ("h2", h2)))
     c1, c2 = auto_very_proximal(h1), auto_very_proximal(h2)
     assert double_coset_wrap(grp, grp.parse_word("h1"), grp.parse_word("h2"), c1, c2, [], Budgets()) == []
+
+
+# rationals around the ladder: exact rungs 2^-j and their neighbours, from
+# above the top rung down past the floor 2^-EPS_SQ_FLOOR_BITS, plus x <= 0
+_RUNG = st.integers(-1, EPS_SQ_FLOOR_BITS + 8).map(lambda j: F(1, 2**j) if j >= 0 else F(2))
+_LADDER_X = st.one_of(
+    _RUNG,
+    st.tuples(_RUNG, st.integers(-3, 3)).map(lambda t: t[0] * (1 + F(t[1], 1000))),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**40),
+    st.just(F(0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LADDER_X)
+def test_eps_ladder_matches_the_stepwise_search(x):
+    assert _eps_ladder(x, 1) == pow2_at_least_loop(x)
+    assert _eps_ladder(x, 2) == pow4_at_least_loop(x)
