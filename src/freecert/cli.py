@@ -31,6 +31,7 @@ from .synthesis import (
     Budgets,
     MarkedGroup,
     NormalData,
+    Word,
     auto_very_proximal,
     b1b2b3_synthesize,
     concat,
@@ -63,6 +64,10 @@ EXIT_UNKNOWN = 4
 #: every reduced word, (2k - 1)^L of them for k players, so a larger
 #: oracle-len would not fail but run for hours.
 MAX_ORACLE_LEN = 12
+#: Most letters a problem-file word may expand to.  Each letter is a
+#: matrix product whose entries grow with the word, so a long word would
+#: not fail but run for minutes and overflow the certificate's numbers.
+MAX_WORD_LEN = 64
 
 
 class ProblemError(ValueError):
@@ -288,6 +293,25 @@ def _need(prob: Problem, key: str) -> str:
     return val
 
 
+def _parse_word_at(group: MarkedGroup, text: str, line: int, col: int = 1) -> Word:
+    """`group.parse_word`, refusing a word of more than MAX_WORD_LEN
+    letters (a^n counts n) before its letters are expanded."""
+    letters = 0
+    for token in text.split():
+        power = token.partition("^")[2]
+        with _input_error(line=line, col=col):
+            letters += abs(int(power)) if power else 1
+    if letters > MAX_WORD_LEN:
+        raise ProblemError(line, col, f"word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
+    with _input_error(KeyError, line, col):
+        return group.parse_word(text)
+
+
+def _task_word(group: MarkedGroup, prob: Problem, key: str) -> Word:
+    text = _need(prob, key)
+    return _parse_word_at(group, text, prob.task[key][0][0], len(key) + 2)
+
+
 def _parse_set(text: str, line: int, place: Place) -> ProjSet:
     # ball [1, 0] 1/25   |   hnbhd [1, 0] 1/25
     parts = text.split("]")
@@ -330,7 +354,7 @@ def _emitter(place: Place | None, backend: str, header: dict, task: dict):
 def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = _need(prob, "subop")
-    word = group.parse_word(_need(prob, "element"))
+    word = _task_word(group, prob, "element")
     m = group.eval(word)
     task = {"op": "analyze", "subop": subop, "element": group.word_str(word)}
     emit = _emitter(group.place, "matrix", _group_header(group), task)
@@ -387,8 +411,7 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
         if not eq:
             raise ProblemError(line_no, 1, "expected: player NAME = word")
         names.append(name.strip())
-        with _input_error(KeyError, line_no):
-            w = group.parse_word(word_text.strip())
+        w = _parse_word_at(group, word_text, line_no)
         words.append(w)
         mats.append(group.eval(w))
     task = {"op": "pingpong", "subop": subop, "players": {n: group.word_str(w) for n, w in zip(names, words)}, "oracle_len": oracle_len}
@@ -477,7 +500,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
             label, eq, reps = spec.partition("=")
             if not eq:
                 raise ProblemError(line_no, 1, "expected: normal LABEL = word [; word ...]")
-            words = tuple(group.parse_word(w.strip()) for w in reps.split(";") if w.strip())
+            words = tuple(_parse_word_at(group, w, line_no) for w in reps.split(";") if w.strip())
             if not words:
                 raise ProblemError(line_no, 1, "normal datum needs class representatives")
             normals[label.strip()] = [words, ()]
@@ -486,7 +509,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
             label = label.strip()
             if not eq or label not in normals:
                 raise ProblemError(line_no, 1, f"cosets for unknown normal {label!r}")
-            normals[label][1] = tuple(group.parse_word(w.strip()) if w.strip() else () for w in reps.split("|"))
+            normals[label][1] = tuple(_parse_word_at(group, w, line_no) for w in reps.split("|"))
         return [NormalData(lbl, reps, cosets) for lbl, (reps, cosets) in normals.items()]
 
     def claims_for(word, cert, *between) -> list[dict]:
@@ -522,8 +545,8 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
             claims.append(certfmt.claim_oracle(PRODENSE_ORACLE_LEN, report.oracle.kind, report.oracle.word, []))
         return emit(report.verdict, result, claims)
     if subop == "conjugate-contract":
-        g = group.parse_word(_need(prob, "element"))
-        x = group.parse_word(_need(prob, "x-element"))
+        g = _task_word(group, prob, "element")
+        x = _task_word(group, prob, "x-element")
         eps_sq = parse_rat(_need(prob, "epsilon-sq"))
         m_max = int(prob.task_get("m-max", "8"))
         task.update({"element": ws(g), "x": ws(x), "epsilon_sq": certfmt.rat(eps_sq)})
@@ -534,8 +557,8 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         m, word, cert = out
         return emit("yes", {"m": m, "word": ws(word), "cert": certfmt.contraction_json(cert)}, claims_for(word, cert))
     if subop == "b1b2b3":
-        g = group.parse_word(_need(prob, "element"))
-        words = {k: group.parse_word(_need(prob, k)) for k in ("b1", "b2", "b3")}
+        g = _task_word(group, prob, "element")
+        words = {k: _task_word(group, prob, k) for k in ("b1", "b2", "b3")}
         attract_line = prob.task_all("attract")
         repel_line = prob.task_all("repel")
         if not attract_line or not repel_line:
@@ -562,7 +585,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         }
         return emit("yes", result, claims)
     if subop == "very-proximal":
-        g = group.parse_word(_need(prob, "element"))
+        g = _task_word(group, prob, "element")
         word_len = int(prob.task_get("word-len", "2"))
         r_sq = parse_rat(_need(prob, "r-sq"))
         eps_sq = parse_rat(_need(prob, "epsilon-sq"))
@@ -606,9 +629,9 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         result = {"deltas": deltas, "failed": [ws(w) for w in failed], "a_N": ws(a_n.word)}
         return emit("yes" if got and not failed else ("unknown" if got else "not-found"), result, claims)
     if subop == "double-coset":
-        h1 = group.parse_word(_need(prob, "h1"))
-        h2 = group.parse_word(_need(prob, "h2"))
-        cs = [group.parse_word(t.strip()) if t.strip() else () for _, spec in prob.task_all("coset-rep") for t in [spec]]
+        h1 = _task_word(group, prob, "h1")
+        h2 = _task_word(group, prob, "h2")
+        cs = [_parse_word_at(group, spec, line_no) for line_no, spec in prob.task_all("coset-rep")]
         c1 = auto_very_proximal(group.eval(h1))
         c2 = auto_very_proximal(group.eval(h2))
         if c1 is None or c2 is None:
@@ -621,9 +644,8 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
                 continue
             claims += claims_for(r.word, r.cert)
             items.append({"coset": ws(r.original), "m": r.m, "n": r.n, "word": ws(r.word)})
-        produced = [r for r in out if not r.skipped]
-        verdict = "yes" if len(produced) == len([c for c in cs if c]) else "unknown"
-        return emit(verdict, {"wrapped": items}, claims)
+        # every representative wrapped, or skipped as a trivial double coset
+        return emit("yes" if len(out) == len(cs) else "unknown", {"wrapped": items}, claims)
     raise ProblemError(1, 1, f"unknown synthesize subop {subop!r}")
 
 

@@ -8,13 +8,17 @@ syntactically as products of conjugates of the class representatives, so
 membership holds by construction and can be re-checked at the word level.
 All "sufficiently large" exponents are found by bounded smallest-first
 search over certified checks; searches are deterministic and NotFound is
-an honest outcome.
+an honest outcome.  Every search walks the same few candidate streams:
+the certified powers of an element (`_certified_powers`), its conjugates
+along a power ladder (`_conjugates`), and the eps^2 tries of an automatic
+certificate (`_eps_tries`); it filters them by `_clear` and the other set
+conditions and takes the first survivor.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .checker import evidence_outside
@@ -226,32 +230,34 @@ def _eps_ladder(x: Rat, step: int) -> Rat | None:
     return Fraction(1, 2 ** (step * j))
 
 
+def _eps_tries(gap_hi: Rat) -> list[Rat]:
+    """The eps^2 an automatic certificate tries: the smallest power of 1/2
+    above the certified kappa (the round-up is the slack the gap test
+    needs), then doubled twice, keeping those below 1."""
+    eps0 = _eps_ladder(sqrt_upper(gap_hi), 1)
+    if eps0 is None:
+        return []
+    return [eps_sq for eps_sq in (eps0, 2 * eps0, 4 * eps0) if eps_sq < 1]
+
+
 def auto_very_proximal(m: ProjMat) -> ProximalCert | None:
     """Pick (r, eps) by a fixed rule and certify m very-proximal, or give up.
 
     r^2 is the exact candidate attract-repel distance (the smaller of the
-    two directions); eps^2 starts at the smallest power of 1/2 above the
-    certified kappa (the round-up is the slack the gap test needs) and is
-    retried doubled while the r > 2 eps window allows.
+    two directions); eps^2 walks `_eps_tries` while the r > 2 eps window
+    allows.
     """
     mi = m.inverse()
-    gap = max(contraction_gap_sq(m).hi, contraction_gap_sq(mi).hi)
-    kappa_up = sqrt_upper(gap)
-    eps0 = _eps_ladder(kappa_up, 1)
-    if eps0 is None:
+    tries = _eps_tries(max(contraction_gap_sq(m).hi, contraction_gap_sq(mi).hi))
+    if not tries:
         return None
     d_fwd = _candidate_gap(m)
     d_bwd = _candidate_gap(mi)
     if d_fwd is None or d_bwd is None:
         return None
     r_sq = min(d_fwd, d_bwd)
-    for eps_sq in (eps0, 2 * eps0, 4 * eps0):
-        if not 0 < eps_sq < 1 or r_sq <= 4 * eps_sq:
-            continue
-        v = certify_very_proximal(m, r_sq, eps_sq)
-        if v.kind == "yes":
-            return v.cert
-    return None
+    verdicts = (certify_very_proximal(m, r_sq, eps_sq) for eps_sq in tries if r_sq > 4 * eps_sq)
+    return next((v.cert for v in verdicts if v.kind == "yes"), None)
 
 
 def _candidate_gap(m: ProjMat) -> Rat | None:
@@ -262,17 +268,30 @@ def _candidate_gap(m: ProjMat) -> Rat | None:
 
 
 def auto_contracting(m: ProjMat) -> ContractionCert | None:
-    gap = contraction_gap_sq(m).hi
-    eps0 = _eps_ladder(sqrt_upper(gap), 1)
-    if eps0 is None:
-        return None
-    for eps_sq in (eps0, 2 * eps0, 4 * eps0):
-        if eps_sq >= 1:
-            continue
-        v = certify_contracting(m, eps_sq)
-        if v.kind == "yes":
-            return v.cert
-    return None
+    verdicts = (certify_contracting(m, eps_sq) for eps_sq in _eps_tries(contraction_gap_sq(m).hi))
+    return next((v.cert for v in verdicts if v.kind == "yes"), None)
+
+
+def _certified_powers(m: ProjMat, stop: int, start: int = 1):
+    """(n, m^n, cert) for each start <= n < stop that `auto_very_proximal`
+    certifies, smallest n first."""
+    for n, m_n in m.powers(stop, start):
+        cert = auto_very_proximal(m_n)
+        if cert is not None:
+            yield n, m_n, cert
+
+
+def _conjugates(g: ProjMat, g_inv: ProjMat, x: ProjMat, stop: int):
+    """(n, g^n x g^-n) for 1 <= n < stop, each conjugated once more from
+    the one before."""
+    for n in range(1, stop):
+        x = g @ x @ g_inv
+        yield n, x
+
+
+def _clear(sets, others, place) -> bool:
+    """Every set in `sets` certified disjoint from every set in `others`."""
+    return all(set_disjoint(s, t, place).kind == "disjoint" for s in sets for t in others)
 
 
 def player_from_cert(name: str, g: ProjMat, cert: ProximalCert) -> PingPongPlayer:
@@ -296,11 +315,6 @@ class Budgets:
     m_max: int = 12
     n_max: int = 12
     general_position: int = 8
-
-    def updated(self, **kw) -> "Budgets":
-        from dataclasses import replace
-
-        return replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +346,10 @@ def conjugate_contract(
     plane_enc = ProjSet((g_cert.fixed_plane_nbhd,))
     if set_disjoint(moved, plane_enc, group.place).kind != "disjoint":
         raise ValueError("x not in general position")
-    for (m, gm_m), (_, gm_inv_m) in zip(gm.powers(m_max + 1), gm.inverse().powers(m_max + 1)):
-        v = certify_contracting(gm_m @ xm @ gm_inv_m, epsilon_sq)
+    for m, y in _conjugates(gm, gm.inverse(), xm, m_max + 1):
+        v = certify_contracting(y, epsilon_sq)
         if v.kind == "yes":
-            word = concat(word_power(g, m), x, word_power(g, -m))
-            return m, word, v.cert
+            return m, concat(word_power(g, m), x, word_power(g, -m)), v.cert
     return None
 
 
@@ -380,14 +393,12 @@ def b1b2b3_synthesize(
         if set_disjoint(left, right, place).kind != "disjoint":
             raise ValueError(f"hypothesis not certified: {label}")
     g_inv = gm.inverse()
-    # g^-k and g^-(k+1) from one inverse ladder, zipped with g^(k+1)
-    ladders = zip(itertools.pairwise(g_inv.powers(k_max + 2, start=0)), gm.powers(k_max + 2))
-    for ((k, g_inv_k), (_, g_inv_k1)), (_, g_k1) in ladders:
-        a = gm @ b1m @ g_inv_k1 @ b2m @ g_k1 @ b3m @ g_inv
-        mover_a = gm @ b1m @ g_inv_k
-        mover_r = gm @ b3_inv @ g_inv_k
-        new_attract = push_set(mover_a, repel)
-        new_repel = push_set(mover_r, repel)
+    # g^-k next to the conjugate g^-(k+1) b2 g^(k+1)
+    ladders = zip(g_inv.powers(k_max + 1, start=0), _conjugates(g_inv, gm, b2m, k_max + 2))
+    for (k, g_inv_k), (_, b2_conj) in ladders:
+        a = gm @ b1m @ b2_conj @ b3m @ g_inv
+        new_attract = push_set(gm @ b1m @ g_inv_k, repel)
+        new_repel = push_set(gm @ b3_inv @ g_inv_k, repel)
         if any(c.radius_sq >= 1 for c in new_attract.components + new_repel.components):
             continue
         if set_disjoint(new_attract, new_repel, place).kind != "disjoint":
@@ -438,13 +449,10 @@ def very_proximal_search(
         raise ValueError("g is not certified contracting at the given epsilon")
     candidates = [()] + list(group.words_upto(word_len))
     gi = word_inverse(g)
-    for f1 in candidates:
-        for f2 in candidates:
-            w = concat(g, f1, gi, f2)
-            if not w:
-                continue
-            wm = group.eval(w)
-            verdict = certify_very_proximal(wm, r_sq, epsilon_sq)
+    for f1, f2 in itertools.product(candidates, repeat=2):
+        w = concat(g, f1, gi, f2)
+        if w:
+            verdict = certify_very_proximal(group.eval(w), r_sq, epsilon_sq)
             if verdict.kind == "yes":
                 return f1, f2, w, verdict.cert
     return None
@@ -458,28 +466,16 @@ def very_proximal_search(
 @dataclass(frozen=True)
 class HostRegion:
     """Where a synthesized element must live: all four canonical sets
-    inside `region`(s) and certifiably clear of every `avoid` set (the
+    inside `region` and certifiably clear of every `avoid` set (the
     host's fixed-point enclosures, so the host power can later shrink
     its own neighborhoods in between)."""
 
     region: ProjSet
-    region_inv: ProjSet | None = None
     avoid: tuple[ProjSet, ...] = ()
 
     def contains_cert_sets(self, cert: ProximalCert, place) -> bool:
-        a_p, r_p, a_m, r_m = cert.eps_sets
-        reg_inv = self.region_inv or self.region
-        if not (
-            set_contains(self.region, a_p, place)
-            and set_contains(self.region, r_p, place)
-            and set_contains(reg_inv, a_m, place)
-            and set_contains(reg_inv, r_m, place)
-        ):
-            return False
-        return all(
-            set_disjoint(s, blocked, place).kind == "disjoint"
-            for s in (a_p, r_p, a_m, r_m)
-            for blocked in self.avoid
+        return all(set_contains(self.region, s, place) for s in cert.eps_sets) and _clear(
+            cert.eps_sets, self.avoid, place
         )
 
 
@@ -521,35 +517,26 @@ def normal_proximal(
     powers of the fixed host element)."""
     validate_normal_data(group, data)
     class_reps = list(data.class_reps)
+    place = group.place
     nest_m = group.eval(nest_element) if nest_element else None
     nest_inv = nest_m.inverse() if nest_m is not None else None
     for cand in _normal_pool(group, data, budgets):
-        base_word = cand.to_word(class_reps)
-        if not base_word:
-            continue
-        base = group.eval(base_word)
+        base = group.eval(cand.to_word(class_reps))
         if base.is_identity():
             continue
-        for q, m in base.powers(budgets.power_max + 1):
-            cert = auto_very_proximal(m)
-            if cert is None:
-                continue
+        for q, m, cert in _certified_powers(base, budgets.power_max + 1):
+            l = 0
+            if host is not None and not host.contains_cert_sets(cert, place):
+                if nest_m is None:
+                    continue
+                nested = ((l, auto_very_proximal(y)) for l, y in _conjugates(nest_m, nest_inv, m, budgets.nest_max + 1))
+                l, cert = next(((l, c) for l, c in nested if c is not None and host.contains_cert_sets(c, place)), (0, None))
+                if cert is None:
+                    continue
             proof = cand.power(q)
-            if host is None:
-                return NormalProximalResult(data.label, proof, proof.to_word(class_reps), cert, 0)
-            if host.contains_cert_sets(cert, group.place):
-                return NormalProximalResult(data.label, proof, proof.to_word(class_reps), cert, 0)
-            if nest_m is None:
-                continue
-            nest_ladders = zip(nest_m.powers(budgets.nest_max + 1), nest_inv.powers(budgets.nest_max + 1))
-            for (l, nest_l), (_, nest_inv_l) in nest_ladders:
-                conj_cert = auto_very_proximal(nest_l @ m @ nest_inv_l)
-                if conj_cert is not None and host.contains_cert_sets(conj_cert, group.place):
-                    nest_word = word_power(nest_element, l)
-                    nested_proof = proof.conjugated_by(nest_word)
-                    return NormalProximalResult(
-                        data.label, nested_proof, nested_proof.to_word(class_reps), conj_cert, l
-                    )
+            if l:
+                proof = proof.conjugated_by(word_power(nest_element, l))
+            return NormalProximalResult(data.label, proof, proof.to_word(class_reps), cert, l)
     return None
 
 
@@ -595,54 +582,41 @@ def coset_pingpong(
 
     Returns (results, failed coset reps)."""
     class_reps = list(data.class_reps)
-    beta_word = a_n.word
-    beta = group.eval(beta_word)
-    host = HostRegion(
-        ProjSet((a_n.cert.contraction.attract_set, a_n.cert.contraction.repel_set)),
-        ProjSet((a_n.cert.very.contraction.attract_set, a_n.cert.very.contraction.repel_set)),
-    )
-    adjusters: list[NormalWord] = [NormalWord(())]
-    adjusters += _normal_pool(group, data, budgets.updated(num_factors=1))[: budgets.general_position]
+    place = group.place
+    beta = group.eval(a_n.word)
+    adjusters = [NormalWord(())] + _normal_pool(group, data, replace(budgets, num_factors=1))[: budgets.general_position]
     results: list[CosetResult] = []
     failed: list[Word] = []
     taken_sets: list[ProjSet] = []
-    for rep in data.coset_reps:
-        found = None
-        rep_m = group.eval(rep)
+
+    def candidates(rep: Word):
+        """(n1, n2, x = n1 rep n2, l, cert) with beta^l x beta^l certified,
+        nested in a_n's sets and clear of the sets already taken."""
         for n1, n2 in itertools.product(adjusters, repeat=2):
-            n1w, n2w = n1.to_word(class_reps), n2.to_word(class_reps)
-            x_word = concat(n1w, rep, n2w)
+            x_word = concat(n1.to_word(class_reps), rep, n2.to_word(class_reps))
             x_m = group.eval(x_word)
             if not _general_position_ok(group, x_m, a_n.cert):
                 continue
             for l, beta_l in beta.powers(budgets.nest_max + 1):
                 cert = auto_very_proximal(beta_l @ x_m @ beta_l)
-                ok = (
+                if (
                     cert is not None
-                    and _remark_nesting_ok(cert, a_n.cert, group.place)
-                    and all(
-                        set_disjoint(s, t, group.place).kind == "disjoint"
-                        for s in cert.eps_sets
-                        for t in taken_sets
-                    )
-                )
-                if ok:
-                    delta_word = concat(word_power(beta_word, l), x_word, word_power(beta_word, l))
-                    membership = (
-                        a_n.proof.power(l)
-                        .times(n1)
-                        .times(n2.times(a_n.proof.power(l)).conjugated_by(rep))
-                    )
-                    _check_membership(group, delta_word, rep, membership, class_reps)
-                    found = CosetResult(rep, n1, n2, l, delta_word, cert, membership)
-                    break
-            if found:
-                break
-        if found:
-            results.append(found)
-            taken_sets.extend(found.cert.eps_sets)
-        else:
+                    and _remark_nesting_ok(cert, a_n.cert, place)
+                    and _clear(cert.eps_sets, taken_sets, place)
+                ):
+                    yield n1, n2, x_word, l, cert
+
+    for rep in data.coset_reps:
+        hit = next(candidates(rep), None)
+        if hit is None:
             failed.append(rep)
+            continue
+        n1, n2, x_word, l, cert = hit
+        delta_word = concat(word_power(a_n.word, l), x_word, word_power(a_n.word, l))
+        membership = a_n.proof.power(l).times(n1).times(n2.times(a_n.proof.power(l)).conjugated_by(rep))
+        _check_membership(group, delta_word, rep, membership, class_reps)
+        results.append(CosetResult(rep, n1, n2, l, delta_word, cert, membership))
+        taken_sets.extend(cert.eps_sets)
     return results, failed
 
 
@@ -694,45 +668,34 @@ def double_coset_wrap(
     h2_plus = ProjSet((h2_cert.fixed_point.ball,))
     h2_minus = ProjSet((h2_cert.very.fixed_point.ball,))
     h1_attract = ProjSet((h1_cert.contraction.attract_set,))
+
+    def wrap(x: ProjMat):
+        """(m, n, cert, sets): h1^m h2^n x h2^n h1^-m certified contracting,
+        its sets inside h1's attracting set and clear of the taken ones."""
+        for n, h2_n in h2m.powers(budgets.n_max + 1):
+            for m, y in _conjugates(h1m, h1_inv, h2_n @ x @ h2_n, budgets.m_max + 1):
+                cert = auto_contracting(y)
+                if cert is not None:
+                    sets = ProjSet((cert.attract_set, cert.repel_set))
+                    if set_contains(h1_attract, sets, place) and _clear((sets,), taken, place):
+                        return m, n, cert, sets
+        return None
+
     for c in coset_reps:
         cm = group.eval(c)
         if cm.is_identity():
             out.append(DoubleCosetResult(c, 0, 0, (), None, skipped="trivial double coset"))
             continue
-        shifted = c
-        shifted_m = cm
-        ok_shift = False
-        for shift in range(0, budgets.m_max + 1):
-            moved = push_set(shifted_m, h2_plus)
-            if set_disjoint(moved, h2_minus, place).kind == "disjoint":
-                ok_shift = True
-                break
-            shifted = concat(h1, shifted)
-            shifted_m = h1m @ shifted_m
-        if not ok_shift:
-            continue
-        found = None
-        for n, h2_n in h2m.powers(budgets.n_max + 1):
-            w_n = h2_n @ shifted_m @ h2_n
-            for (m, h1_m), (_, h1_inv_m) in zip(h1m.powers(budgets.m_max + 1), h1_inv.powers(budgets.m_max + 1)):
-                cert = auto_contracting(h1_m @ w_n @ h1_inv_m)
-                if cert is None:
-                    continue
-                sets = ProjSet((cert.attract_set, cert.repel_set))
-                if not set_contains(h1_attract, sets, place):
-                    continue
-                if any(set_disjoint(sets, t, place).kind != "disjoint" for t in taken):
-                    continue
-                word = concat(
-                    word_power(h1, m), word_power(h2, n), shifted, word_power(h2, n), word_power(h1, -m)
-                )
-                found = DoubleCosetResult(c, m, n, word, cert)
-                break
-            if found:
-                break
-        if found:
-            out.append(found)
-            taken.append(ProjSet((found.cert.attract_set, found.cert.repel_set)))
+        # the smallest shift h1^s c that moves h2's attracting point off its repelling one
+        shifts = ((s, h1_s @ cm) for s, h1_s in h1m.powers(budgets.m_max + 1, start=0))
+        s, x = next(((s, x) for s, x in shifts if _clear((push_set(x, h2_plus),), (h2_minus,), place)), (0, None))
+        hit = wrap(x) if x is not None else None
+        if hit is not None:
+            m, n, cert, sets = hit
+            shifted = concat(word_power(h1, s), c)
+            word = concat(word_power(h1, m), word_power(h2, n), shifted, word_power(h2, n), word_power(h1, -m))
+            out.append(DoubleCosetResult(c, m, n, word, cert))
+            taken.append(sets)
     return out
 
 
@@ -764,10 +727,8 @@ def find_host(group: MarkedGroup, budgets: Budgets) -> tuple[Word, int, Proximal
     """Fixed very-proximal element used throughout Step 1: the shortlex
     first short word with a certifiable power."""
     for w in group.words_upto(budgets.host_word_len):
-        for n, m in group.eval(w).powers(budgets.host_power_max + 1):
-            cert = auto_very_proximal(m)
-            if cert is not None:
-                return w, n, cert
+        for n, _, cert in _certified_powers(group.eval(w), budgets.host_power_max + 1):
+            return w, n, cert
     return None
 
 
@@ -784,10 +745,9 @@ def _shrunken_host(cert: ProximalCert, used: list[ProjSet], place) -> HostRegion
         ProjSet((cert.very.fixed_point.ball,)),
     )
     for j in range(0, 30):
-        shrink = Fraction(1, 4**j)
-        reg = ProjSet((Ball(fwd.center, fwd.radius_sq * shrink),))
-        if all(set_disjoint(reg, t, place).kind == "disjoint" for t in used):
-            return HostRegion(reg, None, avoid)
+        reg = ProjSet((Ball(fwd.center, fwd.radius_sq * Fraction(1, 4**j)),))
+        if _clear((reg,), used, place):
+            return HostRegion(reg, avoid)
     return None
 
 
@@ -796,14 +756,8 @@ def _host_power_avoiding(
 ) -> tuple[int, ProximalCert] | None:
     """Host power whose canonical sets are certifiably disjoint from every
     used set (the paper's shrinking A(g^l), R(g^l))."""
-    stop = start_power + budgets.host_power_max + 1
-    for power, m in group.eval(host_word).powers(stop, start_power):
-        cert = auto_very_proximal(m)
-        if cert is not None and all(
-            set_disjoint(s, t, group.place).kind == "disjoint" for s in cert.eps_sets for t in used
-        ):
-            return power, cert
-    return None
+    powers = _certified_powers(group.eval(host_word), start_power + budgets.host_power_max + 1, start_power)
+    return next(((n, cert) for n, _, cert in powers if _clear(cert.eps_sets, used, group.place)), None)
 
 
 def truncated_prodense(
@@ -842,18 +796,16 @@ def truncated_prodense(
             notes.append("host region exhausted")
             break
 
-    final_host = None
+    host_player = step1_tuple = None
     if step1:
         final_host = _host_power_avoiding(group, host_word, host_power, budgets, used_sets)
         if final_host is None:
             notes.append("no host power clears the synthesized sets")
-
-    step1_tuple = None
-    if step1 and final_host is not None:
-        fin_power, fin_cert = final_host
-        players = [player_from_cert(r.label, group.eval(r.word), r.cert) for r in step1]
-        players.append(player_from_cert("host", group.eval(word_power(host_word, fin_power)), fin_cert))
-        step1_tuple = certify_tuple(players)
+        else:
+            fin_power, fin_cert = final_host
+            host_player = player_from_cert("host", group.eval(word_power(host_word, fin_power)), fin_cert)
+            players = [player_from_cert(r.label, group.eval(r.word), r.cert) for r in step1]
+            step1_tuple = certify_tuple(players + [host_player])
 
     step2: dict[str, tuple[CosetResult, ...]] = {}
     step2_failed: dict[str, tuple[Word, ...]] = {}
@@ -868,33 +820,21 @@ def truncated_prodense(
             step2_failed[data.label] = tuple(failed)
             notes.append(f"step 2 incomplete for {data.label}")
 
-    combined = None
-    oracle = None
-    elements: list[ProjMat] = []
-    names: list[str] = []
-    players = []
-    for res in step1:
-        for cr in step2.get(res.label, ()):  # the delta's
-            m = group.eval(cr.word)
-            players.append(player_from_cert(f"d[{group.word_str(cr.coset_rep)}]", m, cr.cert))
-            elements.append(m)
-            names.append(f"d{len(names)}")
-    if players and final_host is not None:
-        fin_power, fin_cert = final_host
-        hm = group.eval(word_power(host_word, fin_power))
-        players.append(player_from_cert("host", hm, fin_cert))
-        elements.append(hm)
-        names.append("host")
+    combined = oracle = None
+    deltas = [cr for res in step1 for cr in step2[res.label]]
+    if deltas and host_player is not None:
+        players = [player_from_cert(f"d[{group.word_str(cr.coset_rep)}]", group.eval(cr.word), cr.cert) for cr in deltas]
+        players.append(host_player)
         combined = certify_tuple(players)
-        oracle = freeness_oracle(elements, PRODENSE_ORACLE_LEN, names=names)
+        names = [f"d{i}" for i in range(len(deltas))] + ["host"]
+        oracle = freeness_oracle([p.element for p in players], PRODENSE_ORACLE_LEN, names=names)
 
+    # a combined tuple implies a nonempty step 1 and an oracle run
     complete = (
-        bool(step1)
-        and len(step1) == len(normals)
+        len(step1) == len(normals)
         and not step2_failed
         and combined is not None
         and combined.verdict == "certified"
-        and oracle is not None
         and oracle.kind == "no-relation"
     )
     return SynthesisReport(

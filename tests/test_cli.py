@@ -526,3 +526,35 @@ def test_oracle_len_beyond_limit_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1
     code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + body + "oracle-len 4\n")
     assert code == 0 and cert["result"]["oracle"] == "no-relation"
+
+
+def test_double_coset_verdict_counts_skipped_identity_reps(tmp_path):
+    # r r = -I is the identity projectively: skipped, and the verdict stays yes
+    text = (
+        "format 1\nplace arch\n[matrix-group]\n"
+        "gen g = [[25, 0], [0, 1]]\ngen h = [[13, 12], [12, 13]]\ngen r = [[0, -1], [1, 0]]\n"
+        "[task]\nop synthesize\nsubop double-coset\nh1 g\nh2 h\ncoset-rep r\ncoset-rep r r\n"
+    )
+    code, cert, out = run(tmp_path, "synthesize", text)
+    wrapped = cert["result"]["wrapped"]
+    assert code == 0 and cert["verdict"] == "yes"
+    assert wrapped[0]["m"] >= 1 and wrapped[1] == {"coset": "r r", "skipped": "trivial double coset"}
+    assert verify_file(out) == 0
+
+
+def test_word_beyond_limit_fails_fast(tmp_path, capsys):
+    body = "\n[task]\nop analyze\nsubop contracting\nepsilon-sq 1/4\nelement "
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "analyze", SANOV_HEADER + body + "a b " * 128 + "\n")
+    assert code == 2 and cert is None
+    assert "in.prob:13:9: word of 256 letters exceeds MAX_WORD_LEN = 64" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", SANOV_HEADER + body + "a^100000\n")
+    assert code == 2 and cert is None
+    assert "word of 100000 letters" in capsys.readouterr().err
+    player = "\n[task]\nop pingpong\nsubop oracle\nplayer a = a^65\nplayer b = b\noracle-len 2\n"
+    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + player)
+    assert code == 2 and cert is None
+    assert "in.prob:12:1: word of 65 letters" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", SANOV_HEADER + body + "a^32 b^-32\n")
+    assert code == 0 and cert["task"]["element"] == "a " * 32 + "b^-1 " * 31 + "b^-1"
+    assert time.perf_counter() - t0 < 1

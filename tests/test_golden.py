@@ -79,6 +79,12 @@ PROBLEMS = {
         SANOV_HEADER + TASK + "op synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = a\n",
         ["--budget", "host_word_len=0"],
     ),
+    # the whole pipeline: host, Step 1 nested once, both cosets, combined tuple, oracle
+    "synthesize-truncated-prodense-full": (
+        "synthesize",
+        SANOV_HEADER + TASK + "op synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = a | b\n",
+        [],
+    ),
     "synthesize-conjugate-contract": (
         "synthesize",
         "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n"
@@ -147,6 +153,7 @@ GOLDEN = {
     "synthesize-double-coset": (0, "a559158d1bc4c7d922567c0b53fa33d1dca9d9786b30de89d6e2956973bf0ead"),
     "synthesize-normal-proximal": (0, "a7e503e06c39732bfe45e5f8df9cbab8a74f7f59ed39bd59f53c54e8f3d6d248"),
     "synthesize-truncated-prodense": (4, "c5075b848e48789dce0fabcc2c66df302a230c99e1f44bfd55d7d6f52201ab12"),
+    "synthesize-truncated-prodense-full": (0, "e41c0a1a054d714c080859558e165e32a3023f27da098742f769c16d2f36ff22"),
     "synthesize-very-proximal": (0, "6669ff37ea64e5c3da4c5bcd739ab005c992bf1d8e219f97f3e9090837150038"),
     "tree-classify": (0, "1a499541218bf0894d285713654943af6779b8c68af689f88d512dad530d08a8"),
     "tree-classify-elliptic": (0, "f14d6fb2314251e633a717959cda11787e05c90e78f4af697942049083808427"),
