@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import fields as dc_fields
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .dynamics import (
 )
 from .pingpong import PingPongPlayer, certify_tuple, freeness_oracle, simple_player
 from .projective import ProjHyperplane, ProjMat, ProjPoint, ProjSet, ball, hnbhd
-from .scalar import ARCH, Place, parse_place, parse_rat
+from .scalar import ARCH, Place, parse_place, parse_rat, word_tokens
 from .synthesis import (
     PRODENSE_ORACLE_LEN,
     Budgets,
@@ -39,6 +38,7 @@ from .synthesis import (
     coset_pingpong,
     double_coset_wrap,
     normal_proximal,
+    player_from_cert,
     truncated_prodense,
     very_proximal_search,
     word_inverse,
@@ -48,6 +48,7 @@ from .tree import (
     AmalgamData,
     BassSerreTree,
     TreeError,
+    ball_radius,
     classify,
     expand_tree,
     kernel_of_action,
@@ -65,17 +66,15 @@ EXIT_UNKNOWN = 4
 #: oracle-len would not fail but run for hours.
 MAX_ORACLE_LEN = 12
 #: Most letters a problem-file word may expand to.  Each letter is a
-#: matrix product whose entries grow with the word, so a long word would
-#: not fail but run for minutes and overflow the certificate's numbers.
+#: matrix product whose entries grow with the word, or a tree normal-form
+#: step, so a long word would not fail but run for minutes and overflow
+#: the certificate's numbers.
 MAX_WORD_LEN = 64
 
 
 class ProblemError(ValueError):
     def __init__(self, line: int, col: int, message: str):
         super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-        self.message = message
 
 
 # ---------------------------------------------------------------------------
@@ -83,34 +82,48 @@ class ProblemError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = object()
+
+
 class Problem:
+    """A parsed problem file.  Commands read `[task]` values only through
+    `value` and `values`, which parse, position errors and record each
+    key as read, so a key no command reads can be refused."""
+
     def __init__(self):
         self.place: Place | None = None
         self.dim: int | None = None
         self.generators: list[tuple[str, list[list[Fraction]]]] = []
         self.amalgam_raw: dict = {}
         self.task: dict[str, list[tuple[int, str]]] = {}  # key -> [(line, value)]
+        self.read: set[str] = set()
 
-    def task_get(self, key: str, default: str | None = None) -> str | None:
-        vals = self.task.get(key)
-        return vals[0][1] if vals else default
+    def value(self, key: str, parse, default=_REQUIRED):
+        """`parse` of the key's first value, or `default` when the key is
+        absent (without a default the key is required).  An error is
+        reported at the value's line:col."""
+        self.read.add(key)
+        if key not in self.task:
+            if default is _REQUIRED:
+                raise ProblemError(1, 1, f"task needs '{key}'")
+            return default
+        line, text = self.task[key][0]
+        return _parsed(parse, text, line, len(key) + 2)
 
-    def task_all(self, key: str) -> list[tuple[int, str]]:
-        return self.task.get(key, [])
+    def values(self, key: str, parse) -> list:
+        """`parse` of every value of a repeatable key, in file order.  An
+        error is reported at the start of the value's line."""
+        self.read.add(key)
+        return [_parsed(parse, text, line) for line, text in self.task.get(key, [])]
 
 
-@contextmanager
-def _input_error(kind: type[Exception] = ValueError, line: int = 1, col: int = 1):
-    """Report a `kind` error raised on bad input as a positioned ProblemError."""
+def _parsed(parse, text: str, line: int, col: int = 1):
+    """`parse(text)`, with a ValueError or KeyError (a bad generator name)
+    reported as a ProblemError at line:col."""
     try:
-        yield
-    except kind as e:
+        return parse(text)
+    except (ValueError, KeyError) as e:
         raise ProblemError(line, col, str(e)) from None
-
-
-def _parse_rat_at(text: str, line: int, col: int) -> Fraction:
-    with _input_error(line=line, col=col):
-        return parse_rat(text)
 
 
 def _parse_matrix_literal(text: str, line: int) -> list[list[Fraction]]:
@@ -128,7 +141,7 @@ def _parse_matrix_literal(text: str, line: int) -> list[list[Fraction]]:
         elif ch == "]":
             if depth == 2:
                 if token.strip():
-                    row.append(_parse_rat_at(token.strip(), line, col))
+                    row.append(_parsed(parse_rat, token, line, col))
                 token = ""
                 rows.append(row)
                 row = None
@@ -141,7 +154,7 @@ def _parse_matrix_literal(text: str, line: int) -> list[list[Fraction]]:
             if depth == 2:
                 if not token.strip():
                     raise ProblemError(line, col, "empty matrix entry")
-                row.append(_parse_rat_at(token.strip(), line, col))
+                row.append(_parsed(parse_rat, token, line, col))
                 token = ""
         elif depth == 2:
             token += ch
@@ -193,15 +206,13 @@ def parse_problem(text: str) -> Problem:
                     raise ProblemError(line_no, len(key) + 2, f"unsupported format {rest!r}")
                 saw_format = True
             elif key == "place":
-                with _input_error(line=line_no, col=len(key) + 2):
-                    prob.place = parse_place(rest)
+                prob.place = _parsed(parse_place, rest, line_no, len(key) + 2)
             else:
                 raise ProblemError(line_no, 1, f"unexpected directive {key!r} before any section")
             continue
         if section == "matrix-group":
             if key == "dim":
-                with _input_error(line=line_no, col=len(key) + 2):
-                    prob.dim = int(rest)
+                prob.dim = _parsed(int, rest, line_no, len(key) + 2)
             elif key == "gen":
                 name, eq, literal = rest.partition("=")
                 name = name.strip()
@@ -226,19 +237,13 @@ def parse_problem(text: str) -> Problem:
             else:
                 raise ProblemError(line_no, 1, f"unknown amalgam directive {key!r}")
         elif section == "task":
-            if key == "oracle-len":
-                with _input_error(line=line_no, col=len(key) + 2):
-                    _check_oracle_len(int(rest), key)
             prob.task.setdefault(key, []).append((line_no, rest))
     close_table(len(text.splitlines()) + 1)
     if not saw_format:
         raise ProblemError(1, 1, "missing 'format 1' header")
+    if prob.generators and prob.amalgam_raw:
+        raise ProblemError(1, 1, "mixed backends in one file")
     return prob
-
-
-def _check_oracle_len(n: int, source: str) -> None:
-    if not 1 <= n <= MAX_ORACLE_LEN:
-        raise ValueError(f"{source} {n} is outside 1..{MAX_ORACLE_LEN}")
 
 
 def _build_group(prob: Problem) -> MarkedGroup:
@@ -270,63 +275,56 @@ def _group_header(group: MarkedGroup) -> dict:
     return {"generators": {name: certfmt.mat_json(m) for name, m in group.gens}}
 
 
-def _budgets(prob: Problem, overrides: list[str]) -> Budgets:
-    values: dict[str, int] = {}
-    names = {f.name for f in dc_fields(Budgets)}
-    for line_no, spec in prob.task_all("budget"):
-        name, eq, val = spec.partition("=")
-        if not eq or name.strip() not in names:
-            raise ProblemError(line_no, 1, f"unknown budget {name.strip()!r}")
-        values[name.strip()] = int(val)
-    for spec in overrides:
-        name, eq, val = spec.partition("=")
-        if not eq or name.strip() not in names:
-            raise ValueError(f"unknown budget {name.strip()!r}")
-        values[name.strip()] = int(val)
-    return Budgets(**values)
+def _budget(spec: str) -> tuple[str, int]:
+    name, eq, val = spec.partition("=")
+    if not eq or name.strip() not in {f.name for f in dc_fields(Budgets)}:
+        raise ValueError(f"unknown budget {name.strip()!r}")
+    return name.strip(), int(val)
 
 
-def _need(prob: Problem, key: str) -> str:
-    val = prob.task_get(key)
-    if val is None:
-        raise ProblemError(1, 1, f"task needs '{key}'")
-    return val
-
-
-def _parse_word_at(group: MarkedGroup, text: str, line: int, col: int = 1) -> Word:
-    """`group.parse_word`, refusing a word of more than MAX_WORD_LEN
-    letters (a^n counts n) before its letters are expanded."""
-    letters = 0
-    for token in text.split():
-        power = token.partition("^")[2]
-        with _input_error(line=line, col=col):
-            letters += abs(int(power)) if power else 1
+def _bounded(text: str) -> str:
+    """`text`, refused when its word has more than MAX_WORD_LEN letters
+    (a^n counts n), before any letter is expanded."""
+    letters = sum(abs(k) for _, k in word_tokens(text))
     if letters > MAX_WORD_LEN:
-        raise ProblemError(line, col, f"word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
-    with _input_error(KeyError, line, col):
-        return group.parse_word(text)
+        raise ValueError(f"word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
+    return text
 
 
-def _task_word(group: MarkedGroup, prob: Problem, key: str) -> Word:
-    text = _need(prob, key)
-    return _parse_word_at(group, text, prob.task[key][0][0], len(key) + 2)
+def _oracle_len(text: str | int, source: str = "oracle-len") -> int:
+    n = int(text)
+    if not 1 <= n <= MAX_ORACLE_LEN:
+        raise ValueError(f"{source} {n} is outside 1..{MAX_ORACLE_LEN}")
+    return n
 
 
-def _parse_set(text: str, line: int, place: Place) -> ProjSet:
-    # ball [1, 0] 1/25   |   hnbhd [1, 0] 1/25
-    parts = text.split("]")
-    kind = text.split()[0]
-    if kind not in ("ball", "hnbhd") or len(parts) != 2:
-        raise ProblemError(line, 1, "set literal must be: ball|hnbhd [coords] radius-sq")
-    coords_text = parts[0].split("[", 1)[1]
-    coords = [
-        _parse_rat_at(tok.strip(), line, 1) for tok in coords_text.split(",") if tok.strip()
-    ]
-    radius = _parse_rat_at(parts[1].strip(), line, 1)
-    with _input_error(line=line):
-        if kind == "ball":
-            return ball(ProjPoint(tuple(coords)), radius)
-        return hnbhd(ProjHyperplane(tuple(coords)), radius)
+def _oracle_len_of(prob: Problem, args, default: int) -> int:
+    """The file's `oracle-len`, checked even when `--oracle-len` overrides it."""
+    n = prob.value("oracle-len", _oracle_len, default)
+    return n if args.oracle_len is None else args.oracle_len
+
+
+def _one_of(what: str, *names: str):
+    """A parser that accepts only `names`."""
+
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{what} {text!r} is not one of: {', '.join(names)}")
+        return text
+
+    return parse
+
+
+def _parse_set(text: str) -> ProjSet:
+    """`ball [coords] radius-sq` or `hnbhd [coords] radius-sq`."""
+    kind, _, rest = text.partition("[")
+    coords, bracket, radius = rest.partition("]")
+    if kind.strip() not in ("ball", "hnbhd") or not bracket:
+        raise ValueError("set literal must be: ball|hnbhd [coords] radius-sq")
+    vec = tuple(parse_rat(tok) for tok in coords.split(",") if tok.strip())
+    if kind.strip() == "ball":
+        return ball(ProjPoint(vec), parse_rat(radius))
+    return hnbhd(ProjHyperplane(vec), parse_rat(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -353,98 +351,81 @@ def _emitter(place: Place | None, backend: str, header: dict, task: dict):
 
 def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
     group = _build_group(prob)
-    subop = _need(prob, "subop")
-    word = _task_word(group, prob, "element")
-    m = group.eval(word)
+    subop = prob.value("subop", _one_of("analyze subop", "profile", "contracting", "proximal", "very-proximal", "power-proximal"))
+    word = prob.value("element", lambda text: group.parse_word(_bounded(text)))
     task = {"op": "analyze", "subop": subop, "element": group.word_str(word)}
+    if subop != "profile":
+        eps_sq = prob.value("epsilon-sq", parse_rat)
+        task["epsilon_sq"] = certfmt.rat(eps_sq)
+    if subop not in ("profile", "contracting"):
+        r_sq = prob.value("r-sq", parse_rat)
+        task["r_sq"] = certfmt.rat(r_sq)
+    if subop == "power-proximal":
+        task["max_n"] = max_n = prob.value("max-n", int, 16)
+    m = group.eval(word)
     emit = _emitter(group.place, "matrix", _group_header(group), task)
     word_eval = [certfmt.claim_word_eval(task["element"], m)]
     if subop == "profile":
         prof = singular_profile(m)
         result = {"values_sq": [certfmt.interval_json(v) for v in prof.values_sq], "exact": prof.exact}
         return emit("ok", result, word_eval)
-    if subop in ("contracting", "proximal", "very-proximal"):
-        eps_sq = parse_rat(_need(prob, "epsilon-sq"))
-        task["epsilon_sq"] = certfmt.rat(eps_sq)
-        if subop == "contracting":
-            v = certify_contracting(m, eps_sq)
-            refutes, cert_json = m, certfmt.contraction_json
-        else:
-            r_sq = parse_rat(_need(prob, "r-sq"))
-            task["r_sq"] = certfmt.rat(r_sq)
-            v = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq)
-            refutes, cert_json = v.refutes, certfmt.proximal_json
-        if v.kind == "yes":
-            return emit("yes", {"cert": cert_json(v.cert)}, certfmt.claims_for_cert(task["element"], m, v.cert))
-        if v.kind == "no":
-            refuted = certfmt.claim_contraction_refuted(refutes, eps_sq, v.counterexample)
-            return emit("no", {"counterexample": certfmt.point_json(v.counterexample)}, word_eval + [refuted])
-        return emit(v.kind, {}, word_eval)
     if subop == "power-proximal":
-        eps_sq = parse_rat(_need(prob, "epsilon-sq"))
-        r_sq = parse_rat(_need(prob, "r-sq"))
-        max_n = int(prob.task_get("max-n", "16"))
-        task.update({"epsilon_sq": certfmt.rat(eps_sq), "r_sq": certfmt.rat(r_sq), "max_n": max_n})
         out = power_to_proximal(m, r_sq, eps_sq, max_n)
         if out is None:
             return emit("not-found", {}, word_eval)
         n, cert = out
         result = {"n": n, "cert": certfmt.proximal_json(cert)}
         return emit("yes", result, word_eval + certfmt.claims_for_proximal(m.power(n), cert))
-    raise ProblemError(1, 1, f"unknown analyze subop {subop!r}")
+    if subop == "contracting":
+        v = certify_contracting(m, eps_sq)
+        refutes, cert_json = m, certfmt.contraction_json
+    else:
+        v = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq)
+        refutes, cert_json = v.refutes, certfmt.proximal_json
+    if v.kind == "yes":
+        return emit("yes", {"cert": cert_json(v.cert)}, certfmt.claims_for_cert(task["element"], m, v.cert))
+    if v.kind == "no":
+        refuted = certfmt.claim_contraction_refuted(refutes, eps_sq, v.counterexample)
+        return emit("no", {"counterexample": certfmt.point_json(v.counterexample)}, word_eval + [refuted])
+    return emit(v.kind, {}, word_eval)
 
 
 def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
-    if prob.generators and prob.amalgam_raw:
-        raise ProblemError(1, 1, "mixed backends in one file")
-    if prob.amalgam_raw:
-        return _tree_pingpong_cert(prob, args)
     group = _build_group(prob)
-    subop = prob.task_get("subop", "tuple")
-    oracle_len = int(args.oracle_len or prob.task_get("oracle-len", "6"))
-    players_spec = prob.task_all("player")
-    if not players_spec:
-        raise ProblemError(1, 1, "task needs at least one 'player NAME = word'")
-    names, words, mats = [], [], []
-    for line_no, spec in players_spec:
+    subop = prob.value("subop", _one_of("pingpong subop", "tuple", "simple-tuple", "oracle"), "tuple")
+    oracle_len = _oracle_len_of(prob, args, 6)
+
+    def player(spec: str) -> tuple[str, Word]:
         name, eq, word_text = spec.partition("=")
         if not eq:
-            raise ProblemError(line_no, 1, "expected: player NAME = word")
-        names.append(name.strip())
-        w = _parse_word_at(group, word_text, line_no)
-        words.append(w)
-        mats.append(group.eval(w))
-    task = {"op": "pingpong", "subop": subop, "players": {n: group.word_str(w) for n, w in zip(names, words)}, "oracle_len": oracle_len}
+            raise ValueError("expected: player NAME = word")
+        return name.strip(), group.parse_word(_bounded(word_text))
+
+    players_spec = prob.values("player", player)
+    if not players_spec:
+        raise ProblemError(1, 1, "task needs at least one 'player NAME = word'")
+    radius = None if subop == "oracle" else prob.value("radius-sq", parse_rat, None)
+    names = [name for name, _ in players_spec]
+    mats = [group.eval(w) for _, w in players_spec]
+    task = {"op": "pingpong", "subop": subop, "players": {n: group.word_str(w) for n, w in players_spec}, "oracle_len": oracle_len}
     emit = _emitter(group.place, "matrix", _group_header(group), task)
     if subop == "oracle":
         out = freeness_oracle(mats, oracle_len, names=names)
         result = {"oracle": out.kind, "relation": out.word}
         return emit(out.kind, result, [certfmt.claim_oracle(oracle_len, out.kind, out.word, names)])
-    declared = prob.task_get("radius-sq")
     players = []
-    for name, w, m in zip(names, words, mats):
+    for name, m in zip(names, mats):
         cert = auto_very_proximal(m)
         if cert is None:
             return emit("unknown", {"failed_player": name})
-        if declared is not None:
-            radius = parse_rat(declared)
-            c_f, c_b = cert.contraction, cert.very.contraction
-            if subop == "simple-tuple":
-                players.append(simple_player(name, m, ball(c_f.attract, radius), ball(c_b.attract, radius), cert))
-            else:
-                players.append(
-                    PingPongPlayer(
-                        name,
-                        m,
-                        ball(c_f.attract, radius),
-                        hnbhd(c_f.repel, radius),
-                        ball(c_b.attract, radius),
-                        hnbhd(c_b.repel, radius),
-                        cert,
-                    )
-                )
+        c_f, c_b = cert.contraction, cert.very.contraction
+        if radius is None:
+            players.append(player_from_cert(name, m, cert))
+        elif subop == "simple-tuple":
+            players.append(simple_player(name, m, ball(c_f.attract, radius), ball(c_b.attract, radius), cert))
         else:
-            players.append(PingPongPlayer(name, m, *cert.eps_sets, cert))
+            a_plus, a_minus = ball(c_f.attract, radius), ball(c_b.attract, radius)
+            players.append(PingPongPlayer(name, m, a_plus, hnbhd(c_f.repel, radius), a_minus, hnbhd(c_b.repel, radius), cert))
     tup = certify_tuple(players)
     claims = certfmt.claims_for_tuple(tup)
     result = {
@@ -463,64 +444,50 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
     return emit(tup.verdict, result, claims)
 
 
-def _tree_pingpong_cert(prob: Problem, args) -> tuple[dict, int]:
-    am, header = _build_amalgam(prob)
-    oracle_len = int(args.oracle_len or prob.task_get("oracle-len", "8"))
-    words_spec = prob.task_all("word")
-    if not words_spec:
-        raise ProblemError(1, 1, "tree pingpong needs 'word' lines")
-    elements = []
-    for line_no, text in words_spec:
-        with _input_error(TreeError, line_no):
-            elements.append(tree_parse_word(am, text))
-    texts = [text for _, text in words_spec]
-    emit = _emitter(None, "amalgam", header, {"op": "pingpong", "subop": "tree", "words": texts, "oracle_len": oracle_len})
-    with _input_error(TreeError):
-        tup = tree_pingpong(elements, am)
-    claims = certfmt.claims_for_tree_tuple(tup, texts)
-    result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail}
-    if tup.verdict == "certified":
-        oracle = freeness_oracle(elements, oracle_len, names=[f"t{i}" for i in range(len(elements))])
-        claims.append(certfmt.claim_oracle(oracle_len, oracle.kind, oracle.word, texts))
-        result["oracle"] = oracle.kind
-    return emit(tup.verdict, result, claims)
-
-
 def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
     group = _build_group(prob)
     ws = group.word_str
-    subop = _need(prob, "subop")
+    subops = ("truncated-prodense", "conjugate-contract", "b1b2b3", "very-proximal", "normal-proximal", "coset-pingpong", "double-coset")
+    subop = prob.value("subop", _one_of("synthesize subop", *subops))
     task = {"op": "synthesize", "subop": subop}
     emit = _emitter(group.place, "matrix", _group_header(group), task)
-    budgets = _budgets(prob, args.budget or [])
+    # the file's budget lines, then the --budget flags over them
+    budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec) for spec in args.budget or []]))
+
+    def word(text: str) -> Word:
+        return group.parse_word(_bounded(text))
 
     def parse_normals() -> list[NormalData]:
-        normals = {}
-        for line_no, spec in prob.task_all("normal"):
+        def normal(spec: str) -> tuple[str, tuple[Word, ...]]:
             label, eq, reps = spec.partition("=")
             if not eq:
-                raise ProblemError(line_no, 1, "expected: normal LABEL = word [; word ...]")
-            words = tuple(_parse_word_at(group, w, line_no) for w in reps.split(";") if w.strip())
+                raise ValueError("expected: normal LABEL = word [; word ...]")
+            words = tuple(word(w) for w in reps.split(";") if w.strip())
             if not words:
-                raise ProblemError(line_no, 1, "normal datum needs class representatives")
-            normals[label.strip()] = [words, ()]
-        for line_no, spec in prob.task_all("cosets"):
+                raise ValueError("normal datum needs class representatives")
+            return label.strip(), words
+
+        normals = {label: [words, ()] for label, words in prob.values("normal", normal)}
+
+        def cosets(spec: str) -> None:
             label, eq, reps = spec.partition("=")
-            label = label.strip()
-            if not eq or label not in normals:
-                raise ProblemError(line_no, 1, f"cosets for unknown normal {label!r}")
-            normals[label][1] = tuple(_parse_word_at(group, w, line_no) for w in reps.split("|"))
+            if not eq or label.strip() not in normals:
+                raise ValueError(f"cosets for unknown normal {label.strip()!r}")
+            normals[label.strip()][1] = tuple(word(w) for w in reps.split("|"))
+
+        prob.values("cosets", cosets)
         return [NormalData(lbl, reps, cosets) for lbl, (reps, cosets) in normals.items()]
 
     def claims_for(word, cert, *between) -> list[dict]:
         return certfmt.claims_for_cert(ws(word), group.eval(word), cert, *between)
 
+    normals = parse_normals() if subop in ("truncated-prodense", "normal-proximal", "coset-pingpong") else []
+    if len(normals) != 1 and subop in ("normal-proximal", "coset-pingpong"):
+        raise ProblemError(1, 1, f"{subop} takes exactly one 'normal' line")
     if subop == "truncated-prodense":
-        normals = parse_normals()
         if not normals:
             raise ProblemError(1, 1, "truncated-prodense needs at least one 'normal' line")
-        with _input_error():
-            report = truncated_prodense(group, normals, budgets=budgets)
+        report = truncated_prodense(group, normals, budgets=budgets)
         task["normals"] = {d.label: [ws(w) for w in d.class_reps] for d in normals}
         claims, step1, step2 = [], [], {}
         for r in report.step1:
@@ -545,30 +512,24 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
             claims.append(certfmt.claim_oracle(PRODENSE_ORACLE_LEN, report.oracle.kind, report.oracle.word, []))
         return emit(report.verdict, result, claims)
     if subop == "conjugate-contract":
-        g = _task_word(group, prob, "element")
-        x = _task_word(group, prob, "x-element")
-        eps_sq = parse_rat(_need(prob, "epsilon-sq"))
-        m_max = int(prob.task_get("m-max", "8"))
+        g = prob.value("element", word)
+        x = prob.value("x-element", word)
+        eps_sq = prob.value("epsilon-sq", parse_rat)
+        m_max = prob.value("m-max", int, 8)
         task.update({"element": ws(g), "x": ws(x), "epsilon_sq": certfmt.rat(eps_sq)})
-        with _input_error():
-            out = conjugate_contract(group, g, x, m_max, eps_sq)
+        out = conjugate_contract(group, g, x, m_max, eps_sq)
         if out is None:
             return emit("not-found")
-        m, word, cert = out
-        return emit("yes", {"m": m, "word": ws(word), "cert": certfmt.contraction_json(cert)}, claims_for(word, cert))
+        m, w, cert = out
+        return emit("yes", {"m": m, "word": ws(w), "cert": certfmt.contraction_json(cert)}, claims_for(w, cert))
     if subop == "b1b2b3":
-        g = _task_word(group, prob, "element")
-        words = {k: _task_word(group, prob, k) for k in ("b1", "b2", "b3")}
-        attract_line = prob.task_all("attract")
-        repel_line = prob.task_all("repel")
-        if not attract_line or not repel_line:
-            raise ProblemError(1, 1, "b1b2b3 needs 'attract' and 'repel' set literals")
-        a_set = _parse_set(attract_line[0][1], attract_line[0][0], group.place)
-        r_set = _parse_set(repel_line[0][1], repel_line[0][0], group.place)
-        k_max = int(prob.task_get("k-max", "32"))
+        g = prob.value("element", word)
+        b1, b2, b3 = prob.value("b1", word), prob.value("b2", word), prob.value("b3", word)
+        a_set = prob.value("attract", _parse_set)
+        r_set = prob.value("repel", _parse_set)
+        k_max = prob.value("k-max", int, 32)
         task.update({"element": ws(g), "k_max": k_max})
-        with _input_error():
-            out = b1b2b3_synthesize(group, g, a_set, r_set, words["b1"], words["b2"], words["b3"], k_max)
+        out = b1b2b3_synthesize(group, g, a_set, r_set, b1, b2, b3, k_max)
         if out is None:
             return emit("not-found")
         claims = claims_for(out.word, out.cert) + [
@@ -585,33 +546,25 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         }
         return emit("yes", result, claims)
     if subop == "very-proximal":
-        g = _task_word(group, prob, "element")
-        word_len = int(prob.task_get("word-len", "2"))
-        r_sq = parse_rat(_need(prob, "r-sq"))
-        eps_sq = parse_rat(_need(prob, "epsilon-sq"))
+        g = prob.value("element", word)
+        word_len = prob.value("word-len", int, 2)
+        r_sq = prob.value("r-sq", parse_rat)
+        eps_sq = prob.value("epsilon-sq", parse_rat)
         task.update({"element": ws(g), "r_sq": certfmt.rat(r_sq), "epsilon_sq": certfmt.rat(eps_sq)})
-        with _input_error():
-            out = very_proximal_search(group, g, word_len, r_sq, eps_sq)
+        out = very_proximal_search(group, g, word_len, r_sq, eps_sq)
         if out is None:
             return emit("not-found")
         f1, f2, w, cert = out
         result = {"f1": ws(f1), "f2": ws(f2), "word": ws(w), "cert": certfmt.proximal_json(cert)}
         return emit("yes", result, claims_for(w, cert))
     if subop == "normal-proximal":
-        normals = parse_normals()
-        if len(normals) != 1:
-            raise ProblemError(1, 1, "normal-proximal takes exactly one 'normal' line")
-        with _input_error():
-            out = normal_proximal(group, normals[0], None, budgets)
+        out = normal_proximal(group, normals[0], None, budgets)
         if out is None:
             return emit("not-found")
         membership = certfmt.claim_normal_membership(ws(out.word), ws(out.proof.to_word(list(normals[0].class_reps))))
         result = {"word": ws(out.word), "cert": certfmt.proximal_json(out.cert)}
         return emit("yes", result, claims_for(out.word, out.cert, membership))
     if subop == "coset-pingpong":
-        normals = parse_normals()
-        if len(normals) != 1:
-            raise ProblemError(1, 1, "coset-pingpong takes exactly one 'normal' line")
         data = normals[0]
         if not data.coset_reps:
             raise ProblemError(1, 1, "coset-pingpong needs a 'cosets' line")
@@ -628,40 +581,53 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
             deltas.append({"coset": ws(cr.coset_rep), "word": ws(cr.word), "power": cr.power})
         result = {"deltas": deltas, "failed": [ws(w) for w in failed], "a_N": ws(a_n.word)}
         return emit("yes" if got and not failed else ("unknown" if got else "not-found"), result, claims)
-    if subop == "double-coset":
-        h1 = _task_word(group, prob, "h1")
-        h2 = _task_word(group, prob, "h2")
-        cs = [_parse_word_at(group, spec, line_no) for line_no, spec in prob.task_all("coset-rep")]
-        c1 = auto_very_proximal(group.eval(h1))
-        c2 = auto_very_proximal(group.eval(h2))
-        if c1 is None or c2 is None:
-            return emit("unknown", {"reason": "h1/h2 not certified"})
-        out = double_coset_wrap(group, h1, h2, c1, c2, cs, budgets)
-        claims, items = [], []
-        for r in out:
-            if r.skipped:
-                items.append({"coset": ws(r.original), "skipped": r.skipped})
-                continue
-            claims += claims_for(r.word, r.cert)
-            items.append({"coset": ws(r.original), "m": r.m, "n": r.n, "word": ws(r.word)})
-        # every representative wrapped, or skipped as a trivial double coset
-        return emit("yes" if len(out) == len(cs) else "unknown", {"wrapped": items}, claims)
-    raise ProblemError(1, 1, f"unknown synthesize subop {subop!r}")
+    # double-coset
+    h1 = prob.value("h1", word)
+    h2 = prob.value("h2", word)
+    cs = prob.values("coset-rep", word)
+    c1 = auto_very_proximal(group.eval(h1))
+    c2 = auto_very_proximal(group.eval(h2))
+    if c1 is None or c2 is None:
+        return emit("unknown", {"reason": "h1/h2 not certified"})
+    out = double_coset_wrap(group, h1, h2, c1, c2, cs, budgets)
+    claims, items = [], []
+    for r in out:
+        if r.skipped:
+            items.append({"coset": ws(r.original), "skipped": r.skipped})
+            continue
+        claims += claims_for(r.word, r.cert)
+        items.append({"coset": ws(r.original), "m": r.m, "n": r.n, "word": ws(r.word)})
+    # every representative wrapped, or skipped as a trivial double coset
+    return emit("yes" if len(out) == len(cs) else "unknown", {"wrapped": items}, claims)
 
 
 def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
     am, header = _build_amalgam(prob)
-    subop = _need(prob, "subop")
+    subop = prob.value("subop", _one_of("tree subop", "normal-form", "classify", "expand", "pingpong", "kernel"))
     task = {"op": "tree", "subop": subop}
-    emit = _emitter(None, "amalgam", header, task)
+
+    def word(text: str) -> tuple[str, object]:
+        # certificates echo the word as written
+        return text, tree_parse_word(am, _bounded(text))
+
     if subop in ("normal-form", "classify"):
-        text = _need(prob, "word")
-        with _input_error(TreeError):
-            w = tree_parse_word(am, text)
-        task["word"] = text
+        task["word"], w = prob.value("word", word)
+    elif subop == "expand":
+        radius = prob.value("radius", lambda text: ball_radius(am, int(text)), DEFAULT_RADIUS)
+        if args.radius is not None:
+            radius = ball_radius(am, args.radius)
+        task["radius"] = radius
+    elif subop == "pingpong":
+        oracle_len = _oracle_len_of(prob, args, 8)
+        words = prob.values("word", word)
+        if not words:
+            raise ProblemError(1, 1, "tree pingpong needs 'word' lines")
+        texts = [text for text, _ in words]
+        task = {"op": "pingpong", "subop": "tree", "words": texts, "oracle_len": oracle_len}
+    emit = _emitter(None, "amalgam", header, task)
     if subop == "normal-form":
         result = {"syllables": [list(s) for s in w.syllables], "tail": w.tail, "is_identity": w.is_identity()}
-        return emit("ok", result, [certfmt.claim_tree_normal_form(text, w)])
+        return emit("ok", result, [certfmt.claim_tree_normal_form(task["word"], w)])
     if subop == "classify":
         out = classify(w, am)
         result = {"kind": out.kind}
@@ -670,9 +636,8 @@ def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
             result["axis_edge"] = [certfmt.vertex_json(out.axis_edge[0]), certfmt.vertex_json(out.axis_edge[1])]
         else:
             result["fixed_vertex"] = certfmt.vertex_json(out.fixed_vertex)
-        return emit("ok", result, [certfmt.claim_tree_classify(text, out)])
+        return emit("ok", result, [certfmt.claim_tree_classify(task["word"], out)])
     if subop == "expand":
-        radius = int(args.radius or prob.task_get("radius", str(DEFAULT_RADIUS)))
         tree = BassSerreTree(am)
         claims, listing = [], []
         for v, depth in sorted(expand_tree(am, radius=radius).items(), key=lambda kv: (kv[1], str(kv[0]))):
@@ -681,14 +646,19 @@ def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
                 entry["degree"] = len(tree.neighbors(v))
                 claims.append(certfmt.claim_tree_degree(v, entry["degree"]))
             listing.append(entry)
-        task["radius"] = radius
         return emit("ok", {"vertices": listing, "count": len(listing)}, claims)
     if subop == "pingpong":
-        return _tree_pingpong_cert(prob, args)
-    if subop == "kernel":
-        k = kernel_of_action(am)
-        return emit("ok", {"elements": k, "names": [am.group_h.name_of(x) for x in k]}, [certfmt.claim_kernel(k)])
-    raise ProblemError(1, 1, f"unknown tree subop {subop!r}")
+        elements = [w for _, w in words]
+        tup = tree_pingpong(elements, am)
+        claims = certfmt.claims_for_tree_tuple(tup, texts)
+        result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail}
+        if tup.verdict == "certified":
+            oracle = freeness_oracle(elements, oracle_len, names=[f"t{i}" for i in range(len(elements))])
+            claims.append(certfmt.claim_oracle(oracle_len, oracle.kind, oracle.word, texts))
+            result["oracle"] = oracle.kind
+        return emit(tup.verdict, result, claims)
+    k = kernel_of_action(am)
+    return emit("ok", {"elements": k, "names": [am.group_h.name_of(x) for x in k]}, [certfmt.claim_kernel(k)])
 
 
 def cmd_verify(path: str) -> int:
@@ -724,8 +694,13 @@ def _run_problem(args, runner) -> int:
         if args.place:
             prob.place = parse_place(args.place)
         if args.oracle_len is not None:
-            _check_oracle_len(args.oracle_len, "--oracle-len")
+            _oracle_len(args.oracle_len, "--oracle-len")
+        prob.value("op", _one_of("op", args.command), None)
         cert, code = runner(prob, args)
+        unread = sorted((lines[0][0], key) for key, lines in prob.task.items() if key not in prob.read)
+        if unread:
+            line, key = unread[0]
+            raise ProblemError(line, 1, f"'{key}' is not a key of this {args.command} task")
     except ProblemError as e:
         print(f"{args.problem}:{e}", file=sys.stderr)
         return EXIT_INPUT

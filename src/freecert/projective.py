@@ -52,9 +52,6 @@ class ProjPoint:
     def dim(self) -> int:
         return len(self.rep)
 
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.rep) + "]"
-
 
 @dataclass(frozen=True)
 class ProjHyperplane:
@@ -71,9 +68,6 @@ class ProjHyperplane:
 
     def dual_point(self) -> ProjPoint:
         return ProjPoint(self.functional)
-
-    def __str__(self) -> str:
-        return "ker(" + ", ".join(str(c) for c in self.functional) + ")"
 
 
 def norm_sq(v: Vec, place: Place) -> Rat:

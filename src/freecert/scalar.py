@@ -7,7 +7,8 @@ p^(-v) is itself a rational, so all downstream comparisons stay exact.
 
 This module also hosts the square-root toolbox used everywhere above it:
 rational two-sided bounds of width <= 2^-40, and exact sign tests for
-expressions of the form sqrt(a) + sqrt(b) - sqrt(c).
+expressions of the form sqrt(a) + sqrt(b) - sqrt(c).  Last come the
+literal parsers that both backends share: rationals and `name^k` words.
 """
 
 from __future__ import annotations
@@ -212,6 +213,20 @@ def parse_rat(text: str) -> Rat:
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed rational literal {text!r}") from None
+
+
+def word_tokens(text: str) -> list[tuple[str, int]]:
+    """The (name, k) pairs of a whitespace word `name^k name ...`, with
+    k = 1 where `^k` is omitted.  Nothing is expanded, so the letter count
+    sum |k| of a long word is known before it is built."""
+    tokens = []
+    for token in text.split():
+        name, _, power = token.partition("^")
+        try:
+            tokens.append((name, int(power) if power else 1))
+        except ValueError:
+            raise ValueError(f"bad exponent in {token!r}") from None
+    return tokens
 
 
 def format_rat(x: Rat) -> str:

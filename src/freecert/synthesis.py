@@ -41,7 +41,7 @@ from .projective import (
     set_contains,
     set_disjoint,
 )
-from .scalar import Rat, sqrt_upper
+from .scalar import Rat, sqrt_upper, word_tokens
 
 Word = tuple[tuple[int, int], ...]  # letters (generator index, +-1), freely reduced
 
@@ -112,11 +112,8 @@ class MarkedGroup:
 
     def parse_word(self, text: str) -> Word:
         letters = []
-        for token in text.split():
-            name, _, power = token.partition("^")
-            idx = self.gen_index(name)
-            e = int(power) if power else 1
-            letters.extend([(idx, 1 if e > 0 else -1)] * abs(e))
+        for name, e in word_tokens(text):
+            letters.extend([(self.gen_index(name), 1 if e > 0 else -1)] * abs(e))
         return concat(letters)
 
     def word_str(self, w: Word) -> str:

@@ -18,7 +18,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
+from .scalar import word_tokens
+
 DEFAULT_RADIUS = 8
+#: Most vertices a ball listed by `expand_tree` may hold.  Its layers grow
+#: by the factor ([A:H] - 1)([B:H] - 1) every two steps, so a large radius
+#: would not fail but run for minutes and write a certificate of hundreds
+#: of megabytes.
+MAX_BALL_VERTICES = 10_000
 
 
 class TreeError(ValueError):
@@ -223,14 +230,6 @@ class TreeAut:
             out = out.append_letter(tag, am.factor(tag).inv(x))
         return out
 
-    def __str__(self) -> str:
-        if self.is_identity():
-            return "e"
-        parts = [self.amalgam.factor(tag).name_of(x) for tag, x in self.syllables]
-        if self.tail != self.amalgam.group_h.identity:
-            parts.append(f"h[{self.amalgam.group_h.name_of(self.tail)}]")
-        return " ".join(parts)
-
 
 def identity_aut(amalgam: AmalgamData) -> TreeAut:
     return TreeAut(amalgam, (), amalgam.group_h.identity)
@@ -249,19 +248,14 @@ def normal_form(amalgam: AmalgamData, letters: Iterable[Letter]) -> TreeAut:
 
 
 def parse_word(amalgam: AmalgamData, text: str) -> TreeAut:
-    """Parse a whitespace word of element names, with optional ^-1."""
+    """Parse a whitespace word of element names, with optional ^k."""
     table = amalgam.letter_names()
 
     def letters():
-        for token in text.split():
-            name, _, power = token.partition("^")
+        for name, e in word_tokens(text):
             if name not in table:
                 raise TreeError(f"unknown letter {name!r}")
             tag, idx = table[name]
-            try:
-                e = int(power) if power else 1
-            except ValueError:
-                raise TreeError(f"bad exponent in {token!r}") from None
             yield from repeat((tag, idx if e >= 0 else amalgam.factor(tag).inv(idx)), abs(e))
 
     return normal_form(amalgam, letters())
@@ -352,11 +346,30 @@ class BassSerreTree:
         return len(self.geodesic(u, v, cap)) - 1
 
 
+def ball_radius(amalgam: AmalgamData, radius: int) -> int:
+    """`radius`, refused when the ball of that radius around the base
+    vertex of A would hold more than MAX_BALL_VERTICES vertices.  The ball
+    is counted layer by layer from the coset indices, building no vertex:
+    the base vertex has [A:H] neighbours, and every other vertex of type X
+    has [X:H] - 1 neighbours one step further out."""
+    if radius < 0:
+        raise TreeError("radius must be >= 0")
+    index = {tag: len(amalgam.transversal(tag)) + 1 for tag in "AB"}
+    size = layer = 1
+    for d in range(1, radius + 1):
+        layer *= index["A"] if d == 1 else index["B" if d % 2 == 0 else "A"] - 1
+        size += layer
+        if size > MAX_BALL_VERTICES:
+            raise TreeError(f"a ball of radius {radius} holds more than MAX_BALL_VERTICES = {MAX_BALL_VERTICES} vertices")
+        if not layer:
+            break
+    return radius
+
+
 def expand_tree(amalgam: AmalgamData, radius: int = 1) -> dict[Vertex, int]:
     """Finite ball of the tree around the base vertex of A: vertices with
     their depths."""
-    if radius < 0:
-        raise TreeError("radius must be >= 0")
+    ball_radius(amalgam, radius)
     tree = BassSerreTree(amalgam)
     return tree.ball(tree.base_vertex("A"), radius)
 

@@ -1,5 +1,9 @@
+import ast
+import itertools
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -558,3 +562,93 @@ def test_word_beyond_limit_fails_fast(tmp_path, capsys):
     code, cert, _ = run(tmp_path, "analyze", SANOV_HEADER + body + "a^32 b^-32\n")
     assert code == 0 and cert["task"]["element"] == "a " * 32 + "b^-1 " * 31 + "b^-1"
     assert time.perf_counter() - t0 < 1
+
+
+def test_tree_word_beyond_limit_fails_fast(tmp_path, capsys):
+    task = mod_amalgam_header() + "\n[task]\nop tree\nsubop {}\n"
+    t0 = time.perf_counter()
+    for word in ("s t^100000", "s t^1000000"):
+        for subop in ("normal-form", "classify"):
+            code, cert, _ = run(tmp_path, "tree", task.format(subop) + f"word {word}\n")
+            assert code == 2 and cert is None
+            assert f"in.prob:22:6: word of {1 + int(word[4:])} letters exceeds MAX_WORD_LEN = 64" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "tree", task.format("pingpong") + "word s t\nword s t^65\n")
+    assert code == 2 and cert is None
+    assert "in.prob:23:1: word of 66 letters" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+    # within the limit the certificate echoes the word as written
+    code, cert, _ = run(tmp_path, "tree", task.format("classify") + "word s t^63\n")
+    assert code == 0 and cert["task"]["word"] == "s t^63"
+
+
+def test_bad_values_fail_before_any_search_with_a_position(tmp_path, capsys):
+    power = "format 1\nplace arch\n[matrix-group]\ngen g = [[2, 0], [0, 1]]\n[task]\nop analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\n"
+    # one of these players does not certify, so the run ends in unknown
+    players = "format 1\nplace arch\n[matrix-group]\ngen a = [[2, 1], [1, 1]]\ngen b = [[1, 2], [0, 1]]\n[task]\nop pingpong\nplayer g1 = a\nplayer g2 = b\n"
+    for command, text, where in (
+        ("analyze", MATRIX_HEADER + "\n[task]\nop analyze\nsubop contracting\nelement a\nepsilon-sq abc\n", "in.prob:13:12: malformed rational"),
+        ("analyze", power + "max-n x\n", "in.prob:11:7: invalid literal"),
+        ("synthesize", SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\nbudget power_max=x\n", "in.prob:13:1: invalid literal"),
+        ("pingpong", players + "radius-sq x\n", "in.prob:10:11: malformed rational"),
+    ):
+        code, cert, _ = run(tmp_path, command, text)
+        assert code == 2 and cert is None
+        assert where in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "pingpong", players + "radius-sq 1/10\n")
+    assert code == 4 and "failed_player" in cert["result"]
+
+
+def test_unread_key_and_mismatched_op_are_input_errors(tmp_path, capsys):
+    power = "format 1\nplace arch\n[matrix-group]\ngen g = [[2, 0], [0, 1]]\n[task]\nop analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\n"
+    code, cert, _ = run(tmp_path, "analyze", power + "max_n 20\n")
+    assert code == 2 and cert is None
+    assert "in.prob:11:1: 'max_n' is not a key of this analyze task" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", power.replace("op analyze", "op tree"))
+    assert code == 2 and cert is None
+    assert "in.prob:6:4: op 'tree' is not one of: analyze" in capsys.readouterr().err
+    # a flag that overrides a key still reads and checks the file's value
+    oracle = SANOV_HEADER + "\n[task]\nop pingpong\nsubop oracle\nplayer a = a\nplayer b = b\noracle-len 99\n"
+    expand = mod_amalgam_header() + "\n[task]\nop tree\nsubop expand\nradius x\n"
+    budget = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\nbudget k_max=1\n"
+    for command, text, flag in (("pingpong", oracle, "--oracle-len"), ("tree", expand, "--radius"), ("synthesize", budget, "--budget")):
+        code, cert, _ = run(tmp_path, command, text, flag, "host_word_len=1" if flag == "--budget" else "2")
+        assert code == 2 and cert is None
+        assert re.search(r"in\.prob:\d+:\d+: ", capsys.readouterr().err)
+
+
+def test_tree_expand_beyond_vertex_limit_fails_fast(tmp_path, capsys):
+    # Z/3 * Z/3: the ball of radius 16 has 196606 vertices
+    c3 = "0 1 2\n1 2 0\n2 0 1"
+    header = f"format 1\n[amalgam]\nnames-a e a1 a2\ntable-a\n{c3}\nnames-b e b1 b2\ntable-b\n{c3}\ntable-h\n0\nembed-a 0\nembed-b 0\n"
+    task = header + "[task]\nop tree\nsubop expand\nradius {}\n"
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "tree", task.format(16))
+    assert code == 2 and cert is None
+    assert "in.prob:20:8: a ball of radius 16 holds more than MAX_BALL_VERTICES = 10000 vertices" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "tree", task.format(2), "--radius", "16")
+    assert code == 2 and cert is None
+    assert time.perf_counter() - t0 < 1
+    code, cert, _ = run(tmp_path, "tree", task.format(4))
+    assert code == 0 and cert["result"]["count"] == 1 + 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 * 2 * 2
+
+
+def test_readme_task_key_table_matches_the_cli():
+    """The README's `[task]` key table lists exactly the keys that
+    `cli.py` passes as string literals to `Problem.value` and `values`."""
+    root = Path(__file__).resolve().parents[1]
+    read = {
+        node.args[0].value
+        for node in ast.walk(ast.parse((root / "src" / "freecert" / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("value", "values")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    }
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | read by | default | limit |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :])
+    listed = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert "element" in read and "budget" in read
+    assert listed == read

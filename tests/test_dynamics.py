@@ -419,6 +419,32 @@ def test_push_set_hnbhd_p1():
     assert comp.radius_sq == F(1, 25)
 
 
+def test_push_set_hnbhd_sound_on_samples():
+    # in P^2 a hyperplane neighborhood is pushed by push_hnbhd: every
+    # sampled point of the neighborhood must land in the pushed set.  The
+    # rotation is an isometry, so its bound is tight and some samples land
+    # near the pushed boundary; the shear stretches
+    from freecert.projective import hnbhd
+
+    s = hnbhd(ProjHyperplane((1, -1, 2)), F(1, 25))
+    for rows in (((0, -1, 0), (1, 0, 0), (0, 0, 1)), ((2, 1, 0), (0, 1, 0), (0, 0, 1))):
+        g = ProjMat(rows, ARCH)
+        pushed = push_set(g, s)
+        rng = random.Random(19)
+        inside = 0
+        for _ in range(300):
+            a, b = F(rng.randint(-30, 30), rng.randint(1, 5)), F(rng.randint(-30, 30), rng.randint(1, 5))
+            # near the plane x - y + 2z = 0
+            z = (b - a) / 2 + F(rng.randint(-20, 20), rng.randint(1, 4))
+            if not (a or b or z):
+                continue
+            x = ProjPoint((a, b, z))
+            if set_member(x, s, ARCH):
+                inside += 1
+                assert set_member(apply(g, x), pushed, ARCH)
+        assert inside >= 50
+
+
 def test_padic_exponents_fast_path_matches_general():
     import random
 

@@ -190,6 +190,13 @@ def test_hyperplane_neighborhoods_always_meet_in_higher_dim():
     assert dist_to_hyperplane_sq(v.witness, h2, ARCH) == 0
 
 
+def test_neighborhoods_of_one_plane_overlap_on_it():
+    h = ProjHyperplane((1, 2, 3))
+    v = set_disjoint(hnbhd(h, F(1, 100)), hnbhd(ProjHyperplane((2, 4, 6)), F(1, 25)), ARCH)
+    assert v.kind == "overlap"
+    assert dist_to_hyperplane_sq(v.witness, h, ARCH) == 0
+
+
 def test_set_disjoint_padic():
     v = set_disjoint(ball(E1, F(1, 25)), ball(E2, F(1, 25)), P5)
     assert v.kind == "disjoint"

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from freecert import tree as tree_module
 from freecert.pingpong import freeness_oracle
 from freecert.tree import (
     AmalgamData,
@@ -9,6 +10,7 @@ from freecert.tree import (
     FiniteGroup,
     ShadowSet,
     TreeError,
+    ball_radius,
     classify,
     expand_tree,
     kernel_of_action,
@@ -118,6 +120,27 @@ def test_expand_tree_degrees():
     assert expand_tree(am, radius=0) == {("A", ()): 0}
     # ball of radius 1 around the A-vertex has [A:H] = 2 edges
     assert len(expand_tree(am, radius=1)) == 1 + 2
+
+
+def test_ball_radius_refuses_exactly_the_balls_over_the_limit(monkeypatch):
+    # the count from the coset indices against balls actually built, with
+    # the limit lowered so that the refused balls stay small
+    monkeypatch.setattr(tree_module, "MAX_BALL_VERTICES", 100)
+    c3_star_c3 = AmalgamData(c3(), c3(), trivial(), (0,), (0,))
+    c2_over_c2 = AmalgamData(c2(), c2(), c2(), (0, 1), (0, 1))
+    refused = 0
+    for am in (mod_amalgam(), s3_over_c2(), s3_over_a3(), c3_star_c3, c2_over_c2):
+        tree = BassSerreTree(am)
+        for radius in range(9):
+            if len(tree.ball(tree.base_vertex("A"), radius)) <= 100:
+                assert ball_radius(am, radius) == radius
+            else:
+                refused += 1
+                with pytest.raises(TreeError, match="MAX_BALL_VERTICES = 100"):
+                    expand_tree(am, radius)
+    assert refused >= 5
+    with pytest.raises(TreeError, match="MAX_BALL_VERTICES"):
+        ball_radius(c3_star_c3, 10**9)
 
 
 def test_expand_tree_s3_degree():
