@@ -22,7 +22,7 @@ from .dynamics import (
     power_to_proximal,
     singular_profile,
 )
-from .pingpong import PingPongPlayer, certify_tuple, freeness_oracle, simple_player
+from .pingpong import MAX_ORACLE_WORDS, PingPongPlayer, certify_tuple, freeness_oracle, oracle_words, simple_player
 from .projective import ProjHyperplane, ProjMat, ProjPoint, ProjSet, ball, hnbhd
 from .scalar import ARCH, Place, parse_place, parse_rat, word_tokens
 from .synthesis import (
@@ -61,10 +61,19 @@ EXIT_INPUT = 2
 EXIT_REFUTED = 3
 EXIT_UNKNOWN = 4
 
-#: Longest word the freeness oracle may be asked to search.  It visits
-#: every reduced word, (2k - 1)^L of them for k players, so a larger
-#: oracle-len would not fail but run for hours.
+#: Longest word the freeness oracle may be asked to search.  It stores
+#: the reduced words of half that length, (2k)(2k - 1)^(L/2 - 1) of them
+#: for k players, which `pingpong.MAX_ORACLE_WORDS` bounds as well.
 MAX_ORACLE_LEN = 12
+#: Largest exponent a power search may try: `max-n` (g^n), `m-max`
+#: (g^m x g^-m) and `k-max` (g^-(k+1)).  Each exponent is one more
+#: certification of a matrix whose entries grow with it, so a larger
+#: value would not fail but run for minutes.
+MAX_EXPONENT = 64
+#: Longest word `synthesize very-proximal` tries for f1 and f2.  It
+#: certifies every pair of words up to that length, 2809 pairs for two
+#: generators at length 3, so a longer one would run for minutes.
+MAX_SEARCH_WORD_LEN = 3
 #: Most letters a problem-file word may expand to.  Each letter is a
 #: matrix product whose entries grow with the word, or a tree normal-form
 #: step, so a long word would not fail but run for minutes and overflow
@@ -86,9 +95,11 @@ _REQUIRED = object()
 
 
 class Problem:
-    """A parsed problem file.  Commands read `[task]` values only through
-    `value` and `values`, which parse, position errors and record each
-    key as read, so a key no command reads can be refused."""
+    """A parsed problem file and the command-line flags given with it.
+    Commands read `[task]` values only through `value` and `values`,
+    which parse, position errors and record each key as read, and flags
+    only through `flag`, so a key or flag no command reads can be
+    refused."""
 
     def __init__(self):
         self.place: Place | None = None
@@ -96,7 +107,8 @@ class Problem:
         self.generators: list[tuple[str, list[list[Fraction]]]] = []
         self.amalgam_raw: dict = {}
         self.task: dict[str, list[tuple[int, str]]] = {}  # key -> [(line, value)]
-        self.read: set[str] = set()
+        self.flags: dict[str, object] = {}  # command-line flag given -> its parsed value
+        self.read: set[str] = set()  # task keys and flags a command read
 
     def value(self, key: str, parse, default=_REQUIRED):
         """`parse` of the key's first value, or `default` when the key is
@@ -115,6 +127,20 @@ class Problem:
         error is reported at the start of the value's line."""
         self.read.add(key)
         return [_parsed(parse, text, line) for line, text in self.task.get(key, [])]
+
+    def flag(self, name: str):
+        """The value of the flag `name` (such as `--budget`), or None when
+        it was not given."""
+        self.read.add(name)
+        return self.flags.get(name)
+
+    def oracle_fits(self, key: str, k: int, oracle_len: int) -> None:
+        """Refuse k oracle elements, at the last `key` line, when the search
+        to oracle_len would store more than MAX_ORACLE_WORDS words."""
+        words = oracle_words(k, oracle_len)
+        if words > MAX_ORACLE_WORDS:
+            line = self.task[key][-1][0]
+            raise ProblemError(line, 1, f"{k} elements at oracle-len {oracle_len} store {words} words, over MAX_ORACLE_WORDS = {MAX_ORACLE_WORDS}")
 
 
 def _parsed(parse, text: str, line: int, col: int = 1):
@@ -249,7 +275,7 @@ def parse_problem(text: str) -> Problem:
 def _build_group(prob: Problem) -> MarkedGroup:
     if not prob.generators:
         raise ProblemError(1, 1, "task needs a [matrix-group] section")
-    place = prob.place or ARCH
+    place = prob.flag("--place") or prob.place or ARCH
     try:
         gens = tuple((name, ProjMat(tuple(tuple(r) for r in rows), place)) for name, rows in prob.generators)
         return MarkedGroup(gens)
@@ -291,17 +317,23 @@ def _bounded(text: str) -> str:
     return text
 
 
-def _oracle_len(text: str | int, source: str = "oracle-len") -> int:
-    n = int(text)
-    if not 1 <= n <= MAX_ORACLE_LEN:
-        raise ValueError(f"{source} {n} is outside 1..{MAX_ORACLE_LEN}")
-    return n
+def _int_in(what: str, low: int, high: int):
+    """A parser of an integer `what` in low..high."""
+
+    def parse(text: str | int) -> int:
+        n = int(text)
+        if not low <= n <= high:
+            raise ValueError(f"{what} {n} is outside {low}..{high}")
+        return n
+
+    return parse
 
 
-def _oracle_len_of(prob: Problem, args, default: int) -> int:
+def _oracle_len_of(prob: Problem, default: int) -> int:
     """The file's `oracle-len`, checked even when `--oracle-len` overrides it."""
-    n = prob.value("oracle-len", _oracle_len, default)
-    return n if args.oracle_len is None else args.oracle_len
+    n = prob.value("oracle-len", _int_in("oracle-len", 1, MAX_ORACLE_LEN), default)
+    flag = prob.flag("--oracle-len")
+    return n if flag is None else flag
 
 
 def _one_of(what: str, *names: str):
@@ -349,7 +381,7 @@ def _emitter(place: Place | None, backend: str, header: dict, task: dict):
     return emit
 
 
-def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
+def cmd_analyze(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = prob.value("subop", _one_of("analyze subop", "profile", "contracting", "proximal", "very-proximal", "power-proximal"))
     word = prob.value("element", lambda text: group.parse_word(_bounded(text)))
@@ -361,7 +393,7 @@ def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
         r_sq = prob.value("r-sq", parse_rat)
         task["r_sq"] = certfmt.rat(r_sq)
     if subop == "power-proximal":
-        task["max_n"] = max_n = prob.value("max-n", int, 16)
+        task["max_n"] = max_n = prob.value("max-n", _int_in("max-n", 1, MAX_EXPONENT), 16)
     m = group.eval(word)
     emit = _emitter(group.place, "matrix", _group_header(group), task)
     word_eval = [certfmt.claim_word_eval(task["element"], m)]
@@ -390,10 +422,10 @@ def cmd_analyze(prob: Problem, args) -> tuple[dict, int]:
     return emit(v.kind, {}, word_eval)
 
 
-def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
+def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = prob.value("subop", _one_of("pingpong subop", "tuple", "simple-tuple", "oracle"), "tuple")
-    oracle_len = _oracle_len_of(prob, args, 6)
+    oracle_len = _oracle_len_of(prob, 6)
 
     def player(spec: str) -> tuple[str, Word]:
         name, eq, word_text = spec.partition("=")
@@ -404,6 +436,7 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
     players_spec = prob.values("player", player)
     if not players_spec:
         raise ProblemError(1, 1, "task needs at least one 'player NAME = word'")
+    prob.oracle_fits("player", len(players_spec), oracle_len)
     radius = None if subop == "oracle" else prob.value("radius-sq", parse_rat, None)
     names = [name for name, _ in players_spec]
     mats = [group.eval(w) for _, w in players_spec]
@@ -444,7 +477,7 @@ def cmd_pingpong(prob: Problem, args) -> tuple[dict, int]:
     return emit(tup.verdict, result, claims)
 
 
-def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
+def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     ws = group.word_str
     subops = ("truncated-prodense", "conjugate-contract", "b1b2b3", "very-proximal", "normal-proximal", "coset-pingpong", "double-coset")
@@ -452,7 +485,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
     task = {"op": "synthesize", "subop": subop}
     emit = _emitter(group.place, "matrix", _group_header(group), task)
     # the file's budget lines, then the --budget flags over them
-    budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec) for spec in args.budget or []]))
+    budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec) for spec in prob.flag("--budget") or []]))
 
     def word(text: str) -> Word:
         return group.parse_word(_bounded(text))
@@ -487,6 +520,8 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
     if subop == "truncated-prodense":
         if not normals:
             raise ProblemError(1, 1, "truncated-prodense needs at least one 'normal' line")
+        if any(d.coset_reps for d in normals):  # the host and one element per coset
+            prob.oracle_fits("cosets", 1 + sum(len(d.coset_reps) for d in normals), PRODENSE_ORACLE_LEN)
         report = truncated_prodense(group, normals, budgets=budgets)
         task["normals"] = {d.label: [ws(w) for w in d.class_reps] for d in normals}
         claims, step1, step2 = [], [], {}
@@ -515,7 +550,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         g = prob.value("element", word)
         x = prob.value("x-element", word)
         eps_sq = prob.value("epsilon-sq", parse_rat)
-        m_max = prob.value("m-max", int, 8)
+        m_max = prob.value("m-max", _int_in("m-max", 1, MAX_EXPONENT), 8)
         task.update({"element": ws(g), "x": ws(x), "epsilon_sq": certfmt.rat(eps_sq)})
         out = conjugate_contract(group, g, x, m_max, eps_sq)
         if out is None:
@@ -527,7 +562,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         b1, b2, b3 = prob.value("b1", word), prob.value("b2", word), prob.value("b3", word)
         a_set = prob.value("attract", _parse_set)
         r_set = prob.value("repel", _parse_set)
-        k_max = prob.value("k-max", int, 32)
+        k_max = prob.value("k-max", _int_in("k-max", 0, MAX_EXPONENT), 32)
         task.update({"element": ws(g), "k_max": k_max})
         out = b1b2b3_synthesize(group, g, a_set, r_set, b1, b2, b3, k_max)
         if out is None:
@@ -547,7 +582,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
         return emit("yes", result, claims)
     if subop == "very-proximal":
         g = prob.value("element", word)
-        word_len = prob.value("word-len", int, 2)
+        word_len = prob.value("word-len", _int_in("word-len", 1, MAX_SEARCH_WORD_LEN), 2)
         r_sq = prob.value("r-sq", parse_rat)
         eps_sq = prob.value("epsilon-sq", parse_rat)
         task.update({"element": ws(g), "r_sq": certfmt.rat(r_sq), "epsilon_sq": certfmt.rat(eps_sq)})
@@ -601,7 +636,7 @@ def cmd_synthesize(prob: Problem, args) -> tuple[dict, int]:
     return emit("yes" if len(out) == len(cs) else "unknown", {"wrapped": items}, claims)
 
 
-def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
+def cmd_tree(prob: Problem) -> tuple[dict, int]:
     am, header = _build_amalgam(prob)
     subop = prob.value("subop", _one_of("tree subop", "normal-form", "classify", "expand", "pingpong", "kernel"))
     task = {"op": "tree", "subop": subop}
@@ -614,14 +649,16 @@ def cmd_tree(prob: Problem, args) -> tuple[dict, int]:
         task["word"], w = prob.value("word", word)
     elif subop == "expand":
         radius = prob.value("radius", lambda text: ball_radius(am, int(text)), DEFAULT_RADIUS)
-        if args.radius is not None:
-            radius = ball_radius(am, args.radius)
+        flag = prob.flag("--radius")
+        if flag is not None:
+            radius = ball_radius(am, flag)
         task["radius"] = radius
     elif subop == "pingpong":
-        oracle_len = _oracle_len_of(prob, args, 8)
+        oracle_len = _oracle_len_of(prob, 8)
         words = prob.values("word", word)
         if not words:
             raise ProblemError(1, 1, "tree pingpong needs 'word' lines")
+        prob.oracle_fits("word", len(words), oracle_len)
         texts = [text for text, _ in words]
         task = {"op": "pingpong", "subop": "tree", "words": texts, "oracle_len": oracle_len}
     emit = _emitter(None, "amalgam", header, task)
@@ -691,16 +728,22 @@ def _run_problem(args, runner) -> int:
         return EXIT_INPUT
     try:
         prob = parse_problem(text)
-        if args.place:
-            prob.place = parse_place(args.place)
-        if args.oracle_len is not None:
-            _oracle_len(args.oracle_len, "--oracle-len")
+        given = (
+            ("--place", args.place, parse_place),
+            ("--budget", args.budget, list),
+            ("--radius", args.radius, int),
+            ("--oracle-len", args.oracle_len, _int_in("--oracle-len", 1, MAX_ORACLE_LEN)),
+        )
+        prob.flags = {name: parse(value) for name, value, parse in given if value is not None}
         prob.value("op", _one_of("op", args.command), None)
-        cert, code = runner(prob, args)
+        cert, code = runner(prob)
         unread = sorted((lines[0][0], key) for key, lines in prob.task.items() if key not in prob.read)
         if unread:
             line, key = unread[0]
             raise ProblemError(line, 1, f"'{key}' is not a key of this {args.command} task")
+        unread_flags = [name for name in prob.flags if name not in prob.read]
+        if unread_flags:
+            raise ValueError(f"{unread_flags[0]} is not a flag of this {args.command} task")
     except ProblemError as e:
         print(f"{args.problem}:{e}", file=sys.stderr)
         return EXIT_INPUT

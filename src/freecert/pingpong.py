@@ -7,10 +7,14 @@ projective backend, a hyperbolicity witness on the tree backend).  The
 complement of a repelling set is never enumerated: evidence sets are
 compared against declared sets through certified containments only.
 
-The oracle is deliberately independent: it enumerates every nonempty
-reduced word in the players and their inverses in shortlex order
-(inverses ordered after positives) and multiplies out exactly, so a
-certified tuple can be cross-examined without trusting any geometry.
+The oracle is deliberately independent: it finds the shortlex-least
+nonempty reduced word in the players and their inverses (inverses
+ordered after positives) that multiplies out exactly to the identity, so
+a certified tuple can be cross-examined without trusting any geometry.
+It meets in the middle: each word of length L is split into halves of
+lengths ceil(L/2) and floor(L/2), which are matched through a hashable
+key of their values, so it multiplies out and stores about (2k - 1)^(L/2)
+words for k players instead of (2k - 1)^L.
 """
 
 from __future__ import annotations
@@ -194,45 +198,93 @@ def word_string(letters, names) -> str:
     return " ".join(parts)
 
 
-def freeness_oracle(elements: list, max_len: int, names: list[str] | None = None) -> OracleResult:
-    """Search every nonempty reduced word of length <= max_len for one
-    that multiplies out to the identity.
+#: Most words the oracle may store: one half level of (2k)(2k - 1)^(h - 1)
+#: reduced words of length h = max_len // 2 for k elements, each with its
+#: value and key.  Three elements at length 8 store 750; at length 12
+#: they store 18,750, which peak at about 34 MB for 2 x 2 matrices.  Past
+#: the limit a search would not fail but exhaust memory.
+MAX_ORACLE_WORDS = 20_000
 
-    Elements must support @ (composition), inverse(), and is_identity();
+
+def oracle_words(k: int, max_len: int) -> int:
+    """Reduced words of length max_len // 2 in k elements and their
+    inverses: what `freeness_oracle` stores at its longest length."""
+    half = max_len // 2
+    return 2 * k * (2 * k - 1) ** (half - 1) if half else 1
+
+
+def _extend(level: list, values: list, inverse: list[int], kept: list | None):
+    """The reduced words one letter longer than those of `level`, in
+    shortlex order, each one product from its parent, as (letters, value,
+    key); each is also appended to `kept` unless that is None."""
+    for word, value, _ in level:
+        for s, letter in enumerate(values):
+            if word and s == inverse[word[-1]]:
+                continue  # not freely reduced
+            nxt = letter if value is None else value @ letter
+            item = (word + (s,), nxt, nxt.class_key())
+            if kept is not None:
+                kept.append(item)
+            yield item
+
+
+def freeness_oracle(elements: list, max_len: int, names: list[str] | None = None) -> OracleResult:
+    """The shortlex-least nonempty reduced word of length <= max_len that
+    multiplies out to the identity, or no-relation.
+
+    Elements must support @ (composition), inverse(), is_identity() and
+    class_key(), a hashable key equal exactly for equal group elements;
     both exact backends (matrices up to scalar, amalgam normal forms) do.
-    Deterministic shortlex order: by length, positives before inverses,
-    so a returned relation is the shortlex-minimal one.
+    Shortlex order is by length, then letter by letter with positives
+    before inverses.
+
+    Meet in the middle: a reduced word of length L is u v^-1 with
+    |u| = ceil(L/2) and |v| = floor(L/2), and it is a relation exactly
+    when u and v are the same element and their last letters differ (so
+    nothing cancels at the junction).  The words of length floor(L/2) are
+    indexed by key, and u walks its length in shortlex order; the first u
+    with a match, joined to the least matching suffix v^-1, is the
+    shortlex-least relation.  At most `oracle_words(k, max_len)` words are
+    stored, which must not exceed MAX_ORACLE_WORDS.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     k = len(elements)
     if k == 0:
         raise ValueError("no elements given")
+    if oracle_words(k, max_len) > MAX_ORACLE_WORDS:
+        raise ValueError(f"{k} elements at length {max_len} exceed MAX_ORACLE_WORDS = {MAX_ORACLE_WORDS}")
     if names is None:
         names = [f"g{i}" for i in range(k)]
     letters = [(i, 1) for i in range(k)] + [(i, -1) for i in range(k)]
     values = [elements[i] if e > 0 else elements[i].inverse() for i, e in letters]
+    inverse = [(s + k) % (2 * k) for s in range(2 * k)]
 
-    found: list[tuple[tuple[int, int], ...]] = []
+    def relation(word) -> OracleResult:
+        w = tuple(letters[s] for s in word)
+        return OracleResult("relation", w, word_string(w, names))
 
-    def dfs(prefix: list[int], value, target_len: int) -> bool:
-        if len(prefix) == target_len:
-            if value.is_identity():
-                found.append(tuple(letters[s] for s in prefix))
-                return True
-            return False
-        for s, lt in enumerate(letters):
-            if prefix:
-                pi, pe = letters[prefix[-1]]
-                if lt[0] == pi and lt[1] == -pe:
-                    continue  # not freely reduced
-            nxt = value @ values[s] if value is not None else values[s]
-            if dfs(prefix + [s], nxt, target_len):
-                return True
-        return False
-
+    levels = [[((), None, None)]]  # levels[m]: the reduced words of length m
+    index: dict = {}  # key of v -> [(letters of v^-1, last letter of v)], least first
     for length in range(1, max_len + 1):
-        if dfs([], None, length):
-            w = found[0]
-            return OracleResult("relation", w, word_string(w, names))
+        half, top = length // 2, (length + 1) // 2
+        if length % 2 == 0:  # a new half length
+            index = {}
+            for v, _, key in levels[half]:
+                index.setdefault(key, []).append((tuple(inverse[s] for s in reversed(v)), v[-1]))
+            for suffixes in index.values():
+                suffixes.sort()
+        if top < len(levels):
+            walked = levels[top]
+        else:  # kept for the next length, which indexes it
+            levels.append([] if length < max_len else None)
+            walked = _extend(levels[top - 1], values, inverse, levels[top])
+        for u, value, key in walked:
+            if not half:
+                if value.is_identity():
+                    return relation(u)
+                continue
+            suffix = next((s for s, last in index.get(key, ()) if last != u[-1]), None)
+            if suffix is not None:
+                return relation(u + suffix)
     return OracleResult("no-relation")

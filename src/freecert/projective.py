@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .scalar import Place, Rat, abs_sq, abs_value, cmp_sqrt_sum
@@ -213,25 +213,23 @@ class ProjMat:
 
     def proportional_to(self, other: "ProjMat") -> bool:
         """Equality in PGL: entries agree up to a global nonzero scalar."""
-        if self.dim != other.dim:
-            return False
-        lam = None
-        for r1, r2 in zip(self.entries, other.entries):
-            for a, b in zip(r1, r2):
-                if (a == 0) != (b == 0):
-                    return False
-                if a != 0:
-                    q = b / a
-                    if lam is None:
-                        lam = q
-                    elif q != lam:
-                        return False
-        return lam is not None
+        return self.class_key() == other.class_key()
 
     def is_identity(self) -> bool:
         """Scalar matrix: zero off the diagonal, one constant on it."""
         d = self.entries[0][0]
         return all(x == (d if i == j else 0) for i, r in enumerate(self.entries) for j, x in enumerate(r))
+
+    def class_key(self) -> tuple[int, ...]:
+        """The entries, row by row, of the primitive integer multiple whose
+        first nonzero entry is positive: equal exactly for matrices equal
+        in PGL, and no Fraction is divided to find it."""
+        rows, _ = self._integer_form
+        flat = [x for r in rows for x in r]
+        g = gcd(*flat)
+        if next(x for x in flat if x) < 0:
+            g = -g
+        return tuple(x // g for x in flat)
 
 
 def det(rows: tuple[Vec, ...]) -> Rat:

@@ -185,6 +185,11 @@ class TreeAut:
     def is_identity(self) -> bool:
         return not self.syllables and self.tail == self.amalgam.group_h.identity
 
+    def class_key(self) -> "TreeAut":
+        """The element itself: its normal form is unique, and it hashes
+        and compares without the amalgam."""
+        return self
+
     def append_letter(self, tag: str, x: int) -> "TreeAut":
         am = self.amalgam
         grp = am.factor(tag)

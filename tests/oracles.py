@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+from freecert.pingpong import OracleResult, word_string
 from freecert.projective import component_member
 from freecert.rootiso import ROOT_REL_BITS, Interval, count_roots, peval, sturm_sequence
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
@@ -198,3 +199,32 @@ def pow2_at_least_loop(x):
         else:
             break
     return best
+
+
+def freeness_dfs(elements: list, max_len: int, names: list[str] | None = None) -> OracleResult:
+    """Iterative-deepening search of every nonempty reduced word of length
+    <= max_len, in shortlex order with positives before inverses, for one
+    that multiplies out to the identity (reference for
+    `pingpong.freeness_oracle`)."""
+    k = len(elements)
+    if names is None:
+        names = [f"g{i}" for i in range(k)]
+    letters = [(i, 1) for i in range(k)] + [(i, -1) for i in range(k)]
+    values = [elements[i] if e > 0 else elements[i].inverse() for i, e in letters]
+
+    def dfs(prefix: list[int], value, target_len: int):
+        if len(prefix) == target_len:
+            return tuple(letters[s] for s in prefix) if value.is_identity() else None
+        for s, (i, e) in enumerate(letters):
+            if prefix and letters[prefix[-1]] == (i, -e):
+                continue  # not freely reduced
+            found = dfs(prefix + [s], values[s] if value is None else value @ values[s], target_len)
+            if found is not None:
+                return found
+        return None
+
+    for length in range(1, max_len + 1):
+        w = dfs([], None, length)
+        if w is not None:
+            return OracleResult("relation", w, word_string(w, names))
+    return OracleResult("no-relation")

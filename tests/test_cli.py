@@ -652,3 +652,67 @@ def test_readme_task_key_table_matches_the_cli():
     listed = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
     assert "element" in read and "budget" in read
     assert listed == read
+
+
+def test_oracle_past_its_word_limit_fails_fast(tmp_path, capsys):
+    # 4 elements at oracle-len 12 would store 8 * 7^5 = 134456 words
+    players = "\n[task]\nop pingpong\nsubop oracle\noracle-len 12\nplayer a = a\nplayer b = b\nplayer c = a b\nplayer d = b a\n"
+    words = mod_amalgam_header() + "\n[task]\nop tree\nsubop pingpong\noracle-len 12\n" + "word s t\nword t s\nword s u\nword u s\n"
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + players)
+    assert code == 2 and cert is None
+    assert "in.prob:16:1: 4 elements at oracle-len 12 store 134456 words, over MAX_ORACLE_WORDS = 20000" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + players.replace("oracle-len 12", "oracle-len 6"), "--oracle-len", "12")
+    assert code == 2 and cert is None
+    code, cert, _ = run(tmp_path, "tree", words)
+    assert code == 2 and cert is None
+    assert "in.prob:26:1: 4 elements" in capsys.readouterr().err
+    # the host and 13 coset elements at the fixed length 6: 28 * 27^2 = 20412 words
+    cosets = " | ".join(["a", "b", "a b", "b a", "a a", "b b", "a^-1", "b^-1", "a b^-1", "b a^-1", "a^-1 b", "b^-1 a", "a a b"])
+    prodense = SANOV_HEADER + f"\n[task]\nop synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = {cosets}\n"
+    code, cert, _ = run(tmp_path, "synthesize", prodense)
+    assert code == 2 and cert is None
+    assert "in.prob:13:1: 14 elements at oracle-len 6 store 20412 words" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "key, text, limit",
+    [
+        ("max-n", "format 1\nplace arch\n[matrix-group]\ngen g = [[0, -1], [1, 0]]\n[task]\nop analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\n", "1..64"),
+        ("m-max", "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n[task]\nop synthesize\nsubop conjugate-contract\nelement g\nx-element r\nepsilon-sq 1/100\n", "1..64"),
+        ("k-max", "format 1\nplace arch\n[matrix-group]\ngen g = [[25, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\ngen s = [[1, -1], [1, 1]]\n[task]\nop synthesize\nsubop b1b2b3\nelement g\nb1 r\nb2 r\nb3 s\nattract ball [1, 0] 1/25\nrepel ball [0, 1] 1/25\n", "0..64"),
+        ("word-len", "format 1\nplace arch\n[matrix-group]\ngen g = [[25, 0], [0, 1]]\ngen s = [[1, -1], [1, 1]]\n[task]\nop synthesize\nsubop very-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/25\n", "1..3"),
+    ],
+    ids=["max-n", "m-max", "k-max", "word-len"],
+)
+def test_integer_search_bound_beyond_limit_fails_fast(tmp_path, capsys, key, text, limit):
+    command = text.split("\nop ")[1].split("\n")[0]
+    line = text.count("\n") + 1
+    t0 = time.perf_counter()
+    for value in (100000, -1):
+        code, cert, _ = run(tmp_path, command, text + f"{key} {value}\n")
+        assert code == 2 and cert is None
+        assert f"in.prob:{line}:{len(key) + 2}: {key} {value} is outside {limit}" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+    # the top of the range is legal
+    code, cert, _ = run(tmp_path, command, text + f"{key} {limit.split('..')[1]}\n")
+    assert code in (0, 4) and cert is not None
+
+
+def test_flag_the_command_does_not_read_is_an_input_error(tmp_path, capsys):
+    profile = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    code, cert, _ = run(tmp_path, "analyze", profile, "--budget", "bogus=1", "--radius", "-5")
+    assert code == 2 and cert is None
+    assert "in.prob: --budget is not a flag of this analyze task" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", profile, "--oracle-len", "4")
+    assert code == 2 and cert is None
+    assert "--oracle-len is not a flag of this analyze task" in capsys.readouterr().err
+    kernel = mod_amalgam_header() + "\n[task]\nop tree\nsubop kernel\n"
+    for flag, value in (("--place", "p:5"), ("--radius", "2"), ("--budget", "power_max=1")):
+        code, cert, _ = run(tmp_path, "tree", kernel, flag, value)
+        assert code == 2 and cert is None
+        assert f"{flag} is not a flag of this tree task" in capsys.readouterr().err
+    # flags the command reads are accepted
+    code, cert, _ = run(tmp_path, "analyze", profile, "--place", "p:5")
+    assert code == 0 and cert["place"] == "p:5"

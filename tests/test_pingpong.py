@@ -1,18 +1,24 @@
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freecert.dynamics import certify_very_proximal
 from freecert.pingpong import (
+    MAX_ORACLE_WORDS,
     PingPongPlayer,
     certify_tuple,
     freeness_oracle,
+    oracle_words,
     simple_player,
     word_string,
 )
 from freecert.projective import ProjHyperplane, ProjMat, ProjPoint, ball, hnbhd
-from freecert.scalar import ARCH
-from oracles import set_member
+from freecert.scalar import ARCH, padic
+from freecert.tree import AmalgamData, FiniteGroup, normal_form
+from oracles import freeness_dfs, group_from_permutations, set_member
 
 E1 = ProjPoint((1, 0))
 E2 = ProjPoint((0, 1))
@@ -150,3 +156,127 @@ def test_oracle_projective_scalar_relation():
 
 def test_word_string_formatting():
     assert word_string(((0, 1), (1, -1)), ["a", "b"]) == "a b^-1"
+
+
+# ---------------------------------------------------------------------------
+# The meet-in-the-middle oracle against the depth-first reference
+# ---------------------------------------------------------------------------
+
+# finite order in PGL(2): 2, 3, 4, 6; the rest have infinite order
+FINITE_ORDER = (((0, -1), (1, 0)), ((0, -1), (1, 1)), ((1, -1), (1, 1)), ((1, -1), (1, 0)))
+PLACES = (ARCH, padic(2), padic(3))
+
+
+def _c(n: int) -> FiniteGroup:
+    return FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+
+
+def _amalgams() -> tuple[AmalgamData, ...]:
+    s3 = group_from_permutations([(0, 2, 1), (1, 2, 0)])
+    return (
+        AmalgamData(_c(2), _c(3), _c(1), (0,), (0,)),  # Z/2 * Z/3
+        AmalgamData(_c(4), _c(6), _c(2), (0, 2), (0, 3)),  # Z/4 *_{Z/2} Z/6, the shape of SL(2, Z)
+        AmalgamData(s3, s3, _c(2), (0, 1), (0, 1)),  # S3 *_{Z/2} S3
+    )
+
+
+AMALGAMS = _amalgams()
+
+
+def _same(elements, max_len):
+    got = freeness_oracle(elements, max_len)
+    assert got == freeness_dfs(elements, max_len)
+    return got
+
+
+@st.composite
+def _matrix_sets(draw):
+    """1 to 3 invertible matrices at one place; some have finite order, or
+    are a product of earlier ones, so relations come up too."""
+    n = draw(st.sampled_from((2, 2, 3)))
+    place = draw(st.sampled_from(PLACES))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("random", "random", "finite", "product")))
+        if kind == "finite" and n == 2:
+            out.append(ProjMat(draw(st.sampled_from(FINITE_ORDER)), place))
+        elif kind == "product" and out:
+            x, y = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append(x @ y.inverse() if draw(st.booleans()) else x @ y)
+        else:
+            rows = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(n))
+            try:
+                out.append(ProjMat(rows, place))
+            except ValueError:
+                assume(False)
+    return out
+
+
+@st.composite
+def _tree_sets(draw):
+    """1 to 3 elements of a small amalgam, each a word of 1 to 4
+    nontrivial letters from the two factors in turn."""
+    am = draw(st.sampled_from(AMALGAMS))
+    orders = {"A": am.group_a.order, "B": am.group_b.order}
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        tags = "AB" * 2 if draw(st.booleans()) else "BA" * 2
+        word = [(tag, draw(st.integers(1, orders[tag] - 1))) for tag in tags[: draw(st.integers(1, 4))]]
+        out.append(normal_form(am, word))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_sets())
+def test_oracle_matches_the_depth_first_reference_on_matrices(elements):
+    _same(elements, 6 if len(elements) < 3 else 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree_sets())
+def test_oracle_matches_the_depth_first_reference_on_trees(elements):
+    _same(elements, 6 if len(elements) < 3 else 4)
+
+
+def test_oracle_scalar_generator_is_a_relation_of_length_one():
+    scalar = ProjMat(((3, 0), (0, 3)), ARCH)
+    out = _same([SANOV_A, scalar], 4)
+    assert out.kind == "relation" and out.letters == ((1, 1),) and out.word == "g1"
+
+
+def test_oracle_odd_length_relation():
+    order3 = ProjMat(((0, -1), (1, 1)), padic(3))  # order 3 in PGL(2)
+    assert _same([order3], 3).word == "g0 g0 g0"
+    assert _same([SANOV_A.power(2), SANOV_A, SANOV_B], 3).word == "g0 g1^-1 g1^-1"
+
+
+def test_oracle_junction_rule():
+    # at length 2 every word u = g meets v = g with last(u) = last(v): that
+    # match is g g^-1, not a reduced word, and must not be reported
+    order3 = ProjMat(((0, -1), (1, 1)), ARCH)
+    assert _same([order3], 2).kind == "no-relation"
+    assert _same([SANOV_A, SANOV_B], 8).kind == "no-relation"
+
+
+def test_oracle_tree_relation():
+    am = AMALGAMS[0]
+    x = normal_form(am, [("A", 1), ("B", 1)])  # s t, of infinite order
+    out = _same([x, x @ x], 3)
+    assert out.word == "g0 g0 g1^-1"
+
+
+def test_oracle_three_generators_to_length_8_within_a_second():
+    a, b = SANOV_A, SANOV_B
+    three = [b, a @ b @ a.inverse(), a.power(2) @ b @ a.power(-2)]  # a free basis of a subgroup
+    t0 = time.perf_counter()
+    assert freeness_oracle(three, 8).kind == "no-relation"
+    assert time.perf_counter() - t0 < 1
+
+
+def test_oracle_refuses_a_search_past_the_word_limit():
+    assert oracle_words(3, 8) == 750 and oracle_words(3, 12) == 18750 <= MAX_ORACLE_WORDS
+    assert oracle_words(4, 12) > MAX_ORACLE_WORDS
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_ORACLE_WORDS"):
+        freeness_oracle([SANOV_A, SANOV_B, SANOV_A.power(2), SANOV_B.power(2)], 12)
+    assert time.perf_counter() - t0 < 1

@@ -294,3 +294,18 @@ def test_is_identity_means_scalar():
         assert ProjMat(rows, ARCH).is_identity()
     for rows in (((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 1, 1))):
         assert not ProjMat(rows, ARCH).is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_rows(), st.data())
+def test_class_key_is_equality_in_pgl(rows, data):
+    g = _invertible(rows)
+    c = data.draw(_ENTRY.filter(bool))
+    scaled = ProjMat(tuple(tuple(c * x for x in r) for r in g.entries), ARCH)
+    assert g.class_key() == scaled.class_key() and g.proportional_to(scaled)
+    key = g.class_key()
+    assert all(isinstance(x, int) for x in key) and next(x for x in key if x) > 0
+    # a primitive integer matrix is its own key
+    assert ProjMat(tuple(key[i * g.dim : (i + 1) * g.dim] for i in range(g.dim)), ARCH).class_key() == key
+    h = _invertible(data.draw(st.lists(st.lists(_ENTRY, min_size=g.dim, max_size=g.dim), min_size=g.dim, max_size=g.dim)))
+    assert (g.class_key() == h.class_key()) == (g @ h.inverse()).is_identity()
