@@ -79,6 +79,20 @@ MAX_SEARCH_WORD_LEN = 3
 #: step, so a long word would not fail but run for minutes and overflow
 #: the certificate's numbers.
 MAX_WORD_LEN = 64
+#: Largest matrix dimension.  One archimedean `direction_candidates`
+#: (singular profile and power iteration) takes 0.1-0.2 s at n = 12 and
+#: 0.2-0.3 s at n = 16 on random entries in -9..9, and a search certifies
+#: up to MAX_EXPONENT such matrices, so a larger n would not fail but run
+#: for minutes.
+MAX_DIM = 16
+#: Largest height of a problem-file matrix word: the sum, over its
+#: letters, of the bit length of the largest entry of the letter's
+#: primitive integer matrix.  That bounds the bits of the word's entries,
+#: and a certificate's numbers grow with them: for `analyze contracting`
+#: on (a b)^k with a = [[99, 98], [1, 1]], b = [[1, 0], [99, 1]], each bit
+#: of height costs about 14 decimal digits, so 256 keeps them near 3500,
+#: under the 4300 digits Python converts to text.
+MAX_WORD_HEIGHT = 256
 
 
 class ProblemError(ValueError):
@@ -99,9 +113,10 @@ class Problem:
     Commands read `[task]` values only through `value` and `values`,
     which parse, position errors and record each key as read, and flags
     only through `flag`, so a key or flag no command reads can be
-    refused."""
+    refused by `all_read`."""
 
     def __init__(self):
+        self.command = ""  # the subcommand running the task
         self.place: Place | None = None
         self.dim: int | None = None
         self.generators: list[tuple[str, list[list[Fraction]]]] = []
@@ -133,6 +148,18 @@ class Problem:
         it was not given."""
         self.read.add(name)
         return self.flags.get(name)
+
+    def all_read(self) -> None:
+        """Refuse a `[task]` key or a flag the command did not read.  Each
+        command calls this once it has read every value it reads, before
+        it searches, so a stray key fails fast."""
+        unread = sorted((lines[0][0], key) for key, lines in self.task.items() if key not in self.read)
+        if unread:
+            line, key = unread[0]
+            raise ProblemError(line, 1, f"'{key}' is not a key of this {self.command} task")
+        unread_flags = [name for name in self.flags if name not in self.read]
+        if unread_flags:
+            raise ValueError(f"{unread_flags[0]} is not a flag of this {self.command} task")
 
     def oracle_fits(self, key: str, k: int, oracle_len: int) -> None:
         """Refuse k oracle elements, at the last `key` line, when the search
@@ -238,13 +265,16 @@ def parse_problem(text: str) -> Problem:
             continue
         if section == "matrix-group":
             if key == "dim":
-                prob.dim = _parsed(int, rest, line_no, len(key) + 2)
+                prob.dim = _parsed(_int_in("dim", 2, MAX_DIM), rest, line_no, len(key) + 2)
             elif key == "gen":
                 name, eq, literal = rest.partition("=")
                 name = name.strip()
                 if not eq or not name.isidentifier():
                     raise ProblemError(line_no, len(key) + 2, "expected: gen NAME = [[...], [...]]")
-                prob.generators.append((name, _parse_matrix_literal(literal.strip(), line_no)))
+                rows = _parse_matrix_literal(literal.strip(), line_no)
+                if len(rows) > MAX_DIM:
+                    raise ProblemError(line_no, 1, f"generator {name} is {len(rows)}x{len(rows)}, over MAX_DIM = {MAX_DIM}")
+                prob.generators.append((name, rows))
             else:
                 raise ProblemError(line_no, 1, f"unknown matrix-group directive {key!r}")
             # reported on whichever of the generator and the dim line comes later
@@ -317,6 +347,24 @@ def _bounded(text: str) -> str:
     return text
 
 
+def _matrix_word(group: MarkedGroup):
+    """A parser of a word in the group's generators, refused when it has
+    more than MAX_WORD_LEN letters or a height over MAX_WORD_HEIGHT."""
+    heights: dict[tuple[int, int], int] = {}
+
+    def parse(text: str) -> Word:
+        w = group.parse_word(_bounded(text))
+        for idx, e in set(w) - heights.keys():
+            m = group.gens[idx][1]
+            heights[idx, e] = max(map(abs, (m if e > 0 else m.inverse()).class_key())).bit_length()
+        height = sum(heights[letter] for letter in w)
+        if height > MAX_WORD_HEIGHT:
+            raise ValueError(f"word of height {height} bits exceeds MAX_WORD_HEIGHT = {MAX_WORD_HEIGHT}")
+        return w
+
+    return parse
+
+
 def _int_in(what: str, low: int, high: int):
     """A parser of an integer `what` in low..high."""
 
@@ -384,7 +432,7 @@ def _emitter(place: Place | None, backend: str, header: dict, task: dict):
 def cmd_analyze(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = prob.value("subop", _one_of("analyze subop", "profile", "contracting", "proximal", "very-proximal", "power-proximal"))
-    word = prob.value("element", lambda text: group.parse_word(_bounded(text)))
+    word = prob.value("element", _matrix_word(group))
     task = {"op": "analyze", "subop": subop, "element": group.word_str(word)}
     if subop != "profile":
         eps_sq = prob.value("epsilon-sq", parse_rat)
@@ -394,6 +442,7 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
         task["r_sq"] = certfmt.rat(r_sq)
     if subop == "power-proximal":
         task["max_n"] = max_n = prob.value("max-n", _int_in("max-n", 1, MAX_EXPONENT), 16)
+    prob.all_read()
     m = group.eval(word)
     emit = _emitter(group.place, "matrix", _group_header(group), task)
     word_eval = [certfmt.claim_word_eval(task["element"], m)]
@@ -426,18 +475,20 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = prob.value("subop", _one_of("pingpong subop", "tuple", "simple-tuple", "oracle"), "tuple")
     oracle_len = _oracle_len_of(prob, 6)
+    word = _matrix_word(group)
 
     def player(spec: str) -> tuple[str, Word]:
         name, eq, word_text = spec.partition("=")
         if not eq:
             raise ValueError("expected: player NAME = word")
-        return name.strip(), group.parse_word(_bounded(word_text))
+        return name.strip(), word(word_text)
 
     players_spec = prob.values("player", player)
     if not players_spec:
         raise ProblemError(1, 1, "task needs at least one 'player NAME = word'")
     prob.oracle_fits("player", len(players_spec), oracle_len)
     radius = None if subop == "oracle" else prob.value("radius-sq", parse_rat, None)
+    prob.all_read()
     names = [name for name, _ in players_spec]
     mats = [group.eval(w) for _, w in players_spec]
     task = {"op": "pingpong", "subop": subop, "players": {n: group.word_str(w) for n, w in players_spec}, "oracle_len": oracle_len}
@@ -487,8 +538,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     # the file's budget lines, then the --budget flags over them
     budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec) for spec in prob.flag("--budget") or []]))
 
-    def word(text: str) -> Word:
-        return group.parse_word(_bounded(text))
+    word = _matrix_word(group)
 
     def parse_normals() -> list[NormalData]:
         def normal(spec: str) -> tuple[str, tuple[Word, ...]]:
@@ -522,6 +572,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
             raise ProblemError(1, 1, "truncated-prodense needs at least one 'normal' line")
         if any(d.coset_reps for d in normals):  # the host and one element per coset
             prob.oracle_fits("cosets", 1 + sum(len(d.coset_reps) for d in normals), PRODENSE_ORACLE_LEN)
+        prob.all_read()
         report = truncated_prodense(group, normals, budgets=budgets)
         task["normals"] = {d.label: [ws(w) for w in d.class_reps] for d in normals}
         claims, step1, step2 = [], [], {}
@@ -551,6 +602,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         x = prob.value("x-element", word)
         eps_sq = prob.value("epsilon-sq", parse_rat)
         m_max = prob.value("m-max", _int_in("m-max", 1, MAX_EXPONENT), 8)
+        prob.all_read()
         task.update({"element": ws(g), "x": ws(x), "epsilon_sq": certfmt.rat(eps_sq)})
         out = conjugate_contract(group, g, x, m_max, eps_sq)
         if out is None:
@@ -563,6 +615,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         a_set = prob.value("attract", _parse_set)
         r_set = prob.value("repel", _parse_set)
         k_max = prob.value("k-max", _int_in("k-max", 0, MAX_EXPONENT), 32)
+        prob.all_read()
         task.update({"element": ws(g), "k_max": k_max})
         out = b1b2b3_synthesize(group, g, a_set, r_set, b1, b2, b3, k_max)
         if out is None:
@@ -585,6 +638,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         word_len = prob.value("word-len", _int_in("word-len", 1, MAX_SEARCH_WORD_LEN), 2)
         r_sq = prob.value("r-sq", parse_rat)
         eps_sq = prob.value("epsilon-sq", parse_rat)
+        prob.all_read()
         task.update({"element": ws(g), "r_sq": certfmt.rat(r_sq), "epsilon_sq": certfmt.rat(eps_sq)})
         out = very_proximal_search(group, g, word_len, r_sq, eps_sq)
         if out is None:
@@ -593,6 +647,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         result = {"f1": ws(f1), "f2": ws(f2), "word": ws(w), "cert": certfmt.proximal_json(cert)}
         return emit("yes", result, claims_for(w, cert))
     if subop == "normal-proximal":
+        prob.all_read()
         out = normal_proximal(group, normals[0], None, budgets)
         if out is None:
             return emit("not-found")
@@ -603,6 +658,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         data = normals[0]
         if not data.coset_reps:
             raise ProblemError(1, 1, "coset-pingpong needs a 'cosets' line")
+        prob.all_read()
         a_n = normal_proximal(group, data, None, budgets)
         if a_n is None:
             return emit("not-found")
@@ -620,6 +676,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     h1 = prob.value("h1", word)
     h2 = prob.value("h2", word)
     cs = prob.values("coset-rep", word)
+    prob.all_read()
     c1 = auto_very_proximal(group.eval(h1))
     c2 = auto_very_proximal(group.eval(h2))
     if c1 is None or c2 is None:
@@ -661,6 +718,7 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
         prob.oracle_fits("word", len(words), oracle_len)
         texts = [text for text, _ in words]
         task = {"op": "pingpong", "subop": "tree", "words": texts, "oracle_len": oracle_len}
+    prob.all_read()
     emit = _emitter(None, "amalgam", header, task)
     if subop == "normal-form":
         result = {"syllables": [list(s) for s in w.syllables], "tail": w.tail, "is_identity": w.is_identity()}
@@ -735,15 +793,10 @@ def _run_problem(args, runner) -> int:
             ("--oracle-len", args.oracle_len, _int_in("--oracle-len", 1, MAX_ORACLE_LEN)),
         )
         prob.flags = {name: parse(value) for name, value, parse in given if value is not None}
+        prob.command = args.command
         prob.value("op", _one_of("op", args.command), None)
         cert, code = runner(prob)
-        unread = sorted((lines[0][0], key) for key, lines in prob.task.items() if key not in prob.read)
-        if unread:
-            line, key = unread[0]
-            raise ProblemError(line, 1, f"'{key}' is not a key of this {args.command} task")
-        unread_flags = [name for name in prob.flags if name not in prob.read]
-        if unread_flags:
-            raise ValueError(f"{unread_flags[0]} is not a flag of this {args.command} task")
+        prob.all_read()  # the commands call it before searching; this guards a path that did not
     except ProblemError as e:
         print(f"{args.problem}:{e}", file=sys.stderr)
         return EXIT_INPUT

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, witness_refutes
 from .projective import (
@@ -35,12 +36,11 @@ from .projective import (
     ProjSet,
     apply,
     apply_hyperplane,
-    canonical_rep,
     dist_to_hyperplane_sq,
-    dot,
     dual_ball_of_hnbhd,
+    gram_matrix,
     integer_rows,
-    is_zero_vec,
+    primitive,
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
@@ -125,20 +125,29 @@ def padic_exponents(rows, p: int) -> list[int]:
 
 
 def _charpoly_gram(g: ProjMat) -> list[Fraction]:
-    """Characteristic polynomial of g^T g (Faddeev-LeVerrier), lowest first."""
-    n = g.dim
-    s = [[dot(g.col(i), g.col(j)) for j in range(n)] for i in range(n)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    coeffs = [Fraction(1)]  # leading
+    """Characteristic polynomial of g^T g, lowest degree first.
+
+    Faddeev-LeVerrier on the integer Gram matrix S of `ProjMat.gram`,
+    g^T g = S / scale: M <- S (M + c_(k-1) I), c_k = -tr(M) / k.  An
+    integer matrix has an integer characteristic polynomial, so every
+    division is exact, and charpoly(S / scale) has the coefficients
+    c_k / scale^k.
+    """
+    s_rows, scale = g.gram
+    n = len(s_rows)
+    m = [[0] * n for _ in range(n)]
+    coeffs = [1]  # c_0, the leading coefficient
     for k in range(1, n + 1):
-        # M <- S (M + c_{k-1} I)
-        c_prev = coeffs[-1]
-        t = [[m[i][j] + (c_prev if i == j else 0) for j in range(n)] for i in range(n)]
-        m = [[sum((s[i][x] * t[x][j] for x in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
-        tr = sum((m[i][i] for i in range(n)), Fraction(0))
-        coeffs.append(-tr / k)
-    # coeffs[k] multiplies lambda^(n-k)
-    return list(reversed(coeffs))
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        cols = tuple(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in s_rows]
+        c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
+        coeffs.append(c)
+    # c_k multiplies lambda^(n-k)
+    return [Fraction(c, scale**k) for k, c in reversed(list(enumerate(coeffs)))]
 
 
 @lru_cache(maxsize=4096)
@@ -146,9 +155,10 @@ def singular_profile(g: ProjMat) -> SingularProfile:
     """Certified squared singular values of g, descending.
 
     p-adic: exact powers p^(-2e) from the elementary divisors over the
-    localization.  Archimedean: enclosures of the roots of charpoly(g^T g)
-    refined to relative width 2^-30 (degenerate intervals for rational
-    roots, which are split off exactly).
+    localization.  Archimedean: enclosures of the roots of charpoly(g^T g),
+    computed on the integer Gram matrix and isolated on integer
+    coefficients, refined to relative width 2^-30 (degenerate intervals
+    for rational roots, which are split off exactly).
 
     Results are memoized; the searches upstream revisit matrices often.
     """
@@ -195,41 +205,45 @@ class DirectionData:
     repel_err_sq: Rat | None
 
 
-def _power_direction(s_rows: list[list[Fraction]], lam2_hi: Rat) -> tuple[ProjPoint, Rat | None]:
-    """Candidate top eigendirection of the symmetric matrix S with a
-    certified residual bound sin^2(angle) <= |Su - ru|^2 / (|u|^2 (r - lam2_hi)^2)."""
+def _power_direction(s_rows, scale: int, lam2_hi: Rat) -> tuple[ProjPoint, Rat | None]:
+    """Candidate top eigendirection of the symmetric matrix S = s_rows / scale
+    (integer rows) with a certified residual bound
+    sin^2(angle) <= |Su - ru|^2 / (|u|^2 (r - lam2_hi)^2).
+
+    The iterates are primitive integer vectors, the projective points of
+    power iteration from each nonzero column of S.  With u = s_rows v,
+    w = u.v and lam2_hi = p/q, the Rayleigh quotient r = w / (scale v.v)
+    exceeds lam2_hi iff q w > p scale v.v, and the bound is the rational
+    q^2 (v.v u.u - w^2) / (q w - p scale v.v)^2, compared as integer pairs.
+    """
     n = len(s_rows)
-
-    def mul(v: tuple) -> tuple:
-        return tuple(sum((s_rows[i][j] * v[j] for j in range(n)), Fraction(0)) for i in range(n))
-
-    best: tuple[ProjPoint, Rat | None] = (ProjPoint(tuple(Fraction(1 if i == 0 else 0) for i in range(n))), None)
-    starts = []
+    p, q = lam2_hi.numerator, lam2_hi.denominator
+    p_scale = p * scale
+    best = ProjPoint(tuple(Fraction(1 if i == 0 else 0) for i in range(n)))
+    best_err = None  # (numerator, denominator) of best's bound
     for j in range(n):
-        col = tuple(s_rows[i][j] for i in range(n))
-        if not is_zero_vec(col):
-            starts.append(col)
-    for start in starts:
-        v = canonical_rep(start)
+        col = [row[j] for row in s_rows]
+        if not any(col):
+            continue
+        v = primitive(col)
         for _ in range(ITER_BUDGET):
-            sv = mul(v)
-            if is_zero_vec(sv):
+            u = [sum(map(mul, row, v)) for row in s_rows]
+            if not any(u):
                 break
-            vv = sum((c * c for c in v), Fraction(0))
-            rho = sum((a * b for a, b in zip(sv, v)), Fraction(0)) / vv
-            if rho > lam2_hi:
-                res = tuple(a - rho * b for a, b in zip(sv, v))
-                res2 = sum((c * c for c in res), Fraction(0))
-                err = res2 / (vv * (rho - lam2_hi) ** 2)
-                if best[1] is None or err < best[1]:
-                    best = (ProjPoint(v), err)
-                if err <= Fraction(1, 2**80):
-                    return best
-            nxt = canonical_rep(sv)
+            vv = sum(map(mul, v, v))
+            w = sum(map(mul, u, v))
+            gap = q * w - p_scale * vv
+            if gap > 0:
+                num, den = q * q * (vv * sum(map(mul, u, u)) - w * w), gap * gap
+                if best_err is None or num * best_err[1] < best_err[0] * den:
+                    best, best_err = ProjPoint(v), (num, den)
+                if num << 80 <= den:
+                    return best, Fraction(num, den)
+            nxt = primitive(u)
             if nxt == v:
                 break  # stalled on an eigenvector; bound won't improve
             v = nxt
-    return best
+    return best, None if best_err is None else Fraction(*best_err)
 
 
 @lru_cache(maxsize=4096)
@@ -252,12 +266,11 @@ def direction_candidates(g: ProjMat) -> DirectionData:
             if x
         )
         return DirectionData(ProjPoint(g.col(j)), Fraction(0), ProjHyperplane(g.row(i)), Fraction(0))
-    n = g.dim
     lam2_hi = singular_profile(g).values_sq[1].hi
-    ggt = [[dot(g.row(i), g.row(j)) for j in range(n)] for i in range(n)]
-    gtg = [[dot(g.col(i), g.col(j)) for j in range(n)] for i in range(n)]
-    attract, a_err = _power_direction(ggt, lam2_hi)
-    dual, r_err = _power_direction(gtg, lam2_hi)
+    rows, _ = g._integer_form
+    gtg, scale = g.gram
+    attract, a_err = _power_direction(gram_matrix(rows), scale, lam2_hi)
+    dual, r_err = _power_direction(gtg, scale, lam2_hi)
     return DirectionData(attract, a_err, ProjHyperplane(dual.rep), r_err)
 
 

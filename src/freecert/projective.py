@@ -161,6 +161,15 @@ class ProjMat:
         rows, scale = integer_rows(self.entries)
         return tuple(map(tuple, rows)), scale
 
+    @cached_property
+    def gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(S, s) with g^T g = S / s: the Gram matrix S = A^T A of the
+        columns of the integer rows A = d g of `_integer_form`, and
+        s = d^2.  Built once per matrix; the archimedean singular profile
+        and direction candidates both read it."""
+        rows, scale = self._integer_form
+        return gram_matrix(tuple(zip(*rows))), scale * scale
+
     def row(self, i: int) -> Vec:
         return self.entries[i]
 
@@ -225,11 +234,7 @@ class ProjMat:
         first nonzero entry is positive: equal exactly for matrices equal
         in PGL, and no Fraction is divided to find it."""
         rows, _ = self._integer_form
-        flat = [x for r in rows for x in r]
-        g = gcd(*flat)
-        if next(x for x in flat if x) < 0:
-            g = -g
-        return tuple(x // g for x in flat)
+        return primitive([x for r in rows for x in r])
 
 
 def det(rows: tuple[Vec, ...]) -> Rat:
@@ -268,6 +273,25 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
     if scale == 1:
         return [[x.numerator for x in r] for r in rows], 1
     return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale
+
+
+def primitive(v) -> tuple[int, ...]:
+    """The primitive multiple of a nonzero integer vector whose first
+    nonzero entry is positive: equal exactly for proportional vectors."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def gram_matrix(vectors) -> tuple[tuple[int, ...], ...]:
+    """The symmetric matrix of dot products of integer vectors."""
+    n = len(vectors)
+    out = [[0] * n for _ in range(n)]
+    for i, v in enumerate(vectors):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = sum(map(mul, v, vectors[j]))
+    return tuple(map(tuple, out))
 
 
 def mat_inverse(rows: tuple[Vec, ...]) -> tuple[Vec, ...]:

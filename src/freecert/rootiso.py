@@ -1,12 +1,18 @@
 """Certified isolation of real polynomial roots over Q.
 
-Supports the archimedean singular profiles: characteristic polynomials are
-evaluated exactly, rational roots are split off exactly, and the remaining
-real roots are enclosed by Sturm isolation, sign-change bisection, to a
-requested relative width.  Intervals carry rational endpoints; a degenerate
-interval (lo == hi) marks an exactly known root.
+Supports the archimedean singular profiles: rational roots are split off
+exactly, and the remaining real roots are enclosed by Sturm isolation,
+sign-change bisection, to a requested relative width.  Intervals carry
+rational endpoints; a degenerate interval (lo == hi) marks an exactly
+known root.
 
-Polynomials are coefficient lists, lowest degree first, over Fraction.
+Polynomials are coefficient lists, lowest degree first.  The input of
+`isolate_positive_roots` and `rational_roots` may hold Fractions; every
+computation runs on integer coefficients.  The input is cleared of its
+denominators once, which multiplies it by a positive integer, and every
+later polynomial is a positive multiple of the one it stands for, so
+roots and signs never change.  A polynomial is evaluated at num/den as
+the integer den^deg * f(num/den), which has the sign of f(num/den).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from math import gcd, lcm
 from .scalar import Rat
 
 Poly = list[Fraction]
+IntPoly = list[int]
 
 #: Relative width target for refined root enclosures.
 ROOT_REL_BITS = 30
@@ -57,115 +64,129 @@ def point(x: Rat) -> Interval:
     return Interval(x, x)
 
 
-def ptrim(p: Poly) -> Poly:
+def ptrim(p: list) -> list:
     while p and p[-1] == 0:
         p = p[:-1]
     return p
 
 
-def pdeg(p: Poly) -> int:
+def pdeg(p: list) -> int:
     return len(ptrim(p)) - 1
 
 
-def peval(p: Poly, x: Rat) -> Rat:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def pderiv(p: Poly) -> Poly:
+def pderiv(p: IntPoly) -> IntPoly:
     return [c * i for i, c in enumerate(p)][1:]
 
 
-def prem(p: Poly, q: Poly) -> Poly:
-    """Remainder of p by q over Q (q nonzero)."""
+def _cleared(p: Poly) -> IntPoly:
+    """p times the lcm of its denominators: integer coefficients with the
+    same roots and signs."""
+    den = lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p]
+
+
+def _primitive(p: IntPoly) -> IntPoly:
+    """p over the gcd of its coefficients, a positive integer."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _homogeneous(p: IntPoly, num: int, den: int) -> int:
+    """den^deg * p(num / den): Horner on the homogenized polynomial."""
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * dk
+        dk *= den
+    return acc
+
+
+def _sign_at(p: IntPoly, x: Rat) -> int:
+    v = _homogeneous(p, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def prem(p: IntPoly, q: IntPoly) -> IntPoly:
+    """The primitive positive multiple of the remainder of p by q over Q
+    (q nonzero): pseudo-division that scales by |lead(q)| at each step,
+    so the sign of the remainder is kept."""
     p = ptrim(list(p))
     q = ptrim(list(q))
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    lead = q[-1]
+    lead = abs(q[-1])
+    sign = 1 if q[-1] > 0 else -1
     while len(p) >= len(q):
-        f = p[-1] / lead
+        f = sign * p[-1]
         shift = len(p) - len(q)
+        p = [lead * c for c in p]
         for i, c in enumerate(q):
             p[i + shift] -= f * c
         p = ptrim(p[:-1])
-        if not p:
-            break
-    return p
+    return _primitive(p)
 
 
-def pquo(p: Poly, q: Poly) -> Poly:
+def pquo(p: IntPoly, q: IntPoly) -> IntPoly:
+    """The quotient p / q where q divides p over Q and is primitive, so
+    that (Gauss's lemma) the quotient has integer coefficients."""
     p = ptrim(list(p))
     q = ptrim(list(q))
-    lead = q[-1]
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        f = p[-1] / lead
-        shift = len(p) - len(q)
+    lead, dq = q[-1], len(q) - 1
+    out = [0] * max(0, len(p) - dq)
+    for shift in range(len(out) - 1, -1, -1):
+        f, r = divmod(p[shift + dq], lead)
+        if r:
+            raise ArithmeticError("polynomial quotient is not exact")
         out[shift] = f
-        for i, c in enumerate(q):
-            p[i + shift] -= f * c
-        p = ptrim(p[:-1])
-        if not p:
-            break
+        if f:
+            for i, c in enumerate(q):
+                p[i + shift] -= f * c
+    if any(p[:dq]):
+        raise ArithmeticError("polynomial quotient is not exact")
     return ptrim(out)
 
 
-def pgcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q."""
+def pgcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """The primitive gcd with a positive leading coefficient."""
     a, b = ptrim(list(p)), ptrim(list(q))
     while b:
         a, b = b, prem(a, b)
     if not a:
         return []
-    lead = a[-1]
-    return [c / lead for c in a]
+    a = _primitive(a)
+    return a if a[-1] > 0 else [-c for c in a]
 
 
-def squarefree_part(p: Poly) -> Poly:
-    p = ptrim(list(p))
-    if pdeg(p) < 1:
-        return p
-    g = pgcd(p, pderiv(p))
-    if pdeg(g) < 1:
-        return p
-    return pquo(p, g)
-
-
-def sturm_sequence(p: Poly) -> list[Poly]:
-    seq = [ptrim(list(p)), ptrim(pderiv(p))]
+def sturm_sequence(p: IntPoly) -> list[IntPoly]:
+    """p, p' and the negated remainders, each a positive multiple of the
+    Sturm sequence's term over Q, so sign variations are the same."""
+    seq = [ptrim(list(p)), _primitive(ptrim(pderiv(p)))]
     while seq[-1]:
-        r = prem(seq[-2], seq[-1])
-        seq.append([-c for c in r])
+        seq.append([-c for c in prem(seq[-2], seq[-1])])
     return seq[:-1]
 
 
-def _variations(seq: list[Poly], x: Rat) -> int:
-    signs = []
+def _variations(seq: list[IntPoly], x: Rat) -> int:
+    num, den = x.numerator, x.denominator
+    flips, last = 0, 0
     for p in seq:
-        v = peval(p, x)
+        v = _homogeneous(p, num, den)
         if v:
-            signs.append(1 if v > 0 else -1)
-    flips = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            flips += 1
+            if last and (v > 0) != (last > 0):
+                flips += 1
+            last = v
     return flips
 
 
-def count_roots(seq: list[Poly], a: Rat, b: Rat) -> int:
+def count_roots(seq: list[IntPoly], a: Rat, b: Rat) -> int:
     """Number of distinct real roots in (a, b] by Sturm's theorem."""
     return _variations(seq, a) - _variations(seq, b)
 
 
-def cauchy_bound(p: Poly) -> Rat:
+def cauchy_bound(p: IntPoly) -> Rat:
     """B with every real root of p inside [-B, B]."""
     p = ptrim(list(p))
-    lead = abs(p[-1])
-    m = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+    m = max((abs(c) for c in p[:-1]), default=0)
+    return 1 + Fraction(m, abs(p[-1]))
 
 
 def _divisors(n: int) -> list[int] | None:
@@ -200,37 +221,35 @@ def rational_roots(p: Poly) -> list[Rat]:
     callers treat missed rational roots like irrational ones (sound, just
     wider enclosures).
     """
-    p = ptrim(list(p))
-    if pdeg(p) < 1:
+    ip = _cleared(ptrim(list(p)))
+    if pdeg(ip) < 1:
         return []
-    ip = _cleared(p)
-    while ip and ip[0] == 0:
-        ip = ip[1:]  # factor x out; root 0 handled below
     roots: list[Fraction] = []
-    if peval(p, Fraction(0)) == 0:
+    if ip[0] == 0:
         roots.append(Fraction(0))
+    while ip and ip[0] == 0:
+        ip = ip[1:]  # factor x out; root 0 handled above
     if not ip:
         return roots
     nums = _divisors(ip[0])
     dens = _divisors(ip[-1])
     if nums is None or dens is None:
         return roots
-    high_first = ip[::-1]
     for dn in dens:
         for nm in nums:
             if gcd(nm, dn) == 1:
-                roots.extend(Fraction(x, dn) for x in (nm, -nm) if _homogeneous(high_first, x, dn) == 0)
+                roots.extend(Fraction(x, dn) for x in (nm, -nm) if _homogeneous(ip, x, dn) == 0)
     return sorted(roots)
 
 
-def root_multiplicity(p: Poly, r: Rat) -> int:
+def _divide_out(p: IntPoly, r: Rat) -> tuple[IntPoly, int]:
+    """(p over (den x - num)^m, m) with m the multiplicity of r = num/den in p."""
+    lin = [-r.numerator, r.denominator]
     m = 0
-    q = ptrim(list(p))
-    lin = [-r, Fraction(1)]
-    while q and peval(q, r) == 0:
-        q = pquo(q, lin)
+    while p and _homogeneous(p, r.numerator, r.denominator) == 0:
+        p = pquo(p, lin)
         m += 1
-    return m
+    return p, m
 
 
 def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
@@ -244,22 +263,22 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
     pairwise disjoint and, counted with multiplicity, covers exactly the
     positive roots.
     """
-    p = ptrim(list(p))
-    if pdeg(p) < 1:
+    work = _cleared(ptrim(list(p)))
+    if pdeg(work) < 1:
         return []
     out: list[tuple[Interval, int]] = []
-    work = list(p)
-    for r in rational_roots(p):
-        if r <= 0:
-            continue
-        m = root_multiplicity(p, r)
-        out.append((point(r), m))
-        lin = [-r, Fraction(1)]
-        for _ in range(m):
-            work = pquo(work, lin)
-    sf = squarefree_part(work)
-    if pdeg(sf) >= 1:
-        seq = sturm_sequence(sf)
+    for r in rational_roots(work):
+        if r > 0:
+            work, m = _divide_out(work, r)
+            out.append((point(r), m))
+    if pdeg(work) >= 1:
+        seq = sturm_sequence(work)
+        # the last term is a multiple of gcd(work, work'), primitive
+        squarefree = len(seq[-1]) == 1
+        sf = work
+        if not squarefree:
+            sf = pquo(work, seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]])
+            seq = sturm_sequence(sf)
         bound = cauchy_bound(sf)
         total = count_roots(seq, Fraction(0), bound)
         stack = [(Fraction(0), bound, total)] if total else []
@@ -272,9 +291,9 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
                 isolated.append((a, b))
                 continue
             mid = (a + b) / 2
-            if peval(sf, mid) == 0:
+            if _sign_at(sf, mid) == 0:
                 # rational root the divisor search missed; split it off
-                m = root_multiplicity(work, mid)
+                _, m = _divide_out(work, mid)
                 out.append((point(mid), m))
                 lo_cnt = count_roots(seq, a, mid) - 1
                 hi_cnt = cnt - 1 - lo_cnt
@@ -286,13 +305,13 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
             stack.append((mid, b, cnt - lo_cnt))
         for a, b in isolated:
             lo, hi = _refine(sf, a, b)
-            m = _multiplicity_in(work, sf, lo, hi)
+            m = 1 if squarefree else _multiplicity_in(work, sf, lo, hi)
             out.append((Interval(lo, hi), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return out
 
 
-def _refine(sf: Poly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
+def _refine(sf: IntPoly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
     """Sturm isolation, sign-change bisection: the one root of sf inside
     the isolated (a, b) is bisected down to relative width
     2^-ROOT_REL_BITS; an exactly hit root returns (mid, mid).
@@ -304,17 +323,15 @@ def _refine(sf: Poly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
     The endpoint a may be a root too (0, or a split-off root), so its sign
     is never read.
 
-    The bisection runs on integers: sf with its denominators cleared, and
-    the points as numerators over one denominator that doubles each step.
+    The points are numerators over one denominator that doubles each step.
     """
-    fb = peval(sf, b)
-    positive_left_of_b = fb > 0 if fb else peval(pderiv(sf), b) < 0
-    coeffs = _cleared(sf)[::-1]
+    fb = _sign_at(sf, b)
+    positive_left_of_b = fb > 0 if fb else _sign_at(pderiv(sf), b) < 0
     w = lcm(a.denominator, b.denominator)
     na, nb = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
     while na <= 0 or (nb - na) << ROOT_REL_BITS > na:
         mid, w = na + nb, 2 * w
-        acc = _homogeneous(coeffs, mid, w)
+        acc = _homogeneous(sf, mid, w)
         if acc == 0:
             return Fraction(mid, w), Fraction(mid, w)
         if (acc > 0) == positive_left_of_b:
@@ -324,24 +341,7 @@ def _refine(sf: Poly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
     return Fraction(na, w), Fraction(nb, w)
 
 
-def _homogeneous(coeffs: list[int], num: int, den: int) -> int:
-    """den^deg * f(num / den) for f with integer coefficients listed
-    highest degree first: Horner on the homogenized polynomial."""
-    acc, dk = 0, 1
-    for c in coeffs:
-        acc = acc * num + c * dk
-        dk *= den
-    return acc
-
-
-def _cleared(p: Poly) -> list[int]:
-    """p times the lcm of its denominators: integer coefficients with the
-    same roots and signs."""
-    den = lcm(*(c.denominator for c in p))
-    return [c.numerator * (den // c.denominator) for c in p]
-
-
-def _multiplicity_in(full: Poly, sf: Poly, lo: Rat, hi: Rat) -> int:
+def _multiplicity_in(full: IntPoly, sf: IntPoly, lo: Rat, hi: Rat) -> int:
     """Multiplicity in `full` of the single sf-root inside (lo, hi]."""
     m = 0
     q = ptrim(list(full))

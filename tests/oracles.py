@@ -3,9 +3,10 @@
 import itertools
 from fractions import Fraction
 
+from freecert.dynamics import ITER_BUDGET
 from freecert.pingpong import OracleResult, word_string
-from freecert.projective import component_member
-from freecert.rootiso import ROOT_REL_BITS, Interval, count_roots, peval, sturm_sequence
+from freecert.projective import ProjPoint, canonical_rep, component_member, dot, is_zero_vec
+from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim, rational_roots
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
@@ -153,16 +154,186 @@ def fraction_matmul(a, b) -> tuple:
     return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)) for i in range(n))
 
 
+# ---------------------------------------------------------------------------
+# Archimedean singular data over Fraction (references for the integer
+# paths of `rootiso` and `dynamics`)
+# ---------------------------------------------------------------------------
+
+
+def peval(p: list, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_divmod(p: list, q: list) -> tuple[list, list]:
+    """(quotient, remainder) of p by q over Q (q nonzero)."""
+    p, q = ptrim([Fraction(c) for c in p]), ptrim([Fraction(c) for c in q])
+    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    while len(p) >= len(q):
+        f = p[-1] / q[-1]
+        shift = len(p) - len(q)
+        out[shift] = f
+        for i, c in enumerate(q):
+            p[i + shift] -= f * c
+        p = ptrim(p[:-1])
+    return ptrim(out), p
+
+
+def fraction_pquo(p: list, q: list) -> list:
+    return _fraction_divmod(p, q)[0]
+
+
+def fraction_pgcd(p: list, q: list) -> list:
+    """Monic gcd over Q."""
+    a, b = ptrim(list(p)), ptrim(list(q))
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def fraction_pderiv(p: list) -> list:
+    return [c * i for i, c in enumerate(p)][1:]
+
+
+def fraction_squarefree_part(p: list) -> list:
+    p = ptrim([Fraction(c) for c in p])
+    g = fraction_pgcd(p, fraction_pderiv(p))
+    return p if len(g) < 2 else fraction_pquo(p, g)
+
+
+def fraction_sturm_sequence(p: list) -> list:
+    seq = [ptrim([Fraction(c) for c in p]), ptrim(fraction_pderiv(p))]
+    while seq[-1]:
+        seq.append([-c for c in _fraction_divmod(seq[-2], seq[-1])[1]])
+    return seq[:-1]
+
+
+def fraction_count_roots(seq: list, a, b) -> int:
+    """Distinct real roots in (a, b] by Sturm's theorem, evaluated over Fraction."""
+
+    def variations(x) -> int:
+        signs = [v > 0 for v in (peval(p, x) for p in seq) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
+
+
+def _fraction_multiplicity(p: list, r) -> int:
+    m, q = 0, ptrim(list(p))
+    while q and peval(q, r) == 0:
+        q = fraction_pquo(q, [-r, Fraction(1)])
+        m += 1
+    return m
+
+
+def _fraction_multiplicity_in(full: list, sf: list, lo, hi) -> int:
+    m, q = 0, ptrim(list(full))
+    g = fraction_pgcd(q, sf)
+    while fraction_count_roots(fraction_sturm_sequence(g), lo, hi) == 1:
+        m += 1
+        q = fraction_pquo(q, g)
+        g = fraction_pgcd(q, sf)
+        if len(g) < 2:
+            break
+    return max(m, 1)
+
+
+def fraction_isolate_positive_roots(p: list) -> list:
+    """Sturm isolation and bisection over Fraction, with Sturm-count
+    refinement (reference for `rootiso.isolate_positive_roots`)."""
+    p = ptrim([Fraction(c) for c in p])
+    if len(p) < 2:
+        return []
+    out, work = [], list(p)
+    for r in rational_roots(p):
+        if r > 0:
+            m = _fraction_multiplicity(p, r)
+            out.append((point(r), m))
+            for _ in range(m):
+                work = fraction_pquo(work, [-r, Fraction(1)])
+    sf = fraction_squarefree_part(work)
+    if len(sf) >= 2:
+        seq = fraction_sturm_sequence(sf)
+        bound = cauchy_bound(sf)
+        stack, isolated = [(Fraction(0), bound, fraction_count_roots(seq, Fraction(0), bound))], []
+        while stack:
+            a, b, cnt = stack.pop()
+            if cnt == 1:
+                isolated.append((a, b))
+            elif cnt > 1:
+                mid = (a + b) / 2
+                lo_cnt = fraction_count_roots(seq, a, mid)
+                if peval(sf, mid) == 0:
+                    out.append((point(mid), _fraction_multiplicity(work, mid)))
+                    stack += [(a, mid, lo_cnt - 1), (mid, b, cnt - lo_cnt)]
+                else:
+                    stack += [(a, mid, lo_cnt), (mid, b, cnt - lo_cnt)]
+        for a, b in isolated:
+            lo, hi = sturm_refine(sf, a, b)
+            out.append((Interval(lo, hi), _fraction_multiplicity_in(work, sf, lo, hi)))
+    return sorted(out, key=lambda t: (t[0].lo, t[0].hi))
+
+
+def fraction_gram(vectors) -> list:
+    return [[dot(v, w) for w in vectors] for v in vectors]
+
+
+def fraction_charpoly_gram(g) -> list:
+    """Characteristic polynomial of g^T g by Faddeev-LeVerrier over
+    Fraction, lowest degree first (reference for `dynamics._charpoly_gram`)."""
+    n = g.dim
+    s = fraction_gram([g.col(i) for i in range(n)])
+    m = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        t = [[m[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)] for i in range(n)]
+        m = [[sum((s[i][x] * t[x][j] for x in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+        coeffs.append(-sum((m[i][i] for i in range(n)), Fraction(0)) / k)
+    return list(reversed(coeffs))
+
+
+def fraction_power_direction(s_rows: list, lam2_hi) -> tuple:
+    """Power iteration over Fraction on canonical representatives
+    (reference for `dynamics._power_direction`)."""
+    n = len(s_rows)
+    best = (ProjPoint(tuple(Fraction(1 if i == 0 else 0) for i in range(n))), None)
+    for j in range(n):
+        start = tuple(s_rows[i][j] for i in range(n))
+        if is_zero_vec(start):
+            continue
+        v = canonical_rep(start)
+        for _ in range(ITER_BUDGET):
+            sv = tuple(dot(row, v) for row in s_rows)
+            if is_zero_vec(sv):
+                break
+            vv = dot(v, v)
+            rho = dot(sv, v) / vv
+            if rho > lam2_hi:
+                res = tuple(a - rho * b for a, b in zip(sv, v))
+                err = dot(res, res) / (vv * (rho - lam2_hi) ** 2)
+                if best[1] is None or err < best[1]:
+                    best = (ProjPoint(v), err)
+                if err <= Fraction(1, 2**80):
+                    return best
+            nxt = canonical_rep(sv)
+            if nxt == v:
+                break
+            v = nxt
+    return best
+
+
 def sturm_refine(sf: list, a, b) -> tuple:
     """Bisection of the one root of sf inside (a, b) that asks the Sturm
     count which half holds it (reference for `rootiso._refine`)."""
-    seq = sturm_sequence(sf)
+    seq = fraction_sturm_sequence(sf)
     scale = Fraction(1, 2**ROOT_REL_BITS)
     while a <= 0 or (b - a) > a * scale:
         mid = (a + b) / 2
         if peval(sf, mid) == 0:
             return mid, mid
-        if count_roots(seq, a, mid) == 1:
+        if fraction_count_roots(seq, a, mid) == 1:
             b = mid
         else:
             a = mid

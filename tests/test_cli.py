@@ -716,3 +716,59 @@ def test_flag_the_command_does_not_read_is_an_input_error(tmp_path, capsys):
     # flags the command reads are accepted
     code, cert, _ = run(tmp_path, "analyze", profile, "--place", "p:5")
     assert code == 0 and cert["place"] == "p:5"
+
+
+def test_unread_key_or_flag_is_refused_before_the_search(tmp_path, capsys):
+    # a 3x3 Jordan block is never certified proximal: all 64 powers are
+    # searched (seconds) unless the stray flag or key is refused first
+    jordan = (
+        "format 1\nplace arch\n[matrix-group]\ngen g = [[15, 13, 0], [0, 15, 13], [0, 0, 15]]\n"
+        "[task]\nop analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\nmax-n 64\n"
+    )
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "analyze", jordan, "--radius", "3")
+    assert code == 2 and cert is None
+    assert "in.prob: --radius is not a flag of this analyze task" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", jordan + "radius-sq 1/4\n")
+    assert code == 2 and cert is None
+    assert "in.prob:12:1: 'radius-sq' is not a key of this analyze task" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+
+
+def test_dimension_beyond_limit_fails_fast(tmp_path, capsys):
+    def gen(n: int) -> str:
+        return "gen g = [" + ", ".join("[" + ", ".join("2" if i == j else "0" if j != i + 1 else "1" for j in range(n)) + "]" for i in range(n)) + "]\n"
+
+    profile = "[task]\nop analyze\nsubop profile\nelement g\n"
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "analyze", "format 1\n[matrix-group]\ndim 17\n" + gen(17) + profile)
+    assert code == 2 and cert is None
+    assert "in.prob:3:5: dim 17 is outside 2..16" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", "format 1\n[matrix-group]\n" + gen(17) + profile)
+    assert code == 2 and cert is None
+    assert "in.prob:3:1: generator g is 17x17, over MAX_DIM = 16" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+    # the top of the range is legal
+    diag16 = "gen g = [" + ", ".join("[" + ", ".join(str(i + 1) if i == j else "0" for j in range(16)) + "]" for i in range(16)) + "]\n"
+    code, cert, _ = run(tmp_path, "analyze", "format 1\n[matrix-group]\ndim 16\n" + diag16 + profile)
+    assert code == 0 and len(cert["result"]["values_sq"]) == 16
+
+
+def test_word_height_beyond_limit_fails_fast(tmp_path, capsys):
+    # (a b)^32 has height 64 * 7 = 448 bits; its contraction certificate
+    # would write numbers of over 4300 digits
+    header = "format 1\nplace arch\n[matrix-group]\ndim 2\ngen a = [[99, 98], [1, 1]]\ngen b = [[1, 0], [99, 1]]\n"
+    task = "[task]\nop analyze\nsubop contracting\nepsilon-sq 1/4\nelement {}\n"
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "analyze", header + task.format("a b " * 32))
+    assert code == 2 and cert is None
+    assert "in.prob:11:9: word of height 448 bits exceeds MAX_WORD_HEIGHT = 256" in capsys.readouterr().err
+    # inverse letters count the height of the inverse matrix, [[1, -98], [-1, 99]]
+    players = "[task]\nop pingpong\nsubop oracle\nplayer x = a\nplayer y = b^-19 a^-18\n"
+    code, cert, _ = run(tmp_path, "pingpong", header + players)
+    assert code == 2 and cert is None
+    assert "in.prob:11:1: word of height 259 bits exceeds MAX_WORD_HEIGHT = 256" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+    # within the limit the certificate is written
+    code, cert, _ = run(tmp_path, "analyze", header + task.format("a b " * 18))
+    assert code == 0 and cert["verdict"] == "yes"

@@ -3,8 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freecert.dynamics import (
+    _charpoly_gram,
+    _power_direction,
     _witness_pool,
     certify_contracting,
     certify_proximal,
@@ -27,9 +31,18 @@ from freecert.projective import (
     det,
     dist_sq,
     dist_to_hyperplane_sq,
+    gram_matrix,
 )
+from freecert.rootiso import isolate_positive_roots, point
 from freecert.scalar import ARCH, padic, padic_valuation, sqrt_lower, sqrt_upper
-from oracles import interval_contains, set_member
+from oracles import (
+    fraction_charpoly_gram,
+    fraction_gram,
+    fraction_isolate_positive_roots,
+    fraction_power_direction,
+    interval_contains,
+    set_member,
+)
 
 P5 = padic(5)
 
@@ -482,3 +495,78 @@ def test_witness_pool_order():
                     expected.append(p)
         expected.sort(key=lambda p: (sum(1 for c in p.rep if c != 0), p.rep))
         assert list(_witness_pool(n)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The integer archimedean path against its Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _power_directions(g: ProjMat) -> list:
+    """`_power_direction` on g g^T and on g^T g, and the Fraction
+    reference on the same two Gram matrices, as two lists of pairs."""
+    lam2_hi = singular_profile(g).values_sq[1].hi
+    rows, _ = g._integer_form
+    gtg, scale = g.gram
+    ours = [_power_direction(gram_matrix(rows), scale, lam2_hi), _power_direction(gtg, scale, lam2_hi)]
+    cols = [g.col(j) for j in range(g.dim)]
+    ref = [fraction_power_direction(fraction_gram(g.entries), lam2_hi), fraction_power_direction(fraction_gram(cols), lam2_hi)]
+    return [ours, ref]
+
+
+def _assert_matches_fraction_reference(g: ProjMat) -> list:
+    charpoly = _charpoly_gram(g)
+    assert charpoly == fraction_charpoly_gram(g)
+    roots = isolate_positive_roots(charpoly)
+    assert roots == fraction_isolate_positive_roots(charpoly)
+    ours, ref = _power_directions(g)
+    assert ours == ref
+    return roots
+
+
+@st.composite
+def arch_matrices(draw):
+    n = draw(st.integers(2, 7))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n))
+    dens = draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n) | st.just([1] * (n * n)))
+    rows = tuple(tuple(F(nums[i * n + j], dens[i * n + j]) for j in range(n)) for i in range(n))
+    assume(det(rows) != 0)
+    return ProjMat(rows, ARCH)
+
+
+@settings(max_examples=15, deadline=None)
+@given(arch_matrices())
+def test_integer_singular_data_matches_fraction_reference(g):
+    _assert_matches_fraction_reference(g)
+
+
+def _blockdiag(*blocks) -> ProjMat:
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(r) + [0] * (n - at - len(b)) for r in b]
+        at += len(b)
+    return ProjMat(tuple(map(tuple, rows)), ARCH)
+
+
+def test_power_direction_stalls_on_a_lower_eigenvector():
+    # the first start column (1, 0) is the eigenvector of lambda_2 = 1:
+    # no bound there, and the iterate repeats; the second column gives the
+    # top direction with bound 0
+    g = diag(1, 2)
+    ours, ref = _power_directions(g)
+    assert ours == ref == [(E2, 0), (E2, 0)]
+
+
+def test_double_irrational_squared_singular_values():
+    # blockdiag(FIB, FIB): g^T g has charpoly (x^2 - 7x + 1)^2, not
+    # squarefree, so each root's multiplicity comes from `_multiplicity_in`
+    roots = _assert_matches_fraction_reference(_blockdiag(FIB.entries, FIB.entries))
+    assert [m for _, m in roots] == [2, 2]
+    assert not any(iv.exact for iv, _ in roots)
+
+
+def test_rational_squared_singular_value_split_off():
+    roots = _assert_matches_fraction_reference(_blockdiag(FIB.entries, ((2,),)))
+    assert (point(4), 1) in roots
+    assert [iv.exact for iv, _ in roots] == [False, True, False]

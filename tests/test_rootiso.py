@@ -1,23 +1,34 @@
 from fractions import Fraction as F
 from math import isqrt
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freecert.rootiso import (
     Interval,
+    _cleared,
     _refine,
     cauchy_bound,
     count_roots,
     isolate_positive_roots,
-    peval,
+    pderiv,
     pgcd,
     pquo,
+    prem,
     rational_roots,
-    squarefree_part,
     sturm_sequence,
 )
-from oracles import interval_contains, interval_power, pmul, sturm_refine
+from oracles import (
+    fraction_count_roots,
+    fraction_isolate_positive_roots,
+    fraction_sturm_sequence,
+    interval_contains,
+    interval_power,
+    peval,
+    pmul,
+    sturm_refine,
+)
 
 
 def poly_from_roots(roots):
@@ -28,20 +39,22 @@ def poly_from_roots(roots):
 
 
 def test_poly_division_roundtrip():
-    p = poly_from_roots([1, 2, 3])
-    q = poly_from_roots([2])
-    assert pquo(p, q) == poly_from_roots([1, 3])
+    p = _cleared(poly_from_roots([1, F(2, 3), 3]))  # (x - 1)(3x - 2)(x - 3)
+    assert pquo(p, [-2, 3]) == [3, -4, 1]
+    with pytest.raises(ArithmeticError):
+        pquo(p, [-2, 1])
 
 
 def test_gcd_and_squarefree():
-    p = pmul(poly_from_roots([1, 1, 2]), [F(1)])
-    sf = squarefree_part(p)
-    assert peval(sf, F(1)) == 0 and peval(sf, F(2)) == 0
-    assert pgcd(poly_from_roots([1, 2]), poly_from_roots([2, 3])) == poly_from_roots([2])
+    p = _cleared(poly_from_roots([1, 1, 2]))
+    sf = pquo(p, pgcd(p, pderiv(p)))
+    assert sf == [2, -3, 1]
+    assert pgcd(_cleared(poly_from_roots([1, 2])), _cleared(poly_from_roots([2, 3]))) == [-2, 1]
+    assert pgcd([-4, 6], [0, -2, 3]) == [-2, 3]  # primitive, leading coefficient positive
 
 
 def test_sturm_counts_known_roots():
-    p = poly_from_roots([F(1, 2), 3, 7])
+    p = _cleared(poly_from_roots([F(1, 2), 3, 7]))
     seq = sturm_sequence(p)
     assert count_roots(seq, F(0), F(10)) == 3
     assert count_roots(seq, F(1), F(5)) == 1
@@ -90,10 +103,10 @@ def test_interval_arithmetic():
 
 def _one_root_brackets(sf, points):
     """Pairs a < b of the points whose open interval holds exactly one root of sf."""
-    seq = sturm_sequence(sf)
+    seq = fraction_sturm_sequence(sf)
     for i, a in enumerate(points):
         for b in points[i + 1 :]:
-            if count_roots(seq, a, b) - (peval(sf, b) == 0) == 1:
+            if fraction_count_roots(seq, a, b) - (peval(sf, b) == 0) == 1:
                 yield a, b
 
 
@@ -113,20 +126,69 @@ def test_refine_and_rational_roots_match_references(rational, irrational_sq):
     brackets = list(_one_root_brackets(sf, points))
     assert brackets
     for a, b in brackets:
-        assert _refine(sf, a, b) == sturm_refine(sf, a, b), (a, b)
+        assert _refine(_cleared(sf), a, b) == sturm_refine(sf, a, b), (a, b)
 
 
 def test_refine_with_a_root_at_an_endpoint():
     # sf(0) = 0 with the bracket starting at 0
     sf = pmul([F(0), F(1)], [F(-2), F(0), F(1)])
-    assert _refine(sf, F(0), F(2)) == sturm_refine(sf, F(0), F(2))
+    assert _refine(_cleared(sf), F(0), F(2)) == sturm_refine(sf, F(0), F(2))
     # left end a split-off rational root, then right end one
     for r in (F(1), F(2)):
         sf = pmul(poly_from_roots([r]), [F(-3), F(0), F(1)])
-        assert _refine(sf, F(1), F(2)) == sturm_refine(sf, F(1), F(2))
+        assert _refine(_cleared(sf), F(1), F(2)) == sturm_refine(sf, F(1), F(2))
     # both ends roots
     sf = pmul(poly_from_roots([F(3, 2), F(2)]), [F(-3), F(0), F(1)])
-    assert _refine(sf, F(3, 2), F(2)) == sturm_refine(sf, F(3, 2), F(2))
+    assert _refine(_cleared(sf), F(3, 2), F(2)) == sturm_refine(sf, F(3, 2), F(2))
     # a root the bisection hits exactly
     sf = pmul(poly_from_roots([F(3, 2)]), [F(-5), F(0), F(1)])
-    assert _refine(sf, F(1), F(2)) == sturm_refine(sf, F(1), F(2)) == (F(3, 2), F(3, 2))
+    assert _refine(_cleared(sf), F(1), F(2)) == sturm_refine(sf, F(1), F(2)) == (F(3, 2), F(3, 2))
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(small_rationals, st.integers(1, 3)), max_size=3),
+    st.lists(st.tuples(st.integers(2, 40).filter(lambda q: isqrt(q) ** 2 != q), st.integers(1, 2)), max_size=2),
+    st.fractions(min_value=F(1, 5), max_value=8, max_denominator=5),
+)
+def test_isolation_matches_fraction_reference(rational, irrational_sq, lead):
+    # rational and quadratic irrational roots, each possibly repeated, so
+    # both the squarefree shortcut and `_multiplicity_in` are exercised
+    p = [lead]
+    for r, m in rational:
+        p = pmul(p, poly_from_roots([r] * m))
+    for q, m in irrational_sq:
+        for _ in range(m):
+            p = pmul(p, [F(-q), F(0), F(1)])
+    assert isolate_positive_roots(p) == fraction_isolate_positive_roots(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6), min_size=2, max_size=8).filter(lambda p: p[-1] != 0),
+    small_rationals,
+    small_rationals,
+)
+@example([F(1), F(0), F(-1)], F(0), F(2))  # a negative leading coefficient flips a pseudo-remainder
+def test_integer_sturm_counts_match_fraction_counts(p, a, b):
+    a, b = min(a, b), max(a, b)
+    assert count_roots(sturm_sequence(_cleared(p)), a, b) == fraction_count_roots(fraction_sturm_sequence(p), a, b)
+
+
+def test_prem_is_a_positive_multiple_of_the_remainder():
+    # negative leading coefficient of the divisor, odd degree drop
+    p, q = [5, -1, 0, 3, 2], [1, 4, -3]
+    r = prem(p, q)
+    assert len(r) == 2
+    quo = [F(c) for c in p]
+    for _ in range(3):  # long division over Q
+        f = quo[-1] / q[-1]
+        shift = len(quo) - len(q)
+        for i, c in enumerate(q):
+            quo[i + shift] -= f * c
+        quo.pop()
+    ratio = F(r[-1]) / quo[-1]
+    assert ratio > 0 and all(F(x) == ratio * y for x, y in zip(r, quo))
