@@ -13,11 +13,12 @@ not re-run.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import cached_property
 
 from . import __version__
-from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, witness_refutes
+from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
 from .dynamics import ContractionCert, ProximalCert, contraction_gap_sq, direction_candidates
 from .projective import (
     Ball,
@@ -40,13 +41,30 @@ class VerifyError(ValueError):
     """Certificate is structurally unusable (distinct from failing checks)."""
 
 
+class CertificateError(ValueError):
+    """A certificate that cannot be written."""
+
+
+class _Unprintable:
+    """A number `rat` could not write: Python converts no integer of more
+    than `sys.get_int_max_str_digits()` digits to text.  `dumps` refuses
+    the certificate, naming the field that holds it."""
+
+    def __init__(self, x: Fraction):
+        self.x = x
+
+
 # ---------------------------------------------------------------------------
 # Encoders
 # ---------------------------------------------------------------------------
 
 
-def rat(x: Rat) -> str:
-    return format_rat(Fraction(x))
+def rat(x: Rat) -> "str | _Unprintable":
+    x = Fraction(x)
+    try:
+        return format_rat(x)
+    except ValueError:  # too many digits
+        return _Unprintable(x)
 
 
 def place_str(place: Place) -> str:
@@ -307,7 +325,32 @@ def certificate(place: Place | None, backend: str, header: dict, task: dict, ver
 
 
 def dumps(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The canonical JSON text; CertificateError names the first field,
+    in key order, whose number has too many digits to write."""
+
+    def refuse(obj):
+        if not isinstance(obj, _Unprintable):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        bits = max(obj.x.numerator.bit_length(), obj.x.denominator.bit_length())
+        raise CertificateError(
+            f"certificate field {_field_of(cert, obj)} holds a number of about {bits * 30103 // 100000 + 1} digits, "
+            f"over the {sys.get_int_max_str_digits()} Python writes: raise epsilon-sq or lower max-n (or m-max, k-max)"
+        )
+
+    return json.dumps(cert, sort_keys=True, indent=2, ensure_ascii=True, default=refuse) + "\n"
+
+
+def _field_of(node, target, path: str = "") -> str | None:
+    """The dotted path of `target` inside nested dicts and lists."""
+    if node is target:
+        return path
+    if isinstance(node, dict):
+        children = ((f"{path}.{k}" if path else k, v) for k, v in sorted(node.items()))
+    elif isinstance(node, list):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    return next((found for p, v in children if (found := _field_of(v, target, p)) is not None), None)
 
 
 def loads(text: str) -> dict:
@@ -360,7 +403,7 @@ def _check_selfmap(claim: dict, place: Place) -> bool:
     enc = claim["enclosure"]
     center, t_sq = point_from(enc["center"]), parse_rat(enc["radius_sq"])
     r_err, eps_sq = parse_rat(claim["repel_err_sq"]), parse_rat(claim["epsilon_sq"])
-    _, derived = selfmap_at(matrix, center, point_from(claim["attract"]), plane_from(claim["repel"]), r_err, gap_hi, eps_sq, [t_sq])
+    _, derived = selfmap_at(matrix, center, point_from(claim["attract"]), plane_from(claim["repel"]), r_err, gap_hi, eps_sq, selfmap_radii([t_sq]))
     stored = Enclosure(Ball(center, t_sq), *(parse_rat(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
     return derived == stored
 

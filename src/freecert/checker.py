@@ -8,9 +8,23 @@ calling the same ones on its parsed numbers.  Only `scalar` and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .projective import Ball, ProjHyperplane, ProjMat, ProjPoint, ProjSet, apply, dist_sq, dist_to_hyperplane_sq, set_contains
+from .projective import (
+    Ball,
+    ProjHyperplane,
+    ProjMat,
+    ProjPoint,
+    ProjSet,
+    apply,
+    dist_sq,
+    dist_sq_pair,
+    dist_to_hyperplane_sq,
+    dist_to_hyperplane_sq_pair,
+    set_contains,
+)
 from .scalar import Place, Rat, cmp_sqrt_sum, sqrt_lower, sqrt_upper
 
 
@@ -34,12 +48,18 @@ def witness_refutes(g: ProjMat, x: ProjPoint, attract: ProjPoint, repel: ProjHyp
     strictly farther than eps from repel and g x strictly farther than eps
     from attract."""
     place = g.place
-    return dist_to_hyperplane_sq(x, repel, place) > epsilon_sq and dist_sq(apply(g, x), attract, place) > epsilon_sq
+    en, ed = epsilon_sq.numerator, epsilon_sq.denominator
+    num, den = dist_to_hyperplane_sq_pair(x, repel, place)
+    if num * ed <= en * den:
+        return False
+    num, den = dist_sq_pair(apply(g, x), attract, place)
+    return num * ed > en * den
 
 
 def point_plane_far(point: ProjPoint, plane: ProjHyperplane, r_sq: Rat, place: Place) -> bool:
     """d(point, plane) >= r, exactly."""
-    return dist_to_hyperplane_sq(point, plane, place) >= r_sq
+    num, den = dist_to_hyperplane_sq_pair(point, plane, place)
+    return num * r_sq.denominator >= r_sq.numerator * den
 
 
 @dataclass(frozen=True)
@@ -60,30 +80,52 @@ class Enclosure:
     move_sq: Rat  # d(g.center, center)^2
 
 
+def selfmap_radii(radii_sq) -> tuple[tuple[Rat, Rat, Rat], ...]:
+    """(t^2, u, the largest u so far) for each squared radius in the given
+    ascending order, with u = sqrt_upper(t^2): what `selfmap_at` reads."""
+    out, top = [], None
+    for t_sq in radii_sq:
+        u = sqrt_upper(t_sq)
+        top = u if top is None or u > top else top
+        out.append((t_sq, u, top))
+    return tuple(out)
+
+
 def selfmap_at(
-    g: ProjMat, center: ProjPoint, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, radii_sq
+    g: ProjMat, center: ProjPoint, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, radii
 ) -> tuple[ProjPoint, Enclosure | None]:
     """(g center, the enclosure of the first passing radius in the ascending
-    radii_sq, or None).  B(center, t) passes when d_low = d(center, repel)
-    - t - beta bounds its distance from the true repelling hyperplane with
-    Lipschitz bound L = kappa / d_low^2 < 1, g moves center by less than
-    (1 - L) t, and the ball lies in the closed eps-ball around attract.
-    The image, move and plane distance are computed once for all radii."""
+    `selfmap_radii` radii, or None).  B(center, t) passes when d_low =
+    d(center, repel) - t - beta bounds its distance from the true repelling
+    hyperplane with Lipschitz bound L = kappa / d_low^2 < 1, g moves center
+    by less than (1 - L) t, and the ball lies in the closed eps-ball around
+    attract.  A radius with d_low <= 0 ends the search.  The image, move
+    and distances are computed once for all radii, and the radii up to the
+    move are skipped, as 0 <= L < 1 makes (1 - L)^2 t^2 <= t^2: they fail
+    the move test, and the largest bound u among them tells whether one
+    would have ended the search."""
     place = g.place
     gc = apply(g, center)
     move_sq = dist_sq(gc, center, place)
-    l_d = sqrt_lower(dist_to_hyperplane_sq(center, repel, place))
+    reach = sqrt_lower(dist_to_hyperplane_sq(center, repel, place)) - sqrt_upper(repel_err_sq)
+    start = bisect_right(radii, move_sq, key=itemgetter(0))
+    if start and reach <= radii[start - 1][2]:
+        return gc, None
     u_kappa = sqrt_upper(gap_sq_hi)
-    u_beta = sqrt_upper(repel_err_sq)
-    for t_sq in radii_sq:
-        d_low = l_d - sqrt_upper(t_sq) - u_beta
+    near_sq = None
+    for t_sq, u_t, _ in radii[start:]:
+        d_low = reach - u_t
         if d_low <= 0:
-            break  # larger radii only make it worse
-        lip = u_kappa / (d_low * d_low)
-        if lip >= 1:
-            continue
-        if move_sq < (1 - lip) ** 2 * t_sq and cmp_sqrt_sum(dist_sq(center, attract, place), t_sq, epsilon_sq) <= 0:
-            return gc, Enclosure(Ball(center, t_sq), lip * lip, d_low * d_low, move_sq)
+            break
+        low_sq = d_low * d_low
+        if u_kappa >= low_sq:
+            continue  # L >= 1
+        lip = u_kappa / low_sq
+        if move_sq < (1 - lip) ** 2 * t_sq:
+            if near_sq is None:
+                near_sq = dist_sq(center, attract, place)
+            if cmp_sqrt_sum(near_sq, t_sq, epsilon_sq) <= 0:
+                return gc, Enclosure(Ball(center, t_sq), lip * lip, low_sq, move_sq)
     return gc, None
 
 

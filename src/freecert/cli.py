@@ -93,6 +93,10 @@ MAX_DIM = 16
 #: of height costs about 14 decimal digits, so 256 keeps them near 3500,
 #: under the 4300 digits Python converts to text.
 MAX_WORD_HEIGHT = 256
+#: Largest problem file, in bytes: over a thousand times the largest
+#: problem of the tests (983 bytes) and of the benchmark deck (414).  At most one
+#: byte more is read, so a huge file is refused before it is parsed.
+MAX_PROBLEM_BYTES = 1 << 20
 
 
 class ProblemError(ValueError):
@@ -779,13 +783,17 @@ def cmd_verify(path: str) -> int:
 
 def _run_problem(args, runner) -> int:
     try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.problem, "rb") as fh:
+            data = fh.read(MAX_PROBLEM_BYTES + 1)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        prob = parse_problem(text)
+        if len(data) > MAX_PROBLEM_BYTES:
+            line = data.count(b"\n", 0, MAX_PROBLEM_BYTES) + 1
+            byte = MAX_PROBLEM_BYTES - data.rfind(b"\n", 0, MAX_PROBLEM_BYTES)
+            raise ProblemError(line, byte, f"problem file is longer than MAX_PROBLEM_BYTES = {MAX_PROBLEM_BYTES}")
+        prob = parse_problem(data.decode("utf-8"))
         given = (
             ("--place", args.place, parse_place),
             ("--budget", args.budget, list),
@@ -797,13 +805,13 @@ def _run_problem(args, runner) -> int:
         prob.value("op", _one_of("op", args.command), None)
         cert, code = runner(prob)
         prob.all_read()  # the commands call it before searching; this guards a path that did not
+        payload = certfmt.dumps(cert)
     except ProblemError as e:
         print(f"{args.problem}:{e}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, TreeError, KeyError) as e:
         print(f"{args.problem}: {e}", file=sys.stderr)
         return EXIT_INPUT
-    payload = certfmt.dumps(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
-from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, witness_refutes
+from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
 from .projective import (
     Ball,
     HNbhd,
@@ -60,6 +60,11 @@ class SingularProfile:
     @property
     def dim(self) -> int:
         return len(self.values_sq)
+
+    @cached_property
+    def gap_sq(self) -> Interval:
+        """Enclosure of kappa^2 = (sigma_2/sigma_1)^2, divided once per profile."""
+        return self.values_sq[1].divide(self.values_sq[0])
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +183,9 @@ def singular_profile(g: ProjMat) -> SingularProfile:
 
 
 def contraction_gap_sq(g: ProjMat) -> Interval:
-    """Enclosure of kappa^2 = (sigma_2/sigma_1)^2; exact at p-adic places."""
-    prof = singular_profile(g)
-    top, second = prof.values_sq[0], prof.values_sq[1]
-    return second.divide(top)
+    """Enclosure of kappa^2 = (sigma_2/sigma_1)^2; exact at p-adic places.
+    The memoized profile holds it, so it is divided once per matrix."""
+    return singular_profile(g).gap_sq
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,7 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat) -> tuple[ProjPoint, Rat |
     n = len(s_rows)
     p, q = lam2_hi.numerator, lam2_hi.denominator
     p_scale = p * scale
-    best = ProjPoint(tuple(Fraction(1 if i == 0 else 0) for i in range(n)))
+    best = ProjPoint(tuple(int(i == 0) for i in range(n)))
     best_err = None  # (numerator, denominator) of best's bound
     for j in range(n):
         col = [row[j] for row in s_rows]
@@ -271,7 +275,7 @@ def direction_candidates(g: ProjMat) -> DirectionData:
     gtg, scale = g.gram
     attract, a_err = _power_direction(gram_matrix(rows), scale, lam2_hi)
     dual, r_err = _power_direction(gtg, scale, lam2_hi)
-    return DirectionData(attract, a_err, ProjHyperplane(dual.rep), r_err)
+    return DirectionData(attract, a_err, ProjHyperplane(dual.coords), r_err)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +318,7 @@ class ContractionCert:
         transpose acting on dual points, with the roles of the pair swapped."""
         return (
             (g, self.attract, self.repel, self.repel_err_sq),
-            (g.transpose(), self.repel.dual_point(), ProjHyperplane(self.attract.rep), self.attract_err_sq),
+            (g.transpose(), self.repel.dual_point(), ProjHyperplane(self.attract.coords), self.attract_err_sq),
         )
 
 
@@ -374,15 +378,21 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> ContractionVerdict:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _selfmap_ladder(epsilon_sq: Rat):
+    """The radii eps / 2^j, j = 45 down to 1, ascending, built once per eps."""
+    return selfmap_radii(epsilon_sq / 4**j for j in range(45, 0, -1))
+
+
 def selfmap_enclosure(
     g: ProjMat, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat
 ) -> Enclosure | None:
     """Iterate g on the attracting candidate until a ball, of radius
     eps / 2^j for j = 45 down to 1, passes the checker's self-map test."""
-    radii_sq = [epsilon_sq / Fraction(4**j) for j in range(45, 0, -1)]
+    radii = _selfmap_ladder(epsilon_sq)
     c = attract
     for _ in range(ITER_BUDGET):
-        c, enc = selfmap_at(g, c, attract, repel, repel_err_sq, gap_sq_hi, epsilon_sq, radii_sq)
+        c, enc = selfmap_at(g, c, attract, repel, repel_err_sq, gap_sq_hi, epsilon_sq, radii)
         if enc is not None:
             return enc
     return None
@@ -404,7 +414,7 @@ class ProximalCert:
     @property
     def fixed_plane_nbhd(self) -> HNbhd:
         b = self.fixed_plane_dual.ball
-        return HNbhd(ProjHyperplane(b.center.rep), b.radius_sq)
+        return HNbhd(ProjHyperplane(b.center.coords), b.radius_sq)
 
     @property
     def attract_set(self) -> Ball:
@@ -559,7 +569,7 @@ def push_component(m: ProjMat, comp):
 def _hnbhd_of_ball(b: Ball) -> HNbhd:
     if b.dim != 2:
         raise ValueError("only P^1 balls dualize to hyperplane neighborhoods")
-    f = b.center.rep
+    f = b.center.coords
     return HNbhd(ProjHyperplane((-f[1], f[0])), b.radius_sq)
 
 

@@ -1,10 +1,16 @@
 """Exact projective geometry over (Q, place).
 
-Points and hyperplanes carry canonical rational representatives (first
-nonzero coordinate scaled to 1) so equality and hashing are exact.  The
+A point or hyperplane stores the primitive integer representative of its
+class with first nonzero coordinate positive, the key `primitive` also
+gives a matrix's class, so equality and hashing are exact and no
+coordinate is ever divided.  `.rep` and `.functional` are the canonical
+rational views (first nonzero coordinate 1) that certificates print.  The
 metric is the standard one, d([v],[w]) = |v ^ w| / (|v| |w|), handled
-throughout in squared form; at a p-adic place the sup norm replaces the
-Euclidean one and everything stays rational.
+throughout in squared form on the integer representatives: sums of
+squares at the archimedean place; at a p-adic place the sup norm
+replaces the Euclidean one, and an integer vector has norm
+p^(-min v_p).  A distance is one Fraction, built from an integer pair
+that callers which only compare cross-multiply instead.
 
 Sets are finite unions of open balls and open hyperplane neighborhoods,
 the only shapes the attracting/repelling machinery needs.  Disjointness
@@ -20,70 +26,90 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .scalar import Place, Rat, abs_sq, abs_value, cmp_sqrt_sum
+from .scalar import Place, Rat, cmp_sqrt_sum, int_valuation
 
 Vec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 
-def vec(coords) -> Vec:
-    return tuple(Fraction(c) for c in coords)
-
-
-def is_zero_vec(v: Vec) -> bool:
-    return all(c == 0 for c in v)
-
-
-def canonical_rep(v: Vec) -> Vec:
-    """Scale so the first nonzero coordinate equals 1 (unique per class)."""
-    for c in v:
-        if c != 0:
-            return tuple(x / c for x in v)
-    raise ValueError("zero vector has no projective class")
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    rep: Vec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rep", canonical_rep(vec(self.rep)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rep)
+def class_rep(coords) -> IntVec:
+    """The primitive integer representative, first nonzero entry positive,
+    of the class of a nonzero vector of ints and Fractions."""
+    v = coords
+    if not all(type(c) is int for c in v):
+        for c in v:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coordinate {c!r} is not an int or a Fraction")
+        scale = lcm(*(c.denominator for c in v))
+        v = [c.numerator * (scale // c.denominator) for c in v]
+    if not any(v):
+        raise ValueError("zero vector has no projective class")
+    return primitive(v)
 
 
 @dataclass(frozen=True)
-class ProjHyperplane:
-    """ker(functional), stored by the canonical rep of the dual covector."""
+class _IntegerClass:
+    """A class of P(Q^n) or of its dual, stored by `class_rep`."""
 
-    functional: Vec
+    coords: IntVec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "functional", canonical_rep(vec(self.functional)))
+        object.__setattr__(self, "coords", class_rep(self.coords))
+
+    @classmethod
+    def _of(cls, v: IntVec):
+        """The class of v, already primitive with first nonzero entry positive."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "coords", v)
+        return x
 
     @property
     def dim(self) -> int:
-        return len(self.functional)
+        return len(self.coords)
+
+    @cached_property
+    def _canonical(self) -> Vec:
+        first = next(x for x in self.coords if x)
+        return tuple(Fraction(x, first) for x in self.coords)
+
+
+class ProjPoint(_IntegerClass):
+    @property
+    def rep(self) -> Vec:
+        """The canonical representative: first nonzero coordinate 1."""
+        return self._canonical
+
+
+class ProjHyperplane(_IntegerClass):
+    """ker(f), stored by the class of the covector f."""
+
+    @property
+    def functional(self) -> Vec:
+        """The canonical covector: first nonzero coordinate 1."""
+        return self._canonical
 
     def dual_point(self) -> ProjPoint:
-        return ProjPoint(self.functional)
+        return ProjPoint._of(self.coords)
 
 
-def norm_sq(v: Vec, place: Place) -> Rat:
-    """Squared standard norm: sum of squares, or (max_i |x_i|_p)^2."""
+def norm_sq(v: IntVec, place: Place) -> tuple[int, int]:
+    """|v|^2 of an integer vector as (numerator, denominator): the sum of
+    squares, or (max_i |v_i|_p)^2 = p^(-2 min_i v_p(v_i))."""
     if not place.is_padic:
-        return sum((c * c for c in v), Fraction(0))
-    best = Fraction(0)
-    for c in v:
-        if c != 0:
-            a = abs_value(c, place)
-            if a > best:
-                best = a
-    return best * best
+        return sum(map(mul, v, v)), 1
+    p = place.prime
+    least = None
+    for x in v:
+        if x:
+            e = int_valuation(x, p)
+            if least is None or e < least:
+                least = e
+                if not e:
+                    break
+    return (0, 1) if least is None else (1, p ** (2 * least))
 
 
-def wedge(v: Vec, w: Vec) -> Vec:
+def wedge(v, w) -> tuple:
     """2x2 minors v_i w_j - v_j w_i, i < j, in lexicographic order."""
     if len(v) != len(w):
         raise ValueError("wedge of vectors of different dimension")
@@ -91,23 +117,41 @@ def wedge(v: Vec, w: Vec) -> Vec:
     return tuple(v[i] * w[j] - v[j] * w[i] for i in range(n) for j in range(i + 1, n))
 
 
-def dot(v: Vec, w: Vec) -> Rat:
-    return sum((a * b for a, b in zip(v, w)), Fraction(0))
+def dot(v, w):
+    return sum(map(mul, v, w))
+
+
+def _ratio_sq(top: IntVec, a: IntVec, b: IntVec, place: Place) -> tuple[int, int]:
+    """|top|^2 / (|a|^2 |b|^2) as an integer pair, for primitive a and b:
+    one of their coordinates is a p-adic unit, so |a| = |b| = 1 at a
+    p-adic place."""
+    if place.is_padic:
+        return norm_sq(top, place)
+    return norm_sq(top, place)[0], norm_sq(a, place)[0] * norm_sq(b, place)[0]
+
+
+def dist_sq_pair(p: ProjPoint, q: ProjPoint, place: Place) -> tuple[int, int]:
+    """d(p, q)^2 as (numerator, denominator), for callers that only compare it."""
+    if p.dim != q.dim:
+        raise ValueError("points of different dimension")
+    return _ratio_sq(wedge(p.coords, q.coords), p.coords, q.coords, place)
 
 
 def dist_sq(p: ProjPoint, q: ProjPoint, place: Place) -> Rat:
     """Squared standard metric; exact rational in [0, 1]."""
-    if p.dim != q.dim:
-        raise ValueError("points of different dimension")
-    return norm_sq(wedge(p.rep, q.rep), place) / (norm_sq(p.rep, place) * norm_sq(q.rep, place))
+    return Fraction(*dist_sq_pair(p, q, place))
+
+
+def dist_to_hyperplane_sq_pair(p: ProjPoint, h: ProjHyperplane, place: Place) -> tuple[int, int]:
+    """d(p, h)^2 as (numerator, denominator), for callers that only compare it."""
+    if p.dim != h.dim:
+        raise ValueError("point and hyperplane of different dimension")
+    return _ratio_sq((dot(h.coords, p.coords),), h.coords, p.coords, place)
 
 
 def dist_to_hyperplane_sq(p: ProjPoint, h: ProjHyperplane, place: Place) -> Rat:
     """Squared distance |f(v)|^2 / (|f|^2 |v|^2); 0 iff p lies on h."""
-    if p.dim != h.dim:
-        raise ValueError("point and hyperplane of different dimension")
-    fv = dot(h.functional, p.rep)
-    return abs_sq(fv, place) / (norm_sq(h.functional, place) * norm_sq(p.rep, place))
+    return Fraction(*dist_to_hyperplane_sq_pair(p, h, place))
 
 
 def dual_dist_sq(h1: ProjHyperplane, h2: ProjHyperplane, place: Place) -> Rat:
@@ -133,7 +177,7 @@ class ProjMat:
     place: Place
 
     def __post_init__(self) -> None:
-        rows = tuple(vec(r) for r in self.entries)
+        rows = tuple(tuple(Fraction(c) for c in r) for r in self.entries)
         n = len(rows)
         if n < 2 or any(len(r) != n for r in rows):
             raise ValueError("entries must form a square matrix, n >= 2")
@@ -190,13 +234,16 @@ class ProjMat:
     def transpose(self) -> "ProjMat":
         return ProjMat._trusted(tuple(zip(*self.entries)), self.place)
 
-    def inverse(self) -> "ProjMat":
-        return ProjMat._trusted(mat_inverse(self.entries), self.place)
+    @cached_property
+    def _inverse(self) -> "ProjMat":
+        rows, scale = self._integer_form
+        inv = ProjMat._trusted(inverse_rows(rows, scale), self.place)
+        inv.__dict__["_inverse"] = self  # (g^-1)^-1 is g, with its caches warm
+        return inv
 
-    def mul_vec(self, v: Vec) -> Vec:
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        return tuple(dot(r, v) for r in self.entries)
+    def inverse(self) -> "ProjMat":
+        """g^-1, computed once per matrix."""
+        return self._inverse
 
     def power(self, n: int) -> "ProjMat":
         if n == 0:
@@ -279,9 +326,12 @@ def primitive(v) -> tuple[int, ...]:
     """The primitive multiple of a nonzero integer vector whose first
     nonzero entry is positive: equal exactly for proportional vectors."""
     g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
+    for x in v:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def gram_matrix(vectors) -> tuple[tuple[int, ...], ...]:
@@ -294,21 +344,38 @@ def gram_matrix(vectors) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
-def mat_inverse(rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    n = len(rows)
-    aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def inverse_rows(a, scale: int) -> tuple[Vec, ...]:
+    """The rows of (a / scale)^-1 for an invertible integer matrix a.
+
+    Fraction-free (Bareiss) elimination of [a | I] leaves an upper
+    triangular U, whose last pivot d is det(a) up to sign, beside Y with
+    U X = Y for X = a^-1.  Then d X is the adjugate up to sign, an integer
+    matrix, so back substitution for it divides exactly, and the inverse
+    is scale d X / d.
+    """
+    n = len(a)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next(i for i in range(k + 1, n) if m[i][k])
+            m[k], m[swap] = m[swap], m[k]
+        rk = m[k]
+        piv = rk[k]
+        for row in m[k + 1 :]:
+            x = row[k]
+            for j in range(k + 1, 2 * n):
+                row[j] = (piv * row[j] - x * rk[j]) // prev
+        prev = piv
+    x: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        ri = m[i]
+        acc = [prev * y for y in ri[n:]]
+        for k in range(i + 1, n):
+            if ri[k]:
+                acc = [s - ri[k] * t for s, t in zip(acc, x[k])]
+        x[i] = [s // ri[i] for s in acc]
+    return tuple(tuple(Fraction(scale * v, prev) for v in row) for row in x)
 
 
 def identity(n: int, place: Place) -> ProjMat:
@@ -316,13 +383,19 @@ def identity(n: int, place: Place) -> ProjMat:
 
 
 def apply(g: ProjMat, p: ProjPoint) -> ProjPoint:
-    """Canonical representative of [g v]."""
-    return ProjPoint(g.mul_vec(p.rep))
+    """[g v], on the integer rows of g."""
+    if p.dim != g.dim:
+        raise ValueError("dimension mismatch")
+    rows, _ = g._integer_form
+    v = p.coords
+    return ProjPoint._of(primitive([sum(map(mul, r, v)) for r in rows]))
 
 
 def apply_hyperplane(g: ProjMat, h: ProjHyperplane) -> ProjHyperplane:
-    """Image hyperplane g(ker f) = ker(f o g^-1)."""
-    return ProjHyperplane(g.inverse().transpose().mul_vec(h.functional))
+    """Image hyperplane g(ker f) = ker(f o g^-1), on the integer rows of g^-1."""
+    rows, _ = g.inverse()._integer_form
+    f = h.coords
+    return ProjHyperplane._of(primitive([sum(map(mul, col, f)) for col in zip(*rows)]))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +478,11 @@ def overlap(witness: ProjPoint) -> DisjointVerdict:
 def component_member(p: ProjPoint, c: Component, place: Place) -> bool:
     # open sets: strict inequality
     if isinstance(c, Ball):
-        return dist_sq(p, c.center, place) < c.radius_sq
-    return dist_to_hyperplane_sq(p, c.plane, place) < c.radius_sq
+        num, den = dist_sq_pair(p, c.center, place)
+    else:
+        num, den = dist_to_hyperplane_sq_pair(p, c.plane, place)
+    r = c.radius_sq
+    return num * r.denominator < r.numerator * den
 
 
 def dual_ball_of_hnbhd(c: HNbhd) -> Ball:
@@ -414,26 +490,27 @@ def dual_ball_of_hnbhd(c: HNbhd) -> Ball:
     around the kernel point, with identical radius."""
     if c.dim != 2:
         raise ValueError("hyperplane neighborhoods dualize to balls only in dimension 2")
-    f = c.plane.functional
+    f = c.plane.coords
     return Ball(ProjPoint((-f[1], f[0])), c.radius_sq)
 
 
 def _kernel_intersection_point(h1: ProjHyperplane, h2: ProjHyperplane) -> ProjPoint | None:
     """A rational point on ker f1 and ker f2 when one exists (n >= 3, or equal planes)."""
     if h1 == h2:
-        f = h1.functional
+        f = h1.coords
         n = len(f)
         for i in range(n):
             for j in range(i + 1, n):
-                cand = [Fraction(0)] * n
+                cand = [0] * n
                 cand[i], cand[j] = f[j], -f[i]
-                if not is_zero_vec(tuple(cand)):
+                if any(cand):
                     return ProjPoint(tuple(cand))
         return None
     n = h1.dim
     if n < 3:
         return None
-    # solve the 2 x n homogeneous system exactly
+    # solve the 2 x n homogeneous system exactly; its reduced row echelon
+    # form, and so the solution, depends on the two planes only
     rows = [list(h1.functional), list(h2.functional)]
     pivots = []
     r = 0
@@ -500,27 +577,33 @@ def _component_disjoint(a: Component, b: Component, place: Place) -> DisjointVer
 
 def _point_on_plane_near(p: ProjPoint, h: ProjHyperplane) -> ProjPoint | None:
     """Rational point on h (the Euclidean foot works at every place as a
-    point of h, even if not nearest p-adically)."""
-    f = h.functional
-    v = p.rep
-    fv = dot(f, v)
-    ff = dot(f, f)
-    foot = tuple(a - fv / ff * b for a, b in zip(v, f))
-    if is_zero_vec(foot):
+    point of h, even if not nearest p-adically): the class of
+    v - (f.v / f.f) f, which is that of (f.f) v - (f.v) f on the integer
+    representatives."""
+    f, v = h.coords, p.coords
+    ff, fv = dot(f, f), dot(f, v)
+    foot = [ff * a - fv * b for a, b in zip(v, f)]
+    if not any(foot):
         return None
-    return ProjPoint(foot)
+    return ProjPoint._of(primitive(foot))
 
 
 def _chord_witness(p: ProjPoint, q: ProjPoint, comps: tuple[Component, Component], place: Place) -> ProjPoint | None:
-    """Search the rational chord between p and q for a common point."""
+    """Search the chord between the canonical representatives of p and q
+    for a common point.  With P, Q the integer representatives and p0, q0
+    their (positive) first nonzero coordinates, the chord's point at
+    t = k/64 is the class of (64 - k) q0 P + k p0 Q."""
     if p == q:
         return p if all(component_member(p, c, place) for c in comps) else None
+    big_p, big_q = p.coords, q.coords
+    p0 = next(x for x in big_p if x)
+    q0 = next(x for x in big_q if x)
     for k in range(0, 65):
-        t = Fraction(k, 64)
-        cand = tuple(a + t * (b - a) for a, b in zip(p.rep, q.rep))
-        if is_zero_vec(cand):
+        a, b = (64 - k) * q0, k * p0
+        cand = [a * x + b * y for x, y in zip(big_p, big_q)]
+        if not any(cand):
             continue
-        pt = ProjPoint(cand)
+        pt = ProjPoint._of(primitive(cand))
         if all(component_member(pt, c, place) for c in comps):
             return pt
     return None

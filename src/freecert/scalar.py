@@ -1,4 +1,4 @@
-"""Exact scalars: rationals, places of Q, valuations and absolute values.
+"""Exact scalars: rationals, places of Q and valuations.
 
 The coordinate domain is `fractions.Fraction`, which already keeps the
 canonical form we rely on (gcd-reduced, positive denominator).  A `Place`
@@ -114,24 +114,6 @@ def padic_valuation(x: Rat | int, p: int) -> int:
     if x == 0:
         raise ZeroDivisionError("valuation of zero undefined")
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
-
-
-def abs_value(x: Rat | int, place: Place) -> Rat:
-    """|x| at the given place, always an exact rational (p^-v in the p-adic case)."""
-    if x == 0:
-        return Fraction(0)
-    if not place.is_padic:
-        return abs(Fraction(x))
-    v = padic_valuation(x, place.prime)
-    if v >= 0:
-        return Fraction(1, place.prime**v)
-    return Fraction(place.prime ** (-v))
-
-
-def abs_sq(x: Rat | int, place: Place) -> Rat:
-    """|x|^2 at the place (x^2 archimedean, p^-2v p-adic)."""
-    a = abs_value(x, place)
-    return a * a
 
 
 # ---------------------------------------------------------------------------

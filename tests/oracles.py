@@ -3,10 +3,12 @@
 import itertools
 from fractions import Fraction
 
+from freecert.checker import Enclosure
 from freecert.dynamics import ITER_BUDGET
 from freecert.pingpong import OracleResult, word_string
-from freecert.projective import ProjPoint, canonical_rep, component_member, dot, is_zero_vec
+from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim, rational_roots
+from freecert.scalar import cmp_sqrt_sum, padic_valuation, sqrt_lower, sqrt_upper
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
@@ -152,6 +154,124 @@ def fraction_matmul(a, b) -> tuple:
     `ProjMat.__matmul__`)."""
     n = len(a)
     return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# The projective metric over Fraction, on canonical representatives
+# (references for the integer paths of `projective` and `checker`)
+# ---------------------------------------------------------------------------
+
+
+def canonical_rep(v) -> tuple:
+    """Scale so the first nonzero coordinate equals 1 (unique per class)."""
+    for c in v:
+        if c != 0:
+            return tuple(Fraction(x) / c for x in v)
+    raise ValueError("zero vector has no projective class")
+
+
+def is_zero_vec(v) -> bool:
+    return all(c == 0 for c in v)
+
+
+def abs_value(x, place) -> Fraction:
+    """|x| at the given place, an exact rational (p^-v in the p-adic case)."""
+    if x == 0:
+        return Fraction(0)
+    if not place.is_padic:
+        return abs(Fraction(x))
+    v = padic_valuation(Fraction(x), place.prime)
+    return Fraction(1, place.prime**v) if v >= 0 else Fraction(place.prime ** (-v))
+
+
+def fraction_norm_sq(v, place) -> Fraction:
+    """Squared standard norm: sum of squares, or (max_i |x_i|_p)^2."""
+    if not place.is_padic:
+        return sum((c * c for c in v), Fraction(0))
+    return max((abs_value(c, place) for c in v), default=Fraction(0)) ** 2
+
+
+def fraction_dist_sq(v, w, place) -> Fraction:
+    """|v ^ w|^2 / (|v|^2 |w|^2) on rational representatives."""
+    return fraction_norm_sq(wedge(v, w), place) / (fraction_norm_sq(v, place) * fraction_norm_sq(w, place))
+
+
+def fraction_dist_to_hyperplane_sq(v, f, place) -> Fraction:
+    """|f(v)|^2 / (|f|^2 |v|^2) on rational representatives."""
+    return abs_value(dot(f, v), place) ** 2 / (fraction_norm_sq(f, place) * fraction_norm_sq(v, place))
+
+
+def fraction_apply(g, v) -> tuple:
+    """Canonical representative of g v, multiplied out over Fraction."""
+    return canonical_rep(tuple(dot(r, v) for r in g.entries))
+
+
+def fraction_inverse(rows) -> tuple:
+    """Gauss-Jordan inverse over Fraction (reference for `ProjMat.inverse`)."""
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [c * inv for c in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def fraction_member(v, comp, place) -> bool:
+    """Membership of the rational point [v] in an open ball or hyperplane
+    neighborhood, over Fraction."""
+    if isinstance(comp, Ball):
+        return fraction_dist_sq(v, comp.center.rep, place) < comp.radius_sq
+    return fraction_dist_to_hyperplane_sq(v, comp.plane.functional, place) < comp.radius_sq
+
+
+def fraction_point_on_plane_near(v, f):
+    """Canonical representative of the Euclidean foot v - (f.v / f.f) f on
+    canonical representatives, or None (reference for
+    `projective._point_on_plane_near`)."""
+    fv, ff = dot(f, v), dot(f, f)
+    foot = tuple(a - fv / ff * b for a, b in zip(v, f))
+    return None if is_zero_vec(foot) else canonical_rep(foot)
+
+
+def fraction_chord_witness(v, w, comps, place):
+    """Canonical representative of the first point v + (k/64)(w - v) in both
+    components, or None (reference for `projective._chord_witness`)."""
+    if canonical_rep(v) == canonical_rep(w):
+        return canonical_rep(v) if all(fraction_member(v, c, place) for c in comps) else None
+    for k in range(65):
+        t = Fraction(k, 64)
+        cand = tuple(a + t * (b - a) for a, b in zip(v, w))
+        if not is_zero_vec(cand) and all(fraction_member(cand, c, place) for c in comps):
+            return canonical_rep(cand)
+    return None
+
+
+def fraction_selfmap_at(g, center, attract, repel, repel_err_sq, gap_sq_hi, epsilon_sq, radii_sq):
+    """The self-map test over Fraction on canonical representatives, every
+    radius in turn (reference for `checker.selfmap_at`)."""
+    place = g.place
+    c = center.rep
+    gc = fraction_apply(g, c)
+    move_sq = fraction_dist_sq(gc, c, place)
+    l_d = sqrt_lower(fraction_dist_to_hyperplane_sq(c, repel.functional, place))
+    u_kappa = sqrt_upper(gap_sq_hi)
+    u_beta = sqrt_upper(repel_err_sq)
+    for t_sq in radii_sq:
+        d_low = l_d - sqrt_upper(t_sq) - u_beta
+        if d_low <= 0:
+            break
+        lip = u_kappa / (d_low * d_low)
+        if lip >= 1:
+            continue
+        if move_sq < (1 - lip) ** 2 * t_sq and cmp_sqrt_sum(fraction_dist_sq(c, attract.rep, place), t_sq, epsilon_sq) <= 0:
+            return ProjPoint(gc), Enclosure(Ball(center, t_sq), lip * lip, d_low * d_low, move_sq)
+    return ProjPoint(gc), None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from freecert.cli import main
+from freecert.cli import MAX_PROBLEM_BYTES, main
 from oracles import group_from_permutations
 
 MATRIX_HEADER = """format 1
@@ -772,3 +772,52 @@ def test_word_height_beyond_limit_fails_fast(tmp_path, capsys):
     # within the limit the certificate is written
     code, cert, _ = run(tmp_path, "analyze", header + task.format("a b " * 18))
     assert code == 0 and cert["verdict"] == "yes"
+
+
+def test_problem_file_beyond_size_limit_fails_fast(tmp_path, capsys):
+    profile = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    pad = MAX_PROBLEM_BYTES - len(profile.encode())
+    lines, rest = divmod(pad, 100)
+    text = profile + ("#" * 99 + "\n") * lines + "#" * rest
+    assert len(text.encode()) == MAX_PROBLEM_BYTES
+    t0 = time.perf_counter()
+    code, cert, out = run(tmp_path, "analyze", text)
+    assert code == 0 and cert["verdict"] == "ok"
+    out.unlink()
+    code, cert, _ = run(tmp_path, "analyze", text + "#")
+    assert code == 2 and cert is None
+    # the first byte past the limit is at the end of the last line
+    err = capsys.readouterr().err
+    assert f"in.prob:{text.count(chr(10)) + 1}:{rest + 1}: problem file is longer than MAX_PROBLEM_BYTES = {MAX_PROBLEM_BYTES}" in err
+    # a file far over the limit is read only to the limit (sparse, so no disk)
+    huge = tmp_path / "huge.prob"
+    with open(huge, "wb") as fh:
+        fh.truncate(64 * MAX_PROBLEM_BYTES)
+    assert main(["analyze", str(huge), "--out", str(tmp_path / "huge.cert")]) == 2
+    assert not (tmp_path / "huge.cert").exists()
+    assert "huge.prob:1:1048577: problem file is longer" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+
+
+def test_number_too_long_to_write_names_its_field(tmp_path, capsys):
+    # the word is short, but the power search multiplies its height: at
+    # eps^2 = 10^-150 the certificate would need a number of over 4300 digits
+    text = (
+        "format 1\nplace arch\n[matrix-group]\ngen a = [[99, 98], [1, 1]]\n[task]\nop analyze\nsubop power-proximal\n"
+        f"element a\nr-sq 1/4\nepsilon-sq 1/{10**150}\nmax-n 64\n"
+    )
+    t0 = time.perf_counter()
+    code, cert, out = run(tmp_path, "analyze", text)
+    assert code == 2 and cert is None and not out.exists()
+    err = capsys.readouterr().err
+    assert "in.prob: certificate field claims[3].enclosure.lipschitz_sq holds a number of about 63" in err
+    assert "raise epsilon-sq or lower max-n" in err
+    assert time.perf_counter() - t0 < 1
+
+
+def test_problem_file_not_utf8_is_an_input_error(tmp_path, capsys):
+    prob = tmp_path / "in.prob"
+    prob.write_bytes(b"format 1\n\xff\xfe\n")
+    assert main(["analyze", str(prob), "--out", str(tmp_path / "out.cert")]) == 2
+    assert "in.prob: 'utf-8' codec can't decode byte 0xff in position 9" in capsys.readouterr().err
+    assert not (tmp_path / "out.cert").exists()

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freecert import projective
@@ -16,6 +17,7 @@ from freecert.projective import (
     apply,
     apply_hyperplane,
     ball,
+    component_member,
     dist_sq,
     dist_to_hyperplane_sq,
     hnbhd,
@@ -25,7 +27,18 @@ from freecert.projective import (
     wedge,
 )
 from freecert.scalar import ARCH, cmp_sqrt_sum, padic, sqrt_lower
-from oracles import fraction_matmul, set_member
+from oracles import (
+    canonical_rep,
+    fraction_apply,
+    fraction_chord_witness,
+    fraction_dist_sq,
+    fraction_dist_to_hyperplane_sq,
+    fraction_inverse,
+    fraction_matmul,
+    fraction_member,
+    fraction_point_on_plane_near,
+    set_member,
+)
 
 P5 = padic(5)
 
@@ -43,17 +56,21 @@ def rand_point(rng, n=3):
 
 
 def test_norm_sq_oracle_values():
-    assert norm_sq((F(1), F(1)), ARCH) == 2
-    assert norm_sq((F(1), F(5)), P5) == 1  # max(1, 1/5) squared
-    assert norm_sq((F(0), F(0)), ARCH) == 0
+    # (numerator, denominator) of |v|^2 on integer vectors
+    assert norm_sq((1, 1), ARCH) == (2, 1)
+    assert norm_sq((1, 5), P5) == (1, 1)  # max(1, 1/5) squared
+    assert norm_sq((25, -50), P5) == (1, 625)  # (1/25)^2
+    assert norm_sq((0, 0), ARCH) == (0, 1)
+    assert norm_sq((0, 0), P5) == (0, 1)
 
 
 def test_wedge_oracle_values():
-    assert wedge((F(1), F(0)), (F(0), F(1))) == (F(1),)
-    assert wedge((F(1), F(0)), (F(1), F(1))) == (F(1),)
-    assert wedge((F(1), F(2)), (F(2), F(4))) == (F(0),)
+    assert wedge((1, 0), (0, 1)) == (1,)
+    assert wedge((1, 0), (1, 1)) == (1,)
+    assert wedge((1, 2), (2, 4)) == (0,)
+    assert wedge((1, 2, 3), (0, 1, -1)) == (1, -1, -5)
     with pytest.raises(ValueError):
-        wedge((F(1), F(0)), (F(1), F(0), F(0)))
+        wedge((1, 0), (1, 0, 0))
 
 
 def test_dist_sq_oracle_values():
@@ -94,8 +111,16 @@ def test_canonical_representatives():
     assert ProjPoint((-2, 4)).rep == (1, -2)
     assert ProjPoint((2, 4)) == ProjPoint((1, 2))
     assert hash(ProjPoint((2, 4))) == hash(ProjPoint((1, 2)))
+    # stored: the primitive integer representative, first nonzero entry positive
+    assert ProjPoint((F(-1, 2), F(1, 3), 0)).coords == (3, -2, 0)
+    assert ProjPoint((F(-1, 2), F(1, 3), 0)).rep == (1, F(-2, 3), 0)
+    assert ProjHyperplane((0, -6, 4)).coords == (0, 3, -2)
+    assert ProjHyperplane((0, -6, 4)).functional == (0, 1, F(-2, 3))
+    assert ProjPoint((1, 2)) != ProjHyperplane((1, 2))
     with pytest.raises(ValueError):
         ProjPoint((0, 0))
+    with pytest.raises(TypeError):
+        ProjPoint((0.5, 1))
 
 
 def test_matrix_invariants():
@@ -309,3 +334,96 @@ def test_class_key_is_equality_in_pgl(rows, data):
     assert ProjMat(tuple(key[i * g.dim : (i + 1) * g.dim] for i in range(g.dim)), ARCH).class_key() == key
     h = _invertible(data.draw(st.lists(st.lists(_ENTRY, min_size=g.dim, max_size=g.dim), min_size=g.dim, max_size=g.dim)))
     assert (g.class_key() == h.class_key()) == (g @ h.inverse()).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# Integer points, hyperplanes and metric against the Fraction references
+# ---------------------------------------------------------------------------
+
+_COORD = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+_SCALE = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+_PLACES = st.sampled_from([ARCH, padic(2), padic(3)])
+
+
+def _vector(data, n):
+    return data.draw(st.lists(_COORD, min_size=n, max_size=n).filter(any))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), _PLACES, st.data())
+def test_metric_and_apply_match_fraction_reference(n, place, data):
+    v, w, f = (_vector(data, n) for _ in range(3))
+    lam, mu = data.draw(_SCALE), data.draw(_SCALE)
+    p, q, h = ProjPoint(v), ProjPoint(w), ProjHyperplane(f)
+    # any representative gives the same class, and the class its canonical view
+    assert ProjPoint([lam * c for c in v]) == p and ProjHyperplane([mu * c for c in f]) == h
+    assert p.rep == canonical_rep(v) and h.functional == canonical_rep(f)
+    assert all(type(c) is int for c in p.coords + h.coords) and gcd(*p.coords) == 1
+    assert dist_sq(p, q, place) == fraction_dist_sq(v, [mu * c for c in w], place)
+    assert dist_to_hyperplane_sq(p, h, place) == fraction_dist_to_hyperplane_sq([lam * c for c in v], f, place)
+    g = _invertible(tuple(tuple(data.draw(_ENTRY) for _ in range(n)) for _ in range(n)))
+    assert apply(g, p).rep == fraction_apply(g, [lam * c for c in v])
+    image = apply_hyperplane(g, h)
+    assert image.functional == canonical_rep([sum(f[i] * x for i, x in enumerate(col)) for col in zip(*fraction_inverse(g.entries))])
+    assert dist_to_hyperplane_sq(apply(g, p), image, place) == 0 or dist_to_hyperplane_sq(p, h, place) != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), _PLACES, st.data())
+def test_set_witnesses_match_fraction_reference(n, place, data):
+    # the chord runs between canonical representatives, whose first
+    # coordinates are 1, not between the stored integer ones
+    p, q, c = (ProjPoint(_vector(data, n)) for _ in range(3))
+    h = ProjHyperplane(_vector(data, n))
+    radii = st.fractions(min_value=F(1, 100), max_value=1, max_denominator=100)
+    comps = (Ball(c, data.draw(radii)), data.draw(st.sampled_from([Ball(q, data.draw(radii)), HNbhd(h, data.draw(radii))])))
+    got = projective._chord_witness(p, q, comps, place)
+    want = fraction_chord_witness(p.rep, q.rep, comps, place)
+    assert (got is None and want is None) or got.rep == want
+    foot = projective._point_on_plane_near(p, h)
+    want_foot = fraction_point_on_plane_near(p.rep, h.functional)
+    assert (foot is None and want_foot is None) or foot.rep == want_foot
+    for comp in comps:
+        assert component_member(p, comp, place) == fraction_member(p.rep, comp, place)
+
+
+def test_chord_witness_walks_canonical_representatives():
+    # (3, 1) and (1, 3) are stored as themselves but walked as (1, 1/3) and
+    # (1, 3): the chord's midpoint is then (1, 5/3), not (1, 1)
+    p, q = ProjPoint((3, 1)), ProjPoint((1, 3))
+    comps = (Ball(ProjPoint((3, 5)), F(1, 1000)), Ball(ProjPoint((3, 5)), F(1, 1000)))
+    got = projective._chord_witness(p, q, comps, ARCH)
+    assert got is not None and got.rep == fraction_chord_witness(p.rep, q.rep, comps, ARCH)
+    assert fraction_chord_witness((F(3), F(1)), (F(1), F(3)), comps, ARCH) != got.rep
+
+
+def test_no_float_coordinate_anywhere():
+    # a float coordinate would make a class inexact; the constructors refuse
+    # one, and every constructed class and distance stays int or Fraction
+    with pytest.raises(TypeError):
+        ProjHyperplane((1, 2.0))
+    g = ProjMat(((2, 1, 0), (1, 1, 3), (0, 2, 1)), ARCH)
+    p, h = ProjPoint((F(1, 2), 3, F(-2, 5))), ProjHyperplane((3, F(7, 4), 1))
+    foot = projective._point_on_plane_near(p, h)
+    assert foot.rep == fraction_point_on_plane_near(p.rep, h.functional)
+    h2 = ProjHyperplane((1, 0, 1))
+    points = [apply(g, p), foot, projective._kernel_intersection_point(h, h2), projective._kernel_intersection_point(h, h)]
+    points.append(projective._chord_witness(p, foot, (Ball(p, F(1)), HNbhd(h, F(1))), ARCH))
+    points.append(set_disjoint(ball(p, F(1, 2)), hnbhd(h, F(1, 2)), ARCH).witness)
+    planes = [apply_hyperplane(g, h), h2]
+    for x in points + planes:
+        assert all(type(c) is int for c in x.coords)
+        assert all(type(c) is F for c in (x.rep if isinstance(x, ProjPoint) else x.functional))
+    for place in (ARCH, P5):
+        assert type(dist_sq(p, foot, place)) is F and type(dist_to_hyperplane_sq(p, h, place)) is F
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_rows())
+@example(((0, 1), (1, 0)))
+@example(((1, 2, 3), (2, 4, 7), (1, 0, 1)))  # the second pivot needs a row swap
+def test_inverse_matches_fraction_reference_once(rows):
+    g = _invertible(rows)
+    gi = g.inverse()
+    assert gi.entries == fraction_inverse(g.entries)
+    assert g.inverse() is gi and gi.inverse() is g

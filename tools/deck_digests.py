@@ -1,6 +1,7 @@
 """Byte-identity check over the benchmark deck.
 
     python3 tools/deck_digests.py --src DIR --out FILE
+    python3 tools/deck_digests.py --src DIR --against FILE
 
 Builds the seed-1000 deck of a 25 s `perfbench/run.py` run of every
 workload (matrix-small 20 rounds, highdim 5, prodense 1, tree 192: 1446
@@ -14,6 +15,9 @@ written).
 Two source trees give identical FILEs exactly when they give the same
 exit codes and certificate bytes on the whole deck, so diffing the file
 of a parent commit against that of a change is the byte-identity check.
+--against FILE makes that diff: it compares the run with a saved FILE,
+prints the label of the first request that differs, and exits 1 on any
+difference (0 when every line is identical).
 """
 
 from __future__ import annotations
@@ -39,8 +43,11 @@ ROUNDS = {"matrix-small": 20, "highdim": 5, "prodense": 1, "tree": 192}
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="freecert source tree (default: ./src)")
-    ap.add_argument("--out", type=Path, required=True, help="digest file to write")
+    ap.add_argument("--out", type=Path, help="digest file to write")
+    ap.add_argument("--against", type=Path, help="saved digest file to compare the run with")
     args = ap.parse_args(argv)
+    if args.out is None and args.against is None:
+        ap.error("give --out, --against or both")
     cli_main = load_freecert(args.src.resolve())
     caches = find_caches()
 
@@ -67,9 +74,22 @@ def main(argv=None) -> int:
                         digest = hashlib.sha256(cert.read_bytes()).hexdigest()
                         vcode = call(["verify", str(cert)])
                     lines.append(f"{workload} {len(lines):04d} {req.label} {code} {digest} {vcode}\n")
-    args.out.write_text("".join(lines), encoding="utf-8")
-    print(f"{len(lines)} requests -> {args.out}", file=sys.stderr)
-    return 0
+    if args.out is not None:
+        args.out.write_text("".join(lines), encoding="utf-8")
+        print(f"{len(lines)} requests -> {args.out}", file=sys.stderr)
+    if args.against is None:
+        return 0
+    saved = args.against.read_text(encoding="utf-8").splitlines(keepends=True)
+    diff = next((i for i, (a, b) in enumerate(zip(lines, saved)) if a != b), None)
+    if diff is None and len(lines) == len(saved):
+        print(f"{len(lines)} requests identical to {args.against}", file=sys.stderr)
+        return 0
+    if diff is None:
+        print(f"{len(lines)} requests, {len(saved)} in {args.against}: the shorter one ends first", file=sys.stderr)
+    else:
+        print(f"first difference: {' '.join(lines[diff].split()[:3])}", file=sys.stderr)
+        print(f"  run:   {lines[diff].rstrip()}\n  saved: {saved[diff].rstrip()}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
