@@ -4,8 +4,8 @@ The central sufficient test: if kappa = sigma_2/sigma_1 satisfies
 kappa <= eps^2, the matrix maps the complement of the eps-neighborhood of
 its (candidate) repelling hyperplane into the closed eps-ball around its
 (candidate) attracting point.  Candidates are exact at p-adic places:
-a scan of the entries finds the first one of least valuation in
-row-major order, and its column and row are the candidates (that entry
+a scan of the integer rows finds the first entry of least valuation
+in row-major order, and its column and row are the candidates (that entry
 is the first pivot of the Smith elimination over the localization).
 At the archimedean place they are rational enclosures (power iteration
 with a residual bound against the certified second eigenvalue).
@@ -44,7 +44,7 @@ from .projective import (
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Place, Rat, int_valuation, padic_valuation, sqrt_lower, sqrt_upper
+from .scalar import Place, Rat, int_valuation, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
@@ -160,7 +160,8 @@ def singular_profile(g: ProjMat) -> SingularProfile:
     """Certified squared singular values of g, descending.
 
     p-adic: exact powers p^(-2e) from the elementary divisors over the
-    localization.  Archimedean: enclosures of the roots of charpoly(g^T g),
+    localization, found on the integer rows and shifted by the valuation
+    of their scale.  Archimedean: enclosures of the roots of charpoly(g^T g),
     computed on the integer Gram matrix and isolated on integer
     coefficients, refined to relative width 2^-30 (degenerate intervals
     for rational roots, which are split off exactly).
@@ -168,8 +169,10 @@ def singular_profile(g: ProjMat) -> SingularProfile:
     Results are memoized; the searches upstream revisit matrices often.
     """
     if g.place.is_padic:
-        exps = padic_exponents(g.entries, g.place.prime)
         p = g.place.prime
+        rows, scale = g._integer_form
+        shift = int_valuation(scale, p)  # g = rows / scale
+        exps = [e - shift for e in padic_exponents(rows, p)]
         vals = [point(Fraction(1, p ** (2 * e)) if e >= 0 else Fraction(p ** (-2 * e))) for e in exps]
         return SingularProfile(tuple(vals), exact=True)
     roots = isolate_positive_roots(_charpoly_gram(g))
@@ -254,24 +257,20 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat) -> tuple[ProjPoint, Rat |
 def direction_candidates(g: ProjMat) -> DirectionData:
     """Attracting/repelling candidates with certified enclosure errors.
 
-    p-adic: exact, from a scan of the entries for the first one of least
-    valuation in row-major order, which is the first pivot of the
+    p-adic: exact, from a scan of the integer rows for the first entry of
+    least valuation in row-major order, which is the first pivot of the
     elimination in `padic_exponents`.  Its column is the top singular
     (attracting) direction and its row the functional of the repelling
     hyperplane.  Archimedean: power iteration on g g^T and g^T g with
     residual bounds against the second eigenvalue's enclosure.
     """
-    if g.place.is_padic:
-        p = g.place.prime
-        _, i, j = min(
-            (padic_valuation(x, p), i, j)
-            for i, row in enumerate(g.entries)
-            for j, x in enumerate(row)
-            if x
-        )
-        return DirectionData(ProjPoint(g.col(j)), Fraction(0), ProjHyperplane(g.row(i)), Fraction(0))
-    lam2_hi = singular_profile(g).values_sq[1].hi
     rows, _ = g._integer_form
+    if g.place.is_padic:
+        # the common scale shifts every valuation equally
+        p = g.place.prime
+        _, i, j = min((int_valuation(x, p), i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        return DirectionData(ProjPoint(tuple(r[j] for r in rows)), Fraction(0), ProjHyperplane(rows[i]), Fraction(0))
+    lam2_hi = singular_profile(g).values_sq[1].hi
     gtg, scale = g.gram
     attract, a_err = _power_direction(gram_matrix(rows), scale, lam2_hi)
     dual, r_err = _power_direction(gtg, scale, lam2_hi)

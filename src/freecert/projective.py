@@ -4,7 +4,10 @@ A point or hyperplane stores the primitive integer representative of its
 class with first nonzero coordinate positive, the key `primitive` also
 gives a matrix's class, so equality and hashing are exact and no
 coordinate is ever divided.  `.rep` and `.functional` are the canonical
-rational views (first nonzero coordinate 1) that certificates print.  The
+rational views (first nonzero coordinate 1) that certificates print.  A
+matrix stores its integer rows over one positive scale, the lcm of its
+entries' denominators; equality and hashing read that unique form, a
+product is cleared by one gcd, and `.entries` is the rational view.  The
 metric is the standard one, d([v],[w]) = |v ^ w| / (|v| |w|), handled
 throughout in squared form on the integer representatives: sums of
 squares at the archimedean place; at a p-adic place the sup norm
@@ -164,49 +167,67 @@ def dual_dist_sq(h1: ProjHyperplane, h2: ProjHyperplane, place: Place) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+IntRows = tuple[IntVec, ...]
+
+
 class ProjMat:
     """Invertible n x n matrix over Q acting on P(Q^n) at a fixed place.
 
-    Invertibility is checked once, on construction from input.  Products,
-    transposes and inverses of invertible matrices are invertible, so they
-    are built by `_trusted`, which skips `det`.
+    Stored as `_integer_form` = (A, s): integer rows A over one positive
+    scale s, the lcm of the entries' denominators, so gcd(s, A) = 1 and
+    the form is unique; equality and hashing read it.  Invertibility is
+    checked once, on construction from input.  Products, transposes and
+    inverses of invertible matrices are invertible, so they are built by
+    `_of`, which skips `det`.  `entries` is the Fraction view that
+    certificates print.
     """
 
-    entries: tuple[Vec, ...]
-    place: Place
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(c) for c in r) for r in self.entries)
+    def __init__(self, entries, place: Place) -> None:
+        rows, scale = integer_rows([[Fraction(c) for c in r] for r in entries])
         n = len(rows)
         if n < 2 or any(len(r) != n for r in rows):
             raise ValueError("entries must form a square matrix, n >= 2")
-        object.__setattr__(self, "entries", rows)
-        if det(rows) == 0:
+        self._integer_form = (tuple(map(tuple, rows)), scale)
+        self.place = place
+        if det(self._integer_form[0]) == 0:
             raise ValueError("matrix must be invertible")
 
     @classmethod
-    def _trusted(cls, rows: tuple[Vec, ...], place: Place) -> "ProjMat":
-        """A matrix from Fraction rows already known to be square and invertible."""
+    def _of(cls, rows: IntRows, scale: int, place: Place) -> "ProjMat":
+        """The matrix rows / scale, already cleared as in `_integer_form`,
+        known to be square and invertible."""
         m = object.__new__(cls)
-        object.__setattr__(m, "entries", rows)
-        object.__setattr__(m, "place", place)
+        m._integer_form = (rows, scale)
+        m.place = place
         return m
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._integer_form[0])
 
     @cached_property
-    def _integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """`integer_rows` of the entries as tuples, cleared once per matrix
-        for `__matmul__`; `det` and `padic_exponents` eliminate in place on
-        fresh lists of their own."""
-        rows, scale = integer_rows(self.entries)
-        return tuple(map(tuple, rows)), scale
+    def entries(self) -> tuple[Vec, ...]:
+        """The rational entries, row by row."""
+        rows, scale = self._integer_form
+        return tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
 
     @cached_property
-    def gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+    def _hash(self) -> int:
+        return hash((self._integer_form, self.place))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjMat):
+            return NotImplemented
+        return self is other or (self._integer_form == other._integer_form and self.place == other.place)
+
+    def __repr__(self) -> str:
+        return f"ProjMat({self.entries!r}, {self.place!r})"
+
+    @cached_property
+    def gram(self) -> tuple[IntRows, int]:
         """(S, s) with g^T g = S / s: the Gram matrix S = A^T A of the
         columns of the integer rows A = d g of `_integer_form`, and
         s = d^2.  Built once per matrix; the archimedean singular profile
@@ -214,30 +235,23 @@ class ProjMat:
         rows, scale = self._integer_form
         return gram_matrix(tuple(zip(*rows))), scale * scale
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
-
     def __matmul__(self, other: "ProjMat") -> "ProjMat":
         if self.place != other.place or self.dim != other.dim:
             raise ValueError("matrix product across places or dimensions")
-        # (A/sa)(B/sb) = AB/(sa sb) on the integer rows; Fraction reduces each entry
+        # (A/sa)(B/sb) = AB/(sa sb), cleared by one gcd
         a, sa = self._integer_form
         b, sb = other._integer_form
-        s = sa * sb
         cols = tuple(zip(*b))
-        rows = tuple(tuple(Fraction(sum(map(mul, r, c)), s) for c in cols) for r in a)
-        return ProjMat._trusted(rows, self.place)
+        rows = [[sum(map(mul, r, c)) for c in cols] for r in a]
+        return ProjMat._of(*_cleared(rows, sa * sb), self.place)
 
     def transpose(self) -> "ProjMat":
-        return ProjMat._trusted(tuple(zip(*self.entries)), self.place)
+        rows, scale = self._integer_form
+        return ProjMat._of(tuple(zip(*rows)), scale, self.place)
 
     @cached_property
     def _inverse(self) -> "ProjMat":
-        rows, scale = self._integer_form
-        inv = ProjMat._trusted(inverse_rows(rows, scale), self.place)
+        inv = ProjMat._of(*inverse_rows(*self._integer_form), self.place)
         inv.__dict__["_inverse"] = self  # (g^-1)^-1 is g, with its caches warm
         return inv
 
@@ -273,8 +287,9 @@ class ProjMat:
 
     def is_identity(self) -> bool:
         """Scalar matrix: zero off the diagonal, one constant on it."""
-        d = self.entries[0][0]
-        return all(x == (d if i == j else 0) for i, r in enumerate(self.entries) for j, x in enumerate(r))
+        rows, _ = self._integer_form
+        d = rows[0][0]
+        return all(x == (d if i == j else 0) for i, r in enumerate(rows) for j, x in enumerate(r))
 
     def class_key(self) -> tuple[int, ...]:
         """The entries, row by row, of the primitive integer multiple whose
@@ -284,9 +299,22 @@ class ProjMat:
         return primitive([x for r in rows for x in r])
 
 
-def det(rows: tuple[Vec, ...]) -> Rat:
-    """Exact determinant: closed form for 2 x 2, else fraction-free
-    (Bareiss) elimination on the integer matrix scale * rows."""
+def _cleared(rows: list[list[int]], scale: int) -> tuple[IntRows, int]:
+    """The form of `_integer_form` of the matrix rows / scale, for integer
+    rows and a positive scale.  Entry x / scale has denominator
+    scale / gcd(x, scale), and the lcm of those is scale / gcd(scale, rows),
+    so dividing both by that gcd clears the matrix."""
+    if scale != 1:
+        g = gcd(scale, *(x for r in rows for x in r))
+        if g != 1:
+            return tuple(tuple(x // g for x in r) for r in rows), scale // g
+    return tuple(map(tuple, rows)), scale
+
+
+def det(rows) -> Rat:
+    """Exact determinant of a square matrix of ints and Fractions: closed
+    form for 2 x 2, else fraction-free (Bareiss) elimination on a fresh
+    integer copy, scale * rows."""
     n = len(rows)
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
@@ -334,7 +362,7 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
-def gram_matrix(vectors) -> tuple[tuple[int, ...], ...]:
+def gram_matrix(vectors) -> IntRows:
     """The symmetric matrix of dot products of integer vectors."""
     n = len(vectors)
     out = [[0] * n for _ in range(n)]
@@ -344,14 +372,15 @@ def gram_matrix(vectors) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
-def inverse_rows(a, scale: int) -> tuple[Vec, ...]:
-    """The rows of (a / scale)^-1 for an invertible integer matrix a.
+def inverse_rows(a: IntRows, scale: int) -> tuple[IntRows, int]:
+    """The `_integer_form` of (a / scale)^-1 for an invertible integer
+    matrix a.
 
     Fraction-free (Bareiss) elimination of [a | I] leaves an upper
     triangular U, whose last pivot d is det(a) up to sign, beside Y with
     U X = Y for X = a^-1.  Then d X is the adjugate up to sign, an integer
     matrix, so back substitution for it divides exactly, and the inverse
-    is scale d X / d.
+    is scale d X over d, with d made positive and then cleared.
     """
     n = len(a)
     m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
@@ -375,11 +404,12 @@ def inverse_rows(a, scale: int) -> tuple[Vec, ...]:
             if ri[k]:
                 acc = [s - ri[k] * t for s, t in zip(acc, x[k])]
         x[i] = [s // ri[i] for s in acc]
-    return tuple(tuple(Fraction(scale * v, prev) for v in row) for row in x)
+    sign_scale = scale if prev > 0 else -scale
+    return _cleared([[sign_scale * v for v in row] for row in x], abs(prev))
 
 
 def identity(n: int, place: Place) -> ProjMat:
-    return ProjMat._trusted(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), place)
+    return ProjMat._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, place)
 
 
 def apply(g: ProjMat, p: ProjPoint) -> ProjPoint:

@@ -109,13 +109,6 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def padic_valuation(x: Rat | int, p: int) -> int:
-    """v_p(x) for nonzero rational x: x = p^v * (a/b) with p dividing neither a nor b."""
-    if x == 0:
-        raise ZeroDivisionError("valuation of zero undefined")
-    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
-
-
 # ---------------------------------------------------------------------------
 # Square-root bounding and exact comparison.
 #

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .checker import evidence_outside
 from .dynamics import (
@@ -104,11 +105,12 @@ class MarkedGroup:
         raise KeyError(f"unknown generator {name!r}")
 
     def eval(self, w: Word) -> ProjMat:
-        out = identity(self.dim, self.place)
+        out = None
         for idx, exp in w:
             m = self.gens[idx][1]
-            out = out @ (m if exp > 0 else m.inverse())
-        return out
+            m = m if exp > 0 else m.inverse()
+            out = m if out is None else out @ m
+        return identity(self.dim, self.place) if out is None else out
 
     def parse_word(self, text: str) -> Word:
         letters = []
@@ -237,12 +239,18 @@ def _eps_tries(gap_hi: Rat) -> list[Rat]:
     return [eps_sq for eps_sq in (eps0, 2 * eps0, 4 * eps0) if eps_sq < 1]
 
 
+@lru_cache(maxsize=4096)
 def auto_very_proximal(m: ProjMat) -> ProximalCert | None:
     """Pick (r, eps) by a fixed rule and certify m very-proximal, or give up.
 
     r^2 is the exact candidate attract-repel distance (the smaller of the
     two directions); eps^2 walks `_eps_tries` while the r > 2 eps window
     allows.
+
+    The result depends on m alone, so it is memoized: the searches walk
+    many of the same powers and conjugates.  The key is exact equality,
+    not `class_key`: m and 2m share a class, but not their certificates'
+    intervals and gap bounds.
     """
     mi = m.inverse()
     tries = _eps_tries(max(contraction_gap_sq(m).hi, contraction_gap_sq(mi).hi))

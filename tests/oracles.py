@@ -8,7 +8,7 @@ from freecert.dynamics import ITER_BUDGET
 from freecert.pingpong import OracleResult, word_string
 from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim, rational_roots
-from freecert.scalar import cmp_sqrt_sum, padic_valuation, sqrt_lower, sqrt_upper
+from freecert.scalar import cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
@@ -172,6 +172,13 @@ def canonical_rep(v) -> tuple:
 
 def is_zero_vec(v) -> bool:
     return all(c == 0 for c in v)
+
+
+def padic_valuation(x, p: int) -> int:
+    """v_p(x) for nonzero rational x: x = p^v * (a/b) with p dividing neither a nor b."""
+    if x == 0:
+        raise ZeroDivisionError("valuation of zero undefined")
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
 def abs_value(x, place) -> Fraction:
@@ -404,7 +411,7 @@ def fraction_charpoly_gram(g) -> list:
     """Characteristic polynomial of g^T g by Faddeev-LeVerrier over
     Fraction, lowest degree first (reference for `dynamics._charpoly_gram`)."""
     n = g.dim
-    s = fraction_gram([g.col(i) for i in range(n)])
+    s = fraction_gram(list(zip(*g.entries)))
     m = [[Fraction(0)] * n for _ in range(n)]
     coeffs = [Fraction(1)]
     for k in range(1, n + 1):

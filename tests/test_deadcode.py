@@ -8,6 +8,7 @@ exempt because the interpreter calls them implicitly.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -122,3 +123,68 @@ def test_checker_imports_only_scalar_and_projective():
                     external.add(top)
     assert internal <= {"scalar", "projective"}, f"checker.py imports freecert modules {sorted(internal)}"
     assert external <= sys.stdlib_module_names, f"checker.py imports {sorted(external - sys.stdlib_module_names)}"
+
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def _memo_name(dec: ast.expr) -> str | None:
+    """`lru_cache` or `cache` when the decorator is one of them, bare or
+    called, by bare or attribute name."""
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    name = target.id if isinstance(target, ast.Name) else target.attr if isinstance(target, ast.Attribute) else None
+    return name if name in MEMO_DECORATORS else None
+
+
+def _finite_maxsize(dec: ast.expr) -> bool:
+    """`lru_cache(N)` or `lru_cache(maxsize=N)` with N a positive integer literal."""
+    if not isinstance(dec, ast.Call) or _memo_name(dec) != "lru_cache":
+        return False
+    sizes = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int and sizes[0].value > 0
+
+
+def _module_name(path: Path) -> str:
+    return "freecert" if path.stem == "__init__" else f"freecert.{path.stem}"
+
+
+def memoized_functions() -> tuple[list[tuple[str, str | None, str]], list[str]]:
+    """((module, class or None, name) of every memoized module-level
+    function or class attribute, places of the memos that are not one of
+    those or have no finite maxsize)."""
+    found, bad = [], []
+    for path, tree in _trees(PACKAGE):
+        owners = {id(f): None for f in tree.body}
+        owners.update({id(f): c.name for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body})
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in (d for d in node.decorator_list if _memo_name(d)):
+                where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+                if id(node) not in owners:
+                    bad.append(f"{where}: not a module-level function or class attribute")
+                elif not _finite_maxsize(dec):
+                    bad.append(f"{where}: no finite integer maxsize")
+                else:
+                    found.append((_module_name(path), owners[id(node)], node.name))
+    return found, bad
+
+
+def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
+    """Each `lru_cache` in the package is bounded and sits where the
+    benchmark's `find_caches` attribute scan finds it, so every request
+    starts cold."""
+    found, bad = memoized_functions()
+    assert not bad, "memos the benchmark cannot reset:\n" + "\n".join(bad)
+    assert found
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from run import find_caches
+
+    for path in PACKAGE.glob("*.py"):
+        importlib.import_module(_module_name(path))
+    scanned = {id(c) for c in find_caches()}
+    for module, owner, name in found:
+        obj = importlib.import_module(module)
+        if owner is not None:
+            obj = vars(obj)[owner]
+        assert id(vars(obj)[name]) in scanned, f"{module} {owner or ''} {name} escapes find_caches"

@@ -34,13 +34,14 @@ from freecert.projective import (
     gram_matrix,
 )
 from freecert.rootiso import isolate_positive_roots, point
-from freecert.scalar import ARCH, padic, padic_valuation, sqrt_lower, sqrt_upper
+from freecert.scalar import ARCH, padic, sqrt_lower, sqrt_upper
 from oracles import (
     fraction_charpoly_gram,
     fraction_gram,
     fraction_isolate_positive_roots,
     fraction_power_direction,
     interval_contains,
+    padic_valuation,
     set_member,
 )
 
@@ -509,7 +510,7 @@ def _power_directions(g: ProjMat) -> list:
     rows, _ = g._integer_form
     gtg, scale = g.gram
     ours = [_power_direction(gram_matrix(rows), scale, lam2_hi), _power_direction(gtg, scale, lam2_hi)]
-    cols = [g.col(j) for j in range(g.dim)]
+    cols = list(zip(*g.entries))
     ref = [fraction_power_direction(fraction_gram(g.entries), lam2_hi), fraction_power_direction(fraction_gram(cols), lam2_hi)]
     return [ours, ref]
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -21,6 +21,7 @@ from freecert.projective import (
     dist_sq,
     dist_to_hyperplane_sq,
     hnbhd,
+    identity,
     norm_sq,
     set_contains,
     set_disjoint,
@@ -294,13 +295,20 @@ def test_products_match_fraction_reference_without_det(rows, data):
 
 
 def test_products_clear_each_matrix_once():
-    g = ProjMat(((F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 0, F(5, 7))), ARCH)
-    h = ProjMat(((2, 0, 1), (F(1, 3), 1, 0), (0, 0, 1)), ARCH)
+    # input construction clears each matrix once, and `det` checks a fresh
+    # copy of the cleared rows; products, inverses and transposes clear nothing
     with mock.patch.object(projective, "integer_rows", wraps=projective.integer_rows) as spy:
+        g = ProjMat(((F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 0, F(5, 7))), ARCH)
+        h = ProjMat(((2, 0, 1), (F(1, 3), 1, 0), (0, 0, 1)), ARCH)
+        assert spy.call_count == 4  # g, det's copy of g's rows, h, det's copy of h's rows
+        assert spy.call_args_list[1].args[0] is g._integer_form[0]
         first = g @ h
-        d = projective.det(g.entries)  # eliminates in place on lists of its own
         again = [g @ h for _ in range(3)]
-        assert spy.call_count == 3  # g, h, then det's fresh copy
+        g.inverse().transpose()
+        assert spy.call_count == 4
+        d = projective.det(g.entries)  # eliminates in place on lists of its own
+        assert spy.call_count == 5
+    assert g._integer_form == (((21, 126, 0), (0, 28, 42), (42, 0, 30)), 42)
     assert all(x.entries == first.entries == fraction_matmul(g.entries, h.entries) for x in again)
     assert projective.det(g.entries) == d
 
@@ -427,3 +435,71 @@ def test_inverse_matches_fraction_reference_once(rows):
     gi = g.inverse()
     assert gi.entries == fraction_inverse(g.entries)
     assert g.inverse() is gi and gi.inverse() is g
+
+
+# ---------------------------------------------------------------------------
+# Integer matrices against the Fraction references
+# ---------------------------------------------------------------------------
+
+
+def _assert_cleared(m: ProjMat, want) -> None:
+    """m's Fraction view is `want`, and its integer form is the lcm-cleared one."""
+    assert m.entries == want
+    rows, scale = m._integer_form
+    assert scale == lcm(*(x.denominator for r in want for x in r))
+    assert rows == tuple(tuple(int(x * scale) for x in r) for r in want)
+    assert all(type(x) is int for r in rows for x in r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), _PLACES, st.data())
+def test_integer_matrices_match_fraction_reference(n, place, data):
+    def draw():
+        rows = tuple(tuple(data.draw(_COORD) for _ in range(n)) for _ in range(n))
+        try:
+            return rows, ProjMat(rows, place)
+        except ValueError:
+            assume(False)
+
+    (g_rows, g), (h_rows, h) = draw(), draw()
+    k = data.draw(st.integers(-3, 4))
+    ident = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+    g_inv = fraction_inverse(g_rows)
+    want_power = ident
+    for _ in range(abs(k)):
+        want_power = fraction_matmul(want_power, g_rows if k > 0 else g_inv)
+    _assert_cleared(g, tuple(tuple(F(x) for x in r) for r in g_rows))
+    _assert_cleared(g @ h, fraction_matmul(g_rows, h_rows))
+    _assert_cleared(g.inverse(), g_inv)
+    _assert_cleared(g.transpose(), tuple(zip(*g.entries)))
+    _assert_cleared(g.power(k), want_power)
+    _assert_cleared(identity(n, place), ident)
+    # equal matrices built along different paths are equal, with equal hashes
+    for x, y in (
+        (g @ g.inverse(), identity(n, place)),
+        (g @ h, ProjMat((g @ h).entries, place)),
+        ((g @ h).inverse(), h.inverse() @ g.inverse()),
+        (g.transpose().transpose(), g),
+        (g.power(-2), g.inverse() @ g.inverse()),
+        (g.power(0), ProjMat(ident, place)),
+    ):
+        assert x == y and hash(x) == hash(y)
+    assert g != ProjMat(tuple(tuple(2 * x for x in r) for r in g_rows), place)
+
+
+def test_product_scale_shrinks():
+    # scales 6 and 2 give a product over 12 whose entries reduce to halves:
+    # one gcd with the scale, 6, clears it to ((1, 1), (0, 3)) over 2
+    a = ProjMat(((F(1, 2), F(1, 3)), (0, 1)), ARCH)
+    b = ProjMat(((1, 0), (0, F(3, 2))), ARCH)
+    assert a._integer_form == (((3, 2), (0, 6)), 6) and b._integer_form == (((2, 0), (0, 3)), 2)
+    ab = a @ b
+    assert ab._integer_form == (((1, 1), (0, 3)), 2)
+    assert ab == ProjMat(((F(1, 2), F(1, 2)), (0, F(3, 2))), ARCH) and ab.entries == fraction_matmul(a.entries, b.entries)
+    # and to scale 1 when the product is integral; the inverse's last pivot
+    # is -2 here, and its sign moves into the rows
+    flip = ProjMat(((F(-1, 2), 0), (0, 1)), ARCH)
+    assert flip.inverse()._integer_form == (((-2, 0), (0, 1)), 1)
+    assert (flip @ flip.inverse())._integer_form == (((1, 0), (0, 1)), 1) == identity(2, ARCH)._integer_form
+    swap = ProjMat(((0, F(1, 2)), (2, 0)), ARCH)
+    assert swap.inverse()._integer_form == (((0, 1), (4, 0)), 2)

@@ -9,13 +9,12 @@ from freecert.scalar import (
     cmp_sqrt_sum,
     format_rat,
     padic,
-    padic_valuation,
     parse_place,
     parse_rat,
     sqrt_lower,
     sqrt_upper,
 )
-from oracles import abs_value
+from oracles import abs_value, padic_valuation
 
 
 def test_place_validation():

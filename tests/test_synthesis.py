@@ -286,3 +286,21 @@ _LADDER_X = st.one_of(
 def test_eps_ladder_matches_the_stepwise_search(x):
     assert _eps_ladder(x, 1) == pow2_at_least_loop(x)
     assert _eps_ladder(x, 2) == pow4_at_least_loop(x)
+
+
+def test_auto_very_proximal_is_memoized_on_exact_equality():
+    m = ProjMat(((5, 2), (2, 1)), ARCH)
+    auto_very_proximal.cache_clear()
+    got = auto_very_proximal(m)
+    assert got is not None and got == auto_very_proximal.__wrapped__(m)
+    # an equal matrix built another way is a hit
+    again = (m @ m) @ m.inverse()
+    assert again is not m and again == m
+    assert auto_very_proximal(again) is got
+    assert auto_very_proximal.cache_info().hits == 1
+    # 2m is the same projective map, but a different key and certificate:
+    # the gap bounds and enclosures are computed on the matrix itself
+    doubled = ProjMat(((10, 4), (4, 2)), ARCH)
+    assert doubled.class_key() == m.class_key()
+    assert auto_very_proximal(doubled) != got
+    assert auto_very_proximal.cache_info().misses == 2
