@@ -9,7 +9,6 @@ calling the same ones on its parsed numbers.  Only `scalar` and
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .projective import (
@@ -25,7 +24,7 @@ from .projective import (
     dist_to_hyperplane_sq_pair,
     set_contains,
 )
-from .scalar import Place, Rat, cmp_sqrt_sum, sqrt_lower, sqrt_upper
+from .scalar import Place, Rat, Record, cmp_sqrt_sum, sqrt_lower, sqrt_upper
 
 
 def image_radius_bound(gap_sq_hi: Rat, epsilon_sq: Rat, attract_err_sq: Rat | None, repel_err_sq: Rat | None) -> Rat | None:
@@ -62,8 +61,7 @@ def point_plane_far(point: ProjPoint, plane: ProjHyperplane, r_sq: Rat, place: P
     return num * r_sq.denominator >= r_sq.numerator * den
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """Ball certified to contain exactly one fixed point of the map.
 
     Checked facts: the map is lipschitz_sq^(1/2)-Lipschitz (< 1) on the
@@ -74,10 +72,16 @@ class Enclosure:
     stored ones to equal them.
     """
 
-    ball: Ball
-    lipschitz_sq: Rat
-    region_low_sq: Rat
-    move_sq: Rat  # d(g.center, center)^2
+    __slots__ = ("ball", "lipschitz_sq", "region_low_sq", "move_sq")
+
+    def __init__(self, ball: Ball, lipschitz_sq: Rat, region_low_sq: Rat, move_sq: Rat) -> None:
+        object.__setattr__(self, "ball", ball)
+        object.__setattr__(self, "lipschitz_sq", lipschitz_sq)
+        object.__setattr__(self, "region_low_sq", region_low_sq)
+        object.__setattr__(self, "move_sq", move_sq)  # d(g.center, center)^2
+
+    def _key(self) -> tuple:
+        return (self.ball, self.lipschitz_sq, self.region_low_sq, self.move_sq)
 
 
 def selfmap_radii(radii_sq) -> tuple[tuple[Rat, Rat, Rat], ...]:

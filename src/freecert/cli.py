@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields as dc_fields
 from fractions import Fraction
 
 from . import certfmt
@@ -337,7 +336,7 @@ def _group_header(group: MarkedGroup) -> dict:
 
 def _budget(spec: str) -> tuple[str, int]:
     name, eq, val = spec.partition("=")
-    if not eq or name.strip() not in {f.name for f in dc_fields(Budgets)}:
+    if not eq or name.strip() not in Budgets._fields:
         raise ValueError(f"unknown budget {name.strip()!r}")
     return name.strip(), int(val)
 

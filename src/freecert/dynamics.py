@@ -21,10 +21,10 @@ legal outcome of the sufficient tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
 from .projective import (
@@ -44,18 +44,23 @@ from .projective import (
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Place, Rat, int_valuation, sqrt_lower, sqrt_upper
+from .scalar import Place, Rat, Record, int_valuation, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
 
 
-@dataclass(frozen=True)
-class SingularProfile:
+class SingularProfile(Record):
     """Certified squared singular values, descending; exact at p-adic places."""
 
-    values_sq: tuple[Interval, ...]
-    exact: bool
+    __slots__ = ("values_sq", "exact", "__dict__")  # the dict holds `gap_sq`
+
+    def __init__(self, values_sq: tuple[Interval, ...], exact: bool) -> None:
+        object.__setattr__(self, "values_sq", values_sq)
+        object.__setattr__(self, "exact", exact)
+
+    def _key(self) -> tuple:
+        return (self.values_sq, self.exact)
 
     @property
     def dim(self) -> int:
@@ -196,8 +201,7 @@ def contraction_gap_sq(g: ProjMat) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectionData:
+class DirectionData(NamedTuple):
     """Rational candidates for the singular directions with certified errors.
 
     attract approximates the top left-singular direction within
@@ -282,8 +286,7 @@ def direction_candidates(g: ProjMat) -> DirectionData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionCert:
+class ContractionCert(NamedTuple):
     """Evidence that g maps {d(., repel) >= eps} into {d(., attract) <= B}
     with B = sqrt(image_radius_sq) <= eps = sqrt(epsilon_sq).
 
@@ -321,8 +324,7 @@ class ContractionCert:
         )
 
 
-@dataclass(frozen=True)
-class ContractionVerdict:
+class ContractionVerdict(NamedTuple):
     kind: str  # "yes" | "no" | "unknown"
     cert: ContractionCert | None = None
     counterexample: ProjPoint | None = None
@@ -397,18 +399,33 @@ def selfmap_enclosure(
     return None
 
 
-@dataclass(frozen=True)
-class ProximalCert:
+class ProximalCert(Record):
     """(r, eps)-proximality: the contraction certificate's candidate pair
     satisfies d(attract, repel) >= r, and both the fixed point and the
-    fixed hyperplane are pinned inside self-mapping enclosures."""
+    fixed hyperplane are pinned inside self-mapping enclosures.
+    `fixed_plane_dual` encloses the hyperplane's dual point in the dual
+    space; `very`, when set, is the certificate of the inverse."""
 
-    r_sq: Rat
-    epsilon_sq: Rat
-    contraction: ContractionCert
-    fixed_point: Enclosure
-    fixed_plane_dual: Enclosure  # enclosure in the dual space (of the hyperplane's dual point)
-    very: "ProximalCert | None" = None
+    __slots__ = ("r_sq", "epsilon_sq", "contraction", "fixed_point", "fixed_plane_dual", "very")
+
+    def __init__(
+        self,
+        r_sq: Rat,
+        epsilon_sq: Rat,
+        contraction: ContractionCert,
+        fixed_point: Enclosure,
+        fixed_plane_dual: Enclosure,
+        very: ProximalCert | None = None,
+    ) -> None:
+        object.__setattr__(self, "r_sq", r_sq)
+        object.__setattr__(self, "epsilon_sq", epsilon_sq)
+        object.__setattr__(self, "contraction", contraction)
+        object.__setattr__(self, "fixed_point", fixed_point)
+        object.__setattr__(self, "fixed_plane_dual", fixed_plane_dual)
+        object.__setattr__(self, "very", very)
+
+    def _key(self) -> tuple:
+        return (self.r_sq, self.epsilon_sq, self.contraction, self.fixed_point, self.fixed_plane_dual, self.very)
 
     @property
     def fixed_plane_nbhd(self) -> HNbhd:
@@ -437,8 +454,7 @@ class ProximalCert:
         return ((a_p, r_p, "very: A+ vs R+"), (a_p, a_m, "very: A+ vs A-"), (a_m, r_m, "very: A- vs R-"))
 
 
-@dataclass(frozen=True)
-class ProximalVerdict:
+class ProximalVerdict(NamedTuple):
     """On "no", counterexample refutes the contraction candidates of
     refutes, which is g itself or, from certify_very_proximal, g^-1."""
 
@@ -490,7 +506,8 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVer
     bwd = certify_proximal(g.inverse(), r_sq, epsilon_sq)
     if bwd.kind != "yes":
         return bwd
-    paired = replace(fwd.cert, very=bwd.cert)
+    c = fwd.cert
+    paired = ProximalCert(c.r_sq, c.epsilon_sq, c.contraction, c.fixed_point, c.fixed_plane_dual, very=bwd.cert)
     if any(set_disjoint(left, right, g.place).kind != "disjoint" for left, right, _ in paired.very_pairs()):
         return ProximalVerdict("unknown")
     return ProximalVerdict("yes", cert=paired)

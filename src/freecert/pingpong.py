@@ -19,16 +19,15 @@ words for k players instead of (2k - 1)^L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .checker import evidence_outside
 from .dynamics import ProximalCert
 from .projective import ProjSet, set_disjoint
-from .scalar import Place
+from .scalar import Place, Record
 
 
-@dataclass(frozen=True)
-class PingPongPlayer:
+class PingPongPlayer(NamedTuple):
     """An element with declared attracting/repelling sets and evidence.
 
     The mapping conditions g(X - R+) in A+ and g^-1(X - R-) in A- are
@@ -52,8 +51,7 @@ class PingPongPlayer:
         )
 
 
-@dataclass(frozen=True)
-class TupleCheck:
+class TupleCheck(NamedTuple):
     kind: str  # "disjoint" | "evidence"
     detail: str
     ok: bool
@@ -61,13 +59,12 @@ class TupleCheck:
     right: object = None
 
 
-@dataclass(frozen=True)
-class PingPongTuple:
+class PingPongTuple(NamedTuple):
     players: tuple[PingPongPlayer, ...]
     verdict: str  # "certified" | "refuted" | "unknown"
     witness: object | None = None
     witness_detail: str = ""
-    checks: tuple[TupleCheck, ...] = field(default_factory=tuple)
+    checks: tuple[TupleCheck, ...] = ()
 
 
 def _place_of(player: PingPongPlayer) -> Place | None:
@@ -184,11 +181,19 @@ def simple_player(name: str, element, attract, repel, evidence) -> PingPongPlaye
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    kind: str  # "no-relation" | "relation"
-    letters: tuple[tuple[int, int], ...] | None = None  # (generator index, +-1)
-    word: str | None = None
+class OracleResult(Record):
+    """kind is "no-relation" or "relation"; a relation's letters are
+    (generator index, +-1) pairs, and word spells them."""
+
+    __slots__ = ("kind", "letters", "word")
+
+    def __init__(self, kind: str, letters: tuple[tuple[int, int], ...] | None = None, word: str | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "word", word)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.letters, self.word)
 
 
 def word_string(letters, names) -> str:

@@ -23,13 +23,13 @@ against sqrt(c); Unknown is a legal verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
-from .scalar import Place, Rat, cmp_sqrt_sum, int_valuation
+from .scalar import Place, Rat, Record, cmp_sqrt_sum, int_valuation
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -50,14 +50,17 @@ def class_rep(coords) -> IntVec:
     return primitive(v)
 
 
-@dataclass(frozen=True)
-class _IntegerClass:
-    """A class of P(Q^n) or of its dual, stored by `class_rep`."""
+class _IntegerClass(Record):
+    """A class of P(Q^n) or of its dual, stored by `class_rep`.  A point
+    never equals a hyperplane: equality asks for the same class."""
 
-    coords: IntVec
+    __slots__ = ("coords", "__dict__")  # the dict holds `_canonical`
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", class_rep(self.coords))
+    def __init__(self, coords) -> None:
+        object.__setattr__(self, "coords", class_rep(coords))
+
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     @classmethod
     def _of(cls, v: IntVec):
@@ -77,6 +80,8 @@ class _IntegerClass:
 
 
 class ProjPoint(_IntegerClass):
+    __slots__ = ()
+
     @property
     def rep(self) -> Vec:
         """The canonical representative: first nonzero coordinate 1."""
@@ -85,6 +90,8 @@ class ProjPoint(_IntegerClass):
 
 class ProjHyperplane(_IntegerClass):
     """ker(f), stored by the class of the covector f."""
+
+    __slots__ = ()
 
     @property
     def functional(self) -> Vec:
@@ -433,30 +440,38 @@ def apply_hyperplane(g: ProjMat, h: ProjHyperplane) -> ProjHyperplane:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: ProjPoint
-    radius_sq: Rat
+def _radius_sq(radius_sq: Rat) -> Fraction:
+    """A component's squared radius as a Fraction, refused outside (0, 1]."""
+    radius_sq = Fraction(radius_sq)
+    if not 0 < radius_sq <= 1:
+        raise ValueError("radius_sq must lie in (0, 1]")
+    return radius_sq
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius_sq", Fraction(self.radius_sq))
-        if not 0 < self.radius_sq <= 1:
-            raise ValueError("radius_sq must lie in (0, 1]")
+
+class Ball(Record):
+    __slots__ = ("center", "radius_sq")
+
+    def __init__(self, center: ProjPoint, radius_sq: Rat) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius_sq", _radius_sq(radius_sq))
+
+    def _key(self) -> tuple:
+        return (self.center, self.radius_sq)
 
     @property
     def dim(self) -> int:
         return self.center.dim
 
 
-@dataclass(frozen=True)
-class HNbhd:
-    plane: ProjHyperplane
-    radius_sq: Rat
+class HNbhd(Record):
+    __slots__ = ("plane", "radius_sq")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius_sq", Fraction(self.radius_sq))
-        if not 0 < self.radius_sq <= 1:
-            raise ValueError("radius_sq must lie in (0, 1]")
+    def __init__(self, plane: ProjHyperplane, radius_sq: Rat) -> None:
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "radius_sq", _radius_sq(radius_sq))
+
+    def _key(self) -> tuple:
+        return (self.plane, self.radius_sq)
 
     @property
     def dim(self) -> int:
@@ -466,17 +481,19 @@ class HNbhd:
 Component = Ball | HNbhd
 
 
-@dataclass(frozen=True)
-class ProjSet:
-    components: tuple[Component, ...]
+class ProjSet(Record):
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+    def __init__(self, components) -> None:
+        comps = tuple(components)
         if not comps:
             raise ValueError("empty set union")
         if len({c.dim for c in comps}) != 1:
             raise ValueError("mixed dimensions in one set")
         object.__setattr__(self, "components", comps)
+
+    def _key(self) -> tuple:
+        return (self.components,)
 
     @property
     def dim(self) -> int:
@@ -491,8 +508,7 @@ def hnbhd(plane: ProjHyperplane, radius_sq: Rat) -> ProjSet:
     return ProjSet((HNbhd(plane, radius_sq),))
 
 
-@dataclass(frozen=True)
-class DisjointVerdict:
+class DisjointVerdict(NamedTuple):
     kind: str  # "disjoint" | "overlap" | "unknown"
     witness: ProjPoint | None = None
 

@@ -17,11 +17,11 @@ the integer den^deg * f(num/den), which has the sign of f(num/den).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
-from .scalar import Rat
+from .scalar import Rat, Record
 
 Poly = list[Fraction]
 IntPoly = list[int]
@@ -33,16 +33,19 @@ ROOT_REL_BITS = 30
 DIVISOR_TRIAL_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lo, hi] with rational endpoints, lo <= hi."""
 
-    lo: Rat
-    hi: Rat
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    def __init__(self, lo: Rat, hi: Rat) -> None:
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def _key(self) -> tuple:
+        return (self.lo, self.hi)
 
     @property
     def exact(self) -> bool:
@@ -252,7 +255,7 @@ def _divide_out(p: IntPoly, r: Rat) -> tuple[IntPoly, int]:
     return p, m
 
 
-def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
+def isolate_positive_roots(p: Poly) -> tuple[tuple[Interval, int], ...]:
     """Enclosures for every positive real root of p, with multiplicities.
 
     Rational roots come back as degenerate intervals.  Irrational ones are
@@ -262,10 +265,22 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
     hi - lo <= lo * 2^-ROOT_REL_BITS.  The union of returned intervals is
     pairwise disjoint and, counted with multiplicity, covers exactly the
     positive roots.
+
+    The result depends on the cleared polynomial alone, so it is memoized
+    on its coefficients: in a search, a matrix and its inverse of
+    determinant 1 share the characteristic polynomial of their Gram
+    matrices, and so do transposes.
     """
-    work = _cleared(ptrim(list(p)))
+    return _isolate_cleared(tuple(_cleared(ptrim(list(p)))))
+
+
+@lru_cache(maxsize=4096)
+def _isolate_cleared(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int], ...]:
+    """`isolate_positive_roots` of the integer polynomial `coeffs`, as a
+    tuple, so no caller can change a shared result."""
+    work = list(coeffs)
     if pdeg(work) < 1:
-        return []
+        return ()
     out: list[tuple[Interval, int]] = []
     for r in rational_roots(work):
         if r > 0:
@@ -308,7 +323,7 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Interval, int]]:
             m = 1 if squarefree else _multiplicity_in(work, sf, lo, hi)
             out.append((Interval(lo, hi), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
-    return out
+    return tuple(out)
 
 
 def _refine(sf: IntPoly, a: Rat, b: Rat) -> tuple[Rat, Rat]:

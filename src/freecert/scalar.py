@@ -9,11 +9,12 @@ This module also hosts the square-root toolbox used everywhere above it:
 rational two-sided bounds of width <= 2^-40, and exact sign tests for
 expressions of the form sqrt(a) + sqrt(b) - sqrt(c).  Last come the
 literal parsers that both backends share: rationals and `name^k` words.
+`Record` is the base of the package's immutable records that validate
+their input or whose equality is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -55,26 +56,55 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Place:
+class Record:
+    """An immutable record: `__init__` sets each field once through
+    `object.__setattr__`, and assignment afterwards raises.  Equality asks
+    for the exact class and equal `_key()`, the tuple of the compared
+    fields; the hash is that of `_key()`, and the repr lists it."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class Place(Record):
     """Which absolute value of Q is in force.
 
     kind is "archimedean" or "p-adic"; prime is set only in the p-adic
     case and must be prime.
     """
 
-    kind: str
-    prime: int | None = None
+    __slots__ = ("kind", "prime")
 
-    def __post_init__(self) -> None:
-        if self.kind == "archimedean":
-            if self.prime is not None:
+    def __init__(self, kind: str, prime: int | None = None) -> None:
+        if kind == "archimedean":
+            if prime is not None:
                 raise ValueError("archimedean place carries no prime")
-        elif self.kind == "p-adic":
-            if self.prime is None or not _is_prime(self.prime):
-                raise ValueError(f"p-adic place needs a prime, got {self.prime!r}")
+        elif kind == "p-adic":
+            if prime is None or not _is_prime(prime):
+                raise ValueError(f"p-adic place needs a prime, got {prime!r}")
         else:
-            raise ValueError(f"unknown place kind {self.kind!r}")
+            raise ValueError(f"unknown place kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "prime", prime)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.prime)
 
     @property
     def is_padic(self) -> bool:

@@ -18,9 +18,9 @@ conditions and takes the first survivor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .checker import evidence_outside
 from .dynamics import (
@@ -42,7 +42,7 @@ from .projective import (
     set_contains,
     set_disjoint,
 )
-from .scalar import Rat, sqrt_upper, word_tokens
+from .scalar import Rat, Record, sqrt_upper, word_tokens
 
 Word = tuple[tuple[int, int], ...]  # letters (generator index, +-1), freely reduced
 
@@ -71,20 +71,23 @@ def word_power(w: Word, n: int) -> Word:
     return out
 
 
-@dataclass(frozen=True)
-class MarkedGroup:
+class MarkedGroup(Record):
     """Named invertible generators over a shared place and dimension;
     identity testing is matrix equality up to a scalar."""
 
-    gens: tuple[tuple[str, ProjMat], ...]
+    __slots__ = ("gens",)
 
-    def __post_init__(self) -> None:
-        if not self.gens:
+    def __init__(self, gens: tuple[tuple[str, ProjMat], ...]) -> None:
+        if not gens:
             raise ValueError("a marked group needs at least one generator")
-        dims = {m.dim for _, m in self.gens}
-        places = {m.place for _, m in self.gens}
+        dims = {m.dim for _, m in gens}
+        places = {m.place for _, m in gens}
         if len(dims) != 1 or len(places) != 1:
             raise ValueError("generators must share dimension and place")
+        object.__setattr__(self, "gens", gens)
+
+    def _key(self) -> tuple:
+        return (self.gens,)
 
     @property
     def place(self):
@@ -144,8 +147,7 @@ class MarkedGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugateFactor:
+class ConjugateFactor(NamedTuple):
     """t r^e t^-1 for a class representative r: visibly in the normal closure."""
 
     conjugator: Word
@@ -153,8 +155,7 @@ class ConjugateFactor:
     exponent: int  # +-1
 
 
-@dataclass(frozen=True)
-class NormalWord:
+class NormalWord(NamedTuple):
     """A product of conjugates of class representatives.
 
     The data structure is the membership proof: flattening yields the
@@ -189,15 +190,18 @@ class NormalWord:
         return out
 
 
-@dataclass(frozen=True)
-class NormalData:
-    label: str
-    class_reps: tuple[Word, ...]
-    coset_reps: tuple[Word, ...] = ()
+class NormalData(Record):
+    __slots__ = ("label", "class_reps", "coset_reps")
 
-    def __post_init__(self) -> None:
-        if not self.class_reps:
+    def __init__(self, label: str, class_reps: tuple[Word, ...], coset_reps: tuple[Word, ...] = ()) -> None:
+        if not class_reps:
             raise ValueError("a normal datum needs class representatives")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "class_reps", class_reps)
+        object.__setattr__(self, "coset_reps", coset_reps)
+
+    def _key(self) -> tuple:
+        return (self.label, self.class_reps, self.coset_reps)
 
 
 def validate_normal_data(group: MarkedGroup, data: NormalData) -> None:
@@ -309,8 +313,7 @@ def player_from_cert(name: str, g: ProjMat, cert: ProximalCert) -> PingPongPlaye
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     host_word_len: int = 2
     host_power_max: int = 16
     conj_len: int = 1
@@ -358,8 +361,7 @@ def conjugate_contract(
     return None
 
 
-@dataclass(frozen=True)
-class BBBResult:
+class BBBResult(NamedTuple):
     k: int
     word: Word
     attract: ProjSet
@@ -468,8 +470,7 @@ def very_proximal_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HostRegion:
+class HostRegion(NamedTuple):
     """Where a synthesized element must live: all four canonical sets
     inside `region` and certifiably clear of every `avoid` set (the
     host's fixed-point enclosures, so the host power can later shrink
@@ -484,8 +485,7 @@ class HostRegion:
         )
 
 
-@dataclass(frozen=True)
-class NormalProximalResult:
+class NormalProximalResult(NamedTuple):
     label: str
     proof: NormalWord
     word: Word
@@ -550,8 +550,7 @@ def normal_proximal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetResult:
+class CosetResult(NamedTuple):
     coset_rep: Word
     left: NormalWord
     right: NormalWord
@@ -589,7 +588,7 @@ def coset_pingpong(
     class_reps = list(data.class_reps)
     place = group.place
     beta = group.eval(a_n.word)
-    adjusters = [NormalWord(())] + _normal_pool(group, data, replace(budgets, num_factors=1))[: budgets.general_position]
+    adjusters = [NormalWord(())] + _normal_pool(group, data, budgets._replace(num_factors=1))[: budgets.general_position]
     results: list[CosetResult] = []
     failed: list[Word] = []
     taken_sets: list[ProjSet] = []
@@ -643,8 +642,7 @@ def _check_membership(group: MarkedGroup, delta_word: Word, rep: Word, proof: No
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleCosetResult:
+class DoubleCosetResult(NamedTuple):
     original: Word
     m: int
     n: int
@@ -713,8 +711,7 @@ def double_coset_wrap(
 PRODENSE_ORACLE_LEN = 6
 
 
-@dataclass(frozen=True)
-class SynthesisReport:
+class SynthesisReport(NamedTuple):
     host_word: Word
     host_power: int
     host_cert: ProximalCert | None
@@ -725,7 +722,7 @@ class SynthesisReport:
     combined: PingPongTuple | None
     oracle: OracleResult | None
     verdict: str  # "certified" | "unknown"
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def find_host(group: MarkedGroup, budgets: Budgets) -> tuple[Word, int, ProximalCert] | None:

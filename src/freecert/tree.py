@@ -15,10 +15,10 @@ a lazily expanded finite ball of the tree.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
-from .scalar import word_tokens
+from .scalar import Record, word_tokens
 
 DEFAULT_RADIUS = 8
 #: Most vertices a ball listed by `expand_tree` may hold.  Its layers grow
@@ -32,17 +32,16 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Finite group by multiplication table; verified on construction."""
 
-    table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = None
+    __slots__ = ("table", "names", "_identity", "_inverse")
 
-    def __post_init__(self) -> None:
-        n = len(self.table)
-        tab = tuple(tuple(r) for r in self.table)
+    def __init__(self, table: tuple[tuple[int, ...], ...], names: tuple[str, ...] | None = None) -> None:
+        n = len(table)
+        tab = tuple(tuple(r) for r in table)
         object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "names", names)
         for i, row in enumerate(tab):
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise TreeError(f"row {i} of the multiplication table is malformed")
@@ -66,11 +65,14 @@ class FiniteGroup:
                 for c in range(n):
                     if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
                         raise TreeError(f"associativity fails at ({a}, {b}, {c})")
-        if self.names is not None:
-            nms = tuple(self.names)
+        if names is not None:
+            nms = tuple(names)
             if len(nms) != n or len(set(nms)) != n:
                 raise TreeError("names must be distinct, one per element")
             object.__setattr__(self, "names", nms)
+
+    def _key(self) -> tuple:
+        return (self.table, self.names)
 
     @property
     def order(self) -> int:
@@ -93,18 +95,18 @@ class FiniteGroup:
 Letter = tuple[str, int]  # ("A" | "B", element index in that factor)
 
 
-@dataclass(frozen=True)
-class AmalgamData:
+class AmalgamData(Record):
     """A *_H B with finite factors, H given by injections into both."""
 
-    group_a: FiniteGroup
-    group_b: FiniteGroup
-    group_h: FiniteGroup
-    embed_a: tuple[int, ...]
-    embed_b: tuple[int, ...]
+    __slots__ = ("group_a", "group_b", "group_h", "embed_a", "embed_b", "_h_in_a", "_h_in_b", "_transversal")
 
-    def __post_init__(self) -> None:
-        for tag, grp, emb in (("A", self.group_a, self.embed_a), ("B", self.group_b, self.embed_b)):
+    def __init__(
+        self, group_a: FiniteGroup, group_b: FiniteGroup, group_h: FiniteGroup, embed_a: tuple[int, ...], embed_b: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "group_a", group_a)
+        object.__setattr__(self, "group_b", group_b)
+        object.__setattr__(self, "group_h", group_h)
+        for tag, grp, emb in (("A", group_a, embed_a), ("B", group_b, embed_b)):
             emb = tuple(emb)
             object.__setattr__(self, "embed_a" if tag == "A" else "embed_b", emb)
             if len(emb) != self.group_h.order or len(set(emb)) != len(emb):
@@ -116,6 +118,9 @@ class AmalgamData:
         object.__setattr__(self, "_h_in_a", {a: h for h, a in enumerate(self.embed_a)})
         object.__setattr__(self, "_h_in_b", {b: h for h, b in enumerate(self.embed_b)})
         object.__setattr__(self, "_transversal", {"A": self._cosets("A"), "B": self._cosets("B")})
+
+    def _key(self) -> tuple:
+        return (self.group_a, self.group_b, self.group_h, self.embed_a, self.embed_b)
 
     def factor(self, tag: str) -> FiniteGroup:
         return self.group_a if tag == "A" else self.group_b
@@ -169,14 +174,20 @@ class AmalgamData:
         return out
 
 
-@dataclass(frozen=True)
-class TreeAut:
+class TreeAut(Record):
     """Element of A *_H B in reduced normal form: alternating nontrivial
-    transversal syllables followed by an H-tail."""
+    transversal syllables followed by an H-tail (an index in H).  The
+    amalgam takes no part in equality, hashing or the repr."""
 
-    amalgam: AmalgamData = field(compare=False, repr=False)
-    syllables: tuple[Letter, ...]
-    tail: int  # index in H
+    __slots__ = ("amalgam", "syllables", "tail")
+
+    def __init__(self, amalgam: AmalgamData, syllables: tuple[Letter, ...], tail: int) -> None:
+        object.__setattr__(self, "amalgam", amalgam)
+        object.__setattr__(self, "syllables", syllables)
+        object.__setattr__(self, "tail", tail)
+
+    def _key(self) -> tuple:
+        return (self.syllables, self.tail)
 
     @property
     def length(self) -> int:
@@ -384,8 +395,7 @@ def expand_tree(amalgam: AmalgamData, radius: int = 1) -> dict[Vertex, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "elliptic" | "hyperbolic"
     fixed_vertex: Vertex | None = None
     translation_length: int | None = None
@@ -447,19 +457,23 @@ def _coherent(tree: BassSerreTree, s: Vertex, t: Vertex, gs: Vertex, gt: Vertex,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShadowSet:
-    """Boundary shadow determined by the oriented base edge x -> y."""
+class ShadowSet(Record):
+    """Boundary shadow determined by the oriented base edge x -> y.  The
+    tree takes no part in equality, hashing or the repr."""
 
-    tree: BassSerreTree = field(compare=False, repr=False)
-    x: Vertex
-    y: Vertex
+    __slots__ = ("tree", "x", "y")
 
-    def __post_init__(self) -> None:
-        if self.x == self.y:
+    def __init__(self, tree: BassSerreTree, x: Vertex, y: Vertex) -> None:
+        if x == y:
             raise TreeError("shadow base edge is degenerate")
-        if self.y not in self.tree.neighbors(self.x):
+        if y not in tree.neighbors(x):
             raise TreeError("shadow base vertices are not adjacent")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def _key(self) -> tuple:
+        return (self.x, self.y)
 
     def side_contains_vertex(self, z: Vertex) -> bool:
         """z lies in the halftree behind y (ends through z belong to the shadow)."""
@@ -495,8 +509,7 @@ class ShadowSet:
         return _TreeVerdict("overlap", witness)
 
 
-@dataclass(frozen=True)
-class _TreeVerdict:
+class _TreeVerdict(NamedTuple):
     kind: str
     witness: object | None
 
@@ -536,8 +549,7 @@ def axis_shadow_sets(tree: BassSerreTree, g: TreeAut, cls: Classification):
     return a_plus, r_plus, a_minus, r_minus
 
 
-@dataclass(frozen=True)
-class TreeEvidence:
+class TreeEvidence(NamedTuple):
     """Hyperbolicity witness: the element translates its axis, so the
     shadow mapping identities above hold exactly and are re-derivable."""
 

@@ -9,6 +9,8 @@ exempt because the interpreter calls them implicitly.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,6 +125,47 @@ def test_checker_imports_only_scalar_and_projective():
                     external.add(top)
     assert internal <= {"scalar", "projective"}, f"checker.py imports freecert modules {sorted(internal)}"
     assert external <= sys.stdlib_module_names, f"checker.py imports {sorted(external - sys.stdlib_module_names)}"
+
+
+#: Standard-library modules the package leaves unloaded: `dataclasses`
+#: executes generated code for each record class, and it imports `inspect`.
+UNLOADED = {"dataclasses", "inspect"}
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Top-level names of the absolute imports in a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add((node.module or "").partition(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    found = []
+    for path, tree in _trees(PACKAGE):
+        bad = _imported_modules(tree) & UNLOADED
+        if bad:
+            found.append(f"{path.relative_to(ROOT)} imports {sorted(bad)}")
+    assert not found, "\n".join(found)
+
+
+def _loaded_modules(statement: str) -> set[str]:
+    """`sys.modules` after a fresh interpreter ran `statement`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    """Read from what `import freecert.cli` adds to the modules of a bare
+    interpreter, so that whatever the site hooks load does not count."""
+    added = _loaded_modules("import freecert.cli") - _loaded_modules("pass")
+    assert "freecert.cli" in added
+    assert not added & UNLOADED, f"import freecert.cli loads {sorted(added & UNLOADED)}"
 
 
 MEMO_DECORATORS = {"lru_cache", "cache"}

@@ -33,7 +33,7 @@ from freecert.projective import (
     dist_to_hyperplane_sq,
     gram_matrix,
 )
-from freecert.rootiso import isolate_positive_roots, point
+from freecert.rootiso import _isolate_cleared, isolate_positive_roots, point
 from freecert.scalar import ARCH, padic, sqrt_lower, sqrt_upper
 from oracles import (
     fraction_charpoly_gram,
@@ -519,7 +519,7 @@ def _assert_matches_fraction_reference(g: ProjMat) -> list:
     charpoly = _charpoly_gram(g)
     assert charpoly == fraction_charpoly_gram(g)
     roots = isolate_positive_roots(charpoly)
-    assert roots == fraction_isolate_positive_roots(charpoly)
+    assert list(roots) == fraction_isolate_positive_roots(charpoly)
     ours, ref = _power_directions(g)
     assert ours == ref
     return roots
@@ -571,3 +571,15 @@ def test_rational_squared_singular_value_split_off():
     roots = _assert_matches_fraction_reference(_blockdiag(FIB.entries, ((2,),)))
     assert (point(4), 1) in roots
     assert [iv.exact for iv, _ in roots] == [False, True, False]
+
+
+def test_a_matrix_and_its_inverse_share_one_isolation():
+    """g and g^-1 of determinant 1 have Gram matrices with the same
+    characteristic polynomial, so the second profile isolates nothing."""
+    g = ProjMat(((3, 2), (1, 1)), ARCH)
+    singular_profile.cache_clear()
+    _isolate_cleared.cache_clear()
+    singular_profile(g)
+    singular_profile(g.inverse())
+    info = _isolate_cleared.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

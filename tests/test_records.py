@@ -1,0 +1,106 @@
+"""The record behaviour that caches, comparisons and sets rely on.
+
+Records that validate their input refuse bad input on construction.
+Equality asks for the exact class and the compared fields, so a point
+never equals a hyperplane and no record equals the tuple of its fields.
+The hash is that of the tuple of compared fields, which keeps set
+iteration order and cache keys fixed.  A cache-key record refuses
+assignment once built.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from freecert.projective import Ball, HNbhd, ProjHyperplane, ProjPoint, ProjSet
+from freecert.rootiso import Interval
+from freecert.scalar import Place
+from freecert.tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, TreeAut, TreeError
+
+
+def _cyclic(n: int) -> FiniteGroup:
+    return FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+
+
+def _amalgam(order_b: int) -> AmalgamData:
+    """Z/2 * Z/order_b over the trivial group."""
+    return AmalgamData(_cyclic(2), _cyclic(order_b), _cyclic(1), (0,), (0,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Place("p-adic", 4),
+        lambda: Place("p-adic"),
+        lambda: Place("archimedean", 5),
+        lambda: Place("real"),
+        lambda: Interval(2, 1),
+        lambda: Ball(ProjPoint((1, 0)), 2),
+        lambda: HNbhd(ProjHyperplane((1, 0)), 0),
+        lambda: ProjSet(()),
+        lambda: ProjPoint((0, 0)),
+    ],
+)
+def test_validating_records_refuse_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_shadow_set_refuses_a_degenerate_or_distant_edge():
+    tree = BassSerreTree(_amalgam(3))
+    a = tree.base_vertex("A")
+    with pytest.raises(TreeError, match="degenerate"):
+        ShadowSet(tree, a, a)
+    with pytest.raises(TreeError, match="not adjacent"):
+        ShadowSet(tree, a, ("A", (("A", 1),)))
+
+
+def test_point_and_hyperplane_with_the_same_coordinates_differ():
+    p, h = ProjPoint((1, 2)), ProjHyperplane((1, 2))
+    assert p != h and not p == h
+    assert len({p, h}) == 2
+
+
+def test_tree_auts_differing_only_in_amalgam_are_equal():
+    x, y = TreeAut(_amalgam(3), (("A", 1),), 0), TreeAut(_amalgam(4), (("A", 1),), 0)
+    assert x.amalgam != y.amalgam
+    assert x == y and hash(x) == hash(y)
+    assert repr(x) == repr(y)
+
+
+# Each cache-key record, built by a function so that two calls give equal
+# but distinct records, with the fields its equality compares.
+CACHE_KEYS = {
+    "Place": (lambda: Place("p-adic", 5), ("kind", "prime")),
+    "Interval": (lambda: Interval(F(1, 3), F(1, 2)), ("lo", "hi")),
+    "ProjPoint": (lambda: ProjPoint((2, 4)), ("coords",)),
+    "ProjHyperplane": (lambda: ProjHyperplane((F(1, 2), 1)), ("coords",)),
+    "Ball": (lambda: Ball(ProjPoint((1, 1)), F(1, 4)), ("center", "radius_sq")),
+    "HNbhd": (lambda: HNbhd(ProjHyperplane((0, 1)), F(1, 9)), ("plane", "radius_sq")),
+    "ProjSet": (lambda: ProjSet([Ball(ProjPoint((1, 0)), F(1, 4)), HNbhd(ProjHyperplane((1, 0)), F(1, 4))]), ("components",)),
+    "TreeAut": (lambda: TreeAut(_amalgam(3), (("A", 1), ("B", 2)), 0), ("syllables", "tail")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_KEYS))
+def test_cache_key_records_compare_and_hash_by_their_fields(name):
+    build, names = CACHE_KEYS[name]
+    x, y = build(), build()
+    fields = tuple(getattr(x, n) for n in names)
+    assert x is not y and x == y and not x != y
+    assert hash(x) == hash(y) == hash(fields)
+    assert x != fields and fields != x
+    assert len({x, y}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_KEYS))
+def test_cache_key_records_refuse_assignment(name):
+    build, names = CACHE_KEYS[name]
+    x = build()
+    fields = tuple(getattr(x, n) for n in names)
+    for n in names:
+        with pytest.raises(AttributeError):
+            setattr(x, n, None)
+        with pytest.raises(AttributeError):
+            delattr(x, n)
+    assert tuple(getattr(x, n) for n in names) == fields

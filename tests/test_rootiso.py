@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from freecert.rootiso import (
     Interval,
     _cleared,
+    _isolate_cleared,
     _refine,
     cauchy_bound,
     count_roots,
@@ -92,6 +93,17 @@ def test_isolation_ignores_nonpositive_roots():
     assert m == 1 and interval_contains(iv, F(4))
 
 
+def test_isolation_is_memoized_on_the_cleared_polynomial():
+    """x^2/2 - 3x + 1/2 clears to x^2 - 6x + 1, so the integer polynomial
+    is a hit; the shared result is a tuple and equals a fresh isolation."""
+    _isolate_cleared.cache_clear()
+    first = isolate_positive_roots([F(1, 2), F(-3), F(1, 2)])
+    assert isinstance(first, tuple) and len(first) == 2
+    assert isolate_positive_roots([1, -6, 1]) is first
+    assert _isolate_cleared.cache_info().hits == 1
+    assert first == _isolate_cleared.__wrapped__((1, -6, 1))
+
+
 def test_interval_arithmetic():
     a = Interval(F(1), F(2))
     b = Interval(F(3), F(4))
@@ -163,7 +175,7 @@ def test_isolation_matches_fraction_reference(rational, irrational_sq, lead):
     for q, m in irrational_sq:
         for _ in range(m):
             p = pmul(p, [F(-q), F(0), F(1)])
-    assert isolate_positive_roots(p) == fraction_isolate_positive_roots(p)
+    assert list(isolate_positive_roots(p)) == fraction_isolate_positive_roots(p)
 
 
 @settings(max_examples=60, deadline=None)
