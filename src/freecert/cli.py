@@ -334,11 +334,20 @@ def _group_header(group: MarkedGroup) -> dict:
     return {"generators": {name: certfmt.mat_json(m) for name, m in group.gens}}
 
 
-def _budget(spec: str) -> tuple[str, int]:
+def _budget(spec: str, what: str = "budget") -> tuple[str, int]:
+    """A `NAME=INT` budget of `Budgets`.  The word lengths are refused
+    outside 0..MAX_SEARCH_WORD_LEN and the power counts outside
+    0..MAX_EXPONENT: each is the size of a search that would not fail
+    but run for minutes.  `what` names the line or flag in the error."""
     name, eq, val = spec.partition("=")
-    if not eq or name.strip() not in Budgets._fields:
-        raise ValueError(f"unknown budget {name.strip()!r}")
-    return name.strip(), int(val)
+    name = name.strip()
+    if not eq or name not in Budgets._fields:
+        raise ValueError(f"unknown budget {name!r}")
+    if name in ("host_word_len", "conj_len"):
+        return name, _int_in(f"{what} {name}", 0, MAX_SEARCH_WORD_LEN)(val)
+    if name in ("host_power_max", "power_max", "nest_max", "m_max", "n_max"):
+        return name, _int_in(f"{what} {name}", 0, MAX_EXPONENT)(val)
+    return name, int(val)
 
 
 def _bounded(text: str) -> str:
@@ -539,7 +548,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     task = {"op": "synthesize", "subop": subop}
     emit = _emitter(group.place, "matrix", _group_header(group), task)
     # the file's budget lines, then the --budget flags over them
-    budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec) for spec in prob.flag("--budget") or []]))
+    budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec, "--budget") for spec in prob.flag("--budget") or []]))
 
     word = _matrix_word(group)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -39,12 +40,11 @@ from .projective import (
     dist_to_hyperplane_sq,
     dual_ball_of_hnbhd,
     gram_matrix,
-    integer_rows,
     primitive,
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Place, Rat, Record, int_valuation, sqrt_lower, sqrt_upper
+from .scalar import Place, Rat, Record, clear_denominators, int_valuation, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
@@ -81,16 +81,18 @@ def padic_exponents(rows, p: int) -> list[int]:
     """Ascending elementary-divisor exponents of an invertible matrix over
     the localization of Z at p; |sigma_i| = p^(-e_i).
 
-    Fraction-free (Bareiss) elimination with p-adic pivoting on integer
-    or Fraction entries, whose denominators are cleared by one common
-    integer scale.  Each step pivots on the first entry of minimal
-    valuation in row-major order of the remaining block.  After k steps
-    every remaining entry is det of the leading k x k pivot block times an
-    entry of its Schur complement, so the k-th pivot has valuation
-    e_1 + ... + e_k and consecutive differences are the exponents.
+    Fraction-free (Bareiss) elimination with p-adic pivoting on the rows,
+    ints and Fractions cleared by `clear_denominators`; the valuation of
+    the scale shifts every exponent.  Each step pivots on the first entry
+    of minimal valuation in row-major order of the remaining block.
+    After k steps every remaining entry is det of the leading k x k pivot
+    block times an entry of its Schur complement, so the k-th pivot has
+    valuation e_1 + ... + e_k and consecutive differences are the
+    exponents.
     """
     n = len(rows)
-    a, scale = integer_rows(rows)
+    flat, scale = clear_denominators([x for r in rows for x in r])
+    a = [flat[i : i + n] for i in range(0, n * n, n)]
     exps: list[int] = []
     prev = 1
     prev_v = floor = 0  # floor: least valuation the next pivot can have
@@ -134,14 +136,16 @@ def padic_exponents(rows, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _charpoly_gram(g: ProjMat) -> list[Fraction]:
-    """Characteristic polynomial of g^T g, lowest degree first.
+def _charpoly_gram(g: ProjMat) -> list[int]:
+    """The characteristic polynomial of g^T g, lowest degree first, as the
+    primitive integer polynomial with a positive leading coefficient.
 
     Faddeev-LeVerrier on the integer Gram matrix S of `ProjMat.gram`,
-    g^T g = S / scale: M <- S (M + c_(k-1) I), c_k = -tr(M) / k.  An
-    integer matrix has an integer characteristic polynomial, so every
-    division is exact, and charpoly(S / scale) has the coefficients
-    c_k / scale^k.
+    g^T g = S / s: M <- S (M + c_(k-1) I), c_k = -tr(M) / k.  An integer
+    matrix has an integer characteristic polynomial, so every division is
+    exact.  charpoly(S / s) = sum_k c_k lambda^(n-k) / s^k is monic, so
+    sum_k c_k s^(n-k) lambda^(n-k) over the gcd of its coefficients is
+    its denominator-cleared form.
     """
     s_rows, scale = g.gram
     n = len(s_rows)
@@ -157,7 +161,9 @@ def _charpoly_gram(g: ProjMat) -> list[Fraction]:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
         coeffs.append(c)
     # c_k multiplies lambda^(n-k)
-    return [Fraction(c, scale**k) for k, c in reversed(list(enumerate(coeffs)))]
+    poly = [c * scale ** (n - k) for k, c in reversed(list(enumerate(coeffs)))]
+    content = gcd(*poly)
+    return [c // content for c in poly]
 
 
 @lru_cache(maxsize=4096)

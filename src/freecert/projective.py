@@ -7,7 +7,10 @@ coordinate is ever divided.  `.rep` and `.functional` are the canonical
 rational views (first nonzero coordinate 1) that certificates print.  A
 matrix stores its integer rows over one positive scale, the lcm of its
 entries' denominators; equality and hashing read that unique form, a
-product is cleared by one gcd, and `.entries` is the rational view.  The
+product is cleared by one gcd, and `.entries` is the rational view.
+Coordinates and entries given as input are ints and Fractions, cleared
+by `scalar.clear_denominators`, and anything else is a TypeError; past
+that, `det`, inverses and kernels run on integers alone.  The
 metric is the standard one, d([v],[w]) = |v ^ w| / (|v| |w|), handled
 throughout in squared form on the integer representatives: sums of
 squares at the archimedean place; at a p-adic place the sup norm
@@ -25,11 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .scalar import Place, Rat, Record, cmp_sqrt_sum, int_valuation
+from .scalar import Place, Rat, Record, clear_denominators, cmp_sqrt_sum, int_valuation
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -38,13 +41,7 @@ IntVec = tuple[int, ...]
 def class_rep(coords) -> IntVec:
     """The primitive integer representative, first nonzero entry positive,
     of the class of a nonzero vector of ints and Fractions."""
-    v = coords
-    if not all(type(c) is int for c in v):
-        for c in v:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coordinate {c!r} is not an int or a Fraction")
-        scale = lcm(*(c.denominator for c in v))
-        v = [c.numerator * (scale // c.denominator) for c in v]
+    v, _ = clear_denominators(coords)
     if not any(v):
         raise ValueError("zero vector has no projective class")
     return primitive(v)
@@ -186,15 +183,17 @@ class ProjMat:
     checked once, on construction from input.  Products, transposes and
     inverses of invertible matrices are invertible, so they are built by
     `_of`, which skips `det`.  `entries` is the Fraction view that
-    certificates print.
+    certificates print.  Input entries are ints and Fractions; a float
+    or a string is a TypeError.
     """
 
     def __init__(self, entries, place: Place) -> None:
-        rows, scale = integer_rows([[Fraction(c) for c in r] for r in entries])
-        n = len(rows)
-        if n < 2 or any(len(r) != n for r in rows):
+        entries = [tuple(r) for r in entries]
+        n = len(entries)
+        if n < 2 or any(len(r) != n for r in entries):
             raise ValueError("entries must form a square matrix, n >= 2")
-        self._integer_form = (tuple(map(tuple, rows)), scale)
+        flat, scale = clear_denominators([x for r in entries for x in r])
+        self._integer_form = (tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), scale)
         self.place = place
         if det(self._integer_form[0]) == 0:
             raise ValueError("matrix must be invertible")
@@ -320,41 +319,36 @@ def _cleared(rows: list[list[int]], scale: int) -> tuple[IntRows, int]:
 
 def det(rows) -> Rat:
     """Exact determinant of a square matrix of ints and Fractions: closed
-    form for 2 x 2, else fraction-free (Bareiss) elimination on a fresh
-    integer copy, scale * rows."""
+    form for 2 x 2, else `_eliminate` on the cleared rows, scale * rows."""
     n = len(rows)
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    a, scale = integer_rows(rows)
+    flat, scale = clear_denominators([x for r in rows for x in r])
+    return Fraction(_eliminate([flat[i : i + n] for i in range(0, n * n, n)], n), scale**n)
+
+
+def _eliminate(m: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) forward elimination, in place, of integer
+    rows m whose first n columns are square; every column to the right is
+    carried along.  Returns det of that n x n block, the last pivot times
+    the sign of the row swaps, or 0 as soon as a column has no pivot."""
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
+                return 0
+            m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        rk = a[k]
+        rk = m[k]
         piv = rk[k]
-        for row in a[k + 1 :]:
+        for row in m[k + 1 :]:
             x = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(rk)):
                 row[j] = (piv * row[j] - x * rk[j]) // prev
         prev = piv
-    return Fraction(sign * a[-1][-1], scale**n)
-
-
-def integer_rows(rows) -> tuple[list[list[int]], int]:
-    """(scale * rows as integer lists, scale), scale the lcm of the denominators."""
-    scale = 1
-    for r in rows:
-        for x in r:
-            if x.denominator != 1:
-                scale = lcm(scale, x.denominator)
-    if scale == 1:
-        return [[x.numerator for x in r] for r in rows], 1
-    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale
+    return sign * m[-1][n - 1]
 
 
 def primitive(v) -> tuple[int, ...]:
@@ -383,36 +377,25 @@ def inverse_rows(a: IntRows, scale: int) -> tuple[IntRows, int]:
     """The `_integer_form` of (a / scale)^-1 for an invertible integer
     matrix a.
 
-    Fraction-free (Bareiss) elimination of [a | I] leaves an upper
-    triangular U, whose last pivot d is det(a) up to sign, beside Y with
-    U X = Y for X = a^-1.  Then d X is the adjugate up to sign, an integer
-    matrix, so back substitution for it divides exactly, and the inverse
-    is scale d X over d, with d made positive and then cleared.
+    `_eliminate` on [a | I] leaves an upper triangular U beside Y with
+    U X = Y for X = a^-1, and returns d = det(a).  Then d X is the
+    adjugate, an integer matrix, so back substitution for it divides
+    exactly, and the inverse is scale d X over d, with d made positive
+    and then cleared.
     """
     n = len(a)
     m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        if not m[k][k]:
-            swap = next(i for i in range(k + 1, n) if m[i][k])
-            m[k], m[swap] = m[swap], m[k]
-        rk = m[k]
-        piv = rk[k]
-        for row in m[k + 1 :]:
-            x = row[k]
-            for j in range(k + 1, 2 * n):
-                row[j] = (piv * row[j] - x * rk[j]) // prev
-        prev = piv
+    d = _eliminate(m, n)
     x: list[list[int]] = [[]] * n
     for i in reversed(range(n)):
         ri = m[i]
-        acc = [prev * y for y in ri[n:]]
+        acc = [d * y for y in ri[n:]]
         for k in range(i + 1, n):
             if ri[k]:
                 acc = [s - ri[k] * t for s, t in zip(acc, x[k])]
         x[i] = [s // ri[i] for s in acc]
-    sign_scale = scale if prev > 0 else -scale
-    return _cleared([[sign_scale * v for v in row] for row in x], abs(prev))
+    sign_scale = scale if d > 0 else -scale
+    return _cleared([[sign_scale * v for v in row] for row in x], abs(d))
 
 
 def identity(n: int, place: Place) -> ProjMat:
@@ -541,46 +524,28 @@ def dual_ball_of_hnbhd(c: HNbhd) -> Ball:
 
 
 def _kernel_intersection_point(h1: ProjHyperplane, h2: ProjHyperplane) -> ProjPoint | None:
-    """A rational point on ker f1 and ker f2 when one exists (n >= 3, or equal planes)."""
-    if h1 == h2:
-        f = h1.coords
-        n = len(f)
-        for i in range(n):
-            for j in range(i + 1, n):
-                cand = [0] * n
-                cand[i], cand[j] = f[j], -f[i]
-                if any(cand):
-                    return ProjPoint(tuple(cand))
-        return None
-    n = h1.dim
+    """A rational point on ker f1 and ker f2 when one exists (n >= 3, or
+    equal planes).
+
+    For distinct planes it is the kernel vector supported on three
+    columns: p1, the first where f1 or f2 is nonzero, p2, the first after
+    it with m(p1, p2) = f1_p1 f2_p2 - f1_p2 f2_p1 nonzero, and the first
+    column outside both.  That is the cross product of the covectors on
+    those columns, the class the reduced row echelon form of (f1; f2)
+    gives, so it depends on the two planes only."""
+    f, g = h1.coords, h2.coords
+    n = len(f)
+    if h1 == h2:  # e_0 lies on ker f when f_0 = 0, else (f_1, -f_0, 0, ...) does
+        return ProjPoint._of(primitive([f[1], -f[0]] if f[0] else [1, 0]) + (0,) * (n - 2))
     if n < 3:
         return None
-    # solve the 2 x n homogeneous system exactly; its reduced row echelon
-    # form, and so the solution, depends on the two planes only
-    rows = [list(h1.functional), list(h2.functional)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, 2) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(2):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == 2:
-            break
-    free = next(c for c in range(n) if c not in pivots)
-    sol = [Fraction(0)] * n
-    sol[free] = Fraction(1)
-    for i, col in enumerate(pivots):
-        sol[col] = -rows[i][free]
-    return ProjPoint(tuple(sol))
+    p1 = next(j for j in range(n) if f[j] or g[j])
+    p2 = next(j for j in range(p1 + 1, n) if f[p1] * g[j] - f[j] * g[p1])
+    free = next(j for j in range(n) if j != p1 and j != p2)
+    sol = [0] * n
+    for i, j, k in ((p1, p2, free), (p2, free, p1), (free, p1, p2)):
+        sol[i] = f[j] * g[k] - f[k] * g[j]
+    return ProjPoint._of(primitive(sol))
 
 
 def _component_disjoint(a: Component, b: Component, place: Place) -> DisjointVerdict:

@@ -7,11 +7,12 @@ rational endpoints; a degenerate interval (lo == hi) marks an exactly
 known root.
 
 Polynomials are coefficient lists, lowest degree first.  The input of
-`isolate_positive_roots` and `rational_roots` may hold Fractions; every
-computation runs on integer coefficients.  The input is cleared of its
-denominators once, which multiplies it by a positive integer, and every
-later polynomial is a positive multiple of the one it stands for, so
-roots and signs never change.  A polynomial is evaluated at num/den as
+`isolate_positive_roots` and `rational_roots` is a list of ints and
+Fractions (the singular profiles pass integers); every computation runs
+on integer coefficients.  `scalar.clear_denominators` clears the input
+once, which multiplies it by a positive integer, and every later
+polynomial is a positive multiple of the one it stands for, so roots and
+signs never change.  A polynomial is evaluated at num/den as
 the integer den^deg * f(num/den), which has the sign of f(num/den).
 """
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .scalar import Rat, Record
+from .scalar import Rat, Record, clear_denominators
 
 Poly = list[Fraction]
 IntPoly = list[int]
@@ -79,13 +80,6 @@ def pdeg(p: list) -> int:
 
 def pderiv(p: IntPoly) -> IntPoly:
     return [c * i for i, c in enumerate(p)][1:]
-
-
-def _cleared(p: Poly) -> IntPoly:
-    """p times the lcm of its denominators: integer coefficients with the
-    same roots and signs."""
-    den = lcm(*(c.denominator for c in p))
-    return [c.numerator * (den // c.denominator) for c in p]
 
 
 def _primitive(p: IntPoly) -> IntPoly:
@@ -224,7 +218,7 @@ def rational_roots(p: Poly) -> list[Rat]:
     callers treat missed rational roots like irrational ones (sound, just
     wider enclosures).
     """
-    ip = _cleared(ptrim(list(p)))
+    ip, _ = clear_denominators(ptrim(list(p)))
     if pdeg(ip) < 1:
         return []
     roots: list[Fraction] = []
@@ -271,7 +265,7 @@ def isolate_positive_roots(p: Poly) -> tuple[tuple[Interval, int], ...]:
     determinant 1 share the characteristic polynomial of their Gram
     matrices, and so do transposes.
     """
-    return _isolate_cleared(tuple(_cleared(ptrim(list(p)))))
+    return _isolate_cleared(tuple(clear_denominators(ptrim(list(p)))[0]))
 
 
 @lru_cache(maxsize=4096)

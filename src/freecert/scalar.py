@@ -16,7 +16,7 @@ their input or whose equality is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 Rat = Fraction
 
@@ -128,6 +128,19 @@ def parse_place(text: str) -> Place:
     if text.startswith("p:"):
         return padic(int(text[2:]))
     raise ValueError(f"place must be arch or p:PRIME, got {text!r}")
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(scale * values as integers, scale) for a sequence of ints and
+    Fractions, scale the lcm of their denominators; any other entry is a
+    TypeError.  The one place where denominators are cleared."""
+    if all(type(c) is int for c in values):
+        return list(values), 1
+    for c in values:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coordinate {c!r} is not an int or a Fraction")
+    scale = lcm(*(c.denominator for c in values))
+    return [c.numerator * (scale // c.denominator) for c in values], scale
 
 
 def int_valuation(n: int, p: int) -> int:

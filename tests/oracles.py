@@ -213,6 +213,47 @@ def fraction_apply(g, v) -> tuple:
     return canonical_rep(tuple(dot(r, v) for r in g.entries))
 
 
+def fraction_kernel_intersection_point(h1, h2):
+    """A point on ker f1 and ker f2 of P(Q^n), n >= 3: for equal planes
+    the first nonzero (f_j, -f_i) on coordinates i < j, else by Fraction
+    row reduction of the canonical covectors, whose reduced row echelon
+    form, and so the solution, depends on the two planes only (reference
+    for `projective._kernel_intersection_point`)."""
+    n = h1.dim
+    if h1 == h2:
+        f = h1.coords
+        for i in range(n):
+            for j in range(i + 1, n):
+                cand = [0] * n
+                cand[i], cand[j] = f[j], -f[i]
+                if any(cand):
+                    return ProjPoint(tuple(cand))
+    rows = [list(h1.functional), list(h2.functional)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, 2) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Fraction(1) / rows[r][col]
+        rows[r] = [c * inv for c in rows[r]]
+        for i in range(2):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == 2:
+            break
+    free = next(c for c in range(n) if c not in pivots)
+    sol = [Fraction(0)] * n
+    sol[free] = Fraction(1)
+    for i, col in enumerate(pivots):
+        sol[col] = -rows[i][free]
+    return ProjPoint(tuple(sol))
+
+
 def fraction_inverse(rows) -> tuple:
     """Gauss-Jordan inverse over Fraction (reference for `ProjMat.inverse`)."""
     n = len(rows)

@@ -358,6 +358,24 @@ def test_synthesize_prodense_zero_budgets(tmp_path):
     assert cert["verdict"] == "unknown"
 
 
+def test_search_budgets_are_bounded_at_parse_time(tmp_path, capsys):
+    # conj_len 8 would build about 6.9e8 normal words for two generators
+    text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
+    t0 = time.perf_counter()
+    for extra, where in (
+        (("budget conj_len=8\n",), "in.prob:13:1: budget conj_len 8 is outside 0..3"),
+        (("budget host_word_len=-1\n",), "in.prob:13:1: budget host_word_len -1 is outside 0..3"),
+        (("", "--budget", "n_max=65"), "in.prob: --budget n_max 65 is outside 0..64"),
+        (("", "--budget", "power_max=100000"), "in.prob: --budget power_max 100000 is outside 0..64"),
+    ):
+        code, cert, _ = run(tmp_path, "synthesize", text + extra[0], *extra[1:])
+        assert code == 2 and cert is None
+        assert where in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "synthesize", text.replace("normal-proximal", "truncated-prodense") + "cosets N = a\n", "--budget", "host_word_len=0", "--budget", "conj_len=3", "--budget", "m_max=64")
+    assert code == 4 and cert["verdict"] == "unknown"
+    assert time.perf_counter() - t0 < 1
+
+
 def test_synthesize_conjugate_contract(tmp_path):
     text = (
         "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n"

@@ -231,3 +231,27 @@ def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
         if owner is not None:
             obj = vars(obj)[owner]
         assert id(vars(obj)[name]) in scanned, f"{module} {owner or ''} {name} escapes find_caches"
+
+
+#: The integer kernel: functions that run on cleared integers alone.
+INTEGER_KERNEL = {
+    "projective.py": ("_eliminate", "inverse_rows", "_kernel_intersection_point"),
+    "dynamics.py": ("padic_exponents", "_charpoly_gram"),
+}
+
+
+def test_integer_kernel_names_no_fraction():
+    """Denominators are cleared once, by `scalar.clear_denominators`, on
+    the way in; past that the elimination, the inverse, the p-adic
+    exponents, the Gram characteristic polynomial and the kernel of two
+    covectors never build or name a `Fraction`."""
+    found = []
+    for module, names in INTEGER_KERNEL.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            assert name in funcs, f"{module} has no function {name}"
+            for node in ast.walk(funcs[name]):
+                if (isinstance(node, ast.Name) and node.id == "Fraction") or (isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+                    found.append(f"{module}:{node.lineno} {name}")
+    assert not found, "Fraction in the integer kernel:\n" + "\n".join(found)

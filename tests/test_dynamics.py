@@ -34,7 +34,7 @@ from freecert.projective import (
     gram_matrix,
 )
 from freecert.rootiso import _isolate_cleared, isolate_positive_roots, point
-from freecert.scalar import ARCH, padic, sqrt_lower, sqrt_upper
+from freecert.scalar import ARCH, clear_denominators, padic, sqrt_lower, sqrt_upper
 from oracles import (
     fraction_charpoly_gram,
     fraction_gram,
@@ -209,13 +209,13 @@ def test_padic_certify_contracting_eliminates_once(monkeypatch):
     from freecert import dynamics
 
     calls = []
-    clear = dynamics.integer_rows
+    clear = dynamics.clear_denominators
 
-    def counting(rows):
+    def counting(values):
         calls.append(1)
-        return clear(rows)
+        return clear(values)
 
-    monkeypatch.setattr(dynamics, "integer_rows", counting)
+    monkeypatch.setattr(dynamics, "clear_denominators", counting)
     singular_profile.cache_clear()
     direction_candidates.cache_clear()
     certify_contracting(ProjMat(((F(1, 3), 10, 7), (25, 4, 11), (6, 50, 13)), padic(5)), F(1, 4))
@@ -517,9 +517,10 @@ def _power_directions(g: ProjMat) -> list:
 
 def _assert_matches_fraction_reference(g: ProjMat) -> list:
     charpoly = _charpoly_gram(g)
-    assert charpoly == fraction_charpoly_gram(g)
+    want = fraction_charpoly_gram(g)
+    assert charpoly == clear_denominators(want)[0]
     roots = isolate_positive_roots(charpoly)
-    assert list(roots) == fraction_isolate_positive_roots(charpoly)
+    assert list(roots) == fraction_isolate_positive_roots(want)
     ours, ref = _power_directions(g)
     assert ours == ref
     return roots

@@ -35,6 +35,7 @@ from oracles import (
     fraction_dist_sq,
     fraction_dist_to_hyperplane_sq,
     fraction_inverse,
+    fraction_kernel_intersection_point,
     fraction_matmul,
     fraction_member,
     fraction_point_on_plane_near,
@@ -297,11 +298,11 @@ def test_products_match_fraction_reference_without_det(rows, data):
 def test_products_clear_each_matrix_once():
     # input construction clears each matrix once, and `det` checks a fresh
     # copy of the cleared rows; products, inverses and transposes clear nothing
-    with mock.patch.object(projective, "integer_rows", wraps=projective.integer_rows) as spy:
+    with mock.patch.object(projective, "clear_denominators", wraps=projective.clear_denominators) as spy:
         g = ProjMat(((F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 0, F(5, 7))), ARCH)
         h = ProjMat(((2, 0, 1), (F(1, 3), 1, 0), (0, 0, 1)), ARCH)
         assert spy.call_count == 4  # g, det's copy of g's rows, h, det's copy of h's rows
-        assert spy.call_args_list[1].args[0] is g._integer_form[0]
+        assert spy.call_args_list[1].args[0] == [x for r in g._integer_form[0] for x in r]
         first = g @ h
         again = [g @ h for _ in range(3)]
         g.inverse().transpose()
@@ -403,6 +404,47 @@ def test_chord_witness_walks_canonical_representatives():
     got = projective._chord_witness(p, q, comps, ARCH)
     assert got is not None and got.rep == fraction_chord_witness(p.rep, q.rep, comps, ARCH)
     assert fraction_chord_witness((F(3), F(1)), (F(1), F(3)), comps, ARCH) != got.rep
+
+
+def test_matrix_refuses_a_float_entry():
+    # 0.1 is not 1/10; taking its binary value would certify another matrix
+    with pytest.raises(TypeError):
+        ProjMat(((0.1, 0), (0, 1)), ARCH)
+
+
+def test_matrix_refuses_a_string_entry():
+    with pytest.raises(TypeError):
+        ProjMat((("1/3", 0), (0, 1)), ARCH)
+
+
+@st.composite
+def _covector_pairs(draw):
+    """Two hyperplanes of P(Q^n), n in 3..6, often with zero leading
+    columns, often with m(p1, p1 + 1) = 0, where p1 is the first column
+    where either covector is nonzero, and sometimes equal."""
+    n = draw(st.integers(3, 6))
+    lead = draw(st.integers(0, n - 2))
+    f, g = ([0] * lead + draw(st.lists(st.integers(-3, 3), min_size=n - lead, max_size=n - lead)) for _ in range(2))
+    p1 = next((j for j in range(n) if f[j] or g[j]), None)
+    assume(p1 is not None)
+    if p1 + 1 < n and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        f[p1 + 1], g[p1 + 1] = k * f[p1], k * g[p1]
+    assume(any(f) and any(g))
+    h1 = ProjHyperplane(tuple(f))
+    return h1, h1 if draw(st.integers(0, 9)) == 0 else ProjHyperplane(tuple(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_covector_pairs())
+@example((ProjHyperplane((0, 1, 2, 3)), ProjHyperplane((0, 2, 4, 5))))
+@example((ProjHyperplane((0, 0, 2)), ProjHyperplane((0, 0, 2))))
+@example((ProjHyperplane((0, 3, 0, 1)), ProjHyperplane((0, 3, 0, 1))))
+def test_kernel_intersection_matches_fraction_reference(planes):
+    h1, h2 = planes
+    got = projective._kernel_intersection_point(h1, h2)
+    assert got == fraction_kernel_intersection_point(h1, h2)
+    assert projective.dot(h1.coords, got.coords) == 0 == projective.dot(h2.coords, got.coords)
 
 
 def test_no_float_coordinate_anywhere():

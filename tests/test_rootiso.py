@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from freecert.rootiso import (
     Interval,
-    _cleared,
     _isolate_cleared,
     _refine,
     cauchy_bound,
@@ -20,6 +19,7 @@ from freecert.rootiso import (
     rational_roots,
     sturm_sequence,
 )
+from freecert.scalar import clear_denominators
 from oracles import (
     fraction_count_roots,
     fraction_isolate_positive_roots,
@@ -30,6 +30,11 @@ from oracles import (
     pmul,
     sturm_refine,
 )
+
+
+def _cleared(p):
+    """p times the lcm of its denominators."""
+    return clear_denominators(p)[0]
 
 
 def poly_from_roots(roots):

@@ -6,6 +6,7 @@ import pytest
 from freecert.scalar import (
     ARCH,
     Place,
+    clear_denominators,
     cmp_sqrt_sum,
     format_rat,
     padic,
@@ -144,3 +145,12 @@ def test_parse_and_format_rat():
         parse_rat("1/0")
     with pytest.raises(ValueError):
         parse_rat("0.5")
+
+
+def test_clear_denominators():
+    assert clear_denominators((3, -4)) == ([3, -4], 1)
+    assert clear_denominators([F(1, 2), 3, F(-2, 3)]) == ([3, 18, -4], 6)
+    assert clear_denominators([]) == ([], 1)
+    for bad in (0.5, "1/3"):
+        with pytest.raises(TypeError):
+            clear_denominators([1, bad])
