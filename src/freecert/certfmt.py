@@ -149,7 +149,7 @@ def contraction_json(c: ContractionCert) -> dict:
         "epsilon_sq": rat(c.epsilon_sq),
         "attract": point_json(c.attract),
         "repel": plane_json(c.repel),
-        "method": c.method,
+        "method": "singular-gap",
         "attract_err_sq": rat(c.attract_err_sq),
         "repel_err_sq": rat(c.repel_err_sq),
         "gap_sq_hi": rat(c.gap_sq_hi),

@@ -82,7 +82,8 @@ MAX_WORD_LEN = 64
 #: (singular profile and power iteration) takes 0.1-0.2 s at n = 12 and
 #: 0.2-0.3 s at n = 16 on random entries in -9..9, and a search certifies
 #: up to MAX_EXPONENT such matrices, so a larger n would not fail but run
-#: for minutes.
+#: for minutes.  The contraction witness search stays bounded at any n:
+#: it tries at most `dynamics.WITNESS_POOL_MAX` points.
 MAX_DIM = 16
 #: Largest height of a problem-file matrix word: the sum, over its
 #: letters, of the bit length of the largest entry of the letter's
@@ -336,18 +337,20 @@ def _group_header(group: MarkedGroup) -> dict:
 
 def _budget(spec: str, what: str = "budget") -> tuple[str, int]:
     """A `NAME=INT` budget of `Budgets`.  The word lengths are refused
-    outside 0..MAX_SEARCH_WORD_LEN and the power counts outside
-    0..MAX_EXPONENT: each is the size of a search that would not fail
-    but run for minutes.  `what` names the line or flag in the error."""
+    outside 0..MAX_SEARCH_WORD_LEN and the power and adjuster counts
+    outside 0..MAX_EXPONENT: each is the size of a search that would not
+    fail but run for minutes.  `num_factors` is 1 or 2, the products of
+    conjugates the normal-closure pool builds.  `what` names the line or
+    flag in the error."""
     name, eq, val = spec.partition("=")
     name = name.strip()
     if not eq or name not in Budgets._fields:
         raise ValueError(f"unknown budget {name!r}")
     if name in ("host_word_len", "conj_len"):
         return name, _int_in(f"{what} {name}", 0, MAX_SEARCH_WORD_LEN)(val)
-    if name in ("host_power_max", "power_max", "nest_max", "m_max", "n_max"):
-        return name, _int_in(f"{what} {name}", 0, MAX_EXPONENT)(val)
-    return name, int(val)
+    if name == "num_factors":
+        return name, _int_in(f"{what} {name}", 1, 2)(val)
+    return name, _int_in(f"{what} {name}", 0, MAX_EXPONENT)(val)
 
 
 def _bounded(text: str) -> str:
@@ -471,14 +474,14 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
         return emit("yes", result, word_eval + certfmt.claims_for_proximal(m.power(n), cert))
     if subop == "contracting":
         v = certify_contracting(m, eps_sq)
-        refutes, cert_json = m, certfmt.contraction_json
+        cert_json = certfmt.contraction_json
     else:
         v = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq)
-        refutes, cert_json = v.refutes, certfmt.proximal_json
+        cert_json = certfmt.proximal_json
     if v.kind == "yes":
         return emit("yes", {"cert": cert_json(v.cert)}, certfmt.claims_for_cert(task["element"], m, v.cert))
     if v.kind == "no":
-        refuted = certfmt.claim_contraction_refuted(refutes, eps_sq, v.counterexample)
+        refuted = certfmt.claim_contraction_refuted(v.refutes, eps_sq, v.counterexample)
         return emit("no", {"counterexample": certfmt.point_json(v.counterexample)}, word_eval + [refuted])
     return emit(v.kind, {}, word_eval)
 

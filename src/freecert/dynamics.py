@@ -44,7 +44,7 @@ from .projective import (
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Place, Rat, Record, clear_denominators, int_valuation, sqrt_lower, sqrt_upper
+from .scalar import Rat, Record, int_valuation, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
@@ -62,10 +62,6 @@ class SingularProfile(Record):
     def _key(self) -> tuple:
         return (self.values_sq, self.exact)
 
-    @property
-    def dim(self) -> int:
-        return len(self.values_sq)
-
     @cached_property
     def gap_sq(self) -> Interval:
         """Enclosure of kappa^2 = (sigma_2/sigma_1)^2, divided once per profile."""
@@ -78,12 +74,12 @@ class SingularProfile(Record):
 
 
 def padic_exponents(rows, p: int) -> list[int]:
-    """Ascending elementary-divisor exponents of an invertible matrix over
-    the localization of Z at p; |sigma_i| = p^(-e_i).
+    """Ascending elementary-divisor exponents of an invertible integer
+    matrix over the localization of Z at p; |sigma_i| = p^(-e_i).
 
-    Fraction-free (Bareiss) elimination with p-adic pivoting on the rows,
-    ints and Fractions cleared by `clear_denominators`; the valuation of
-    the scale shifts every exponent.  Each step pivots on the first entry
+    Fraction-free (Bareiss) elimination with p-adic pivoting on a copy of
+    the integer rows; a matrix over a scale is shifted by its caller,
+    `singular_profile`.  Each step pivots on the first entry
     of minimal valuation in row-major order of the remaining block.
     After k steps every remaining entry is det of the leading k x k pivot
     block times an entry of its Schur complement, so the k-th pivot has
@@ -91,8 +87,7 @@ def padic_exponents(rows, p: int) -> list[int]:
     exponents.
     """
     n = len(rows)
-    flat, scale = clear_denominators([x for r in rows for x in r])
-    a = [flat[i : i + n] for i in range(0, n * n, n)]
+    a = [list(r) for r in rows]
     exps: list[int] = []
     prev = 1
     prev_v = floor = 0  # floor: least valuation the next pivot can have
@@ -127,8 +122,7 @@ def padic_exponents(rows, p: int) -> list[int]:
         exps.append(best - prev_v)
         floor = 2 * best - prev_v
         prev_v = best
-    shift = int_valuation(scale, p)
-    return [e - shift for e in exps]
+    return exps
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +130,10 @@ def padic_exponents(rows, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _charpoly_gram(g: ProjMat) -> list[int]:
+def _charpoly_gram(g: ProjMat) -> tuple[int, ...]:
     """The characteristic polynomial of g^T g, lowest degree first, as the
-    primitive integer polynomial with a positive leading coefficient.
+    primitive integer polynomial with a positive leading coefficient: the
+    key of `isolate_positive_roots`.
 
     Faddeev-LeVerrier on the integer Gram matrix S of `ProjMat.gram`,
     g^T g = S / s: M <- S (M + c_(k-1) I), c_k = -tr(M) / k.  An integer
@@ -163,7 +158,7 @@ def _charpoly_gram(g: ProjMat) -> list[int]:
     # c_k multiplies lambda^(n-k)
     poly = [c * scale ** (n - k) for k, c in reversed(list(enumerate(coeffs)))]
     content = gcd(*poly)
-    return [c // content for c in poly]
+    return tuple(c // content for c in poly)
 
 
 @lru_cache(maxsize=4096)
@@ -171,10 +166,10 @@ def singular_profile(g: ProjMat) -> SingularProfile:
     """Certified squared singular values of g, descending.
 
     p-adic: exact powers p^(-2e) from the elementary divisors over the
-    localization, found on the integer rows and shifted by the valuation
-    of their scale.  Archimedean: enclosures of the roots of charpoly(g^T g),
-    computed on the integer Gram matrix and isolated on integer
-    coefficients, refined to relative width 2^-30 (degenerate intervals
+    localization, found on the integer rows and shifted here, once, by
+    the valuation of their scale.  Archimedean: enclosures of the roots
+    of charpoly(g^T g), computed on the integer Gram matrix and isolated
+    on integer coefficients, refined to relative width 2^-30 (degenerate intervals
     for rational roots, which are split off exactly).
 
     Results are memoized; the searches upstream revisit matrices often.
@@ -305,8 +300,6 @@ class ContractionCert(NamedTuple):
     epsilon_sq: Rat
     attract: ProjPoint
     repel: ProjHyperplane
-    method: str
-    place: Place
     attract_err_sq: Rat
     repel_err_sq: Rat
     gap_sq_hi: Rat
@@ -330,23 +323,49 @@ class ContractionCert(NamedTuple):
         )
 
 
-class ContractionVerdict(NamedTuple):
+class Verdict(NamedTuple):
+    """The outcome of a certify_* test.  cert is a ContractionCert from
+    certify_contracting, else a ProximalCert.  On "no", counterexample
+    refutes the contraction candidates of refutes, which is g itself or,
+    from certify_very_proximal, g^-1."""
+
     kind: str  # "yes" | "no" | "unknown"
-    cert: ContractionCert | None = None
+    cert: ContractionCert | ProximalCert | None = None
     counterexample: ProjPoint | None = None
+    refutes: ProjMat | None = None
+
+
+#: Most points the contraction witness search tries, the whole pool at
+#: n = 7.  Beyond that the pool grows as 3^n / 2, and a search through
+#: it, repeated for each power by `power_to_proximal`, would run for
+#: minutes at n = 16.
+WITNESS_POOL_MAX = 1093
+
+
+def _supported(n: int, size: int, lead: bool):
+    """The n-tuples over {-1, 0, 1} with `size` nonzero entries, in
+    lexicographic order; when `lead`, the first nonzero entry is 1."""
+    if n == 0:
+        yield ()
+        return
+    for c in (0, 1) if lead else (-1, 0, 1):
+        if c == 0 and n > size:
+            for rest in _supported(n - 1, size, lead):
+                yield (0,) + rest
+        elif c and size:
+            for rest in _supported(n - 1, size - 1, False):
+                yield (c,) + rest
 
 
 def _witness_pool(n: int):
-    """Every point of P^(n-1) with coordinates in {-1, 0, 1}, once each,
-    lazily: by support size, then lexicographically among the
-    representatives whose first nonzero coordinate is 1."""
-    for size in range(1, n + 1):
-        for coords in itertools.product((-1, 0, 1), repeat=n):
-            if n - coords.count(0) == size and next(c for c in coords if c) == 1:
-                yield ProjPoint(coords)
+    """The first WITNESS_POOL_MAX points of P^(n-1) with coordinates in
+    {-1, 0, 1}, once each, lazily: by support size, then lexicographically
+    among the representatives whose first nonzero coordinate is 1."""
+    pool = (ProjPoint._of(c) for size in range(1, n + 1) for c in _supported(n, size, True))
+    return itertools.islice(pool, WITNESS_POOL_MAX)
 
 
-def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> ContractionVerdict:
+def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> Verdict:
     """Three-valued eps-contraction test.
 
     Yes: the singular-gap criterion kappa <= eps^2 holds with certified
@@ -366,18 +385,16 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> ContractionVerdict:
             epsilon_sq=epsilon_sq,
             attract=dirs.attract,
             repel=dirs.repel,
-            method="singular-gap",
-            place=g.place,
             attract_err_sq=dirs.attract_err_sq,
             repel_err_sq=dirs.repel_err_sq,
             gap_sq_hi=gap.hi,
             image_radius_sq=bound * bound,
         )
-        return ContractionVerdict("yes", cert=cert)
+        return Verdict("yes", cert=cert)
     for x in _witness_pool(g.dim):
         if witness_refutes(g, x, dirs.attract, dirs.repel, epsilon_sq):
-            return ContractionVerdict("no", counterexample=x)
-    return ContractionVerdict("unknown")
+            return Verdict("no", counterexample=x, refutes=g)
+    return Verdict("unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +456,6 @@ class ProximalCert(Record):
         return HNbhd(ProjHyperplane(b.center.coords), b.radius_sq)
 
     @property
-    def attract_set(self) -> Ball:
-        return self.contraction.attract_set
-
-    @property
-    def repel_set(self) -> HNbhd:
-        return self.contraction.repel_set
-
-    @property
     def eps_sets(self) -> tuple[ProjSet, ProjSet, ProjSet, ProjSet]:
         """(A+, R+, A-, R-): the eps-sets of g and, from `very`, of g^-1."""
         c, ci = self.contraction, self.very.contraction
@@ -460,17 +469,7 @@ class ProximalCert(Record):
         return ((a_p, r_p, "very: A+ vs R+"), (a_p, a_m, "very: A+ vs A-"), (a_m, r_m, "very: A- vs R-"))
 
 
-class ProximalVerdict(NamedTuple):
-    """On "no", counterexample refutes the contraction candidates of
-    refutes, which is g itself or, from certify_very_proximal, g^-1."""
-
-    kind: str  # "yes" | "no" | "unknown"
-    cert: ProximalCert | None = None
-    counterexample: ProjPoint | None = None
-    refutes: ProjMat | None = None
-
-
-def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
+def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     """(r, eps)-proximality with r > 2 eps enforced.
 
     Yes needs (a) certified eps-contraction, (b) d(attract, repel) >= r
@@ -482,23 +481,21 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
     if r_sq <= 4 * epsilon_sq:
         raise ValueError("r <= 2eps")
     cv = certify_contracting(g, epsilon_sq)
-    if cv.kind == "no":
-        return ProximalVerdict("no", counterexample=cv.counterexample, refutes=g)
-    if cv.kind == "unknown":
-        return ProximalVerdict("unknown")
+    if cv.kind != "yes":
+        return cv
     cert = cv.cert
     if not point_plane_far(cert.attract, cert.repel, r_sq, g.place):
-        return ProximalVerdict("unknown")
+        return Verdict("unknown")
     encs = []
     for m, attract, repel, repel_err_sq in cert.selfmap_problems(g):
         enc = selfmap_enclosure(m, attract, repel, repel_err_sq, cert.gap_sq_hi, epsilon_sq)
         if enc is None:
-            return ProximalVerdict("unknown")
+            return Verdict("unknown")
         encs.append(enc)
-    return ProximalVerdict("yes", cert=ProximalCert(r_sq, epsilon_sq, cert, *encs))
+    return Verdict("yes", cert=ProximalCert(r_sq, epsilon_sq, cert, *encs))
 
 
-def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVerdict:
+def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     """Both g and g^-1 (r, eps)-proximal, plus the three cross-disjointness
     conditions of `ProximalCert.very_pairs` on the eps-sets of the pair:
     A+ from R+, A+ from A-, and A- from R-.
@@ -515,8 +512,8 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> ProximalVer
     c = fwd.cert
     paired = ProximalCert(c.r_sq, c.epsilon_sq, c.contraction, c.fixed_point, c.fixed_plane_dual, very=bwd.cert)
     if any(set_disjoint(left, right, g.place).kind != "disjoint" for left, right, _ in paired.very_pairs()):
-        return ProximalVerdict("unknown")
-    return ProximalVerdict("yes", cert=paired)
+        return Verdict("unknown")
+    return Verdict("yes", cert=paired)
 
 
 def power_to_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat, max_n: int) -> tuple[int, ProximalCert] | None:

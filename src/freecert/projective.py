@@ -9,8 +9,9 @@ matrix stores its integer rows over one positive scale, the lcm of its
 entries' denominators; equality and hashing read that unique form, a
 product is cleared by one gcd, and `.entries` is the rational view.
 Coordinates and entries given as input are ints and Fractions, cleared
-by `scalar.clear_denominators`, and anything else is a TypeError; past
-that, `det`, inverses and kernels run on integers alone.  The
+by `scalar.clear_denominators` in `class_rep` and `ProjMat.__init__`, and
+anything else is a TypeError; past that, `det`, inverses and kernels take
+and return integers alone.  The
 metric is the standard one, d([v],[w]) = |v ^ w| / (|v| |w|), handled
 throughout in squared form on the integer representatives: sums of
 squares at the archimedean place; at a p-adic place the sup norm
@@ -317,14 +318,12 @@ def _cleared(rows: list[list[int]], scale: int) -> tuple[IntRows, int]:
     return tuple(map(tuple, rows)), scale
 
 
-def det(rows) -> Rat:
-    """Exact determinant of a square matrix of ints and Fractions: closed
-    form for 2 x 2, else `_eliminate` on the cleared rows, scale * rows."""
-    n = len(rows)
-    if n == 2:
+def det(rows: IntRows) -> int:
+    """Exact determinant of a square integer matrix: closed form for
+    2 x 2, else `_eliminate` on a copy of the rows."""
+    if len(rows) == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    flat, scale = clear_denominators([x for r in rows for x in r])
-    return Fraction(_eliminate([flat[i : i + n] for i in range(0, n * n, n)], n), scale**n)
+    return _eliminate([list(r) for r in rows], len(rows))
 
 
 def _eliminate(m: list[list[int]], n: int) -> int:

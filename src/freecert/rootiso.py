@@ -6,14 +6,12 @@ sign-change bisection, to a requested relative width.  Intervals carry
 rational endpoints; a degenerate interval (lo == hi) marks an exactly
 known root.
 
-Polynomials are coefficient lists, lowest degree first.  The input of
-`isolate_positive_roots` and `rational_roots` is a list of ints and
-Fractions (the singular profiles pass integers); every computation runs
-on integer coefficients.  `scalar.clear_denominators` clears the input
-once, which multiplies it by a positive integer, and every later
-polynomial is a positive multiple of the one it stands for, so roots and
-signs never change.  A polynomial is evaluated at num/den as
-the integer den^deg * f(num/den), which has the sign of f(num/den).
+Polynomials are integer coefficient sequences, lowest degree first:
+`isolate_positive_roots` takes the tuple of the singular profiles'
+`_charpoly_gram`, and `rational_roots` a list.  Every later polynomial
+is a positive multiple of the one it stands for, so roots and signs
+never change.  A polynomial is evaluated at num/den as the integer
+den^deg * f(num/den), which has the sign of f(num/den).
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .scalar import Rat, Record, clear_denominators
+from .scalar import Rat, Record
 
-Poly = list[Fraction]
 IntPoly = list[int]
 
 #: Relative width target for refined root enclosures.
@@ -211,14 +208,15 @@ def _divisors(n: int) -> list[int] | None:
     return sorted(divs)
 
 
-def rational_roots(p: Poly) -> list[Rat]:
-    """All rational roots of p, each listed once, via the rational root test.
+def rational_roots(p: IntPoly) -> list[Rat]:
+    """All rational roots of the integer polynomial p, each listed once,
+    via the rational root test.
 
     Falls back to the empty list when the candidate set would be too large;
     callers treat missed rational roots like irrational ones (sound, just
     wider enclosures).
     """
-    ip, _ = clear_denominators(ptrim(list(p)))
+    ip = ptrim(list(p))
     if pdeg(ip) < 1:
         return []
     roots: list[Fraction] = []
@@ -249,8 +247,10 @@ def _divide_out(p: IntPoly, r: Rat) -> tuple[IntPoly, int]:
     return p, m
 
 
-def isolate_positive_roots(p: Poly) -> tuple[tuple[Interval, int], ...]:
-    """Enclosures for every positive real root of p, with multiplicities.
+@lru_cache(maxsize=4096)
+def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int], ...]:
+    """Enclosures for every positive real root of the integer polynomial
+    `coeffs`, with multiplicities.
 
     Rational roots come back as degenerate intervals.  Irrational ones are
     enclosed on the squarefree part by Sturm isolation, sign-change
@@ -260,19 +260,12 @@ def isolate_positive_roots(p: Poly) -> tuple[tuple[Interval, int], ...]:
     pairwise disjoint and, counted with multiplicity, covers exactly the
     positive roots.
 
-    The result depends on the cleared polynomial alone, so it is memoized
-    on its coefficients: in a search, a matrix and its inverse of
-    determinant 1 share the characteristic polynomial of their Gram
-    matrices, and so do transposes.
+    The result is memoized on the coefficient tuple and is itself a
+    tuple, so no caller can change a shared result: in a search, a matrix
+    and its inverse of determinant 1 share the characteristic polynomial
+    of their Gram matrices, and so do transposes.
     """
-    return _isolate_cleared(tuple(clear_denominators(ptrim(list(p)))[0]))
-
-
-@lru_cache(maxsize=4096)
-def _isolate_cleared(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int], ...]:
-    """`isolate_positive_roots` of the integer polynomial `coeffs`, as a
-    tuple, so no caller can change a shared result."""
-    work = list(coeffs)
+    work = ptrim(list(coeffs))
     if pdeg(work) < 1:
         return ()
     out: list[tuple[Interval, int]] = []

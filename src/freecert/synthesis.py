@@ -552,8 +552,6 @@ def normal_proximal(
 
 class CosetResult(NamedTuple):
     coset_rep: Word
-    left: NormalWord
-    right: NormalWord
     power: int
     word: Word
     cert: ProximalCert
@@ -619,7 +617,7 @@ def coset_pingpong(
         delta_word = concat(word_power(a_n.word, l), x_word, word_power(a_n.word, l))
         membership = a_n.proof.power(l).times(n1).times(n2.times(a_n.proof.power(l)).conjugated_by(rep))
         _check_membership(group, delta_word, rep, membership, class_reps)
-        results.append(CosetResult(rep, n1, n2, l, delta_word, cert, membership))
+        results.append(CosetResult(rep, l, delta_word, cert, membership))
         taken_sets.extend(cert.eps_sets)
     return results, failed
 
@@ -714,11 +712,9 @@ PRODENSE_ORACLE_LEN = 6
 class SynthesisReport(NamedTuple):
     host_word: Word
     host_power: int
-    host_cert: ProximalCert | None
     step1: tuple[NormalProximalResult, ...]
     step1_tuple: PingPongTuple | None
     step2: dict[str, tuple[CosetResult, ...]]
-    step2_failed: dict[str, tuple[Word, ...]]
     combined: PingPongTuple | None
     oracle: OracleResult | None
     verdict: str  # "certified" | "unknown"
@@ -778,7 +774,7 @@ def truncated_prodense(
     notes: list[str] = []
     host = find_host(group, budgets)
     if host is None:
-        return SynthesisReport((), 0, None, (), None, {}, {}, None, None, "unknown", ("no host element",))
+        return SynthesisReport((), 0, (), None, {}, None, None, "unknown", ("no host element",))
     host_word, host_power, host_cert = host
     host_full_word = word_power(host_word, host_power)
     place = group.place
@@ -810,7 +806,7 @@ def truncated_prodense(
             step1_tuple = certify_tuple(players + [host_player])
 
     step2: dict[str, tuple[CosetResult, ...]] = {}
-    step2_failed: dict[str, tuple[Word, ...]] = {}
+    step2_complete = True
     for res in step1:
         data = next(d for d in normals if d.label == res.label)
         if not data.coset_reps:
@@ -819,7 +815,7 @@ def truncated_prodense(
         got, failed = coset_pingpong(group, data, res, budgets)
         step2[data.label] = tuple(got)
         if failed:
-            step2_failed[data.label] = tuple(failed)
+            step2_complete = False
             notes.append(f"step 2 incomplete for {data.label}")
 
     combined = oracle = None
@@ -834,7 +830,7 @@ def truncated_prodense(
     # a combined tuple implies a nonempty step 1 and an oracle run
     complete = (
         len(step1) == len(normals)
-        and not step2_failed
+        and step2_complete
         and combined is not None
         and combined.verdict == "certified"
         and oracle.kind == "no-relation"
@@ -842,11 +838,9 @@ def truncated_prodense(
     return SynthesisReport(
         host_word,
         host_power,
-        host_cert,
         tuple(step1),
         step1_tuple,
         step2,
-        step2_failed,
         combined,
         oracle,
         "certified" if complete else "unknown",

@@ -8,7 +8,7 @@ from freecert.dynamics import ITER_BUDGET
 from freecert.pingpong import OracleResult, word_string
 from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim, rational_roots
-from freecert.scalar import cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper
+from freecert.scalar import clear_denominators, cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
@@ -415,7 +415,7 @@ def fraction_isolate_positive_roots(p: list) -> list:
     if len(p) < 2:
         return []
     out, work = [], list(p)
-    for r in rational_roots(p):
+    for r in rational_roots(clear_denominators(p)[0]):
         if r > 0:
             m = _fraction_multiplicity(p, r)
             out.append((point(r), m))

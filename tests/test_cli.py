@@ -376,6 +376,37 @@ def test_search_budgets_are_bounded_at_parse_time(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1
 
 
+def test_factor_and_adjuster_budgets_are_bounded_at_parse_time(tmp_path, capsys):
+    # general_position is a slice bound, so -1 would drop the last adjuster
+    text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
+    t0 = time.perf_counter()
+    for extra, where in (
+        (("budget general_position=-1\n",), "in.prob:13:1: budget general_position -1 is outside 0..64"),
+        (("budget num_factors=0\n",), "in.prob:13:1: budget num_factors 0 is outside 1..2"),
+        (("", "--budget", "num_factors=3"), "in.prob: --budget num_factors 3 is outside 1..2"),
+        (("", "--budget", "general_position=65"), "in.prob: --budget general_position 65 is outside 0..64"),
+    ):
+        code, cert, _ = run(tmp_path, "synthesize", text + extra[0], *extra[1:])
+        assert code == 2 and cert is None
+        assert where in capsys.readouterr().err
+    prodense = text.replace("normal-proximal", "truncated-prodense") + "cosets N = a\n"
+    code, cert, _ = run(tmp_path, "synthesize", prodense, "--budget", "host_word_len=0", "--budget", "num_factors=1", "--budget", "general_position=0")
+    assert code == 4 and cert["verdict"] == "unknown"
+    assert time.perf_counter() - t0 < 1
+
+
+def test_contraction_witness_search_is_bounded_at_max_dim(tmp_path):
+    # at n = 16 the whole pool holds (3^16 - 1) / 2 points; none refutes
+    # the candidates of diag(100, 1, ..., 1) at this eps
+    n = 16
+    rows = [[100 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    text = f"format 1\nplace arch\n[matrix-group]\ngen a = {rows}\n[task]\nop analyze\nsubop contracting\nelement a\nepsilon-sq 1/200\n"
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 4 and cert["verdict"] == "unknown"
+    assert time.perf_counter() - t0 < 1
+
+
 def test_synthesize_conjugate_contract(tmp_path):
     text = (
         "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n"

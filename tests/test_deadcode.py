@@ -235,16 +235,16 @@ def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
 
 #: The integer kernel: functions that run on cleared integers alone.
 INTEGER_KERNEL = {
-    "projective.py": ("_eliminate", "inverse_rows", "_kernel_intersection_point"),
+    "projective.py": ("det", "_eliminate", "inverse_rows", "_kernel_intersection_point"),
     "dynamics.py": ("padic_exponents", "_charpoly_gram"),
 }
 
 
 def test_integer_kernel_names_no_fraction():
     """Denominators are cleared once, by `scalar.clear_denominators`, on
-    the way in; past that the elimination, the inverse, the p-adic
-    exponents, the Gram characteristic polynomial and the kernel of two
-    covectors never build or name a `Fraction`."""
+    the way in; past that the determinant, the elimination, the inverse,
+    the p-adic exponents, the Gram characteristic polynomial and the
+    kernel of two covectors never build or name a `Fraction`."""
     found = []
     for module, names in INTEGER_KERNEL.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
@@ -255,3 +255,25 @@ def test_integer_kernel_names_no_fraction():
                 if (isinstance(node, ast.Name) and node.id == "Fraction") or (isinstance(node, ast.Attribute) and node.attr == "Fraction"):
                     found.append(f"{module}:{node.lineno} {name}")
     assert not found, "Fraction in the integer kernel:\n" + "\n".join(found)
+
+
+def _callers(tree: ast.AST, name: str, scope: str) -> list[str]:
+    """The dotted scopes (classes and functions) under `scope` that call
+    `name`, by bare or attribute name, once per call."""
+    out = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += _callers(child, name, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
+            out.append(scope)
+        out += _callers(child, name, scope)
+    return out
+
+
+def test_denominators_are_cleared_only_where_input_enters():
+    """`clear_denominators` is called in two places in the package: a
+    matrix's construction from input and `class_rep`, which stores a
+    point or hyperplane from input.  The kernels take their integers."""
+    callers = [c for path, tree in _trees(PACKAGE) for c in _callers(tree, "clear_denominators", path.stem)]
+    assert sorted(callers) == ["projective.ProjMat.__init__", "projective.class_rep"]

@@ -33,7 +33,7 @@ from freecert.projective import (
     dist_to_hyperplane_sq,
     gram_matrix,
 )
-from freecert.rootiso import _isolate_cleared, isolate_positive_roots, point
+from freecert.rootiso import isolate_positive_roots, point
 from freecert.scalar import ARCH, clear_denominators, padic, sqrt_lower, sqrt_upper
 from oracles import (
     fraction_charpoly_gram,
@@ -66,10 +66,19 @@ def test_padic_profile_oracle_values():
     assert [iv.lo for iv in prof.values_sq] == [1, F(1, 25)]
 
 
+def _profile_exponents(g: ProjMat) -> list[int]:
+    """The exponents e_i of |sigma_i| = p^(-e_i), read back from the exact
+    p-adic profile of g, in its order."""
+    p = g.place.prime
+    return [-padic_valuation(iv.lo, p) // 2 for iv in singular_profile(g).values_sq]
+
+
 def test_padic_exponents_with_denominators():
-    # 3/49 at p=7 has valuation -2
-    exps = padic_exponents([[F(3, 49), 0], [0, 1]], 7)
-    assert sorted(exps) == [-2, 0]
+    # 3/49 at p=7 has valuation -2; the profile shifts the integer rows'
+    # exponents by the valuation of their scale 49
+    g = ProjMat(((F(3, 49), 0), (0, 1)), padic(7))
+    assert g._integer_form == (((3, 0), (0, 49)), 49)
+    assert sorted(_profile_exponents(g)) == [-2, 0]
 
 
 def test_arch_profile_identity_exact():
@@ -183,7 +192,7 @@ def test_snf_transforms_reconstruct():
                 continue
         exps, uinv, vinv = _padic_snf_transforms(g)
         assert exps == sorted(exps)
-        assert exps == padic_exponents(g.entries, 5)
+        assert exps == _profile_exponents(g)
 
 
 def test_padic_kernel_matches_snf_reference():
@@ -199,7 +208,7 @@ def test_padic_kernel_matches_snf_reference():
             for _ in range(20):
                 g = _random_invertible(rng, n, padic(p), entry)
                 exps, uinv, vinv = _padic_snf_transforms(g)
-                assert padic_exponents(g.entries, p) == exps
+                assert _profile_exponents(g) == exps
                 dirs = direction_candidates(g)
                 assert dirs.attract == ProjPoint(tuple(uinv[i][0] for i in range(n)))
                 assert dirs.repel == ProjHyperplane(vinv[0])
@@ -209,13 +218,13 @@ def test_padic_certify_contracting_eliminates_once(monkeypatch):
     from freecert import dynamics
 
     calls = []
-    clear = dynamics.clear_denominators
+    eliminate = dynamics.padic_exponents
 
-    def counting(values):
+    def counting(rows, p):
         calls.append(1)
-        return clear(values)
+        return eliminate(rows, p)
 
-    monkeypatch.setattr(dynamics, "clear_denominators", counting)
+    monkeypatch.setattr(dynamics, "padic_exponents", counting)
     singular_profile.cache_clear()
     direction_candidates.cache_clear()
     certify_contracting(ProjMat(((F(1, 3), 10, 7), (25, 4, 11), (6, 50, 13)), padic(5)), F(1, 4))
@@ -248,7 +257,8 @@ def test_det_matches_sympy():
             rows = [[F(rng.choice(span) * rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
             if singular:
                 rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[-2])]
-            got = det(tuple(tuple(r) for r in rows))
+            flat, scale = clear_denominators([x for r in rows for x in r])
+            got = F(det(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))), scale**n)
             want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).det()
             assert got == F(int(want.p), int(want.q))
             if singular:
@@ -460,8 +470,6 @@ def test_push_set_hnbhd_sound_on_samples():
 
 
 def test_padic_exponents_fast_path_matches_general():
-    import random
-
     rng = random.Random(41)
     checked = 0
     while checked < 200:
@@ -476,9 +484,9 @@ def test_padic_exponents_fast_path_matches_general():
         checked += 1
         for p in (2, 3, 5):
             fast = padic_exponents(rows, p)
-            # scaling by 1/7 forces the general Fraction path and, since
-            # 7 is a unit at these places, must not change the exponents
-            general = padic_exponents([[F(x, 7) for x in r] for r in rows], p)
+            # scaling by 1/7 gives the profile a scale of 7 to shift by,
+            # a unit at these places, so the exponents must not change
+            general = _profile_exponents(ProjMat([[F(x, 7) for x in r] for r in rows], padic(p)))
             assert fast == general
             assert fast == sorted(fast)
 
@@ -518,7 +526,7 @@ def _power_directions(g: ProjMat) -> list:
 def _assert_matches_fraction_reference(g: ProjMat) -> list:
     charpoly = _charpoly_gram(g)
     want = fraction_charpoly_gram(g)
-    assert charpoly == clear_denominators(want)[0]
+    assert list(charpoly) == clear_denominators(want)[0]
     roots = isolate_positive_roots(charpoly)
     assert list(roots) == fraction_isolate_positive_roots(want)
     ours, ref = _power_directions(g)
@@ -532,8 +540,10 @@ def arch_matrices(draw):
     nums = draw(st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n))
     dens = draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n) | st.just([1] * (n * n)))
     rows = tuple(tuple(F(nums[i * n + j], dens[i * n + j]) for j in range(n)) for i in range(n))
-    assume(det(rows) != 0)
-    return ProjMat(rows, ARCH)
+    try:
+        return ProjMat(rows, ARCH)
+    except ValueError:  # singular
+        assume(False)
 
 
 @settings(max_examples=15, deadline=None)
@@ -579,8 +589,8 @@ def test_a_matrix_and_its_inverse_share_one_isolation():
     characteristic polynomial, so the second profile isolates nothing."""
     g = ProjMat(((3, 2), (1, 1)), ARCH)
     singular_profile.cache_clear()
-    _isolate_cleared.cache_clear()
+    isolate_positive_roots.cache_clear()
     singular_profile(g)
     singular_profile(g.inverse())
-    info = _isolate_cleared.cache_info()
+    info = isolate_positive_roots.cache_info()
     assert (info.misses, info.hits) == (1, 1)

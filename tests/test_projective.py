@@ -241,6 +241,17 @@ def test_set_contains():
     assert not set_contains(half, half, ARCH, closed_inner=True)
 
 
+def test_hyperplane_neighborhood_contains_a_ball():
+    # in P^2: a ball centred on ker x_0 fits inside its neighborhood, and
+    # one centred at distance 1 from it does not
+    near = hnbhd(ProjHyperplane((1, 0, 0)), F(1, 4))
+    assert set_contains(near, ball(ProjPoint((0, 1, 0)), F(1, 100)), ARCH)
+    assert not set_contains(near, ball(ProjPoint((1, 0, 0)), F(1, 100)), ARCH)
+    # a ball as wide as the neighborhood touches its boundary
+    assert set_contains(near, ball(ProjPoint((0, 1, 1)), F(1, 4)), P5)
+    assert not set_contains(near, ball(ProjPoint((0, 1, 1)), F(1, 4)), P5, closed_inner=True)
+
+
 def test_unions():
     u = ball(E1, F(1, 100)).components + ball(E2, F(1, 100)).components
     from freecert.projective import ProjSet
@@ -296,22 +307,21 @@ def test_products_match_fraction_reference_without_det(rows, data):
 
 
 def test_products_clear_each_matrix_once():
-    # input construction clears each matrix once, and `det` checks a fresh
-    # copy of the cleared rows; products, inverses and transposes clear nothing
+    # input construction clears each matrix once, and `det` checks the
+    # cleared integer rows; products, inverses, transposes and `det`
+    # clear nothing
     with mock.patch.object(projective, "clear_denominators", wraps=projective.clear_denominators) as spy:
         g = ProjMat(((F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 0, F(5, 7))), ARCH)
         h = ProjMat(((2, 0, 1), (F(1, 3), 1, 0), (0, 0, 1)), ARCH)
-        assert spy.call_count == 4  # g, det's copy of g's rows, h, det's copy of h's rows
-        assert spy.call_args_list[1].args[0] == [x for r in g._integer_form[0] for x in r]
+        assert spy.call_count == 2  # g, h
         first = g @ h
         again = [g @ h for _ in range(3)]
         g.inverse().transpose()
-        assert spy.call_count == 4
-        d = projective.det(g.entries)  # eliminates in place on lists of its own
-        assert spy.call_count == 5
+        d = projective.det(g._integer_form[0])  # eliminates in place on lists of its own
+        assert spy.call_count == 2
     assert g._integer_form == (((21, 126, 0), (0, 28, 42), (42, 0, 30)), 42)
     assert all(x.entries == first.entries == fraction_matmul(g.entries, h.entries) for x in again)
-    assert projective.det(g.entries) == d
+    assert projective.det(g._integer_form[0]) == d == 21 * 28 * 30 - 126 * (0 * 30 - 42 * 42)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from freecert.rootiso import (
     Interval,
-    _isolate_cleared,
     _refine,
     cauchy_bound,
     count_roots,
@@ -70,13 +69,13 @@ def test_sturm_counts_known_roots():
 
 def test_rational_roots_found():
     p = poly_from_roots([F(3, 2), -2, 5])
-    assert rational_roots(p) == [F(-2), F(3, 2), F(5)]
+    assert rational_roots(_cleared(p)) == [F(-2), F(3, 2), F(5)]
 
 
 def test_isolation_with_rational_and_irrational_roots():
     # roots: 2 (double), and 1 +- sqrt(2)/2 via x^2 - 2x + 1/2
     p = pmul(poly_from_roots([2, 2]), [F(1, 2), F(-2), F(1)])
-    out = isolate_positive_roots(p)
+    out = isolate_positive_roots(tuple(_cleared(p)))
     assert sum(m for _, m in out) == 4
     exact = [iv for iv, m in out if iv.exact]
     assert any(iv.lo == 2 and m == 2 for iv, m in out if iv.exact)
@@ -92,7 +91,7 @@ def test_isolation_with_rational_and_irrational_roots():
 
 def test_isolation_ignores_nonpositive_roots():
     p = poly_from_roots([-1, 0, 4])
-    out = isolate_positive_roots(p)
+    out = isolate_positive_roots(tuple(_cleared(p)))
     assert len(out) == 1
     iv, m = out[0]
     assert m == 1 and interval_contains(iv, F(4))
@@ -101,12 +100,12 @@ def test_isolation_ignores_nonpositive_roots():
 def test_isolation_is_memoized_on_the_cleared_polynomial():
     """x^2/2 - 3x + 1/2 clears to x^2 - 6x + 1, so the integer polynomial
     is a hit; the shared result is a tuple and equals a fresh isolation."""
-    _isolate_cleared.cache_clear()
-    first = isolate_positive_roots([F(1, 2), F(-3), F(1, 2)])
+    isolate_positive_roots.cache_clear()
+    first = isolate_positive_roots(tuple(_cleared([F(1, 2), F(-3), F(1, 2)])))
     assert isinstance(first, tuple) and len(first) == 2
-    assert isolate_positive_roots([1, -6, 1]) is first
-    assert _isolate_cleared.cache_info().hits == 1
-    assert first == _isolate_cleared.__wrapped__((1, -6, 1))
+    assert isolate_positive_roots((1, -6, 1)) is first
+    assert isolate_positive_roots.cache_info().hits == 1
+    assert first == isolate_positive_roots.__wrapped__((1, -6, 1))
 
 
 def test_interval_arithmetic():
@@ -137,7 +136,7 @@ def test_refine_and_rational_roots_match_references(rational, irrational_sq):
     sf = poly_from_roots(rational)
     for q in irrational_sq:
         sf = pmul(sf, [F(-q), F(0), F(1)])
-    assert rational_roots(sf) == sorted(rational)
+    assert rational_roots(_cleared(sf)) == sorted(rational)
     near = {F(isqrt(q * 4096) + d, 64) for q in irrational_sq for d in (0, 1)}
     points = sorted({F(0), cauchy_bound(sf)} | {r for r in rational if r > 0} | near)
     brackets = list(_one_root_brackets(sf, points))
@@ -180,7 +179,7 @@ def test_isolation_matches_fraction_reference(rational, irrational_sq, lead):
     for q, m in irrational_sq:
         for _ in range(m):
             p = pmul(p, [F(-q), F(0), F(1)])
-    assert list(isolate_positive_roots(p)) == fraction_isolate_positive_roots(p)
+    assert list(isolate_positive_roots(tuple(_cleared(p)))) == fraction_isolate_positive_roots(p)
 
 
 @settings(max_examples=60, deadline=None)
