@@ -1,13 +1,13 @@
-"""Certificate serialization and independent re-verification.
+"""The certificate format and its verifier.
 
 Certificates are canonical JSON: sorted keys, two-space indent, exact
 rationals as "p/q" strings, a fixed seed echo, and no timestamps, so a
 rerun produces byte-identical output.  Every certificate carries a list
-of claims; the verifier re-checks each claim semantically (set verdicts,
-containments, memberships, word algebra, enclosure inequalities,
-deterministic recomputation of certified data) without re-running any
-search.  Oracle no-relation results are search outcomes and are echoed,
-not re-run.
+of claims, which `cli` builds; the verifier re-checks each claim
+semantically (set verdicts, containments, memberships, word algebra,
+enclosure inequalities, deterministic recomputation of certified data)
+without re-running any search.  Oracle no-relation results are search
+outcomes and are echoed, not re-run.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from functools import cached_property
 
 from . import __version__
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
-from .dynamics import ContractionCert, ProximalCert, contraction_gap_sq, direction_candidates
+from .dynamics import contraction_gap_sq, direction_candidates
 from .projective import (
     Ball,
     HNbhd,
+    MarkedGroup,
     ProjHyperplane,
     ProjMat,
     ProjPoint,
@@ -31,7 +32,6 @@ from .projective import (
     set_disjoint,
 )
 from .scalar import Place, Rat, format_rat, parse_place, parse_rat
-from .synthesis import MarkedGroup
 from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, classify, kernel_of_action, parse_word
 
 FORMAT = "freecert-certificate/1"
@@ -65,10 +65,6 @@ def rat(x: Rat) -> "str | _Unprintable":
         return format_rat(x)
     except ValueError:  # too many digits
         return _Unprintable(x)
-
-
-def place_str(place: Place) -> str:
-    return str(place)
 
 
 def place_from(s: str) -> Place:
@@ -134,176 +130,6 @@ def set_from(data) -> ProjSet:
     return ProjSet(tuple(component_from(c) for c in data))
 
 
-def enclosure_json(e: Enclosure) -> dict:
-    return {
-        "center": point_json(e.ball.center),
-        "radius_sq": rat(e.ball.radius_sq),
-        "lipschitz_sq": rat(e.lipschitz_sq),
-        "region_low_sq": rat(e.region_low_sq),
-        "move_sq": rat(e.move_sq),
-    }
-
-
-def contraction_json(c: ContractionCert) -> dict:
-    return {
-        "epsilon_sq": rat(c.epsilon_sq),
-        "attract": point_json(c.attract),
-        "repel": plane_json(c.repel),
-        "method": "singular-gap",
-        "attract_err_sq": rat(c.attract_err_sq),
-        "repel_err_sq": rat(c.repel_err_sq),
-        "gap_sq_hi": rat(c.gap_sq_hi),
-        "image_radius_sq": rat(c.image_radius_sq),
-    }
-
-
-def proximal_json(c: ProximalCert) -> dict:
-    out = {
-        "r_sq": rat(c.r_sq),
-        "epsilon_sq": rat(c.epsilon_sq),
-        "contraction": contraction_json(c.contraction),
-        "fixed_point": enclosure_json(c.fixed_point),
-        "fixed_plane_dual": enclosure_json(c.fixed_plane_dual),
-    }
-    if c.very is not None:
-        out["inverse"] = proximal_json(c.very)
-    return out
-
-
-def interval_json(iv) -> dict:
-    return {"lo": rat(iv.lo), "hi": rat(iv.hi)}
-
-
-# ---------------------------------------------------------------------------
-# Claims: emitted next to certified data, re-checked by the verifier
-# ---------------------------------------------------------------------------
-
-
-def claim_set_disjoint(left: ProjSet, right: ProjSet, note: str = "") -> dict:
-    return {"type": "set-disjoint", "left": set_json(left), "right": set_json(right), "note": note}
-
-
-def claim_set_contains(outer: ProjSet, inner: ProjSet, note: str = "") -> dict:
-    return {
-        "type": "set-contains",
-        "outer": set_json(outer),
-        "inner": set_json(inner),
-        "closed_inner": False,
-        "note": note,
-    }
-
-
-def claim_word_eval(word: str, matrix: ProjMat) -> dict:
-    return {"type": "word-eval", "word": word, "matrix": mat_json(matrix), "note": ""}
-
-
-def claim_contraction(matrix: ProjMat, cert: ContractionCert) -> dict:
-    return {"type": "contraction", "matrix": mat_json(matrix), "cert": contraction_json(cert)}
-
-
-def claim_contraction_refuted(matrix: ProjMat, epsilon_sq: Rat, witness: ProjPoint) -> dict:
-    """The witness refutes eps-contraction for the matrix's direction candidates."""
-    dirs = direction_candidates(matrix)
-    return {
-        "type": "contraction-refuted",
-        "matrix": mat_json(matrix),
-        "epsilon_sq": rat(epsilon_sq),
-        "witness": point_json(witness),
-        "attract": point_json(dirs.attract),
-        "repel": plane_json(dirs.repel),
-    }
-
-
-def claim_point_plane_far(point: ProjPoint, plane: ProjHyperplane, r_sq: Rat) -> dict:
-    return {"type": "point-plane-far", "point": point_json(point), "plane": plane_json(plane), "r_sq": rat(r_sq)}
-
-
-def claim_selfmap(matrix: ProjMat, enclosure: Enclosure, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, attract: ProjPoint) -> dict:
-    return {
-        "type": "selfmap-enclosure",
-        "matrix": mat_json(matrix),
-        "enclosure": enclosure_json(enclosure),
-        "repel": plane_json(repel),
-        "repel_err_sq": rat(repel_err_sq),
-        "gap_sq_hi": rat(gap_sq_hi),
-        "epsilon_sq": rat(epsilon_sq),
-        "attract": point_json(attract),
-    }
-
-
-def claims_for_proximal(matrix: ProjMat, cert: ProximalCert) -> list[dict]:
-    c = cert.contraction
-    out = [claim_contraction(matrix, c), claim_point_plane_far(c.attract, c.repel, cert.r_sq)]
-    for (m, attract, repel, repel_err_sq), enc in zip(c.selfmap_problems(matrix), (cert.fixed_point, cert.fixed_plane_dual)):
-        out.append(claim_selfmap(m, enc, repel, repel_err_sq, c.gap_sq_hi, cert.epsilon_sq, attract))
-    if cert.very is not None:
-        out.extend(claims_for_proximal(matrix.inverse(), cert.very))
-        out += [claim_set_disjoint(left, right, note) for left, right, note in cert.very_pairs()]
-    return out
-
-
-def claim_oracle(max_len: int, result_kind: str, word: str | None, names: list[str]) -> dict:
-    return {"type": "oracle", "max_len": max_len, "result": result_kind, "word": word, "names": names}
-
-
-def claim_normal_membership(element: str, factorization: str) -> dict:
-    return {"type": "normal-membership", "element": element, "factorization": factorization}
-
-
-def claims_for_cert(word: str, matrix: ProjMat, cert: ContractionCert | ProximalCert, *between: dict) -> list[dict]:
-    """Claims for a certified word: its word-eval, then the claims in
-    `between` (normal membership), then its contraction or proximal evidence."""
-    out = [claim_word_eval(word, matrix), *between]
-    if isinstance(cert, ProximalCert):
-        return out + claims_for_proximal(matrix, cert)
-    return out + [claim_contraction(matrix, cert)]
-
-
-def _disjoint_claims(tup, claim) -> list[dict]:
-    """One claim(left, right, note) per cross-set disjointness the tuple certified."""
-    return [claim(c.left, c.right, c.detail) for c in tup.checks if c.kind == "disjoint" and c.ok]
-
-
-def claims_for_tuple(tup) -> list[dict]:
-    """Claims for a projective ping-pong tuple: its disjointnesses, then
-    each player's proximal evidence."""
-    out = _disjoint_claims(tup, claim_set_disjoint)
-    for p in tup.players:
-        if isinstance(p.evidence, ProximalCert):
-            out.extend(claims_for_proximal(p.element, p.evidence))
-    return out
-
-
-def claim_tree_normal_form(word: str, w) -> dict:
-    return {"type": "tree-normal-form", "word": word, "syllables": [list(s) for s in w.syllables], "tail": w.tail}
-
-
-def claim_tree_classify(word: str, cls) -> dict:
-    return {"type": "tree-classify", "word": word, "kind": cls.kind, "translation_length": cls.translation_length}
-
-
-def claim_tree_degree(vertex, degree: int) -> dict:
-    return {"type": "tree-degree", "vertex": vertex_json(vertex), "degree": degree}
-
-
-def claim_kernel(elements: list[int]) -> dict:
-    return {"type": "kernel", "elements": elements}
-
-
-def claim_shadow_disjoint(left, right, note: str) -> dict:
-    return {"type": "shadow-disjoint", "left": shadow_json(left), "right": shadow_json(right), "note": note}
-
-
-def claims_for_tree_tuple(tup, words: list[str]) -> list[dict]:
-    """Claims for a tree ping-pong tuple, read off the evidence it already
-    holds: each word's classification, each player's axis shadows, then the
-    tuple's disjointnesses."""
-    players = list(zip(tup.players, words))
-    out = [claim_tree_classify(word, p.evidence.classification) for p, word in players]
-    out += [{"type": "tree-evidence", "word": word, "sets": [shadow_json(s) for _, s in p.sets()]} for p, word in players]
-    return out + _disjoint_claims(tup, claim_shadow_disjoint)
-
-
 # ---------------------------------------------------------------------------
 # Certificate assembly and canonical dumping
 # ---------------------------------------------------------------------------
@@ -314,7 +140,7 @@ def certificate(place: Place | None, backend: str, header: dict, task: dict, ver
         "format": FORMAT,
         "tool": {"name": "freecert", "version": __version__},
         "seed": 0,
-        "place": place_str(place) if place is not None else None,
+        "place": str(place) if place is not None else None,
         "backend": backend,
         "header": header,
         "task": task,

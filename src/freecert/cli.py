@@ -13,26 +13,27 @@ import sys
 from fractions import Fraction
 
 from . import certfmt
-from .certfmt import VerifyError
+from .certfmt import VerifyError, mat_json, plane_json, point_json, rat, set_json, shadow_json, vertex_json
+from .checker import Enclosure
 from .dynamics import (
+    ContractionCert,
+    ProximalCert,
     certify_contracting,
     certify_proximal,
     certify_very_proximal,
+    direction_candidates,
     power_to_proximal,
     singular_profile,
 )
 from .pingpong import MAX_ORACLE_WORDS, PingPongPlayer, certify_tuple, freeness_oracle, oracle_words, simple_player
-from .projective import ProjHyperplane, ProjMat, ProjPoint, ProjSet, ball, hnbhd
-from .scalar import ARCH, Place, parse_place, parse_rat, word_tokens
+from .projective import MarkedGroup, ProjHyperplane, ProjMat, ProjPoint, ProjSet, Word, ball, concat, hnbhd, word_inverse
+from .scalar import ARCH, Place, Rat, parse_place, parse_rat, word_tokens
 from .synthesis import (
     PRODENSE_ORACLE_LEN,
     Budgets,
-    MarkedGroup,
     NormalData,
-    Word,
     auto_very_proximal,
     b1b2b3_synthesize,
-    concat,
     conjugate_contract,
     coset_pingpong,
     double_coset_wrap,
@@ -40,7 +41,6 @@ from .synthesis import (
     player_from_cert,
     truncated_prodense,
     very_proximal_search,
-    word_inverse,
 )
 from .tree import (
     DEFAULT_RADIUS,
@@ -332,7 +332,7 @@ def _build_amalgam(prob: Problem) -> tuple[AmalgamData, dict]:
 
 
 def _group_header(group: MarkedGroup) -> dict:
-    return {"generators": {name: certfmt.mat_json(m) for name, m in group.gens}}
+    return {"generators": {name: mat_json(m) for name, m in group.gens}}
 
 
 def _budget(spec: str, what: str = "budget") -> tuple[str, int]:
@@ -410,16 +410,188 @@ def _one_of(what: str, *names: str):
     return parse
 
 
-def _parse_set(text: str) -> ProjSet:
-    """`ball [coords] radius-sq` or `hnbhd [coords] radius-sq`."""
+def _parse_set(text: str, dim: int) -> ProjSet:
+    """`ball [coords] radius-sq` or `hnbhd [coords] radius-sq`, of `dim` coordinates."""
     kind, _, rest = text.partition("[")
     coords, bracket, radius = rest.partition("]")
     if kind.strip() not in ("ball", "hnbhd") or not bracket:
         raise ValueError("set literal must be: ball|hnbhd [coords] radius-sq")
     vec = tuple(parse_rat(tok) for tok in coords.split(",") if tok.strip())
+    if len(vec) != dim:
+        raise ValueError(f"set has {len(vec)} coordinates, but the generators are {dim}x{dim}")
     if kind.strip() == "ball":
         return ball(ProjPoint(vec), parse_rat(radius))
     return hnbhd(ProjHyperplane(vec), parse_rat(radius))
+
+
+# ---------------------------------------------------------------------------
+# Claims: every claim a result carries is built here, re-checked by certfmt
+# ---------------------------------------------------------------------------
+
+
+def enclosure_json(e: Enclosure) -> dict:
+    return {
+        "center": point_json(e.ball.center),
+        "radius_sq": rat(e.ball.radius_sq),
+        "lipschitz_sq": rat(e.lipschitz_sq),
+        "region_low_sq": rat(e.region_low_sq),
+        "move_sq": rat(e.move_sq),
+    }
+
+
+def contraction_json(c: ContractionCert) -> dict:
+    return {
+        "epsilon_sq": rat(c.epsilon_sq),
+        "attract": point_json(c.attract),
+        "repel": plane_json(c.repel),
+        "method": "singular-gap",
+        "attract_err_sq": rat(c.attract_err_sq),
+        "repel_err_sq": rat(c.repel_err_sq),
+        "gap_sq_hi": rat(c.gap_sq_hi),
+        "image_radius_sq": rat(c.image_radius_sq),
+    }
+
+
+def proximal_json(c: ProximalCert) -> dict:
+    out = {
+        "r_sq": rat(c.r_sq),
+        "epsilon_sq": rat(c.epsilon_sq),
+        "contraction": contraction_json(c.contraction),
+        "fixed_point": enclosure_json(c.fixed_point),
+        "fixed_plane_dual": enclosure_json(c.fixed_plane_dual),
+    }
+    if c.very is not None:
+        out["inverse"] = proximal_json(c.very)
+    return out
+
+
+def interval_json(iv) -> dict:
+    return {"lo": rat(iv.lo), "hi": rat(iv.hi)}
+
+
+def claim_set_disjoint(left: ProjSet, right: ProjSet, note: str = "") -> dict:
+    return {"type": "set-disjoint", "left": set_json(left), "right": set_json(right), "note": note}
+
+
+def claim_set_contains(outer: ProjSet, inner: ProjSet, note: str = "") -> dict:
+    return {
+        "type": "set-contains",
+        "outer": set_json(outer),
+        "inner": set_json(inner),
+        "closed_inner": False,
+        "note": note,
+    }
+
+
+def claim_word_eval(word: str, matrix: ProjMat) -> dict:
+    return {"type": "word-eval", "word": word, "matrix": mat_json(matrix), "note": ""}
+
+
+def claim_contraction(matrix: ProjMat, cert: ContractionCert) -> dict:
+    return {"type": "contraction", "matrix": mat_json(matrix), "cert": contraction_json(cert)}
+
+
+def claim_contraction_refuted(matrix: ProjMat, epsilon_sq: Rat, witness: ProjPoint) -> dict:
+    """The witness refutes eps-contraction for the matrix's direction candidates."""
+    dirs = direction_candidates(matrix)
+    return {
+        "type": "contraction-refuted",
+        "matrix": mat_json(matrix),
+        "epsilon_sq": rat(epsilon_sq),
+        "witness": point_json(witness),
+        "attract": point_json(dirs.attract),
+        "repel": plane_json(dirs.repel),
+    }
+
+
+def claim_point_plane_far(point: ProjPoint, plane: ProjHyperplane, r_sq: Rat) -> dict:
+    return {"type": "point-plane-far", "point": point_json(point), "plane": plane_json(plane), "r_sq": rat(r_sq)}
+
+
+def claim_selfmap(matrix: ProjMat, enclosure: Enclosure, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, attract: ProjPoint) -> dict:
+    return {
+        "type": "selfmap-enclosure",
+        "matrix": mat_json(matrix),
+        "enclosure": enclosure_json(enclosure),
+        "repel": plane_json(repel),
+        "repel_err_sq": rat(repel_err_sq),
+        "gap_sq_hi": rat(gap_sq_hi),
+        "epsilon_sq": rat(epsilon_sq),
+        "attract": point_json(attract),
+    }
+
+
+def claims_for_proximal(matrix: ProjMat, cert: ProximalCert) -> list[dict]:
+    c = cert.contraction
+    out = [claim_contraction(matrix, c), claim_point_plane_far(c.attract, c.repel, cert.r_sq)]
+    for (m, attract, repel, repel_err_sq), enc in zip(c.selfmap_problems(matrix), (cert.fixed_point, cert.fixed_plane_dual)):
+        out.append(claim_selfmap(m, enc, repel, repel_err_sq, c.gap_sq_hi, cert.epsilon_sq, attract))
+    if cert.very is not None:
+        out.extend(claims_for_proximal(matrix.inverse(), cert.very))
+        out += [claim_set_disjoint(left, right, note) for left, right, note in cert.very_pairs()]
+    return out
+
+
+def claim_oracle(max_len: int, result_kind: str, word: str | None, names: list[str]) -> dict:
+    return {"type": "oracle", "max_len": max_len, "result": result_kind, "word": word, "names": names}
+
+
+def claim_normal_membership(element: str, factorization: str) -> dict:
+    return {"type": "normal-membership", "element": element, "factorization": factorization}
+
+
+def claims_for_cert(word: str, matrix: ProjMat, cert: ContractionCert | ProximalCert, *between: dict) -> list[dict]:
+    """Claims for a certified word: its word-eval, then the claims in
+    `between` (normal membership), then its contraction or proximal evidence."""
+    out = [claim_word_eval(word, matrix), *between]
+    if isinstance(cert, ProximalCert):
+        return out + claims_for_proximal(matrix, cert)
+    return out + [claim_contraction(matrix, cert)]
+
+
+def _disjoint_claims(tup, claim) -> list[dict]:
+    """One claim(left, right, note) per cross-set disjointness the tuple certified."""
+    return [claim(c.left, c.right, c.detail) for c in tup.checks if c.kind == "disjoint" and c.ok]
+
+
+def claims_for_tuple(tup) -> list[dict]:
+    """Claims for a projective ping-pong tuple: its disjointnesses, then
+    each player's proximal evidence."""
+    out = _disjoint_claims(tup, claim_set_disjoint)
+    for p in tup.players:
+        if isinstance(p.evidence, ProximalCert):
+            out.extend(claims_for_proximal(p.element, p.evidence))
+    return out
+
+
+def claim_tree_normal_form(word: str, w) -> dict:
+    return {"type": "tree-normal-form", "word": word, "syllables": [list(s) for s in w.syllables], "tail": w.tail}
+
+
+def claim_tree_classify(word: str, cls) -> dict:
+    return {"type": "tree-classify", "word": word, "kind": cls.kind, "translation_length": cls.translation_length}
+
+
+def claim_tree_degree(vertex, degree: int) -> dict:
+    return {"type": "tree-degree", "vertex": vertex_json(vertex), "degree": degree}
+
+
+def claim_kernel(elements: list[int]) -> dict:
+    return {"type": "kernel", "elements": elements}
+
+
+def claim_shadow_disjoint(left, right, note: str) -> dict:
+    return {"type": "shadow-disjoint", "left": shadow_json(left), "right": shadow_json(right), "note": note}
+
+
+def claims_for_tree_tuple(tup, words: list[str]) -> list[dict]:
+    """Claims for a tree ping-pong tuple, read off the evidence it already
+    holds: each word's classification, each player's axis shadows, then the
+    tuple's disjointnesses."""
+    players = list(zip(tup.players, words))
+    out = [claim_tree_classify(word, p.evidence.classification) for p, word in players]
+    out += [{"type": "tree-evidence", "word": word, "sets": [shadow_json(s) for _, s in p.sets()]} for p, word in players]
+    return out + _disjoint_claims(tup, claim_shadow_disjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -451,38 +623,38 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
     task = {"op": "analyze", "subop": subop, "element": group.word_str(word)}
     if subop != "profile":
         eps_sq = prob.value("epsilon-sq", parse_rat)
-        task["epsilon_sq"] = certfmt.rat(eps_sq)
+        task["epsilon_sq"] = rat(eps_sq)
     if subop not in ("profile", "contracting"):
         r_sq = prob.value("r-sq", parse_rat)
-        task["r_sq"] = certfmt.rat(r_sq)
+        task["r_sq"] = rat(r_sq)
     if subop == "power-proximal":
         task["max_n"] = max_n = prob.value("max-n", _int_in("max-n", 1, MAX_EXPONENT), 16)
     prob.all_read()
     m = group.eval(word)
     emit = _emitter(group.place, "matrix", _group_header(group), task)
-    word_eval = [certfmt.claim_word_eval(task["element"], m)]
+    word_eval = [claim_word_eval(task["element"], m)]
     if subop == "profile":
         prof = singular_profile(m)
-        result = {"values_sq": [certfmt.interval_json(v) for v in prof.values_sq], "exact": prof.exact}
+        result = {"values_sq": [interval_json(v) for v in prof.values_sq], "exact": prof.exact}
         return emit("ok", result, word_eval)
     if subop == "power-proximal":
         out = power_to_proximal(m, r_sq, eps_sq, max_n)
         if out is None:
             return emit("not-found", {}, word_eval)
         n, cert = out
-        result = {"n": n, "cert": certfmt.proximal_json(cert)}
-        return emit("yes", result, word_eval + certfmt.claims_for_proximal(m.power(n), cert))
+        result = {"n": n, "cert": proximal_json(cert)}
+        return emit("yes", result, word_eval + claims_for_proximal(m.power(n), cert))
     if subop == "contracting":
         v = certify_contracting(m, eps_sq)
-        cert_json = certfmt.contraction_json
+        cert_json = contraction_json
     else:
         v = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq)
-        cert_json = certfmt.proximal_json
+        cert_json = proximal_json
     if v.kind == "yes":
-        return emit("yes", {"cert": cert_json(v.cert)}, certfmt.claims_for_cert(task["element"], m, v.cert))
+        return emit("yes", {"cert": cert_json(v.cert)}, claims_for_cert(task["element"], m, v.cert))
     if v.kind == "no":
-        refuted = certfmt.claim_contraction_refuted(v.refutes, eps_sq, v.counterexample)
-        return emit("no", {"counterexample": certfmt.point_json(v.counterexample)}, word_eval + [refuted])
+        refuted = claim_contraction_refuted(v.refutes, eps_sq, v.counterexample)
+        return emit("no", {"counterexample": point_json(v.counterexample)}, word_eval + [refuted])
     return emit(v.kind, {}, word_eval)
 
 
@@ -511,7 +683,7 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     if subop == "oracle":
         out = freeness_oracle(mats, oracle_len, names=names)
         result = {"oracle": out.kind, "relation": out.word}
-        return emit(out.kind, result, [certfmt.claim_oracle(oracle_len, out.kind, out.word, names)])
+        return emit(out.kind, result, [claim_oracle(oracle_len, out.kind, out.word, names)])
     players = []
     for name, m in zip(names, mats):
         cert = auto_very_proximal(m)
@@ -526,19 +698,19 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
             a_plus, a_minus = ball(c_f.attract, radius), ball(c_b.attract, radius)
             players.append(PingPongPlayer(name, m, a_plus, hnbhd(c_f.repel, radius), a_minus, hnbhd(c_b.repel, radius), cert))
     tup = certify_tuple(players)
-    claims = certfmt.claims_for_tuple(tup)
+    claims = claims_for_tuple(tup)
     result = {
         "verdict": tup.verdict,
         "witness_detail": tup.witness_detail,
         "players": {
-            p.name: {label: certfmt.set_json(s) for label, s in p.sets()} for p in players
+            p.name: {label: set_json(s) for label, s in p.sets()} for p in players
         },
     }
     if tup.witness is not None:
-        result["witness"] = certfmt.point_json(tup.witness)
+        result["witness"] = point_json(tup.witness)
     if tup.verdict == "certified":
         oracle = freeness_oracle(mats, oracle_len, names=names)
-        claims.append(certfmt.claim_oracle(oracle_len, oracle.kind, oracle.word, names))
+        claims.append(claim_oracle(oracle_len, oracle.kind, oracle.word, names))
         result["oracle"] = oracle.kind
     return emit(tup.verdict, result, claims)
 
@@ -550,8 +722,9 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     subop = prob.value("subop", _one_of("synthesize subop", *subops))
     task = {"op": "synthesize", "subop": subop}
     emit = _emitter(group.place, "matrix", _group_header(group), task)
-    # the file's budget lines, then the --budget flags over them
-    budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec, "--budget") for spec in prob.flag("--budget") or []]))
+    # the file's budget lines, then the --budget flags over them (all_read refuses them elsewhere)
+    if subop in ("truncated-prodense", "normal-proximal", "coset-pingpong", "double-coset"):
+        budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec, "--budget") for spec in prob.flag("--budget") or []]))
 
     word = _matrix_word(group)
 
@@ -577,7 +750,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         return [NormalData(lbl, reps, cosets) for lbl, (reps, cosets) in normals.items()]
 
     def claims_for(word, cert, *between) -> list[dict]:
-        return certfmt.claims_for_cert(ws(word), group.eval(word), cert, *between)
+        return claims_for_cert(ws(word), group.eval(word), cert, *between)
 
     normals = parse_normals() if subop in ("truncated-prodense", "normal-proximal", "coset-pingpong") else []
     if len(normals) != 1 and subop in ("normal-proximal", "coset-pingpong"):
@@ -610,7 +783,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         }
         if report.oracle is not None:
             result["oracle"] = report.oracle.kind
-            claims.append(certfmt.claim_oracle(PRODENSE_ORACLE_LEN, report.oracle.kind, report.oracle.word, []))
+            claims.append(claim_oracle(PRODENSE_ORACLE_LEN, report.oracle.kind, report.oracle.word, []))
         return emit(report.verdict, result, claims)
     if subop == "conjugate-contract":
         g = prob.value("element", word)
@@ -618,17 +791,17 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         eps_sq = prob.value("epsilon-sq", parse_rat)
         m_max = prob.value("m-max", _int_in("m-max", 1, MAX_EXPONENT), 8)
         prob.all_read()
-        task.update({"element": ws(g), "x": ws(x), "epsilon_sq": certfmt.rat(eps_sq)})
+        task.update({"element": ws(g), "x": ws(x), "epsilon_sq": rat(eps_sq)})
         out = conjugate_contract(group, g, x, m_max, eps_sq)
         if out is None:
             return emit("not-found")
         m, w, cert = out
-        return emit("yes", {"m": m, "word": ws(w), "cert": certfmt.contraction_json(cert)}, claims_for(w, cert))
+        return emit("yes", {"m": m, "word": ws(w), "cert": contraction_json(cert)}, claims_for(w, cert))
     if subop == "b1b2b3":
         g = prob.value("element", word)
         b1, b2, b3 = prob.value("b1", word), prob.value("b2", word), prob.value("b3", word)
-        a_set = prob.value("attract", _parse_set)
-        r_set = prob.value("repel", _parse_set)
+        a_set = prob.value("attract", lambda text: _parse_set(text, group.dim))
+        r_set = prob.value("repel", lambda text: _parse_set(text, group.dim))
         k_max = prob.value("k-max", _int_in("k-max", 0, MAX_EXPONENT), 32)
         prob.all_read()
         task.update({"element": ws(g), "k_max": k_max})
@@ -636,16 +809,16 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         if out is None:
             return emit("not-found")
         claims = claims_for(out.word, out.cert) + [
-            certfmt.claim_set_disjoint(out.attract, out.repel, "produced sets disjoint"),
-            certfmt.claim_set_contains(a_set, out.attract, note="attracting set inside host"),
-            certfmt.claim_set_contains(a_set, out.repel, note="repelling set inside host"),
+            claim_set_disjoint(out.attract, out.repel, "produced sets disjoint"),
+            claim_set_contains(a_set, out.attract, note="attracting set inside host"),
+            claim_set_contains(a_set, out.repel, note="repelling set inside host"),
         ]
         result = {
             "k": out.k,
             "word": ws(out.word),
-            "attract": certfmt.set_json(out.attract),
-            "repel": certfmt.set_json(out.repel),
-            "cert": certfmt.contraction_json(out.cert),
+            "attract": set_json(out.attract),
+            "repel": set_json(out.repel),
+            "cert": contraction_json(out.cert),
         }
         return emit("yes", result, claims)
     if subop == "very-proximal":
@@ -654,20 +827,20 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         r_sq = prob.value("r-sq", parse_rat)
         eps_sq = prob.value("epsilon-sq", parse_rat)
         prob.all_read()
-        task.update({"element": ws(g), "r_sq": certfmt.rat(r_sq), "epsilon_sq": certfmt.rat(eps_sq)})
+        task.update({"element": ws(g), "r_sq": rat(r_sq), "epsilon_sq": rat(eps_sq)})
         out = very_proximal_search(group, g, word_len, r_sq, eps_sq)
         if out is None:
             return emit("not-found")
         f1, f2, w, cert = out
-        result = {"f1": ws(f1), "f2": ws(f2), "word": ws(w), "cert": certfmt.proximal_json(cert)}
+        result = {"f1": ws(f1), "f2": ws(f2), "word": ws(w), "cert": proximal_json(cert)}
         return emit("yes", result, claims_for(w, cert))
     if subop == "normal-proximal":
         prob.all_read()
         out = normal_proximal(group, normals[0], None, budgets)
         if out is None:
             return emit("not-found")
-        membership = certfmt.claim_normal_membership(ws(out.word), ws(out.proof.to_word(list(normals[0].class_reps))))
-        result = {"word": ws(out.word), "cert": certfmt.proximal_json(out.cert)}
+        membership = claim_normal_membership(ws(out.word), ws(out.proof.to_word(list(normals[0].class_reps))))
+        result = {"word": ws(out.word), "cert": proximal_json(out.cert)}
         return emit("yes", result, claims_for(out.word, out.cert, membership))
     if subop == "coset-pingpong":
         data = normals[0]
@@ -680,7 +853,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         got, failed = coset_pingpong(group, data, a_n, budgets)
         claims, deltas = [], []
         for cr in got:
-            membership = certfmt.claim_normal_membership(
+            membership = claim_normal_membership(
                 ws(concat(cr.word, word_inverse(cr.coset_rep))), ws(cr.membership.to_word(list(data.class_reps)))
             )
             claims += claims_for(cr.word, cr.cert, membership)
@@ -737,38 +910,38 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
     emit = _emitter(None, "amalgam", header, task)
     if subop == "normal-form":
         result = {"syllables": [list(s) for s in w.syllables], "tail": w.tail, "is_identity": w.is_identity()}
-        return emit("ok", result, [certfmt.claim_tree_normal_form(task["word"], w)])
+        return emit("ok", result, [claim_tree_normal_form(task["word"], w)])
     if subop == "classify":
         out = classify(w, am)
         result = {"kind": out.kind}
         if out.kind == "hyperbolic":
             result["translation_length"] = out.translation_length
-            result["axis_edge"] = [certfmt.vertex_json(out.axis_edge[0]), certfmt.vertex_json(out.axis_edge[1])]
+            result["axis_edge"] = [vertex_json(out.axis_edge[0]), vertex_json(out.axis_edge[1])]
         else:
-            result["fixed_vertex"] = certfmt.vertex_json(out.fixed_vertex)
-        return emit("ok", result, [certfmt.claim_tree_classify(task["word"], out)])
+            result["fixed_vertex"] = vertex_json(out.fixed_vertex)
+        return emit("ok", result, [claim_tree_classify(task["word"], out)])
     if subop == "expand":
         tree = BassSerreTree(am)
         claims, listing = [], []
         for v, depth in sorted(expand_tree(am, radius=radius).items(), key=lambda kv: (kv[1], str(kv[0]))):
-            entry = {"vertex": certfmt.vertex_json(v), "depth": depth}
+            entry = {"vertex": vertex_json(v), "depth": depth}
             if depth < radius:
                 entry["degree"] = len(tree.neighbors(v))
-                claims.append(certfmt.claim_tree_degree(v, entry["degree"]))
+                claims.append(claim_tree_degree(v, entry["degree"]))
             listing.append(entry)
         return emit("ok", {"vertices": listing, "count": len(listing)}, claims)
     if subop == "pingpong":
         elements = [w for _, w in words]
         tup = tree_pingpong(elements, am)
-        claims = certfmt.claims_for_tree_tuple(tup, texts)
+        claims = claims_for_tree_tuple(tup, texts)
         result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail}
         if tup.verdict == "certified":
             oracle = freeness_oracle(elements, oracle_len, names=[f"t{i}" for i in range(len(elements))])
-            claims.append(certfmt.claim_oracle(oracle_len, oracle.kind, oracle.word, texts))
+            claims.append(claim_oracle(oracle_len, oracle.kind, oracle.word, texts))
             result["oracle"] = oracle.kind
         return emit(tup.verdict, result, claims)
     k = kernel_of_action(am)
-    return emit("ok", {"elements": k, "names": [am.group_h.name_of(x) for x in k]}, [certfmt.claim_kernel(k)])
+    return emit("ok", {"elements": k, "names": [am.group_h.name_of(x) for x in k]}, [claim_kernel(k)])
 
 
 def cmd_verify(path: str) -> int:

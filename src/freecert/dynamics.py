@@ -231,7 +231,7 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat) -> tuple[ProjPoint, Rat |
     n = len(s_rows)
     p, q = lam2_hi.numerator, lam2_hi.denominator
     p_scale = p * scale
-    best = ProjPoint(tuple(int(i == 0) for i in range(n)))
+    best = ProjPoint._of(tuple(int(i == 0) for i in range(n)))
     best_err = None  # (numerator, denominator) of best's bound
     for j in range(n):
         col = [row[j] for row in s_rows]
@@ -248,7 +248,7 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat) -> tuple[ProjPoint, Rat |
             if gap > 0:
                 num, den = q * q * (vv * sum(map(mul, u, u)) - w * w), gap * gap
                 if best_err is None or num * best_err[1] < best_err[0] * den:
-                    best, best_err = ProjPoint(v), (num, den)
+                    best, best_err = ProjPoint._of(v), (num, den)
                 if num << 80 <= den:
                     return best, Fraction(num, den)
             nxt = primitive(u)
@@ -274,12 +274,12 @@ def direction_candidates(g: ProjMat) -> DirectionData:
         # the common scale shifts every valuation equally
         p = g.place.prime
         _, i, j = min((int_valuation(x, p), i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
-        return DirectionData(ProjPoint(tuple(r[j] for r in rows)), Fraction(0), ProjHyperplane(rows[i]), Fraction(0))
+        return DirectionData(ProjPoint._of(primitive([r[j] for r in rows])), Fraction(0), ProjHyperplane._of(primitive(rows[i])), Fraction(0))
     lam2_hi = singular_profile(g).values_sq[1].hi
     gtg, scale = g.gram
     attract, a_err = _power_direction(gram_matrix(rows), scale, lam2_hi)
     dual, r_err = _power_direction(gtg, scale, lam2_hi)
-    return DirectionData(attract, a_err, ProjHyperplane(dual.coords), r_err)
+    return DirectionData(attract, a_err, ProjHyperplane._of(dual.coords), r_err)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ class ContractionCert(NamedTuple):
         transpose acting on dual points, with the roles of the pair swapped."""
         return (
             (g, self.attract, self.repel, self.repel_err_sq),
-            (g.transpose(), self.repel.dual_point(), ProjHyperplane(self.attract.coords), self.attract_err_sq),
+            (g.transpose(), self.repel.dual_point(), ProjHyperplane._of(self.attract.coords), self.attract_err_sq),
         )
 
 
@@ -453,7 +453,7 @@ class ProximalCert(Record):
     @property
     def fixed_plane_nbhd(self) -> HNbhd:
         b = self.fixed_plane_dual.ball
-        return HNbhd(ProjHyperplane(b.center.coords), b.radius_sq)
+        return HNbhd(ProjHyperplane._of(b.center.coords), b.radius_sq)
 
     @property
     def eps_sets(self) -> tuple[ProjSet, ProjSet, ProjSet, ProjSet]:
@@ -589,7 +589,7 @@ def _hnbhd_of_ball(b: Ball) -> HNbhd:
     if b.dim != 2:
         raise ValueError("only P^1 balls dualize to hyperplane neighborhoods")
     f = b.center.coords
-    return HNbhd(ProjHyperplane((-f[1], f[0])), b.radius_sq)
+    return HNbhd(ProjHyperplane._of(primitive((-f[1], f[0]))), b.radius_sq)
 
 
 def push_set(m: ProjMat, s) -> "object":

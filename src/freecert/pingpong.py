@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .checker import evidence_outside
 from .dynamics import ProximalCert
 from .projective import ProjSet, set_disjoint
-from .scalar import Place, Record
+from .scalar import Place, Record, word_string
 
 
 class PingPongPlayer(NamedTuple):
@@ -194,13 +194,6 @@ class OracleResult(Record):
 
     def _key(self) -> tuple:
         return (self.kind, self.letters, self.word)
-
-
-def word_string(letters, names) -> str:
-    parts = []
-    for idx, exp in letters:
-        parts.append(names[idx] if exp > 0 else f"{names[idx]}^-1")
-    return " ".join(parts)
 
 
 #: Most words the oracle may store: one half level of (2k)(2k - 1)^(h - 1)

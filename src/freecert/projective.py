@@ -1,4 +1,4 @@
-"""Exact projective geometry over (Q, place).
+"""Exact projective geometry over (Q, place), and marked matrix groups.
 
 A point or hyperplane stores the primitive integer representative of its
 class with first nonzero coordinate positive, the key `primitive` also
@@ -33,7 +33,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .scalar import Place, Rat, Record, clear_denominators, cmp_sqrt_sum, int_valuation
+from .scalar import Place, Rat, Record, clear_denominators, cmp_sqrt_sum, int_valuation, word_string, word_tokens
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -417,6 +417,95 @@ def apply_hyperplane(g: ProjMat, h: ProjHyperplane) -> ProjHyperplane:
     return ProjHyperplane._of(primitive([sum(map(mul, col, f)) for col in zip(*rows)]))
 
 
+Word = tuple[tuple[int, int], ...]  # letters (generator index, +-1), freely reduced
+
+
+def word_inverse(w: Word) -> Word:
+    return tuple((i, -e) for i, e in reversed(w))
+
+
+def concat(*words: Word) -> Word:
+    out: list[tuple[int, int]] = []
+    for w in words:
+        for letter in w:
+            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+                out.pop()
+            else:
+                out.append(letter)
+    return tuple(out)
+
+
+class MarkedGroup(Record):
+    """Named invertible generators over a shared place and dimension;
+    identity testing is matrix equality up to a scalar."""
+
+    __slots__ = ("gens",)
+
+    def __init__(self, gens: tuple[tuple[str, ProjMat], ...]) -> None:
+        if not gens:
+            raise ValueError("a marked group needs at least one generator")
+        dims = {m.dim for _, m in gens}
+        places = {m.place for _, m in gens}
+        if len(dims) != 1 or len(places) != 1:
+            raise ValueError("generators must share dimension and place")
+        object.__setattr__(self, "gens", gens)
+
+    def _key(self) -> tuple:
+        return (self.gens,)
+
+    @property
+    def place(self):
+        return self.gens[0][1].place
+
+    @property
+    def dim(self) -> int:
+        return self.gens[0][1].dim
+
+    @property
+    def names(self) -> list[str]:
+        return [n for n, _ in self.gens]
+
+    def gen_index(self, name: str) -> int:
+        for i, (n, _) in enumerate(self.gens):
+            if n == name:
+                return i
+        raise KeyError(f"unknown generator {name!r}")
+
+    def eval(self, w: Word) -> ProjMat:
+        out = None
+        for idx, exp in w:
+            m = self.gens[idx][1]
+            m = m if exp > 0 else m.inverse()
+            out = m if out is None else out @ m
+        return identity(self.dim, self.place) if out is None else out
+
+    def parse_word(self, text: str) -> Word:
+        letters = []
+        for name, e in word_tokens(text):
+            letters.extend([(self.gen_index(name), 1 if e > 0 else -1)] * abs(e))
+        return concat(letters)
+
+    def word_str(self, w: Word) -> str:
+        return word_string(w, self.names) if w else "e"
+
+    def words_upto(self, max_len: int):
+        """All nonempty freely reduced words of length <= max_len, shortlex,
+        inverses ordered after positives."""
+        k = len(self.gens)
+        letters = [(i, 1) for i in range(k)] + [(i, -1) for i in range(k)]
+        frontier: list[Word] = [()]
+        for _ in range(max_len):
+            nxt = []
+            for w in frontier:
+                for lt in letters:
+                    if w and w[-1][0] == lt[0] and w[-1][1] == -lt[1]:
+                        continue
+                    nw = w + (lt,)
+                    nxt.append(nw)
+                    yield nw
+            frontier = nxt
+
+
 # ---------------------------------------------------------------------------
 # Set algebra: finite unions of open balls and open hyperplane neighborhoods
 # ---------------------------------------------------------------------------
@@ -519,7 +608,7 @@ def dual_ball_of_hnbhd(c: HNbhd) -> Ball:
     if c.dim != 2:
         raise ValueError("hyperplane neighborhoods dualize to balls only in dimension 2")
     f = c.plane.coords
-    return Ball(ProjPoint((-f[1], f[0])), c.radius_sq)
+    return Ball(ProjPoint._of(primitive((-f[1], f[0]))), c.radius_sq)
 
 
 def _kernel_intersection_point(h1: ProjHyperplane, h2: ProjHyperplane) -> ProjPoint | None:

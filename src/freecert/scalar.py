@@ -8,7 +8,7 @@ p^(-v) is itself a rational, so all downstream comparisons stay exact.
 This module also hosts the square-root toolbox used everywhere above it:
 rational two-sided bounds of width <= 2^-40, and exact sign tests for
 expressions of the form sqrt(a) + sqrt(b) - sqrt(c).  Last come the
-literal parsers that both backends share: rationals and `name^k` words.
+literal readers and writers both backends share: rationals, `name^k` words.
 `Record` is the base of the package's immutable records that validate
 their input or whose equality is read.
 """
@@ -245,6 +245,13 @@ def word_tokens(text: str) -> list[tuple[str, int]]:
         except ValueError:
             raise ValueError(f"bad exponent in {token!r}") from None
     return tokens
+
+
+def word_string(letters, names) -> str:
+    parts = []
+    for idx, exp in letters:
+        parts.append(names[idx] if exp > 0 else f"{names[idx]}^-1")
+    return " ".join(parts)
 
 
 def format_rat(x: Rat) -> str:

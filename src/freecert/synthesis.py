@@ -32,34 +32,20 @@ from .dynamics import (
     direction_candidates,
     push_set,
 )
-from .pingpong import OracleResult, PingPongPlayer, PingPongTuple, certify_tuple, freeness_oracle, word_string
+from .pingpong import OracleResult, PingPongPlayer, PingPongTuple, certify_tuple, freeness_oracle
 from .projective import (
     Ball,
+    MarkedGroup,
     ProjMat,
     ProjSet,
+    Word,
+    concat,
     dist_to_hyperplane_sq,
-    identity,
     set_contains,
     set_disjoint,
+    word_inverse,
 )
-from .scalar import Rat, Record, sqrt_upper, word_tokens
-
-Word = tuple[tuple[int, int], ...]  # letters (generator index, +-1), freely reduced
-
-
-def word_inverse(w: Word) -> Word:
-    return tuple((i, -e) for i, e in reversed(w))
-
-
-def concat(*words: Word) -> Word:
-    out: list[tuple[int, int]] = []
-    for w in words:
-        for letter in w:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-    return tuple(out)
+from .scalar import Rat, Record, sqrt_upper
 
 
 def word_power(w: Word, n: int) -> Word:
@@ -69,77 +55,6 @@ def word_power(w: Word, n: int) -> Word:
     for _ in range(n):
         out = concat(out, w)
     return out
-
-
-class MarkedGroup(Record):
-    """Named invertible generators over a shared place and dimension;
-    identity testing is matrix equality up to a scalar."""
-
-    __slots__ = ("gens",)
-
-    def __init__(self, gens: tuple[tuple[str, ProjMat], ...]) -> None:
-        if not gens:
-            raise ValueError("a marked group needs at least one generator")
-        dims = {m.dim for _, m in gens}
-        places = {m.place for _, m in gens}
-        if len(dims) != 1 or len(places) != 1:
-            raise ValueError("generators must share dimension and place")
-        object.__setattr__(self, "gens", gens)
-
-    def _key(self) -> tuple:
-        return (self.gens,)
-
-    @property
-    def place(self):
-        return self.gens[0][1].place
-
-    @property
-    def dim(self) -> int:
-        return self.gens[0][1].dim
-
-    @property
-    def names(self) -> list[str]:
-        return [n for n, _ in self.gens]
-
-    def gen_index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.gens):
-            if n == name:
-                return i
-        raise KeyError(f"unknown generator {name!r}")
-
-    def eval(self, w: Word) -> ProjMat:
-        out = None
-        for idx, exp in w:
-            m = self.gens[idx][1]
-            m = m if exp > 0 else m.inverse()
-            out = m if out is None else out @ m
-        return identity(self.dim, self.place) if out is None else out
-
-    def parse_word(self, text: str) -> Word:
-        letters = []
-        for name, e in word_tokens(text):
-            letters.extend([(self.gen_index(name), 1 if e > 0 else -1)] * abs(e))
-        return concat(letters)
-
-    def word_str(self, w: Word) -> str:
-        return word_string(w, self.names) if w else "e"
-
-    def words_upto(self, max_len: int):
-        """All nonempty freely reduced words of length <= max_len, shortlex,
-        inverses ordered after positives."""
-        k = len(self.gens)
-        letters = [(i, 1) for i in range(k)] + [(i, -1) for i in range(k)]
-        frontier: list[Word] = [()]
-        for _ in range(max_len):
-            nxt = []
-            for w in frontier:
-                for lt in letters:
-                    if w and w[-1][0] == lt[0] and w[-1][1] == -lt[1]:
-                        continue
-                    nw = w + (lt,)
-                    nxt.append(nw)
-                    yield nw
-            frontier = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 from freecert.checker import Enclosure
 from freecert.dynamics import ITER_BUDGET
-from freecert.pingpong import OracleResult, word_string
+from freecert.pingpong import OracleResult
 from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim, rational_roots
-from freecert.scalar import clear_denominators, cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper
+from freecert.scalar import clear_denominators, cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper, word_string
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 

@@ -7,8 +7,8 @@ import random
 import time
 from fractions import Fraction as F
 
-from freecert.certfmt import CertContext, check_claim, claim_selfmap
-from freecert.cli import main
+from freecert.certfmt import CertContext, check_claim
+from freecert.cli import claim_selfmap, main
 from freecert.dynamics import (
     certify_contracting,
     contraction_gap_sq,
@@ -17,25 +17,25 @@ from freecert.dynamics import (
 )
 from freecert.pingpong import certify_tuple, freeness_oracle
 from freecert.projective import (
+    MarkedGroup,
     ProjHyperplane,
     ProjMat,
     ProjPoint,
     apply,
     ball,
+    concat,
     dist_sq,
     dist_to_hyperplane_sq,
     set_contains,
+    word_inverse,
 )
 from freecert.scalar import ARCH, cmp_sqrt_sum, padic, sqrt_lower
 from freecert.synthesis import (
     Budgets,
-    MarkedGroup,
     NormalData,
     auto_very_proximal,
     b1b2b3_synthesize,
-    concat,
     truncated_prodense,
-    word_inverse,
 )
 from freecert.tree import (
     AmalgamData,

@@ -6,15 +6,9 @@ from fractions import Fraction as F
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import (
-    CertContext,
-    check_claim,
-    claim_contraction,
-    claim_contraction_refuted,
-    claim_selfmap,
-    mat_json,
-)
+from freecert.certfmt import CertContext, check_claim, mat_json
 from freecert.checker import selfmap_at, selfmap_radii, witness_refutes
+from freecert.cli import claim_contraction, claim_contraction_refuted, claim_selfmap
 from freecert.dynamics import certify_contracting, contraction_gap_sq, direction_candidates, selfmap_enclosure
 from freecert.projective import ProjHyperplane, ProjMat, ProjPoint
 from freecert.scalar import ARCH, padic, sqrt_upper

@@ -189,6 +189,28 @@ def test_verify_binds_the_stored_enclosure_numbers(tmp_path):
         assert verify_file(bad) == 3, field
 
 
+def test_a_solve_clears_only_its_input(tmp_path, monkeypatch):
+    # the one generator is cleared on input; every point and hyperplane the
+    # search builds is primitive already
+    from freecert import projective
+
+    calls = []
+    clear = projective.clear_denominators
+
+    def counting(coords):
+        calls.append(1)
+        return clear(coords)
+
+    monkeypatch.setattr(projective, "clear_denominators", counting)
+    text = (
+        "format 1\nplace arch\n[matrix-group]\ngen b = [[41, 40], [40, 41]]\n"
+        "[task]\nop analyze\nsubop very-proximal\nelement b\nepsilon-sq 1/25\nr-sq 1/4\n"
+    )
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 0 and cert["verdict"] == "yes"
+    assert len(calls) == 1
+
+
 def test_place_prime_beyond_primality_limit_fails_fast(tmp_path):
     text = (
         "format 1\nplace p:100000000000000000000000000319\n[matrix-group]\ngen g = [[5, 0], [0, 1]]\n"
@@ -419,13 +441,24 @@ def test_synthesize_conjugate_contract(tmp_path):
 
 
 def test_removed_budget_is_unknown(tmp_path, capsys):
+    text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
+    code, cert, _ = run(tmp_path, "synthesize", text, "--budget", "k_max=1")
+    assert code == 2 and cert is None
+    assert "unknown budget 'k_max'" in capsys.readouterr().err
+
+
+def test_conjugate_contract_refuses_budgets(tmp_path, capsys):
+    # its search takes m-max, not a budget
     text = (
         "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n"
         "[task]\nop synthesize\nsubop conjugate-contract\nelement g\nx-element r\nepsilon-sq 1/100\nm-max 6\n"
     )
-    code, cert, _ = run(tmp_path, "synthesize", text, "--budget", "k_max=1")
+    code, cert, _ = run(tmp_path, "synthesize", text + "budget m_max=1\nbudget conj_len=2\n", "--budget", "n_max=3")
     assert code == 2 and cert is None
-    assert "unknown budget 'k_max'" in capsys.readouterr().err
+    assert "in.prob:13:1: 'budget' is not a key of this synthesize task" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "synthesize", text, "--budget", "n_max=3")
+    assert code == 2 and cert is None
+    assert "--budget is not a flag of this synthesize task" in capsys.readouterr().err
 
 
 def test_synthesize_b1b2b3(tmp_path):
@@ -439,6 +472,27 @@ def test_synthesize_b1b2b3(tmp_path):
     assert code == 0
     assert cert["result"]["k"] <= 32
     assert verify_file(out) == 0
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ("attract ball [1, 0, 0] 1/25\nrepel ball [0, 1] 1/25\n", "14:9: set has 3 coordinates, but the generators are 2x2"),
+        ("attract ball [1, 0] 1/25\nrepel hnbhd [0, 1, 1] 1/25\n", "15:7: set has 3 coordinates, but the generators are 2x2"),
+    ],
+    ids=["attract", "repel"],
+)
+def test_b1b2b3_set_of_the_wrong_dimension_is_positioned(tmp_path, capsys, sets, message):
+    text = (
+        "format 1\nplace arch\n[matrix-group]\n"
+        "gen g = [[25, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\ngen s = [[1, -1], [1, 1]]\n"
+        "[task]\nop synthesize\nsubop b1b2b3\nelement g\nb1 r\nb2 r\nb3 s\n" + sets
+    )
+    t0 = time.perf_counter()
+    code, cert, _ = run(tmp_path, "synthesize", text)
+    assert code == 2 and cert is None
+    assert f"in.prob:{message}" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
 
 
 def test_synthesize_very_proximal(tmp_path):
@@ -563,6 +617,29 @@ def test_verify_rejects_claims_that_are_not_a_list_of_objects(tmp_path, capsys, 
     out.write_text(json.dumps(cert))
     assert verify_file(out) == 2
     assert "claims list of objects" in capsys.readouterr().err
+
+
+_IDENTITY_3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "tamper, code, message",
+    [
+        (lambda c: c["header"].pop("generators"), 2, "certificate lacks a generator table"),
+        (lambda c: c["claims"][0].update(word="zz"), 3, "unknown generator 'zz'"),
+        (lambda c: c["header"]["generators"].update(c=_IDENTITY_3), 3, "generators must share dimension and place"),
+        (lambda c: c["claims"].append({"type": "kernel", "elements": [0]}), 2, "certificate lacks an amalgam table"),
+    ],
+    ids=["no-generators", "unknown-generator", "mixed-dimension", "kernel-without-amalgam"],
+)
+def test_verify_reads_words_and_tables_from_the_header(tmp_path, capsys, tamper, code, message):
+    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    _, cert, out = run(tmp_path, "analyze", text)
+    assert cert["claims"][0]["type"] == "word-eval"
+    tamper(cert)
+    out.write_text(json.dumps(cert))
+    assert verify_file(out) == code
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_len_beyond_limit_fails_fast(tmp_path, capsys):

@@ -106,25 +106,48 @@ def test_every_optional_parameter_is_passed():
     assert not unpassed, "optional parameters no call passes:\n" + "\n".join(unpassed)
 
 
+def _package_imports(path: Path) -> tuple[dict[str, set[str]], set[str]]:
+    """({freecert module: names imported from it}, top-level names of the
+    other modules) of the imports in `path`.  The package itself is the
+    module "", and a plain `import freecert.x` imports no names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    internal: dict[str, set[str]] = {}
+    external = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            internal.setdefault(node.module or "", set()).update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]:
+                top, _, rest = name.partition(".")
+                if top == "freecert":
+                    names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+                    internal.setdefault(rest, set()).update(names)
+                else:
+                    external.add(top)
+    return internal, external
+
+
 def test_checker_imports_only_scalar_and_projective():
     """The certified inequalities stand on exact arithmetic and the
     projective metric alone, never on the search code they check: within
     the package `checker.py` imports `scalar` and `projective`, and beyond
     it only the standard library."""
-    tree = ast.parse((PACKAGE / "checker.py").read_text(encoding="utf-8"))
-    internal, external = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            internal.add(node.module or "")
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for name in [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]:
-                top, _, rest = name.partition(".")
-                if top == "freecert":
-                    internal.add(rest)
-                else:
-                    external.add(top)
-    assert internal <= {"scalar", "projective"}, f"checker.py imports freecert modules {sorted(internal)}"
+    internal, external = _package_imports(PACKAGE / "checker.py")
+    assert internal.keys() <= {"scalar", "projective"}, f"checker.py imports freecert modules {sorted(internal)}"
     assert external <= sys.stdlib_module_names, f"checker.py imports {sorted(external - sys.stdlib_module_names)}"
+
+
+def test_verifier_imports_no_search_code():
+    """`certfmt.py`, the format and its verifier, imports no claim
+    producer: within the package only `checker`, `projective`, `scalar`,
+    `tree`, the version, and from `dynamics` the two routines it re-runs
+    (the gap bound and the direction candidates), and beyond it only the
+    standard library."""
+    internal, external = _package_imports(PACKAGE / "certfmt.py")
+    assert internal.keys() == {"", "checker", "projective", "scalar", "tree", "dynamics"}, f"certfmt.py imports freecert modules {sorted(internal)}"
+    assert internal[""] == {"__version__"}
+    assert internal["dynamics"] == {"contraction_gap_sq", "direction_candidates"}
+    assert external <= sys.stdlib_module_names, f"certfmt.py imports {sorted(external - sys.stdlib_module_names)}"
 
 
 #: Standard-library modules the package leaves unloaded: `dataclasses`
@@ -166,6 +189,13 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     added = _loaded_modules("import freecert.cli") - _loaded_modules("pass")
     assert "freecert.cli" in added
     assert not added & UNLOADED, f"import freecert.cli loads {sorted(added & UNLOADED)}"
+
+
+def test_verifier_import_loads_no_search_code():
+    loaded = _loaded_modules("import freecert.certfmt")
+    assert "freecert.certfmt" in loaded
+    producers = {"freecert.synthesis", "freecert.pingpong", "freecert.cli"}
+    assert not loaded & producers, f"import freecert.certfmt loads {sorted(loaded & producers)}"
 
 
 MEMO_DECORATORS = {"lru_cache", "cache"}
@@ -274,6 +304,15 @@ def _callers(tree: ast.AST, name: str, scope: str) -> list[str]:
 def test_denominators_are_cleared_only_where_input_enters():
     """`clear_denominators` is called in two places in the package: a
     matrix's construction from input and `class_rep`, which stores a
-    point or hyperplane from input.  The kernels take their integers."""
-    callers = [c for path, tree in _trees(PACKAGE) for c in _callers(tree, "clear_denominators", path.stem)]
-    assert sorted(callers) == ["projective.ProjMat.__init__", "projective.class_rep"]
+    point or hyperplane from input.  A point or hyperplane is built from
+    input only by the certificate decoders and the problem-file set
+    parser; the package builds its own with `_of`, from a vector that is
+    primitive already.  The kernels take their integers."""
+
+    def callers(name: str) -> list[str]:
+        return sorted(c for path, tree in _trees(PACKAGE) for c in _callers(tree, name, path.stem))
+
+    assert callers("clear_denominators") == ["projective.ProjMat.__init__", "projective.class_rep"]
+    assert callers("class_rep") == ["projective._IntegerClass.__init__"]
+    assert callers("ProjPoint") == ["certfmt.point_from", "cli._parse_set"]
+    assert callers("ProjHyperplane") == ["certfmt.plane_from", "cli._parse_set"]

@@ -13,10 +13,9 @@ from freecert.pingpong import (
     freeness_oracle,
     oracle_words,
     simple_player,
-    word_string,
 )
 from freecert.projective import ProjHyperplane, ProjMat, ProjPoint, ball, hnbhd
-from freecert.scalar import ARCH, padic
+from freecert.scalar import ARCH, padic, word_string
 from freecert.tree import AmalgamData, FiniteGroup, normal_form
 from oracles import freeness_dfs, group_from_permutations, set_member
 

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.projective import ProjMat, ProjPoint, ball, set_contains, set_disjoint
+from freecert.projective import MarkedGroup, ProjMat, ProjPoint, ball, concat, set_contains, set_disjoint, word_inverse
 from freecert.scalar import ARCH
 from freecert.synthesis import (
     EPS_SQ_FLOOR_BITS,
     Budgets,
     ConjugateFactor,
-    MarkedGroup,
     NormalData,
     NormalWord,
     auto_very_proximal,
     b1b2b3_synthesize,
-    concat,
     conjugate_contract,
     coset_pingpong,
     double_coset_wrap,
@@ -23,7 +21,6 @@ from freecert.synthesis import (
     normal_proximal,
     truncated_prodense,
     very_proximal_search,
-    word_inverse,
     word_power,
     HostRegion,
     _eps_ladder,
