@@ -180,9 +180,12 @@ def _field_of(node, target, path: str = "") -> str | None:
 
 
 def loads(text: str) -> dict:
+    """The certificate in `text`; VerifyError on text that is not JSON, is
+    nested too deep to decode, holds an integer of more digits than
+    Python converts, or lacks the format marker."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise VerifyError(f"not valid certificate JSON: {e}") from None
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise VerifyError("missing or unsupported certificate format marker")

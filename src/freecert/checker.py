@@ -72,16 +72,7 @@ class Enclosure(Record):
     stored ones to equal them.
     """
 
-    __slots__ = ("ball", "lipschitz_sq", "region_low_sq", "move_sq")
-
-    def __init__(self, ball: Ball, lipschitz_sq: Rat, region_low_sq: Rat, move_sq: Rat) -> None:
-        object.__setattr__(self, "ball", ball)
-        object.__setattr__(self, "lipschitz_sq", lipschitz_sq)
-        object.__setattr__(self, "region_low_sq", region_low_sq)
-        object.__setattr__(self, "move_sq", move_sq)  # d(g.center, center)^2
-
-    def _key(self) -> tuple:
-        return (self.ball, self.lipschitz_sq, self.region_low_sq, self.move_sq)
+    __slots__ = ("ball", "lipschitz_sq", "region_low_sq", "move_sq")  # move_sq: d(g.center, center)^2
 
 
 def selfmap_radii(radii_sq) -> tuple[tuple[Rat, Rat, Rat], ...]:

@@ -949,7 +949,7 @@ def cmd_verify(path: str) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             cert = certfmt.loads(fh.read())
         ok, failures = certfmt.verify(cert)
-    except (OSError, VerifyError) as e:
+    except (OSError, UnicodeDecodeError, VerifyError) as e:
         print(f"verify: {e}", file=sys.stderr)
         return EXIT_INPUT
     if ok:
@@ -997,8 +997,12 @@ def _run_problem(args, runner) -> int:
         print(f"{args.problem}: {e}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(payload)
     return code

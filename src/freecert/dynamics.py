@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
 from .projective import (
@@ -54,13 +53,6 @@ class SingularProfile(Record):
     """Certified squared singular values, descending; exact at p-adic places."""
 
     __slots__ = ("values_sq", "exact", "__dict__")  # the dict holds `gap_sq`
-
-    def __init__(self, values_sq: tuple[Interval, ...], exact: bool) -> None:
-        object.__setattr__(self, "values_sq", values_sq)
-        object.__setattr__(self, "exact", exact)
-
-    def _key(self) -> tuple:
-        return (self.values_sq, self.exact)
 
     @cached_property
     def gap_sq(self) -> Interval:
@@ -202,19 +194,17 @@ def contraction_gap_sq(g: ProjMat) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-class DirectionData(NamedTuple):
+class DirectionData(Record):
     """Rational candidates for the singular directions with certified errors.
 
-    attract approximates the top left-singular direction within
-    sqrt(attract_err_sq); repel's dual point approximates the top
-    right-singular direction within sqrt(repel_err_sq).  None means no
-    certified bound was achieved (degenerate or budget exhausted).
+    attract, a ProjPoint, approximates the top left-singular direction
+    within sqrt(attract_err_sq); the dual point of repel, a ProjHyperplane,
+    approximates the top right-singular direction within
+    sqrt(repel_err_sq).  An error of None means no certified bound was
+    achieved (degenerate or budget exhausted).
     """
 
-    attract: ProjPoint
-    attract_err_sq: Rat | None
-    repel: ProjHyperplane
-    repel_err_sq: Rat | None
+    __slots__ = ("attract", "attract_err_sq", "repel", "repel_err_sq")
 
 
 def _power_direction(s_rows, scale: int, lam2_hi: Rat) -> tuple[ProjPoint, Rat | None]:
@@ -287,23 +277,17 @@ def direction_candidates(g: ProjMat) -> DirectionData:
 # ---------------------------------------------------------------------------
 
 
-class ContractionCert(NamedTuple):
+class ContractionCert(Record):
     """Evidence that g maps {d(., repel) >= eps} into {d(., attract) <= B}
     with B = sqrt(image_radius_sq) <= eps = sqrt(epsilon_sq).
 
     attract_err_sq / repel_err_sq bound the distance from the rational
     candidates to the true singular directions (exactly 0 at p-adic
     places); gap_sq_hi is the certified upper bound on kappa^2 feeding
-    the estimate B = kappa/(eps - beta) + alpha.
+    the estimate B = kappa/(eps - beta) + alpha.  Every number is a Rat.
     """
 
-    epsilon_sq: Rat
-    attract: ProjPoint
-    repel: ProjHyperplane
-    attract_err_sq: Rat
-    repel_err_sq: Rat
-    gap_sq_hi: Rat
-    image_radius_sq: Rat
+    __slots__ = ("epsilon_sq", "attract", "repel", "attract_err_sq", "repel_err_sq", "gap_sq_hi", "image_radius_sq")
 
     @property
     def attract_set(self) -> Ball:
@@ -323,16 +307,15 @@ class ContractionCert(NamedTuple):
         )
 
 
-class Verdict(NamedTuple):
-    """The outcome of a certify_* test.  cert is a ContractionCert from
-    certify_contracting, else a ProximalCert.  On "no", counterexample
-    refutes the contraction candidates of refutes, which is g itself or,
+class Verdict(Record):
+    """The outcome of a certify_* test, kind "yes", "no" or "unknown".  On
+    "yes", cert is a ContractionCert from certify_contracting, else a
+    ProximalCert.  On "no", the point counterexample refutes the
+    contraction candidates of the matrix refutes, which is g itself or,
     from certify_very_proximal, g^-1."""
 
-    kind: str  # "yes" | "no" | "unknown"
-    cert: ContractionCert | ProximalCert | None = None
-    counterexample: ProjPoint | None = None
-    refutes: ProjMat | None = None
+    __slots__ = ("kind", "cert", "counterexample", "refutes")
+    _defaults = {"cert": None, "counterexample": None, "refutes": None}
 
 
 #: Most points the contraction witness search tries, the whole pool at
@@ -426,29 +409,12 @@ class ProximalCert(Record):
     """(r, eps)-proximality: the contraction certificate's candidate pair
     satisfies d(attract, repel) >= r, and both the fixed point and the
     fixed hyperplane are pinned inside self-mapping enclosures.
-    `fixed_plane_dual` encloses the hyperplane's dual point in the dual
-    space; `very`, when set, is the certificate of the inverse."""
+    `contraction` is a ContractionCert, `fixed_point` an Enclosure, and
+    `fixed_plane_dual` the Enclosure of the hyperplane's dual point in the
+    dual space; `very`, when set, is the ProximalCert of the inverse."""
 
     __slots__ = ("r_sq", "epsilon_sq", "contraction", "fixed_point", "fixed_plane_dual", "very")
-
-    def __init__(
-        self,
-        r_sq: Rat,
-        epsilon_sq: Rat,
-        contraction: ContractionCert,
-        fixed_point: Enclosure,
-        fixed_plane_dual: Enclosure,
-        very: ProximalCert | None = None,
-    ) -> None:
-        object.__setattr__(self, "r_sq", r_sq)
-        object.__setattr__(self, "epsilon_sq", epsilon_sq)
-        object.__setattr__(self, "contraction", contraction)
-        object.__setattr__(self, "fixed_point", fixed_point)
-        object.__setattr__(self, "fixed_plane_dual", fixed_plane_dual)
-        object.__setattr__(self, "very", very)
-
-    def _key(self) -> tuple:
-        return (self.r_sq, self.epsilon_sq, self.contraction, self.fixed_point, self.fixed_plane_dual, self.very)
+    _defaults = {"very": None}
 
     @property
     def fixed_plane_nbhd(self) -> HNbhd:

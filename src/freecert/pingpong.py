@@ -19,28 +19,20 @@ words for k players instead of (2k - 1)^L.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .checker import evidence_outside
 from .dynamics import ProximalCert
 from .projective import ProjSet, set_disjoint
 from .scalar import Place, Record, word_string
 
 
-class PingPongPlayer(NamedTuple):
+class PingPongPlayer(Record):
     """An element with declared attracting/repelling sets and evidence.
 
     The mapping conditions g(X - R+) in A+ and g^-1(X - R-) in A- are
     established through the evidence object, never pointwise.
     """
 
-    name: str
-    element: object
-    a_plus: object
-    r_plus: object
-    a_minus: object
-    r_minus: object
-    evidence: object
+    __slots__ = ("name", "element", "a_plus", "r_plus", "a_minus", "r_minus", "evidence")
 
     def sets(self):
         return (
@@ -51,20 +43,20 @@ class PingPongPlayer(NamedTuple):
         )
 
 
-class TupleCheck(NamedTuple):
-    kind: str  # "disjoint" | "evidence"
-    detail: str
-    ok: bool
-    left: object = None  # the two sets a "disjoint" check compared
-    right: object = None
+class TupleCheck(Record):
+    """One condition `certify_tuple` checked: kind "disjoint" or
+    "evidence", and whether it held; left and right are the two sets a
+    "disjoint" check compared."""
+
+    __slots__ = ("kind", "detail", "ok", "left", "right")
+    _defaults = {"left": None, "right": None}
 
 
-class PingPongTuple(NamedTuple):
-    players: tuple[PingPongPlayer, ...]
-    verdict: str  # "certified" | "refuted" | "unknown"
-    witness: object | None = None
-    witness_detail: str = ""
-    checks: tuple[TupleCheck, ...] = ()
+class PingPongTuple(Record):
+    """The players, the verdict ("certified", "refuted" or "unknown"), a
+    refutation's witness point or None, why, and every TupleCheck made."""
+
+    __slots__ = ("players", "verdict", "witness", "witness_detail", "checks")
 
 
 def _place_of(player: PingPongPlayer) -> Place | None:
@@ -186,14 +178,7 @@ class OracleResult(Record):
     (generator index, +-1) pairs, and word spells them."""
 
     __slots__ = ("kind", "letters", "word")
-
-    def __init__(self, kind: str, letters: tuple[tuple[int, int], ...] | None = None, word: str | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "word", word)
-
-    def _key(self) -> tuple:
-        return (self.kind, self.letters, self.word)
+    _defaults = {"letters": None, "word": None}
 
 
 #: Most words the oracle may store: one half level of (2k)(2k - 1)^(h - 1)

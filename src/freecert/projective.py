@@ -31,9 +31,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
-from .scalar import Place, Rat, Record, clear_denominators, cmp_sqrt_sum, int_valuation, word_string, word_tokens
+from .scalar import DisjointVerdict, Place, Rat, Record, clear_denominators, cmp_sqrt_sum, int_valuation, word_string, word_tokens
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -55,10 +54,7 @@ class _IntegerClass(Record):
     __slots__ = ("coords", "__dict__")  # the dict holds `_canonical`
 
     def __init__(self, coords) -> None:
-        object.__setattr__(self, "coords", class_rep(coords))
-
-    def _key(self) -> tuple:
-        return (self.coords,)
+        Record.__init__(self, class_rep(coords))
 
     @classmethod
     def _of(cls, v: IntVec):
@@ -448,10 +444,7 @@ class MarkedGroup(Record):
         places = {m.place for _, m in gens}
         if len(dims) != 1 or len(places) != 1:
             raise ValueError("generators must share dimension and place")
-        object.__setattr__(self, "gens", gens)
-
-    def _key(self) -> tuple:
-        return (self.gens,)
+        Record.__init__(self, gens)
 
     @property
     def place(self):
@@ -523,11 +516,7 @@ class Ball(Record):
     __slots__ = ("center", "radius_sq")
 
     def __init__(self, center: ProjPoint, radius_sq: Rat) -> None:
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius_sq", _radius_sq(radius_sq))
-
-    def _key(self) -> tuple:
-        return (self.center, self.radius_sq)
+        Record.__init__(self, center, _radius_sq(radius_sq))
 
     @property
     def dim(self) -> int:
@@ -538,11 +527,7 @@ class HNbhd(Record):
     __slots__ = ("plane", "radius_sq")
 
     def __init__(self, plane: ProjHyperplane, radius_sq: Rat) -> None:
-        object.__setattr__(self, "plane", plane)
-        object.__setattr__(self, "radius_sq", _radius_sq(radius_sq))
-
-    def _key(self) -> tuple:
-        return (self.plane, self.radius_sq)
+        Record.__init__(self, plane, _radius_sq(radius_sq))
 
     @property
     def dim(self) -> int:
@@ -561,10 +546,7 @@ class ProjSet(Record):
             raise ValueError("empty set union")
         if len({c.dim for c in comps}) != 1:
             raise ValueError("mixed dimensions in one set")
-        object.__setattr__(self, "components", comps)
-
-    def _key(self) -> tuple:
-        return (self.components,)
+        Record.__init__(self, comps)
 
     @property
     def dim(self) -> int:
@@ -577,11 +559,6 @@ def ball(center: ProjPoint, radius_sq: Rat) -> ProjSet:
 
 def hnbhd(plane: ProjHyperplane, radius_sq: Rat) -> ProjSet:
     return ProjSet((HNbhd(plane, radius_sq),))
-
-
-class DisjointVerdict(NamedTuple):
-    kind: str  # "disjoint" | "overlap" | "unknown"
-    witness: ProjPoint | None = None
 
 
 CERTIFIED_DISJOINT = DisjointVerdict("disjoint")

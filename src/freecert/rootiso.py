@@ -39,11 +39,7 @@ class Interval(Record):
     def __init__(self, lo: Rat, hi: Rat) -> None:
         if lo > hi:
             raise ValueError("interval endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def _key(self) -> tuple:
-        return (self.lo, self.hi)
+        Record.__init__(self, lo, hi)
 
     @property
     def exact(self) -> bool:

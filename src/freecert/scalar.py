@@ -9,14 +9,23 @@ This module also hosts the square-root toolbox used everywhere above it:
 rational two-sided bounds of width <= 2^-40, and exact sign tests for
 expressions of the form sqrt(a) + sqrt(b) - sqrt(c).  Last come the
 literal readers and writers both backends share: rationals, `name^k` words.
-`Record` is the base of the package's immutable records that validate
-their input or whose equality is read.
+
+`Record` is the package's one kind of record.  A record's fields are the
+public names of its `__slots__`, base classes first; `Record.__init__`
+binds positional values, then named ones, then the class's `_defaults`,
+and a record that validates its input checks it in its own `__init__`
+before it binds through `Record.__init__`.  Equality and the hash read
+`_key()`, the tuple of the fields unless a class narrows it.
+`DisjointVerdict`, the (kind, witness) answer of both disjointness
+tests, the projective and the tree one, sits next to `Record` so that
+`tree` imports this module alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import attrgetter
 
 Rat = Fraction
 
@@ -57,14 +66,57 @@ def _is_prime(n: int) -> bool:
 
 
 class Record:
-    """An immutable record: `__init__` sets each field once through
-    `object.__setattr__`, and assignment afterwards raises.  Equality asks
-    for the exact class and equal `_key()`, the tuple of the compared
-    fields; the hash is that of `_key()`, and the repr lists it."""
+    """An immutable record.  Its fields are the public names of its
+    `__slots__` through the MRO, base classes first: `__dict__` and the
+    `_`-prefixed slots of derived data are not fields.  `__init__` binds
+    positional values in field order, then named ones, then `_defaults`
+    (field -> value); a missing, unknown or repeated field is a TypeError,
+    and assignment afterwards raises.  Equality asks for the exact class
+    and equal `_key()`, the tuple of the fields (even of one) unless a
+    class narrows it; the hash is that of `_key()`, and the repr lists it."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        slots = (name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ()))
+        cls._fields = tuple(name for name in slots if not name.startswith("_"))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)  # past the refusing __setattr__
+        get = attrgetter(*cls._fields)  # a tuple only for two names or more
+        cls._fields_of = get if len(cls._fields) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __init__(self, *values, **named) -> None:
+        setters = self._setters
+        if named or len(values) != len(setters):
+            values = self._bind(values, named)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> tuple:
+        """The value of every field, in field order: the positional values,
+        then for each later field its named value or its default."""
+        fields = cls._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(values)} values")
+        for name in named:
+            if name not in fields or fields.index(name) < len(values):
+                raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+        bound = {**cls._defaults, **named}
+        rest = fields[len(values) :]
+        missing = [name for name in rest if name not in bound]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing the field {missing[0]!r}")
+        return values + tuple([bound[name] for name in rest])
+
+    def _key(self) -> tuple:
+        return self._fields_of(self)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key() == other._key()
         return NotImplemented
@@ -80,6 +132,14 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class DisjointVerdict(Record):
+    """The answer of a disjointness test: kind is "disjoint", "overlap"
+    (witness a common point or vertex) or "unknown"."""
+
+    __slots__ = ("kind", "witness")
+    _defaults = {"witness": None}
 
 
 class Place(Record):
@@ -100,11 +160,7 @@ class Place(Record):
                 raise ValueError(f"p-adic place needs a prime, got {prime!r}")
         else:
             raise ValueError(f"unknown place kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "prime", prime)
-
-    def _key(self) -> tuple:
-        return (self.kind, self.prime)
+        Record.__init__(self, kind, prime)
 
     @property
     def is_padic(self) -> bool:

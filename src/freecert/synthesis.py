@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .checker import evidence_outside
 from .dynamics import (
@@ -32,7 +31,7 @@ from .dynamics import (
     direction_candidates,
     push_set,
 )
-from .pingpong import OracleResult, PingPongPlayer, PingPongTuple, certify_tuple, freeness_oracle
+from .pingpong import PingPongPlayer, certify_tuple, freeness_oracle
 from .projective import (
     Ball,
     MarkedGroup,
@@ -62,23 +61,24 @@ def word_power(w: Word, n: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
-class ConjugateFactor(NamedTuple):
-    """t r^e t^-1 for a class representative r: visibly in the normal closure."""
+class ConjugateFactor(Record):
+    """t r^e t^-1 for the class representative r of index rep_index, with
+    t the word conjugator and e = exponent = +-1: visibly in the normal
+    closure."""
 
-    conjugator: Word
-    rep_index: int
-    exponent: int  # +-1
+    __slots__ = ("conjugator", "rep_index", "exponent")
 
 
-class NormalWord(NamedTuple):
-    """A product of conjugates of class representatives.
+class NormalWord(Record):
+    """A product of conjugates of class representatives, a tuple of
+    ConjugateFactors.
 
     The data structure is the membership proof: flattening yields the
     group word, and any conjugate or positive power of a NormalWord is
     again one.
     """
 
-    factors: tuple[ConjugateFactor, ...]
+    __slots__ = ("factors",)
 
     def to_word(self, class_reps: list[Word]) -> Word:
         out: Word = ()
@@ -111,12 +111,7 @@ class NormalData(Record):
     def __init__(self, label: str, class_reps: tuple[Word, ...], coset_reps: tuple[Word, ...] = ()) -> None:
         if not class_reps:
             raise ValueError("a normal datum needs class representatives")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "class_reps", class_reps)
-        object.__setattr__(self, "coset_reps", coset_reps)
-
-    def _key(self) -> tuple:
-        return (self.label, self.class_reps, self.coset_reps)
+        Record.__init__(self, label, class_reps, coset_reps)
 
 
 def validate_normal_data(group: MarkedGroup, data: NormalData) -> None:
@@ -228,16 +223,21 @@ def player_from_cert(name: str, g: ProjMat, cert: ProximalCert) -> PingPongPlaye
 # ---------------------------------------------------------------------------
 
 
-class Budgets(NamedTuple):
-    host_word_len: int = 2
-    host_power_max: int = 16
-    conj_len: int = 1
-    num_factors: int = 2
-    power_max: int = 6
-    nest_max: int = 10
-    m_max: int = 12
-    n_max: int = 12
-    general_position: int = 8
+class Budgets(Record):
+    """The bounds of the searches, each an int."""
+
+    __slots__ = ("host_word_len", "host_power_max", "conj_len", "num_factors", "power_max", "nest_max", "m_max", "n_max", "general_position")
+    _defaults = {
+        "host_word_len": 2,
+        "host_power_max": 16,
+        "conj_len": 1,
+        "num_factors": 2,
+        "power_max": 6,
+        "nest_max": 10,
+        "m_max": 12,
+        "n_max": 12,
+        "general_position": 8,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +276,11 @@ def conjugate_contract(
     return None
 
 
-class BBBResult(NamedTuple):
-    k: int
-    word: Word
-    attract: ProjSet
-    repel: ProjSet
-    cert: ContractionCert
+class BBBResult(Record):
+    """The exponent k, the word, its attracting and repelling ProjSets and
+    its ContractionCert."""
+
+    __slots__ = ("k", "word", "attract", "repel", "cert")
 
 
 def b1b2b3_synthesize(
@@ -385,14 +384,14 @@ def very_proximal_search(
 # ---------------------------------------------------------------------------
 
 
-class HostRegion(NamedTuple):
+class HostRegion(Record):
     """Where a synthesized element must live: all four canonical sets
     inside `region` and certifiably clear of every `avoid` set (the
     host's fixed-point enclosures, so the host power can later shrink
-    its own neighborhoods in between)."""
+    its own neighborhoods in between).  Both are ProjSets."""
 
-    region: ProjSet
-    avoid: tuple[ProjSet, ...] = ()
+    __slots__ = ("region", "avoid")
+    _defaults = {"avoid": ()}
 
     def contains_cert_sets(self, cert: ProximalCert, place) -> bool:
         return all(set_contains(self.region, s, place) for s in cert.eps_sets) and _clear(
@@ -400,12 +399,11 @@ class HostRegion(NamedTuple):
         )
 
 
-class NormalProximalResult(NamedTuple):
-    label: str
-    proof: NormalWord
-    word: Word
-    cert: ProximalCert
-    nest_exponent: int
+class NormalProximalResult(Record):
+    """The normal datum's label, the NormalWord proof of membership, the
+    word it flattens to, its ProximalCert and the nesting exponent."""
+
+    __slots__ = ("label", "proof", "word", "cert", "nest_exponent")
 
 
 def _normal_pool(group: MarkedGroup, data: NormalData, budgets: Budgets):
@@ -465,12 +463,11 @@ def normal_proximal(
 # ---------------------------------------------------------------------------
 
 
-class CosetResult(NamedTuple):
-    coset_rep: Word
-    power: int
-    word: Word
-    cert: ProximalCert
-    membership: NormalWord  # factorization of delta * rep^-1
+class CosetResult(Record):
+    """The coset representative, the power of a_N, the word delta, its
+    ProximalCert, and the NormalWord that factors delta * rep^-1."""
+
+    __slots__ = ("coset_rep", "power", "word", "cert", "membership")
 
 
 def _general_position_ok(group: MarkedGroup, x: ProjMat, cert: ProximalCert) -> bool:
@@ -501,7 +498,7 @@ def coset_pingpong(
     class_reps = list(data.class_reps)
     place = group.place
     beta = group.eval(a_n.word)
-    adjusters = [NormalWord(())] + _normal_pool(group, data, budgets._replace(num_factors=1))[: budgets.general_position]
+    adjusters = [NormalWord(())] + _normal_pool(group, data, Budgets(conj_len=budgets.conj_len, num_factors=1))[: budgets.general_position]
     results: list[CosetResult] = []
     failed: list[Word] = []
     taken_sets: list[ProjSet] = []
@@ -555,13 +552,12 @@ def _check_membership(group: MarkedGroup, delta_word: Word, rep: Word, proof: No
 # ---------------------------------------------------------------------------
 
 
-class DoubleCosetResult(NamedTuple):
-    original: Word
-    m: int
-    n: int
-    word: Word
-    cert: ContractionCert
-    skipped: str = ""
+class DoubleCosetResult(Record):
+    """The original representative, the exponents m and n, the wrapped
+    word and its ContractionCert, or why the representative was skipped."""
+
+    __slots__ = ("original", "m", "n", "word", "cert", "skipped")
+    _defaults = {"skipped": ""}
 
 
 def double_coset_wrap(
@@ -624,16 +620,13 @@ def double_coset_wrap(
 PRODENSE_ORACLE_LEN = 6
 
 
-class SynthesisReport(NamedTuple):
-    host_word: Word
-    host_power: int
-    step1: tuple[NormalProximalResult, ...]
-    step1_tuple: PingPongTuple | None
-    step2: dict[str, tuple[CosetResult, ...]]
-    combined: PingPongTuple | None
-    oracle: OracleResult | None
-    verdict: str  # "certified" | "unknown"
-    notes: tuple[str, ...] = ()
+class SynthesisReport(Record):
+    """What `truncated_prodense` built: the host word and power, the
+    NormalProximalResults of step 1 and their PingPongTuple, the
+    CosetResults of step 2 by label, the combined PingPongTuple, its
+    OracleResult, the verdict ("certified" or "unknown") and notes."""
+
+    __slots__ = ("host_word", "host_power", "step1", "step1_tuple", "step2", "combined", "oracle", "verdict", "notes")
 
 
 def find_host(group: MarkedGroup, budgets: Budgets) -> tuple[Word, int, ProximalCert] | None:

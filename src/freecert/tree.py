@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import repeat
-from typing import NamedTuple
 
-from .scalar import Record, word_tokens
+from .scalar import DisjointVerdict, Record, word_tokens
 
 DEFAULT_RADIUS = 8
 #: Most vertices a ball listed by `expand_tree` may hold.  Its layers grow
@@ -40,8 +39,6 @@ class FiniteGroup(Record):
     def __init__(self, table: tuple[tuple[int, ...], ...], names: tuple[str, ...] | None = None) -> None:
         n = len(table)
         tab = tuple(tuple(r) for r in table)
-        object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "names", names)
         for i, row in enumerate(tab):
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise TreeError(f"row {i} of the multiplication table is malformed")
@@ -52,27 +49,24 @@ class FiniteGroup(Record):
                 break
         if ident is None:
             raise TreeError("multiplication table has no identity")
-        object.__setattr__(self, "_identity", ident)
         inv = []
         for x in range(n):
             xi = next((y for y in range(n) if tab[x][y] == ident and tab[y][x] == ident), None)
             if xi is None:
                 raise TreeError(f"element {x} has no inverse")
             inv.append(xi)
-        object.__setattr__(self, "_inverse", tuple(inv))
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
                         raise TreeError(f"associativity fails at ({a}, {b}, {c})")
         if names is not None:
-            nms = tuple(names)
-            if len(nms) != n or len(set(nms)) != n:
+            names = tuple(names)
+            if len(names) != n or len(set(names)) != n:
                 raise TreeError("names must be distinct, one per element")
-            object.__setattr__(self, "names", nms)
-
-    def _key(self) -> tuple:
-        return (self.table, self.names)
+        Record.__init__(self, tab, names)
+        object.__setattr__(self, "_identity", ident)
+        object.__setattr__(self, "_inverse", tuple(inv))
 
     @property
     def order(self) -> int:
@@ -103,24 +97,20 @@ class AmalgamData(Record):
     def __init__(
         self, group_a: FiniteGroup, group_b: FiniteGroup, group_h: FiniteGroup, embed_a: tuple[int, ...], embed_b: tuple[int, ...]
     ) -> None:
-        object.__setattr__(self, "group_a", group_a)
-        object.__setattr__(self, "group_b", group_b)
-        object.__setattr__(self, "group_h", group_h)
+        embeds = []
         for tag, grp, emb in (("A", group_a, embed_a), ("B", group_b, embed_b)):
             emb = tuple(emb)
-            object.__setattr__(self, "embed_a" if tag == "A" else "embed_b", emb)
-            if len(emb) != self.group_h.order or len(set(emb)) != len(emb):
+            if len(emb) != group_h.order or len(set(emb)) != len(emb):
                 raise TreeError(f"embedding into {tag} is not injective")
-            for x in range(self.group_h.order):
-                for y in range(self.group_h.order):
-                    if grp.mul(emb[x], emb[y]) != emb[self.group_h.mul(x, y)]:
+            for x in range(group_h.order):
+                for y in range(group_h.order):
+                    if grp.mul(emb[x], emb[y]) != emb[group_h.mul(x, y)]:
                         raise TreeError(f"embedding into {tag} is not a homomorphism at ({x}, {y})")
+            embeds.append(emb)
+        Record.__init__(self, group_a, group_b, group_h, *embeds)
         object.__setattr__(self, "_h_in_a", {a: h for h, a in enumerate(self.embed_a)})
         object.__setattr__(self, "_h_in_b", {b: h for h, b in enumerate(self.embed_b)})
         object.__setattr__(self, "_transversal", {"A": self._cosets("A"), "B": self._cosets("B")})
-
-    def _key(self) -> tuple:
-        return (self.group_a, self.group_b, self.group_h, self.embed_a, self.embed_b)
 
     def factor(self, tag: str) -> FiniteGroup:
         return self.group_a if tag == "A" else self.group_b
@@ -180,11 +170,6 @@ class TreeAut(Record):
     amalgam takes no part in equality, hashing or the repr."""
 
     __slots__ = ("amalgam", "syllables", "tail")
-
-    def __init__(self, amalgam: AmalgamData, syllables: tuple[Letter, ...], tail: int) -> None:
-        object.__setattr__(self, "amalgam", amalgam)
-        object.__setattr__(self, "syllables", syllables)
-        object.__setattr__(self, "tail", tail)
 
     def _key(self) -> tuple:
         return (self.syllables, self.tail)
@@ -395,11 +380,12 @@ def expand_tree(amalgam: AmalgamData, radius: int = 1) -> dict[Vertex, int]:
 # ---------------------------------------------------------------------------
 
 
-class Classification(NamedTuple):
-    kind: str  # "elliptic" | "hyperbolic"
-    fixed_vertex: Vertex | None = None
-    translation_length: int | None = None
-    axis_edge: tuple[Vertex, Vertex] | None = None
+class Classification(Record):
+    """kind "elliptic", with a fixed_vertex, or "hyperbolic", with its
+    translation_length and an axis_edge, a pair of vertices on its axis."""
+
+    __slots__ = ("kind", "fixed_vertex", "translation_length", "axis_edge")
+    _defaults = {"fixed_vertex": None, "translation_length": None, "axis_edge": None}
 
 
 def _cyclic_reduce(w: TreeAut) -> tuple[TreeAut, TreeAut]:
@@ -468,9 +454,7 @@ class ShadowSet(Record):
             raise TreeError("shadow base edge is degenerate")
         if y not in tree.neighbors(x):
             raise TreeError("shadow base vertices are not adjacent")
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        Record.__init__(self, tree, x, y)
 
     def _key(self) -> tuple:
         return (self.x, self.y)
@@ -493,7 +477,7 @@ class ShadowSet(Record):
         in_self_yo = self.side_contains_vertex(other.y)
         in_other_y = other.side_contains_vertex(self.y)
         if not in_self_yo and not in_other_y:
-            return _TreeVerdict("disjoint", None)
+            return DisjointVerdict("disjoint")
         if in_self_yo and in_other_y:
             path = self.tree.geodesic(self.y, other.y)
             on_path = set(path)
@@ -502,16 +486,11 @@ class ShadowSet(Record):
                     if w in on_path:
                         continue
                     if self.side_contains_vertex(w) and other.side_contains_vertex(w):
-                        return _TreeVerdict("overlap", w)
-            return _TreeVerdict("disjoint", None)
+                        return DisjointVerdict("overlap", w)
+            return DisjointVerdict("disjoint")
         # one halftree is nested inside the other
         witness = other.y if in_self_yo else self.y
-        return _TreeVerdict("overlap", witness)
-
-
-class _TreeVerdict(NamedTuple):
-    kind: str
-    witness: object | None
+        return DisjointVerdict("overlap", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +528,11 @@ def axis_shadow_sets(tree: BassSerreTree, g: TreeAut, cls: Classification):
     return a_plus, r_plus, a_minus, r_minus
 
 
-class TreeEvidence(NamedTuple):
+class TreeEvidence(Record):
     """Hyperbolicity witness: the element translates its axis, so the
     shadow mapping identities above hold exactly and are re-derivable."""
 
-    classification: Classification
+    __slots__ = ("classification",)
 
     def check_mapping(self, player) -> tuple[bool, str]:
         cls = self.classification

@@ -13,12 +13,10 @@ from freecert.dynamics import (
     certify_contracting,
     contraction_gap_sq,
     padic_exponents,
-    singular_profile,
 )
 from freecert.pingpong import certify_tuple, freeness_oracle
 from freecert.projective import (
     MarkedGroup,
-    ProjHyperplane,
     ProjMat,
     ProjPoint,
     apply,
@@ -29,9 +27,8 @@ from freecert.projective import (
     set_contains,
     word_inverse,
 )
-from freecert.scalar import ARCH, cmp_sqrt_sum, padic, sqrt_lower
+from freecert.scalar import ARCH, padic, sqrt_lower
 from freecert.synthesis import (
-    Budgets,
     NormalData,
     auto_very_proximal,
     b1b2b3_synthesize,

@@ -642,6 +642,34 @@ def test_verify_reads_words_and_tables_from_the_header(tmp_path, capsys, tamper,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b'\xff{"format": "freecert-certificate/1"}', "can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+        (b'{"format": "freecert-certificate/1", "seed": ' + b"1" * 5000 + b"}", "integer string conversion"),
+    ],
+    ids=["not-utf8", "nested-100000-deep", "integer-of-5000-digits"],
+)
+def test_verify_refuses_an_undecodable_certificate(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.cert"
+    path.write_bytes(payload)
+    t0 = time.perf_counter()
+    assert verify_file(path) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify: ") and message in err and "Traceback" not in err
+
+
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    prob = tmp_path / "in.prob"
+    prob.write_text(MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n")
+    out = tmp_path / "missing" / "x.json"
+    assert main(["analyze", str(prob), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_oracle_len_beyond_limit_fails_fast(tmp_path, capsys):
     body = "\n[task]\nop pingpong\nsubop oracle\nplayer a = a\nplayer b = b\n"
     t0 = time.perf_counter()

@@ -59,6 +59,28 @@ def test_no_definition_referenced_only_from_tests():
     assert not test_only, "definitions only the tests use (move them to tests/):\n" + "\n".join(test_only)
 
 
+def unused_imports(*dirs: Path) -> list[str]:
+    """Names a module under `dirs` imports and never references as a bare
+    name (`import a.b` binds `a`); `__future__` imports bind nothing."""
+    found = []
+    for path, tree in _trees(*dirs):
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_test_modules_use_every_name_they_import():
+    """An unused import in a test keeps a dead name looking used to
+    `test_no_unreferenced_definitions`."""
+    unused = unused_imports(ROOT / "tests")
+    assert not unused, "imported and never referenced:\n" + "\n".join(unused)
+
+
 def _optional_params(func: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
     """(name, position among the call's positional arguments or None) of
     every parameter with a default.  A method's first parameter is bound by
@@ -151,8 +173,10 @@ def test_verifier_imports_no_search_code():
 
 
 #: Standard-library modules the package leaves unloaded: `dataclasses`
-#: executes generated code for each record class, and it imports `inspect`.
-UNLOADED = {"dataclasses", "inspect"}
+#: executes generated code for each record class, and it imports `inspect`;
+#: `typing` is a few milliseconds of start-up that `scalar.Record` makes
+#: unnecessary.
+UNLOADED = {"dataclasses", "inspect", "typing"}
 
 
 def _imported_modules(tree: ast.AST) -> set[str]:
@@ -175,17 +199,51 @@ def test_no_module_imports_dataclasses_or_inspect():
     assert not found, "\n".join(found)
 
 
+def record_kinds() -> list[str]:
+    """Package classes that are not of the one record kind: a class that
+    derives from `NamedTuple` or `tuple`, or one with `__slots__` that does
+    not derive from `scalar.Record`, through the package's own classes."""
+    bases: dict[str, list[str]] = {}
+    slotted: dict[str, str] = {}
+    found = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+            names = [b.id if isinstance(b, ast.Name) else b.attr if isinstance(b, ast.Attribute) else "" for b in node.bases]
+            bases[node.name] = names
+            if {"NamedTuple", "tuple"} & set(names):
+                found.append(f"{where} derives from {sorted({'NamedTuple', 'tuple'} & set(names))}")
+            targets = [t for stmt in node.body if isinstance(stmt, ast.Assign) for t in stmt.targets]
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                slotted[node.name] = where
+
+    def is_record(name: str) -> bool:
+        return name == "Record" or any(is_record(b) for b in bases.get(name, ()))
+
+    found += [f"{where} has __slots__ but is no Record" for name, where in slotted.items() if name != "Record" and not is_record(name)]
+    return found
+
+
+def test_every_record_is_a_scalar_record():
+    bad = record_kinds()
+    assert not bad, "\n".join(bad)
+
+
 def _loaded_modules(statement: str) -> set[str]:
-    """`sys.modules` after a fresh interpreter ran `statement`."""
+    """`sys.modules` after a fresh interpreter ran `statement`, started
+    with `-S`: the site hooks of some installations load `typing`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)
     return set(out.stdout.split())
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     """Read from what `import freecert.cli` adds to the modules of a bare
-    interpreter, so that whatever the site hooks load does not count."""
+    interpreter, so that whatever the interpreter loads itself does not
+    count."""
     added = _loaded_modules("import freecert.cli") - _loaded_modules("pass")
     assert "freecert.cli" in added
     assert not added & UNLOADED, f"import freecert.cli loads {sorted(added & UNLOADED)}"

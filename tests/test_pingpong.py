@@ -14,7 +14,7 @@ from freecert.pingpong import (
     oracle_words,
     simple_player,
 )
-from freecert.projective import ProjHyperplane, ProjMat, ProjPoint, ball, hnbhd
+from freecert.projective import ProjMat, ProjPoint, ball, hnbhd
 from freecert.scalar import ARCH, padic, word_string
 from freecert.tree import AmalgamData, FiniteGroup, normal_form
 from oracles import freeness_dfs, group_from_permutations, set_member

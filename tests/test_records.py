@@ -1,10 +1,12 @@
 """The record behaviour that caches, comparisons and sets rely on.
 
-Records that validate their input refuse bad input on construction.
-Equality asks for the exact class and the compared fields, so a point
-never equals a hyperplane and no record equals the tuple of its fields.
-The hash is that of the tuple of compared fields, which keeps set
-iteration order and cache keys fixed.  A cache-key record refuses
+Every record is a `scalar.Record`.  Records that validate their input
+refuse bad input on construction; the others bind positional values,
+then named ones, then their defaults, and refuse a missing, unknown or
+repeated field.  Equality asks for the exact class and the compared
+fields, so a point never equals a hyperplane and no record equals the
+tuple of its fields.  The hash is that of the tuple of compared fields,
+which keeps set iteration order and cache keys fixed.  A record refuses
 assignment once built.
 """
 
@@ -12,9 +14,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from freecert.projective import Ball, HNbhd, ProjHyperplane, ProjPoint, ProjSet
+from freecert.dynamics import ContractionCert, Verdict
+from freecert.pingpong import TupleCheck
+from freecert.projective import Ball, HNbhd, ProjHyperplane, ProjPoint, ProjSet, ball, set_disjoint
 from freecert.rootiso import Interval
-from freecert.scalar import Place
+from freecert.scalar import ARCH, DisjointVerdict, Place
+from freecert.synthesis import Budgets
 from freecert.tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, TreeAut, TreeError
 
 
@@ -104,3 +109,81 @@ def test_cache_key_records_refuse_assignment(name):
         with pytest.raises(AttributeError):
             delattr(x, n)
     assert tuple(getattr(x, n) for n in names) == fields
+
+
+# Records that carry values without validating them, each with the values
+# of all its fields in field order.
+VALUE_RECORDS = {
+    "Verdict": (Verdict, ("no", None, ProjPoint((1, 0)), None)),
+    "ContractionCert": (ContractionCert, (F(1, 4), ProjPoint((1, 0)), ProjHyperplane((0, 1)), F(0), F(0), F(1, 16), F(1, 9))),
+    "TupleCheck": (TupleCheck, ("disjoint", "g.A+ vs g.R+", True, None, None)),
+    "Budgets": (Budgets, (2, 16, 1, 2, 6, 10, 12, 12, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_value_records_bind_by_position_and_by_name(name):
+    cls, values = VALUE_RECORDS[name]
+    x = cls(*values)
+    assert tuple(getattr(x, f) for f in cls._fields) == values
+    assert cls(**dict(zip(cls._fields, values))) == x
+    assert cls(*values[:2], **dict(zip(cls._fields[2:], values[2:]))) == x
+    assert hash(x) == hash(values)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_value_records_compare_by_exact_class(name):
+    cls, values = VALUE_RECORDS[name]
+
+    class Sub(cls):
+        __slots__ = ()
+
+    assert Sub._fields == cls._fields
+    assert cls(*values) != Sub(*values) and cls(*values) != values
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_value_records_refuse_assignment(name):
+    cls, values = VALUE_RECORDS[name]
+    x = cls(*values)
+    for f in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, None)
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert tuple(getattr(x, f) for f in cls._fields) == values
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_value_records_refuse_an_unknown_or_repeated_field(name):
+    cls, values = VALUE_RECORDS[name]
+    with pytest.raises(TypeError, match="unknown or repeated field 'colour'"):
+        cls(*values, colour=1)
+    with pytest.raises(TypeError, match=f"unknown or repeated field '{cls._fields[0]}'"):
+        cls(*values, **{cls._fields[0]: values[0]})
+    with pytest.raises(TypeError, match=f"takes {len(values)} fields"):
+        cls(*values, None)
+
+
+def test_value_records_fill_in_defaults_and_refuse_a_missing_field():
+    assert Verdict("unknown") == Verdict("unknown", None, None, None)
+    assert Verdict("yes", refutes=None, cert=1) == Verdict("yes", 1, None, None)
+    assert TupleCheck("evidence", "g: mapping evidence certified", True) == TupleCheck("evidence", "g: mapping evidence certified", True, None, None)
+    assert Budgets() == Budgets(*VALUE_RECORDS["Budgets"][1])
+    assert Budgets(nest_max=2).nest_max == 2 and Budgets(nest_max=2).m_max == 12
+    cls, values = VALUE_RECORDS["ContractionCert"]
+    with pytest.raises(TypeError, match="missing the field 'image_radius_sq'"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="missing the field 'kind'"):
+        Verdict(cert=None)
+    with pytest.raises(TypeError, match="missing the field 'ok'"):
+        TupleCheck("disjoint", "g.A+ vs g.R+")
+
+
+def test_both_disjointness_tests_answer_with_one_verdict_record():
+    far = set_disjoint(ball(ProjPoint((1, 0)), F(1, 16)), ball(ProjPoint((0, 1)), F(1, 16)), ARCH)
+    tree = BassSerreTree(_amalgam(3))
+    a = tree.base_vertex("A")
+    b = tree.neighbors(a)[0]
+    assert far == ShadowSet(tree, a, b).disjoint_from(ShadowSet(tree, b, a)) == DisjointVerdict("disjoint", None)
+    assert ShadowSet(tree, a, b).disjoint_from(ShadowSet(tree, a, b)).kind == "overlap"

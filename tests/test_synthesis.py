@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.projective import MarkedGroup, ProjMat, ProjPoint, ball, concat, set_contains, set_disjoint, word_inverse
+from freecert.projective import MarkedGroup, ProjMat, ProjPoint, ball, concat, set_contains, word_inverse
 from freecert.scalar import ARCH
 from freecert.synthesis import (
     EPS_SQ_FLOOR_BITS,
@@ -15,9 +15,7 @@ from freecert.synthesis import (
     auto_very_proximal,
     b1b2b3_synthesize,
     conjugate_contract,
-    coset_pingpong,
     double_coset_wrap,
-    find_host,
     normal_proximal,
     truncated_prodense,
     very_proximal_search,
