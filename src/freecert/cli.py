@@ -123,7 +123,7 @@ class Problem:
         self.command = ""  # the subcommand running the task
         self.place: Place | None = None
         self.dim: int | None = None
-        self.generators: list[tuple[str, list[list[Fraction]]]] = []
+        self.generators: list[tuple[int, str, list[list[Fraction]]]] = []  # (line, name, rows)
         self.amalgam_raw: dict = {}
         self.task: dict[str, list[tuple[int, str]]] = {}  # key -> [(line, value)]
         self.flags: dict[str, object] = {}  # command-line flag given -> its parsed value
@@ -275,14 +275,17 @@ def parse_problem(text: str) -> Problem:
                 name = name.strip()
                 if not eq or not name.isidentifier():
                     raise ProblemError(line_no, len(key) + 2, "expected: gen NAME = [[...], [...]]")
+                first = next((line for line, seen, _ in prob.generators if seen == name), None)
+                if first is not None:
+                    raise ProblemError(line_no, len(key) + 2, f"generator {name} is already defined on line {first}")
                 rows = _parse_matrix_literal(literal.strip(), line_no)
                 if len(rows) > MAX_DIM:
                     raise ProblemError(line_no, 1, f"generator {name} is {len(rows)}x{len(rows)}, over MAX_DIM = {MAX_DIM}")
-                prob.generators.append((name, rows))
+                prob.generators.append((line_no, name, rows))
             else:
                 raise ProblemError(line_no, 1, f"unknown matrix-group directive {key!r}")
             # reported on whichever of the generator and the dim line comes later
-            wrong = [(name, len(rows)) for name, rows in prob.generators if prob.dim not in (None, len(rows))]
+            wrong = [(name, len(rows)) for _, name, rows in prob.generators if prob.dim not in (None, len(rows))]
             if wrong:
                 name, k = wrong[0]
                 raise ProblemError(line_no, 1, f"generator {name} is {k}x{k}, but dim is {prob.dim}")
@@ -310,11 +313,16 @@ def _build_group(prob: Problem) -> MarkedGroup:
     if not prob.generators:
         raise ProblemError(1, 1, "task needs a [matrix-group] section")
     place = prob.flag("--place") or prob.place or ARCH
-    try:
-        gens = tuple((name, ProjMat(tuple(tuple(r) for r in rows), place)) for name, rows in prob.generators)
-        return MarkedGroup(gens)
-    except ValueError as e:
-        raise ProblemError(1, 1, f"bad generator: {e}") from None
+    gens = []
+    for line, name, rows in prob.generators:
+        if gens and len(rows) != gens[0][1].dim:
+            k, first = gens[0][1].dim, gens[0][0]
+            raise ProblemError(line, 1, f"bad generator {name}: it is {len(rows)}x{len(rows)}, but {first} is {k}x{k}")
+        try:
+            gens.append((name, ProjMat(rows, place)))
+        except ValueError as e:
+            raise ProblemError(line, 1, f"bad generator {name}: {e}") from None
+    return MarkedGroup(tuple(gens))
 
 
 def _build_amalgam(prob: Problem) -> tuple[AmalgamData, dict]:

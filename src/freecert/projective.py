@@ -302,6 +302,21 @@ class ProjMat:
         return primitive([x for r in rows for x in r])
 
 
+def known_not_proximal(m: ProjMat) -> bool:
+    """True when m is 2 x 2 and its top eigenvalue modulus is repeated, so
+    no (r, eps)-proximality certificate exists: the discriminant
+    (a + d)^2 - 4 (ad - bc) = (a - d)^2 + 4bc of the integer rows
+    ((a, b), (c, d)) is 0 (one eigenvalue, twice) at any place, or < 0 (a
+    conjugate pair) at the archimedean place.  The scale multiplies it by
+    a square, so only its sign is read.  False decides nothing."""
+    rows, _ = m._integer_form
+    if len(rows) != 2:
+        return False
+    (a, b), (c, d) = rows
+    disc = (a - d) ** 2 + 4 * b * c
+    return disc == 0 or (disc < 0 and not m.place.is_padic)
+
+
 def _cleared(rows: list[list[int]], scale: int) -> tuple[IntRows, int]:
     """The form of `_integer_form` of the matrix rows / scale, for integer
     rows and a positive scale.  Entry x / scale has denominator

@@ -40,6 +40,7 @@ from .projective import (
     Word,
     concat,
     dist_to_hyperplane_sq,
+    known_not_proximal,
     set_contains,
     set_disjoint,
     word_inverse,
@@ -165,7 +166,12 @@ def auto_very_proximal(m: ProjMat) -> ProximalCert | None:
     many of the same powers and conjugates.  The key is exact equality,
     not `class_key`: m and 2m share a class, but not their certificates'
     intervals and gap bounds.
+
+    A matrix `known_not_proximal` is given up at once, before any gap or
+    direction work; a sound certifier answers no "yes" for it anyway.
     """
+    if known_not_proximal(m):
+        return None
     mi = m.inverse()
     tries = _eps_tries(max(contraction_gap_sq(m).hi, contraction_gap_sq(mi).hi))
     if not tries:

@@ -586,6 +586,33 @@ def test_generator_size_must_match_dim(tmp_path, capsys, order):
     assert "5:1: generator a is 2x2, but dim is 3" in capsys.readouterr().err
 
 
+def test_repeated_generator_name_is_refused(tmp_path, capsys):
+    # the search would read the first a and the header record the second,
+    # so the certificate would fail its own word-eval claim
+    gens = "gen a = [[2, 0], [0, 1]]\ngen b = [[1, 1], [0, 1]]\ngen a = [[3, 0], [0, 1]]\n"
+    text = "format 1\nplace arch\n[matrix-group]\n" + gens + "[task]\nop analyze\nsubop profile\nelement a\n"
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 2 and cert is None
+    assert "in.prob:6:5: generator a is already defined on line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ("gen a = [[2, 0], [0, 1]]\n\ngen b = [[1, 2], [2, 4]]\n", "6:1: bad generator b: matrix must be invertible"),
+        ("gen a = [[1, 2], [2, 4]]\ngen b = [[1, 2], [2, 4]]\n", "4:1: bad generator a: matrix must be invertible"),
+        ("gen a = [[2, 0], [0, 1]]\n# 3x3 next\ngen b = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n", "6:1: bad generator b: it is 3x3, but a is 2x2"),
+        ("gen a = [[5]]\ngen b = [[2, 0], [0, 1]]\n", "4:1: bad generator a: entries must form a square matrix, n >= 2"),
+    ],
+    ids=["singular-later", "singular-first", "mixed-size-without-dim", "one-by-one"],
+)
+def test_generator_errors_name_their_line(tmp_path, capsys, gens, message):
+    text = "format 1\nplace arch\n[matrix-group]\n" + gens + "[task]\nop analyze\nsubop profile\nelement a\n"
+    code, cert, _ = run(tmp_path, "analyze", text, "--place", "p:3")
+    assert code == 2 and cert is None
+    assert "in.prob:" + message in capsys.readouterr().err
+
+
 def test_place_syntax_errors_keep_their_framing(tmp_path, capsys):
     text = MATRIX_HEADER.replace("place arch", "place q:5") + "\n[task]\nop analyze\nsubop profile\nelement a\n"
     assert run(tmp_path, "analyze", text)[0] == 2

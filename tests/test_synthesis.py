@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.projective import MarkedGroup, ProjMat, ProjPoint, ball, concat, set_contains, word_inverse
-from freecert.scalar import ARCH
+from freecert.dynamics import certify_proximal, certify_very_proximal, contraction_gap_sq, direction_candidates, singular_profile
+from freecert.projective import MarkedGroup, ProjMat, ProjPoint, ball, concat, known_not_proximal, set_contains, word_inverse
+from freecert.scalar import ARCH, padic
 from freecert.synthesis import (
     EPS_SQ_FLOOR_BITS,
     Budgets,
@@ -22,6 +23,7 @@ from freecert.synthesis import (
     word_power,
     HostRegion,
     _eps_ladder,
+    _eps_tries,
 )
 from oracles import pow2_at_least_loop, pow4_at_least_loop
 
@@ -299,3 +301,70 @@ def test_auto_very_proximal_is_memoized_on_exact_equality():
     assert doubled.class_key() == m.class_key()
     assert auto_very_proximal(doubled) != got
     assert auto_very_proximal.cache_info().misses == 2
+
+
+def test_auto_very_proximal_gates_before_gap_work():
+    # contraction_gap_sq reads the memoized singular_profile
+    caches = (auto_very_proximal, direction_candidates, singular_profile)
+    for place in (ARCH, padic(3)):
+        a = ProjMat(((1, 2), (0, 1)), place)
+        for c in caches:
+            c.cache_clear()
+        for m in (a, a.power(8)):
+            assert known_not_proximal(m)
+            assert auto_very_proximal(m) is None
+        assert direction_candidates.cache_info().misses == singular_profile.cache_info().misses == 0
+    hyperbolic = ProjMat(((2, 1), (1, 1)), ARCH)
+    assert not known_not_proximal(hyperbolic)
+    auto_very_proximal(hyperbolic)
+    assert direction_candidates.cache_info().misses == singular_profile.cache_info().misses == 2
+
+
+def test_known_not_proximal_decides_only_2x2_repeated_moduli():
+    elliptic = ((0, -2), (1, 1))  # (a - d)^2 + 4bc = -7
+    assert known_not_proximal(ProjMat(elliptic, ARCH))
+    # -7 is a square in Q_2: the eigenvalues lie in Q_2, of valuations 0 and 1
+    assert not known_not_proximal(ProjMat(elliptic, padic(2)))
+    assert known_not_proximal(ProjMat(((F(1, 3), F(2, 3)), (0, F(1, 3))), padic(5)))
+    assert not known_not_proximal(ProjMat(((1, 2, 0), (0, 1, 0), (0, 0, 1)), ARCH))
+
+
+_NONZERO = st.integers(-6, 6).filter(bool)
+
+
+def _parabolic(lam, k, p, q, scale):
+    """(lam I + k u v^T) / scale with u = (p, q), v = (q, -p): v^T u = 0, so
+    the one eigenvalue lam / scale, twice, in a Jordan block (k, q != 0)."""
+    rows = ((lam + k * p * q, -k * p * p), (k * q * q, lam - k * p * q))
+    return tuple(tuple(F(x, scale) for x in r) for r in rows)
+
+
+def _elliptic(a, d, b, extra, sign):
+    """(a - d)^2 + 4bc < 0: c has the sign opposite to b's and 4|bc| > (a - d)^2."""
+    c = (a - d) ** 2 // (4 * b) + 1 + extra
+    return ((a, sign * b), (-sign * c, d))
+
+
+_PARABOLIC = st.tuples(
+    st.builds(_parabolic, _NONZERO, _NONZERO, st.integers(-4, 4), st.integers(1, 4), st.integers(1, 3)),
+    st.sampled_from([ARCH] + [padic(p) for p in (2, 3, 5, 7)]),
+)
+_ELLIPTIC = st.tuples(
+    st.builds(_elliptic, st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 8), st.integers(0, 40), st.sampled_from((1, -1))),
+    st.just(ARCH),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_PARABOLIC, _ELLIPTIC), st.sampled_from((F(65, 64), 2, 16, 256)))
+def test_no_certifier_answers_yes_on_what_the_gate_skips(matrix, r_factor):
+    # the gate keeps certificates byte-identical only because the certifiers
+    # it skips could never certify such a matrix: run them ungated
+    entries, place = matrix
+    m = ProjMat(entries, place)
+    assert known_not_proximal(m)
+    for eps_sq in _eps_tries(max(contraction_gap_sq(m).hi, contraction_gap_sq(m.inverse()).hi)):
+        r_sq = min(4 * eps_sq * r_factor, F(1))
+        if r_sq > 4 * eps_sq:
+            assert certify_very_proximal(m, r_sq, eps_sq).kind != "yes"
+            assert certify_proximal(m, r_sq, eps_sq).kind != "yes"
