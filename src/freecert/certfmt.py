@@ -21,6 +21,7 @@ from . import __version__
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
 from .dynamics import contraction_gap_sq, direction_candidates
 from .projective import (
+    MAX_DIM,
     Ball,
     HNbhd,
     MarkedGroup,
@@ -81,6 +82,9 @@ def vec_json(v) -> list[str]:
 
 
 def vec_from(data) -> tuple:
+    """The coordinates of `data`, refused over MAX_DIM."""
+    if len(data) > MAX_DIM:
+        raise VerifyError(f"vector of {len(data)} coordinates exceeds MAX_DIM = {MAX_DIM}")
     return tuple(parse_rat(c) for c in data)
 
 
@@ -89,6 +93,9 @@ def mat_json(m: ProjMat) -> list[list[str]]:
 
 
 def mat_from(data, place: Place) -> ProjMat:
+    """The matrix of `data`, refused over MAX_DIM before its det is computed."""
+    if len(data) > MAX_DIM:
+        raise VerifyError(f"matrix of {len(data)} rows exceeds MAX_DIM = {MAX_DIM}")
     return ProjMat(tuple(tuple(parse_rat(c) for c in row) for row in data), place)
 
 
@@ -385,5 +392,6 @@ def verify(cert: dict) -> tuple[bool, list[str]]:
             failures.append(f"claim {i} ({claim.get('type')}): {e}")
             continue
         if not ok:
-            failures.append(f"claim {i} ({claim.get('type')}{': ' + claim.get('note') if claim.get('note') else ''}) failed")
+            note = claim.get("note")
+            failures.append(f"claim {i} ({claim.get('type')}{f': {note}' if note else ''}) failed")
     return not failures, failures

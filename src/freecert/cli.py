@@ -8,7 +8,6 @@ literals, and positioned parse errors.  Certificates go to stdout (or
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from .dynamics import (
     singular_profile,
 )
 from .pingpong import MAX_ORACLE_WORDS, PingPongPlayer, certify_tuple, freeness_oracle, oracle_words, simple_player
-from .projective import MarkedGroup, ProjHyperplane, ProjMat, ProjPoint, ProjSet, Word, ball, concat, hnbhd, word_inverse
+from .projective import MAX_DIM, MarkedGroup, ProjHyperplane, ProjMat, ProjPoint, ProjSet, Word, ball, concat, hnbhd, word_inverse
 from .scalar import ARCH, Place, Rat, parse_place, parse_rat, word_tokens
 from .synthesis import (
     PRODENSE_ORACLE_LEN,
@@ -78,13 +77,6 @@ MAX_SEARCH_WORD_LEN = 3
 #: step, so a long word would not fail but run for minutes and overflow
 #: the certificate's numbers.
 MAX_WORD_LEN = 64
-#: Largest matrix dimension.  One archimedean `direction_candidates`
-#: (singular profile and power iteration) takes 0.1-0.2 s at n = 12 and
-#: 0.2-0.3 s at n = 16 on random entries in -9..9, and a search certifies
-#: up to MAX_EXPONENT such matrices, so a larger n would not fail but run
-#: for minutes.  The contraction witness search stays bounded at any n:
-#: it tries at most `dynamics.WITNESS_POOL_MAX` points.
-MAX_DIM = 16
 #: Largest height of a problem-file matrix word: the sum, over its
 #: letters, of the bit length of the largest entry of the letter's
 #: primitive integer matrix.  That bounds the bits of the word's entries,
@@ -126,19 +118,21 @@ class Problem:
         self.generators: list[tuple[int, str, list[list[Fraction]]]] = []  # (line, name, rows)
         self.amalgam_raw: dict = {}
         self.task: dict[str, list[tuple[int, str]]] = {}  # key -> [(line, value)]
-        self.flags: dict[str, object] = {}  # command-line flag given -> its parsed value
+        self.flags: dict[str, list[str]] = {}  # command-line flag -> its values as given, in order
         self.read: set[str] = set()  # task keys and flags a command read
 
     def value(self, key: str, parse, default=_REQUIRED):
-        """`parse` of the key's first value, or `default` when the key is
-        absent (without a default the key is required).  An error is
-        reported at the value's line:col."""
+        """`parse` of the key's value, or `default` when the key is absent
+        (without a default the key is required).  An error, a second line
+        of the key included, is reported at the value's line:col."""
         self.read.add(key)
         if key not in self.task:
             if default is _REQUIRED:
                 raise ProblemError(1, 1, f"task needs '{key}'")
             return default
-        line, text = self.task[key][0]
+        (line, text), *again = self.task[key]
+        if again:
+            raise ProblemError(again[0][0], 1, f"'{key}' is already given on line {line}")
         return _parsed(parse, text, line, len(key) + 2)
 
     def values(self, key: str, parse) -> list:
@@ -147,23 +141,28 @@ class Problem:
         self.read.add(key)
         return [_parsed(parse, text, line) for line, text in self.task.get(key, [])]
 
-    def flag(self, name: str):
-        """The value of the flag `name` (such as `--budget`), or None when
-        it was not given."""
+    def flag(self, name: str, parse, default=None):
+        """`parse` of the last value of the flag `name` (such as `--place`),
+        or `default` when it was not given."""
         self.read.add(name)
-        return self.flags.get(name)
+        given = self.flags.get(name)
+        return default if given is None else parse(given[-1])
+
+    def flag_values(self, name: str, parse) -> list:
+        """`parse` of every value of a repeatable flag, in command-line order."""
+        self.read.add(name)
+        return [parse(text) for text in self.flags.get(name, [])]
 
     def all_read(self) -> None:
         """Refuse a `[task]` key or a flag the command did not read.  Each
         command calls this once it has read every value it reads, before
         it searches, so a stray key fails fast."""
-        unread = sorted((lines[0][0], key) for key, lines in self.task.items() if key not in self.read)
+        unread = min(((lines[0][0], key) for key, lines in self.task.items() if key not in self.read), default=None)
         if unread:
-            line, key = unread[0]
-            raise ProblemError(line, 1, f"'{key}' is not a key of this {self.command} task")
-        unread_flags = [name for name in self.flags if name not in self.read]
-        if unread_flags:
-            raise ValueError(f"{unread_flags[0]} is not a flag of this {self.command} task")
+            raise ProblemError(unread[0], 1, f"'{unread[1]}' is not a key of this {self.command} task")
+        flag = next((name for name in self.flags if name not in self.read), None)
+        if flag:
+            raise ValueError(f"{flag} is not a flag of this {self.command} task")
 
     def oracle_fits(self, key: str, k: int, oracle_len: int) -> None:
         """Refuse k oracle elements, at the last `key` line, when the search
@@ -312,7 +311,7 @@ def parse_problem(text: str) -> Problem:
 def _build_group(prob: Problem) -> MarkedGroup:
     if not prob.generators:
         raise ProblemError(1, 1, "task needs a [matrix-group] section")
-    place = prob.flag("--place") or prob.place or ARCH
+    place = prob.flag("--place", parse_place, prob.place or ARCH)
     gens = []
     for line, name, rows in prob.generators:
         if gens and len(rows) != gens[0][1].dim:
@@ -403,8 +402,7 @@ def _int_in(what: str, low: int, high: int):
 def _oracle_len_of(prob: Problem, default: int) -> int:
     """The file's `oracle-len`, checked even when `--oracle-len` overrides it."""
     n = prob.value("oracle-len", _int_in("oracle-len", 1, MAX_ORACLE_LEN), default)
-    flag = prob.flag("--oracle-len")
-    return n if flag is None else flag
+    return prob.flag("--oracle-len", _int_in("--oracle-len", 1, MAX_ORACLE_LEN), n)
 
 
 def _one_of(what: str, *names: str):
@@ -471,10 +469,6 @@ def proximal_json(c: ProximalCert) -> dict:
     if c.very is not None:
         out["inverse"] = proximal_json(c.very)
     return out
-
-
-def interval_json(iv) -> dict:
-    return {"lo": rat(iv.lo), "hi": rat(iv.hi)}
 
 
 def claim_set_disjoint(left: ProjSet, right: ProjSet, note: str = "") -> dict:
@@ -643,7 +637,7 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
     word_eval = [claim_word_eval(task["element"], m)]
     if subop == "profile":
         prof = singular_profile(m)
-        result = {"values_sq": [interval_json(v) for v in prof.values_sq], "exact": prof.exact}
+        result = {"values_sq": [{"lo": rat(v.lo), "hi": rat(v.hi)} for v in prof.values_sq], "exact": prof.exact}
         return emit("ok", result, word_eval)
     if subop == "power-proximal":
         out = power_to_proximal(m, r_sq, eps_sq, max_n)
@@ -732,7 +726,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     emit = _emitter(group.place, "matrix", _group_header(group), task)
     # the file's budget lines, then the --budget flags over them (all_read refuses them elsewhere)
     if subop in ("truncated-prodense", "normal-proximal", "coset-pingpong", "double-coset"):
-        budgets = Budgets(**dict(prob.values("budget", _budget) + [_budget(spec, "--budget") for spec in prob.flag("--budget") or []]))
+        budgets = Budgets(**dict(prob.values("budget", _budget) + prob.flag_values("--budget", lambda spec: _budget(spec, "--budget"))))
 
     word = _matrix_word(group)
 
@@ -901,11 +895,10 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
     if subop in ("normal-form", "classify"):
         task["word"], w = prob.value("word", word)
     elif subop == "expand":
-        radius = prob.value("radius", lambda text: ball_radius(am, int(text)), DEFAULT_RADIUS)
-        flag = prob.flag("--radius")
-        if flag is not None:
-            radius = ball_radius(am, flag)
-        task["radius"] = radius
+        def radius_of(text: str) -> int:
+            return ball_radius(am, int(text))
+
+        task["radius"] = radius = prob.flag("--radius", radius_of, prob.value("radius", radius_of, DEFAULT_RADIUS))
     elif subop == "pingpong":
         oracle_len = _oracle_len_of(prob, 8)
         words = prob.values("word", word)
@@ -973,9 +966,17 @@ def cmd_verify(path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_problem(args, runner) -> int:
+USAGE = """\
+usage: freecert {analyze,pingpong,synthesize,tree} PROBLEM [--out PATH] [--place arch|p:PRIME]
+                [--budget NAME=VALUE ...] [--radius N] [--oracle-len N]
+       freecert verify CERTIFICATE
+A flag is --name value or --name=value; one the task does not read is an input error.
+"""
+
+
+def _run_problem(command: str, path: str, flags: dict[str, list[str]], runner) -> int:
     try:
-        with open(args.problem, "rb") as fh:
+        with open(path, "rb") as fh:
             data = fh.read(MAX_PROBLEM_BYTES + 1)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -986,27 +987,21 @@ def _run_problem(args, runner) -> int:
             byte = MAX_PROBLEM_BYTES - data.rfind(b"\n", 0, MAX_PROBLEM_BYTES)
             raise ProblemError(line, byte, f"problem file is longer than MAX_PROBLEM_BYTES = {MAX_PROBLEM_BYTES}")
         prob = parse_problem(data.decode("utf-8"))
-        given = (
-            ("--place", args.place, parse_place),
-            ("--budget", args.budget, list),
-            ("--radius", args.radius, int),
-            ("--oracle-len", args.oracle_len, _int_in("--oracle-len", 1, MAX_ORACLE_LEN)),
-        )
-        prob.flags = {name: parse(value) for name, value, parse in given if value is not None}
-        prob.command = args.command
-        prob.value("op", _one_of("op", args.command), None)
+        prob.command, prob.flags = command, flags
+        out = prob.flag("--out", str)
+        prob.value("op", _one_of("op", command), None)
         cert, code = runner(prob)
         prob.all_read()  # the commands call it before searching; this guards a path that did not
         payload = certfmt.dumps(cert)
     except ProblemError as e:
-        print(f"{args.problem}:{e}", file=sys.stderr)
+        print(f"{path}:{e}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, TreeError, KeyError) as e:
-        print(f"{args.problem}: {e}", file=sys.stderr)
+        print(f"{path}: {e}", file=sys.stderr)
         return EXIT_INPUT
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
@@ -1017,27 +1012,31 @@ def _run_problem(args, runner) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="freecert", description="Exact certificates for projective and tree dynamics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("problem", help="problem file")
-        p.add_argument("--out", help="write the certificate here instead of stdout")
-        p.add_argument("--place", help="override the place: arch or p:PRIME")
-        p.add_argument("--budget", action="append", help="NAME=VALUE, repeatable")
-        p.add_argument("--radius", type=int, help="radius of the ball `tree expand` lists")
-        p.add_argument("--oracle-len", type=int, dest="oracle_len", help="freeness oracle word length")
-
-    for name in ("analyze", "pingpong", "synthesize", "tree"):
-        common(sub.add_parser(name))
-    vp = sub.add_parser("verify")
-    vp.add_argument("certificate", help="certificate file to re-check")
-
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args.certificate)
-    runner = {"analyze": cmd_analyze, "pingpong": cmd_pingpong, "synthesize": cmd_synthesize, "tree": cmd_tree}[args.command]
-    return _run_problem(args, runner)
+    words = iter(sys.argv[1:] if argv is None else argv)
+    command, files, flags = next(words, ""), [], {}
+    for word in words:
+        if word.startswith("--") and word != "--help":
+            name, eq, value = word.partition("=")
+            flags.setdefault(name, []).append(value if eq else next(words, None))
+        else:
+            files.append(word)
+    if {"-h", "--help"} & {command, *files}:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
+    # built at each call, so that a cmd_* wrapped on the module (by a tracer) runs
+    runner = {"analyze": cmd_analyze, "pingpong": cmd_pingpong, "synthesize": cmd_synthesize, "tree": cmd_tree}.get(command)
+    no_value = [name for name, values in flags.items() if None in values]
+    error = (
+        (f"unknown command {command!r}" if command else "missing command") if runner is None and command != "verify"
+        else f"{command} takes one file, {len(files)} given" if len(files) != 1
+        else f"{no_value[0]} needs a value" if no_value
+        else f"verify takes no flag, not {next(iter(flags))}" if runner is None and flags
+        else None
+    )
+    if error:
+        sys.stderr.write(f"{USAGE}freecert: {error}\n")
+        return EXIT_INPUT
+    return cmd_verify(files[0]) if runner is None else _run_problem(command, files[0], flags, runner)
 
 
 if __name__ == "__main__":

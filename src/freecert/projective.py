@@ -37,6 +37,16 @@ from .scalar import DisjointVerdict, Place, Rat, Record, clear_denominators, cmp
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
+#: Largest matrix dimension of a problem file, and of a matrix, point or
+#: hyperplane of a certificate.  One archimedean `direction_candidates`
+#: (singular profile and power iteration) takes 0.1-0.2 s at n = 12 and
+#: 0.2-0.3 s at n = 16 on random entries in -9..9, a search certifies up
+#: to `cli.MAX_EXPONENT` such matrices, and `verify` re-runs it for each
+#: contraction claim, so a larger n would not fail but run for minutes.
+#: The contraction witness search stays bounded at any n: it tries at
+#: most `dynamics.WITNESS_POOL_MAX` points.
+MAX_DIM = 16
+
 
 def class_rep(coords) -> IntVec:
     """The primitive integer representative, first nonzero entry positive,

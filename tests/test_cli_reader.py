@@ -1,0 +1,161 @@
+"""The command-line reader of `cli.main`, and the input refusals that sit
+beside it: a repeated single-valued `[task]` key, and a certificate whose
+claim note is no string or whose matrix is over MAX_DIM."""
+
+import json
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from freecert import cli
+from freecert.cli import USAGE, _budget, main, parse_problem
+from freecert.projective import MAX_DIM
+from freecert.scalar import parse_place
+from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run, verify_file
+
+ROOT = Path(__file__).resolve().parents[1]
+PROFILE = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["analyze", "in.prob", "--help"], ["verify", "-h"]])
+def test_help_prints_the_usage_to_stdout(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == USAGE and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "missing command"),
+        (["bogus", "in.prob"], "unknown command 'bogus'"),
+        (["analyze"], "analyze takes one file, 0 given"),
+        (["tree", "a.prob", "b.prob"], "tree takes one file, 2 given"),
+        (["verify", "a.cert", "-x"], "verify takes one file, 2 given"),
+        (["analyze", "in.prob", "--out"], "--out needs a value"),
+        (["verify", "a.cert", "--out", "x"], "verify takes no flag, not --out"),
+        (["verify", "a.cert", "--place=arch"], "verify takes no flag, not --place"),
+    ],
+)
+def test_usage_errors_exit_2_with_the_usage_on_stderr(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{USAGE}freecert: {message}\n"
+
+
+def test_both_flag_forms_give_the_same_certificate(tmp_path):
+    prob = tmp_path / "in.prob"
+    prob.write_text(PROFILE)
+    spaced, joined = tmp_path / "spaced.cert", tmp_path / "joined.cert"
+    assert main(["analyze", str(prob), "--out", str(spaced), "--place", "p:5"]) == 0
+    assert main(["analyze", f"--out={joined}", str(prob), "--place=p:5"]) == 0
+    assert json.loads(spaced.read_text())["place"] == "p:5"
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_repeated_flags_keep_their_order_and_the_last_single_value(tmp_path, capsys):
+    prob = parse_problem("format 1\n")
+    prob.flags = {"--budget": ["n_max=3", "m_max=2", "n_max=5"], "--place": ["arch", "p:7"]}
+    assert prob.flag_values("--budget", _budget) == [("n_max", 3), ("m_max", 2), ("n_max", 5)]
+    assert prob.flag("--place", parse_place) == parse_place("p:7")
+    # the first budget given is the first one parsed
+    normal = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
+    for first, second, message in (("conj_len=9", "n_max=99", "conj_len 9"), ("n_max=99", "conj_len=9", "n_max 99")):
+        code, cert, _ = run(tmp_path, "synthesize", normal, "--budget", first, f"--budget={second}")
+        assert code == 2 and cert is None
+        assert f"in.prob: --budget {message} is outside" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", PROFILE, "--place", "p:5", "--place=p:7")
+    assert code == 0 and cert["place"] == "p:7"
+    expand = mod_amalgam_header() + "\n[task]\nop tree\nsubop expand\n"
+    code, cert, _ = run(tmp_path, "tree", expand, "--radius", "3", "--radius=1")
+    assert code == 0 and cert["task"]["radius"] == 1
+
+
+def test_unknown_flag_is_refused_as_unread(tmp_path, capsys):
+    code, cert, _ = run(tmp_path, "analyze", PROFILE, "--bogus", "1")
+    assert code == 2 and cert is None
+    assert "in.prob: --bogus is not a flag of this analyze task" in capsys.readouterr().err
+
+
+def test_module_entry_point_writes_the_certificate_to_stdout(tmp_path):
+    prob = tmp_path / "in.prob"
+    prob.write_text(PROFILE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "freecert.cli", "analyze", str(prob)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, cert, _ = run(tmp_path, "analyze", PROFILE)
+    assert code == 0 and json.loads(done.stdout) == cert
+
+
+def test_traced_commands_are_the_ones_main_runs(tmp_path, monkeypatch):
+    """A tracer wraps `cmd_*` on the module; `main` must run the wrapper."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code, _, _ = run(tmp_path, "analyze", PROFILE)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.stats["cli.command"][0] == 1
+
+
+@pytest.mark.parametrize(
+    "repeat, line",
+    [("op tree\n", "in.prob:14:1: 'op' is already given on line 10"), ("epsilon-sq 1/9\n", "in.prob:14:1: 'epsilon-sq' is already given on line 13")],
+    ids=["op", "epsilon-sq"],
+)
+def test_repeated_single_valued_key_is_refused_at_its_second_line(tmp_path, capsys, repeat, line):
+    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n"
+    code, cert, _ = run(tmp_path, "analyze", text + repeat)
+    assert code == 2 and cert is None
+    assert line in capsys.readouterr().err
+
+
+def test_failing_claim_with_a_note_that_is_no_string_is_reported(tmp_path, capsys):
+    text = "format 1\nplace arch\n[matrix-group]\ngen a = [[2, 1], [1, 1]]\n[task]\nop analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n"
+    code, cert, out = run(tmp_path, "analyze", text)
+    assert code == 0
+    cert["claims"][0].update(matrix=[["3", "1"], ["1", "1"]], note=5)
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert verify_file(out) == 3
+    assert "verify: claim 0 (word-eval: 5) failed" in capsys.readouterr().err
+
+
+def _random_rows(n: int) -> list[list[str]]:
+    rng = random.Random(n)
+    return [[str(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "claim_type, field, value, message",
+    [
+        ("contraction", "matrix", _random_rows(MAX_DIM + 1), f"matrix of {MAX_DIM + 1} rows exceeds MAX_DIM = {MAX_DIM}"),
+        ("contraction", "matrix", _random_rows(32), f"matrix of 32 rows exceeds MAX_DIM = {MAX_DIM}"),
+        ("point-plane-far", "point", [str(k) for k in range(1, 16001)], f"vector of 16000 coordinates exceeds MAX_DIM = {MAX_DIM}"),
+    ],
+    ids=["matrix-17", "matrix-32", "point-16000"],
+)
+def test_verify_refuses_a_matrix_or_vector_over_max_dim_fast(tmp_path, capsys, claim_type, field, value, message):
+    # without the limit the 32 x 32 contraction claim alone takes about a
+    # second to re-check, and 16000-coordinate balls in a set-disjoint
+    # claim tens of seconds
+    text = MATRIX_HEADER + "\n[task]\nop pingpong\nsubop tuple\nplayer a = a\nplayer b = b\nradius-sq 1/10\n"
+    code, cert, out = run(tmp_path, "pingpong", text)
+    assert code == 0
+    next(c for c in cert["claims"] if c["type"] == claim_type)[field] = value
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert verify_file(out) == 2
+    assert time.perf_counter() - t0 < 1
+    assert f"verify: {message}" in capsys.readouterr().err
+    assert cli.MAX_DIM == MAX_DIM

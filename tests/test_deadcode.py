@@ -175,8 +175,9 @@ def test_verifier_imports_no_search_code():
 #: Standard-library modules the package leaves unloaded: `dataclasses`
 #: executes generated code for each record class, and it imports `inspect`;
 #: `typing` is a few milliseconds of start-up that `scalar.Record` makes
-#: unnecessary.
-UNLOADED = {"dataclasses", "inspect", "typing"}
+#: unnecessary, and `argparse` a few more, with a parser built on every
+#: call, that `cli.main`'s own reader of the argument list makes unnecessary.
+UNLOADED = {"argparse", "dataclasses", "inspect", "typing"}
 
 
 def _imported_modules(tree: ast.AST) -> set[str]:
