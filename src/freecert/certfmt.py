@@ -81,10 +81,13 @@ def vec_json(v) -> list[str]:
     return [rat(c) for c in v]
 
 
-def vec_from(data) -> tuple:
-    """The coordinates of `data`, refused over MAX_DIM."""
+def vec_from(data, dim: int | None) -> tuple:
+    """The coordinates of `data`, refused over MAX_DIM.  Unless `dim` is
+    None, a count other than `dim` is a ValueError, which fails the claim."""
     if len(data) > MAX_DIM:
         raise VerifyError(f"vector of {len(data)} coordinates exceeds MAX_DIM = {MAX_DIM}")
+    if dim is not None and len(data) != dim:
+        raise ValueError(f"vector of {len(data)} coordinates in a certificate of dimension {dim}")
     return tuple(parse_rat(c) for c in data)
 
 
@@ -103,16 +106,16 @@ def point_json(p: ProjPoint) -> list[str]:
     return vec_json(p.rep)
 
 
-def point_from(data) -> ProjPoint:
-    return ProjPoint(vec_from(data))
+def point_from(data, dim: int | None) -> ProjPoint:
+    return ProjPoint(vec_from(data, dim))
 
 
 def plane_json(h: ProjHyperplane) -> list[str]:
     return vec_json(h.functional)
 
 
-def plane_from(data) -> ProjHyperplane:
-    return ProjHyperplane(vec_from(data))
+def plane_from(data, dim: int | None) -> ProjHyperplane:
+    return ProjHyperplane(vec_from(data, dim))
 
 
 def component_json(c) -> dict:
@@ -121,11 +124,11 @@ def component_json(c) -> dict:
     return {"kind": "hnbhd", "plane": plane_json(c.plane), "radius_sq": rat(c.radius_sq)}
 
 
-def component_from(data):
+def component_from(data, dim: int | None):
     if data["kind"] == "ball":
-        return Ball(point_from(data["center"]), parse_rat(data["radius_sq"]))
+        return Ball(point_from(data["center"], dim), parse_rat(data["radius_sq"]))
     if data["kind"] == "hnbhd":
-        return HNbhd(plane_from(data["plane"]), parse_rat(data["radius_sq"]))
+        return HNbhd(plane_from(data["plane"], dim), parse_rat(data["radius_sq"]))
     raise VerifyError(f"bad set component kind {data.get('kind')!r}")
 
 
@@ -133,8 +136,8 @@ def set_json(s: ProjSet) -> list[dict]:
     return [component_json(c) for c in s.components]
 
 
-def set_from(data) -> ProjSet:
-    return ProjSet(tuple(component_from(c) for c in data))
+def set_from(data, dim: int | None) -> ProjSet:
+    return ProjSet(tuple(component_from(c, dim) for c in data))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def loads(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_contraction(matrix: ProjMat, stored: dict) -> bool:
+def _check_contraction(matrix: ProjMat, stored: dict, dim: int | None) -> bool:
     """Re-derive the contraction facts for the stored candidate pair.
 
     Checks, in order: the stored gap bound is a genuine upper bound for
@@ -219,7 +222,7 @@ def _check_contraction(matrix: ProjMat, stored: dict) -> bool:
     if gap_hi < contraction_gap_sq(matrix).hi:
         return False
     dirs = direction_candidates(matrix)
-    if dirs.attract != point_from(stored["attract"]) or dirs.repel != plane_from(stored["repel"]):
+    if dirs.attract != point_from(stored["attract"], dim) or dirs.repel != plane_from(stored["repel"], dim):
         return False
     if dirs.attract_err_sq is None or dirs.repel_err_sq is None:
         return False
@@ -229,31 +232,38 @@ def _check_contraction(matrix: ProjMat, stored: dict) -> bool:
     return bound is not None and bound * bound <= parse_rat(stored["image_radius_sq"]) <= eps_sq
 
 
-def _check_selfmap(claim: dict, place: Place) -> bool:
+def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
     """The stored ball passes the self-map test with the stored numbers,
     and the stored Lipschitz, region and move numbers are the derived ones."""
-    matrix = mat_from(claim["matrix"], place)
+    matrix, dim = mat_from(claim["matrix"], ctx.place), ctx.dim
     gap_hi = parse_rat(claim["gap_sq_hi"])
     if contraction_gap_sq(matrix).hi > gap_hi:
         return False
     enc = claim["enclosure"]
-    center, t_sq = point_from(enc["center"]), parse_rat(enc["radius_sq"])
+    center, t_sq = point_from(enc["center"], dim), parse_rat(enc["radius_sq"])
     r_err, eps_sq = parse_rat(claim["repel_err_sq"]), parse_rat(claim["epsilon_sq"])
-    _, derived = selfmap_at(matrix, center, point_from(claim["attract"]), plane_from(claim["repel"]), r_err, gap_hi, eps_sq, selfmap_radii([t_sq]))
+    attract, repel = point_from(claim["attract"], dim), plane_from(claim["repel"], dim)
+    _, derived = selfmap_at(matrix, center, attract, repel, r_err, gap_hi, eps_sq, selfmap_radii([t_sq]))
     stored = Enclosure(Ball(center, t_sq), *(parse_rat(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
     return derived == stored
 
 
 class CertContext:
     """What a certificate's claims are checked against, beyond the claim
-    itself: the generator group, the amalgam and its Bass-Serre tree that
-    the header describes, and the header evaluation of each word (the
-    task's element among them).  Each is built once, on first use, for all
-    claims of the certificate."""
+    itself: the generator group and its dimension, the amalgam and its
+    Bass-Serre tree that the header describes, and the header evaluation
+    of each word (the task's element among them).  Each is built once, on
+    first use, for all claims of the certificate."""
 
     def __init__(self, place: Place | None, header: dict, task: dict):
         self.place, self.header, self.task = place, header, task
         self._evals: dict[str, ProjMat] = {}
+
+    @cached_property
+    def dim(self) -> int | None:
+        """The generators' dimension, which every point, hyperplane and set
+        component of a claim must have; None without a generator table."""
+        return self.group.dim if self.header.get("generators") else None
 
     @cached_property
     def group(self):
@@ -287,7 +297,7 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
     # m @ e ∝ I is tested only when m ∝ e fails, so no inverse is computed
     if not (m.proportional_to(e) or (ctx.task.get("subop") == "very-proximal" and (m @ e).is_identity())):
         return False
-    x, attract, repel = point_from(claim["witness"]), point_from(claim["attract"]), plane_from(claim["repel"])
+    x, attract, repel = point_from(claim["witness"], ctx.dim), point_from(claim["attract"], ctx.dim), plane_from(claim["repel"], ctx.dim)
     if ctx.place.is_padic:
         dirs = direction_candidates(m)
         if (dirs.attract, dirs.repel) != (attract, repel):
@@ -297,22 +307,22 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
 
 def check_claim(claim: dict, ctx: CertContext) -> bool:
     """Re-check one claim against the certificate context `verify` builds."""
-    place = ctx.place
+    place, dim = ctx.place, ctx.dim
     kind = claim.get("type")
     if kind == "set-disjoint":
-        return set_disjoint(set_from(claim["left"]), set_from(claim["right"]), place).kind == "disjoint"
+        return set_disjoint(set_from(claim["left"], dim), set_from(claim["right"], dim), place).kind == "disjoint"
     if kind == "set-contains":
-        return set_contains(set_from(claim["outer"]), set_from(claim["inner"]), place, claim.get("closed_inner", False))
+        return set_contains(set_from(claim["outer"], dim), set_from(claim["inner"], dim), place, claim.get("closed_inner", False))
     if kind == "point-plane-far":
-        return point_plane_far(point_from(claim["point"]), plane_from(claim["plane"]), parse_rat(claim["r_sq"]), place)
+        return point_plane_far(point_from(claim["point"], dim), plane_from(claim["plane"], dim), parse_rat(claim["r_sq"]), place)
     if kind == "word-eval":
         return ctx.eval(claim["word"]).proportional_to(mat_from(claim["matrix"], place))
     if kind == "contraction":
-        return _check_contraction(mat_from(claim["matrix"], place), claim["cert"])
+        return _check_contraction(mat_from(claim["matrix"], place), claim["cert"], dim)
     if kind == "contraction-refuted":
         return _check_refutation(claim, ctx)
     if kind == "selfmap-enclosure":
-        return _check_selfmap(claim, place)
+        return _check_selfmap(claim, ctx)
     if kind == "normal-membership":
         return ctx.eval(claim["element"]).proportional_to(ctx.eval(claim["factorization"]))
     if kind == "oracle":

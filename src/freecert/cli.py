@@ -561,8 +561,7 @@ def claims_for_tuple(tup) -> list[dict]:
     each player's proximal evidence."""
     out = _disjoint_claims(tup, claim_set_disjoint)
     for p in tup.players:
-        if isinstance(p.evidence, ProximalCert):
-            out.extend(claims_for_proximal(p.element, p.evidence))
+        out.extend(claims_for_proximal(p.element, p.evidence))
     return out
 
 

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
-from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
+from .checker import Enclosure, evidence_outside, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
 from .projective import (
     Ball,
     HNbhd,
@@ -433,6 +433,25 @@ class ProximalCert(Record):
         and `certfmt` emits them."""
         a_p, r_p, a_m, r_m = self.eps_sets
         return ((a_p, r_p, "very: A+ vs R+"), (a_p, a_m, "very: A+ vs A-"), (a_m, r_m, "very: A- vs R-"))
+
+    def check_mapping(self, player) -> tuple[bool, str]:
+        """The ping-pong mapping conditions g(X - R+) in A+ and
+        g^-1(X - R-) in A- for a player holding this certificate: each
+        direction's image ball and repelling set are certified inside the
+        player's declared sets, at the place of its element.  Returns
+        (held, why not)."""
+        if self.very is None:
+            return False, f"{player.name}: evidence lacks the inverse direction"
+        place = player.element.place
+        pairs = (
+            (self, player.a_plus, player.r_plus, "forward"),
+            (self.very, player.a_minus, player.r_minus, "inverse"),
+        )
+        for cert, a_decl, r_decl, tag in pairs:
+            why = evidence_outside(cert.contraction, a_decl, r_decl, place)
+            if why is not None:
+                return False, f"{player.name}: {tag} {why}"
+        return True, ""
 
 
 def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:

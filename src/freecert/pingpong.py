@@ -3,9 +3,12 @@
 A tuple is certified from three ingredient checks: the per-player and
 cross-player disjointness of the declared attracting/repelling sets, and
 mapping evidence for each player (a proximality certificate on the
-projective backend, a hyperbolicity witness on the tree backend).  The
-complement of a repelling set is never enumerated: evidence sets are
-compared against declared sets through certified containments only.
+projective backend, a hyperbolicity witness on the tree backend).  Each
+backend answers for itself: its sets decide their disjointness and its
+evidence checks its own mapping conditions, so this module names no
+backend type.  The complement of a repelling set is never enumerated:
+evidence sets are compared against declared sets through certified
+containments only.
 
 The oracle is deliberately independent: it finds the shortlex-least
 nonempty reduced word in the players and their inverses (inverses
@@ -19,17 +22,17 @@ words for k players instead of (2k - 1)^L.
 
 from __future__ import annotations
 
-from .checker import evidence_outside
-from .dynamics import ProximalCert
-from .projective import ProjSet, set_disjoint
-from .scalar import Place, Record, word_string
+from .projective import set_disjoint
+from .scalar import Record, word_string
 
 
 class PingPongPlayer(Record):
     """An element with declared attracting/repelling sets and evidence.
 
     The mapping conditions g(X - R+) in A+ and g^-1(X - R-) in A- are
-    established through the evidence object, never pointwise.
+    established by the evidence object's `check_mapping(player)`, never
+    pointwise.  The element's `place` is that of its matrix, or None for
+    a tree automorphism.
     """
 
     __slots__ = ("name", "element", "a_plus", "r_plus", "a_minus", "r_minus", "evidence")
@@ -59,50 +62,6 @@ class PingPongTuple(Record):
     __slots__ = ("players", "verdict", "witness", "witness_detail", "checks")
 
 
-def _place_of(player: PingPongPlayer) -> Place | None:
-    el = player.element
-    return getattr(el, "place", None)
-
-
-def _disjoint(a, b, place):
-    if isinstance(a, ProjSet):
-        return set_disjoint(a, b, place)
-    return a.disjoint_from(b)
-
-
-def _backend_key(player: PingPongPlayer) -> str:
-    if isinstance(player.a_plus, ProjSet):
-        pl = _place_of(player)
-        return f"proj/{player.a_plus.dim}/{pl}"
-    return f"tree/{type(player.element).__name__}"
-
-
-def _proj_evidence_ok(player: PingPongPlayer, place: Place) -> tuple[bool, str]:
-    ev = player.evidence
-    if not isinstance(ev, ProximalCert):
-        return False, f"{player.name}: projective evidence must be a proximality certificate"
-    if ev.very is None:
-        return False, f"{player.name}: evidence lacks the inverse direction"
-    pairs = (
-        (ev, player.a_plus, player.r_plus, "forward"),
-        (ev.very, player.a_minus, player.r_minus, "inverse"),
-    )
-    for cert, a_decl, r_decl, tag in pairs:
-        why = evidence_outside(cert.contraction, a_decl, r_decl, place)
-        if why is not None:
-            return False, f"{player.name}: {tag} {why}"
-    return True, ""
-
-
-def _evidence_ok(player: PingPongPlayer) -> tuple[bool, str]:
-    if isinstance(player.a_plus, ProjSet):
-        return _proj_evidence_ok(player, _place_of(player))
-    ev = player.evidence
-    if hasattr(ev, "check_mapping"):
-        return ev.check_mapping(player)
-    return False, f"{player.name}: no usable mapping evidence"
-
-
 def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
     """Certify the general four-set ping-pong conditions.
 
@@ -113,16 +72,15 @@ def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
     """
     if not players:
         raise ValueError("at least one player required")
-    keys = {_backend_key(p) for p in players}
-    if len(keys) != 1:
+    if len({(type(p.a_plus), p.element.place) for p in players}) != 1:
         raise ValueError("players use mismatched action backends")
-    place = _place_of(players[0])
+    place = players[0].element.place  # None on the tree
     checks: list[TupleCheck] = []
     unknown: str | None = None
 
     def record(detail: str, a, b) -> object | None:
         nonlocal unknown
-        verdict = _disjoint(a, b, place)
+        verdict = a.disjoint_from(b) if place is None else set_disjoint(a, b, place)
         checks.append(TupleCheck("disjoint", detail, verdict.kind == "disjoint", a, b))
         if verdict.kind == "disjoint":
             return None
@@ -149,7 +107,7 @@ def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
                             tuple(players), "refuted", bad.witness, f"{p.name}.{la} meets {q.name}.{lb}", tuple(checks)
                         )
     for p in players:
-        ok, why = _evidence_ok(p)
+        ok, why = (False, f"{p.name}: no usable mapping evidence") if p.evidence is None else p.evidence.check_mapping(p)
         checks.append(TupleCheck("evidence", why or f"{p.name}: mapping evidence certified", ok))
         if not ok:
             return PingPongTuple(tuple(players), "unknown", None, why, tuple(checks))

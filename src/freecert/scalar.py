@@ -29,7 +29,7 @@ from operator import attrgetter
 
 Rat = Fraction
 
-#: Default width for outward rational bounding of square roots.
+#: Width for outward rational bounding of square roots.
 SQRT_BOUND_BITS = 40
 
 
@@ -218,8 +218,9 @@ def int_valuation(n: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_lower(q: Rat, bits: int = SQRT_BOUND_BITS) -> Rat:
-    """Largest convenient rational l with l <= sqrt(q), within 2^-bits of it.
+def sqrt_lower(q: Rat) -> Rat:
+    """Largest convenient rational l with l <= sqrt(q), within
+    2^-SQRT_BOUND_BITS of it.
 
     Exact when q is a square of a rational.
     """
@@ -231,13 +232,14 @@ def sqrt_lower(q: Rat, bits: int = SQRT_BOUND_BITS) -> Rat:
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
-    # sqrt(n/d) = sqrt(n*d)/d; scale by 4^bits so the floor isqrt is tight.
-    big = (n * d) << (2 * bits)
-    return Fraction(isqrt(big), d << bits)
+    # sqrt(n/d) = sqrt(n*d)/d; scale by 4^SQRT_BOUND_BITS so the floor isqrt is tight.
+    big = (n * d) << (2 * SQRT_BOUND_BITS)
+    return Fraction(isqrt(big), d << SQRT_BOUND_BITS)
 
 
-def sqrt_upper(q: Rat, bits: int = SQRT_BOUND_BITS) -> Rat:
-    """Rational u with sqrt(q) <= u <= sqrt(q) + 2^-bits; exact on squares."""
+def sqrt_upper(q: Rat) -> Rat:
+    """Rational u with sqrt(q) <= u <= sqrt(q) + 2^-SQRT_BOUND_BITS; exact
+    on squares."""
     if q < 0:
         raise ValueError("sqrt of negative rational")
     if q == 0:
@@ -246,9 +248,9 @@ def sqrt_upper(q: Rat, bits: int = SQRT_BOUND_BITS) -> Rat:
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
-    big = (n * d) << (2 * bits)
+    big = (n * d) << (2 * SQRT_BOUND_BITS)
     r = isqrt(big)
-    return Fraction(r + 1, d << bits)
+    return Fraction(r + 1, d << SQRT_BOUND_BITS)
 
 
 def cmp_sqrt_sum(a: Rat, b: Rat, c: Rat) -> int:

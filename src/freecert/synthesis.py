@@ -257,7 +257,6 @@ def conjugate_contract(
     x: Word,
     m_max: int,
     epsilon_sq: Rat,
-    g_cert: ProximalCert | None = None,
 ) -> tuple[int, Word, ContractionCert] | None:
     """Smallest m <= m_max making y = g^m x g^-m certifiably eps-contracting.
 
@@ -266,10 +265,9 @@ def conjugate_contract(
     (checked against the certificate's enclosures)."""
     gm = group.eval(g)
     xm = group.eval(x)
+    g_cert = auto_very_proximal(gm)
     if g_cert is None:
-        g_cert = auto_very_proximal(gm)
-        if g_cert is None:
-            raise ValueError("g is not certified very-proximal")
+        raise ValueError("g is not certified very-proximal")
     fp_inv = g_cert.very.fixed_point.ball  # encloses the fixed point of g^-1
     moved = push_set(xm, ProjSet((fp_inv,)))
     plane_enc = ProjSet((g_cert.fixed_plane_nbhd,))

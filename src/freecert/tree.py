@@ -170,6 +170,7 @@ class TreeAut(Record):
     amalgam takes no part in equality, hashing or the repr."""
 
     __slots__ = ("amalgam", "syllables", "tail")
+    place = None  # it acts on a tree, at no place of Q
 
     def _key(self) -> tuple:
         return (self.syllables, self.tail)
@@ -343,8 +344,8 @@ class BassSerreTree:
             raise TreeError("expand further: path exceeds the radius budget")
         return path
 
-    def distance(self, u: Vertex, v: Vertex, cap: int | None = 64) -> int:
-        return len(self.geodesic(u, v, cap)) - 1
+    def distance(self, u: Vertex, v: Vertex) -> int:
+        return len(self.geodesic(u, v)) - 1
 
 
 def ball_radius(amalgam: AmalgamData, radius: int) -> int:

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 from freecert.checker import Enclosure
 from freecert.dynamics import ITER_BUDGET
@@ -11,6 +12,15 @@ from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim
 from freecert.scalar import clear_denominators, cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper, word_string
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
+
+
+def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= sqrt(q) <= hi, 2^-bits apart, for q >= 0: tighter
+    than the package's `sqrt_lower` and `sqrt_upper` when bits exceeds
+    SQRT_BOUND_BITS."""
+    n, d = q.numerator, q.denominator
+    r = isqrt((n * d) << (2 * bits))
+    return Fraction(r, d << bits), Fraction(r + 1, d << bits)
 
 
 def subgroup_closure(group, gens) -> frozenset:
@@ -68,7 +78,7 @@ def min_displacement(tree, w, radius: int = DEFAULT_RADIUS) -> int:
     best = None
     cap = 2 * radius + 2 * (w.length + 1)
     for v in tree.ball(tree.base_vertex("A"), radius):
-        d = tree.distance(v, tree.act(w, v), cap=cap)
+        d = len(tree.geodesic(v, tree.act(w, v), cap)) - 1
         if best is None or d < best:
             best = d
             if best == 0:
@@ -81,9 +91,9 @@ def shadow_member(prefix_vertex, shadow, radius_budget: int = DEFAULT_RADIUS) ->
     vertex passes through the shadow's gate y."""
     tree = shadow.tree
     try:
-        d_xw = tree.distance(shadow.x, prefix_vertex, cap=radius_budget)
-        d_xy = tree.distance(shadow.x, shadow.y, cap=radius_budget)
-        d_yw = tree.distance(shadow.y, prefix_vertex, cap=radius_budget)
+        d_xw = len(tree.geodesic(shadow.x, prefix_vertex, radius_budget)) - 1
+        d_xy = len(tree.geodesic(shadow.x, shadow.y, radius_budget)) - 1
+        d_yw = len(tree.geodesic(shadow.y, prefix_vertex, radius_budget)) - 1
     except TreeError:
         raise TreeError("expand further: prefix outside the expanded region") from None
     return d_xy + d_yw == d_xw

@@ -551,6 +551,30 @@ def test_verify_rejects_mutations(tmp_path):
     assert verify_file(bad) == 3
 
 
+def _pad_vectors(node) -> None:
+    """Append 14 zero coordinates to every point, ball centre and plane
+    under `node`: zeros keep every distance, so only the dimension changes."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if key in ("center", "plane", "point"):
+            node[key] = value + ["0"] * 14
+        elif isinstance(value, (dict, list)):
+            _pad_vectors(value)
+
+
+@pytest.mark.parametrize("kind, count", [("set-disjoint", 28), ("point-plane-far", 4)])
+def test_verify_binds_claim_geometry_to_the_generator_dimension(tmp_path, capsys, kind, count):
+    text = MATRIX_HEADER + "\n[task]\nop pingpong\nsubop tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n"
+    code, cert, _ = run(tmp_path, "pingpong", text)
+    assert code == 0
+    claims = [c for c in cert["claims"] if c["type"] == kind]
+    assert len(claims) == count
+    _pad_vectors(claims)
+    bad = tmp_path / "bad.cert"
+    bad.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    assert verify_file(bad) == 3
+    assert "vector of 16 coordinates in a certificate of dimension 2" in capsys.readouterr().err
+
+
 def test_verify_rejects_truncation(tmp_path):
     text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
     _, _, out = run(tmp_path, "analyze", text)
@@ -611,6 +635,69 @@ def test_generator_errors_name_their_line(tmp_path, capsys, gens, message):
     code, cert, _ = run(tmp_path, "analyze", text, "--place", "p:3")
     assert code == 2 and cert is None
     assert "in.prob:" + message in capsys.readouterr().err
+
+
+PROFILE_TASK = "[task]\nop analyze\nsubop profile\nelement a\n"
+B1B2B3_TASK = (
+    "format 1\n[matrix-group]\ngen g = [[25, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\ngen s = [[1, -1], [1, 1]]\n"
+    "[task]\nop synthesize\nsubop b1b2b3\nelement g\nb1 r\nb2 r\nb3 s\n"
+)
+
+
+def _generator(literal: str) -> str:
+    return "format 1\n[matrix-group]\ngen a = " + literal + "\n" + PROFILE_TASK
+
+
+def _synthesize(subop: str, lines: str) -> str:
+    return SANOV_HEADER + f"[task]\nop synthesize\nsubop {subop}\n" + lines
+
+
+POSITIONED_ERRORS = {
+    # matrix literals
+    "nests-too-deep": ("analyze", _generator("[[[1]]]"), "3:3: matrix literal nests too deep"),
+    "unbalanced": ("analyze", _generator("[[1, 0], [0, 1]]]"), "3:17: unbalanced ']' in matrix literal"),
+    "empty-entry": ("analyze", _generator("[[1, , 0], [0, 1]]"), "3:6: empty matrix entry"),
+    "trailing": ("analyze", _generator("[[1, 0], [0, 1]] x"), "3:18: trailing characters after matrix literal"),
+    "unterminated": ("analyze", _generator("[[1, 0], [0, 1]"), "3:15: unterminated matrix literal"),
+    "not-square": ("analyze", _generator("[[1, 0, 0], [0, 1, 0]]"), "3:1: matrix literal must be square"),
+    # file structure
+    "no-format": ("analyze", "[matrix-group]\ngen a = [[2, 0], [0, 1]]\n" + PROFILE_TASK, "1:1: missing 'format 1' header"),
+    "format-2": ("analyze", "format 2\n", "1:8: unsupported format '2'"),
+    "before-section": ("analyze", "format 1\ndim 2\n", "2:1: unexpected directive 'dim' before any section"),
+    "matrix-group-directive": ("analyze", "format 1\n[matrix-group]\ngenerator a = [[2, 0], [0, 1]]\n", "3:1: unknown matrix-group directive 'generator'"),
+    "amalgam-directive": ("tree", "format 1\n[amalgam]\nembed-c 0\n", "3:1: unknown amalgam directive 'embed-c'"),
+    "gen-line": ("analyze", "format 1\n[matrix-group]\ngen [[2, 0], [0, 1]]\n", "3:5: expected: gen NAME = [[...], [...]]"),
+    "table-no-rows": ("tree", "format 1\n[amalgam]\ntable-a\nnames-a e s\n", "4:1: table-a has no rows"),
+    "incomplete-amalgam": (
+        "tree",
+        mod_amalgam_header().replace("embed-b 0\n", "") + "[task]\nop tree\nsubop classify\nword s t\n",
+        "1:1: amalgam section incomplete: missing embed-b",
+    ),
+    "no-matrix-group": ("analyze", "format 1\n" + PROFILE_TASK, "1:1: task needs a [matrix-group] section"),
+    # task values
+    "missing-key": ("analyze", MATRIX_HEADER + "[task]\nop analyze\nsubop contracting\nelement a\n", "1:1: task needs 'epsilon-sq'"),
+    "attract": ("synthesize", B1B2B3_TASK + "attract disk [1, 0] 1/25\nrepel ball [0, 1] 1/25\n", "13:9: set literal must be: ball|hnbhd [coords] radius-sq"),
+    "repel": ("synthesize", B1B2B3_TASK + "attract ball [1, 0] 1/25\nrepel ball 0, 1 1/25\n", "14:7: set literal must be: ball|hnbhd [coords] radius-sq"),
+    "player-line": ("pingpong", MATRIX_HEADER + "[task]\nop pingpong\nplayer a\n", "10:1: expected: player NAME = word"),
+    "normal-line": ("synthesize", _synthesize("normal-proximal", "normal a a\n"), "11:1: expected: normal LABEL = word [; word ...]"),
+    "cosets-line": ("synthesize", _synthesize("coset-pingpong", "normal N = a a\ncosets N a | b\n"), "12:1: cosets for unknown normal 'N a | b'"),
+    "no-player": ("pingpong", MATRIX_HEADER + "[task]\nop pingpong\nradius-sq 1/10\n", "1:1: task needs at least one 'player NAME = word'"),
+    "normal-no-reps": ("synthesize", _synthesize("normal-proximal", "normal N = ;\n"), "11:1: normal datum needs class representatives"),
+    "two-normals": (
+        "synthesize",
+        _synthesize("normal-proximal", "normal N = a a\nnormal M = b b\n"),
+        "1:1: normal-proximal takes exactly one 'normal' line",
+    ),
+    "no-cosets": ("synthesize", _synthesize("coset-pingpong", "normal N = a a\n"), "1:1: coset-pingpong needs a 'cosets' line"),
+    "no-words": ("tree", mod_amalgam_header() + "[task]\nop tree\nsubop pingpong\n", "1:1: tree pingpong needs 'word' lines"),
+}
+
+
+@pytest.mark.parametrize("command, text, message", POSITIONED_ERRORS.values(), ids=POSITIONED_ERRORS)
+def test_input_errors_are_positioned(tmp_path, capsys, command, text, message):
+    code, cert, _ = run(tmp_path, command, text)
+    assert code == 2 and cert is None
+    assert f"in.prob:{message}" in capsys.readouterr().err
 
 
 def test_place_syntax_errors_keep_their_framing(tmp_path, capsys):

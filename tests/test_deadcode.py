@@ -94,9 +94,10 @@ def _optional_params(func: ast.FunctionDef, is_method: bool) -> list[tuple[str, 
     return out
 
 
-def unpassed_optional_parameters() -> list[str]:
-    """Optional parameters of package functions that no call passes, by
-    position or by keyword.  Calls match by bare name or attribute name."""
+def unpassed_optional_parameters(*dirs: Path) -> list[str]:
+    """Optional parameters of package functions that no call under `dirs`
+    passes, by position or by keyword.  Calls match by bare name or
+    attribute name."""
     optional: dict[str, list[tuple[str, int | None, str]]] = {}
     for path, tree in _trees(PACKAGE):
         methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
@@ -106,7 +107,7 @@ def unpassed_optional_parameters() -> list[str]:
                     where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name})"
                     optional.setdefault(node.name, []).append((name, pos, where))
     passed: set[tuple[str, str]] = set()
-    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+    for _, tree in _trees(*dirs):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -124,8 +125,22 @@ def unpassed_optional_parameters() -> list[str]:
 
 
 def test_every_optional_parameter_is_passed():
-    unpassed = unpassed_optional_parameters()
+    unpassed = unpassed_optional_parameters(ROOT / "src", ROOT / "tests")
     assert not unpassed, "optional parameters no call passes:\n" + "\n".join(unpassed)
+
+
+#: `cli.main(argv)`: the benchmark passes the argument list through its
+#: own name for the function, `self.cli_main(argv)`, which no name match sees.
+TEST_ONLY_EXEMPT = {"main(argv)"}
+
+
+def test_no_optional_parameter_passed_only_from_tests():
+    """A parameter that only the tests pass is a test hook in the package:
+    the tests build what they need themselves (`tests/oracles.py`)."""
+    users = (ROOT / "src", ROOT / "tools", ROOT / "perfbench")
+    test_only = set(unpassed_optional_parameters(*users)) - set(unpassed_optional_parameters(*users, ROOT / "tests"))
+    test_only = sorted(where for where in test_only if where.rsplit(" ", 1)[-1] not in TEST_ONLY_EXEMPT)
+    assert not test_only, "optional parameters only the tests pass:\n" + "\n".join(test_only)
 
 
 def _package_imports(path: Path) -> tuple[dict[str, set[str]], set[str]]:
@@ -157,6 +172,17 @@ def test_checker_imports_only_scalar_and_projective():
     internal, external = _package_imports(PACKAGE / "checker.py")
     assert internal.keys() <= {"scalar", "projective"}, f"checker.py imports freecert modules {sorted(internal)}"
     assert external <= sys.stdlib_module_names, f"checker.py imports {sorted(external - sys.stdlib_module_names)}"
+
+
+def test_pingpong_imports_only_projective_and_scalar():
+    """`pingpong.py` asks each backend's sets for their disjointness and
+    each player's evidence for its mapping conditions, so it names no
+    backend type: within the package it imports `projective` and `scalar`
+    alone, and it tests no type or attribute."""
+    internal, _ = _package_imports(PACKAGE / "pingpong.py")
+    assert internal.keys() == {"projective", "scalar"}, f"pingpong.py imports freecert modules {sorted(internal)}"
+    names = {node.id for node in ast.walk(ast.parse((PACKAGE / "pingpong.py").read_text(encoding="utf-8"))) if isinstance(node, ast.Name)}
+    assert not names & {"isinstance", "hasattr", "getattr", "_backend_key"}
 
 
 def test_verifier_imports_no_search_code():
@@ -255,6 +281,13 @@ def test_verifier_import_loads_no_search_code():
     assert "freecert.certfmt" in loaded
     producers = {"freecert.synthesis", "freecert.pingpong", "freecert.cli"}
     assert not loaded & producers, f"import freecert.certfmt loads {sorted(loaded & producers)}"
+
+
+def test_pingpong_import_loads_no_dynamics():
+    loaded = _loaded_modules("import freecert.pingpong")
+    assert "freecert.pingpong" in loaded
+    search = {"freecert.dynamics", "freecert.checker", "freecert.rootiso"}
+    assert not loaded & search, f"import freecert.pingpong loads {sorted(loaded & search)}"
 
 
 MEMO_DECORATORS = {"lru_cache", "cache"}

@@ -34,7 +34,7 @@ from freecert.projective import (
     gram_matrix,
 )
 from freecert.rootiso import isolate_positive_roots, point
-from freecert.scalar import ARCH, clear_denominators, padic, sqrt_lower, sqrt_upper
+from freecert.scalar import ARCH, clear_denominators, padic
 from oracles import (
     fraction_charpoly_gram,
     fraction_gram,
@@ -43,6 +43,7 @@ from oracles import (
     interval_contains,
     padic_valuation,
     set_member,
+    sqrt_bounds,
 )
 
 P5 = padic(5)
@@ -95,7 +96,7 @@ def test_arch_profile_irrational_enclosure():
     # g^T g of [[2,1],[1,1]] has eigenvalues (7 +- 3 sqrt(5))/2
     prof = singular_profile(FIB)
     lam1 = prof.values_sq[0]
-    lo5, hi5 = sqrt_lower(F(5), 60), sqrt_upper(F(5), 60)
+    lo5, hi5 = sqrt_bounds(F(5), 60)
     assert lam1.lo <= (7 + 3 * hi5) / 2 and (7 + 3 * lo5) / 2 <= lam1.hi
     assert not prof.exact
     rel = (lam1.hi - lam1.lo) / lam1.lo
@@ -370,7 +371,7 @@ def test_power_to_proximal_fibonacci():
     assert n == 2
     # the enclosure pins the golden-ratio eigendirection [(1+sqrt5)/2 : 1]
     enc = cert.fixed_point.ball
-    lo5, hi5 = sqrt_lower(F(5), 100), sqrt_upper(F(5), 100)
+    lo5, hi5 = sqrt_bounds(F(5), 100)
     # canonical rep of the eigenvector is (1, (sqrt5-1)/2); second coordinate interval:
     y_lo, y_hi = (lo5 - 1) / 2, (hi5 - 1) / 2
     c = enc.ball.center.rep if hasattr(enc, "ball") else enc.center.rep

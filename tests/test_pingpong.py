@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from freecert.dynamics import certify_very_proximal
+from freecert.dynamics import ProximalCert, certify_very_proximal
 from freecert.pingpong import (
     MAX_ORACLE_WORDS,
     PingPongPlayer,
+    TupleCheck,
     certify_tuple,
     freeness_oracle,
     oracle_words,
@@ -126,6 +127,45 @@ def test_mismatched_backends_rejected():
     tree_player = PingPongPlayer("t0", st, sh, sh, sh, sh, TreeEvidence(cls))
     with pytest.raises(ValueError, match="backend"):
         certify_tuple([player_from("g", diag81()), tree_player])
+
+
+TINY = F(1, 10**12)
+
+
+def _tiny_attracting_balls(cert, p):
+    c_f, c_b = cert.contraction, cert.very.contraction
+    return PingPongPlayer(p.name, p.element, ball(c_f.attract, TINY), p.r_plus, ball(c_b.attract, TINY), p.r_minus, cert)
+
+
+def _forward_only(cert, p):
+    one_way = ProximalCert(cert.r_sq, cert.epsilon_sq, cert.contraction, cert.fixed_point, cert.fixed_plane_dual)
+    return PingPongPlayer(p.name, p.element, p.a_plus, p.r_plus, p.a_minus, p.r_minus, one_way)
+
+
+def _tiny_repelling_nbhd(cert, p):
+    return PingPongPlayer(p.name, p.element, p.a_plus, hnbhd(cert.contraction.repel, TINY), p.a_minus, p.r_minus, cert)
+
+
+def _no_evidence(cert, p):
+    return PingPongPlayer(p.name, p.element, p.a_plus, p.r_plus, p.a_minus, p.r_minus, None)
+
+
+@pytest.mark.parametrize(
+    "declare, why",
+    [
+        (_tiny_attracting_balls, "g: forward image ball not certified inside the declared attracting set"),
+        (_forward_only, "g: evidence lacks the inverse direction"),
+        (_tiny_repelling_nbhd, "g: forward evidence repelling set not certified inside the declared one"),
+        (_no_evidence, "g: no usable mapping evidence"),
+    ],
+)
+def test_unusable_mapping_evidence_is_unknown(declare, why):
+    g = diag81()
+    v = certify_very_proximal(g, F(1, 4), F(1, 64))
+    assert v.kind == "yes"
+    out = certify_tuple([declare(v.cert, player_from("g", g))])
+    assert (out.verdict, out.witness, out.witness_detail) == ("unknown", None, why)
+    assert out.checks[-1] == TupleCheck("evidence", why, False)
 
 
 def test_oracle_sanov_pair():

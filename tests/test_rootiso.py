@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freecert.rootiso import (
+    DIVISOR_TRIAL_CAP,
     Interval,
     _refine,
     cauchy_bound,
@@ -95,6 +96,19 @@ def test_isolation_ignores_nonpositive_roots():
     assert len(out) == 1
     iv, m = out[0]
     assert m == 1 and interval_contains(iv, F(4))
+
+
+def test_isolation_splits_off_a_rational_root_the_divisor_search_missed():
+    # N's two prime factors lie above the trial-division cap, so the
+    # rational root test finds neither root of N (x - 1)(x - 2); Sturm
+    # bisection hits 2 as a midpoint and splits it off, and the refinement
+    # of (0, 2) hits 1 exactly
+    n = 200003 * 200009
+    assert min(200003, 200009) > DIVISOR_TRIAL_CAP
+    assert rational_roots([2 * n, -3 * n, n]) == []
+    out = isolate_positive_roots((2 * n, -3 * n, n))
+    assert out == ((Interval(F(1), F(1)), 1), (Interval(F(2), F(2)), 1))
+    assert list(out) == fraction_isolate_positive_roots([2 * n, -3 * n, n])
 
 
 def test_isolation_is_memoized_on_the_cleared_polynomial():
