@@ -2,8 +2,9 @@
 
 Problem files are line-oriented with section headers, exact-rational
 literals, and positioned parse errors.  Certificates go to stdout (or
---out), logs to stderr.  Exit codes: 0 certified/yes, 2 input error,
-3 refuted/no, 4 unknown/not-found/partial.
+--out), logs to stderr.  Exit codes: 2 for an input error, else that of
+the verdict's row of `certfmt.VERDICTS`: 0 for ok, yes, certified and
+no-relation, 3 for no, refuted and relation, 4 for unknown and not-found.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import certfmt
-from .certfmt import VerifyError, mat_json, plane_json, point_json, rat, set_json, shadow_json, vertex_json
+from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, VerifyError, mat_json, plane_json, point_json, rat, set_json, shadow_json, vertex_json
 from .checker import Enclosure
 from .dynamics import (
     ContractionCert,
@@ -54,20 +55,12 @@ from .tree import (
     tree_pingpong,
 )
 
-EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_REFUTED = 3
-EXIT_UNKNOWN = 4
 
 #: Longest word the freeness oracle may be asked to search.  It stores
 #: the reduced words of half that length, (2k)(2k - 1)^(L/2 - 1) of them
 #: for k players, which `pingpong.MAX_ORACLE_WORDS` bounds as well.
 MAX_ORACLE_LEN = 12
-#: Largest exponent a power search may try: `max-n` (g^n), `m-max`
-#: (g^m x g^-m) and `k-max` (g^-(k+1)).  Each exponent is one more
-#: certification of a matrix whose entries grow with it, so a larger
-#: value would not fail but run for minutes.
-MAX_EXPONENT = 64
 #: Longest word `synthesize very-proximal` tries for f1 and f2.  It
 #: certifies every pair of words up to that length, 2809 pairs for two
 #: generators at length 3, so a longer one would run for minutes.
@@ -600,19 +593,13 @@ def claims_for_tree_tuple(tup, words: list[str]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _verdict_exit(verdict: str) -> int:
-    if verdict in ("yes", "certified", "ok", "no-relation"):
-        return EXIT_OK
-    if verdict in ("no", "refuted", "relation"):
-        return EXIT_REFUTED
-    return EXIT_UNKNOWN
-
-
 def _emitter(place: Place | None, backend: str, header: dict, task: dict):
-    """emit(verdict, result, claims) -> (certificate, exit code) for one command."""
+    """emit(verdict, result, claims) -> (certificate, exit code) for one
+    command, the exit code that of the verdict's row of `certfmt.VERDICTS`."""
 
     def emit(verdict: str, result: dict | None = None, claims: list[dict] | None = None) -> tuple[dict, int]:
-        return certfmt.certificate(place, backend, header, task, verdict, result or {}, claims or []), _verdict_exit(verdict)
+        row = certfmt.VERDICTS[task["op"], task["subop"], verdict]
+        return certfmt.certificate(place, backend, header, task, verdict, result or {}, claims or []), row.exit
 
     return emit
 
@@ -743,7 +730,9 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
 
         def cosets(spec: str) -> None:
             label, eq, reps = spec.partition("=")
-            if not eq or label.strip() not in normals:
+            if not eq:
+                raise ValueError("expected: cosets LABEL = word | word ...")
+            if label.strip() not in normals:
                 raise ValueError(f"cosets for unknown normal {label.strip()!r}")
             normals[label.strip()][1] = tuple(word(w) for w in reps.split("|"))
 

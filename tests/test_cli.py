@@ -104,12 +104,14 @@ def test_analyze_identity_no(tmp_path):
 
 def _forged_refutation_code(tmp_path, text: str, refuted: dict, subop: str | None = None) -> int:
     """verify's exit code for the certificate of `text` rewritten to verdict
-    `no` with one more contraction-refuted claim (and the task's subop)."""
+    `no`: its contraction claim replaced by a contraction-refuted claim, its
+    result by that claim's witness (and the task's subop)."""
     code, cert, _ = run(tmp_path, "analyze", text)
     assert code == 0
     cert["verdict"] = "no"
     cert["task"]["subop"] = subop or cert["task"]["subop"]
-    cert["claims"].append(dict(refuted, type="contraction-refuted", epsilon_sq="1/4"))
+    cert["claims"][1] = dict(refuted, type="contraction-refuted", epsilon_sq="1/4")
+    cert["result"] = {"counterexample": refuted["witness"]}
     forged = tmp_path / "forged.cert"
     forged.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
     return verify_file(forged)
@@ -680,7 +682,8 @@ POSITIONED_ERRORS = {
     "repel": ("synthesize", B1B2B3_TASK + "attract ball [1, 0] 1/25\nrepel ball 0, 1 1/25\n", "14:7: set literal must be: ball|hnbhd [coords] radius-sq"),
     "player-line": ("pingpong", MATRIX_HEADER + "[task]\nop pingpong\nplayer a\n", "10:1: expected: player NAME = word"),
     "normal-line": ("synthesize", _synthesize("normal-proximal", "normal a a\n"), "11:1: expected: normal LABEL = word [; word ...]"),
-    "cosets-line": ("synthesize", _synthesize("coset-pingpong", "normal N = a a\ncosets N a | b\n"), "12:1: cosets for unknown normal 'N a | b'"),
+    "cosets-line": ("synthesize", _synthesize("coset-pingpong", "normal N = a a\ncosets N a | b\n"), "12:1: expected: cosets LABEL = word | word ..."),
+    "cosets-label": ("synthesize", _synthesize("coset-pingpong", "normal N = a a\ncosets M = a | b\n"), "12:1: cosets for unknown normal 'M'"),
     "no-player": ("pingpong", MATRIX_HEADER + "[task]\nop pingpong\nradius-sq 1/10\n", "1:1: task needs at least one 'player NAME = word'"),
     "normal-no-reps": ("synthesize", _synthesize("normal-proximal", "normal N = ;\n"), "11:1: normal datum needs class representatives"),
     "two-normals": (

@@ -1,0 +1,344 @@
+"""The verdict table `certfmt.VERDICTS`: every row is reached by a problem
+that exits with the row's code and verifies, and a certificate whose
+claims or result do not carry its verdict fails `verify` (exit 3).
+"""
+
+import copy
+import json
+import re
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freecert.certfmt import VERDICTS, mat_from, plane_from, point_from
+from freecert.checker import selfmap_at, selfmap_radii
+from freecert.cli import main
+from freecert.projective import Ball
+from freecert.scalar import ARCH, parse_rat
+from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run
+from test_golden import PROBLEMS
+
+TASK = "\n[task]\n"
+
+
+def _one(gens: str, place: str = "arch") -> str:
+    return f"format 1\nplace {place}\n[matrix-group]\n{gens}" + TASK
+
+
+#: golden problem -> the row its certificate reaches
+GOLDEN_ROWS = {
+    "analyze-profile": ("analyze", "profile", "ok"),
+    "analyze-contracting": ("analyze", "contracting", "yes"),
+    "analyze-contracting-no": ("analyze", "contracting", "no"),
+    "analyze-proximal": ("analyze", "proximal", "yes"),
+    "analyze-very-proximal": ("analyze", "very-proximal", "yes"),
+    "analyze-very-proximal-no": ("analyze", "very-proximal", "no"),
+    "analyze-power-proximal": ("analyze", "power-proximal", "yes"),
+    "pingpong-tuple": ("pingpong", "tuple", "certified"),
+    "pingpong-tuple-auto-sets": ("pingpong", "tuple", "certified"),
+    "pingpong-simple-tuple": ("pingpong", "simple-tuple", "certified"),
+    "pingpong-refuted": ("pingpong", "tuple", "refuted"),
+    "pingpong-oracle": ("pingpong", "oracle", "no-relation"),
+    "synthesize-truncated-prodense": ("synthesize", "truncated-prodense", "unknown"),
+    "synthesize-truncated-prodense-full": ("synthesize", "truncated-prodense", "certified"),
+    "synthesize-conjugate-contract": ("synthesize", "conjugate-contract", "yes"),
+    "synthesize-b1b2b3": ("synthesize", "b1b2b3", "yes"),
+    "synthesize-very-proximal": ("synthesize", "very-proximal", "yes"),
+    "synthesize-normal-proximal": ("synthesize", "normal-proximal", "yes"),
+    "synthesize-coset-pingpong": ("synthesize", "coset-pingpong", "yes"),
+    "synthesize-double-coset": ("synthesize", "double-coset", "yes"),
+    "tree-normal-form": ("tree", "normal-form", "ok"),
+    "tree-classify": ("tree", "classify", "ok"),
+    "tree-classify-elliptic": ("tree", "classify", "ok"),
+    "tree-expand": ("tree", "expand", "ok"),
+    "tree-pingpong": ("pingpong", "tree", "certified"),
+    "tree-kernel": ("tree", "kernel", "ok"),
+}
+
+_ROTATION = "gen g = [[0, -1], [1, 0]]\n"
+_B1B2B3 = "gen g = [[25, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\ngen s = [[1, -1], [1, 1]]\n"
+# proximal at p:5 while its inverse is not, so no word in it is very-proximal
+_ONE_WAY = "gen g = [[-18734, -29976, 0], [12490, 19985, 0], [39968, 59952, 1250]]\n"
+
+#: one problem per row: the golden one where there is one, else a problem
+#: of the seed-1000 benchmark deck, else one made for the row
+ROW_PROBLEMS = {
+    **{row: PROBLEMS[name] for name, row in GOLDEN_ROWS.items()},
+    ("analyze", "contracting", "unknown"): (
+        "analyze",
+        _one("gen g = [[-7, -24], [3, 10]]\n", "p:2") + "op analyze\nsubop contracting\nelement g\nepsilon-sq 1/4\n",
+        [],
+    ),
+    ("analyze", "proximal", "no"): (
+        "analyze",
+        _one("gen g = [[289, -96], [792, -263]]\n", "p:5") + "op analyze\nsubop proximal\nelement g\nepsilon-sq 1/36\nr-sq 1/2\n",
+        [],
+    ),
+    ("analyze", "proximal", "unknown"): (
+        "analyze",
+        _one("gen g = [[1, 93], [0, 32]]\n", "p:2") + "op analyze\nsubop proximal\nelement g\nepsilon-sq 1/36\nr-sq 1/2\n",
+        [],
+    ),
+    ("analyze", "very-proximal", "unknown"): (
+        "analyze",
+        _one("gen g = [[79, -78], [52, -51]]\n", "p:3") + "op analyze\nsubop very-proximal\nelement g\nepsilon-sq 1/36\nr-sq 1/2\n",
+        [],
+    ),
+    ("analyze", "power-proximal", "not-found"): (
+        "analyze",
+        _one(_ROTATION) + "op analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\nmax-n 4\n",
+        [],
+    ),
+    ("pingpong", "oracle", "relation"): (
+        "pingpong",
+        _one("gen a = [[592, 756], [756, 1033]]\ngen b = [[3, 7], [-5, -3]]\n") + "op pingpong\nsubop oracle\nplayer a = a\nplayer b = b\n",
+        [],
+    ),
+    ("pingpong", "tuple", "unknown"): (
+        "pingpong",
+        _one("gen a = [[-804, -322], [2415, 967]]\ngen b = [[-467, 156], [-1482, 495]]\n", "p:3") + "op pingpong\nplayer g1 = a\nplayer g2 = b\n",
+        [],
+    ),
+    ("pingpong", "simple-tuple", "refuted"): (
+        "pingpong",
+        _one("gen a = [[1, -248], [0, 125]]\ngen b = [[1, 98], [0, 50]]\n", "p:5")
+        + "op pingpong\nsubop simple-tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/50\n",
+        [],
+    ),
+    ("pingpong", "simple-tuple", "unknown"): (
+        "pingpong",
+        _one("gen a = [[81, -240], [0, 1]]\ngen b = [[-794, -636], [1060, 849]]\n", "p:3")
+        + "op pingpong\nsubop simple-tuple\nplayer g1 = a\nplayer g2 = b\n",
+        [],
+    ),
+    ("pingpong", "tree", "refuted"): ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t\nword s u s t s u s u\n", []),
+    ("synthesize", "conjugate-contract", "not-found"): (
+        "synthesize",
+        _one("gen g = [[9, 0], [0, 1]]\n" + _ROTATION.replace("g =", "r =")) + "op synthesize\nsubop conjugate-contract\nelement g\nx-element r\nepsilon-sq 1/100\nm-max 1\n",
+        [],
+    ),
+    ("synthesize", "b1b2b3", "not-found"): (
+        "synthesize",
+        _one(_B1B2B3) + "op synthesize\nsubop b1b2b3\nelement g\nb1 r\nb2 r\nb3 s\nattract ball [1, 0] 1/25\nrepel ball [0, 1] 1/25\nk-max 0\n",
+        [],
+    ),
+    ("synthesize", "very-proximal", "not-found"): (
+        "synthesize",
+        _one(_ONE_WAY, "p:5") + "op synthesize\nsubop very-proximal\nelement g\nword-len 1\nr-sq 1/4\nepsilon-sq 1/25\n",
+        [],
+    ),
+    ("synthesize", "normal-proximal", "not-found"): (
+        "synthesize",
+        SANOV_HEADER + TASK + "op synthesize\nsubop normal-proximal\nnormal N = a a\nbudget power_max=0\n",
+        [],
+    ),
+    ("synthesize", "coset-pingpong", "unknown"): (
+        "synthesize",
+        SANOV_HEADER + TASK + "op synthesize\nsubop coset-pingpong\nnormal N = a a\ncosets N = b | b^-1\n",
+        [],
+    ),
+    ("synthesize", "coset-pingpong", "not-found"): (
+        "synthesize",
+        SANOV_HEADER + TASK + "op synthesize\nsubop coset-pingpong\nnormal N = a a\ncosets N = b\nbudget nest_max=0\n",
+        [],
+    ),
+    ("synthesize", "double-coset", "unknown"): (
+        "synthesize",
+        _one(_ROTATION + "gen h = [[13, 12], [12, 13]]\n" + _ROTATION.replace("g =", "r =")) + "op synthesize\nsubop double-coset\nh1 g\nh2 h\ncoset-rep r\n",
+        [],
+    ),
+}
+
+
+def test_every_row_has_a_problem():
+    assert sorted(ROW_PROBLEMS) == sorted(VERDICTS)
+
+
+@pytest.mark.parametrize("row", sorted(ROW_PROBLEMS), ids=["/".join(r) for r in sorted(ROW_PROBLEMS)])
+def test_every_row_is_reached_and_verifies(tmp_path, row):
+    command, text, extra = ROW_PROBLEMS[row]
+    code, cert, out = run(tmp_path, command, text, *extra)
+    assert (cert["task"]["op"], cert["task"]["subop"], cert["verdict"]) == row
+    assert code == VERDICTS[row].exit
+    assert main(["verify", str(out)]) == 0
+
+
+def test_readme_exit_codes_are_the_tables():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    line = readme[readme.index("Exit codes:") : readme.index("The verdicts and their")]
+    listed = {int(code): set(re.findall(r"[a-z][a-z-]*", words)) for code, words in re.findall(r"`(\d)` ([^;]*)", line)}
+    tabled = {code: {v for (_, _, v), row in VERDICTS.items() if row.exit == code} for code in (0, 3, 4)}
+    assert listed == {**tabled, 2: {"input", "error"}}
+
+
+def _verify(tmp_path, cert: dict) -> int:
+    path = tmp_path / "tampered.cert"
+    path.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    return main(["verify", str(path)])
+
+
+def _row(cert: dict):
+    return VERDICTS[cert["task"]["op"], cert["task"]["subop"], cert["verdict"]]
+
+
+#: the goldens whose row binds every result field and claim it has
+SUFFICING = sorted(name for name, row in GOLDEN_ROWS.items() if not VERDICTS[row].stated and VERDICTS[row].needs)
+_FLIP = {"yes": "no", "no": "yes", "certified": "refuted", "ok": "no"}
+
+
+@pytest.fixture(scope="module")
+def goldens(tmp_path_factory) -> dict:
+    """The certificate of each sufficing golden problem, solved once."""
+    out = {}
+    for name in SUFFICING:
+        command, text, extra = PROBLEMS[name]
+        out[name] = run(tmp_path_factory.mktemp(name), command, text, *extra)[1]
+    return out
+
+
+@pytest.mark.parametrize("name", SUFFICING)
+def test_a_sufficing_golden_fails_without_claims_result_or_its_verdict(tmp_path, goldens, name):
+    for tamper in ({"claims": []}, {"result": {}}, {"verdict": _FLIP[goldens[name]["verdict"]]}):
+        assert _verify(tmp_path, {**goldens[name], **tamper}) == 3, tamper
+
+
+def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
+    # the first selfmap claim's repel_err_sq set to 0, with the three numbers
+    # selfmap_at derives for it restated: each claim alone still checks
+    text = MATRIX_HEADER + TASK + "op analyze\nsubop very-proximal\nelement b\nepsilon-sq 1/25\nr-sq 1/4\n"
+    _, cert, _ = run(tmp_path, "analyze", text)
+    claim = next(c for c in cert["claims"] if c["type"] == "selfmap-enclosure")
+    claim["repel_err_sq"] = "0"
+    enc = claim["enclosure"]
+    center, t_sq = point_from(enc["center"], 2), parse_rat(enc["radius_sq"])
+    args = (point_from(claim["attract"], 2), plane_from(claim["repel"], 2), 0, parse_rat(claim["gap_sq_hi"]), parse_rat(claim["epsilon_sq"]))
+    _, derived = selfmap_at(mat_from(claim["matrix"], ARCH), center, *args, selfmap_radii([t_sq]))
+    assert derived.ball == Ball(center, t_sq)
+    enc.update(lipschitz_sq=str(derived.lipschitz_sq), region_low_sq=str(derived.region_low_sq), move_sq=str(derived.move_sq))
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    err = capsys.readouterr().err
+    assert "failed" not in err  # no claim fails: the row does
+    assert "verdict 'yes' of analyze very-proximal: claim 3 (selfmap-enclosure) repel_err_sq is not that of the attracting point" in err
+
+
+@pytest.mark.parametrize(
+    "tamper, code, message",
+    [
+        (lambda c: c["task"].update(subop="spiral"), 2, "verify: unknown task 'analyze' 'spiral'"),
+        (lambda c: c.update(task="contracting"), 2, "verify: unknown task None None"),
+        (lambda c: c["task"].update(op=["analyze"]), 2, "verify: unknown task ['analyze'] 'contracting'"),
+        (lambda c: c.update(verdict="partial"), 3, "verify: verdict 'partial' is not a verdict of analyze contracting"),
+        (lambda c: c.update(verdict=["yes"]), 3, "verify: verdict ['yes'] is not a verdict of analyze contracting"),
+        (lambda c: c.update(verdict="ok"), 3, "verify: verdict 'ok' is not a verdict of analyze contracting"),
+        (lambda c: c["result"].update(note="x"), 3, "result field 'note' is neither bound nor stated"),
+        (lambda c: c["claims"].append(dict(c["claims"][0])), 3, "claim 2 (word-eval) belongs to no group of the verdict"),
+        (lambda c: c["task"].update(epsilon_sq="1/9"), 3, "contraction epsilon_sq is not the task's"),
+    ],
+    ids=["unknown-subop", "task-not-an-object", "op-not-a-string", "partial", "verdict-not-a-string", "verdict-of-another-subop", "unnamed-field", "extra-claim", "task-epsilon"],
+)
+def test_verify_names_the_verdict_and_what_it_lacks(tmp_path, capsys, tamper, code, message):
+    text = MATRIX_HEADER + TASK + "op analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n"
+    _, cert, _ = run(tmp_path, "analyze", text)
+    tamper(cert)
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == code
+    assert message in capsys.readouterr().err
+
+
+def test_verify_forms_no_power_past_max_exponent(tmp_path, capsys):
+    # g^n at n = 10^6 took seconds for g = [[2, 1], [1, 1]]
+    text = _one("gen g = [[2, 1], [1, 1]]\n") + "op analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\n"
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 0
+    cert["task"]["max_n"] = cert["result"]["n"] = 10**6
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert _verify(tmp_path, cert) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "result n is outside 1..max_n, or max_n over MAX_EXPONENT = 64" in capsys.readouterr().err
+
+
+def test_verify_builds_no_tuple_pairs_past_its_claims(tmp_path, capsys):
+    # 2000 players would need 31,990,000 pairs, which take seconds and
+    # gigabytes to list; the certificate holds 44 claims
+    command, text, extra = PROBLEMS["pingpong-tuple"]
+    _, cert, _ = run(tmp_path, command, text, *extra)
+    names = [f"p{i}" for i in range(2000)]
+    cert["task"]["players"] = dict.fromkeys(names, "a")
+    cert["result"]["players"] = dict.fromkeys(names, cert["result"]["players"]["g1"])
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert _verify(tmp_path, cert) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "2000 players need 31990000 disjointness claims" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Mutation suite: every claim deletion, verdict change and bound result edit
+# of a sufficing golden fails verify
+# ---------------------------------------------------------------------------
+
+
+def _leaves(node, path=()):
+    """The paths of the scalars and empty containers under `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    found = [p for k, v in items for p in _leaves(v, path + (k,))]
+    return found or [path]
+
+
+def _other(value):
+    """A strategy for a JSON value of the same kind as `value`, but different."""
+    if isinstance(value, bool):
+        return st.just(not value)
+    if isinstance(value, int):
+        return st.integers(-3, 99).filter(lambda x: x != value)
+    if isinstance(value, str):
+        return st.text("0123456789/-ab ", max_size=6).filter(lambda x: x != value)
+    if value is None:
+        return st.just("x")
+    return st.just(["x"])  # an empty list or object
+
+
+_ALL_FIELDS = sorted(set().union(*(row._named for row in VERDICTS.values())) | {"note"})
+
+
+@st.composite
+def mutations(draw, certs: dict):
+    name = draw(st.sampled_from(sorted(certs)))
+    cert = copy.deepcopy(certs[name])
+    row, op = _row(cert), cert["task"]["op"]
+    others = sorted({v for o, _, v in VERDICTS if o == op} - {cert["verdict"]})
+    kind = draw(st.sampled_from(["delete-claim", "edit", "remove", "add"] + ["verdict"] * bool(others)))
+    if kind == "delete-claim":
+        del cert["claims"][draw(st.integers(0, len(cert["claims"]) - 1))]
+    elif kind == "verdict":
+        cert["verdict"] = draw(st.sampled_from(others))
+    elif kind == "remove":
+        del cert["result"][draw(st.sampled_from(row.binds))]
+    elif kind == "add":
+        field = draw(st.sampled_from([f for f in _ALL_FIELDS if f not in row._named]))
+        cert["result"][field] = draw(st.one_of(st.none(), st.integers(0, 9), st.text(max_size=3)))
+    else:
+        field = draw(st.sampled_from(row.binds))
+        *parents, last = (field,) + draw(st.sampled_from(_leaves(cert["result"][field])))
+        node = cert["result"]
+        for key in parents:
+            node = node[key]
+        node[last] = draw(_other(node[last]))
+    return name, kind, cert
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_every_mutation_of_a_sufficing_golden_fails_verify(scratch, goldens, data):
+    name, kind, cert = data.draw(mutations(goldens))
+    assert _verify(scratch, cert) == 3, (name, kind)
