@@ -1,23 +1,20 @@
-"""The certificate format and its verifier.
+"""The certificate format, its claims and its verifier.
 
 Certificates are canonical JSON: sorted keys, two-space indent, exact
 rationals as "p/q" strings, a fixed seed echo, and no timestamps, so a
-rerun produces byte-identical output.  Every certificate carries a list
-of claims, which `cli` builds; the verifier re-checks each claim
-semantically (set verdicts, containments, memberships, word algebra,
-enclosure inequalities, deterministic recomputation of certified data)
-without re-running any search.  Oracle no-relation results are search
-outcomes and are echoed, not re-run.
+rerun produces byte-identical output.  Every claim is written here, one
+builder per claim group, from the JSON a certificate carries; `cli` emits
+through these builders.  The verifier re-checks each claim semantically
+(set verdicts, containments, memberships, word algebra, enclosure
+inequalities, deterministic recomputation of certified data) without
+re-running any search.  Oracle no-relation results are echoed, not re-run.
 
 What a verdict means is written down once, in `VERDICTS`, keyed by
 (op, subop, verdict): its exit code, the binder of the claims it needs,
 the result fields that binder binds, and what it states without proof.
-A binder walks the claims in order, group by group (a certified word is
-its word-eval claim, any normal-membership claim, then a contraction or
-a proximal group), and compares them as plain JSON with each other, with
-the task and with the result.  `cli` emits each verdict with its row's
-exit code, and `verify` checks each certificate against its row once
-every claim has been re-checked.
+A binder rebuilds the claims its verdict needs with the same builders,
+from the task, the result and the numbers only a search finds, read from
+the claims; `verify` compares them whole with the certificate's claims.
 """
 
 from __future__ import annotations
@@ -63,6 +60,13 @@ class VerifyError(ValueError):
 
 class CertificateError(ValueError):
     """A certificate that cannot be written."""
+
+
+class _Float(Record):
+    """A JSON number with a fraction or an exponent, as `loads` reads it:
+    no certificate holds one, and it equals no value, so its field fails."""
+
+    __slots__ = ("text",)
 
 
 class _Unprintable:
@@ -137,10 +141,12 @@ def plane_from(data, dim: int | None) -> ProjHyperplane:
     return ProjHyperplane(vec_from(data, dim))
 
 
-def component_json(c) -> dict:
-    if isinstance(c, Ball):
-        return {"kind": "ball", "center": point_json(c.center), "radius_sq": rat(c.radius_sq)}
-    return {"kind": "hnbhd", "plane": plane_json(c.plane), "radius_sq": rat(c.radius_sq)}
+def ball_json(center: list, radius_sq: str) -> dict:
+    return {"kind": "ball", "center": center, "radius_sq": radius_sq}
+
+
+def hnbhd_json(plane: list, radius_sq: str) -> dict:
+    return {"kind": "hnbhd", "plane": plane, "radius_sq": radius_sq}
 
 
 def component_from(data, dim: int | None):
@@ -152,11 +158,187 @@ def component_from(data, dim: int | None):
 
 
 def set_json(s: ProjSet) -> list[dict]:
-    return [component_json(c) for c in s.components]
+    return [ball_json(point_json(c.center), rat(c.radius_sq)) if isinstance(c, Ball) else hnbhd_json(plane_json(c.plane), rat(c.radius_sq)) for c in s.components]
 
 
 def set_from(data, dim: int | None) -> ProjSet:
     return ProjSet(tuple(component_from(c, dim) for c in data))
+
+
+# Records: each layout is written once, over the JSON of its numbers, from
+# a search's objects (the encoders) or from a certificate's claims.
+
+
+def enclosure_record(center: list, radius_sq: str, lipschitz_sq: str, region_low_sq: str, move_sq: str) -> dict:
+    return {"center": center, "radius_sq": radius_sq, "lipschitz_sq": lipschitz_sq, "region_low_sq": region_low_sq, "move_sq": move_sq}
+
+
+def enclosure_json(e: Enclosure) -> dict:
+    return enclosure_record(point_json(e.ball.center), rat(e.ball.radius_sq), rat(e.lipschitz_sq), rat(e.region_low_sq), rat(e.move_sq))
+
+
+def contraction_record(epsilon_sq: str, attract: list, repel: list, attract_err_sq: str, repel_err_sq: str, gap_sq_hi: str, image_radius_sq: str) -> dict:
+    bounds = {"attract_err_sq": attract_err_sq, "repel_err_sq": repel_err_sq, "gap_sq_hi": gap_sq_hi, "image_radius_sq": image_radius_sq}
+    return {"epsilon_sq": epsilon_sq, "attract": attract, "repel": repel, "method": "singular-gap", **bounds}
+
+
+def contraction_json(c) -> dict:
+    """The record of a `dynamics.ContractionCert`."""
+    bounds = map(rat, (c.attract_err_sq, c.repel_err_sq, c.gap_sq_hi, c.image_radius_sq))
+    return contraction_record(rat(c.epsilon_sq), point_json(c.attract), plane_json(c.repel), *bounds)
+
+
+def proximal_record(r_sq: str, epsilon_sq: str, contraction: dict, fixed_point: dict, fixed_plane_dual: dict) -> dict:
+    return {"r_sq": r_sq, "epsilon_sq": epsilon_sq, "contraction": contraction, "fixed_point": fixed_point, "fixed_plane_dual": fixed_plane_dual}
+
+
+def proximal_json(c) -> dict:
+    """The record of a `dynamics.ProximalCert`, with its inverse's if very-proximal."""
+    out = proximal_record(rat(c.r_sq), rat(c.epsilon_sq), contraction_json(c.contraction), enclosure_json(c.fixed_point), enclosure_json(c.fixed_plane_dual))
+    return out if c.very is None else {**out, "inverse": proximal_json(c.very)}
+
+
+def vertex_json(v) -> list:
+    return [v[0], [list(l) for l in v[1]]]
+
+
+def _ints(*values) -> bool:
+    """Whether each value is a JSON integer: not `true`, nor a `_Float`."""
+    return all(type(x) is int for x in values)
+
+
+def _int(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def _vertex_from(data) -> tuple:
+    return (data[0], tuple((l[0], l[1] if type(l[1]) is int else _int(l[1])) for l in data[1]))
+
+
+def shadow_json(s) -> dict:
+    return {"x": vertex_json(s.x), "y": vertex_json(s.y)}
+
+
+# ---------------------------------------------------------------------------
+# Claims: every claim is written here, one builder per group, from the JSON
+# a certificate carries.  `cli` emits through these builders; a verdict's
+# row rebuilds the claims it needs with them and compares them whole.
+# ---------------------------------------------------------------------------
+
+
+def word_eval_claim(word: str, matrix: list) -> dict:
+    return {"type": "word-eval", "word": word, "matrix": matrix, "note": ""}
+
+
+def membership_claim(element: str, factorization: str) -> dict:
+    return {"type": "normal-membership", "element": element, "factorization": factorization}
+
+
+def contraction_claim(matrix: list, cert: dict) -> dict:
+    return {"type": "contraction", "matrix": matrix, "cert": cert}
+
+
+def refutation_claim(matrix: list, epsilon_sq: str, witness: list, attract: list, repel: list) -> dict:
+    """The witness refutes eps-contraction for the matrix's candidate pair."""
+    return {"type": "contraction-refuted", "matrix": matrix, "epsilon_sq": epsilon_sq, "witness": witness, "attract": attract, "repel": repel}
+
+
+def selfmap_claim(matrix: list, enclosure: dict, attract: list, repel: list, repel_err_sq: str, gap_sq_hi: str, epsilon_sq: str) -> dict:
+    numbers = {"attract": attract, "repel": repel, "repel_err_sq": repel_err_sq, "gap_sq_hi": gap_sq_hi, "epsilon_sq": epsilon_sq}
+    return {"type": "selfmap-enclosure", "matrix": matrix, "enclosure": enclosure, **numbers}
+
+
+def disjoint_claim(left: list, right: list, note: str) -> dict:
+    return {"type": "set-disjoint", "left": left, "right": right, "note": note}
+
+
+def proximal_claims(matrix: list, cert: dict, inverse: list | None = None) -> list[dict]:
+    """The proximal group of `matrix` from its record: the contraction
+    claim, the point-plane-far claim of its pair at r^2, and the self-map
+    enclosures of `ContractionCert.selfmap_problems` (the matrix's, then
+    its transpose's with the pair's roles swapped).  A very-proximal record
+    adds the group of `inverse` and the disjointness of the eps-sets that
+    `dynamics.certify_very_proximal` checks: A+ from R+ and A-, A- from R-."""
+    c, eps_sq, transpose = cert["contraction"], cert["epsilon_sq"], [list(col) for col in zip(*matrix)]
+    out = [
+        contraction_claim(matrix, c),
+        {"type": "point-plane-far", "point": c["attract"], "plane": c["repel"], "r_sq": cert["r_sq"]},
+        selfmap_claim(matrix, cert["fixed_point"], c["attract"], c["repel"], c["repel_err_sq"], c["gap_sq_hi"], eps_sq),
+        selfmap_claim(transpose, cert["fixed_plane_dual"], c["repel"], c["attract"], c["attract_err_sq"], c["gap_sq_hi"], eps_sq),
+    ]
+    if "inverse" in cert:
+        ci = cert["inverse"]["contraction"]
+        a_p, r_p = [ball_json(c["attract"], c["epsilon_sq"])], [hnbhd_json(c["repel"], c["epsilon_sq"])]
+        a_m, r_m = [ball_json(ci["attract"], ci["epsilon_sq"])], [hnbhd_json(ci["repel"], ci["epsilon_sq"])]
+        out += proximal_claims(inverse, cert["inverse"])
+        out += [disjoint_claim(a_p, r_p, "very: A+ vs R+"), disjoint_claim(a_p, a_m, "very: A+ vs A-"), disjoint_claim(a_m, r_m, "very: A- vs R-")]
+    return out
+
+
+def certified_claims(word: str, matrix: list, cert: dict, inverse: list | None = None, membership: dict | None = None) -> list[dict]:
+    """A certified word: its word-eval claim, the normal-membership claim
+    when given, then its contraction claim or, for a proximal record, its
+    proximal group."""
+    evidence = proximal_claims(matrix, cert, inverse) if "contraction" in cert else [contraction_claim(matrix, cert)]
+    return [word_eval_claim(word, matrix), *([membership] if membership else []), *evidence]
+
+
+def b1b2b3_claims(attract: list, repel: list, host: list) -> list[dict]:
+    """The produced sets disjoint, and both inside the host set."""
+    sets = ((attract, "attracting"), (repel, "repelling"))
+    inside = [{"type": "set-contains", "outer": host, "inner": s, "closed_inner": False, "note": f"{which} set inside host"} for s, which in sets]
+    return [disjoint_claim(attract, repel, "produced sets disjoint"), *inside]
+
+
+_LABELS = ("A+", "R+", "A-", "R-")
+
+
+def tuple_pairs(players: list[tuple[str, list]], passed=None) -> list[tuple]:
+    """(left, right, note) of each disjointness `pingpong.certify_tuple`
+    checks, in its order, for players given as (name, [A+, R+, A-, R-]):
+    k (8k - 5) of them for k players, less those `passed` marks False."""
+    own = [((p, s, i), (p, s, j)) for p, s in players for i, j in ((0, 2), (0, 1), (2, 3))]
+    cross = [((p, s, i), (q, t, j)) for n, (p, s) in enumerate(players) for m, (q, t) in enumerate(players) if m != n for i in (0, 2) for j in range(4)]
+    pairs = [(s[i], t[j], f"{p}.{_LABELS[i]} vs {q}.{_LABELS[j]}") for (p, s, i), (q, t, j) in own + cross]
+    return pairs if passed is None else [pair for pair, ok in zip(pairs, passed) if ok]
+
+
+def matrix_tuple_claims(players: dict, names: list[str], groups: list[list[dict]], passed=None) -> list[dict]:
+    """A projective tuple, players {name: {label: set}} in the order of
+    `names`: its `tuple_pairs` disjoint, then each player's very group."""
+    pairs = tuple_pairs([(name, [players[name][label] for label in _LABELS]) for name in names], passed)
+    return [disjoint_claim(*pair) for pair in pairs] + [c for group in groups for c in group]
+
+
+def tree_tuple_claims(words: list[str], lengths: list[int], shadows: list[list[dict]], passed=None) -> list[dict]:
+    """A tree tuple of hyperbolic words: their classifications, their axis
+    shadows (A+, R+, A-, R-), then the `tuple_pairs` of players t0, t1, ..."""
+    players = [(f"t{i}", sets) for i, sets in enumerate(shadows)]
+    pairs = [{"type": "shadow-disjoint", "left": left, "right": right, "note": note} for left, right, note in tuple_pairs(players, passed)]
+    classes = [classify_claim(w, "hyperbolic", n) for w, n in zip(words, lengths)]
+    return classes + [{"type": "tree-evidence", "word": w, "sets": sets} for w, sets in zip(words, shadows)] + pairs
+
+
+def oracle_claim(max_len: int, result: str, word: str | None, names: list[str]) -> dict:
+    return {"type": "oracle", "max_len": max_len, "result": result, "word": word, "names": names}
+
+
+def normal_form_claim(word: str, syllables: list, tail: int) -> dict:
+    return {"type": "tree-normal-form", "word": word, "syllables": syllables, "tail": tail}
+
+
+def classify_claim(word: str, kind: str, translation_length: int | None) -> dict:
+    return {"type": "tree-classify", "word": word, "kind": kind, "translation_length": translation_length}
+
+
+def degree_claim(vertex: list, degree: int) -> dict:
+    return {"type": "tree-degree", "vertex": vertex, "degree": degree}
+
+
+def kernel_claim(elements: list[int]) -> dict:
+    return {"type": "kernel", "elements": elements}
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +391,12 @@ def _field_of(node, target, path: str = "") -> str | None:
 
 
 def loads(text: str) -> dict:
-    """The certificate in `text`; VerifyError on text that is not JSON, is
-    nested too deep to decode, holds an integer of more digits than
+    """The certificate in `text`, each number with a fraction or exponent
+    (and NaN, Infinity) read as a `_Float`; VerifyError on text that is not
+    JSON, is nested too deep to decode, holds an integer of more digits than
     Python converts, or lacks the format marker."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_Float, parse_constant=_Float)
     except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise VerifyError(f"not valid certificate JSON: {e}") from None
     if not isinstance(data, dict) or data.get("format") != FORMAT:
@@ -276,6 +459,8 @@ class CertContext:
     and for its verdict's row."""
 
     def __init__(self, place: Place | None, header: dict, task: dict):
+        if not isinstance(header, dict):
+            raise VerifyError("certificate header is not an object")
         self.place, self.header, self.task = place, header, task
         self._evals: dict[str, ProjMat] = {}
         self._matrices: dict[int, tuple[list, ProjMat]] = {}  # id of the JSON list -> (the list, its matrix)
@@ -289,9 +474,15 @@ class CertContext:
     @cached_property
     def group(self):
         gens = self.header.get("generators")
-        if not gens:
+        if not gens or not isinstance(gens, dict):
             raise VerifyError("certificate lacks a generator table")
-        return MarkedGroup(tuple((name, mat_from(m, self.place)) for name, m in sorted(gens.items())))
+        matrices = []
+        for name, m in sorted(gens.items()):
+            try:
+                matrices.append((name, mat_from(m, self.place)))
+            except (ValueError, TypeError) as e:  # no invertible square matrix of rationals: no word evaluates
+                raise VerifyError(f"bad generator {name}: {e}") from None
+        return MarkedGroup(tuple(matrices))
 
     def matrix(self, data: list) -> ProjMat:
         """The matrix of the JSON list `data`, parsed once per list."""
@@ -336,7 +527,8 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
     if kind == "set-disjoint":
         return set_disjoint(set_from(claim["left"], dim), set_from(claim["right"], dim), place).kind == "disjoint"
     if kind == "set-contains":
-        return set_contains(set_from(claim["outer"], dim), set_from(claim["inner"], dim), place, claim.get("closed_inner", False))
+        closed = claim.get("closed_inner", False)
+        return type(closed) is bool and set_contains(set_from(claim["outer"], dim), set_from(claim["inner"], dim), place, closed)
     if kind == "point-plane-far":
         return point_plane_far(point_from(claim["point"], dim), plane_from(claim["plane"], dim), parse_rat(claim["r_sq"]), place)
     if kind == "word-eval":
@@ -369,17 +561,15 @@ def amalgam_from(data: dict):
 def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
     am = ctx.amalgam
     if kind == "kernel":
-        return kernel_of_action(am) == list(claim["elements"])
+        return kernel_of_action(am) == claim["elements"] and _ints(*claim["elements"])
     if kind == "tree-normal-form":
         w = parse_word(am, claim["word"])
-        return [list(s) for s in w.syllables] == [list(s) for s in claim["syllables"]] and w.tail == claim["tail"]
+        syllables, tail = claim["syllables"], claim["tail"]
+        return [[*s] for s in w.syllables] == syllables and w.tail == tail and _ints(tail, *(i for _, i in syllables))
     if kind == "tree-classify":
         out = classify(parse_word(am, claim["word"]), am)
-        if out.kind != claim["kind"]:
-            return False
-        if out.kind == "hyperbolic":
-            return out.translation_length == claim["translation_length"]
-        return True
+        length = claim["translation_length"]
+        return out.kind == claim["kind"] and out.translation_length == length and (length is None or _ints(length))
     if kind == "shadow-disjoint":
         tree = ctx.tree
         s1 = ShadowSet(tree, _vertex_from(claim["left"]["x"]), _vertex_from(claim["left"]["y"]))
@@ -390,10 +580,10 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
         cls = classify(g, am)
         if cls.kind != "hyperbolic":
             return False
-        a_p, r_p, a_m, r_m = axis_shadow_sets(ctx.tree, g, cls)
-        return [shadow_json(a_p), shadow_json(r_p), shadow_json(a_m), shadow_json(r_m)] == claim["sets"]
+        sets = [shadow_json(s) for s in axis_shadow_sets(ctx.tree, g, cls)]
+        return sets == claim["sets"] and _ints(*(i for s in claim["sets"] for v in (s["x"], s["y"]) for _, i in v[1]))
     if kind == "tree-degree":
-        return len(ctx.tree.neighbors(_vertex_from(claim["vertex"]))) == claim["degree"]
+        return len(ctx.tree.neighbors(_vertex_from(claim["vertex"]))) == _int(claim["degree"])
     raise VerifyError(f"unknown tree claim {kind!r}")
 
 
@@ -412,37 +602,29 @@ class Unbound(ValueError):
 
 
 class Binding:
-    """One certificate as a row's binder reads it: its task, result and
-    verdict, the CertContext, and its claims, which the binder takes in
-    order, each group by group."""
+    """One certificate as a row's binder reads it, and the claims its
+    verdict needs, which the binder rebuilds in order."""
 
     def __init__(self, cert: dict, ctx: CertContext):
         self.task, self.result, self.verdict, self.ctx = ctx.task, cert["result"], cert["verdict"], ctx
-        self.claims, self.at = cert["claims"], 0
+        self.claims, self.rebuilt = cert["claims"], []
 
     def check(self, ok: bool, what: str) -> None:
         if not ok:
             raise Unbound(what)
 
-    def peek(self) -> dict:
-        return self.claims[self.at] if self.at < len(self.claims) else {}
+    def given(self, offset: int = 0, key: str | None = None) -> dict:
+        """The claim `offset` places past the rebuilt ones, or its object `key`; {} if none."""
+        i = len(self.rebuilt) + offset
+        out = self.claims[i] if i < len(self.claims) else {}
+        out = out if key is None else out.get(key)
+        return out if isinstance(out, dict) else {}
 
-    def take(self, claim_type: str, what: str, **fields) -> dict:
-        """The next claim, which must be of `claim_type` and hold `fields`."""
-        claim = self.peek()
-        self.check(claim.get("type") == claim_type, f"needs a {claim_type} claim {what} as claim {self.at}")
-        wrong = next((k for k, v in fields.items() if claim.get(k) != v), None)
-        self.check(wrong is None, f"claim {self.at} ({claim_type}) {wrong} is not that {what}")
-        self.at += 1
-        return claim
-
-    def take_each(self, claim_type: str, what: str, keys: tuple[str, ...], values: list[tuple]) -> list[dict]:
-        """The next len(values) claims, of `claim_type`, whose `keys` hold `values`, in order."""
-        claims = self.claims[self.at : self.at + len(values)]
-        held = [(c.get("type"), *(c.get(k) for k in keys)) for c in claims]
-        self.check(held == [(claim_type, *v) for v in values], f"needs {len(values)} {claim_type} claims {what} from claim {self.at}")
-        self.at += len(values)
-        return claims
+    def inverse(self, offset: int, matrix: list) -> list:
+        """The matrix of the claim `offset` places on, the inverse of `matrix`."""
+        inverse = self.given(offset).get("matrix")
+        self.check((self.ctx.matrix(inverse) @ self.ctx.matrix(matrix)).is_identity(), f"claim {len(self.rebuilt) + offset} is not of the inverse")
+        return inverse
 
     def word(self, text: str):
         """The word that `MarkedGroup.word_str` writes as `text`, "e" for
@@ -453,71 +635,52 @@ class Binding:
         return w
 
 
-# Claim groups: each takes its claims and returns the certificate JSON they
-# state, which the row compares with the result's.
+# Records of a group, read from its claims `at` places past the rebuilt
+# ones: each number a search found is read by name and laid out again, at
+# the task's eps^2 and r^2 where it has them.
 
 
-def _contraction(b: Binding, matrix: list, eps_sq: str | None, r_sq: str | None) -> dict:
-    """A contraction claim of `matrix`, at the task's eps^2 if it has one;
-    it reads no r^2."""
-    cert = b.take("contraction", "of the word", matrix=matrix)["cert"]
-    b.check(eps_sq is None or cert["epsilon_sq"] == eps_sq, "contraction epsilon_sq is not the task's")
-    return cert
+def _contraction(b: Binding, at: int, eps_sq: str | None, r_sq: str | None) -> dict:
+    c = b.given(at, "cert")
+    numbers = (c.get(k) for k in ("attract", "repel", "attract_err_sq", "repel_err_sq", "gap_sq_hi", "image_radius_sq"))
+    return contraction_record(eps_sq or c.get("epsilon_sq"), *numbers)
 
 
-def _proximal(b: Binding, matrix: list, eps_sq: str | None, r_sq: str | None) -> dict:
-    """A contraction claim of `matrix`, the point-plane-far claim of its
-    pair at the task's r^2, and the self-map enclosures of
-    `ContractionCert.selfmap_problems`: the matrix's, and its transpose's
-    with the pair's roles swapped, both at the contraction's gap and eps^2."""
-    c = _contraction(b, matrix, eps_sq, None)
-    far = b.take("point-plane-far", "of the contraction pair", point=c["attract"], plane=c["repel"])
-    b.check(r_sq is None or far["r_sq"] == r_sq, "point-plane-far r_sq is not the task's")
-    shared = {"gap_sq_hi": c["gap_sq_hi"], "epsilon_sq": c["epsilon_sq"]}
-    point = b.take("selfmap-enclosure", "of the attracting point", matrix=matrix, attract=c["attract"], repel=c["repel"], repel_err_sq=c["repel_err_sq"], **shared)
-    transpose = [list(col) for col in zip(*matrix)]
-    plane = b.take("selfmap-enclosure", "of the repelling plane", matrix=transpose, attract=c["repel"], repel=c["attract"], repel_err_sq=c["attract_err_sq"], **shared)
-    return {"r_sq": far["r_sq"], "epsilon_sq": c["epsilon_sq"], "contraction": c, "fixed_point": point["enclosure"], "fixed_plane_dual": plane["enclosure"]}
+def _proximal(b: Binding, at: int, eps_sq: str | None, r_sq: str | None) -> dict:
+    c = _contraction(b, at, eps_sq, None)
+    point, plane = (b.given(at + k, "enclosure") for k in (2, 3))
+    enclosures = [enclosure_record(*(e.get(k) for k in ("center", "radius_sq", "lipschitz_sq", "region_low_sq", "move_sq"))) for e in (point, plane)]
+    return proximal_record(r_sq or b.given(at + 1).get("r_sq"), c["epsilon_sq"], c, *enclosures)
 
 
-def _eps_sets(c: dict) -> tuple[list, list]:
-    """The JSON of a contraction's eps-sets: the ball and the neighbourhood."""
-    return (
-        [{"kind": "ball", "center": c["attract"], "radius_sq": c["epsilon_sq"]}],
-        [{"kind": "hnbhd", "plane": c["repel"], "radius_sq": c["epsilon_sq"]}],
-    )
+def _very(b: Binding, at: int, eps_sq: str | None, r_sq: str | None) -> dict:
+    return {**_proximal(b, at, eps_sq, r_sq), "inverse": _proximal(b, at + 4, eps_sq, r_sq)}
 
 
-def _very(b: Binding, matrix: list, eps_sq: str | None, r_sq: str | None) -> dict:
-    """The proximal groups of `matrix` and of its inverse, then the
-    set-disjoint claims of `ProximalCert.very_pairs`."""
-    out = _proximal(b, matrix, eps_sq, r_sq)
-    inverse = b.peek().get("matrix")
-    b.check((b.ctx.matrix(inverse) @ b.ctx.matrix(matrix)).is_identity(), "second proximal group is not of the inverse")
-    out["inverse"] = _proximal(b, inverse, eps_sq, r_sq)
-    (a_p, r_p), (a_m, r_m) = _eps_sets(out["contraction"]), _eps_sets(out["inverse"]["contraction"])
-    b.take_each("set-disjoint", "of the very-proximal pairs", ("left", "right"), [(a_p, r_p), (a_p, a_m), (a_m, r_m)])
-    return out
+def _set_of(data: list) -> list[dict]:
+    """A set's JSON laid out again from its components' numbers."""
+    return [ball_json(c.get("center"), c.get("radius_sq")) if c.get("kind") == "ball" else hnbhd_json(c.get("plane"), c.get("radius_sq")) for c in data]
 
 
 def _certified(b: Binding, word: str, evidence, eps_sq: str | None = None, r_sq: str | None = None, member: str | None = None) -> dict:
-    """A certified word: its word-eval claim, the normal-membership claim
-    of `member` when given, then its `evidence` group."""
-    matrix = b.take("word-eval", f"of {word!r}", word=word)["matrix"]
-    if member is not None:
-        b.take("normal-membership", f"of {member!r}", element=member)
-    return evidence(b, matrix, eps_sq, r_sq)
+    """Rebuild a certified word's claims (`certified_claims`), whose record
+    `evidence` reads: _contraction, _proximal or _very.  Returns the record."""
+    matrix = b.given().get("matrix")
+    membership = None if member is None else membership_claim(member, b.given(1).get("factorization"))
+    at = 1 if member is None else 2
+    cert = evidence(b, at, eps_sq, r_sq)
+    inverse = b.inverse(at + 4, matrix) if "inverse" in cert else None
+    b.rebuilt += certified_claims(word, matrix, cert, inverse, membership)
+    return cert
 
 
-def _tuple_pairs(b: Binding, players: list) -> list[tuple]:
-    """The (left, right) pairs `pingpong.certify_tuple` finds disjoint,
-    each player given as its sets (A+, R+, A-, R-): k (8k - 5) of them
-    for k players, not built unless that many claims are left."""
-    k = len(players)
-    b.check(k * (8 * k - 5) <= len(b.claims) - b.at, f"{k} players need {k * (8 * k - 5)} disjointness claims")
-    own = [pair for a_p, r_p, a_m, r_m in players for pair in ((a_p, a_m), (a_p, r_p), (a_m, r_m))]
-    cross = [(a, s) for p in players for q in players if q is not p for a in (p[0], p[2]) for s in q]
-    return own + cross
+def _oracle(b: Binding, max_len: int | None = None, result: str | None = None, names: list | None = None) -> None:
+    """The oracle claim (of the task's length and verdict unless given), its
+    word and, unless given, its names read from the certificate's."""
+    given = b.given()
+    _int(given.get("max_len"))
+    max_len = _int(b.task["oracle_len"] if max_len is None else max_len)
+    b.rebuilt.append(oracle_claim(max_len, b.verdict if result is None else result, given.get("word"), given.get("names") if names is None else names))
 
 
 def _echoed(b: Binding) -> None:
@@ -525,78 +688,75 @@ def _echoed(b: Binding) -> None:
     b.check(b.result["verdict"] == b.verdict and b.result["witness_detail"] == "", "result verdict is not the certificate's")
 
 
-# Binders: each takes the claims its verdict needs, in order, and binds them
-# to the task and to the result fields its row names in `binds`.
+# Binders: each rebuilds the claims its verdict needs, in order, from the
+# task, the result fields its row names in `binds`, and its groups' numbers.
 
 
-def _element(b: Binding) -> dict:
-    return b.take("word-eval", "of the element", word=b.task["element"])
+def _element(b: Binding) -> None:
+    b.rebuilt.append(word_eval_claim(b.task["element"], b.given().get("matrix")))
 
 
-def _decided(evidence):
-    def needs(b: Binding) -> None:
-        t = b.task
-        cert = _certified(b, t["element"], evidence, t["epsilon_sq"], t.get("r_sq"))
-        b.check(b.result["cert"] == cert, "result cert is not the claims'")
-
-    return needs
+def _decided(b: Binding) -> None:
+    """The element certified at the task's eps^2 and r^2, by the evidence of its subop."""
+    t = b.task
+    evidence = {"contracting": _contraction, "proximal": _proximal, "very-proximal": _very}[t["subop"]]
+    b.check(b.result["cert"] == _certified(b, t["element"], evidence, t["epsilon_sq"], t.get("r_sq")), "result cert is not the claims'")
 
 
-def _refuted(inverse_too: bool):
-    def needs(b: Binding) -> None:
-        """The element's contraction-refuted claim, or its inverse's."""
-        t = b.task
-        matrix = _element(b)["matrix"]
-        claim = b.take("contraction-refuted", "of the result", epsilon_sq=t["epsilon_sq"], witness=b.result["counterexample"])
-        # the product is formed only when the matrix is not the element's
-        own = claim["matrix"] == matrix
-        b.check(own or (inverse_too and (b.ctx.matrix(claim["matrix"]) @ b.ctx.matrix(matrix)).is_identity()), "refuted matrix is not the element's")
-
-    return needs
+def _refuted(b: Binding) -> None:
+    """The element's contraction-refuted claim, or for very-proximal its inverse's."""
+    _element(b)
+    matrix, given = b.rebuilt[0]["matrix"], b.given()
+    refuted = given.get("matrix")
+    # the product is formed only when the matrix is not the element's
+    if not (b.task["subop"] == "very-proximal" and refuted != matrix and (b.ctx.matrix(refuted) @ b.ctx.matrix(matrix)).is_identity()):
+        refuted = matrix
+    b.rebuilt.append(refutation_claim(refuted, b.task["epsilon_sq"], b.result["counterexample"], given.get("attract"), given.get("repel")))
 
 
 def _power(b: Binding) -> None:
     t, n = b.task, b.result["n"]
-    b.check(type(n) is int and 1 <= n <= t["max_n"] <= MAX_EXPONENT, f"result n is outside 1..max_n, or max_n over MAX_EXPONENT = {MAX_EXPONENT}")
+    b.check(_ints(n, t["max_n"]) and 1 <= n <= t["max_n"] <= MAX_EXPONENT, f"result n is outside 1..max_n, or max_n over MAX_EXPONENT = {MAX_EXPONENT}")
     _element(b)
-    matrix = b.peek().get("matrix")
+    matrix = b.given().get("matrix")
     b.check(b.ctx.matrix(matrix).proportional_to(b.ctx.eval(t["element"]).power(n)), "proximal group is not of element^n")
-    b.check(b.result["cert"] == _proximal(b, matrix, t["epsilon_sq"], t["r_sq"]), "result cert is not the claims'")
-
-
-def _oracle(b: Binding) -> None:
-    b.take("oracle", "of the task", max_len=b.task["oracle_len"], result=b.verdict)
+    cert = _proximal(b, 0, t["epsilon_sq"], t["r_sq"])
+    b.rebuilt += proximal_claims(matrix, cert)
+    b.check(b.result["cert"] == cert, "result cert is not the claims'")
 
 
 def _matrix_tuple(b: Binding) -> None:
-    """A set-disjoint claim for each pair `certify_tuple` checks on the
-    result's sets, in any order, then each player's very-proximal group."""
-    players, words = b.result["players"], dict(b.task["players"])
-    b.check(sorted(players) == sorted(words), "result players are not the task's")
-    pairs = _tuple_pairs(b, [tuple(players[name][s] for s in ("A+", "R+", "A-", "R-")) for name in sorted(players)])
-    for _ in range(len(pairs)):
-        claim = b.take("set-disjoint", "of the tuple's pairs")
-        pair = (claim["left"], claim["right"])
-        b.check(pair in pairs, f"claim {b.at - 1} (set-disjoint) is not a pair of the tuple")
-        pairs.remove(pair)
-    while words:
-        m = b.ctx.matrix(b.peek().get("matrix"))
-        name = next((n for n, w in words.items() if m.proportional_to(b.ctx.eval(w))), None)
-        b.check(name is not None, f"claim {b.at} is no player's evidence")
-        _very(b, b.peek()["matrix"], None, None)
-        del words[name]
-    b.take("oracle", "of the task", max_len=b.task["oracle_len"], result=b.result["oracle"])
+    """The set-disjoint claims of the result's sets, for the players in
+    the order of the oracle claim's names, each player's very-proximal
+    group, then the oracle claim."""
+    players, words = b.result["players"], b.task["players"]
+    k = len(players)
+    b.check(k * (8 * k - 5) <= len(b.claims), f"{k} players need {k * (8 * k - 5)} disjointness claims")
+    names = b.claims[-1].get("names")
+    b.check(isinstance(names, list) and sorted(names) == sorted(players) == sorted(words), "result players are not the task's")
+    laid = {name: {label: _set_of(players[name][label]) for label in _LABELS} for name in names}
+    b.check(players == laid, "result players are not the claims' sets")
+    at, groups = k * (8 * k - 5), []
+    for name in names:
+        matrix = b.given(at).get("matrix")
+        b.check(b.ctx.matrix(matrix).proportional_to(b.ctx.eval(words[name])), f"claim {at} is not {name}'s evidence")
+        groups.append(proximal_claims(matrix, _very(b, at, None, None), b.inverse(at + 4, matrix)))
+        at += 11
+    b.rebuilt += matrix_tuple_claims(laid, names, groups)
+    _oracle(b, result=b.result["oracle"], names=names)
     _echoed(b)
 
 
 def _tree_tuple(b: Binding) -> None:
-    """Each word's classification and axis shadows, in task order, then a
-    shadow-disjoint claim for each pair `certify_tuple` checks on them."""
+    """`tree_tuple_claims` of the task's words, then the oracle claim; the
+    lengths and shadows are read from the claims, whose checks recompute them."""
     words = b.task["words"]
-    b.take_each("tree-classify", "of the words", ("word", "kind"), [(w, "hyperbolic") for w in words])
-    shadows = [c["sets"] for c in b.take_each("tree-evidence", "of the words", ("word",), [(w,) for w in words])]
-    b.take_each("shadow-disjoint", "of the tuple's pairs", ("left", "right"), _tuple_pairs(b, shadows))
-    b.take("oracle", "of the task", max_len=b.task["oracle_len"], result=b.result["oracle"], names=words)
+    k = len(words)
+    b.check(k * (8 * k - 5) <= len(b.claims), f"{k} players need {k * (8 * k - 5)} disjointness claims")
+    lengths = [b.given(i).get("translation_length") for i in range(k)]
+    shadows = [b.given(k + i).get("sets") for i in range(k)]
+    b.rebuilt += tree_tuple_claims(words, lengths, shadows)
+    _oracle(b, result=b.result["oracle"], names=words)
     _echoed(b)
 
 
@@ -608,7 +768,7 @@ def _prodense(b: Binding) -> None:
     b.check(sorted(labels) == sorted(b.task["normals"]) == sorted(r["step2"]), "step 1 labels are not the task's normals")
     for w in [s["word"] for s in r["step1"]] + [d["word"] for label in labels for d in r["step2"][label]]:
         _certified(b, w, _very)
-    b.take("oracle", "of the combined tuple", result=r["oracle"])
+    _oracle(b, b.given().get("max_len"), r["oracle"])
     b.check(r["verdict"] == b.verdict, "result verdict is not the certificate's")
 
 
@@ -616,9 +776,9 @@ def _b1b2b3(b: Binding) -> None:
     """The word's contraction, its produced sets disjoint, and both inside one host."""
     r = b.result
     b.check(r["cert"] == _certified(b, r["word"], _contraction), "result cert is not the claims'")
-    b.take("set-disjoint", "of the produced sets", left=r["attract"], right=r["repel"])
-    host = b.take("set-contains", "of the attracting set", inner=r["attract"])["outer"]
-    b.take("set-contains", "of the repelling set", outer=host, inner=r["repel"])
+    attract, repel = _set_of(r["attract"]), _set_of(r["repel"])
+    b.check([r["attract"], r["repel"]] == [attract, repel], "result sets are not the claims'")
+    b.rebuilt += b1b2b3_claims(attract, repel, _set_of(b.given(1).get("outer")))
 
 
 def _very_search(b: Binding) -> None:
@@ -655,30 +815,36 @@ def _double_coset(b: Binding) -> None:
 
 
 def _normal_form(b: Binding) -> None:
-    c, r = b.take("tree-normal-form", "of the word", word=b.task["word"]), b.result
-    b.check([r["syllables"], r["tail"]] == [c["syllables"], c["tail"]], "result normal form is not the claim's")
-    b.check(r["is_identity"] == (not c["syllables"] and c["tail"] == b.ctx.amalgam.group_h.identity), "result is_identity is wrong")
+    r = b.result
+    b.check(_ints(r["tail"], *(i for _, i in r["syllables"])), "result normal form holds a number that is no integer")
+    b.check(r["is_identity"] is (not r["syllables"] and r["tail"] == b.ctx.amalgam.group_h.identity), "result is_identity is wrong")
+    b.rebuilt.append(normal_form_claim(b.task["word"], r["syllables"], r["tail"]))
 
 
 def _classify(b: Binding) -> None:
-    c, r = b.take("tree-classify", "of the word", word=b.task["word"]), b.result
-    b.check(r["kind"] == c["kind"], "result kind is not the claim's")
-    length = c["translation_length"] if c["kind"] == "hyperbolic" else None
-    b.check(r.get("translation_length") == length, "result translation_length is not the claim's")
+    r = b.result
+    length = r.get("translation_length")
+    b.check(length is None or _ints(length), "result translation_length is no integer")
+    b.rebuilt.append(classify_claim(b.task["word"], r["kind"], length))
 
 
 def _expand(b: Binding) -> None:
     """A tree-degree claim for each listed vertex inside the radius, in order."""
     listing, radius = b.result["vertices"], b.task["radius"]
-    b.check(b.result["count"] == len(listing), "result count is not the listing's")
-    inside = [(e["vertex"], e["degree"]) for e in listing if e["depth"] < radius]
+    count = b.result["count"]
+    b.check(_ints(count) and count == len(listing), "result count is not the listing's")
+    inside = [e for e in listing if e["depth"] < radius]
     b.check(all("degree" not in e for e in listing if e["depth"] >= radius), "a vertex on the radius has a degree")
-    b.take_each("tree-degree", "of the listed vertices", ("vertex", "degree"), inside)
+    listed = [(e["vertex"], e["degree"]) for e in inside]
+    b.check(_ints(*(d for _, d in listed), *(i for v, _ in listed for _, i in v[1])), "result vertices hold a number that is no integer")
+    b.rebuilt += [degree_claim(v, d) for v, d in listed]
 
 
 def _kernel(b: Binding) -> None:
-    elements = b.take("kernel", "of the result", elements=b.result["elements"])["elements"]
-    b.check(b.result["names"] == [b.ctx.amalgam.group_h.name_of(x) for x in elements], "result names are not the kernel's")
+    r = b.result
+    b.check(_ints(*r["elements"]), "result elements hold a number that is no integer")
+    b.check(r["names"] == [b.ctx.amalgam.group_h.name_of(x) for x in r["elements"]], "result names are not the kernel's")
+    b.rebuilt.append(kernel_claim(r["elements"]))
 
 
 class Row(Record):
@@ -703,14 +869,14 @@ _COSETS = ("deltas", "failed", "a_N")
 #: `verify` checks each certificate against its row.
 VERDICTS = {
     ("analyze", "profile", "ok"): Row(EXIT_OK, _element, stated=("values_sq", "exact")),
-    ("analyze", "contracting", "yes"): Row(EXIT_OK, _decided(_contraction), ("cert",)),
-    ("analyze", "contracting", "no"): Row(EXIT_REFUTED, _refuted(False), ("counterexample",)),
+    ("analyze", "contracting", "yes"): Row(EXIT_OK, _decided, ("cert",)),
+    ("analyze", "contracting", "no"): Row(EXIT_REFUTED, _refuted, ("counterexample",)),
     ("analyze", "contracting", "unknown"): Row(EXIT_UNKNOWN),
-    ("analyze", "proximal", "yes"): Row(EXIT_OK, _decided(_proximal), ("cert",)),
-    ("analyze", "proximal", "no"): Row(EXIT_REFUTED, _refuted(False), ("counterexample",)),
+    ("analyze", "proximal", "yes"): Row(EXIT_OK, _decided, ("cert",)),
+    ("analyze", "proximal", "no"): Row(EXIT_REFUTED, _refuted, ("counterexample",)),
     ("analyze", "proximal", "unknown"): Row(EXIT_UNKNOWN),
-    ("analyze", "very-proximal", "yes"): Row(EXIT_OK, _decided(_very), ("cert",)),
-    ("analyze", "very-proximal", "no"): Row(EXIT_REFUTED, _refuted(True), ("counterexample",)),
+    ("analyze", "very-proximal", "yes"): Row(EXIT_OK, _decided, ("cert",)),
+    ("analyze", "very-proximal", "no"): Row(EXIT_REFUTED, _refuted, ("counterexample",)),
     ("analyze", "very-proximal", "unknown"): Row(EXIT_UNKNOWN),
     ("analyze", "power-proximal", "yes"): Row(EXIT_OK, _power, ("n", "cert")),
     ("analyze", "power-proximal", "not-found"): Row(EXIT_UNKNOWN),
@@ -773,26 +939,33 @@ def check_verdict(cert: dict, ctx: CertContext) -> str | None:
         b = Binding(cert, ctx)
         try:
             row.needs(b)
-            b.check(b.at == len(b.claims), f"claim {b.at} ({b.peek().get('type')}) belongs to no group of the verdict")
+            why = _difference(b.rebuilt, b.claims)
         except VerifyError:
             raise
-        except Unbound as e:
-            why = str(e)
+        except Unbound as e:  # a claim rebuilt so far that differs comes first
+            why = _difference(b.rebuilt, b.claims[: len(b.rebuilt)]) or str(e)
         except Exception as e:  # a field missing or of the wrong kind
             why = f"{type(e).__name__}: {e}"
     return None if why is None else f"verdict {verdict!r} of {op} {subop}: {why}"
 
 
-def vertex_json(v) -> list:
-    return [v[0], [list(l) for l in v[1]]]
-
-
-def _vertex_from(data) -> tuple:
-    return (data[0], tuple((l[0], int(l[1])) for l in data[1]))
-
-
-def shadow_json(s) -> dict:
-    return {"x": vertex_json(s.x), "y": vertex_json(s.y)}
+def _difference(rebuilt: list[dict], claims: list[dict]) -> str | None:
+    """Where the claims differ from the rebuilt ones: the first differing
+    claim's index, its type and its first differing field.  After `loads`
+    and the claim checks, which read every integer of a claim exactly,
+    `==` tells `true` from 1 on every claim field."""
+    if rebuilt == claims:
+        return None
+    i = next((i for i, (want, got) in enumerate(zip(rebuilt, claims)) if want != got), min(len(rebuilt), len(claims)))
+    if i == len(claims):
+        return f"needs a {rebuilt[i]['type']} claim as claim {i}"
+    if i == len(rebuilt):
+        return f"claim {i} ({claims[i].get('type')}) belongs to no group of the verdict"
+    want, got, path = rebuilt[i], claims[i], []
+    while isinstance(want, dict) and isinstance(got, dict):  # the first key that differs, dotted into objects
+        path.append(next(k for k in [*want, *got] if k not in want or k not in got or want[k] != got[k]))
+        want, got = want.get(path[-1]), got.get(path[-1])
+    return f"claim {i} ({claims[i].get('type')}) {'.'.join(path)} differs from the rebuilt claim"
 
 
 def verify(cert: dict) -> tuple[bool, list[str]]:

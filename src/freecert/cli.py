@@ -13,11 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import certfmt
-from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, VerifyError, mat_json, plane_json, point_json, rat, set_json, shadow_json, vertex_json
-from .checker import Enclosure
+from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
+from .certfmt import shadow_json, vertex_json
 from .dynamics import (
-    ContractionCert,
-    ProximalCert,
     certify_contracting,
     certify_proximal,
     certify_very_proximal,
@@ -27,7 +25,7 @@ from .dynamics import (
 )
 from .pingpong import MAX_ORACLE_WORDS, PingPongPlayer, certify_tuple, freeness_oracle, oracle_words, simple_player
 from .projective import MAX_DIM, MarkedGroup, ProjHyperplane, ProjMat, ProjPoint, ProjSet, Word, ball, concat, hnbhd, word_inverse
-from .scalar import ARCH, Place, Rat, parse_place, parse_rat, word_tokens
+from .scalar import ARCH, Place, parse_place, parse_rat, word_tokens
 from .synthesis import (
     PRODENSE_ORACLE_LEN,
     Budgets,
@@ -424,173 +422,14 @@ def _parse_set(text: str, dim: int) -> ProjSet:
 
 
 # ---------------------------------------------------------------------------
-# Claims: every claim a result carries is built here, re-checked by certfmt
-# ---------------------------------------------------------------------------
-
-
-def enclosure_json(e: Enclosure) -> dict:
-    return {
-        "center": point_json(e.ball.center),
-        "radius_sq": rat(e.ball.radius_sq),
-        "lipschitz_sq": rat(e.lipschitz_sq),
-        "region_low_sq": rat(e.region_low_sq),
-        "move_sq": rat(e.move_sq),
-    }
-
-
-def contraction_json(c: ContractionCert) -> dict:
-    return {
-        "epsilon_sq": rat(c.epsilon_sq),
-        "attract": point_json(c.attract),
-        "repel": plane_json(c.repel),
-        "method": "singular-gap",
-        "attract_err_sq": rat(c.attract_err_sq),
-        "repel_err_sq": rat(c.repel_err_sq),
-        "gap_sq_hi": rat(c.gap_sq_hi),
-        "image_radius_sq": rat(c.image_radius_sq),
-    }
-
-
-def proximal_json(c: ProximalCert) -> dict:
-    out = {
-        "r_sq": rat(c.r_sq),
-        "epsilon_sq": rat(c.epsilon_sq),
-        "contraction": contraction_json(c.contraction),
-        "fixed_point": enclosure_json(c.fixed_point),
-        "fixed_plane_dual": enclosure_json(c.fixed_plane_dual),
-    }
-    if c.very is not None:
-        out["inverse"] = proximal_json(c.very)
-    return out
-
-
-def claim_set_disjoint(left: ProjSet, right: ProjSet, note: str = "") -> dict:
-    return {"type": "set-disjoint", "left": set_json(left), "right": set_json(right), "note": note}
-
-
-def claim_set_contains(outer: ProjSet, inner: ProjSet, note: str = "") -> dict:
-    return {
-        "type": "set-contains",
-        "outer": set_json(outer),
-        "inner": set_json(inner),
-        "closed_inner": False,
-        "note": note,
-    }
-
-
-def claim_word_eval(word: str, matrix: ProjMat) -> dict:
-    return {"type": "word-eval", "word": word, "matrix": mat_json(matrix), "note": ""}
-
-
-def claim_contraction(matrix: ProjMat, cert: ContractionCert) -> dict:
-    return {"type": "contraction", "matrix": mat_json(matrix), "cert": contraction_json(cert)}
-
-
-def claim_contraction_refuted(matrix: ProjMat, epsilon_sq: Rat, witness: ProjPoint) -> dict:
-    """The witness refutes eps-contraction for the matrix's direction candidates."""
-    dirs = direction_candidates(matrix)
-    return {
-        "type": "contraction-refuted",
-        "matrix": mat_json(matrix),
-        "epsilon_sq": rat(epsilon_sq),
-        "witness": point_json(witness),
-        "attract": point_json(dirs.attract),
-        "repel": plane_json(dirs.repel),
-    }
-
-
-def claim_point_plane_far(point: ProjPoint, plane: ProjHyperplane, r_sq: Rat) -> dict:
-    return {"type": "point-plane-far", "point": point_json(point), "plane": plane_json(plane), "r_sq": rat(r_sq)}
-
-
-def claim_selfmap(matrix: ProjMat, enclosure: Enclosure, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, attract: ProjPoint) -> dict:
-    return {
-        "type": "selfmap-enclosure",
-        "matrix": mat_json(matrix),
-        "enclosure": enclosure_json(enclosure),
-        "repel": plane_json(repel),
-        "repel_err_sq": rat(repel_err_sq),
-        "gap_sq_hi": rat(gap_sq_hi),
-        "epsilon_sq": rat(epsilon_sq),
-        "attract": point_json(attract),
-    }
-
-
-def claims_for_proximal(matrix: ProjMat, cert: ProximalCert) -> list[dict]:
-    c = cert.contraction
-    out = [claim_contraction(matrix, c), claim_point_plane_far(c.attract, c.repel, cert.r_sq)]
-    for (m, attract, repel, repel_err_sq), enc in zip(c.selfmap_problems(matrix), (cert.fixed_point, cert.fixed_plane_dual)):
-        out.append(claim_selfmap(m, enc, repel, repel_err_sq, c.gap_sq_hi, cert.epsilon_sq, attract))
-    if cert.very is not None:
-        out.extend(claims_for_proximal(matrix.inverse(), cert.very))
-        out += [claim_set_disjoint(left, right, note) for left, right, note in cert.very_pairs()]
-    return out
-
-
-def claim_oracle(max_len: int, result_kind: str, word: str | None, names: list[str]) -> dict:
-    return {"type": "oracle", "max_len": max_len, "result": result_kind, "word": word, "names": names}
-
-
-def claim_normal_membership(element: str, factorization: str) -> dict:
-    return {"type": "normal-membership", "element": element, "factorization": factorization}
-
-
-def claims_for_cert(word: str, matrix: ProjMat, cert: ContractionCert | ProximalCert, *between: dict) -> list[dict]:
-    """Claims for a certified word: its word-eval, then the claims in
-    `between` (normal membership), then its contraction or proximal evidence."""
-    out = [claim_word_eval(word, matrix), *between]
-    if isinstance(cert, ProximalCert):
-        return out + claims_for_proximal(matrix, cert)
-    return out + [claim_contraction(matrix, cert)]
-
-
-def _disjoint_claims(tup, claim) -> list[dict]:
-    """One claim(left, right, note) per cross-set disjointness the tuple certified."""
-    return [claim(c.left, c.right, c.detail) for c in tup.checks if c.kind == "disjoint" and c.ok]
-
-
-def claims_for_tuple(tup) -> list[dict]:
-    """Claims for a projective ping-pong tuple: its disjointnesses, then
-    each player's proximal evidence."""
-    out = _disjoint_claims(tup, claim_set_disjoint)
-    for p in tup.players:
-        out.extend(claims_for_proximal(p.element, p.evidence))
-    return out
-
-
-def claim_tree_normal_form(word: str, w) -> dict:
-    return {"type": "tree-normal-form", "word": word, "syllables": [list(s) for s in w.syllables], "tail": w.tail}
-
-
-def claim_tree_classify(word: str, cls) -> dict:
-    return {"type": "tree-classify", "word": word, "kind": cls.kind, "translation_length": cls.translation_length}
-
-
-def claim_tree_degree(vertex, degree: int) -> dict:
-    return {"type": "tree-degree", "vertex": vertex_json(vertex), "degree": degree}
-
-
-def claim_kernel(elements: list[int]) -> dict:
-    return {"type": "kernel", "elements": elements}
-
-
-def claim_shadow_disjoint(left, right, note: str) -> dict:
-    return {"type": "shadow-disjoint", "left": shadow_json(left), "right": shadow_json(right), "note": note}
-
-
-def claims_for_tree_tuple(tup, words: list[str]) -> list[dict]:
-    """Claims for a tree ping-pong tuple, read off the evidence it already
-    holds: each word's classification, each player's axis shadows, then the
-    tuple's disjointnesses."""
-    players = list(zip(tup.players, words))
-    out = [claim_tree_classify(word, p.evidence.classification) for p, word in players]
-    out += [{"type": "tree-evidence", "word": word, "sets": [shadow_json(s) for _, s in p.sets()]} for p, word in players]
-    return out + _disjoint_claims(tup, claim_shadow_disjoint)
-
-
-# ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
+
+
+def _certified(word: str, m: ProjMat, cert: dict, membership: dict | None = None) -> list[dict]:
+    """The claims of `word`, of matrix m, certified by the record `cert`."""
+    inverse = mat_json(m.inverse()) if "inverse" in cert else None
+    return certfmt.certified_claims(word, mat_json(m), cert, inverse, membership)
 
 
 def _emitter(place: Place | None, backend: str, header: dict, task: dict):
@@ -620,7 +459,7 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
     prob.all_read()
     m = group.eval(word)
     emit = _emitter(group.place, "matrix", _group_header(group), task)
-    word_eval = [claim_word_eval(task["element"], m)]
+    word_eval = [certfmt.word_eval_claim(task["element"], mat_json(m))]
     if subop == "profile":
         prof = singular_profile(m)
         result = {"values_sq": [{"lo": rat(v.lo), "hi": rat(v.hi)} for v in prof.values_sq], "exact": prof.exact}
@@ -631,7 +470,7 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
             return emit("not-found", {}, word_eval)
         n, cert = out
         result = {"n": n, "cert": proximal_json(cert)}
-        return emit("yes", result, word_eval + claims_for_proximal(m.power(n), cert))
+        return emit("yes", result, word_eval + certfmt.proximal_claims(mat_json(m.power(n)), result["cert"]))
     if subop == "contracting":
         v = certify_contracting(m, eps_sq)
         cert_json = contraction_json
@@ -639,10 +478,13 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
         v = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq)
         cert_json = proximal_json
     if v.kind == "yes":
-        return emit("yes", {"cert": cert_json(v.cert)}, claims_for_cert(task["element"], m, v.cert))
+        result = {"cert": cert_json(v.cert)}
+        return emit("yes", result, _certified(task["element"], m, result["cert"]))
     if v.kind == "no":
-        refuted = claim_contraction_refuted(v.refutes, eps_sq, v.counterexample)
-        return emit("no", {"counterexample": point_json(v.counterexample)}, word_eval + [refuted])
+        result = {"counterexample": point_json(v.counterexample)}
+        dirs = direction_candidates(v.refutes)
+        refuted = certfmt.refutation_claim(mat_json(v.refutes), task["epsilon_sq"], result["counterexample"], point_json(dirs.attract), plane_json(dirs.repel))
+        return emit("no", result, word_eval + [refuted])
     return emit(v.kind, {}, word_eval)
 
 
@@ -671,7 +513,7 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     if subop == "oracle":
         out = freeness_oracle(mats, oracle_len, names=names)
         result = {"oracle": out.kind, "relation": out.word}
-        return emit(out.kind, result, [claim_oracle(oracle_len, out.kind, out.word, names)])
+        return emit(out.kind, result, [certfmt.oracle_claim(oracle_len, out.kind, out.word, names)])
     players = []
     for name, m in zip(names, mats):
         cert = auto_very_proximal(m)
@@ -686,19 +528,15 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
             a_plus, a_minus = ball(c_f.attract, radius), ball(c_b.attract, radius)
             players.append(PingPongPlayer(name, m, a_plus, hnbhd(c_f.repel, radius), a_minus, hnbhd(c_b.repel, radius), cert))
     tup = certify_tuple(players)
-    claims = claims_for_tuple(tup)
-    result = {
-        "verdict": tup.verdict,
-        "witness_detail": tup.witness_detail,
-        "players": {
-            p.name: {label: set_json(s) for label, s in p.sets()} for p in players
-        },
-    }
+    players_json = {p.name: {label: set_json(s) for label, s in p.sets()} for p in players}
+    result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail, "players": players_json}
+    groups = [certfmt.proximal_claims(mat_json(p.element), proximal_json(p.evidence), mat_json(p.element.inverse())) for p in players]
+    claims = certfmt.matrix_tuple_claims(result["players"], names, groups, [c.ok for c in tup.checks if c.kind == "disjoint"])
     if tup.witness is not None:
         result["witness"] = point_json(tup.witness)
     if tup.verdict == "certified":
         oracle = freeness_oracle(mats, oracle_len, names=names)
-        claims.append(claim_oracle(oracle_len, oracle.kind, oracle.word, names))
+        claims.append(certfmt.oracle_claim(oracle_len, oracle.kind, oracle.word, names))
         result["oracle"] = oracle.kind
     return emit(tup.verdict, result, claims)
 
@@ -739,9 +577,6 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         prob.values("cosets", cosets)
         return [NormalData(lbl, reps, cosets) for lbl, (reps, cosets) in normals.items()]
 
-    def claims_for(word, cert, *between) -> list[dict]:
-        return claims_for_cert(ws(word), group.eval(word), cert, *between)
-
     normals = parse_normals() if subop in ("truncated-prodense", "normal-proximal", "coset-pingpong") else []
     if len(normals) != 1 and subop in ("normal-proximal", "coset-pingpong"):
         raise ProblemError(1, 1, f"{subop} takes exactly one 'normal' line")
@@ -755,12 +590,12 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         task["normals"] = {d.label: [ws(w) for w in d.class_reps] for d in normals}
         claims, step1, step2 = [], [], {}
         for r in report.step1:
-            claims += claims_for(r.word, r.cert)
+            claims += _certified(ws(r.word), group.eval(r.word), proximal_json(r.cert))
             step1.append({"label": r.label, "word": ws(r.word), "nest": r.nest_exponent})
         for label, crs in report.step2.items():
             step2[label] = []
             for cr in crs:
-                claims += claims_for(cr.word, cr.cert)
+                claims += _certified(ws(cr.word), group.eval(cr.word), proximal_json(cr.cert))
                 step2[label].append({"coset": ws(cr.coset_rep), "word": ws(cr.word), "power": cr.power})
         result = {
             "host": {"word": ws(report.host_word), "power": report.host_power},
@@ -773,7 +608,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         }
         if report.oracle is not None:
             result["oracle"] = report.oracle.kind
-            claims.append(claim_oracle(PRODENSE_ORACLE_LEN, report.oracle.kind, report.oracle.word, []))
+            claims.append(certfmt.oracle_claim(PRODENSE_ORACLE_LEN, report.oracle.kind, report.oracle.word, []))
         return emit(report.verdict, result, claims)
     if subop == "conjugate-contract":
         g = prob.value("element", word)
@@ -786,7 +621,8 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         if out is None:
             return emit("not-found")
         m, w, cert = out
-        return emit("yes", {"m": m, "word": ws(w), "cert": contraction_json(cert)}, claims_for(w, cert))
+        result = {"m": m, "word": ws(w), "cert": contraction_json(cert)}
+        return emit("yes", result, _certified(ws(w), group.eval(w), result["cert"]))
     if subop == "b1b2b3":
         g = prob.value("element", word)
         b1, b2, b3 = prob.value("b1", word), prob.value("b2", word), prob.value("b3", word)
@@ -798,18 +634,9 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         out = b1b2b3_synthesize(group, g, a_set, r_set, b1, b2, b3, k_max)
         if out is None:
             return emit("not-found")
-        claims = claims_for(out.word, out.cert) + [
-            claim_set_disjoint(out.attract, out.repel, "produced sets disjoint"),
-            claim_set_contains(a_set, out.attract, note="attracting set inside host"),
-            claim_set_contains(a_set, out.repel, note="repelling set inside host"),
-        ]
-        result = {
-            "k": out.k,
-            "word": ws(out.word),
-            "attract": set_json(out.attract),
-            "repel": set_json(out.repel),
-            "cert": contraction_json(out.cert),
-        }
+        attract, repel = set_json(out.attract), set_json(out.repel)
+        result = {"k": out.k, "word": ws(out.word), "attract": attract, "repel": repel, "cert": contraction_json(out.cert)}
+        claims = _certified(ws(out.word), group.eval(out.word), result["cert"]) + certfmt.b1b2b3_claims(attract, repel, set_json(a_set))
         return emit("yes", result, claims)
     if subop == "very-proximal":
         g = prob.value("element", word)
@@ -823,15 +650,15 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
             return emit("not-found")
         f1, f2, w, cert = out
         result = {"f1": ws(f1), "f2": ws(f2), "word": ws(w), "cert": proximal_json(cert)}
-        return emit("yes", result, claims_for(w, cert))
+        return emit("yes", result, _certified(ws(w), group.eval(w), result["cert"]))
     if subop == "normal-proximal":
         prob.all_read()
         out = normal_proximal(group, normals[0], None, budgets)
         if out is None:
             return emit("not-found")
-        membership = claim_normal_membership(ws(out.word), ws(out.proof.to_word(list(normals[0].class_reps))))
+        membership = certfmt.membership_claim(ws(out.word), ws(out.proof.to_word(list(normals[0].class_reps))))
         result = {"word": ws(out.word), "cert": proximal_json(out.cert)}
-        return emit("yes", result, claims_for(out.word, out.cert, membership))
+        return emit("yes", result, _certified(ws(out.word), group.eval(out.word), result["cert"], membership))
     if subop == "coset-pingpong":
         data = normals[0]
         if not data.coset_reps:
@@ -843,10 +670,8 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         got, failed = coset_pingpong(group, data, a_n, budgets)
         claims, deltas = [], []
         for cr in got:
-            membership = claim_normal_membership(
-                ws(concat(cr.word, word_inverse(cr.coset_rep))), ws(cr.membership.to_word(list(data.class_reps)))
-            )
-            claims += claims_for(cr.word, cr.cert, membership)
+            membership = certfmt.membership_claim(ws(concat(cr.word, word_inverse(cr.coset_rep))), ws(cr.membership.to_word(list(data.class_reps))))
+            claims += _certified(ws(cr.word), group.eval(cr.word), proximal_json(cr.cert), membership)
             deltas.append({"coset": ws(cr.coset_rep), "word": ws(cr.word), "power": cr.power})
         result = {"deltas": deltas, "failed": [ws(w) for w in failed], "a_N": ws(a_n.word)}
         return emit("yes" if got and not failed else ("unknown" if got else "not-found"), result, claims)
@@ -865,7 +690,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         if r.skipped:
             items.append({"coset": ws(r.original), "skipped": r.skipped})
             continue
-        claims += claims_for(r.word, r.cert)
+        claims += _certified(ws(r.word), group.eval(r.word), contraction_json(r.cert))
         items.append({"coset": ws(r.original), "m": r.m, "n": r.n, "word": ws(r.word)})
     # every representative wrapped, or skipped as a trivial double coset
     return emit("yes" if len(out) == len(cs) else "unknown", {"wrapped": items}, claims)
@@ -899,7 +724,7 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
     emit = _emitter(None, "amalgam", header, task)
     if subop == "normal-form":
         result = {"syllables": [list(s) for s in w.syllables], "tail": w.tail, "is_identity": w.is_identity()}
-        return emit("ok", result, [claim_tree_normal_form(task["word"], w)])
+        return emit("ok", result, [certfmt.normal_form_claim(task["word"], result["syllables"], w.tail)])
     if subop == "classify":
         out = classify(w, am)
         result = {"kind": out.kind}
@@ -908,7 +733,7 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
             result["axis_edge"] = [vertex_json(out.axis_edge[0]), vertex_json(out.axis_edge[1])]
         else:
             result["fixed_vertex"] = vertex_json(out.fixed_vertex)
-        return emit("ok", result, [claim_tree_classify(task["word"], out)])
+        return emit("ok", result, [certfmt.classify_claim(task["word"], out.kind, out.translation_length)])
     if subop == "expand":
         tree = BassSerreTree(am)
         claims, listing = [], []
@@ -916,21 +741,23 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
             entry = {"vertex": vertex_json(v), "depth": depth}
             if depth < radius:
                 entry["degree"] = len(tree.neighbors(v))
-                claims.append(claim_tree_degree(v, entry["degree"]))
+                claims.append(certfmt.degree_claim(entry["vertex"], entry["degree"]))
             listing.append(entry)
         return emit("ok", {"vertices": listing, "count": len(listing)}, claims)
     if subop == "pingpong":
         elements = [w for _, w in words]
         tup = tree_pingpong(elements, am)
-        claims = claims_for_tree_tuple(tup, texts)
+        lengths = [p.evidence.classification.translation_length for p in tup.players]
+        shadows = [[shadow_json(s) for _, s in p.sets()] for p in tup.players]
+        claims = certfmt.tree_tuple_claims(texts, lengths, shadows, [c.ok for c in tup.checks if c.kind == "disjoint"])
         result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail}
         if tup.verdict == "certified":
             oracle = freeness_oracle(elements, oracle_len, names=[f"t{i}" for i in range(len(elements))])
-            claims.append(claim_oracle(oracle_len, oracle.kind, oracle.word, texts))
+            claims.append(certfmt.oracle_claim(oracle_len, oracle.kind, oracle.word, texts))
             result["oracle"] = oracle.kind
         return emit(tup.verdict, result, claims)
     k = kernel_of_action(am)
-    return emit("ok", {"elements": k, "names": [am.group_h.name_of(x) for x in k]}, [claim_kernel(k)])
+    return emit("ok", {"elements": k, "names": [am.group_h.name_of(x) for x in k]}, [certfmt.kernel_claim(k)])
 
 
 def cmd_verify(path: str) -> int:

@@ -427,13 +427,6 @@ class ProximalCert(Record):
         c, ci = self.contraction, self.very.contraction
         return tuple(ProjSet((s,)) for s in (c.attract_set, c.repel_set, ci.attract_set, ci.repel_set))
 
-    def very_pairs(self) -> tuple[tuple[ProjSet, ProjSet, str], ...]:
-        """The disjointnesses a very-proximal certificate needs, as
-        (left, right, claim note); `certify_very_proximal` checks these
-        and `certfmt` emits them."""
-        a_p, r_p, a_m, r_m = self.eps_sets
-        return ((a_p, r_p, "very: A+ vs R+"), (a_p, a_m, "very: A+ vs A-"), (a_m, r_m, "very: A- vs R-"))
-
     def check_mapping(self, player) -> tuple[bool, str]:
         """The ping-pong mapping conditions g(X - R+) in A+ and
         g^-1(X - R-) in A- for a player holding this certificate: each
@@ -482,8 +475,9 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
 
 def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     """Both g and g^-1 (r, eps)-proximal, plus the three cross-disjointness
-    conditions of `ProximalCert.very_pairs` on the eps-sets of the pair:
-    A+ from R+, A+ from A-, and A- from R-.
+    conditions on the eps-sets of the pair (`ProximalCert.eps_sets`): A+
+    from R+, A+ from A-, and A- from R-, whose claims
+    `certfmt.proximal_claims` writes.
 
     A "no" from g^-1 names g^-1 in `refutes`.  A failed cross-disjointness
     check is "unknown": a point common to two candidate sets refutes no
@@ -496,7 +490,8 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
         return bwd
     c = fwd.cert
     paired = ProximalCert(c.r_sq, c.epsilon_sq, c.contraction, c.fixed_point, c.fixed_plane_dual, very=bwd.cert)
-    if any(set_disjoint(left, right, g.place).kind != "disjoint" for left, right, _ in paired.very_pairs()):
+    a_p, r_p, a_m, r_m = paired.eps_sets
+    if any(set_disjoint(left, right, g.place).kind != "disjoint" for left, right in ((a_p, r_p), (a_p, a_m), (a_m, r_m))):
         return Verdict("unknown")
     return Verdict("yes", cert=paired)
 

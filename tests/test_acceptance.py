@@ -7,8 +7,8 @@ import random
 import time
 from fractions import Fraction as F
 
-from freecert.certfmt import CertContext, check_claim
-from freecert.cli import claim_selfmap, main
+from freecert.certfmt import CertContext, check_claim, enclosure_json, mat_json, plane_json, point_json, rat, selfmap_claim
+from freecert.cli import main
 from freecert.dynamics import (
     certify_contracting,
     contraction_gap_sq,
@@ -226,14 +226,15 @@ def test_criterion_04_fixed_point_enclosures_and_decay():
         cert = auto_very_proximal(g)
         assert cert is not None, g.entries
         # enclosure self-maps: re-checked through the certificate checker
-        claim = claim_selfmap(
-            g,
-            cert.fixed_point,
-            cert.contraction.repel,
-            cert.contraction.repel_err_sq,
-            cert.contraction.gap_sq_hi,
-            cert.epsilon_sq,
-            cert.contraction.attract,
+        c = cert.contraction
+        claim = selfmap_claim(
+            mat_json(g),
+            enclosure_json(cert.fixed_point),
+            point_json(c.attract),
+            plane_json(c.repel),
+            rat(c.repel_err_sq),
+            rat(c.gap_sq_hi),
+            rat(cert.epsilon_sq),
         )
         assert check_claim(claim, CertContext(g.place, {}, {}))
         uppers = [contraction_gap_sq(g.power(n)).hi for n in range(1, 9)]

@@ -6,9 +6,20 @@ from fractions import Fraction as F
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import CertContext, check_claim, mat_json
+from freecert.certfmt import (
+    CertContext,
+    check_claim,
+    contraction_claim,
+    contraction_json,
+    enclosure_json,
+    mat_json,
+    plane_json,
+    point_json,
+    rat,
+    refutation_claim,
+    selfmap_claim,
+)
 from freecert.checker import selfmap_at, selfmap_radii, witness_refutes
-from freecert.cli import claim_contraction, claim_contraction_refuted, claim_selfmap
 from freecert.dynamics import certify_contracting, contraction_gap_sq, direction_candidates, selfmap_enclosure
 from freecert.projective import ProjHyperplane, ProjMat, ProjPoint
 from freecert.scalar import ARCH, padic, sqrt_upper
@@ -41,15 +52,17 @@ def test_every_producer_verdict_passes_the_checker(g, epsilon_sq):
     if v.kind == "no":
         dirs = direction_candidates(g)
         assert witness_refutes(g, v.counterexample, dirs.attract, dirs.repel, epsilon_sq)
-        assert check_claim(claim_contraction_refuted(g, epsilon_sq, v.counterexample), ctx)
+        claim = refutation_claim(mat_json(g), rat(epsilon_sq), point_json(v.counterexample), point_json(dirs.attract), plane_json(dirs.repel))
+        assert check_claim(claim, ctx)
     if v.kind != "yes":
         return
     c = v.cert
-    assert check_claim(claim_contraction(g, c), ctx)
+    assert check_claim(contraction_claim(mat_json(g), contraction_json(c)), ctx)
     for m, attract, repel, repel_err_sq in c.selfmap_problems(g):
         enc = selfmap_enclosure(m, attract, repel, repel_err_sq, c.gap_sq_hi, epsilon_sq)
         if enc is not None:
-            assert check_claim(claim_selfmap(m, enc, repel, repel_err_sq, c.gap_sq_hi, epsilon_sq, attract), ctx)
+            claim = selfmap_claim(mat_json(m), enclosure_json(enc), point_json(attract), plane_json(repel), rat(repel_err_sq), rat(c.gap_sq_hi), rat(epsilon_sq))
+            assert check_claim(claim, ctx)
 
 
 def _ladder(epsilon_sq):

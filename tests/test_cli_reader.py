@@ -1,6 +1,7 @@
 """The command-line reader of `cli.main`, and the input refusals that sit
 beside it: a repeated single-valued `[task]` key, and a certificate whose
-claim note is no string or whose matrix is over MAX_DIM."""
+claim note is no string, whose header is malformed or whose matrix is over
+MAX_DIM."""
 
 import json
 import os
@@ -128,6 +129,27 @@ def test_failing_claim_with_a_note_that_is_no_string_is_reported(tmp_path, capsy
     capsys.readouterr()
     assert verify_file(out) == 3
     assert "verify: claim 0 (word-eval: 5) failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda h: [h], "certificate header is not an object"),
+        (lambda h: h["generators"]["a"][0].__setitem__(0, "x"), "bad generator a: malformed rational literal 'x'"),
+        (lambda h: h["generators"]["a"].append(["1", "0"]), "bad generator a: entries must form a square matrix"),
+        (lambda h: h["generators"].update(a=[["1", "1"], ["1", "1"]]), "bad generator a: matrix must be invertible"),
+    ],
+    ids=["header-not-an-object", "entry-not-a-rational", "not-square", "singular"],
+)
+def test_verify_refuses_a_malformed_header(tmp_path, capsys, tamper, message):
+    # no word can be evaluated, so the certificate is an input error
+    code, cert, out = run(tmp_path, "analyze", PROFILE)
+    assert code == 0
+    cert["header"] = tamper(cert["header"]) or cert["header"]
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert verify_file(out) == 2
+    assert f"verify: {message}" in capsys.readouterr().err
 
 
 def _random_rows(n: int) -> list[list[str]]:

@@ -198,6 +198,48 @@ def test_verifier_imports_no_search_code():
     assert external <= sys.stdlib_module_names, f"certfmt.py imports {sorted(external - sys.stdlib_module_names)}"
 
 
+def _claim_literals(path: Path) -> list[tuple[str, str]]:
+    """(claim type, innermost enclosing function) of each dict literal in
+    `path` with a "type" key, the type "?" where it is no string."""
+    found = []
+
+    def visit(node, func: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "type":
+                    found.append((value.value if isinstance(value, ast.Constant) and isinstance(value.value, str) else "?", func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def _checked_claim_types() -> set[str]:
+    """The claim types `certfmt.check_claim` accepts: the strings it
+    compares its `kind` with."""
+    tree = ast.parse((PACKAGE / "certfmt.py").read_text(encoding="utf-8"))
+    check = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "check_claim")
+    compares = [n for n in ast.walk(check) if isinstance(n, ast.Compare) and isinstance(n.left, ast.Name) and n.left.id == "kind"]
+    return {c.value for n in compares for c in ast.walk(n.comparators[0]) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
+def test_certfmt_alone_writes_each_claim_type_once():
+    """`certfmt` is the only writer of claim JSON: `cli.py` holds no dict
+    with a "type" key, and each claim type `check_claim` accepts is written
+    as a dict literal in exactly one `certfmt` function."""
+    assert not _claim_literals(PACKAGE / "cli.py"), "cli.py writes claims"
+    writers: dict[str, set[str]] = {}
+    for kind, func in _claim_literals(PACKAGE / "certfmt.py"):
+        writers.setdefault(kind, set()).add(func)
+    checked = _checked_claim_types()
+    assert len(checked) == 15
+    assert writers.keys() == checked, f"written {sorted(writers)}, checked {sorted(checked)}"
+    assert all(len(funcs) == 1 for funcs in writers.values()), writers
+
+
 #: Standard-library modules the package leaves unloaded: `dataclasses`
 #: executes generated code for each record class, and it imports `inspect`;
 #: `typing` is a few milliseconds of start-up that `scalar.Record` makes

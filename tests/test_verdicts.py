@@ -222,7 +222,7 @@ def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
     assert _verify(tmp_path, cert) == 3
     err = capsys.readouterr().err
     assert "failed" not in err  # no claim fails: the row does
-    assert "verdict 'yes' of analyze very-proximal: claim 3 (selfmap-enclosure) repel_err_sq is not that of the attracting point" in err
+    assert "verdict 'yes' of analyze very-proximal: claim 3 (selfmap-enclosure) repel_err_sq differs from the rebuilt claim" in err
 
 
 @pytest.mark.parametrize(
@@ -236,7 +236,7 @@ def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
         (lambda c: c.update(verdict="ok"), 3, "verify: verdict 'ok' is not a verdict of analyze contracting"),
         (lambda c: c["result"].update(note="x"), 3, "result field 'note' is neither bound nor stated"),
         (lambda c: c["claims"].append(dict(c["claims"][0])), 3, "claim 2 (word-eval) belongs to no group of the verdict"),
-        (lambda c: c["task"].update(epsilon_sq="1/9"), 3, "contraction epsilon_sq is not the task's"),
+        (lambda c: c["task"].update(epsilon_sq="1/9"), 3, "claim 1 (contraction) cert.epsilon_sq differs from the rebuilt claim"),
     ],
     ids=["unknown-subop", "task-not-an-object", "op-not-a-string", "partial", "verdict-not-a-string", "verdict-of-another-subop", "unnamed-field", "extra-claim", "task-epsilon"],
 )
@@ -246,6 +246,50 @@ def test_verify_names_the_verdict_and_what_it_lacks(tmp_path, capsys, tamper, co
     tamper(cert)
     capsys.readouterr()
     assert _verify(tmp_path, cert) == code
+    assert message in capsys.readouterr().err
+
+
+def _method_in_claim_and_result(cert):
+    cert["claims"][1]["cert"]["method"] = cert["result"]["cert"]["method"] = "power-iteration"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda c: c["claims"][1].update(extra="x"), "claim 1 (contraction) extra differs from the rebuilt claim"),
+        (lambda c: c["claims"][0].update(note="the element"), "claim 0 (word-eval) note differs from the rebuilt claim"),
+        (_method_in_claim_and_result, "claim 1 (contraction) cert.method differs from the rebuilt claim"),
+    ],
+    ids=["extra-claim-key", "word-eval-note", "method-in-claim-and-result"],
+)
+def test_verify_compares_the_claims_whole(tmp_path, capsys, tamper, message):
+    # each claim passes its own check: only the layout the verdict needs fails
+    text = _one("gen a = [[2, 1], [1, 1]]\n") + "op analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n"
+    code, cert, _ = run(tmp_path, "analyze", text)
+    assert code == 0
+    tamper(cert)
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    err = capsys.readouterr().err
+    assert "failed" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message",
+    [
+        ("tree-normal-form", "tail", False, "result normal form holds a number that is no integer"),
+        ("tree-expand", "count", 11.0, "result count is not the listing's"),
+    ],
+)
+def test_verify_tells_json_integers_from_booleans_and_floats(tmp_path, capsys, name, field, value, message):
+    # `false` equals 0 and `11.0` equals 11 in Python
+    command, text, extra = PROBLEMS[name]
+    _, cert, _ = run(tmp_path, command, text, *extra)
+    assert cert["result"][field] == value and type(cert["result"][field]) is int
+    cert["result"][field] = value
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
     assert message in capsys.readouterr().err
 
 
@@ -278,8 +322,9 @@ def test_verify_builds_no_tuple_pairs_past_its_claims(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Mutation suite: every claim deletion, verdict change and bound result edit
-# of a sufficing golden fails verify
+# Mutation suite: every claim deletion, verdict change, bound result edit,
+# key added to a claim's object and change of a claim's type, note or
+# method of a sufficing golden fails verify
 # ---------------------------------------------------------------------------
 
 
@@ -305,6 +350,19 @@ def _other(value):
 
 _ALL_FIELDS = sorted(set().union(*(row._named for row in VERDICTS.values())) | {"note"})
 
+#: the claim types of each backend: a claim given another backend's type
+#: asks for a table the header lacks, an input error (exit 2)
+_CLAIM_TYPES = {
+    "matrix": ["word-eval", "contraction", "contraction-refuted", "point-plane-far", "selfmap-enclosure", "set-disjoint", "set-contains", "normal-membership", "oracle"],
+    "amalgam": ["tree-normal-form", "tree-classify", "tree-evidence", "shadow-disjoint", "tree-degree", "kernel", "oracle"],
+}
+
+
+def _objects(node) -> list:
+    """Every object under `node`, `node` included when it is one."""
+    items = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    return [node] * isinstance(node, dict) + [o for v in items for o in _objects(v)]
+
 
 @st.composite
 def mutations(draw, certs: dict):
@@ -312,9 +370,21 @@ def mutations(draw, certs: dict):
     cert = copy.deepcopy(certs[name])
     row, op = _row(cert), cert["task"]["op"]
     others = sorted({v for o, _, v in VERDICTS if o == op} - {cert["verdict"]})
-    kind = draw(st.sampled_from(["delete-claim", "edit", "remove", "add"] + ["verdict"] * bool(others)))
+    kind = draw(st.sampled_from(["delete-claim", "edit", "remove", "add", "claim-key", "claim-field"] + ["verdict"] * bool(others)))
+    claim = draw(st.sampled_from(cert["claims"]))
     if kind == "delete-claim":
-        del cert["claims"][draw(st.integers(0, len(cert["claims"]) - 1))]
+        cert["claims"].remove(claim)
+    elif kind == "claim-key":
+        obj = draw(st.sampled_from(_objects(claim)))
+        obj[draw(st.text("abcdefgh_", min_size=1, max_size=8).filter(lambda k: k not in obj))] = draw(st.one_of(st.none(), st.integers(0, 9), st.text(max_size=3)))
+    elif kind == "claim-field":
+        field = draw(st.sampled_from(["type"] + ["note"] * ("note" in claim) + ["method"] * ("method" in claim.get("cert", {}))))
+        if field == "type":
+            claim["type"] = draw(st.sampled_from([t for t in _CLAIM_TYPES[cert["backend"]] if t != claim["type"]]))
+        elif field == "note":
+            claim["note"] = draw(_other(claim["note"]))
+        else:
+            claim["cert"]["method"] = draw(_other(claim["cert"]["method"]))
     elif kind == "verdict":
         cert["verdict"] = draw(st.sampled_from(others))
     elif kind == "remove":
