@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from functools import cached_property
 
 from . import __version__
@@ -41,7 +40,7 @@ from .projective import (
     set_disjoint,
     word_inverse,
 )
-from .scalar import Place, Rat, Record, format_rat, parse_place, parse_rat
+from .scalar import PAIR_LABELS, VERY_PAIRS, Place, Rat, Record, format_rat, pair_count, parse_place, parse_rat, tuple_pairs, word_tokens
 from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, classify, kernel_of_action, parse_word
 
 FORMAT = "freecert-certificate/1"
@@ -52,6 +51,11 @@ FORMAT = "freecert-certificate/1"
 #: value would not fail but run for minutes.  `verify` refuses a larger
 #: `max_n` before it forms g^n, which at n = 10^6 took seconds.
 MAX_EXPONENT = 64
+#: Longest word the freeness oracle may be asked to search.  It stores
+#: the reduced words of half that length, (2k)(2k - 1)^(L/2 - 1) of them
+#: for k players, which `pingpong.MAX_ORACLE_WORDS` bounds as well.
+#: `verify` refuses a longer `oracle_len` before it reads a relation.
+MAX_ORACLE_LEN = 12
 
 
 class VerifyError(ValueError):
@@ -74,7 +78,7 @@ class _Unprintable:
     than `sys.get_int_max_str_digits()` digits to text.  `dumps` refuses
     the certificate, naming the field that holds it."""
 
-    def __init__(self, x: Fraction):
+    def __init__(self, x: Rat):
         self.x = x
 
 
@@ -84,7 +88,6 @@ class _Unprintable:
 
 
 def rat(x: Rat) -> "str | _Unprintable":
-    x = Fraction(x)
     try:
         return format_rat(x)
     except ValueError:  # too many digits
@@ -260,7 +263,7 @@ def proximal_claims(matrix: list, cert: dict, inverse: list | None = None) -> li
     enclosures of `ContractionCert.selfmap_problems` (the matrix's, then
     its transpose's with the pair's roles swapped).  A very-proximal record
     adds the group of `inverse` and the disjointness of the eps-sets that
-    `dynamics.certify_very_proximal` checks: A+ from R+ and A-, A- from R-."""
+    `dynamics.certify_very_proximal` checks, the pairs `VERY_PAIRS`."""
     c, eps_sq, transpose = cert["contraction"], cert["epsilon_sq"], [list(col) for col in zip(*matrix)]
     out = [
         contraction_claim(matrix, c),
@@ -269,11 +272,10 @@ def proximal_claims(matrix: list, cert: dict, inverse: list | None = None) -> li
         selfmap_claim(transpose, cert["fixed_plane_dual"], c["repel"], c["attract"], c["attract_err_sq"], c["gap_sq_hi"], eps_sq),
     ]
     if "inverse" in cert:
-        ci = cert["inverse"]["contraction"]
-        a_p, r_p = [ball_json(c["attract"], c["epsilon_sq"])], [hnbhd_json(c["repel"], c["epsilon_sq"])]
-        a_m, r_m = [ball_json(ci["attract"], ci["epsilon_sq"])], [hnbhd_json(ci["repel"], ci["epsilon_sq"])]
+        ends = (c, cert["inverse"]["contraction"])  # the eps-sets A+, R+, A-, R-
+        sets = [one for d in ends for one in ([ball_json(d["attract"], d["epsilon_sq"])], [hnbhd_json(d["repel"], d["epsilon_sq"])])]
         out += proximal_claims(inverse, cert["inverse"])
-        out += [disjoint_claim(a_p, r_p, "very: A+ vs R+"), disjoint_claim(a_p, a_m, "very: A+ vs A-"), disjoint_claim(a_m, r_m, "very: A- vs R-")]
+        out += [disjoint_claim(sets[i], sets[j], f"very: {PAIR_LABELS[i]} vs {PAIR_LABELS[j]}") for i, j in VERY_PAIRS]
     return out
 
 
@@ -292,31 +294,25 @@ def b1b2b3_claims(attract: list, repel: list, host: list) -> list[dict]:
     return [disjoint_claim(attract, repel, "produced sets disjoint"), *inside]
 
 
-_LABELS = ("A+", "R+", "A-", "R-")
+def _pair_claims(players: list[tuple[str, list]], passed, claim) -> list[dict]:
+    """`claim(left, right, note)` of each of the players' `tuple_pairs`
+    that `passed`, one flag per pair walked, marks True."""
+    return [claim(left, right, f"{a} vs {b}") for (left, right, a, b), ok in zip(tuple_pairs(players), passed) if ok]
 
 
-def tuple_pairs(players: list[tuple[str, list]], passed=None) -> list[tuple]:
-    """(left, right, note) of each disjointness `pingpong.certify_tuple`
-    checks, in its order, for players given as (name, [A+, R+, A-, R-]):
-    k (8k - 5) of them for k players, less those `passed` marks False."""
-    own = [((p, s, i), (p, s, j)) for p, s in players for i, j in ((0, 2), (0, 1), (2, 3))]
-    cross = [((p, s, i), (q, t, j)) for n, (p, s) in enumerate(players) for m, (q, t) in enumerate(players) if m != n for i in (0, 2) for j in range(4)]
-    pairs = [(s[i], t[j], f"{p}.{_LABELS[i]} vs {q}.{_LABELS[j]}") for (p, s, i), (q, t, j) in own + cross]
-    return pairs if passed is None else [pair for pair, ok in zip(pairs, passed) if ok]
-
-
-def matrix_tuple_claims(players: dict, names: list[str], groups: list[list[dict]], passed=None) -> list[dict]:
+def matrix_tuple_claims(players: dict, names: list[str], groups: list[list[dict]], passed) -> list[dict]:
     """A projective tuple, players {name: {label: set}} in the order of
-    `names`: its `tuple_pairs` disjoint, then each player's very group."""
-    pairs = tuple_pairs([(name, [players[name][label] for label in _LABELS]) for name in names], passed)
-    return [disjoint_claim(*pair) for pair in pairs] + [c for group in groups for c in group]
+    `names`: the `tuple_pairs` it passed, then each player's very group."""
+    pairs = _pair_claims([(name, [players[name][label] for label in PAIR_LABELS]) for name in names], passed, disjoint_claim)
+    return pairs + [c for group in groups for c in group]
 
 
-def tree_tuple_claims(words: list[str], lengths: list[int], shadows: list[list[dict]], passed=None) -> list[dict]:
+def tree_tuple_claims(words: list[str], lengths: list[int], shadows: list[list[dict]], passed) -> list[dict]:
     """A tree tuple of hyperbolic words: their classifications, their axis
-    shadows (A+, R+, A-, R-), then the `tuple_pairs` of players t0, t1, ..."""
+    shadows (A+, R+, A-, R-), then the `tuple_pairs` of players t0, t1, ...
+    that it passed."""
     players = [(f"t{i}", sets) for i, sets in enumerate(shadows)]
-    pairs = [{"type": "shadow-disjoint", "left": left, "right": right, "note": note} for left, right, note in tuple_pairs(players, passed)]
+    pairs = _pair_claims(players, passed, lambda left, right, note: {"type": "shadow-disjoint", "left": left, "right": right, "note": note})
     classes = [classify_claim(w, "hyperbolic", n) for w, n in zip(words, lengths)]
     return classes + [{"type": "tree-evidence", "word": w, "sets": sets} for w, sets in zip(words, shadows)] + pairs
 
@@ -683,6 +679,23 @@ def _oracle(b: Binding, max_len: int | None = None, result: str | None = None, n
     b.rebuilt.append(oracle_claim(max_len, b.verdict if result is None else result, given.get("word"), given.get("names") if names is None else names))
 
 
+def _relation(b: Binding) -> None:
+    """A relation's oracle claim, over the task's players in the claim's
+    order: its word has 1 to oracle_len letters, counted unexpanded, is
+    written as `word_str` writes it, so freely reduced, and multiplies out
+    to the identity over the players' header evaluations."""
+    players, max_len, word, names = b.task["players"], b.task["oracle_len"], b.given().get("word"), b.given().get("names")
+    b.check(_ints(max_len) and 1 <= max_len <= MAX_ORACLE_LEN, f"oracle_len is outside 1..MAX_ORACLE_LEN = {MAX_ORACLE_LEN}")
+    b.check(isinstance(names, list) and sorted(names) == sorted(players), "oracle names are not the task's players")
+    b.check(1 <= sum(abs(k) for _, k in word_tokens(word)) <= max_len, f"relation {word!r} is not of 1 to {max_len} letters")
+    group = MarkedGroup(tuple((name, b.ctx.eval(players[name])) for name in names))
+    w = group.parse_word(word)
+    b.check(group.word_str(w) == word, f"relation {word!r} is not freely reduced")
+    b.check(group.eval(w).is_identity(), f"relation {word!r} is not the identity")
+    b.check(b.result == {"oracle": b.verdict, "relation": word}, "result is not the oracle claim's")
+    _oracle(b)
+
+
 def _echoed(b: Binding) -> None:
     """A certified tuple's result echoes its verdict and gives no detail."""
     b.check(b.result["verdict"] == b.verdict and b.result["witness_detail"] == "", "result verdict is not the certificate's")
@@ -731,18 +744,18 @@ def _matrix_tuple(b: Binding) -> None:
     group, then the oracle claim."""
     players, words = b.result["players"], b.task["players"]
     k = len(players)
-    b.check(k * (8 * k - 5) <= len(b.claims), f"{k} players need {k * (8 * k - 5)} disjointness claims")
+    b.check(pair_count(k) <= len(b.claims), f"{k} players need {pair_count(k)} disjointness claims")
     names = b.claims[-1].get("names")
     b.check(isinstance(names, list) and sorted(names) == sorted(players) == sorted(words), "result players are not the task's")
-    laid = {name: {label: _set_of(players[name][label]) for label in _LABELS} for name in names}
+    laid = {name: {label: _set_of(players[name][label]) for label in PAIR_LABELS} for name in names}
     b.check(players == laid, "result players are not the claims' sets")
-    at, groups = k * (8 * k - 5), []
+    at, groups = pair_count(k), []
     for name in names:
         matrix = b.given(at).get("matrix")
         b.check(b.ctx.matrix(matrix).proportional_to(b.ctx.eval(words[name])), f"claim {at} is not {name}'s evidence")
         groups.append(proximal_claims(matrix, _very(b, at, None, None), b.inverse(at + 4, matrix)))
         at += 11
-    b.rebuilt += matrix_tuple_claims(laid, names, groups)
+    b.rebuilt += matrix_tuple_claims(laid, names, groups, [True] * pair_count(k))
     _oracle(b, result=b.result["oracle"], names=names)
     _echoed(b)
 
@@ -752,10 +765,10 @@ def _tree_tuple(b: Binding) -> None:
     lengths and shadows are read from the claims, whose checks recompute them."""
     words = b.task["words"]
     k = len(words)
-    b.check(k * (8 * k - 5) <= len(b.claims), f"{k} players need {k * (8 * k - 5)} disjointness claims")
+    b.check(pair_count(k) <= len(b.claims), f"{k} players need {pair_count(k)} disjointness claims")
     lengths = [b.given(i).get("translation_length") for i in range(k)]
     shadows = [b.given(k + i).get("sets") for i in range(k)]
-    b.rebuilt += tree_tuple_claims(words, lengths, shadows)
+    b.rebuilt += tree_tuple_claims(words, lengths, shadows, [True] * pair_count(k))
     _oracle(b, result=b.result["oracle"], names=words)
     _echoed(b)
 
@@ -881,7 +894,7 @@ VERDICTS = {
     ("analyze", "power-proximal", "yes"): Row(EXIT_OK, _power, ("n", "cert")),
     ("analyze", "power-proximal", "not-found"): Row(EXIT_UNKNOWN),
     ("pingpong", "oracle", "no-relation"): Row(EXIT_OK, _oracle, stated=("oracle", "relation")),
-    ("pingpong", "oracle", "relation"): Row(EXIT_REFUTED, _oracle, stated=("oracle", "relation")),
+    ("pingpong", "oracle", "relation"): Row(EXIT_REFUTED, _relation, ("oracle", "relation")),
     ("pingpong", "tuple", "certified"): Row(EXIT_OK, _matrix_tuple, ("verdict", "witness_detail", "players", "oracle")),
     ("pingpong", "tuple", "refuted"): Row(EXIT_REFUTED, stated=("verdict", "witness", "witness_detail", "players")),
     ("pingpong", "tuple", "unknown"): Row(EXIT_UNKNOWN, stated=_TUPLE_UNKNOWN),

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import certfmt
-from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
+from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
 from .certfmt import shadow_json, vertex_json
 from .dynamics import (
     certify_contracting,
@@ -55,10 +55,6 @@ from .tree import (
 
 EXIT_INPUT = 2
 
-#: Longest word the freeness oracle may be asked to search.  It stores
-#: the reduced words of half that length, (2k)(2k - 1)^(L/2 - 1) of them
-#: for k players, which `pingpong.MAX_ORACLE_WORDS` bounds as well.
-MAX_ORACLE_LEN = 12
 #: Longest word `synthesize very-proximal` tries for f1 and f2.  It
 #: certifies every pair of words up to that length, 2809 pairs for two
 #: generators at length 3, so a longer one would run for minutes.
@@ -531,7 +527,7 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     players_json = {p.name: {label: set_json(s) for label, s in p.sets()} for p in players}
     result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail, "players": players_json}
     groups = [certfmt.proximal_claims(mat_json(p.element), proximal_json(p.evidence), mat_json(p.element.inverse())) for p in players]
-    claims = certfmt.matrix_tuple_claims(result["players"], names, groups, [c.ok for c in tup.checks if c.kind == "disjoint"])
+    claims = certfmt.matrix_tuple_claims(result["players"], names, groups, tup.passed)
     if tup.witness is not None:
         result["witness"] = point_json(tup.witness)
     if tup.verdict == "certified":
@@ -749,10 +745,10 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
         tup = tree_pingpong(elements, am)
         lengths = [p.evidence.classification.translation_length for p in tup.players]
         shadows = [[shadow_json(s) for _, s in p.sets()] for p in tup.players]
-        claims = certfmt.tree_tuple_claims(texts, lengths, shadows, [c.ok for c in tup.checks if c.kind == "disjoint"])
+        claims = certfmt.tree_tuple_claims(texts, lengths, shadows, tup.passed)
         result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail}
         if tup.verdict == "certified":
-            oracle = freeness_oracle(elements, oracle_len, names=[f"t{i}" for i in range(len(elements))])
+            oracle = freeness_oracle(elements, oracle_len, names=[p.name for p in tup.players])
             claims.append(certfmt.oracle_claim(oracle_len, oracle.kind, oracle.word, texts))
             result["oracle"] = oracle.kind
         return emit(tup.verdict, result, claims)

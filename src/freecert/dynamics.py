@@ -43,7 +43,7 @@ from .projective import (
     set_disjoint,
 )
 from .rootiso import Interval, isolate_positive_roots, point
-from .scalar import Rat, Record, int_valuation, sqrt_lower, sqrt_upper
+from .scalar import VERY_PAIRS, Rat, Record, int_valuation, sqrt_lower, sqrt_upper
 
 #: Iteration budget for enclosure and direction refinement.
 ITER_BUDGET = 64
@@ -475,9 +475,9 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
 
 def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     """Both g and g^-1 (r, eps)-proximal, plus the three cross-disjointness
-    conditions on the eps-sets of the pair (`ProximalCert.eps_sets`): A+
-    from R+, A+ from A-, and A- from R-, whose claims
-    `certfmt.proximal_claims` writes.
+    conditions `scalar.VERY_PAIRS` on the eps-sets of the pair
+    (`ProximalCert.eps_sets`): A+ from R+, A+ from A-, and A- from R-,
+    whose claims `certfmt.proximal_claims` writes.
 
     A "no" from g^-1 names g^-1 in `refutes`.  A failed cross-disjointness
     check is "unknown": a point common to two candidate sets refutes no
@@ -490,8 +490,8 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
         return bwd
     c = fwd.cert
     paired = ProximalCert(c.r_sq, c.epsilon_sq, c.contraction, c.fixed_point, c.fixed_plane_dual, very=bwd.cert)
-    a_p, r_p, a_m, r_m = paired.eps_sets
-    if any(set_disjoint(left, right, g.place).kind != "disjoint" for left, right in ((a_p, r_p), (a_p, a_m), (a_m, r_m))):
+    sets = paired.eps_sets
+    if any(set_disjoint(sets[i], sets[j], g.place).kind != "disjoint" for i, j in VERY_PAIRS):
         return Verdict("unknown")
     return Verdict("yes", cert=paired)
 

@@ -3,12 +3,13 @@
 A tuple is certified from three ingredient checks: the per-player and
 cross-player disjointness of the declared attracting/repelling sets, and
 mapping evidence for each player (a proximality certificate on the
-projective backend, a hyperbolicity witness on the tree backend).  Each
-backend answers for itself: its sets decide their disjointness and its
-evidence checks its own mapping conditions, so this module names no
-backend type.  The complement of a repelling set is never enumerated:
-evidence sets are compared against declared sets through certified
-containments only.
+projective backend, a hyperbolicity witness on the tree backend).  The
+disjointness pairs are `scalar.tuple_pairs`, which `certify_tuple` walks,
+reporting a pass flag per pair walked.  Each backend answers for
+itself: its sets decide their disjointness and its evidence checks its
+own mapping conditions, so this module names no backend type.  The
+complement of a repelling set is never enumerated: evidence sets are
+compared against declared sets through certified containments only.
 
 The oracle is deliberately independent: it finds the shortlex-least
 nonempty reduced word in the players and their inverses (inverses
@@ -23,7 +24,7 @@ words for k players instead of (2k - 1)^L.
 from __future__ import annotations
 
 from .projective import set_disjoint
-from .scalar import Record, word_string
+from .scalar import PAIR_LABELS, Record, tuple_pairs, word_string
 
 
 class PingPongPlayer(Record):
@@ -38,82 +39,47 @@ class PingPongPlayer(Record):
     __slots__ = ("name", "element", "a_plus", "r_plus", "a_minus", "r_minus", "evidence")
 
     def sets(self):
-        return (
-            ("A+", self.a_plus),
-            ("R+", self.r_plus),
-            ("A-", self.a_minus),
-            ("R-", self.r_minus),
-        )
-
-
-class TupleCheck(Record):
-    """One condition `certify_tuple` checked: kind "disjoint" or
-    "evidence", and whether it held; left and right are the two sets a
-    "disjoint" check compared."""
-
-    __slots__ = ("kind", "detail", "ok", "left", "right")
-    _defaults = {"left": None, "right": None}
+        """(label, set) of A+, R+, A- and R-, labelled by `PAIR_LABELS`."""
+        return tuple(zip(PAIR_LABELS, (self.a_plus, self.r_plus, self.a_minus, self.r_minus)))
 
 
 class PingPongTuple(Record):
     """The players, the verdict ("certified", "refuted" or "unknown"), a
-    refutation's witness point or None, why, and every TupleCheck made."""
+    refutation's witness point or None, why, and whether each pair of
+    `tuple_pairs` walked was shown disjoint, in its order."""
 
-    __slots__ = ("players", "verdict", "witness", "witness_detail", "checks")
+    __slots__ = ("players", "verdict", "witness", "witness_detail", "passed")
 
 
 def certify_tuple(players: list[PingPongPlayer]) -> PingPongTuple:
     """Certify the general four-set ping-pong conditions.
 
-    (a) per player, A+ is disjoint from A- and R+, and A- from R-;
-    (b) across players, each A of one is disjoint from every set of the
-        other; (c) mapping evidence is present and its sets are certified
-        inside the declared ones.  Certified tuples freely generate.
+    (a) the pairs of `scalar.tuple_pairs` are disjoint, walked in order
+        up to the first that overlaps, which refutes the tuple; (b) mapping
+        evidence is present and its sets are certified inside the declared
+        ones.  Certified tuples freely generate.
     """
     if not players:
         raise ValueError("at least one player required")
     if len({(type(p.a_plus), p.element.place) for p in players}) != 1:
         raise ValueError("players use mismatched action backends")
     place = players[0].element.place  # None on the tree
-    checks: list[TupleCheck] = []
+    passed: list[bool] = []
     unknown: str | None = None
-
-    def record(detail: str, a, b) -> object | None:
-        nonlocal unknown
+    for a, b, left, right in tuple_pairs([(p.name, [s for _, s in p.sets()]) for p in players]):
         verdict = a.disjoint_from(b) if place is None else set_disjoint(a, b, place)
-        checks.append(TupleCheck("disjoint", detail, verdict.kind == "disjoint", a, b))
-        if verdict.kind == "disjoint":
-            return None
+        passed.append(verdict.kind == "disjoint")
         if verdict.kind == "overlap":
-            return verdict
-        unknown = detail
-        return None
-
-    for p in players:
-        own = (("A+", p.a_plus, "A-", p.a_minus), ("A+", p.a_plus, "R+", p.r_plus), ("A-", p.a_minus, "R-", p.r_minus))
-        for la, a, lb, b in own:
-            bad = record(f"{p.name}.{la} vs {p.name}.{lb}", a, b)
-            if bad is not None:
-                return PingPongTuple(tuple(players), "refuted", bad.witness, f"{p.name}.{la} meets {p.name}.{lb}", tuple(checks))
-    for i, p in enumerate(players):
-        for j, q in enumerate(players):
-            if i == j:
-                continue
-            for la, a in (("A+", p.a_plus), ("A-", p.a_minus)):
-                for lb, b in q.sets():
-                    bad = record(f"{p.name}.{la} vs {q.name}.{lb}", a, b)
-                    if bad is not None:
-                        return PingPongTuple(
-                            tuple(players), "refuted", bad.witness, f"{p.name}.{la} meets {q.name}.{lb}", tuple(checks)
-                        )
+            return PingPongTuple(tuple(players), "refuted", verdict.witness, f"{left} meets {right}", tuple(passed))
+        if verdict.kind == "unknown":
+            unknown = f"{left} vs {right}"
     for p in players:
         ok, why = (False, f"{p.name}: no usable mapping evidence") if p.evidence is None else p.evidence.check_mapping(p)
-        checks.append(TupleCheck("evidence", why or f"{p.name}: mapping evidence certified", ok))
         if not ok:
-            return PingPongTuple(tuple(players), "unknown", None, why, tuple(checks))
+            return PingPongTuple(tuple(players), "unknown", None, why, tuple(passed))
     if unknown is not None:
-        return PingPongTuple(tuple(players), "unknown", None, unknown, tuple(checks))
-    return PingPongTuple(tuple(players), "certified", None, "", tuple(checks))
+        return PingPongTuple(tuple(players), "unknown", None, unknown, tuple(passed))
+    return PingPongTuple(tuple(players), "certified", None, "", tuple(passed))
 
 
 def simple_player(name: str, element, attract, repel, evidence) -> PingPongPlayer:

@@ -18,12 +18,15 @@ before it binds through `Record.__init__`.  Equality and the hash read
 `_key()`, the tuple of the fields unless a class narrows it.
 `DisjointVerdict`, the (kind, witness) answer of both disjointness
 tests, the projective and the tree one, sits next to `Record` so that
-`tree` imports this module alone.
+`tree` imports this module alone.  So does the one list of the sets
+ping-pong must show disjoint (`PAIR_LABELS`, `VERY_PAIRS`, `pair_count`,
+`tuple_pairs`), which `pingpong`, `dynamics` and `certfmt` all read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm
 from operator import attrgetter
 
@@ -140,6 +143,30 @@ class DisjointVerdict(Record):
 
     __slots__ = ("kind", "witness")
     _defaults = {"witness": None}
+
+
+#: The four sets of a ping-pong player, in the order a player lists them.
+PAIR_LABELS = ("A+", "R+", "A-", "R-")
+#: The disjointness a very-proximal certificate shows among its eps-sets,
+#: as indices into PAIR_LABELS: A+ from R+, A+ from A-, and A- from R-.
+VERY_PAIRS = ((0, 1), (0, 2), (2, 3))
+
+
+def pair_count(k: int) -> int:
+    """How many pairs `tuple_pairs` yields for k players."""
+    return k * (8 * k - 5)
+
+
+def tuple_pairs(players: list):
+    """(left, right, left label, right label), labels like `p.A+`, of each
+    pair of sets a ping-pong tuple must show disjoint, for players given as
+    (name, [A+, R+, A-, R-]): per player A+ from A- and R+, and A- from R-;
+    then each player's A+ and A- from every set of each other player.  It
+    is lazy, so a walk that stops early builds no more pairs."""
+    own = ((p, s, i, p, s, j) for p, s in players for i, j in ((0, 2), (0, 1), (2, 3)))
+    cross = ((p, s, i, q, t, j) for n, (p, s) in enumerate(players) for m, (q, t) in enumerate(players) if m != n for i in (0, 2) for j in range(4))
+    for p, s, i, q, t, j in chain(own, cross):
+        yield s[i], t[j], f"{p}.{PAIR_LABELS[i]}", f"{q}.{PAIR_LABELS[j]}"
 
 
 class Place(Record):
@@ -313,7 +340,5 @@ def word_string(letters, names) -> str:
 
 
 def format_rat(x: Rat) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """`p/q`, or `p` for an integer: the text of `Fraction`."""
+    return str(Fraction(x))

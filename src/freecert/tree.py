@@ -541,10 +541,8 @@ class TreeEvidence(Record):
             return False, f"{player.name}: not hyperbolic"
         tree = player.a_plus.tree
         g = player.element
-        a_plus, r_plus, a_minus, r_minus = axis_shadow_sets(tree, g, cls)
-        expected = {"A+": a_plus, "R+": r_plus, "A-": a_minus, "R-": r_minus}
-        for label, s in player.sets():
-            e = expected[label]
+        a_plus, r_plus, _, _ = expected = axis_shadow_sets(tree, g, cls)
+        for (label, s), e in zip(player.sets(), expected):
             if (s.x, s.y) != (e.x, e.y):
                 return False, f"{player.name}: declared {label} does not match the axis data"
         # re-derive the forward identity g(Shadow_{x->y} complement) = A+

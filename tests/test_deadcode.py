@@ -10,6 +10,7 @@ exempt because the interpreter calls them implicitly.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,31 @@ def test_verifier_imports_no_search_code():
     assert internal[""] == {"__version__"}
     assert internal["dynamics"] == {"contraction_gap_sq", "direction_candidates"}
     assert external <= sys.stdlib_module_names, f"certfmt.py imports {sorted(external - sys.stdlib_module_names)}"
+
+
+def pair_list_copies(path: Path) -> list[str]:
+    """Where `path` spells a ping-pong pair label ("A+", "R+", "A-" or
+    "R-") in a string constant that is no docstring, or writes k (8k - 5)
+    as `8 * k - 5`: each is a copy of the pair list `scalar` holds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {id(n.body[0].value) for n in ast.walk(tree) if isinstance(n, scopes) and n.body and isinstance(n.body[0], ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            if any(label in node.value for label in ("A+", "R+", "A-", "R-")):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+        elif isinstance(node, ast.BinOp) and re.fullmatch(r"8 \* \w+ - 5", ast.unparse(node)):
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_scalar_alone_lists_the_pingpong_pairs():
+    """`scalar.tuple_pairs`, `pair_count`, `PAIR_LABELS` and `VERY_PAIRS`
+    are the one list of the sets ping-pong must show disjoint: no other
+    module of the package spells a label or counts the pairs itself."""
+    copies = [where for path in sorted(PACKAGE.glob("*.py")) if path.name != "scalar.py" for where in pair_list_copies(path)]
+    assert not copies, "copies of the pair list:\n" + "\n".join(copies)
 
 
 def _claim_literals(path: Path) -> list[tuple[str, str]]:

@@ -58,6 +58,15 @@ PROBLEMS = {
         MATRIX_HEADER + TASK + "op pingpong\nsubop tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n",
         [],
     ),
+    # unknown: 14 of its 22 pairs are shown disjoint, and only those have claims
+    "pingpong-tuple-unknown": (
+        "pingpong",
+        "format 1\nplace p:3\n[matrix-group]\n"
+        "gen a = [[-9437, 2904], [-31460, 9681]]\ngen b = [[961, -240], [3520, -879]]\n"
+        + TASK
+        + "op pingpong\nsubop tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n",
+        [],
+    ),
     "pingpong-tuple-auto-sets": ("pingpong", MATRIX_HEADER + TASK + "op pingpong\nplayer g1 = a\nplayer g2 = b\n", []),
     "pingpong-simple-tuple": (
         "pingpong",
@@ -131,6 +140,7 @@ PROBLEMS = {
     "tree-classify-elliptic": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop classify\nword s\n", []),
     "tree-expand": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop expand\nradius 3\n", []),
     "tree-pingpong": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t s t\nword t s t s\n", []),
+    "tree-pingpong-refuted": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t\nword t s\n", []),
     "tree-kernel": ("tree", s3_amalgam_header("a3") + TASK + "op tree\nsubop kernel\n", []),
 }
 
@@ -146,6 +156,7 @@ GOLDEN = {
     "pingpong-refuted": (3, "84975d67e92981c3b25cbdba9fd03774d6beb11a22c74a20d757f0291b68d4d6"),
     "pingpong-simple-tuple": (0, "8dbb8516743711e56ddf2647f6039bcc4fb5b79c59e00d377164ebaf859d38d1"),
     "pingpong-tuple": (0, "3d8e9f2666dd430e1b7905c2978091fe001f4e1cb617f969bf92a252837d3b9c"),
+    "pingpong-tuple-unknown": (4, "be206a6b766698bc7c90fd45ec057e63fd7c82c5208ca3885dd08cfe90297d29"),
     "pingpong-tuple-auto-sets": (0, "5bd32f2105d456670d6dde1baeb8fe3c67ea634d9719a37dc0adf643378f619b"),
     "synthesize-b1b2b3": (0, "2c11c50d042b46d750231263b18f0fe90025d3d2b24339c6bb16b862b5a1395e"),
     "synthesize-conjugate-contract": (0, "367e225e052b2817361ef1bc3d7b177f6445fd1b8187f56f18806e887d11ea4e"),
@@ -161,6 +172,7 @@ GOLDEN = {
     "tree-kernel": (0, "d932b6f9075b2d77029c6ab5cd1d522083c508a901cd7e9bb33c51be80317aa7"),
     "tree-normal-form": (0, "ccfe8eb97e01fe387f72082fd040d8323feff14200eb932945bef49c6baa0f94"),
     "tree-pingpong": (0, "f55a38e4512c98f2750afea61c70cec00c3b7727b1ed11507703c0d25527a838"),
+    "tree-pingpong-refuted": (3, "45e44f9dacaf6c73bb5adcb4be98acfa2f21bfd031b036a1b3c8e77e8eac3c6d"),
 }
 
 

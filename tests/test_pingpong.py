@@ -9,14 +9,13 @@ from freecert.dynamics import ProximalCert, certify_very_proximal
 from freecert.pingpong import (
     MAX_ORACLE_WORDS,
     PingPongPlayer,
-    TupleCheck,
     certify_tuple,
     freeness_oracle,
     oracle_words,
     simple_player,
 )
 from freecert.projective import ProjMat, ProjPoint, ball, hnbhd
-from freecert.scalar import ARCH, padic, word_string
+from freecert.scalar import ARCH, padic, pair_count, tuple_pairs, word_string
 from freecert.tree import AmalgamData, FiniteGroup, normal_form
 from oracles import freeness_dfs, group_from_permutations, set_member
 
@@ -51,7 +50,7 @@ def player_from(name, g, r_sq=F(1, 4), eps_sq=F(1, 64), declared=F(1, 10)):
 def test_single_player_certified():
     out = certify_tuple([player_from("g", diag81())])
     assert out.verdict == "certified"
-    assert all(c.ok for c in out.checks)
+    assert out.passed == (True,) * pair_count(1)
 
 
 def test_two_identical_players_refuted():
@@ -63,6 +62,14 @@ def test_two_identical_players_refuted():
     # the witness genuinely lies in both overlapping sets
     assert set_member(out.witness, p1.a_plus, ARCH)
     assert set_member(out.witness, p2.a_plus, ARCH)
+
+
+def test_refutation_names_the_last_pair_walked():
+    players = [player_from("g", diag81()), player_from("h", diag81())]
+    out = certify_tuple(players)
+    assert out.verdict == "refuted" and out.passed[-1] is False
+    _, _, left, right = list(tuple_pairs([(p.name, [s for _, s in p.sets()]) for p in players]))[len(out.passed) - 1]
+    assert out.witness_detail == f"{left} meets {right}"
 
 
 def test_conjugated_pair_certified_and_oracle_consistent():
@@ -165,7 +172,7 @@ def test_unusable_mapping_evidence_is_unknown(declare, why):
     assert v.kind == "yes"
     out = certify_tuple([declare(v.cert, player_from("g", g))])
     assert (out.verdict, out.witness, out.witness_detail) == ("unknown", None, why)
-    assert out.checks[-1] == TupleCheck("evidence", why, False)
+    assert out.passed == (True,) * pair_count(1)
 
 
 def test_oracle_sanov_pair():

@@ -14,8 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from freecert.dynamics import ContractionCert, Verdict
-from freecert.pingpong import TupleCheck
+from freecert.dynamics import ContractionCert, ProximalCert, Verdict
 from freecert.projective import Ball, HNbhd, ProjHyperplane, ProjPoint, ProjSet, ball, set_disjoint
 from freecert.rootiso import Interval
 from freecert.scalar import ARCH, DisjointVerdict, Place
@@ -116,7 +115,7 @@ def test_cache_key_records_refuse_assignment(name):
 VALUE_RECORDS = {
     "Verdict": (Verdict, ("no", None, ProjPoint((1, 0)), None)),
     "ContractionCert": (ContractionCert, (F(1, 4), ProjPoint((1, 0)), ProjHyperplane((0, 1)), F(0), F(0), F(1, 16), F(1, 9))),
-    "TupleCheck": (TupleCheck, ("disjoint", "g.A+ vs g.R+", True, None, None)),
+    "ProximalCert": (ProximalCert, (F(1, 4), F(1, 64), None, None, None, None)),
     "Budgets": (Budgets, (2, 16, 1, 2, 6, 10, 12, 12, 8)),
 }
 
@@ -168,7 +167,7 @@ def test_value_records_refuse_an_unknown_or_repeated_field(name):
 def test_value_records_fill_in_defaults_and_refuse_a_missing_field():
     assert Verdict("unknown") == Verdict("unknown", None, None, None)
     assert Verdict("yes", refutes=None, cert=1) == Verdict("yes", 1, None, None)
-    assert TupleCheck("evidence", "g: mapping evidence certified", True) == TupleCheck("evidence", "g: mapping evidence certified", True, None, None)
+    assert ProximalCert(F(1, 4), F(1, 64), None, None, None) == ProximalCert(F(1, 4), F(1, 64), None, None, None, None)
     assert Budgets() == Budgets(*VALUE_RECORDS["Budgets"][1])
     assert Budgets(nest_max=2).nest_max == 2 and Budgets(nest_max=2).m_max == 12
     cls, values = VALUE_RECORDS["ContractionCert"]
@@ -176,8 +175,8 @@ def test_value_records_fill_in_defaults_and_refuse_a_missing_field():
         cls(*values[:-1])
     with pytest.raises(TypeError, match="missing the field 'kind'"):
         Verdict(cert=None)
-    with pytest.raises(TypeError, match="missing the field 'ok'"):
-        TupleCheck("disjoint", "g.A+ vs g.R+")
+    with pytest.raises(TypeError, match="missing the field 'fixed_plane_dual'"):
+        ProximalCert(F(1, 4), F(1, 64), None, None)
 
 
 def test_both_disjointness_tests_answer_with_one_verdict_record():

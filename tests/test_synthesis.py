@@ -235,7 +235,7 @@ def test_truncated_prodense_sanov_end_to_end():
         for i_set, o_set in zip(inner, outer):
             assert set_contains(o_set, i_set, ARCH)
     # the step-1 element stays clear of the final host sets (tuple checked it)
-    assert all(c.ok for c in rep.combined.checks)
+    assert all(rep.combined.passed)
 
 
 def test_double_coset_wrap():

@@ -321,6 +321,38 @@ def test_verify_builds_no_tuple_pairs_past_its_claims(tmp_path, capsys):
     assert "2000 players need 31990000 disjointness claims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "word, names, oracle_len, message",
+    [
+        ("a b", ["a", "b"], 6, "relation 'a b' is not the identity"),
+        ("a b", ["a"], 6, "oracle names are not the task's players"),
+        ("a^1000000", ["a", "b"], 6, "relation 'a^1000000' is not of 1 to 6 letters"),
+        ("a a^-1", ["a", "b"], 6, "relation 'a a^-1' is not freely reduced"),
+        ("a b", ["a", "b"], 13, "oracle_len is outside 1..MAX_ORACLE_LEN = 12"),
+    ],
+    ids=["not-the-identity", "names", "too-long", "not-reduced", "oracle-len"],
+)
+def test_verify_checks_a_relation(tmp_path, capsys, word, names, oracle_len, message):
+    # the Sanov pair is free: each forged relation agrees in the claim, the
+    # result and the task, so only the relation's own check can fail it
+    command, text, extra = PROBLEMS["pingpong-oracle"]
+    _, cert, _ = run(tmp_path, command, text, *extra)
+    cert["verdict"], cert["task"]["oracle_len"] = "relation", oracle_len
+    cert["result"] = {"oracle": "relation", "relation": word}
+    cert["claims"][0].update(result="relation", word=word, names=names, max_len=oracle_len)
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("players, relation", [("player x = a\nplayer y = a a\n", "x x y^-1"), ("player y = a a\nplayer x = a\n", "y x^-1 x^-1")])
+def test_verify_accepts_a_relation_of_player_words(tmp_path, players, relation):
+    # the oracle names the players in their file order, the task in sorted order
+    code, cert, out = run(tmp_path, "pingpong", SANOV_HEADER + TASK + "op pingpong\nsubop oracle\n" + players + "oracle-len 3\n")
+    assert (code, cert["result"]["relation"]) == (3, relation)
+    assert main(["verify", str(out)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # Mutation suite: every claim deletion, verdict change, bound result edit,
 # key added to a claim's object and change of a claim's type, note or
