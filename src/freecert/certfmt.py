@@ -15,6 +15,12 @@ the result fields that binder binds, and what it states without proof.
 A binder rebuilds the claims its verdict needs with the same builders,
 from the task, the result and the numbers only a search finds, read from
 the claims; `verify` compares them whole with the certificate's claims.
+
+A certificate matrix has one value, its header evaluation: a word-eval
+claim's matrix must equal it exactly, and a binder derives every matrix
+no word-eval claim states (an inverse, a power, a tuple player's) as
+`mat_json` of that evaluation.  Only a normal-membership claim, which
+states equality in PGL, compares matrices up to a scalar.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ MAX_EXPONENT = 64
 #: for k players, which `pingpong.MAX_ORACLE_WORDS` bounds as well.
 #: `verify` refuses a longer `oracle_len` before it reads a relation.
 MAX_ORACLE_LEN = 12
+#: Word length up to which `synthesize truncated-prodense` cross-checks
+#: its combined tuple with the freeness oracle; the oracle claim states it.
+PRODENSE_ORACLE_LEN = 6
 
 
 class VerifyError(ValueError):
@@ -433,7 +442,7 @@ def _check_contraction(matrix: ProjMat, stored: dict, dim: int | None) -> bool:
 def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
     """The stored ball passes the self-map test with the stored numbers,
     and the stored Lipschitz, region and move numbers are the derived ones."""
-    matrix, dim = ctx.matrix(claim["matrix"]), ctx.dim
+    matrix, dim = mat_from(claim["matrix"], ctx.place), ctx.dim
     gap_hi = parse_rat(claim["gap_sq_hi"])
     if contraction_gap_sq(matrix).hi > gap_hi:
         return False
@@ -449,17 +458,16 @@ def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
 class CertContext:
     """What a certificate's claims are checked against, beyond the claim
     itself: the generator group and its dimension, the amalgam and its
-    Bass-Serre tree that the header describes, the header evaluation of
-    each word (the task's element among them), and each claim matrix.
-    Each is built once, on first use, for all claims of the certificate
-    and for its verdict's row."""
+    Bass-Serre tree that the header describes, and the header evaluation
+    of each word (the task's element among them), the one exact value of
+    that word's matrix.  Each is built once, on first use, for all claims
+    of the certificate and for its verdict's row."""
 
     def __init__(self, place: Place | None, header: dict, task: dict):
         if not isinstance(header, dict):
             raise VerifyError("certificate header is not an object")
         self.place, self.header, self.task = place, header, task
         self._evals: dict[str, ProjMat] = {}
-        self._matrices: dict[int, tuple[list, ProjMat]] = {}  # id of the JSON list -> (the list, its matrix)
 
     @cached_property
     def dim(self) -> int | None:
@@ -479,12 +487,6 @@ class CertContext:
             except (ValueError, TypeError) as e:  # no invertible square matrix of rationals: no word evaluates
                 raise VerifyError(f"bad generator {name}: {e}") from None
         return MarkedGroup(tuple(matrices))
-
-    def matrix(self, data: list) -> ProjMat:
-        """The matrix of the JSON list `data`, parsed once per list."""
-        if id(data) not in self._matrices:
-            self._matrices[id(data)] = (data, mat_from(data, self.place))
-        return self._matrices[id(data)][1]
 
     def eval(self, word: str) -> ProjMat:
         if word not in self._evals:
@@ -507,7 +509,7 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
     p-adic places the pair must be that matrix's direction candidates; the
     archimedean ones come from power iteration, which is not re-run here.
     Which matrix a verdict may refute is its row's to bind."""
-    m = ctx.matrix(claim["matrix"])
+    m = mat_from(claim["matrix"], ctx.place)
     x, attract, repel = point_from(claim["witness"], ctx.dim), point_from(claim["attract"], ctx.dim), plane_from(claim["repel"], ctx.dim)
     if ctx.place.is_padic:
         dirs = direction_candidates(m)
@@ -528,9 +530,9 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
     if kind == "point-plane-far":
         return point_plane_far(point_from(claim["point"], dim), plane_from(claim["plane"], dim), parse_rat(claim["r_sq"]), place)
     if kind == "word-eval":
-        return ctx.eval(claim["word"]).proportional_to(ctx.matrix(claim["matrix"]))
+        return ctx.eval(claim["word"]) == mat_from(claim["matrix"], place)
     if kind == "contraction":
-        return _check_contraction(ctx.matrix(claim["matrix"]), claim["cert"], dim)
+        return _check_contraction(mat_from(claim["matrix"], place), claim["cert"], dim)
     if kind == "contraction-refuted":
         return _check_refutation(claim, ctx)
     if kind == "selfmap-enclosure":
@@ -616,11 +618,9 @@ class Binding:
         out = out if key is None else out.get(key)
         return out if isinstance(out, dict) else {}
 
-    def inverse(self, offset: int, matrix: list) -> list:
-        """The matrix of the claim `offset` places on, the inverse of `matrix`."""
-        inverse = self.given(offset).get("matrix")
-        self.check((self.ctx.matrix(inverse) @ self.ctx.matrix(matrix)).is_identity(), f"claim {len(self.rebuilt) + offset} is not of the inverse")
-        return inverse
+    def inverse(self, word: str) -> list:
+        """The matrix of `word`'s inverse, from its header evaluation."""
+        return mat_json(self.ctx.eval(word).inverse())
 
     def word(self, text: str):
         """The word that `MarkedGroup.word_str` writes as `text`, "e" for
@@ -665,7 +665,7 @@ def _certified(b: Binding, word: str, evidence, eps_sq: str | None = None, r_sq:
     membership = None if member is None else membership_claim(member, b.given(1).get("factorization"))
     at = 1 if member is None else 2
     cert = evidence(b, at, eps_sq, r_sq)
-    inverse = b.inverse(at + 4, matrix) if "inverse" in cert else None
+    inverse = b.inverse(word) if "inverse" in cert else None
     b.rebuilt += certified_claims(word, matrix, cert, inverse, membership)
     return cert
 
@@ -721,27 +721,26 @@ def _refuted(b: Binding) -> None:
     _element(b)
     matrix, given = b.rebuilt[0]["matrix"], b.given()
     refuted = given.get("matrix")
-    # the product is formed only when the matrix is not the element's
-    if not (b.task["subop"] == "very-proximal" and refuted != matrix and (b.ctx.matrix(refuted) @ b.ctx.matrix(matrix)).is_identity()):
+    # the inverse is derived only when the matrix is not the element's
+    if not (b.task["subop"] == "very-proximal" and refuted != matrix and refuted == b.inverse(b.task["element"])):
         refuted = matrix
     b.rebuilt.append(refutation_claim(refuted, b.task["epsilon_sq"], b.result["counterexample"], given.get("attract"), given.get("repel")))
 
 
 def _power(b: Binding) -> None:
+    """The element's word-eval claim, then the proximal group of element^n."""
     t, n = b.task, b.result["n"]
     b.check(_ints(n, t["max_n"]) and 1 <= n <= t["max_n"] <= MAX_EXPONENT, f"result n is outside 1..max_n, or max_n over MAX_EXPONENT = {MAX_EXPONENT}")
     _element(b)
-    matrix = b.given().get("matrix")
-    b.check(b.ctx.matrix(matrix).proportional_to(b.ctx.eval(t["element"]).power(n)), "proximal group is not of element^n")
     cert = _proximal(b, 0, t["epsilon_sq"], t["r_sq"])
-    b.rebuilt += proximal_claims(matrix, cert)
+    b.rebuilt += proximal_claims(mat_json(b.ctx.eval(t["element"]).power(n)), cert)
     b.check(b.result["cert"] == cert, "result cert is not the claims'")
 
 
 def _matrix_tuple(b: Binding) -> None:
     """The set-disjoint claims of the result's sets, for the players in
     the order of the oracle claim's names, each player's very-proximal
-    group, then the oracle claim."""
+    group of its header evaluation and inverse, then the oracle claim."""
     players, words = b.result["players"], b.task["players"]
     k = len(players)
     b.check(pair_count(k) <= len(b.claims), f"{k} players need {pair_count(k)} disjointness claims")
@@ -751,9 +750,7 @@ def _matrix_tuple(b: Binding) -> None:
     b.check(players == laid, "result players are not the claims' sets")
     at, groups = pair_count(k), []
     for name in names:
-        matrix = b.given(at).get("matrix")
-        b.check(b.ctx.matrix(matrix).proportional_to(b.ctx.eval(words[name])), f"claim {at} is not {name}'s evidence")
-        groups.append(proximal_claims(matrix, _very(b, at, None, None), b.inverse(at + 4, matrix)))
+        groups.append(proximal_claims(mat_json(b.ctx.eval(words[name])), _very(b, at, None, None), b.inverse(words[name])))
         at += 11
     b.rebuilt += matrix_tuple_claims(laid, names, groups, [True] * pair_count(k))
     _oracle(b, result=b.result["oracle"], names=names)
@@ -775,13 +772,13 @@ def _tree_tuple(b: Binding) -> None:
 
 def _prodense(b: Binding) -> None:
     """A very-proximal word per step 1 label, in task order, and per step
-    2 coset, then the oracle claim."""
+    2 coset, then the oracle claim of length PRODENSE_ORACLE_LEN."""
     r = b.result
     labels = [s["label"] for s in r["step1"]]
     b.check(sorted(labels) == sorted(b.task["normals"]) == sorted(r["step2"]), "step 1 labels are not the task's normals")
     for w in [s["word"] for s in r["step1"]] + [d["word"] for label in labels for d in r["step2"][label]]:
         _certified(b, w, _very)
-    _oracle(b, b.given().get("max_len"), r["oracle"])
+    _oracle(b, PRODENSE_ORACLE_LEN, r["oracle"])
     b.check(r["verdict"] == b.verdict, "result verdict is not the certificate's")
 
 

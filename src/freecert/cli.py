@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import certfmt
-from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
+from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, PRODENSE_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
 from .certfmt import shadow_json, vertex_json
 from .dynamics import (
     certify_contracting,
@@ -27,7 +27,6 @@ from .pingpong import MAX_ORACLE_WORDS, PingPongPlayer, certify_tuple, freeness_
 from .projective import MAX_DIM, MarkedGroup, ProjHyperplane, ProjMat, ProjPoint, ProjSet, Word, ball, concat, hnbhd, word_inverse
 from .scalar import ARCH, Place, parse_place, parse_rat, word_tokens
 from .synthesis import (
-    PRODENSE_ORACLE_LEN,
     Budgets,
     NormalData,
     auto_very_proximal,

@@ -21,6 +21,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from .certfmt import PRODENSE_ORACLE_LEN
 from .checker import evidence_outside
 from .dynamics import (
     ContractionCert,
@@ -618,10 +619,6 @@ def double_coset_wrap(
 # ---------------------------------------------------------------------------
 # The truncated prodense builder
 # ---------------------------------------------------------------------------
-
-
-# Word length up to which the combined tuple is cross-checked by the freeness oracle.
-PRODENSE_ORACLE_LEN = 6
 
 
 class SynthesisReport(Record):

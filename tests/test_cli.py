@@ -129,12 +129,14 @@ def test_verify_binds_contraction_refutation_to_the_element(tmp_path):
     assert _forged_refutation_code(tmp_path, padic, swapped) == 3
     # e = diag(1, 25, 25) at p:5 is contracting and e^-1 is not: the witness
     # [0, 1, 1] refutes the candidates of e^-1, which only a very-proximal
-    # task may cite
+    # task may cite, and only as the exact inverse, not a multiple of it
     padic = "format 1\nplace p:5\n[matrix-group]\ngen e = [[1, 0, 0], [0, 25, 0], [0, 0, 25]]\n" + task.format("e")
-    inverse = [["25", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    inverse = [["1", "0", "0"], ["0", "1/25", "0"], ["0", "0", "1/25"]]
     refuted = {"matrix": inverse, "witness": ["0", "1", "1"], "attract": ["0", "1", "0"], "repel": ["0", "1", "0"]}
     assert _forged_refutation_code(tmp_path, padic, refuted) == 3
     assert _forged_refutation_code(tmp_path, padic, refuted, "very-proximal") == 0
+    scaled = dict(refuted, matrix=[["25", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    assert _forged_refutation_code(tmp_path, padic, scaled, "very-proximal") == 3
 
 
 def test_analyze_profile_padic(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import VERDICTS, mat_from, plane_from, point_from
+from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, mat_from, plane_from, point_from
 from freecert.checker import selfmap_at, selfmap_radii
 from freecert.cli import main
 from freecert.projective import Ball
@@ -21,6 +21,7 @@ from freecert.scalar import ARCH, parse_rat
 from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run
 from test_golden import PROBLEMS
 
+ROOT = Path(__file__).resolve().parent.parent
 TASK = "\n[task]\n"
 
 
@@ -343,6 +344,74 @@ def test_verify_checks_a_relation(tmp_path, capsys, word, names, oracle_len, mes
     capsys.readouterr()
     assert _verify(tmp_path, cert) == 3
     assert message in capsys.readouterr().err
+
+
+def _scale(claims: list[dict], factor: int) -> None:
+    """Each claim matrix among `claims` times `factor`."""
+    for claim in claims:
+        if "matrix" in claim:
+            claim["matrix"] = [[str(parse_rat(x) * factor) for x in row] for row in claim["matrix"]]
+
+
+@pytest.mark.parametrize(
+    "name, first, stop, factor, message",
+    [
+        ("analyze-contracting", 0, 2, 2, "claim 0 (word-eval) failed"),
+        ("analyze-very-proximal", 5, 9, 3, "claim 5 (contraction) matrix differs from the rebuilt claim"),
+        ("analyze-power-proximal", 1, 5, 5, "claim 1 (contraction) matrix differs from the rebuilt claim"),
+        ("pingpong-tuple", 22, 33, 7, "claim 22 (contraction) matrix differs from the rebuilt claim"),
+    ],
+    ids=["every-matrix", "inverse-group", "power-group", "first-player-group"],
+)
+def test_verify_binds_each_matrix_exactly(tmp_path, capsys, goldens, name, first, stop, factor, message):
+    # a contraction or self-map check reads its matrix only up to scale, so
+    # a group scaled throughout passes its claims' own checks
+    cert = copy.deepcopy(goldens[name])
+    _scale(cert["claims"][first:stop], factor)
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_len", [1, 12])
+def test_verify_binds_the_prodense_oracle_length(tmp_path, capsys, max_len):
+    command, text, extra = PROBLEMS["synthesize-truncated-prodense-full"]
+    _, cert, _ = run(tmp_path, command, text, *extra)
+    oracle = cert["claims"][-1]
+    assert (oracle["type"], oracle["max_len"]) == ("oracle", PRODENSE_ORACLE_LEN)
+    oracle["max_len"] = max_len
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    assert f"claim {len(cert['claims']) - 1} (oracle) max_len differs from the rebuilt claim" in capsys.readouterr().err
+
+
+def test_every_certificate_of_the_matrix_deck_verifies(tmp_path, monkeypatch):
+    """The benchmark's seed-1000 deck of the matrix workloads, solved and
+    verified in-process with every memo cleared first, as
+    `tools/deck_digests.py` runs it: no request crashes, and `verify` exits
+    0 on every certificate written."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from run import find_caches
+    from workloads import GENERATORS
+
+    caches, prob, out = find_caches(), tmp_path / "r.prob", tmp_path / "r.cert"
+
+    def call(argv: list[str]) -> int:
+        for c in caches:
+            c.cache_clear()
+        return main(argv)
+
+    requests = [req for workload, rounds in [("matrix-small", 20), ("highdim", 5), ("prodense", 1)] for rnd in GENERATORS[workload](1000, rounds) for req in rnd]
+    assert len(requests) == 486
+    refused = []
+    for i, req in enumerate(requests):
+        prob.write_text(req.text, encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = call([req.cmd, str(prob), "--out", str(out)])
+        verified = call(["verify", str(out)]) if out.exists() else None
+        if code not in (0, 3, 4) or verified != 0:
+            refused.append(f"{i:04d} {req.label}: solve exit {code}, verify exit {verified}")
+    assert not refused, "\n".join(refused)
 
 
 @pytest.mark.parametrize("players, relation", [("player x = a\nplayer y = a a\n", "x x y^-1"), ("player y = a a\nplayer x = a\n", "y x^-1 x^-1")])
