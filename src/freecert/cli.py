@@ -9,6 +9,7 @@ no-relation, 3 for no, refuted and relation, 4 for unknown and not-found.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -169,39 +170,39 @@ def _parsed(parse, text: str, line: int, col: int = 1):
 
 
 def _parse_matrix_literal(text: str, line: int) -> list[list[Fraction]]:
+    """The rows of `[[a, b, ...], [c, d, ...], ...]`.  Outside the rows only
+    brackets and commas may stand, each where the layout puts it."""
     rows: list[list[Fraction]] = []
-    depth = 0
-    token = ""
-    row: list[Fraction] | None = None
+    depth, token, prev = 0, "", ""
     for col, ch in enumerate(text, start=1):
-        if ch == "[":
+        if depth == 2:
+            if ch == "[":
+                raise ProblemError(line, col, "matrix literal nests too deep")
+            if ch not in ",]":
+                token += ch
+                continue
+            if not token.strip():
+                raise ProblemError(line, col, "empty matrix entry")
+            rows[-1].append(_parsed(parse_rat, token, line, col))
+            token = ""
+            if ch == "]":
+                depth = 1
+        elif ch == "]" and depth == 0:
+            raise ProblemError(line, col, "unbalanced ']' in matrix literal")
+        elif depth == 0 and ch.strip() and (prev or ch != "["):
+            raise ProblemError(line, col, "trailing characters after matrix literal" if prev else "matrix literal must start with '['")
+        elif depth == 1 and ch.strip() and ch not in "[],":
+            raise ProblemError(line, col, "matrix entry outside a row")
+        elif depth == 1 and ch.strip() and prev not in {"[": "[,", ",": "]", "]": "[]"}[ch]:
+            raise ProblemError(line, col, f"misplaced {ch!r} in matrix literal")
+        elif ch == "[":
             depth += 1
             if depth == 2:
-                row = []
-            elif depth > 2:
-                raise ProblemError(line, col, "matrix literal nests too deep")
+                rows.append([])
         elif ch == "]":
-            if depth == 2:
-                if token.strip():
-                    row.append(_parsed(parse_rat, token, line, col))
-                token = ""
-                rows.append(row)
-                row = None
-            elif depth == 1:
-                pass
-            else:
-                raise ProblemError(line, col, "unbalanced ']' in matrix literal")
             depth -= 1
-        elif ch == ",":
-            if depth == 2:
-                if not token.strip():
-                    raise ProblemError(line, col, "empty matrix entry")
-                row.append(_parsed(parse_rat, token, line, col))
-                token = ""
-        elif depth == 2:
-            token += ch
-        elif ch.strip() and depth == 0 and rows:
-            raise ProblemError(line, col, "trailing characters after matrix literal")
+        if ch.strip():
+            prev = ch
     if depth != 0:
         raise ProblemError(line, len(text), "unterminated matrix literal")
     if not rows or any(len(r) != len(rows) for r in rows):
@@ -281,7 +282,8 @@ def parse_problem(text: str) -> Problem:
             elif key in ("names-a", "names-b", "names-h"):
                 prob.amalgam_raw[key.replace("-", "_")] = rest.split()
             elif key in ("embed-a", "embed-b"):
-                prob.amalgam_raw[key.replace("-", "_")] = [int(t) for t in rest.split()]
+                tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", body)][1:]
+                prob.amalgam_raw[key.replace("-", "_")] = [_parsed(int, t, line_no, col) for col, t in tokens]
             else:
                 raise ProblemError(line_no, 1, f"unknown amalgam directive {key!r}")
         elif section == "task":

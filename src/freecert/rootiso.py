@@ -1,8 +1,10 @@
-"""Certified isolation of real polynomial roots over Q.
+"""Certified isolation of the real roots of a real-rooted polynomial over Q.
 
-Supports the archimedean singular profiles: rational roots are split off
-exactly, and the remaining real roots are enclosed by Sturm isolation,
-sign-change bisection, to a requested relative width.  Intervals carry
+Supports the archimedean singular profiles, whose polynomial is the
+characteristic polynomial of a symmetric Gram matrix and so real-rooted:
+rational roots are split off exactly, and the others are counted by
+Descartes' rule of signs, exact on a real-rooted polynomial, and
+enclosed by bisection to a requested relative width.  Intervals carry
 rational endpoints; a degenerate interval (lo == hi) marks an exactly
 known root.
 
@@ -146,30 +148,33 @@ def pgcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return a if a[-1] > 0 else [-c for c in a]
 
 
-def sturm_sequence(p: IntPoly) -> list[IntPoly]:
-    """p, p' and the negated remainders, each a positive multiple of the
-    Sturm sequence's term over Q, so sign variations are the same."""
-    seq = [ptrim(list(p)), _primitive(ptrim(pderiv(p)))]
-    while seq[-1]:
-        seq.append([-c for c in prem(seq[-2], seq[-1])])
-    return seq[:-1]
+def _roots_above(p: IntPoly, x: Rat) -> tuple[int, int]:
+    """(the roots of p above x, the multiplicity of x as a root of p),
+    both counted with multiplicity, for a real-rooted p.
 
-
-def _variations(seq: list[IntPoly], x: Rat) -> int:
-    num, den = x.numerator, x.denominator
-    flips, last = 0, 0
-    for p in seq:
-        v = _homogeneous(p, num, den)
-        if v:
-            if last and (v > 0) != (last > 0):
-                flips += 1
-            last = v
-    return flips
-
-
-def count_roots(seq: list[IntPoly], a: Rat, b: Rat) -> int:
-    """Number of distinct real roots in (a, b] by Sturm's theorem."""
-    return _variations(seq, a) - _variations(seq, b)
+    Horner's Taylor shift gives den^deg * p((y + num) / den), whose roots
+    y > 0 are the roots of p above x = num/den.  By Descartes' rule of
+    signs its coefficients' sign changes bound them, and equal their
+    number when every root is real; its zero low coefficients count the
+    root y = 0.
+    """
+    num, den, d = x.numerator, x.denominator, len(p) - 1
+    q, dk = list(p), 1
+    for i in range(d, -1, -1):
+        q[i] *= dk
+        dk *= den
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            q[j] += num * q[j + 1]
+    at = 0
+    while not q[at]:
+        at += 1
+    flips, last = 0, q[at]
+    for c in q[at + 1 :]:
+        if c:
+            flips += (c > 0) != (last > 0)
+            last = c
+    return flips, at
 
 
 def cauchy_bound(p: IntPoly) -> Rat:
@@ -245,16 +250,19 @@ def _divide_out(p: IntPoly, r: Rat) -> tuple[IntPoly, int]:
 
 @lru_cache(maxsize=4096)
 def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int], ...]:
-    """Enclosures for every positive real root of the integer polynomial
-    `coeffs`, with multiplicities.
+    """Enclosures for every positive real root of the real-rooted integer
+    polynomial `coeffs`, with multiplicities.
 
     Rational roots come back as degenerate intervals.  Irrational ones are
-    enclosed on the squarefree part by Sturm isolation, sign-change
-    bisection: Sturm counts split (0, bound] until each piece holds one
-    root, then `_refine` halves that piece by sign tests until
-    hi - lo <= lo * 2^-ROOT_REL_BITS.  The union of returned intervals is
-    pairwise disjoint and, counted with multiplicity, covers exactly the
-    positive roots.
+    enclosed on the squarefree part by bisection: root counts split
+    (0, bound] until each piece holds one root, then `_refine` halves that
+    piece by sign tests until hi - lo <= lo * 2^-ROOT_REL_BITS.  The union
+    of returned intervals is pairwise disjoint and, counted with
+    multiplicity, covers exactly the positive roots.
+
+    Counts are Descartes' rule of signs (`_roots_above`), exact because
+    the one caller passes the characteristic polynomial of a symmetric
+    Gram matrix g^T g, so the polynomial and its factors are real-rooted.
 
     The result is memoized on the coefficient tuple and is itself a
     tuple, so no caller can change a shared result: in a search, a matrix
@@ -270,56 +278,56 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
             work, m = _divide_out(work, r)
             out.append((point(r), m))
     if pdeg(work) >= 1:
-        seq = sturm_sequence(work)
-        # the last term is a multiple of gcd(work, work'), primitive
-        squarefree = len(seq[-1]) == 1
-        sf = work
-        if not squarefree:
-            sf = pquo(work, seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]])
-            seq = sturm_sequence(sf)
+        g = pgcd(work, pderiv(work))
+        squarefree = len(g) == 1
+        sf = work if squarefree else pquo(work, g)
         bound = cauchy_bound(sf)
-        total = count_roots(seq, Fraction(0), bound)
-        stack = [(Fraction(0), bound, total)] if total else []
+        total = _roots_above(sf, Fraction(0))[0]
+        # (a, b, roots above a, roots in the open (a, b)); b is no root
+        # left to count: bound is above all roots, a root at a midpoint is
+        # split off
+        stack = [(Fraction(0), bound, total, total)]
         isolated: list[tuple[Rat, Rat]] = []
         while stack:
-            a, b, cnt = stack.pop()
+            a, b, above_a, cnt = stack.pop()
             if cnt == 0:
                 continue
             if cnt == 1:
                 isolated.append((a, b))
                 continue
             mid = (a + b) / 2
-            if _sign_at(sf, mid) == 0:
+            above_mid, at_mid = _roots_above(sf, mid)
+            if at_mid:
                 # rational root the divisor search missed; split it off
                 _, m = _divide_out(work, mid)
                 out.append((point(mid), m))
-                lo_cnt = count_roots(seq, a, mid) - 1
-                hi_cnt = cnt - 1 - lo_cnt
-                stack.append((a, mid, lo_cnt))
-                stack.append((mid, b, hi_cnt))
-                continue
-            lo_cnt = count_roots(seq, a, mid)
-            stack.append((a, mid, lo_cnt))
-            stack.append((mid, b, cnt - lo_cnt))
+            lo_cnt = above_a - above_mid - at_mid
+            stack.append((a, mid, above_a, lo_cnt))
+            stack.append((mid, b, above_mid, cnt - lo_cnt - at_mid))
         for a, b in isolated:
             lo, hi = _refine(sf, a, b)
-            m = 1 if squarefree else _multiplicity_in(work, sf, lo, hi)
+            m = 1
+            if not squarefree:
+                # the roots of work in [lo, hi] if lo == hi, else in (lo, hi)
+                (above_lo, at_lo), (above_hi, at_hi) = _roots_above(work, lo), _roots_above(work, hi)
+                m = at_lo if lo == hi else above_lo - above_hi - at_hi
             out.append((Interval(lo, hi), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return tuple(out)
 
 
 def _refine(sf: IntPoly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
-    """Sturm isolation, sign-change bisection: the one root of sf inside
-    the isolated (a, b) is bisected down to relative width
-    2^-ROOT_REL_BITS; an exactly hit root returns (mid, mid).
+    """Bisection by sign tests: the one root of sf inside the isolated
+    (a, b) is bisected down to relative width 2^-ROOT_REL_BITS; an exactly
+    hit root returns (mid, mid).
 
-    The open interval holds exactly one root, which is simple, so it lies
-    below mid iff sf(mid) has the sign sf takes just left of b.  That sign
-    never changes as b moves, and b itself may be a root only when
-    isolation split it off as rational; there the sign comes from sf'(b).
-    The endpoint a may be a root too (0, or a split-off root), so its sign
-    is never read.
+    The open interval holds exactly one root, as the Descartes counts of
+    `isolate_positive_roots` show exactly on the real-rooted sf.  The root
+    is simple, so it lies below mid iff sf(mid) has the sign sf takes just
+    left of b.  That sign never changes as b moves, and b itself may be a
+    root only when isolation split it off as rational; there the sign
+    comes from sf'(b).  The endpoint a may be a root too (0, or a
+    split-off root), so its sign is never read.
 
     The points are numerators over one denominator that doubles each step.
     """
@@ -337,19 +345,3 @@ def _refine(sf: IntPoly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
         else:
             na, nb = mid, 2 * nb
     return Fraction(na, w), Fraction(nb, w)
-
-
-def _multiplicity_in(full: IntPoly, sf: IntPoly, lo: Rat, hi: Rat) -> int:
-    """Multiplicity in `full` of the single sf-root inside (lo, hi]."""
-    m = 0
-    q = ptrim(list(full))
-    g = pgcd(q, sf)
-    seq = sturm_sequence(g)
-    while count_roots(seq, lo, hi) == 1:
-        m += 1
-        q = pquo(q, g)
-        g = pgcd(q, sf)
-        if pdeg(g) < 1:
-            break
-        seq = sturm_sequence(g)
-    return max(m, 1)

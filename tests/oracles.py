@@ -409,7 +409,7 @@ def _fraction_multiplicity(p: list, r) -> int:
 def _fraction_multiplicity_in(full: list, sf: list, lo, hi) -> int:
     m, q = 0, ptrim(list(full))
     g = fraction_pgcd(q, sf)
-    while fraction_count_roots(fraction_sturm_sequence(g), lo, hi) == 1:
+    while fraction_count_roots(fraction_sturm_sequence(g), lo, hi) - (peval(g, hi) == 0) == 1:
         m += 1
         q = fraction_pquo(q, g)
         g = fraction_pgcd(q, sf)
@@ -450,7 +450,8 @@ def fraction_isolate_positive_roots(p: list) -> list:
                     stack += [(a, mid, lo_cnt), (mid, b, cnt - lo_cnt)]
         for a, b in isolated:
             lo, hi = sturm_refine(sf, a, b)
-            out.append((Interval(lo, hi), _fraction_multiplicity_in(work, sf, lo, hi)))
+            m = _fraction_multiplicity(work, lo) if lo == hi else _fraction_multiplicity_in(work, sf, lo, hi)
+            out.append((Interval(lo, hi), m))
     return sorted(out, key=lambda t: (t[0].lo, t[0].hi))
 
 

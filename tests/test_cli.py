@@ -662,6 +662,12 @@ POSITIONED_ERRORS = {
     "unbalanced": ("analyze", _generator("[[1, 0], [0, 1]]]"), "3:17: unbalanced ']' in matrix literal"),
     "empty-entry": ("analyze", _generator("[[1, , 0], [0, 1]]"), "3:6: empty matrix entry"),
     "trailing": ("analyze", _generator("[[1, 0], [0, 1]] x"), "3:18: trailing characters after matrix literal"),
+    "leading": ("analyze", _generator("x[[1, 2], [0, 1]]"), "3:1: matrix literal must start with '['"),
+    "outside-row": ("analyze", _generator("[1, [2, 3], [0, 1]]"), "3:2: matrix entry outside a row"),
+    "trailing-comma": ("analyze", _generator("[[1, 2], [0, 1]],"), "3:17: trailing characters after matrix literal"),
+    "missing-comma": ("analyze", _generator("[[1, 2] [0, 1]]"), "3:9: misplaced '[' in matrix literal"),
+    "double-comma": ("analyze", _generator("[[1, 2],, [0, 1]]"), "3:9: misplaced ',' in matrix literal"),
+    "row-trailing-comma": ("analyze", _generator("[[1, 2,], [0, 1]]"), "3:8: empty matrix entry"),
     "unterminated": ("analyze", _generator("[[1, 0], [0, 1]"), "3:15: unterminated matrix literal"),
     "not-square": ("analyze", _generator("[[1, 0, 0], [0, 1, 0]]"), "3:1: matrix literal must be square"),
     # file structure
@@ -670,6 +676,7 @@ POSITIONED_ERRORS = {
     "before-section": ("analyze", "format 1\ndim 2\n", "2:1: unexpected directive 'dim' before any section"),
     "matrix-group-directive": ("analyze", "format 1\n[matrix-group]\ngenerator a = [[2, 0], [0, 1]]\n", "3:1: unknown matrix-group directive 'generator'"),
     "amalgam-directive": ("tree", "format 1\n[amalgam]\nembed-c 0\n", "3:1: unknown amalgam directive 'embed-c'"),
+    "embed-value": ("tree", "format 1\n[amalgam]\nembed-a 0 x\n", "3:11: invalid literal for int() with base 10: 'x'"),
     "gen-line": ("analyze", "format 1\n[matrix-group]\ngen [[2, 0], [0, 1]]\n", "3:5: expected: gen NAME = [[...], [...]]"),
     "table-no-rows": ("tree", "format 1\n[amalgam]\ntable-a\nnames-a e s\n", "4:1: table-a has no rows"),
     "incomplete-amalgam": (

@@ -476,3 +476,19 @@ def test_denominators_are_cleared_only_where_input_enters():
     assert callers("class_rep") == ["projective._IntegerClass.__init__"]
     assert callers("ProjPoint") == ["certfmt.point_from", "cli._parse_set"]
     assert callers("ProjHyperplane") == ["certfmt.plane_from", "cli._parse_set"]
+
+
+def test_root_isolation_sees_only_gram_polynomials():
+    """`rootiso` counts roots by Descartes' rule of signs, which is exact
+    only on a real-rooted polynomial.  The characteristic polynomial of a
+    Gram matrix g^T g is one, so `isolate_positive_roots` has one caller,
+    which passes `_charpoly_gram`; any other polynomial would get wrong
+    counts without an error.  No other reference passes the function on."""
+    name = "isolate_positive_roots"
+    assert sorted(c for path, tree in _trees(PACKAGE) for c in _callers(tree, name, path.stem)) == ["dynamics.singular_profile"]
+    nodes = [node for _, tree in _trees(PACKAGE) for node in ast.walk(tree)]
+    (call,) = [n for n in nodes if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == name]
+    refs = [n for n in nodes if (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.Attribute) and n.attr == name)]
+    assert refs == [call.func]
+    (arg,) = call.args
+    assert not call.keywords and isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_charpoly_gram"

@@ -573,7 +573,7 @@ def test_power_direction_stalls_on_a_lower_eigenvector():
 
 def test_double_irrational_squared_singular_values():
     # blockdiag(FIB, FIB): g^T g has charpoly (x^2 - 7x + 1)^2, not
-    # squarefree, so each root's multiplicity comes from `_multiplicity_in`
+    # squarefree, so each root's multiplicity comes from `_multiplicity`
     roots = _assert_matches_fraction_reference(_blockdiag(FIB.entries, FIB.entries))
     assert [m for _, m in roots] == [2, 2]
     assert not any(iv.exact for iv, _ in roots)

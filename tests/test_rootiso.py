@@ -9,20 +9,23 @@ from freecert.rootiso import (
     DIVISOR_TRIAL_CAP,
     Interval,
     _refine,
+    _roots_above,
     cauchy_bound,
-    count_roots,
     isolate_positive_roots,
     pderiv,
     pgcd,
     pquo,
     prem,
+    ptrim,
     rational_roots,
-    sturm_sequence,
 )
 from freecert.scalar import clear_denominators
 from oracles import (
     fraction_count_roots,
     fraction_isolate_positive_roots,
+    fraction_pderiv,
+    fraction_pgcd,
+    fraction_squarefree_part,
     fraction_sturm_sequence,
     interval_contains,
     interval_power,
@@ -59,11 +62,14 @@ def test_gcd_and_squarefree():
     assert pgcd([-4, 6], [0, -2, 3]) == [-2, 3]  # primitive, leading coefficient positive
 
 
-def test_sturm_counts_known_roots():
-    p = _cleared(poly_from_roots([F(1, 2), 3, 7]))
-    seq = sturm_sequence(p)
-    assert count_roots(seq, F(0), F(10)) == 3
-    assert count_roots(seq, F(1), F(5)) == 1
+def test_roots_above_counts_known_roots():
+    # (2x - 1)(x - 3)^2(x - 7): the double root counts twice
+    p = _cleared(poly_from_roots([F(1, 2), 3, 3, 7]))
+    assert _roots_above(p, F(0)) == (4, 0)
+    assert _roots_above(p, F(1, 2)) == (3, 1)
+    assert _roots_above(p, F(1)) == (3, 0)
+    assert _roots_above(p, F(3)) == (1, 2)
+    assert _roots_above(p, F(10)) == (0, 0)
     b = cauchy_bound(p)
     assert all(r <= b for r in (F(1, 2), F(3), F(7)))
 
@@ -100,15 +106,36 @@ def test_isolation_ignores_nonpositive_roots():
 
 def test_isolation_splits_off_a_rational_root_the_divisor_search_missed():
     # N's two prime factors lie above the trial-division cap, so the
-    # rational root test finds neither root of N (x - 1)(x - 2); Sturm
-    # bisection hits 2 as a midpoint and splits it off, and the refinement
-    # of (0, 2) hits 1 exactly
+    # rational root test finds neither root of N (x - 1)(x - 2); bisection
+    # hits 2 as a midpoint and splits it off, and the refinement of (0, 2)
+    # hits 1 exactly
     n = 200003 * 200009
     assert min(200003, 200009) > DIVISOR_TRIAL_CAP
     assert rational_roots([2 * n, -3 * n, n]) == []
     out = isolate_positive_roots((2 * n, -3 * n, n))
     assert out == ((Interval(F(1), F(1)), 1), (Interval(F(2), F(2)), 1))
     assert list(out) == fraction_isolate_positive_roots([2 * n, -3 * n, n])
+    # N (x - 1)^2 (x - 2): the root the refinement hits is double
+    p = (-2 * n, 5 * n, -4 * n, n)
+    out = isolate_positive_roots(p)
+    assert out == ((Interval(F(1), F(1)), 2), (Interval(F(2), F(2)), 1))
+    assert list(out) == fraction_isolate_positive_roots(list(p))
+
+
+def test_isolation_counts_a_repeated_root_below_a_split_off_one():
+    # N (x - r)(x^2 - c)^2 with c = 2 - 1/r: the Cauchy bound of the
+    # squarefree part is 2r, so bisection splits r off at its first
+    # midpoint, and sqrt(c) lies so close below r that the refinement of
+    # (0, r) keeps r as its upper end; the double root is counted in the
+    # open interval, not at r
+    r = 1 + F(1, 2**40)
+    c = 2 - 1 / r
+    sf = pmul([-r, F(1)], [-c, F(0), F(1)])
+    p = [200003 * 200009 * x for x in _cleared(pmul(sf, [-c, F(0), F(1)]))]
+    assert cauchy_bound(_cleared(sf)) == 2 * r and rational_roots(p) == []
+    out = isolate_positive_roots(tuple(p))
+    assert [(iv.exact, iv.hi, m) for iv, m in out] == [(False, r, 2), (True, r, 1)]
+    assert list(out) == fraction_isolate_positive_roots(p)
 
 
 def test_isolation_is_memoized_on_the_cleared_polynomial():
@@ -176,36 +203,53 @@ def test_refine_with_a_root_at_an_endpoint():
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+repeated_rationals = st.lists(st.tuples(small_rationals, st.integers(1, 3)), max_size=3)
+repeated_quadratics = st.lists(st.tuples(st.integers(2, 40).filter(lambda q: isqrt(q) ** 2 != q), st.integers(1, 2)), max_size=2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(small_rationals, st.integers(1, 3)), max_size=3),
-    st.lists(st.tuples(st.integers(2, 40).filter(lambda q: isqrt(q) ** 2 != q), st.integers(1, 2)), max_size=2),
-    st.fractions(min_value=F(1, 5), max_value=8, max_denominator=5),
-)
-def test_isolation_matches_fraction_reference(rational, irrational_sq, lead):
-    # rational and quadratic irrational roots, each possibly repeated, so
-    # both the squarefree shortcut and `_multiplicity_in` are exercised
+def _real_rooted(lead, rational, irrational_sq):
+    """lead times (x - r)^m for each (r, m) and (x^2 - q)^m for each (q, m)."""
     p = [lead]
     for r, m in rational:
         p = pmul(p, poly_from_roots([r] * m))
     for q, m in irrational_sq:
         for _ in range(m):
             p = pmul(p, [F(-q), F(0), F(1)])
-    assert list(isolate_positive_roots(tuple(_cleared(p)))) == fraction_isolate_positive_roots(p)
+    return p
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6), min_size=2, max_size=8).filter(lambda p: p[-1] != 0),
-    small_rationals,
-    small_rationals,
-)
-@example([F(1), F(0), F(-1)], F(0), F(2))  # a negative leading coefficient flips a pseudo-remainder
-def test_integer_sturm_counts_match_fraction_counts(p, a, b):
-    a, b = min(a, b), max(a, b)
-    assert count_roots(sturm_sequence(_cleared(p)), a, b) == fraction_count_roots(fraction_sturm_sequence(p), a, b)
+@given(repeated_rationals, repeated_quadratics, st.fractions(min_value=F(1, 5), max_value=8, max_denominator=5))
+def test_isolation_matches_fraction_reference(rational, irrational_sq, lead):
+    # rational and quadratic irrational roots, each possibly repeated, so
+    # both the squarefree shortcut and the multiplicity count are exercised
+    p = _real_rooted(lead, rational, irrational_sq)
+    assert list(isolate_positive_roots(tuple(_cleared(p)))) == fraction_isolate_positive_roots(p)
+
+
+def _fraction_count_with_multiplicity(p, a, b):
+    """Roots of p in (a, b] counted with multiplicity, by Sturm counts on
+    squarefree parts: a root of multiplicity m is a root of the first m
+    of p, gcd(p, p'), the gcd of that and its derivative, and so on."""
+    total = 0
+    while len(ptrim(p)) >= 2:
+        total += fraction_count_roots(fraction_sturm_sequence(fraction_squarefree_part(p)), a, b)
+        p = fraction_pgcd(p, fraction_pderiv(p))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_rationals, repeated_quadratics, st.fractions(min_value=-8, max_value=8, max_denominator=5).filter(bool), small_rationals)
+@example([(F(3), 2)], [], F(-1), F(0))  # a negative leading coefficient
+@example([(F(0), 2)], [(2, 1)], F(1), F(0))  # x a double root
+def test_roots_above_matches_fraction_counts(rational, irrational_sq, lead, x):
+    # Descartes' rule counts exactly on these real-rooted polynomials
+    p = _real_rooted(lead, rational, irrational_sq)
+    ip = _cleared(p)
+    bound = cauchy_bound(ip)
+    for y in [x] + [r for r, _ in rational]:
+        at = sum(m for r, m in rational if r == y)
+        assert _roots_above(ip, y) == (_fraction_count_with_multiplicity(p, y, bound), at), y
 
 
 def test_prem_is_a_positive_multiple_of_the_remainder():
