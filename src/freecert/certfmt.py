@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
@@ -366,29 +367,79 @@ def certificate(place: Place | None, backend: str, header: dict, task: dict, ver
     }
 
 
+#: `BREAK[d]` opens or closes the items of a list or dict at depth d, and
+#: `SEP[d]` separates them: a newline and d two-space indents, after a
+#: comma for `SEP`.  The deepest certificate of the benchmark deck nests
+#: 8 levels.
+MAX_NESTING = 64
+BREAK = tuple("\n" + "  " * d for d in range(MAX_NESTING + 1))
+SEP = tuple("," + b for b in BREAK)
+
+
 def dumps(cert: dict) -> str:
-    """The canonical JSON text; CertificateError names the first field,
-    in key order, whose number has too many digits to write."""
+    """The canonical certificate text, which this function writes itself in
+    one walk: keys in sorted order, each item on its own line indented two
+    spaces per level, `,` after an item and `: ` after a key, strings in
+    ASCII with JSON escapes (`\\uXXXX` for every control and non-ASCII
+    character that has no short escape), `[]` and `{}` for empty
+    containers, and a trailing newline.  That is the text of
+    `json.dumps(cert, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"`,
+    byte for byte, without `json`'s pure-Python indent encoder.
 
-    def refuse(obj):
-        if not isinstance(obj, _Unprintable):
-            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-        bits = max(obj.x.numerator.bit_length(), obj.x.denominator.bit_length())
-        raise CertificateError(
-            f"certificate field {_field_of(cert, obj)} holds a number of about {bits * 30103 // 100000 + 1} digits, "
-            f"over the {sys.get_int_max_str_digits()} Python writes: raise epsilon-sq or lower max-n (or m-max, k-max)"
-        )
+    Only `str`, `int`, `bool`, `None`, `list`, `tuple` and `dict` (with `str`
+    keys) are written.  CertificateError names the first field, in key
+    order, whose number has too many digits to write, and refuses a
+    certificate nested deeper than MAX_NESTING; any other value is a
+    TypeError."""
 
-    return json.dumps(cert, sort_keys=True, indent=2, ensure_ascii=True, default=refuse) + "\n"
+    def text(o, d: int) -> str:
+        t = type(o)
+        if t is str:
+            return encode_basestring_ascii(o)
+        if t is dict:
+            if not o:
+                return "{}"
+            d += 1
+            return "{" + BREAK[d] + SEP[d].join([encode_basestring_ascii(k) + ": " + text(v, d) for k, v in sorted(o.items())]) + BREAK[d - 1] + "}"
+        if t is list or t is tuple:
+            if not o:
+                return "[]"
+            d += 1
+            return "[" + BREAK[d] + SEP[d].join([text(v, d) for v in o]) + BREAK[d - 1] + "]"
+        if t is int:
+            return int.__repr__(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        raise _refusal(cert, o)
+
+    try:
+        return text(cert, 0) + "\n"
+    except IndexError:  # past the end of BREAK
+        raise CertificateError(f"certificate nested deeper than MAX_NESTING = {MAX_NESTING} levels") from None
+
+
+def _refusal(cert: dict, obj) -> Exception:
+    """The error for a value `dumps` does not write."""
+    if not isinstance(obj, _Unprintable):
+        return TypeError(f"{type(obj).__name__} is not JSON serializable")
+    bits = max(obj.x.numerator.bit_length(), obj.x.denominator.bit_length())
+    return CertificateError(
+        f"certificate field {_field_of(cert, obj)} holds a number of about {bits * 30103 // 100000 + 1} digits, "
+        f"over the {sys.get_int_max_str_digits()} Python writes: raise epsilon-sq or lower max-n (or m-max, k-max)"
+    )
 
 
 def _field_of(node, target, path: str = "") -> str | None:
-    """The dotted path of `target` inside nested dicts and lists."""
+    """The dotted path of `target` inside nested dicts, lists and tuples."""
     if node is target:
         return path
     if isinstance(node, dict):
         children = ((f"{path}.{k}" if path else k, v) for k, v in sorted(node.items()))
-    elif isinstance(node, list):
+    elif isinstance(node, (list, tuple)):
         children = ((f"{path}[{i}]", v) for i, v in enumerate(node))
     else:
         return None

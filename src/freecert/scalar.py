@@ -340,5 +340,6 @@ def word_string(letters, names) -> str:
 
 
 def format_rat(x: Rat) -> str:
-    """`p/q`, or `p` for an integer: the text of `Fraction`."""
-    return str(Fraction(x))
+    """`p/q`, or `p` for an integer: the text of `Fraction`; ValueError
+    when a part has more digits than Python converts to text."""
+    return str(x)

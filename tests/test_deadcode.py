@@ -9,6 +9,7 @@ exempt because the interpreter calls them implicitly.
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -492,3 +493,37 @@ def test_root_isolation_sees_only_gram_polynomials():
     assert refs == [call.func]
     (arg,) = call.args
     assert not call.keywords and isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_charpoly_gram"
+
+
+def _json_calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
+    """Lines that reference `json.<name>` or import it from `json`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names and getattr(node.value, "id", None) == "json")
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json") and any(a.name in names for a in node.names))
+    ]
+
+
+def test_certfmt_dumps_is_the_only_certificate_writer():
+    """`certfmt.dumps` writes the canonical text itself: no module calls
+    `json.dump` or `json.dumps`, whose indented output Python writes with
+    its pure-Python encoder.  `certfmt.loads` still reads with `json.loads`."""
+    written = [f"{path.relative_to(ROOT)}:{line}" for path, tree in _trees(PACKAGE) for line in _json_calls(tree, ("dump", "dumps"))]
+    assert written == []
+    (certfmt,) = [tree for path, tree in _trees(PACKAGE) if path.name == "certfmt.py"]
+    assert len(_json_calls(certfmt, ("loads",))) == 1
+
+
+def test_a_large_certificate_skips_the_pure_python_json_encoder(tmp_path, monkeypatch):
+    """The radius-8 ball of S3 *_{C2} S3 is written (about 586 KB) with
+    `json`'s pure-Python encoder unusable."""
+    from test_cli import run, s3_amalgam_header
+
+    def unusable(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", unusable)
+    code, cert, out = run(tmp_path, "tree", s3_amalgam_header("c2") + "\n[task]\nop tree\nsubop expand\nradius 8\n")
+    assert code == 0 and cert["result"]["count"] == 766
+    assert out.stat().st_size > 500_000
