@@ -161,8 +161,9 @@ def singular_profile(g: ProjMat) -> SingularProfile:
     localization, found on the integer rows and shifted here, once, by
     the valuation of their scale.  Archimedean: enclosures of the roots
     of charpoly(g^T g), computed on the integer Gram matrix and isolated
-    on integer coefficients, refined to relative width 2^-30 (degenerate intervals
-    for rational roots, which are split off exactly).
+    on integer coefficients, refined to relative width 2^-30.  Every
+    rational root is found and split off exactly, so the profile is
+    exact iff every root is rational (degenerate intervals).
 
     Results are memoized; the searches upstream revisit matrices often.
     """

@@ -1,18 +1,19 @@
 """Certified isolation of the real roots of a real-rooted polynomial over Q.
 
 Supports the archimedean singular profiles, whose polynomial is the
-characteristic polynomial of a symmetric Gram matrix and so real-rooted:
-rational roots are split off exactly, and the others are counted by
-Descartes' rule of signs, exact on a real-rooted polynomial, and
-enclosed by bisection to a requested relative width.  Intervals carry
-rational endpoints; a degenerate interval (lo == hi) marks an exactly
-known root.
+characteristic polynomial of a symmetric Gram matrix and so real-rooted.
+Roots are counted by Descartes' rule of signs, exact on a real-rooted
+polynomial, and isolated by bisection.  Rational roots are found exactly
+by a binary search over the multiples of 1/lead in their isolating
+intervals (Gauss's lemma) and split off; the others are enclosed by
+bisection to a requested relative width.  Intervals carry rational
+endpoints; a degenerate interval (lo == hi) marks an exactly known root.
 
 Polynomials are integer coefficient sequences, lowest degree first:
 `isolate_positive_roots` takes the tuple of the singular profiles'
-`_charpoly_gram`, and `rational_roots` a list.  Every later polynomial
-is a positive multiple of the one it stands for, so roots and signs
-never change.  A polynomial is evaluated at num/den as the integer
+`_charpoly_gram`, and every other function a list.  Every later
+polynomial is a positive multiple of the one it stands for, so roots and
+signs never change.  A polynomial is evaluated at num/den as the integer
 den^deg * f(num/den), which has the sign of f(num/den).
 """
 
@@ -28,10 +29,6 @@ IntPoly = list[int]
 
 #: Relative width target for refined root enclosures.
 ROOT_REL_BITS = 30
-
-#: Largest trial divisor the rational root test factors with.
-DIVISOR_TRIAL_CAP = 200_000
-
 
 class Interval(Record):
     """Closed interval [lo, hi] with rational endpoints, lo <= hi."""
@@ -184,60 +181,6 @@ def cauchy_bound(p: IntPoly) -> Rat:
     return 1 + Fraction(m, abs(p[-1]))
 
 
-def _divisors(n: int) -> list[int] | None:
-    """All positive divisors of n, or None when n is too hard to factor cheaply."""
-    n = abs(n)
-    if n == 0:
-        return None
-    fac: dict[int, int] = {}
-    d = 2
-    m = n
-    while d * d <= m:
-        if d > DIVISOR_TRIAL_CAP:
-            return None
-        while m % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        fac[m] = fac.get(m, 0) + 1
-    divs = [1]
-    for q, e in fac.items():
-        divs = [dv * q**k for dv in divs for k in range(e + 1)]
-    if len(divs) > 4096:
-        return None
-    return sorted(divs)
-
-
-def rational_roots(p: IntPoly) -> list[Rat]:
-    """All rational roots of the integer polynomial p, each listed once,
-    via the rational root test.
-
-    Falls back to the empty list when the candidate set would be too large;
-    callers treat missed rational roots like irrational ones (sound, just
-    wider enclosures).
-    """
-    ip = ptrim(list(p))
-    if pdeg(ip) < 1:
-        return []
-    roots: list[Fraction] = []
-    if ip[0] == 0:
-        roots.append(Fraction(0))
-    while ip and ip[0] == 0:
-        ip = ip[1:]  # factor x out; root 0 handled above
-    if not ip:
-        return roots
-    nums = _divisors(ip[0])
-    dens = _divisors(ip[-1])
-    if nums is None or dens is None:
-        return roots
-    for dn in dens:
-        for nm in nums:
-            if gcd(nm, dn) == 1:
-                roots.extend(Fraction(x, dn) for x in (nm, -nm) if _homogeneous(ip, x, dn) == 0)
-    return sorted(roots)
-
-
 def _divide_out(p: IntPoly, r: Rat) -> tuple[IntPoly, int]:
     """(p over (den x - num)^m, m) with m the multiplicity of r = num/den in p."""
     lin = [-r.numerator, r.denominator]
@@ -248,17 +191,84 @@ def _divide_out(p: IntPoly, r: Rat) -> tuple[IntPoly, int]:
     return p, m
 
 
+def _squarefree(p: IntPoly) -> IntPoly:
+    """The squarefree part of p: p itself, or p over gcd(p, p')."""
+    g = pgcd(p, pderiv(p))
+    return p if len(g) == 1 else pquo(p, g)
+
+
+def _bisect(sf: IntPoly) -> tuple[list[tuple[Rat, Rat]], list[Rat]]:
+    """(the open intervals that each hold one positive root of the
+    squarefree sf, the roots hit at a midpoint): root counts split
+    (0, cauchy_bound(sf)] until no piece holds more than one root."""
+    total = _roots_above(sf, Fraction(0))[0]
+    # (a, b, roots above a, roots in the open (a, b)); b is no root left
+    # to count: the bound is above all roots, a root at a midpoint is hit
+    stack = [(Fraction(0), cauchy_bound(sf), total, total)]
+    isolated: list[tuple[Rat, Rat]] = []
+    hit: list[Rat] = []
+    while stack:
+        a, b, above_a, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            isolated.append((a, b))
+            continue
+        mid = (a + b) / 2
+        above_mid, at_mid = _roots_above(sf, mid)
+        if at_mid:
+            hit.append(mid)
+        lo_cnt = above_a - above_mid - at_mid
+        stack.append((a, mid, above_a, lo_cnt))
+        stack.append((mid, b, above_mid, cnt - lo_cnt - at_mid))
+    return isolated, hit
+
+
+def _rational_root(sf: IntPoly, a: Rat, b: Rat) -> Rat | None:
+    """The one root of sf inside the isolated (a, b) if it is rational,
+    else None.
+
+    By Gauss's lemma a rational root of the integer polynomial sf is k/L
+    with L = |lead(sf)| and k an integer, so a binary search over the k
+    with a < k/L < b finds it, in about log2((b - a) L) sign tests.  The
+    root is simple, so it lies below k/L iff sf(k/L) has the sign sf
+    takes just left of b.  b may be a root the bisection hit; there that
+    sign comes from sf'(b).  The endpoint a may be a root too (0, or a
+    hit root), so its sign is never read.
+    """
+    lead = abs(sf[-1])
+    fb = _sign_at(sf, b)
+    positive_left_of_b = fb > 0 if fb else _sign_at(pderiv(sf), b) < 0
+    lo = a.numerator * lead // a.denominator + 1
+    hi = (b.numerator * lead - 1) // b.denominator
+    while lo <= hi:
+        k = (lo + hi) // 2
+        v = _homogeneous(sf, k, lead)
+        if not v:
+            return Fraction(k, lead)
+        if (v > 0) == positive_left_of_b:
+            hi = k - 1
+        else:
+            lo = k + 1
+    return None
+
+
 @lru_cache(maxsize=4096)
 def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int], ...]:
     """Enclosures for every positive real root of the real-rooted integer
     polynomial `coeffs`, with multiplicities.
 
-    Rational roots come back as degenerate intervals.  Irrational ones are
-    enclosed on the squarefree part by bisection: root counts split
-    (0, bound] until each piece holds one root, then `_refine` halves that
-    piece by sign tests until hi - lo <= lo * 2^-ROOT_REL_BITS.  The union
-    of returned intervals is pairwise disjoint and, counted with
-    multiplicity, covers exactly the positive roots.
+    Rational roots come back as degenerate intervals.  A first `_bisect`
+    of the squarefree part isolates every positive root, and
+    `_rational_root` finds the rational ones in their intervals.  Those
+    are divided out and the squarefree part of the rest is bisected
+    again; with none found the first isolation is kept.  So the
+    bisection that encloses the irrational roots always starts at the
+    Cauchy bound of the squarefree part with the rational roots divided
+    out.  `_refine` halves each of its intervals by sign tests until
+    hi - lo <= lo * 2^-ROOT_REL_BITS.  The union of returned intervals is
+    pairwise disjoint and, counted with multiplicity, covers exactly the
+    positive roots.
 
     Counts are Descartes' rule of signs (`_roots_above`), exact because
     the one caller passes the characteristic polynomial of a symmetric
@@ -272,75 +282,44 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
     work = ptrim(list(coeffs))
     if pdeg(work) < 1:
         return ()
+    sf = _squarefree(work)
+    isolated, rational = _bisect(sf)
+    rational += [r for a, b in isolated if (r := _rational_root(sf, a, b)) is not None]
     out: list[tuple[Interval, int]] = []
-    for r in rational_roots(work):
-        if r > 0:
+    if rational:
+        for r in rational:
             work, m = _divide_out(work, r)
             out.append((point(r), m))
-    if pdeg(work) >= 1:
-        g = pgcd(work, pderiv(work))
-        squarefree = len(g) == 1
-        sf = work if squarefree else pquo(work, g)
-        bound = cauchy_bound(sf)
-        total = _roots_above(sf, Fraction(0))[0]
-        # (a, b, roots above a, roots in the open (a, b)); b is no root
-        # left to count: bound is above all roots, a root at a midpoint is
-        # split off
-        stack = [(Fraction(0), bound, total, total)]
-        isolated: list[tuple[Rat, Rat]] = []
-        while stack:
-            a, b, above_a, cnt = stack.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                isolated.append((a, b))
-                continue
-            mid = (a + b) / 2
-            above_mid, at_mid = _roots_above(sf, mid)
-            if at_mid:
-                # rational root the divisor search missed; split it off
-                _, m = _divide_out(work, mid)
-                out.append((point(mid), m))
-            lo_cnt = above_a - above_mid - at_mid
-            stack.append((a, mid, above_a, lo_cnt))
-            stack.append((mid, b, above_mid, cnt - lo_cnt - at_mid))
-        for a, b in isolated:
-            lo, hi = _refine(sf, a, b)
-            m = 1
-            if not squarefree:
-                # the roots of work in [lo, hi] if lo == hi, else in (lo, hi)
-                (above_lo, at_lo), (above_hi, at_hi) = _roots_above(work, lo), _roots_above(work, hi)
-                m = at_lo if lo == hi else above_lo - above_hi - at_hi
-            out.append((Interval(lo, hi), m))
+        sf = _squarefree(work)
+        isolated = _bisect(sf)[0]
+    for a, b in isolated:
+        lo, hi = _refine(sf, a, b)
+        # the roots of work in (lo, hi]; hi is rational, so no root
+        m = 1 if len(sf) == len(work) else _roots_above(work, lo)[0] - _roots_above(work, hi)[0]
+        out.append((Interval(lo, hi), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return tuple(out)
 
 
 def _refine(sf: IntPoly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
     """Bisection by sign tests: the one root of sf inside the isolated
-    (a, b) is bisected down to relative width 2^-ROOT_REL_BITS; an exactly
-    hit root returns (mid, mid).
+    (a, b) is bisected down to relative width 2^-ROOT_REL_BITS.
 
     The open interval holds exactly one root, as the Descartes counts of
-    `isolate_positive_roots` show exactly on the real-rooted sf.  The root
-    is simple, so it lies below mid iff sf(mid) has the sign sf takes just
-    left of b.  That sign never changes as b moves, and b itself may be a
-    root only when isolation split it off as rational; there the sign
-    comes from sf'(b).  The endpoint a may be a root too (0, or a
-    split-off root), so its sign is never read.
+    `isolate_positive_roots` show exactly on the real-rooted sf.  That
+    root is simple and irrational, and b is the Cauchy bound or a
+    midpoint, so no point the bisection reads is a root, and the root
+    lies below mid iff sf(mid) has the sign of sf(b).  The endpoint a may
+    be the root 0, so its sign is never read.
 
     The points are numerators over one denominator that doubles each step.
     """
-    fb = _sign_at(sf, b)
-    positive_left_of_b = fb > 0 if fb else _sign_at(pderiv(sf), b) < 0
+    positive_at_b = _sign_at(sf, b) > 0
     w = lcm(a.denominator, b.denominator)
     na, nb = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
     while na <= 0 or (nb - na) << ROOT_REL_BITS > na:
         mid, w = na + nb, 2 * w
-        acc = _homogeneous(sf, mid, w)
-        if acc == 0:
-            return Fraction(mid, w), Fraction(mid, w)
-        if (acc > 0) == positive_left_of_b:
+        if (_homogeneous(sf, mid, w) > 0) == positive_at_b:
             na, nb = 2 * na, mid
         else:
             na, nb = mid, 2 * nb

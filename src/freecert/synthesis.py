@@ -349,7 +349,7 @@ def _declared_contraction(a: ProjMat, attract: ProjSet, repel: ProjSet) -> Contr
     if start is None:
         return None
     eps_sq = start
-    for _ in range(40):
+    while True:
         v = certify_contracting(a, eps_sq)
         if v.kind != "yes":
             return None
@@ -358,7 +358,6 @@ def _declared_contraction(a: ProjMat, attract: ProjSet, repel: ProjSet) -> Contr
         eps_sq /= 4
         if eps_sq < Fraction(1, 4**40):
             return None
-    return None
 
 
 def very_proximal_search(

@@ -8,8 +8,8 @@ from freecert.checker import Enclosure
 from freecert.dynamics import ITER_BUDGET
 from freecert.pingpong import OracleResult
 from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
-from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim, rational_roots
-from freecert.scalar import clear_denominators, cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper, word_string
+from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim
+from freecert.scalar import cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper, word_string
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
 
@@ -398,12 +398,22 @@ def fraction_count_roots(seq: list, a, b) -> int:
     return variations(a) - variations(b)
 
 
-def _fraction_multiplicity(p: list, r) -> int:
-    m, q = 0, ptrim(list(p))
-    while q and peval(q, r) == 0:
-        q = fraction_pquo(q, [-r, Fraction(1)])
-        m += 1
-    return m
+def sympy_rational_roots(p: list) -> dict:
+    """{root: multiplicity} for the rational roots of p over Q, read off
+    the linear factors of sympy's factorization: complete, with no
+    trial-division cap (reference for the rational roots `rootiso`
+    splits off)."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    factors = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x, domain="QQ").factor_list()[1]
+    out = {}
+    for f, m in factors:
+        if f.degree() == 1:
+            c1, c0 = f.all_coeffs()
+            r = -c0 / c1
+            out[Fraction(int(r.p), int(r.q))] = m
+    return out
 
 
 def _fraction_multiplicity_in(full: list, sf: list, lo, hi) -> int:
@@ -419,15 +429,15 @@ def _fraction_multiplicity_in(full: list, sf: list, lo, hi) -> int:
 
 
 def fraction_isolate_positive_roots(p: list) -> list:
-    """Sturm isolation and bisection over Fraction, with Sturm-count
-    refinement (reference for `rootiso.isolate_positive_roots`)."""
+    """sympy's rational roots split off, then Sturm isolation and
+    bisection over Fraction, with Sturm-count refinement (reference for
+    `rootiso.isolate_positive_roots`)."""
     p = ptrim([Fraction(c) for c in p])
     if len(p) < 2:
         return []
     out, work = [], list(p)
-    for r in rational_roots(clear_denominators(p)[0]):
+    for r, m in sympy_rational_roots(p).items():
         if r > 0:
-            m = _fraction_multiplicity(p, r)
             out.append((point(r), m))
             for _ in range(m):
                 work = fraction_pquo(work, [-r, Fraction(1)])
@@ -443,15 +453,10 @@ def fraction_isolate_positive_roots(p: list) -> list:
             elif cnt > 1:
                 mid = (a + b) / 2
                 lo_cnt = fraction_count_roots(seq, a, mid)
-                if peval(sf, mid) == 0:
-                    out.append((point(mid), _fraction_multiplicity(work, mid)))
-                    stack += [(a, mid, lo_cnt - 1), (mid, b, cnt - lo_cnt)]
-                else:
-                    stack += [(a, mid, lo_cnt), (mid, b, cnt - lo_cnt)]
+                stack += [(a, mid, lo_cnt), (mid, b, cnt - lo_cnt)]
         for a, b in isolated:
             lo, hi = sturm_refine(sf, a, b)
-            m = _fraction_multiplicity(work, lo) if lo == hi else _fraction_multiplicity_in(work, sf, lo, hi)
-            out.append((Interval(lo, hi), m))
+            out.append((Interval(lo, hi), _fraction_multiplicity_in(work, sf, lo, hi)))
     return sorted(out, key=lambda t: (t[0].lo, t[0].hi))
 
 
@@ -504,14 +509,13 @@ def fraction_power_direction(s_rows: list, lam2_hi) -> tuple:
 
 
 def sturm_refine(sf: list, a, b) -> tuple:
-    """Bisection of the one root of sf inside (a, b) that asks the Sturm
-    count which half holds it (reference for `rootiso._refine`)."""
+    """Bisection of the one root of sf inside (a, b), irrational, that
+    asks the Sturm count which half holds it (reference for
+    `rootiso._refine`)."""
     seq = fraction_sturm_sequence(sf)
     scale = Fraction(1, 2**ROOT_REL_BITS)
     while a <= 0 or (b - a) > a * scale:
         mid = (a + b) / 2
-        if peval(sf, mid) == 0:
-            return mid, mid
         if fraction_count_roots(seq, a, mid) == 1:
             b = mid
         else:

@@ -16,6 +16,15 @@ TASK = "\n[task]\n"
 
 PROBLEMS = {
     "analyze-profile": ("analyze", MATRIX_HEADER + TASK + "op analyze\nsubop profile\nelement a b\n", []),
+    # a repeated rational root: exact values_sq 9166361760000, 442050625, 442050625
+    "analyze-profile-rational-roots": (
+        "analyze",
+        "format 1\nplace arch\n[matrix-group]\n"
+        "gen g = [[1451025, 1201200, 900900], [1201200, 1030033, 756756], [900900, 756756, 588592]]\n"
+        + TASK
+        + "op analyze\nsubop profile\nelement g\n",
+        [],
+    ),
     "analyze-contracting": (
         "analyze",
         MATRIX_HEADER + TASK + "op analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n",
@@ -149,6 +158,7 @@ GOLDEN = {
     "analyze-contracting-no": (3, "f282d923a132263c6de6cb584bdb716e398cbed9d935c18e07e552e71c37100d"),
     "analyze-power-proximal": (0, "eb3d4974b585e45d74ac4cbdc5fda8cd38be8dee0e8d48180e455556872d19c9"),
     "analyze-profile": (0, "ec53f7d9758073b2a6371caafa840586f4d6b48743eb0965896438535ec7705b"),
+    "analyze-profile-rational-roots": (0, "eaef907bf180c90647aae1a22f3a172d7ad886053f0508bdbca479eff23d78d3"),
     "analyze-proximal": (0, "3d958408f3d9a0320790643ae1b9dbaa2851cae77266dbc35a0c0f77209b9afe"),
     "analyze-very-proximal": (0, "578259dd09989a6a2cfbca6cf15ae4a2ba897988f2da42c417d236fbe10bdb9e"),
     "analyze-very-proximal-no": (3, "f2fa0f75012c77265e37a906f8d7e947c52e7b2755558c521423cb56c5da0201"),
@@ -181,3 +191,13 @@ def test_golden_certificate(tmp_path, name):
     command, text, extra = PROBLEMS[name]
     code, _, out = run(tmp_path, command, text, *extra)
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN[name]
+
+
+def test_golden_profile_of_a_repeated_rational_root(tmp_path):
+    """charpoly(g^T g) of this g has the rational roots 9166361760000 and
+    442050625 (double), whose numerators a rational root test by trial
+    division could not factor cheaply; the profile gives them exactly."""
+    command, text, extra = PROBLEMS["analyze-profile-rational-roots"]
+    code, data, _ = run(tmp_path, command, text, *extra)
+    values = ["9166361760000", "442050625", "442050625"]
+    assert (code, data["result"]) == (0, {"exact": True, "values_sq": [{"hi": v, "lo": v} for v in values]})

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freecert.rootiso import (
-    DIVISOR_TRIAL_CAP,
     Interval,
+    _rational_root,
     _refine,
     _roots_above,
     cauchy_bound,
@@ -17,7 +17,6 @@ from freecert.rootiso import (
     pquo,
     prem,
     ptrim,
-    rational_roots,
 )
 from freecert.scalar import clear_denominators
 from oracles import (
@@ -32,6 +31,7 @@ from oracles import (
     peval,
     pmul,
     sturm_refine,
+    sympy_rational_roots,
 )
 
 
@@ -75,8 +75,10 @@ def test_roots_above_counts_known_roots():
 
 
 def test_rational_roots_found():
-    p = poly_from_roots([F(3, 2), -2, 5])
-    assert rational_roots(_cleared(p)) == [F(-2), F(3, 2), F(5)]
+    p = pmul(poly_from_roots([F(3, 2), -2, 5, 5]), [F(-2), F(0), F(1)])
+    assert sympy_rational_roots(p) == {F(-2): 1, F(3, 2): 1, F(5): 2}
+    exact = [(iv.lo, m) for iv, m in isolate_positive_roots(tuple(_cleared(p))) if iv.exact]
+    assert exact == [(F(3, 2), 1), (F(5), 2)]
 
 
 def test_isolation_with_rational_and_irrational_roots():
@@ -104,37 +106,50 @@ def test_isolation_ignores_nonpositive_roots():
     assert m == 1 and interval_contains(iv, F(4))
 
 
-def test_isolation_splits_off_a_rational_root_the_divisor_search_missed():
-    # N's two prime factors lie above the trial-division cap, so the
-    # rational root test finds neither root of N (x - 1)(x - 2); bisection
-    # hits 2 as a midpoint and splits it off, and the refinement of (0, 2)
-    # hits 1 exactly
+BIG_PRIMES = (200003, 200009, 200017, 200023, 200029, 200033, 200041, 200063)
+
+
+def test_isolation_finds_rational_roots_with_large_prime_factors():
+    # every prime factor of the roots' numerators and denominators, and of
+    # the coefficients' content, lies above 200,000, where a rational root
+    # test by trial division would have to factor past them
     n = 200003 * 200009
-    assert min(200003, 200009) > DIVISOR_TRIAL_CAP
-    assert rational_roots([2 * n, -3 * n, n]) == []
-    out = isolate_positive_roots((2 * n, -3 * n, n))
-    assert out == ((Interval(F(1), F(1)), 1), (Interval(F(2), F(2)), 1))
-    assert list(out) == fraction_isolate_positive_roots([2 * n, -3 * n, n])
-    # N (x - 1)^2 (x - 2): the root the refinement hits is double
-    p = (-2 * n, 5 * n, -4 * n, n)
-    out = isolate_positive_roots(p)
-    assert out == ((Interval(F(1), F(1)), 2), (Interval(F(2), F(2)), 1))
-    assert list(out) == fraction_isolate_positive_roots(list(p))
+    assert list(isolate_positive_roots((2 * n, -3 * n, n))) == [(Interval(F(1), F(1)), 1), (Interval(F(2), F(2)), 1)]
+    p = (-2 * n, 5 * n, -4 * n, n)  # N (x - 1)^2 (x - 2)
+    assert list(isolate_positive_roots(p)) == [(Interval(F(1), F(1)), 2), (Interval(F(2), F(2)), 1)]
+    r, s = F(200017 * 200023, 200029), F(200033, 200041 * 200063)
+    p = _cleared(pmul(poly_from_roots([r, s, s]), [F(-2), F(0), F(1)]))
+    out = isolate_positive_roots(tuple(p))
+    assert [(iv, m) for iv, m in out if iv.exact] == [(Interval(s, s), 2), (Interval(r, r), 1)]
+    assert list(out) == fraction_isolate_positive_roots(p)
+
+
+def test_isolation_of_the_gram_polynomial_of_a_repeated_rational_root():
+    # charpoly(g^T g) of the symmetric 3x3 g = [[1451025, 1201200, 900900],
+    # [1201200, 1030033, 756756], [900900, 756756, 588592]] and its
+    # reciprocal, the one of g^-1: the roots 442050625 (double) and
+    # 9166361760000 come out exact
+    p = (-1791187339977687020062500000000, 8104187298723262890625, -9167245861250, 1)
+    assert list(isolate_positive_roots(p)) == [(Interval(F(442050625), F(442050625)), 2), (Interval(F(9166361760000), F(9166361760000)), 1)]
+    q = (-1, 9167245861250, -8104187298723262890625, 1791187339977687020062500000000)
+    one_over = [(F(1, 9166361760000), 1), (F(1, 442050625), 2)]
+    assert [(iv.lo, m) for iv, m in isolate_positive_roots(q) if iv.exact] == one_over
+    assert list(isolate_positive_roots(q)) == fraction_isolate_positive_roots(list(q))
 
 
 def test_isolation_counts_a_repeated_root_below_a_split_off_one():
     # N (x - r)(x^2 - c)^2 with c = 2 - 1/r: the Cauchy bound of the
-    # squarefree part is 2r, so bisection splits r off at its first
-    # midpoint, and sqrt(c) lies so close below r that the refinement of
-    # (0, r) keeps r as its upper end; the double root is counted in the
-    # open interval, not at r
+    # squarefree part is 2r, so the first bisection hits r at its first
+    # midpoint; r is split off, and sqrt(c), just below r, is isolated
+    # again on x^2 - c alone and counted double
     r = 1 + F(1, 2**40)
     c = 2 - 1 / r
     sf = pmul([-r, F(1)], [-c, F(0), F(1)])
     p = [200003 * 200009 * x for x in _cleared(pmul(sf, [-c, F(0), F(1)]))]
-    assert cauchy_bound(_cleared(sf)) == 2 * r and rational_roots(p) == []
+    assert cauchy_bound(_cleared(sf)) == 2 * r
     out = isolate_positive_roots(tuple(p))
-    assert [(iv.exact, iv.hi, m) for iv, m in out] == [(False, r, 2), (True, r, 1)]
+    assert [(iv.exact, m) for iv, m in out] == [(False, 2), (True, 1)]
+    assert out[0][0].hi < r and out[1][0] == Interval(r, r)
     assert list(out) == fraction_isolate_positive_roots(p)
 
 
@@ -173,33 +188,45 @@ def _one_root_brackets(sf, points):
     st.lists(st.integers(2, 60).filter(lambda q: isqrt(q) ** 2 != q), min_size=1, max_size=3, unique=True),
 )
 def test_refine_and_rational_roots_match_references(rational, irrational_sq):
-    # square-free: distinct rational roots times distinct x^2 - q with q no square
+    # square-free: distinct rational roots times distinct x^2 - q with q no
+    # square; a bracket's one root is rational iff a rational root is in
+    # it, and `_refine` takes only brackets of an irrational root whose
+    # right end is no root
     sf = poly_from_roots(rational)
     for q in irrational_sq:
         sf = pmul(sf, [F(-q), F(0), F(1)])
-    assert rational_roots(_cleared(sf)) == sorted(rational)
     near = {F(isqrt(q * 4096) + d, 64) for q in irrational_sq for d in (0, 1)}
     points = sorted({F(0), cauchy_bound(sf)} | {r for r in rational if r > 0} | near)
     brackets = list(_one_root_brackets(sf, points))
     assert brackets
     for a, b in brackets:
-        assert _refine(_cleared(sf), a, b) == sturm_refine(sf, a, b), (a, b)
+        root = next((r for r in rational if a < r < b), None)
+        assert _rational_root(_cleared(sf), a, b) == root, (a, b)
+        if root is None and b not in rational:
+            assert _refine(_cleared(sf), a, b) == sturm_refine(sf, a, b), (a, b)
 
 
 def test_refine_with_a_root_at_an_endpoint():
     # sf(0) = 0 with the bracket starting at 0
     sf = pmul([F(0), F(1)], [F(-2), F(0), F(1)])
     assert _refine(_cleared(sf), F(0), F(2)) == sturm_refine(sf, F(0), F(2))
-    # left end a split-off rational root, then right end one
-    for r in (F(1), F(2)):
-        sf = pmul(poly_from_roots([r]), [F(-3), F(0), F(1)])
-        assert _refine(_cleared(sf), F(1), F(2)) == sturm_refine(sf, F(1), F(2))
+    assert _rational_root(_cleared(sf), F(0), F(2)) is None
+    # left end a rational root, whose sign is never read
+    sf = pmul(poly_from_roots([F(1)]), [F(-3), F(0), F(1)])
+    assert _refine(_cleared(sf), F(1), F(2)) == sturm_refine(sf, F(1), F(2))
+    assert _rational_root(_cleared(sf), F(1), F(2)) is None
+    # right end a root the bisection hit: the sign left of it is -sf'(b)'s
+    sf = pmul(poly_from_roots([F(2)]), [F(-3), F(0), F(1)])
+    assert _rational_root(_cleared(sf), F(1), F(2)) is None
+    for r in (F(5, 4), F(7, 4), F(9, 5)):
+        sf = pmul(poly_from_roots([r, F(2)]), [F(-5), F(0), F(1)])
+        assert _rational_root(_cleared(sf), F(1), F(2)) == r
     # both ends roots
     sf = pmul(poly_from_roots([F(3, 2), F(2)]), [F(-3), F(0), F(1)])
-    assert _refine(_cleared(sf), F(3, 2), F(2)) == sturm_refine(sf, F(3, 2), F(2))
-    # a root the bisection hits exactly
+    assert _rational_root(_cleared(sf), F(3, 2), F(2)) is None
+    # the root at a lattice point in the middle
     sf = pmul(poly_from_roots([F(3, 2)]), [F(-5), F(0), F(1)])
-    assert _refine(_cleared(sf), F(1), F(2)) == sturm_refine(sf, F(1), F(2)) == (F(3, 2), F(3, 2))
+    assert _rational_root(_cleared(sf), F(1), F(2)) == F(3, 2)
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -225,6 +252,21 @@ def test_isolation_matches_fraction_reference(rational, irrational_sq, lead):
     # both the squarefree shortcut and the multiplicity count are exercised
     p = _real_rooted(lead, rational, irrational_sq)
     assert list(isolate_positive_roots(tuple(_cleared(p)))) == fraction_isolate_positive_roots(p)
+
+
+big_factor = st.builds(lambda small, big: small * big, st.integers(1, 3), st.sampled_from((1,) + BIG_PRIMES))
+big_rationals = st.builds(lambda sign, n, d: sign * F(n, d), st.sampled_from((1, 1, -1)), big_factor, big_factor)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(big_rationals, st.integers(1, 2)), min_size=1, max_size=3), repeated_quadratics, st.sampled_from((1,) + BIG_PRIMES))
+def test_isolation_matches_reference_on_roots_with_large_prime_factors(rational, irrational_sq, lead):
+    # numerators and denominators with prime factors above 200,000, beyond
+    # what a rational root test could factor by trial division up to there
+    p = _real_rooted(lead, rational, irrational_sq)
+    out = isolate_positive_roots(tuple(_cleared(p)))
+    assert list(out) == fraction_isolate_positive_roots(p)
+    assert {iv.lo: m for iv, m in out if iv.exact} == {r: m for r, m in sympy_rational_roots(p).items() if r > 0}
 
 
 def _fraction_count_with_multiplicity(p, a, b):
