@@ -1,10 +1,11 @@
 """The certificate format, its claims and its verifier.
 
-Certificates are canonical JSON: sorted keys, two-space indent, exact
+Certificates are canonical JSON: sorted keys, no whitespace, exact
 rationals as "p/q" strings, a fixed seed echo, and no timestamps, so a
-rerun produces byte-identical output.  Every claim is written here, one
-builder per claim group, from the JSON a certificate carries; `cli` emits
-through these builders.  The verifier re-checks each claim semantically
+rerun produces byte-identical output, and `verify` accepts no other text
+of the same JSON.  Every claim is written here, one builder per claim
+group, from the JSON a certificate carries; `cli` emits through these
+builders.  The verifier re-checks each claim semantically
 (set verdicts, containments, memberships, word algebra, enclosure
 inequalities, deterministic recomputation of certified data) without
 re-running any search.  Oracle no-relation results are echoed, not re-run.
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
@@ -47,10 +48,10 @@ from .projective import (
     set_disjoint,
     word_inverse,
 )
-from .scalar import PAIR_LABELS, VERY_PAIRS, Place, Rat, Record, format_rat, pair_count, parse_place, parse_rat, tuple_pairs, word_tokens
-from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, classify, kernel_of_action, parse_word
+from .scalar import PAIR_LABELS, VERY_PAIRS, Place, Rat, Record, format_rat, pair_count, parse_place, tuple_pairs, word_tokens
+from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, ball_rows, classify, kernel_of_action, parse_word
 
-FORMAT = "freecert-certificate/1"
+FORMAT = "freecert-certificate/2"
 
 #: Largest exponent a power search may try: `max-n` (g^n), `m-max`
 #: (g^m x g^-m) and `k-max` (g^-(k+1)).  Each exponent is one more
@@ -104,6 +105,22 @@ def rat(x: Rat) -> "str | _Unprintable":
         return _Unprintable(x)
 
 
+def rat_from(text: str) -> int | Rat:
+    """The rational that `format_rat` writes as `text`, an `int` if it has
+    no denominator.  Any other text of it (`2/13122` for 1/6561, `2/1`,
+    `+1`, ` 1`, `-0`), and any text of no rational, is a ValueError, which
+    fails the claim that holds it: a certificate binds a number by its one
+    text."""
+    try:
+        num, slash, den = text.partition("/")
+        x = Fraction(int(num), int(den)) if slash else int(num)
+    except (AttributeError, ValueError, ZeroDivisionError):  # no string, no integers, or q = 0
+        raise ValueError(f"malformed rational literal {text!r}") from None
+    if format_rat(x) != text:
+        raise ValueError(f"rational {text!r} is not written as certificates write {x}")
+    return x
+
+
 def place_from(s: str) -> Place:
     try:
         if not isinstance(s, str):
@@ -124,7 +141,7 @@ def vec_from(data, dim: int | None) -> tuple:
         raise VerifyError(f"vector of {len(data)} coordinates exceeds MAX_DIM = {MAX_DIM}")
     if dim is not None and len(data) != dim:
         raise ValueError(f"vector of {len(data)} coordinates in a certificate of dimension {dim}")
-    return tuple(parse_rat(c) for c in data)
+    return tuple(rat_from(c) for c in data)
 
 
 def mat_json(m: ProjMat) -> list[list[str]]:
@@ -135,7 +152,7 @@ def mat_from(data, place: Place) -> ProjMat:
     """The matrix of `data`, refused over MAX_DIM before its det is computed."""
     if len(data) > MAX_DIM:
         raise VerifyError(f"matrix of {len(data)} rows exceeds MAX_DIM = {MAX_DIM}")
-    return ProjMat(tuple(tuple(parse_rat(c) for c in row) for row in data), place)
+    return ProjMat(tuple(tuple(rat_from(c) for c in row) for row in data), place)
 
 
 def point_json(p: ProjPoint) -> list[str]:
@@ -164,9 +181,9 @@ def hnbhd_json(plane: list, radius_sq: str) -> dict:
 
 def component_from(data, dim: int | None):
     if data["kind"] == "ball":
-        return Ball(point_from(data["center"], dim), parse_rat(data["radius_sq"]))
+        return Ball(point_from(data["center"], dim), rat_from(data["radius_sq"]))
     if data["kind"] == "hnbhd":
-        return HNbhd(plane_from(data["plane"], dim), parse_rat(data["radius_sq"]))
+        return HNbhd(plane_from(data["plane"], dim), rat_from(data["radius_sq"]))
     raise VerifyError(f"bad set component kind {data.get('kind')!r}")
 
 
@@ -339,10 +356,6 @@ def classify_claim(word: str, kind: str, translation_length: int | None) -> dict
     return {"type": "tree-classify", "word": word, "kind": kind, "translation_length": translation_length}
 
 
-def degree_claim(vertex: list, degree: int) -> dict:
-    return {"type": "tree-degree", "vertex": vertex, "degree": degree}
-
-
 def kernel_claim(elements: list[int]) -> dict:
     return {"type": "kernel", "elements": elements}
 
@@ -367,59 +380,20 @@ def certificate(place: Place | None, backend: str, header: dict, task: dict, ver
     }
 
 
-#: `BREAK[d]` opens or closes the items of a list or dict at depth d, and
-#: `SEP[d]` separates them: a newline and d two-space indents, after a
-#: comma for `SEP`.  The deepest certificate of the benchmark deck nests
-#: 8 levels.
-MAX_NESTING = 64
-BREAK = tuple("\n" + "  " * d for d in range(MAX_NESTING + 1))
-SEP = tuple("," + b for b in BREAK)
-
-
 def dumps(cert: dict) -> str:
-    """The canonical certificate text, which this function writes itself in
-    one walk: keys in sorted order, each item on its own line indented two
-    spaces per level, `,` after an item and `: ` after a key, strings in
-    ASCII with JSON escapes (`\\uXXXX` for every control and non-ASCII
-    character that has no short escape), `[]` and `{}` for empty
-    containers, and a trailing newline.  That is the text of
-    `json.dumps(cert, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"`,
-    byte for byte, without `json`'s pure-Python indent encoder.
-
-    Only `str`, `int`, `bool`, `None`, `list`, `tuple` and `dict` (with `str`
-    keys) are written.  CertificateError names the first field, in key
-    order, whose number has too many digits to write, and refuses a
-    certificate nested deeper than MAX_NESTING; any other value is a
+    """The canonical certificate text: that of `json.dumps(cert,
+    sort_keys=True, separators=(",", ":"))` and a newline, which `json`'s C
+    encoder writes.  Keys come in sorted order, with no whitespace, and
+    strings in ASCII with JSON escapes.  A certificate holds only `str`,
+    `int`, `bool`, `None`, `list`, `tuple` and `dict` with `str` keys.
+    CertificateError names the first field, in key order, whose number has
+    too many digits to write; any other value `json` does not write is a
     TypeError."""
 
-    def text(o, d: int) -> str:
-        t = type(o)
-        if t is str:
-            return encode_basestring_ascii(o)
-        if t is dict:
-            if not o:
-                return "{}"
-            d += 1
-            return "{" + BREAK[d] + SEP[d].join([encode_basestring_ascii(k) + ": " + text(v, d) for k, v in sorted(o.items())]) + BREAK[d - 1] + "}"
-        if t is list or t is tuple:
-            if not o:
-                return "[]"
-            d += 1
-            return "[" + BREAK[d] + SEP[d].join([text(v, d) for v in o]) + BREAK[d - 1] + "]"
-        if t is int:
-            return int.__repr__(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        raise _refusal(cert, o)
+    def refuse(obj):
+        raise _refusal(cert, obj)
 
-    try:
-        return text(cert, 0) + "\n"
-    except IndexError:  # past the end of BREAK
-        raise CertificateError(f"certificate nested deeper than MAX_NESTING = {MAX_NESTING} levels") from None
+    return json.dumps(cert, sort_keys=True, separators=(",", ":"), default=refuse) + "\n"
 
 
 def _refusal(cert: dict, obj) -> Exception:
@@ -460,6 +434,20 @@ def loads(text: str) -> dict:
     return data
 
 
+def verify_text(text: str) -> tuple[dict, list[str]]:
+    """The certificate in `text` and why it fails verification: first,
+    when `text` is not the text `dumps` writes of it (indented, keys out
+    of order, a float, an escape `dumps` would not write), then the
+    failures of `verify`.  VerifyError as `loads` and `verify` raise it."""
+    cert = loads(text)
+    try:
+        canonical = dumps(cert) == text
+    except TypeError:  # a _Float
+        canonical = False
+    failures = verify(cert)[1]
+    return cert, failures if canonical else ["certificate text is not the canonical text of its JSON", *failures]
+
+
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -473,10 +461,10 @@ def _check_contraction(matrix: ProjMat, stored: dict, dim: int | None) -> bool:
     same candidates; the image-radius inequality B <= eps holds from the
     stored numbers, and the stored image radius lies between B and eps.
     """
-    eps_sq = parse_rat(stored["epsilon_sq"])
-    gap_hi = parse_rat(stored["gap_sq_hi"])
-    a_err = parse_rat(stored["attract_err_sq"])
-    r_err = parse_rat(stored["repel_err_sq"])
+    eps_sq = rat_from(stored["epsilon_sq"])
+    gap_hi = rat_from(stored["gap_sq_hi"])
+    a_err = rat_from(stored["attract_err_sq"])
+    r_err = rat_from(stored["repel_err_sq"])
     if gap_hi < contraction_gap_sq(matrix).hi:
         return False
     dirs = direction_candidates(matrix)
@@ -487,22 +475,22 @@ def _check_contraction(matrix: ProjMat, stored: dict, dim: int | None) -> bool:
     if a_err < dirs.attract_err_sq or r_err < dirs.repel_err_sq:
         return False
     bound = image_radius_bound(gap_hi, eps_sq, a_err, r_err)
-    return bound is not None and bound * bound <= parse_rat(stored["image_radius_sq"]) <= eps_sq
+    return bound is not None and bound * bound <= rat_from(stored["image_radius_sq"]) <= eps_sq
 
 
 def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
     """The stored ball passes the self-map test with the stored numbers,
     and the stored Lipschitz, region and move numbers are the derived ones."""
     matrix, dim = mat_from(claim["matrix"], ctx.place), ctx.dim
-    gap_hi = parse_rat(claim["gap_sq_hi"])
+    gap_hi = rat_from(claim["gap_sq_hi"])
     if contraction_gap_sq(matrix).hi > gap_hi:
         return False
     enc = claim["enclosure"]
-    center, t_sq = point_from(enc["center"], dim), parse_rat(enc["radius_sq"])
-    r_err, eps_sq = parse_rat(claim["repel_err_sq"]), parse_rat(claim["epsilon_sq"])
+    center, t_sq = point_from(enc["center"], dim), rat_from(enc["radius_sq"])
+    r_err, eps_sq = rat_from(claim["repel_err_sq"]), rat_from(claim["epsilon_sq"])
     attract, repel = point_from(claim["attract"], dim), plane_from(claim["repel"], dim)
     _, derived = selfmap_at(matrix, center, attract, repel, r_err, gap_hi, eps_sq, selfmap_radii([t_sq]))
-    stored = Enclosure(Ball(center, t_sq), *(parse_rat(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
+    stored = Enclosure(Ball(center, t_sq), *(rat_from(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
     return derived == stored
 
 
@@ -566,7 +554,7 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
         dirs = direction_candidates(m)
         if (dirs.attract, dirs.repel) != (attract, repel):
             return False
-    return witness_refutes(m, x, attract, repel, parse_rat(claim["epsilon_sq"]))
+    return witness_refutes(m, x, attract, repel, rat_from(claim["epsilon_sq"]))
 
 
 def check_claim(claim: dict, ctx: CertContext) -> bool:
@@ -579,7 +567,7 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
         closed = claim.get("closed_inner", False)
         return type(closed) is bool and set_contains(set_from(claim["outer"], dim), set_from(claim["inner"], dim), place, closed)
     if kind == "point-plane-far":
-        return point_plane_far(point_from(claim["point"], dim), plane_from(claim["plane"], dim), parse_rat(claim["r_sq"]), place)
+        return point_plane_far(point_from(claim["point"], dim), plane_from(claim["plane"], dim), rat_from(claim["r_sq"]), place)
     if kind == "word-eval":
         return ctx.eval(claim["word"]) == mat_from(claim["matrix"], place)
     if kind == "contraction":
@@ -592,7 +580,7 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
         return ctx.eval(claim["element"]).proportional_to(ctx.eval(claim["factorization"]))
     if kind == "oracle":
         return True  # search outcome: echoed, not re-run
-    if kind in ("tree-classify", "tree-evidence", "shadow-disjoint", "kernel", "tree-normal-form", "tree-degree"):
+    if kind in ("tree-classify", "tree-evidence", "shadow-disjoint", "kernel", "tree-normal-form"):
         return _check_tree_claim(kind, claim, ctx)
     raise VerifyError(f"unknown claim type {kind!r}")
 
@@ -631,8 +619,6 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
             return False
         sets = [shadow_json(s) for s in axis_shadow_sets(ctx.tree, g, cls)]
         return sets == claim["sets"] and _ints(*(i for s in claim["sets"] for v in (s["x"], s["y"]) for _, i in v[1]))
-    if kind == "tree-degree":
-        return len(ctx.tree.neighbors(_vertex_from(claim["vertex"]))) == _int(claim["degree"])
     raise VerifyError(f"unknown tree claim {kind!r}")
 
 
@@ -890,15 +876,13 @@ def _classify(b: Binding) -> None:
 
 
 def _expand(b: Binding) -> None:
-    """A tree-degree claim for each listed vertex inside the radius, in order."""
-    listing, radius = b.result["vertices"], b.task["radius"]
-    count = b.result["count"]
-    b.check(_ints(count) and count == len(listing), "result count is not the listing's")
-    inside = [e for e in listing if e["depth"] < radius]
-    b.check(all("degree" not in e for e in listing if e["depth"] >= radius), "a vertex on the radius has a degree")
-    listed = [(e["vertex"], e["degree"]) for e in inside]
-    b.check(_ints(*(d for _, d in listed), *(i for v, _ in listed for _, i in v[1])), "result vertices hold a number that is no integer")
-    b.rebuilt += [degree_claim(v, d) for v, d in listed]
+    """The result's ball is `ball_rows` of the task's radius, row for row,
+    and its count the number of rows."""
+    rows, radius, count = b.result["ball"], b.task["radius"], b.result["count"]
+    b.check(_ints(radius), "task radius is no integer")
+    ball = ball_rows(b.ctx.amalgam, radius)
+    b.check(rows == ball and _ints(*(x for row in rows for x in row if x is not None)), "result ball is not the ball of the task's radius")
+    b.check(_ints(count) and count == len(rows), "result count is not the listing's")
 
 
 def _kernel(b: Binding) -> None:
@@ -975,7 +959,7 @@ VERDICTS = {
     ("synthesize", "double-coset", "unknown"): Row(EXIT_UNKNOWN, stated=("reason", "wrapped")),
     ("tree", "normal-form", "ok"): Row(EXIT_OK, _normal_form, ("syllables", "tail", "is_identity")),
     ("tree", "classify", "ok"): Row(EXIT_OK, _classify, ("kind", "translation_length"), ("axis_edge", "fixed_vertex")),
-    ("tree", "expand", "ok"): Row(EXIT_OK, _expand, ("vertices", "count"), ("vertices.depth",)),
+    ("tree", "expand", "ok"): Row(EXIT_OK, _expand, ("ball", "count")),
     ("tree", "kernel", "ok"): Row(EXIT_OK, _kernel, ("elements", "names")),
 }
 SUBOPS = {(op, subop) for op, subop, _ in VERDICTS}

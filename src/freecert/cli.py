@@ -43,11 +43,10 @@ from .synthesis import (
 from .tree import (
     DEFAULT_RADIUS,
     AmalgamData,
-    BassSerreTree,
     TreeError,
     ball_radius,
+    ball_rows,
     classify,
-    expand_tree,
     kernel_of_action,
     parse_word as tree_parse_word,
     tree_pingpong,
@@ -732,15 +731,8 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
             result["fixed_vertex"] = vertex_json(out.fixed_vertex)
         return emit("ok", result, [certfmt.classify_claim(task["word"], out.kind, out.translation_length)])
     if subop == "expand":
-        tree = BassSerreTree(am)
-        claims, listing = [], []
-        for v, depth in sorted(expand_tree(am, radius=radius).items(), key=lambda kv: (kv[1], str(kv[0]))):
-            entry = {"vertex": vertex_json(v), "depth": depth}
-            if depth < radius:
-                entry["degree"] = len(tree.neighbors(v))
-                claims.append(certfmt.degree_claim(entry["vertex"], entry["degree"]))
-            listing.append(entry)
-        return emit("ok", {"vertices": listing, "count": len(listing)}, claims)
+        rows = ball_rows(am, radius)
+        return emit("ok", {"ball": rows, "count": len(rows)})
     if subop == "pingpong":
         elements = [w for _, w in words]
         tup = tree_pingpong(elements, am)
@@ -760,12 +752,11 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
 def cmd_verify(path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cert = certfmt.loads(fh.read())
-        ok, failures = certfmt.verify(cert)
+            cert, failures = certfmt.verify_text(fh.read())
     except (OSError, UnicodeDecodeError, VerifyError) as e:
         print(f"verify: {e}", file=sys.stderr)
         return EXIT_INPUT
-    if ok:
+    if not failures:
         print(f"verify: all {len(cert.get('claims', []))} claims re-checked", file=sys.stderr)
         return EXIT_OK
     for f in failures:

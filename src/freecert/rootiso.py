@@ -145,17 +145,16 @@ def pgcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return a if a[-1] > 0 else [-c for c in a]
 
 
-def _roots_above(p: IntPoly, x: Rat) -> tuple[int, int]:
-    """(the roots of p above x, the multiplicity of x as a root of p),
-    both counted with multiplicity, for a real-rooted p.
+def _roots_above(p: IntPoly, num: int, den: int) -> tuple[int, int]:
+    """(the roots of p above x = num/den, den > 0, the multiplicity of x
+    as a root of p), both counted with multiplicity, for a real-rooted p.
 
     Horner's Taylor shift gives den^deg * p((y + num) / den), whose roots
-    y > 0 are the roots of p above x = num/den.  By Descartes' rule of
-    signs its coefficients' sign changes bound them, and equal their
-    number when every root is real; its zero low coefficients count the
-    root y = 0.
+    y > 0 are the roots of p above x.  By Descartes' rule of signs its
+    coefficients' sign changes bound them, and equal their number when
+    every root is real; its zero low coefficients count the root y = 0.
     """
-    num, den, d = x.numerator, x.denominator, len(p) - 1
+    d = len(p) - 1
     q, dk = list(p), 1
     for i in range(d, -1, -1):
         q[i] *= dk
@@ -200,27 +199,32 @@ def _squarefree(p: IntPoly) -> IntPoly:
 def _bisect(sf: IntPoly) -> tuple[list[tuple[Rat, Rat]], list[Rat]]:
     """(the open intervals that each hold one positive root of the
     squarefree sf, the roots hit at a midpoint): root counts split
-    (0, cauchy_bound(sf)] until no piece holds more than one root."""
-    total = _roots_above(sf, Fraction(0))[0]
-    # (a, b, roots above a, roots in the open (a, b)); b is no root left
-    # to count: the bound is above all roots, a root at a midpoint is hit
-    stack = [(Fraction(0), cauchy_bound(sf), total, total)]
+    (0, cauchy_bound(sf)] until no piece holds more than one root.
+
+    The points are numerators over a denominator that doubles with each
+    split, as in `_refine`, so no step reduces a fraction."""
+    bound = cauchy_bound(sf)
+    total = _roots_above(sf, 0, 1)[0]
+    # (a, b, w, roots above a/w, roots in the open (a/w, b/w)); b is no
+    # root left to count: the bound is above all roots, a root at a
+    # midpoint is hit
+    stack = [(0, bound.numerator, bound.denominator, total, total)]
     isolated: list[tuple[Rat, Rat]] = []
     hit: list[Rat] = []
     while stack:
-        a, b, above_a, cnt = stack.pop()
+        a, b, w, above_a, cnt = stack.pop()
         if cnt == 0:
             continue
         if cnt == 1:
-            isolated.append((a, b))
+            isolated.append((Fraction(a, w), Fraction(b, w)))
             continue
-        mid = (a + b) / 2
-        above_mid, at_mid = _roots_above(sf, mid)
+        mid, w = a + b, 2 * w
+        above_mid, at_mid = _roots_above(sf, mid, w)
         if at_mid:
-            hit.append(mid)
+            hit.append(Fraction(mid, w))
         lo_cnt = above_a - above_mid - at_mid
-        stack.append((a, mid, above_a, lo_cnt))
-        stack.append((mid, b, above_mid, cnt - lo_cnt - at_mid))
+        stack.append((2 * a, mid, w, above_a, lo_cnt))
+        stack.append((mid, 2 * b, w, above_mid, cnt - lo_cnt - at_mid))
     return isolated, hit
 
 
@@ -295,7 +299,7 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
     for a, b in isolated:
         lo, hi = _refine(sf, a, b)
         # the roots of work in (lo, hi]; hi is rational, so no root
-        m = 1 if len(sf) == len(work) else _roots_above(work, lo)[0] - _roots_above(work, hi)[0]
+        m = 1 if len(sf) == len(work) else _roots_above(work, *lo.as_integer_ratio())[0] - _roots_above(work, *hi.as_integer_ratio())[0]
         out.append((Interval(lo, hi), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return tuple(out)

@@ -20,7 +20,7 @@ from itertools import repeat
 from .scalar import DisjointVerdict, Record, word_tokens
 
 DEFAULT_RADIUS = 8
-#: Most vertices a ball listed by `expand_tree` may hold.  Its layers grow
+#: Most vertices a ball listed by `ball_rows` may hold.  Its layers grow
 #: by the factor ([A:H] - 1)([B:H] - 1) every two steps, so a large radius
 #: would not fail but run for minutes and write a certificate of hundreds
 #: of megabytes.
@@ -313,6 +313,8 @@ class BassSerreTree:
         depth = {center: 0}
         frontier = [center]
         for d in range(1, radius + 1):
+            if not frontier:  # a finite tree: no vertex is further out
+                break
             nxt = []
             for u in frontier:
                 for wv in self.neighbors(u):
@@ -368,12 +370,28 @@ def ball_radius(amalgam: AmalgamData, radius: int) -> int:
     return radius
 
 
-def expand_tree(amalgam: AmalgamData, radius: int = 1) -> dict[Vertex, int]:
-    """Finite ball of the tree around the base vertex of A: vertices with
-    their depths."""
+def ball_rows(amalgam: AmalgamData, radius: int) -> list[list]:
+    """The ball of `radius` around the base vertex of A, one row per
+    vertex in the breadth-first order of `BassSerreTree.ball`.  The row of
+    a vertex g t X whose parent is g Y is [the parent's row, t], with t
+    the representative in Y of the edge's coset g t H, the identity of Y
+    for g H; a vertex inside the radius adds its degree.  The base
+    vertex's row has a null parent and letter.  Refused, as by
+    `ball_radius`, past MAX_BALL_VERTICES vertices."""
     ball_radius(amalgam, radius)
     tree = BassSerreTree(amalgam)
-    return tree.ball(tree.base_vertex("A"), radius)
+    depth = tree.ball(tree.base_vertex("A"), radius)
+    rows = {v: [None, None] for v in depth}
+    for i, (vertex, d) in enumerate(depth.items()):
+        if d == radius:
+            continue
+        around = tree.neighbors(vertex)
+        rows[vertex].append(len(around))
+        tag, key = vertex
+        for child in around:
+            if depth[child] > d:  # not the parent
+                rows[child] = [i, child[1][-1][1] if len(child[1]) > len(key) else amalgam.factor(tag).identity]
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------

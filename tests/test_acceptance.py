@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from freecert.certfmt import CertContext, check_claim, enclosure_json, mat_json, plane_json, point_json, rat, selfmap_claim
+from freecert.certfmt import CertContext, check_claim, dumps, enclosure_json, mat_json, plane_json, point_json, rat, selfmap_claim
 from freecert.cli import main
 from freecert.dynamics import (
     certify_contracting,
@@ -595,7 +595,7 @@ def test_criterion_10_determinism_and_verification(tmp_path):
         assert cert is not None, f"no fixture carries a {needed} claim"
         bad = _mutate(cert, which)
         bad_path = tmp_path / f"mut{which}.cert"
-        bad_path.write_text(json.dumps(bad, sort_keys=True, indent=2) + "\n")
+        bad_path.write_text(dumps(bad))
         assert main(["verify", str(bad_path)]) == 3, f"mutation {which} was not rejected"
         rejected += 1
     assert rejected == 10

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from freecert.certfmt import dumps
 from freecert.cli import MAX_PROBLEM_BYTES, main
 from oracles import group_from_permutations
 
@@ -113,7 +114,7 @@ def _forged_refutation_code(tmp_path, text: str, refuted: dict, subop: str | Non
     cert["claims"][1] = dict(refuted, type="contraction-refuted", epsilon_sq="1/4")
     cert["result"] = {"counterexample": refuted["witness"]}
     forged = tmp_path / "forged.cert"
-    forged.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    forged.write_text(dumps(cert))
     return verify_file(forged)
 
 
@@ -189,7 +190,7 @@ def test_verify_binds_the_stored_enclosure_numbers(tmp_path):
         tampered = json.loads(out.read_text())
         next(c for c in tampered["claims"] if c["type"] == "selfmap-enclosure")["enclosure"][field] = value
         bad = tmp_path / "bad.cert"
-        bad.write_text(json.dumps(tampered, sort_keys=True, indent=2) + "\n")
+        bad.write_text(dumps(tampered))
         assert verify_file(bad) == 3, field
 
 
@@ -317,12 +318,10 @@ def test_tree_expand(tmp_path):
 
 
 def test_verify_builds_the_amalgam_once(tmp_path, monkeypatch):
+    # once for the 27 claims of a tree tuple, and once for an expand
+    # certificate, whose row rebuilds the ball from it
     from freecert import certfmt
 
-    text = s3_amalgam_header("c2") + "\n[task]\nop tree\nsubop expand\nradius 3\n"
-    code, cert, out = run(tmp_path, "tree", text)
-    assert code == 0
-    assert len(cert["claims"]) >= 10
     calls = []
     build = certfmt.amalgam_from
 
@@ -331,8 +330,13 @@ def test_verify_builds_the_amalgam_once(tmp_path, monkeypatch):
         return build(data)
 
     monkeypatch.setattr(certfmt, "amalgam_from", counting)
-    assert verify_file(out) == 0
-    assert len(calls) == 1
+    tasks = ("subop pingpong\nword s t s t\nword t s t s\n", "subop expand\nradius 3\n")
+    for task, claims in zip(tasks, (27, 0)):
+        code, cert, out = run(tmp_path, "tree", mod_amalgam_header() + "\n[task]\nop tree\n" + task)
+        assert code == 0 and len(cert["claims"]) == claims
+        calls.clear()
+        assert verify_file(out) == 0
+        assert len(calls) == 1
 
 
 def test_tree_pingpong_via_cli(tmp_path):
@@ -551,7 +555,7 @@ def test_verify_rejects_mutations(tmp_path):
             c["left"][0]["radius_sq"] = "99/100"
             break
     bad = tmp_path / "bad.cert"
-    bad.write_text(json.dumps(mutated, sort_keys=True, indent=2) + "\n")
+    bad.write_text(dumps(mutated))
     assert verify_file(bad) == 3
 
 
@@ -574,7 +578,7 @@ def test_verify_binds_claim_geometry_to_the_generator_dimension(tmp_path, capsys
     assert len(claims) == count
     _pad_vectors(claims)
     bad = tmp_path / "bad.cert"
-    bad.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    bad.write_text(dumps(cert))
     assert verify_file(bad) == 3
     assert "vector of 16 coordinates in a certificate of dimension 2" in capsys.readouterr().err
 
@@ -763,7 +767,7 @@ def test_verify_reads_words_and_tables_from_the_header(tmp_path, capsys, tamper,
     _, cert, out = run(tmp_path, "analyze", text)
     assert cert["claims"][0]["type"] == "word-eval"
     tamper(cert)
-    out.write_text(json.dumps(cert))
+    out.write_text(dumps(cert))
     assert verify_file(out) == code
     assert message in capsys.readouterr().err
 
@@ -771,9 +775,9 @@ def test_verify_reads_words_and_tables_from_the_header(tmp_path, capsys, tamper,
 @pytest.mark.parametrize(
     "payload, message",
     [
-        (b'\xff{"format": "freecert-certificate/1"}', "can't decode byte 0xff"),
+        (b'\xff{"format":"freecert-certificate/2"}', "can't decode byte 0xff"),
         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
-        (b'{"format": "freecert-certificate/1", "seed": ' + b"1" * 5000 + b"}", "integer string conversion"),
+        (b'{"format":"freecert-certificate/2","seed":' + b"1" * 5000 + b"}", "integer string conversion"),
     ],
     ids=["not-utf8", "nested-100000-deep", "integer-of-5000-digits"],
 )

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from freecert import cli
+from freecert.certfmt import dumps
 from freecert.cli import USAGE, _budget, main, parse_problem
 from freecert.projective import MAX_DIM
 from freecert.scalar import parse_place
@@ -125,7 +126,7 @@ def test_failing_claim_with_a_note_that_is_no_string_is_reported(tmp_path, capsy
     code, cert, out = run(tmp_path, "analyze", text)
     assert code == 0
     cert["claims"][0].update(matrix=[["3", "1"], ["1", "1"]], note=5)
-    out.write_text(json.dumps(cert))
+    out.write_text(dumps(cert))
     capsys.readouterr()
     assert verify_file(out) == 3
     assert "verify: claim 0 (word-eval: 5) failed" in capsys.readouterr().err
@@ -136,10 +137,11 @@ def test_failing_claim_with_a_note_that_is_no_string_is_reported(tmp_path, capsy
     [
         (lambda h: [h], "certificate header is not an object"),
         (lambda h: h["generators"]["a"][0].__setitem__(0, "x"), "bad generator a: malformed rational literal 'x'"),
+        (lambda h: h["generators"]["a"][0].__setitem__(0, "4/2"), "bad generator a: rational '4/2' is not written as certificates write 2"),
         (lambda h: h["generators"]["a"].append(["1", "0"]), "bad generator a: entries must form a square matrix"),
         (lambda h: h["generators"].update(a=[["1", "1"], ["1", "1"]]), "bad generator a: matrix must be invertible"),
     ],
-    ids=["header-not-an-object", "entry-not-a-rational", "not-square", "singular"],
+    ids=["header-not-an-object", "entry-not-a-rational", "entry-not-as-written", "not-square", "singular"],
 )
 def test_verify_refuses_a_malformed_header(tmp_path, capsys, tamper, message):
     # no word can be evaluated, so the certificate is an input error

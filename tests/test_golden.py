@@ -7,8 +7,12 @@ the certificate format updates these digests and says so.
 """
 
 import hashlib
+import json
 
 import pytest
+
+from freecert.certfmt import FORMAT
+from freecert.cli import main
 
 from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run, s3_amalgam_header
 
@@ -154,35 +158,35 @@ PROBLEMS = {
 }
 
 GOLDEN = {
-    "analyze-contracting": (0, "602541b0f4e288d22eb04d71606379c376bfb33374e8c3fcf3e4f9a2d4031a5a"),
-    "analyze-contracting-no": (3, "f282d923a132263c6de6cb584bdb716e398cbed9d935c18e07e552e71c37100d"),
-    "analyze-power-proximal": (0, "eb3d4974b585e45d74ac4cbdc5fda8cd38be8dee0e8d48180e455556872d19c9"),
-    "analyze-profile": (0, "ec53f7d9758073b2a6371caafa840586f4d6b48743eb0965896438535ec7705b"),
-    "analyze-profile-rational-roots": (0, "eaef907bf180c90647aae1a22f3a172d7ad886053f0508bdbca479eff23d78d3"),
-    "analyze-proximal": (0, "3d958408f3d9a0320790643ae1b9dbaa2851cae77266dbc35a0c0f77209b9afe"),
-    "analyze-very-proximal": (0, "578259dd09989a6a2cfbca6cf15ae4a2ba897988f2da42c417d236fbe10bdb9e"),
-    "analyze-very-proximal-no": (3, "f2fa0f75012c77265e37a906f8d7e947c52e7b2755558c521423cb56c5da0201"),
-    "pingpong-oracle": (0, "7f030b22342bf9e59f1f0bb98cd85fb6110996983f7b51217ab30de3fc4242c2"),
-    "pingpong-refuted": (3, "84975d67e92981c3b25cbdba9fd03774d6beb11a22c74a20d757f0291b68d4d6"),
-    "pingpong-simple-tuple": (0, "8dbb8516743711e56ddf2647f6039bcc4fb5b79c59e00d377164ebaf859d38d1"),
-    "pingpong-tuple": (0, "3d8e9f2666dd430e1b7905c2978091fe001f4e1cb617f969bf92a252837d3b9c"),
-    "pingpong-tuple-unknown": (4, "be206a6b766698bc7c90fd45ec057e63fd7c82c5208ca3885dd08cfe90297d29"),
-    "pingpong-tuple-auto-sets": (0, "5bd32f2105d456670d6dde1baeb8fe3c67ea634d9719a37dc0adf643378f619b"),
-    "synthesize-b1b2b3": (0, "2c11c50d042b46d750231263b18f0fe90025d3d2b24339c6bb16b862b5a1395e"),
-    "synthesize-conjugate-contract": (0, "367e225e052b2817361ef1bc3d7b177f6445fd1b8187f56f18806e887d11ea4e"),
-    "synthesize-coset-pingpong": (0, "5f27656806f1fdc253e6f2c55d631f6fd9fd8e243edaf18cbd555b83f859cf11"),
-    "synthesize-double-coset": (0, "a559158d1bc4c7d922567c0b53fa33d1dca9d9786b30de89d6e2956973bf0ead"),
-    "synthesize-normal-proximal": (0, "a7e503e06c39732bfe45e5f8df9cbab8a74f7f59ed39bd59f53c54e8f3d6d248"),
-    "synthesize-truncated-prodense": (4, "c5075b848e48789dce0fabcc2c66df302a230c99e1f44bfd55d7d6f52201ab12"),
-    "synthesize-truncated-prodense-full": (0, "e41c0a1a054d714c080859558e165e32a3023f27da098742f769c16d2f36ff22"),
-    "synthesize-very-proximal": (0, "6669ff37ea64e5c3da4c5bcd739ab005c992bf1d8e219f97f3e9090837150038"),
-    "tree-classify": (0, "1a499541218bf0894d285713654943af6779b8c68af689f88d512dad530d08a8"),
-    "tree-classify-elliptic": (0, "f14d6fb2314251e633a717959cda11787e05c90e78f4af697942049083808427"),
-    "tree-expand": (0, "08958e4a33ad1163275db7d8c8e41460e2e110c2c69b75593dbe08eef5730db6"),
-    "tree-kernel": (0, "d932b6f9075b2d77029c6ab5cd1d522083c508a901cd7e9bb33c51be80317aa7"),
-    "tree-normal-form": (0, "ccfe8eb97e01fe387f72082fd040d8323feff14200eb932945bef49c6baa0f94"),
-    "tree-pingpong": (0, "f55a38e4512c98f2750afea61c70cec00c3b7727b1ed11507703c0d25527a838"),
-    "tree-pingpong-refuted": (3, "45e44f9dacaf6c73bb5adcb4be98acfa2f21bfd031b036a1b3c8e77e8eac3c6d"),
+    "analyze-contracting": (0, "a757a0048e9f8ec4092b61e2b4950376cd0125688b2ca8a23c38109574a0f0c6"),
+    "analyze-contracting-no": (3, "fa80a9f3af7d3ad6c22cdcbb38d5b9a9fd120f89200a36c4df0108a8b9b231c0"),
+    "analyze-power-proximal": (0, "ede9ea07553c24341430e0da85096bf8432d1926bb12475109b5f317ed1162e7"),
+    "analyze-profile": (0, "480a60c20eadcbbc095b64091cccc6fd9f3dcba3264a2bc6ba4fb635d36c5c7a"),
+    "analyze-profile-rational-roots": (0, "e7e8b50678e494e60aaeedba2891a85e226e1c034f48d88f377c622241cbfcaa"),
+    "analyze-proximal": (0, "43c76a2bfe2d2bd1839aabab6a54a014d84341c4d3368c754b403bf80608db1c"),
+    "analyze-very-proximal": (0, "73fa2c2b150c29a43922a622a66d1ef21f9c72b3c9efe614f34f30db409e8125"),
+    "analyze-very-proximal-no": (3, "fc412f60a5ca604813390e9244cac3953b5ca35eeea0535d0dfacccc2a9c5528"),
+    "pingpong-oracle": (0, "598ee78b070d0ee6e64eae467ce741d2a5e359b491932f098a14c05bbf08b06b"),
+    "pingpong-refuted": (3, "6a66ab854dba9ed9a63544f7b636b7140163febacb88cf1e80503196fc804683"),
+    "pingpong-simple-tuple": (0, "6ccf440032bd2c2acf57ed4b8791df36c48cf2ec1ba7bf521ea69045d944f4f2"),
+    "pingpong-tuple": (0, "ddcedc098500b11e1fb8fa976b2e73135b5aeedcd0a067fd57dbd687aa0cfdb5"),
+    "pingpong-tuple-unknown": (4, "7f6f53d092df0bf97756c5406cb05efe02eb1f422d496329c704f7484db1b4b1"),
+    "pingpong-tuple-auto-sets": (0, "8ae51ac458fe291b64ab28640325275763ac5b2089fe40b86b3b06492bf1e2b7"),
+    "synthesize-b1b2b3": (0, "0be11f1b86e10e6d3a20848e3b29845e204c7bbd8b5114b6a1181f6279faade3"),
+    "synthesize-conjugate-contract": (0, "fab279175649645ed888cc2d973b22095e9555f3086869f75778478c88a42954"),
+    "synthesize-coset-pingpong": (0, "52cb526abad7fefabec51c394fe8c9394b0f6b435c6a2685aa60944ea9e60031"),
+    "synthesize-double-coset": (0, "4fd103fa2b8c7ff0779d0e5b210bab3ce539ae130b040f7b1a3717deb6051cce"),
+    "synthesize-normal-proximal": (0, "8d09ac640d883b77a8b4df1b3e504aa5a23e2dac98de576ca10470b3c0c1869e"),
+    "synthesize-truncated-prodense": (4, "42b64291e4b93216fe7dad727df575a17ddcae17405560d9d7bd536791f77ab1"),
+    "synthesize-truncated-prodense-full": (0, "b38ed5e169cd9329b060b20611f6236466df39e26cfa1dafd357920e15ea2864"),
+    "synthesize-very-proximal": (0, "6bccf3988e123444dbec56cea1bed86d4a6586eaf1638b259dbeec7cbd82ae03"),
+    "tree-classify": (0, "7ab82bd1fd11402836c0affa495af1c9eb21e48af82703da97207b2ee883c2e2"),
+    "tree-classify-elliptic": (0, "2c9d548b6db597004f3a4fd567790e110e3bdde87c1b7e4366998a43b46e6896"),
+    "tree-expand": (0, "d6271cce604994e63290500bc819e9ea6ed6b49559ec87291f529a8dfb0f0870"),
+    "tree-kernel": (0, "e32c882373a8a31b7d8373c576d7dadf157ed6ebab61fc71ea23a457f9d1e8c6"),
+    "tree-normal-form": (0, "02a632bfd34dc032437876eb00a6d9e2b581d6ebf2e69862ee22f8268e441e50"),
+    "tree-pingpong": (0, "1cb543498d3768cd2b86335fd561c0b0f291916a177978345df5cb39c219ff66"),
+    "tree-pingpong-refuted": (3, "c09a4c19370c11f3f0a281c7670401b1828aabdaedc2b7e30719f9288128b3ab"),
 }
 
 
@@ -201,3 +205,76 @@ def test_golden_profile_of_a_repeated_rational_root(tmp_path):
     code, data, _ = run(tmp_path, command, text, *extra)
     values = ["9166361760000", "442050625", "442050625"]
     assert (code, data["result"]) == (0, {"exact": True, "values_sq": [{"hi": v, "lo": v} for v in values]})
+
+
+def _verify_edited(tmp_path, capsys, name: str, edit) -> tuple[int, str]:
+    """verify's exit code and stderr on the golden `name`'s text after `edit`."""
+    command, text, extra = PROBLEMS[name]
+    _, _, out = run(tmp_path, command, text, *extra)
+    edited = edit(out.read_text())
+    assert edited != out.read_text()
+    out.write_text(edited)
+    capsys.readouterr()
+    return main(["verify", str(out)]), capsys.readouterr().err
+
+
+def _reindented(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("analyze-contracting", _reindented),
+        ("tree-expand", _reindented),
+        ("tree-expand", lambda t: t.replace('"radius":3', '"radius":3.0')),
+        ("tree-expand", lambda t: t.replace('"names_a":["e","s"]', '"names_a":["e","\\u0073"]')),
+        ("tree-expand", lambda t: t.replace('{"backend":"amalgam",', '{"backend":"amalgam","backend":"amalgam",')),
+    ],
+    ids=["reindented", "reindented-expand", "float", "escaped-letter", "repeated-key"],
+)
+def test_verify_refuses_a_text_that_is_not_canonical(tmp_path, capsys, name, edit):
+    # each edit keeps the value as `json.loads` reads it (3.0 equals 3)
+    code, err = _verify_edited(tmp_path, capsys, name, edit)
+    assert code == 3
+    assert "verify: certificate text is not the canonical text of its JSON" in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"1/6561"', '"2/13122"'),
+        ('"matrix":[["81"', '"matrix":[["81/1"'),
+        ('"attract":["1"', '"attract":["+1"'),
+        ('"attract":["1"', '"attract":[" 1"'),
+        ('"attract_err_sq":"0"', '"attract_err_sq":"-0"'),
+    ],
+    ids=["unreduced", "over-one", "plus-sign", "space", "minus-zero"],
+)
+def test_verify_refuses_a_rational_certificates_do_not_write(tmp_path, capsys, old, new):
+    # the same number in another text, in a claim and the result alike, so
+    # the claim's own check is what fails
+    code, err = _verify_edited(tmp_path, capsys, "analyze-contracting", lambda t: t.replace(old, new))
+    assert code == 3
+    assert "is not written as certificates write" in err and "canonical" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[1,1,2]", "[1,2,2]"),
+        ("[1,1,2]", "[1,1,3]"),
+        (',[6,1]],"count":11', '],"count":10'),
+    ],
+    ids=["edited-row", "wrong-degree", "row-dropped-count-fixed"],
+)
+def test_verify_refuses_a_ball_that_is_not_the_tasks(tmp_path, capsys, old, new):
+    code, err = _verify_edited(tmp_path, capsys, "tree-expand", lambda t: t.replace(old, new))
+    assert code == 3
+    assert "verify: verdict 'ok' of tree expand: result ball is not the ball of the task's radius" in err
+
+
+def test_verify_refuses_the_first_certificate_format(tmp_path, capsys):
+    code, err = _verify_edited(tmp_path, capsys, "tree-expand", lambda t: t.replace(FORMAT, "freecert-certificate/1"))
+    assert code == 2
+    assert "verify: missing or unsupported certificate format marker" in err

@@ -65,11 +65,11 @@ def test_gcd_and_squarefree():
 def test_roots_above_counts_known_roots():
     # (2x - 1)(x - 3)^2(x - 7): the double root counts twice
     p = _cleared(poly_from_roots([F(1, 2), 3, 3, 7]))
-    assert _roots_above(p, F(0)) == (4, 0)
-    assert _roots_above(p, F(1, 2)) == (3, 1)
-    assert _roots_above(p, F(1)) == (3, 0)
-    assert _roots_above(p, F(3)) == (1, 2)
-    assert _roots_above(p, F(10)) == (0, 0)
+    assert _roots_above(p, 0, 1) == (4, 0)
+    assert _roots_above(p, 1, 2) == (3, 1)
+    assert _roots_above(p, 1, 1) == (3, 0)
+    assert _roots_above(p, 3, 1) == (1, 2)
+    assert _roots_above(p, 10, 1) == (0, 0)
     b = cauchy_bound(p)
     assert all(r <= b for r in (F(1, 2), F(3), F(7)))
 
@@ -291,7 +291,7 @@ def test_roots_above_matches_fraction_counts(rational, irrational_sq, lead, x):
     bound = cauchy_bound(ip)
     for y in [x] + [r for r, _ in rational]:
         at = sum(m for r, m in rational if r == y)
-        assert _roots_above(ip, y) == (_fraction_count_with_multiplicity(p, y, bound), at), y
+        assert _roots_above(ip, y.numerator, y.denominator) == (_fraction_count_with_multiplicity(p, y, bound), at), y
 
 
 def test_prem_is_a_positive_multiple_of_the_remainder():

@@ -11,8 +11,8 @@ from freecert.tree import (
     ShadowSet,
     TreeError,
     ball_radius,
+    ball_rows,
     classify,
-    expand_tree,
     kernel_of_action,
     normal_form,
     parse_word,
@@ -117,9 +117,44 @@ def test_expand_tree_degrees():
         if depth < 3:
             deg = len(tree.neighbors(v))
             assert deg == coset_index(am, v[0])
-    assert expand_tree(am, radius=0) == {("A", ()): 0}
-    # ball of radius 1 around the A-vertex has [A:H] = 2 edges
-    assert len(expand_tree(am, radius=1)) == 1 + 2
+    assert ball_rows(am, 0) == [[None, None]]
+    # ball of radius 1 around the A-vertex has [A:H] = 2 edges: H itself,
+    # by the identity of A, and s H
+    assert ball_rows(am, 1) == [[None, None, 2], [0, 0], [0, 1]]
+    # a row inside the radius carries its vertex's degree, one on it none
+    rows = ball_rows(am, 3)
+    assert [row[2:] for row in rows] == [[coset_index(am, v[0])] if d < 3 else [] for v, d in ball.items()]
+
+
+def _vertices_of_rows(am, rows) -> list:
+    """The vertices the rows spell: a row's vertex has the other type than
+    its parent's, and its key is the parent's with the row's letter
+    appended, unless the letter is the identity of the parent's factor."""
+    out = []
+    for parent, letter, *_ in rows:
+        if parent is None:
+            out.append(("A", ()))
+            continue
+        tag, key = out[parent]
+        other = "B" if tag == "A" else "A"
+        out.append((other, key if letter == am.factor(tag).identity else key + ((tag, letter),)))
+    return out
+
+
+def test_ball_rows_spell_the_ball_in_its_order():
+    for am, radius in ((mod_amalgam(), 6), (s3_over_c2(), 5), (s3_over_a3(), 4)):
+        tree = BassSerreTree(am)
+        ball = tree.ball(tree.base_vertex("A"), radius)
+        rows = ball_rows(am, radius)
+        assert _vertices_of_rows(am, rows) == list(ball)
+        assert all(parent is None or parent < i for i, (parent, *_) in enumerate(rows))
+
+
+def test_ball_of_a_finite_tree_ends_with_its_last_vertex():
+    # C2 *_C2 C2 acts on a single edge, so the ball ends after one layer
+    # at any radius, here one `ball_radius` lets through
+    c2_over_c2 = AmalgamData(c2(), c2(), c2(), (0, 1), (0, 1))
+    assert ball_rows(c2_over_c2, 10**12) == [[None, None, 1], [0, 0, 1]]
 
 
 def test_ball_radius_refuses_exactly_the_balls_over_the_limit(monkeypatch):
@@ -137,7 +172,7 @@ def test_ball_radius_refuses_exactly_the_balls_over_the_limit(monkeypatch):
             else:
                 refused += 1
                 with pytest.raises(TreeError, match="MAX_BALL_VERTICES = 100"):
-                    expand_tree(am, radius)
+                    ball_rows(am, radius)
     assert refused >= 5
     with pytest.raises(TreeError, match="MAX_BALL_VERTICES"):
         ball_radius(c3_star_c3, 10**9)

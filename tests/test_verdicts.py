@@ -4,7 +4,6 @@ claims or result do not carry its verdict fails `verify` (exit 3).
 """
 
 import copy
-import json
 import re
 import time
 from pathlib import Path
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, mat_from, plane_from, point_from
+from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, dumps, mat_from, plane_from, point_from
 from freecert.checker import selfmap_at, selfmap_radii
 from freecert.cli import main
 from freecert.projective import Ball
@@ -177,7 +176,7 @@ def test_readme_exit_codes_are_the_tables():
 
 def _verify(tmp_path, cert: dict) -> int:
     path = tmp_path / "tampered.cert"
-    path.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    path.write_text(dumps(cert))
     return main(["verify", str(path)])
 
 
@@ -202,7 +201,8 @@ def goldens(tmp_path_factory) -> dict:
 
 @pytest.mark.parametrize("name", SUFFICING)
 def test_a_sufficing_golden_fails_without_claims_result_or_its_verdict(tmp_path, goldens, name):
-    for tamper in ({"claims": []}, {"result": {}}, {"verdict": _FLIP[goldens[name]["verdict"]]}):
+    cut = [{"claims": []}] if goldens[name]["claims"] else []  # `tree expand` has no claim to cut
+    for tamper in (*cut, {"result": {}}, {"verdict": _FLIP[goldens[name]["verdict"]]}):
         assert _verify(tmp_path, {**goldens[name], **tamper}) == 3, tamper
 
 
@@ -455,7 +455,7 @@ _ALL_FIELDS = sorted(set().union(*(row._named for row in VERDICTS.values())) | {
 #: asks for a table the header lacks, an input error (exit 2)
 _CLAIM_TYPES = {
     "matrix": ["word-eval", "contraction", "contraction-refuted", "point-plane-far", "selfmap-enclosure", "set-disjoint", "set-contains", "normal-membership", "oracle"],
-    "amalgam": ["tree-normal-form", "tree-classify", "tree-evidence", "shadow-disjoint", "tree-degree", "kernel", "oracle"],
+    "amalgam": ["tree-normal-form", "tree-classify", "tree-evidence", "shadow-disjoint", "kernel", "oracle"],
 }
 
 
@@ -471,8 +471,9 @@ def mutations(draw, certs: dict):
     cert = copy.deepcopy(certs[name])
     row, op = _row(cert), cert["task"]["op"]
     others = sorted({v for o, _, v in VERDICTS if o == op} - {cert["verdict"]})
-    kind = draw(st.sampled_from(["delete-claim", "edit", "remove", "add", "claim-key", "claim-field"] + ["verdict"] * bool(others)))
-    claim = draw(st.sampled_from(cert["claims"]))
+    on_claims = ["delete-claim", "claim-key", "claim-field"] if cert["claims"] else []  # `tree expand` has none
+    kind = draw(st.sampled_from(["edit", "remove", "add"] + on_claims + ["verdict"] * bool(others)))
+    claim = draw(st.sampled_from(cert["claims"])) if on_claims else None
     if kind == "delete-claim":
         cert["claims"].remove(claim)
     elif kind == "claim-key":

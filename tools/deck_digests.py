@@ -10,7 +10,8 @@ freecert sources under DIR the way `run.py` does: through `freecert.cli.main`,
 with every freecert `lru_cache` cleared first.  FILE gets one line per
 request: its label, the solve exit code, the sha256 of the certificate
 bytes and the exit code of `verify` on it ("-" where no certificate was
-written).
+written).  stderr gets the deck's split of solve and verify exit codes
+and the total bytes of its certificates.
 
 Two source trees give identical FILEs exactly when they give the same
 exit codes and certificate bytes on the whole deck, so diffing the file
@@ -28,6 +29,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,7 +62,7 @@ def main(argv=None) -> int:
             except Exception as e:  # a crash is recorded, not fatal
                 return f"crash:{type(e).__name__}"
 
-    lines = []
+    lines, total_bytes = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         prob, cert = Path(tmp) / "r.prob", Path(tmp) / "r.cert"
         for workload, n_rounds in ROUNDS.items():
@@ -71,9 +73,14 @@ def main(argv=None) -> int:
                     code = call([req.cmd, str(prob), "--out", str(cert)])
                     digest, vcode = "-", "-"
                     if cert.exists():
-                        digest = hashlib.sha256(cert.read_bytes()).hexdigest()
+                        data = cert.read_bytes()
+                        digest, total_bytes = hashlib.sha256(data).hexdigest(), total_bytes + len(data)
                         vcode = call(["verify", str(cert)])
                     lines.append(f"{workload} {len(lines):04d} {req.label} {code} {digest} {vcode}\n")
+    for column, name in ((3, "solve"), (5, "verify")):
+        split = Counter(line.split()[column] for line in lines)
+        print(f"{name} exit codes: " + ", ".join(f"{code} x{n}" for code, n in sorted(split.items())), file=sys.stderr)
+    print(f"certificate bytes: {total_bytes}", file=sys.stderr)
     if args.out is not None:
         args.out.write_text("".join(lines), encoding="utf-8")
         print(f"{len(lines)} requests -> {args.out}", file=sys.stderr)
