@@ -8,7 +8,15 @@ a scan of the integer rows finds the first entry of least valuation
 in row-major order, and its column and row are the candidates (that entry
 is the first pivot of the Smith elimination over the localization).
 At the archimedean place they are rational enclosures (power iteration
-with a residual bound against the certified second eigenvalue).
+with a residual bound against the certified second eigenvalue).  Both
+archimedean searches read one characteristic polynomial per matrix,
+`gram_charpoly`: the profile isolates its roots, and the power
+iteration continues the Krylov moments mu_i = x^T S^i x of each start
+column x by its recurrence (Cayley-Hamilton).  Every number the
+iteration tests is a moment: |v|^2, v.Sv and |Sv|^2 of the k-th iterate
+are mu_2k, mu_(2k+1) and mu_(2k+2) up to one positive factor, which the
+scale-free bound cancels; Sv = 0 iff mu_(2k+2) = 0, and the iterate
+stalls iff mu_2k mu_(2k+2) = mu_(2k+1)^2 (Cauchy-Schwarz).
 
 Fixed points are certified by a self-mapping ball: a region on which the
 map is certifiably L-Lipschitz with L < 1 and which it maps strictly into
@@ -122,19 +130,18 @@ def padic_exponents(rows, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _charpoly_gram(g: ProjMat) -> tuple[int, ...]:
-    """The characteristic polynomial of g^T g, lowest degree first, as the
-    primitive integer polynomial with a positive leading coefficient: the
-    key of `isolate_positive_roots`.
+@lru_cache(maxsize=4096)
+def gram_charpoly(g: ProjMat) -> tuple[int, ...]:
+    """(1, c_1, ..., c_n): the monic characteristic polynomial
+    lambda^n + c_1 lambda^(n-1) + ... + c_n of the integer Gram matrix
+    S = A^T A of `ProjMat.gram`, highest degree first.  A A^T has the same
+    one, so the profile and both power iterations of a matrix read it.
 
-    Faddeev-LeVerrier on the integer Gram matrix S of `ProjMat.gram`,
-    g^T g = S / s: M <- S (M + c_(k-1) I), c_k = -tr(M) / k.  An integer
-    matrix has an integer characteristic polynomial, so every division is
-    exact.  charpoly(S / s) = sum_k c_k lambda^(n-k) / s^k is monic, so
-    sum_k c_k s^(n-k) lambda^(n-k) over the gcd of its coefficients is
-    its denominator-cleared form.
+    Faddeev-LeVerrier: M <- S (M + c_(k-1) I), c_k = -tr(M) / k.  An
+    integer matrix has an integer characteristic polynomial, so every
+    division is exact.
     """
-    s_rows, scale = g.gram
+    s_rows, _ = g.gram
     n = len(s_rows)
     m = [[0] * n for _ in range(n)]
     coeffs = [1]  # c_0, the leading coefficient
@@ -147,6 +154,21 @@ def _charpoly_gram(g: ProjMat) -> tuple[int, ...]:
         if r:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
         coeffs.append(c)
+    return tuple(coeffs)
+
+
+def _charpoly_gram(g: ProjMat) -> tuple[int, ...]:
+    """The characteristic polynomial of g^T g, lowest degree first, as the
+    primitive integer polynomial with a positive leading coefficient: the
+    key of `isolate_positive_roots`.
+
+    g^T g = S / s, so charpoly(S / s) = sum_k c_k lambda^(n-k) / s^k with
+    the c_k of `gram_charpoly`, and sum_k c_k s^(n-k) lambda^(n-k) over
+    the gcd of its coefficients is its denominator-cleared form.
+    """
+    coeffs = gram_charpoly(g)
+    scale = g.gram[1]
+    n = len(coeffs) - 1
     # c_k multiplies lambda^(n-k)
     poly = [c * scale ** (n - k) for k, c in reversed(list(enumerate(coeffs)))]
     content = gcd(*poly)
@@ -208,45 +230,100 @@ class DirectionData(Record):
     __slots__ = ("attract", "attract_err_sq", "repel", "repel_err_sq")
 
 
-def _power_direction(s_rows, scale: int, lam2_hi: Rat) -> tuple[ProjPoint, Rat | None]:
+def _below(a: int, b: int, c: int, d: int) -> bool:
+    """a/b < c/d for integers a, c >= 0 and b, d > 0.  The cross products
+    are multiplied out only when the bit lengths leave the order open:
+    for positive a, c the product a d has a.bit_length() + d.bit_length()
+    bits or one fewer, and so has c b."""
+    e = a.bit_length() + d.bit_length() - c.bit_length() - b.bit_length()
+    if a and c and not -1 <= e <= 1:
+        return e < 0
+    return a * d < c * b
+
+
+def _power_direction(s_rows, scale: int, lam2_hi: Rat, charpoly: tuple[int, ...]) -> tuple[ProjPoint, tuple[int, int] | None]:
     """Candidate top eigendirection of the symmetric matrix S = s_rows / scale
     (integer rows) with a certified residual bound
-    sin^2(angle) <= |Su - ru|^2 / (|u|^2 (r - lam2_hi)^2).
+    sin^2(angle) <= |Su - ru|^2 / (|u|^2 (r - lam2_hi)^2),
+    as (numerator, denominator), or None when no iterate has r > lam2_hi.
 
-    The iterates are primitive integer vectors, the projective points of
-    power iteration from each nonzero column of S.  With u = s_rows v,
-    w = u.v and lam2_hi = p/q, the Rayleigh quotient r = w / (scale v.v)
-    exceeds lam2_hi iff q w > p scale v.v, and the bound is the rational
-    q^2 (v.v u.u - w^2) / (q w - p scale v.v)^2, compared as integer pairs.
+    Power iteration from each nonzero column of T, the integer rows over
+    their content d (S's eigenvectors, smaller moments), read off the
+    Krylov moments mu_i = x^T T^i x of its primitive multiple x.  The
+    k-th iterate v is the projective point of T^k x and u = s_rows v =
+    d T v, so with lam2_hi = p/q the Rayleigh quotient
+    r = u.v / (scale v.v) exceeds lam2_hi iff q d mu_(2k+1) > p scale mu_2k,
+    and the bound is the rational
+    (q d)^2 (mu_2k mu_(2k+2) - mu_(2k+1)^2) / (q d mu_(2k+1) - p scale mu_2k)^2,
+    compared as integer pairs.  Both sides have degree 4 in v, so this
+    is the bound of the primitive iterate and no gcd is taken.  The tests
+    are exact: u = 0 iff mu_(2k+2) = |T^(k+1) x|^2 = 0, and the next
+    point equals v, a stall on an eigenvector, iff u is a multiple of v:
+    the equality case mu_2k mu_(2k+2) = mu_(2k+1)^2 of Cauchy-Schwarz.
+
+    The first moments are dot products of the iterates T^k x; once n are
+    known, Cayley-Hamilton continues them by the n-term recurrence
+    mu_(i+n) = -(c_1 mu_(i+n-1) / d + ... + c_n mu_i / d^n) with the
+    (1, c_1, ..., c_n) of `charpoly`, the `gram_charpoly` of S, in n
+    products per moment in place of a matrix-vector product.  The point
+    of the best bound is built once, as the primitive vector of its T^k x.
     """
     n = len(s_rows)
     p, q = lam2_hi.numerator, lam2_hi.denominator
     p_scale = p * scale
-    best = ProjPoint._of(tuple(int(i == 0) for i in range(n)))
-    best_err = None  # (numerator, denominator) of best's bound
+    d = gcd(*map(gcd, *s_rows))
+    if d > 1:
+        s_rows = [[x // d for x in row] for row in s_rows]
+        q *= d
+    recur = None  # the recurrence's coefficients, lined up with mu_i .. mu_(i+n-1)
+    best_err = None  # (numerator, denominator) of the best bound
     for j in range(n):
         col = [row[j] for row in s_rows]
         if not any(col):
             continue
-        v = primitive(col)
-        for _ in range(ITER_BUDGET):
-            u = [sum(map(mul, row, v)) for row in s_rows]
-            if not any(u):
+        y = primitive(col)
+        ys = [y]  # T^k x while the moments are seeded
+        mu = [sum(map(mul, y, y))]
+        uu = mu[0]
+        for k in range(ITER_BUDGET):
+            vv = uu
+            if len(mu) < n:
+                u = [sum(map(mul, row, y)) for row in s_rows]
+                w, uu = sum(map(mul, u, y)), sum(map(mul, u, u))
+                mu += (w, uu)
+                ys.append(u)
+                y = u
+            else:
+                if recur is None:
+                    recur = [-c // d ** (n - i) for i, c in enumerate(charpoly[:0:-1])]
+                w = sum(map(mul, recur, mu[-n:]))
+                mu.append(w)
+                uu = sum(map(mul, recur, mu[-n:]))
+                mu.append(uu)
+            if not uu:
                 break
-            vv = sum(map(mul, v, v))
-            w = sum(map(mul, u, v))
+            slack = vv * uu - w * w
             gap = q * w - p_scale * vv
             if gap > 0:
-                num, den = q * q * (vv * sum(map(mul, u, u)) - w * w), gap * gap
-                if best_err is None or num * best_err[1] < best_err[0] * den:
-                    best, best_err = ProjPoint._of(v), (num, den)
+                num, den = q * q * slack, gap * gap
+                if best_err is None or _below(num, den, *best_err):
+                    best, best_err = (ys, k), (num, den)
                 if num << 80 <= den:
-                    return best, Fraction(num, den)
-            nxt = primitive(u)
-            if nxt == v:
+                    return _krylov_point(s_rows, *best), best_err
+            if not slack:
                 break  # stalled on an eigenvector; bound won't improve
-            v = nxt
-    return best, None if best_err is None else Fraction(*best_err)
+    if best_err is None:
+        return ProjPoint._of(tuple(int(i == 0) for i in range(n))), None
+    return _krylov_point(s_rows, *best), best_err
+
+
+def _krylov_point(t_rows, ys, k: int) -> ProjPoint:
+    """The projective point of T^k x, continuing the iterates
+    ys = (x, T x, ...) already built."""
+    y = ys[min(k, len(ys) - 1)]
+    for _ in range(len(ys) - 1, k):
+        y = [sum(map(mul, row, y)) for row in t_rows]
+    return ProjPoint._of(primitive(y))
 
 
 @lru_cache(maxsize=4096)
@@ -268,8 +345,11 @@ def direction_candidates(g: ProjMat) -> DirectionData:
         return DirectionData(ProjPoint._of(primitive([r[j] for r in rows])), Fraction(0), ProjHyperplane._of(primitive(rows[i])), Fraction(0))
     lam2_hi = singular_profile(g).values_sq[1].hi
     gtg, scale = g.gram
-    attract, a_err = _power_direction(gram_matrix(rows), scale, lam2_hi)
-    dual, r_err = _power_direction(gtg, scale, lam2_hi)
+    charpoly = gram_charpoly(g)  # g g^T and g^T g share it
+    attract, a_err = _power_direction(gram_matrix(rows), scale, lam2_hi, charpoly)
+    dual, r_err = _power_direction(gtg, scale, lam2_hi, charpoly)
+    a_err = None if a_err is None else Fraction(*a_err)
+    r_err = None if r_err is None else Fraction(*r_err)
     return DirectionData(attract, a_err, ProjHyperplane._of(dual.coords), r_err)
 
 

@@ -39,10 +39,12 @@ IntVec = tuple[int, ...]
 
 #: Largest matrix dimension of a problem file, and of a matrix, point or
 #: hyperplane of a certificate.  One archimedean `direction_candidates`
-#: (singular profile and power iteration) takes 0.1-0.2 s at n = 12 and
-#: 0.2-0.3 s at n = 16 on random entries in -9..9, a search certifies up
-#: to `cli.MAX_EXPONENT` such matrices, and `verify` re-runs it for each
-#: contraction claim, so a larger n would not fail but run for minutes.
+#: (singular profile and power iteration) takes up to 0.02 s at n = 12 and
+#: 0.04 s at n = 16 on random entries in -9..9 (one core of an Intel Xeon
+#: VM); its cost grows with n and with the entries' size, which grows in
+#: the powers a search takes.  A search certifies up to `cli.MAX_EXPONENT`
+#: such matrices, and `verify` re-runs it for each contraction claim, so
+#: a larger n would not fail but run ever longer.
 #: The contraction witness search stays bounded at any n: it tries at
 #: most `dynamics.WITNESS_POOL_MAX` points.
 MAX_DIM = 16

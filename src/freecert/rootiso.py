@@ -11,7 +11,9 @@ endpoints; a degenerate interval (lo == hi) marks an exactly known root.
 
 Polynomials are integer coefficient sequences, lowest degree first:
 `isolate_positive_roots` takes the tuple of the singular profiles'
-`_charpoly_gram`, and every other function a list.  Every later
+`_charpoly_gram`, the denominator-cleared form of the Faddeev-LeVerrier
+coefficients `dynamics.gram_charpoly` that the power iteration also
+reads, and every other function a list.  Every later
 polynomial is a positive multiple of the one it stands for, so roots and
 signs never change.  A polynomial is evaluated at num/den as the integer
 den^deg * f(num/den), which has the sign of f(num/den).

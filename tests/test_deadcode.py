@@ -427,15 +427,16 @@ def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
 #: The integer kernel: functions that run on cleared integers alone.
 INTEGER_KERNEL = {
     "projective.py": ("det", "_eliminate", "inverse_rows", "_kernel_intersection_point"),
-    "dynamics.py": ("padic_exponents", "_charpoly_gram"),
+    "dynamics.py": ("padic_exponents", "gram_charpoly", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
 }
 
 
 def test_integer_kernel_names_no_fraction():
     """Denominators are cleared once, by `scalar.clear_denominators`, on
     the way in; past that the determinant, the elimination, the inverse,
-    the p-adic exponents, the Gram characteristic polynomial and the
-    kernel of two covectors never build or name a `Fraction`."""
+    the p-adic exponents, the Gram characteristic polynomial, the Krylov
+    moments of the power iteration and the kernel of two covectors never
+    build or name a `Fraction`."""
     found = []
     for module, names in INTEGER_KERNEL.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
@@ -493,6 +494,40 @@ def test_root_isolation_sees_only_gram_polynomials():
     assert refs == [call.func]
     (arg,) = call.args
     assert not call.keywords and isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_charpoly_gram"
+
+
+def _takes_a_trace(node: ast.AST) -> bool:
+    """Whether node sums a diagonal, sum(m[i][i] for i in ...)."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum" and node.args):
+        return False
+    gen = node.args[0]
+    if not isinstance(gen, (ast.GeneratorExp, ast.ListComp)) or len(gen.generators) != 1:
+        return False
+    elt, target = gen.elt, gen.generators[0].target
+    return (
+        isinstance(elt, ast.Subscript)
+        and isinstance(elt.value, ast.Subscript)
+        and isinstance(target, ast.Name)
+        and getattr(elt.slice, "id", None) == getattr(elt.value.slice, "id", None) == target.id
+    )
+
+
+def test_one_characteristic_polynomial_loop():
+    """Faddeev-LeVerrier, a loop that takes the trace of a matrix product
+    each step, runs in one function, `dynamics.gram_charpoly`.  The
+    singular profile's root-isolation key and the Krylov recurrence of
+    the power iteration are both read from its coefficients, so a matrix
+    has one characteristic polynomial and both consumers call it."""
+    loops = sorted(
+        f"{path.stem}.{func.name}"
+        for path, tree in _trees(PACKAGE)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(loop, (ast.For, ast.While)) and any(map(_takes_a_trace, ast.walk(loop))) for loop in ast.walk(func))
+    )
+    assert loops == ["dynamics.gram_charpoly"]
+    readers = sorted(c for path, tree in _trees(PACKAGE) for c in _callers(tree, "gram_charpoly", path.stem))
+    assert readers == ["dynamics._charpoly_gram", "dynamics.direction_candidates"]
 
 
 def _json_calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freecert.dynamics import (
+    ITER_BUDGET,
+    _below,
     _charpoly_gram,
     _power_direction,
     _witness_pool,
@@ -15,6 +18,7 @@ from freecert.dynamics import (
     certify_very_proximal,
     contraction_gap_sq,
     direction_candidates,
+    gram_charpoly,
     padic_exponents,
     power_to_proximal,
     push_ball,
@@ -32,6 +36,7 @@ from freecert.projective import (
     dist_sq,
     dist_to_hyperplane_sq,
     gram_matrix,
+    primitive,
 )
 from freecert.rootiso import isolate_positive_roots, point
 from freecert.scalar import ARCH, clear_denominators, padic
@@ -518,7 +523,9 @@ def _power_directions(g: ProjMat) -> list:
     lam2_hi = singular_profile(g).values_sq[1].hi
     rows, _ = g._integer_form
     gtg, scale = g.gram
-    ours = [_power_direction(gram_matrix(rows), scale, lam2_hi), _power_direction(gtg, scale, lam2_hi)]
+    charpoly = gram_charpoly(g)
+    ours = [_power_direction(gram_matrix(rows), scale, lam2_hi, charpoly), _power_direction(gtg, scale, lam2_hi, charpoly)]
+    ours = [(point, None if err is None else F(*err)) for point, err in ours]
     cols = list(zip(*g.entries))
     ref = [fraction_power_direction(fraction_gram(g.entries), lam2_hi), fraction_power_direction(fraction_gram(cols), lam2_hi)]
     return [ours, ref]
@@ -537,10 +544,23 @@ def _assert_matches_fraction_reference(g: ProjMat) -> list:
 
 @st.composite
 def arch_matrices(draw):
-    n = draw(st.integers(2, 7))
-    nums = draw(st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n))
-    dens = draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n) | st.just([1] * (n * n)))
-    rows = tuple(tuple(F(nums[i * n + j], dens[i * n + j]) for j in range(n)) for i in range(n))
+    """Invertible archimedean matrices: entries -6..6 over 1..4, n = 2..7;
+    or c P + E with P a signed permutation matrix, c in 8..16 and E in
+    {-1, 0, 1}, n = 2..5, whose singular values all lie within |E| of c.
+    Their top two are near-equal, so the power iteration converges slowly
+    and goes on past its first start column."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        c = draw(st.integers(8, 16))
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+        noise = draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+        rows = tuple(tuple(c * signs[i] * (perm[i] == j) + noise[i * n + j] for j in range(n)) for i in range(n))
+    else:
+        n = draw(st.integers(2, 7))
+        nums = draw(st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n))
+        dens = draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n) | st.just([1] * (n * n)))
+        rows = tuple(tuple(F(nums[i * n + j], dens[i * n + j]) for j in range(n)) for i in range(n))
     try:
         return ProjMat(rows, ARCH)
     except ValueError:  # singular
@@ -569,6 +589,59 @@ def test_power_direction_stalls_on_a_lower_eigenvector():
     g = diag(1, 2)
     ours, ref = _power_directions(g)
     assert ours == ref == [(E2, 0), (E2, 0)]
+
+
+#: analyze/contracting/4x4 of the highdim benchmark deck for seed 1000.
+#: Its squared singular values are about 206.4, 162.9, 48.0 and 1.7, so
+#: the bound falls by about (162.9 / 206.4)^2 = 0.62 per power-iteration
+#: step, to about 1e-15 after 64 steps, far above 2^-80.
+SLOW_4X4 = ((-8, 2, 5, -8), (-2, -4, -1, 4), (-8, -9, -3, 1), (1, -7, -2, -4))
+
+
+def test_power_direction_runs_every_column_to_the_budget():
+    """On both Gram matrices of SLOW_4X4, no start column reaches the
+    2^-80 return or a stall within ITER_BUDGET steps, so the best bound is
+    chosen across all four columns and their 64 iterates each; the Krylov
+    moments, continued by the recurrence, give the Fraction reference's
+    points and bounds, pinned by digest."""
+    g = ProjMat(SLOW_4X4, ARCH)
+    ours, ref = _power_directions(g)
+    assert ours == ref
+    rows, _ = g._integer_form
+    for s_rows, (_, err) in zip((gram_matrix(rows), g.gram[0]), ours):
+        assert err > F(1, 2**80)  # no early return
+        for j in range(g.dim):
+            v = primitive([row[j] for row in s_rows])
+            for _ in range(ITER_BUDGET):
+                u = primitive([sum(x * y for x, y in zip(row, v)) for row in s_rows])
+                assert u != v  # no stall
+                v = u
+    digests = [hashlib.sha256(f"{point.coords} {err}".encode()).hexdigest()[:16] for point, err in ours]
+    assert digests == ["2517e2116c570ad2", "463edac0d3a7b3cb"]
+    (_, a_err), (_, r_err) = ours
+    assert F(12, 10**16) < a_err < F(13, 10**16) and F(16, 10**15) < r_err < F(17, 10**15)
+
+
+def test_below_compares_fractions():
+    """`_below` decides a/b < c/d by bit lengths when they differ by two
+    or more, else by cross products; both give Fraction's order."""
+    small = range(17)
+    for a, b, c, d in itertools.product(small, small[1:], small, small[1:]):
+        assert _below(a, b, c, d) == (F(a, b) < F(c, d)), (a, b, c, d)
+    big = 3**200
+    assert _below(big, big + 1, 1, 1) and not _below(big + 1, big, 1, 1) and _below(0, big, 1, big)
+
+
+def test_power_direction_keeps_the_first_of_tied_bounds():
+    """g g^T = g^T g = [[101, 20], [20, 101]] commutes with the swap of
+    coordinates, so the iterates of the second start column mirror those
+    of the first and tie with their bounds, none reaching 2^-80 within
+    ITER_BUDGET steps.  The first column's last iterate, found first,
+    stays the best."""
+    ours, ref = _power_directions(ProjMat(((10, 1), (1, 10)), ARCH))
+    assert ours == ref
+    for point, err in ours:
+        assert point.coords[0] > point.coords[1] > 0 and err > F(1, 2**80)
 
 
 def test_double_irrational_squared_singular_values():

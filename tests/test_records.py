@@ -10,14 +10,17 @@ which keeps set iteration order and cache keys fixed.  A record refuses
 assignment once built.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
+import freecert
 from freecert.dynamics import ContractionCert, ProximalCert, Verdict
 from freecert.projective import Ball, HNbhd, ProjHyperplane, ProjPoint, ProjSet, ball, set_disjoint
 from freecert.rootiso import Interval
-from freecert.scalar import ARCH, DisjointVerdict, Place
+from freecert.scalar import ARCH, DisjointVerdict, Place, Record
 from freecert.synthesis import Budgets
 from freecert.tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, TreeAut, TreeError
 
@@ -186,3 +189,38 @@ def test_both_disjointness_tests_answer_with_one_verdict_record():
     b = tree.neighbors(a)[0]
     assert far == ShadowSet(tree, a, b).disjoint_from(ShadowSet(tree, b, a)) == DisjointVerdict("disjoint", None)
     assert ShadowSet(tree, a, b).disjoint_from(ShadowSet(tree, a, b)).kind == "overlap"
+
+
+def _defaulted_records() -> list[type]:
+    """Every `Record` subclass in the package with a default, by name."""
+    for info in pkgutil.iter_modules(freecert.__path__):
+        importlib.import_module(f"freecert.{info.name}")
+    found, todo = [], [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("freecert.") and sub._defaults:
+                found.append(sub)
+    return sorted(found, key=lambda c: c.__name__)
+
+
+def test_records_bind_trailing_defaults_the_same_both_ways():
+    """Positional values that leave only trailing defaulted fields out
+    take the class's `_tail`; `_bind`, the general path, gives the same
+    fields for every such count, and a count that leaves a field without
+    a default out still refuses."""
+    records = _defaulted_records()
+    assert {"Budgets", "DisjointVerdict", "ProximalCert", "Verdict"} <= {c.__name__ for c in records}
+    for cls in records:
+        assert cls.__init__ is Record.__init__
+        fields = cls._fields
+        given = len(fields) - len(cls._tail)
+        assert all(name in cls._defaults for name in fields[given:])
+        assert given == 0 or fields[given - 1] not in cls._defaults
+        values = tuple(object() for _ in fields)
+        for m in range(given, len(fields) + 1):
+            x = cls(*values[:m])
+            assert tuple(getattr(x, f) for f in fields) == cls._bind(values[:m], {}) == values[:m] + tuple(cls._defaults[f] for f in fields[m:])
+        if given:
+            with pytest.raises(TypeError, match=f"missing the field '{fields[given - 1]}'"):
+                cls(*values[: given - 1])
