@@ -30,6 +30,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from . import __version__
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
@@ -590,7 +591,7 @@ def amalgam_from(data: dict):
 
     def factor(tag: str) -> FiniteGroup:
         names = data.get(f"names_{tag}")
-        return FiniteGroup(tuple(tuple(r) for r in data[f"table_{tag}"]), tuple(names) if names else None)
+        return FiniteGroup(data[f"table_{tag}"], tuple(names) if names else None)
 
     return AmalgamData(factor("a"), factor("b"), factor("h"), tuple(data["embed_a"]), tuple(data["embed_b"]))
 
@@ -877,11 +878,12 @@ def _classify(b: Binding) -> None:
 
 def _expand(b: Binding) -> None:
     """The result's ball is `ball_rows` of the task's radius, row for row,
-    and its count the number of rows."""
+    and its count the number of rows.  Equal rows may still hold `true`
+    for 1, so the entries' types are read too."""
     rows, radius, count = b.result["ball"], b.task["radius"], b.result["count"]
     b.check(_ints(radius), "task radius is no integer")
     ball = ball_rows(b.ctx.amalgam, radius)
-    b.check(rows == ball and _ints(*(x for row in rows for x in row if x is not None)), "result ball is not the ball of the task's radius")
+    b.check(rows == ball and {int, type(None)}.issuperset(map(type, chain.from_iterable(rows))), "result ball is not the ball of the task's radius")
     b.check(_ints(count) and count == len(rows), "result count is not the listing's")
 
 

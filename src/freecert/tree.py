@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import repeat
+from operator import itemgetter
 
 from .scalar import DisjointVerdict, Record, word_tokens
 
@@ -37,29 +38,40 @@ class FiniteGroup(Record):
     __slots__ = ("table", "names", "_identity", "_inverse")
 
     def __init__(self, table: tuple[tuple[int, ...], ...], names: tuple[str, ...] | None = None) -> None:
-        n = len(table)
+        # Each check compares whole rows at C speed and, where that fails
+        # or raises, runs the element-wise scan, which names the first
+        # failing row, element or triple.
         tab = tuple(tuple(r) for r in table)
+        n = len(tab)
         for i, row in enumerate(tab):
-            if len(row) != n or any(not 0 <= x < n for x in row):
+            try:
+                ok = len(row) == n and 0 <= min(row) and max(row) < n
+            except TypeError:
+                ok = False
+            if not ok and (len(row) != n or any(not 0 <= x < n for x in row)):
                 raise TreeError(f"row {i} of the multiplication table is malformed")
-        ident = None
-        for e in range(n):
-            if all(tab[e][x] == x and tab[x][e] == x for x in range(n)):
-                ident = e
-                break
+        ids = tuple(range(n))
+        ident = next((e for e, row in enumerate(tab) if row == ids and tuple(map(itemgetter(e), tab)) == ids), None)
         if ident is None:
             raise TreeError("multiplication table has no identity")
         inv = []
-        for x in range(n):
-            xi = next((y for y in range(n) if tab[x][y] == ident and tab[y][x] == ident), None)
+        for x, row in enumerate(tab):
+            xi = row.index(ident) if ident in row else None
+            if xi is not None and tab[xi][x] != ident:  # a right inverse only: the scan looks further
+                xi = next((y for y in range(xi + 1, n) if row[y] == ident and tab[y][x] == ident), None)
             if xi is None:
                 raise TreeError(f"element {x} has no inverse")
             inv.append(xi)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                        raise TreeError(f"associativity fails at ({a}, {b}, {c})")
+        # (ab)c = a(bc) for every c: the row of ab is the row of b read
+        # through the row of a.  For n = 1 a getter returns no tuple and
+        # the scan decides.
+        through = [itemgetter(*row) for row in tab]
+        for a, row_a in enumerate(tab):
+            for b, ab in enumerate(row_a):
+                if tab[ab] != through[b](row_a):
+                    for c in range(n):
+                        if tab[ab][c] != row_a[tab[b][c]]:
+                            raise TreeError(f"associativity fails at ({a}, {b}, {c})")
         if names is not None:
             names = tuple(names)
             if len(names) != n or len(set(names)) != n:
@@ -92,7 +104,7 @@ Letter = tuple[str, int]  # ("A" | "B", element index in that factor)
 class AmalgamData(Record):
     """A *_H B with finite factors, H given by injections into both."""
 
-    __slots__ = ("group_a", "group_b", "group_h", "embed_a", "embed_b", "_h_in_a", "_h_in_b", "_transversal")
+    __slots__ = ("group_a", "group_b", "group_h", "embed_a", "embed_b", "_h_in_a", "_h_in_b", "_coset_rep", "_transversal")
 
     def __init__(
         self, group_a: FiniteGroup, group_b: FiniteGroup, group_h: FiniteGroup, embed_a: tuple[int, ...], embed_b: tuple[int, ...]
@@ -102,15 +114,27 @@ class AmalgamData(Record):
             emb = tuple(emb)
             if len(emb) != group_h.order or len(set(emb)) != len(emb):
                 raise TreeError(f"embedding into {tag} is not injective")
-            for x in range(group_h.order):
-                for y in range(group_h.order):
-                    if grp.mul(emb[x], emb[y]) != emb[group_h.mul(x, y)]:
-                        raise TreeError(f"embedding into {tag} is not a homomorphism at ({x}, {y})")
+            # emb(x) emb(y) = emb(xy) for every y: the row of emb(x) read
+            # at the image equals the image read at the row of x.  Where
+            # that fails or raises, the scan names the first failing pair.
+            at_image = itemgetter(*emb)
+            for x, row in enumerate(group_h.table):
+                try:
+                    ok = at_image(grp.table[emb[x]]) == itemgetter(*row)(emb)
+                except (IndexError, TypeError):
+                    ok = False
+                if not ok:
+                    for y in range(group_h.order):
+                        if grp.mul(emb[x], emb[y]) != emb[group_h.mul(x, y)]:
+                            raise TreeError(f"embedding into {tag} is not a homomorphism at ({x}, {y})")
             embeds.append(emb)
         Record.__init__(self, group_a, group_b, group_h, *embeds)
         object.__setattr__(self, "_h_in_a", {a: h for h, a in enumerate(self.embed_a)})
         object.__setattr__(self, "_h_in_b", {b: h for h, b in enumerate(self.embed_b)})
-        object.__setattr__(self, "_transversal", {"A": self._cosets("A"), "B": self._cosets("B")})
+        reps = {"A": self._cosets("A"), "B": self._cosets("B")}
+        object.__setattr__(self, "_coset_rep", reps)
+        transversal = {tag: tuple(sorted(set(rep.values()) - {self.factor(tag).identity})) for tag, rep in reps.items()}
+        object.__setattr__(self, "_transversal", transversal)
 
     def factor(self, tag: str) -> FiniteGroup:
         return self.group_a if tag == "A" else self.group_b
@@ -128,23 +152,18 @@ class AmalgamData(Record):
         grp = self.factor(tag)
         emb = self.embed_a if tag == "A" else self.embed_b
         rep_of: dict[int, int] = {}
-        for x in range(grp.order):
-            if x in rep_of:
-                continue
-            coset = sorted(grp.mul(x, e) for e in emb)
-            rep = grp.identity if grp.identity in coset else min(coset)
-            for y in coset:
-                rep_of[y] = rep
+        for x, row in enumerate(grp.table):
+            if x not in rep_of:
+                coset = [row[e] for e in emb]
+                rep_of.update(dict.fromkeys(coset, grp.identity if grp.identity in coset else min(coset)))
         return rep_of
 
     def coset_rep(self, tag: str, x: int) -> int:
-        return self._transversal[tag][x]
+        return self._coset_rep[tag][x]
 
-    def transversal(self, tag: str) -> list[int]:
+    def transversal(self, tag: str) -> tuple[int, ...]:
         """Nontrivial coset representatives, ascending."""
-        grp = self.factor(tag)
-        reps = sorted(set(self._transversal[tag].values()))
-        return [r for r in reps if r != grp.identity]
+        return self._transversal[tag]
 
     def letter_names(self) -> dict[str, Letter]:
         out: dict[str, Letter] = {}
@@ -292,15 +311,12 @@ class BassSerreTree:
             return cached
         tag, key = v
         other = "B" if tag == "A" else "A"
-        out: list[Vertex] = []
-        # the edge through this vertex's own coset
-        out.append((other, key[:-1] if key and key[-1][0] == other else key))
-        for t in self.amalgam.transversal(tag):
-            ext = key + ((tag, t),)
-            out.append((other, ext))
-        uniq = tuple(dict.fromkeys(out))
-        self._adj[v] = uniq
-        return uniq
+        # the edge through this vertex's own coset, then the edges t H, whose
+        # keys are one letter longer than any other neighbour's: all distinct
+        out = ((other, key[:-1] if key and key[-1][0] == other else key),)
+        out += tuple((other, key + ((tag, t),)) for t in self.amalgam.transversal(tag))
+        self._adj[v] = out
+        return out
 
     def act(self, w: TreeAut, v: Vertex) -> Vertex:
         tag, key = v
@@ -310,6 +326,9 @@ class BassSerreTree:
         return self.vertex_of(g, tag)
 
     def ball(self, center: Vertex, radius: int) -> dict[Vertex, int]:
+        """The depth of every vertex within `radius` of `center`, in
+        breadth-first order: vertex by vertex, the ball that `ball_rows`
+        lists by index arithmetic."""
         depth = {center: 0}
         frontier = [center]
         for d in range(1, radius + 1):
@@ -372,26 +391,36 @@ def ball_radius(amalgam: AmalgamData, radius: int) -> int:
 
 def ball_rows(amalgam: AmalgamData, radius: int) -> list[list]:
     """The ball of `radius` around the base vertex of A, one row per
-    vertex in the breadth-first order of `BassSerreTree.ball`.  The row of
-    a vertex g t X whose parent is g Y is [the parent's row, t], with t
-    the representative in Y of the edge's coset g t H, the identity of Y
-    for g H; a vertex inside the radius adds its degree.  The base
-    vertex's row has a null parent and letter.  Refused, as by
-    `ball_radius`, past MAX_BALL_VERTICES vertices."""
+    vertex in breadth-first order.  The row of a vertex g t X whose parent
+    is g Y is [the parent's row, t], with t the representative in Y of the
+    edge's coset g t H, the identity of Y for g H; a vertex inside the
+    radius adds its degree.  The base vertex's row has a null parent and
+    letter.  Refused, as by `ball_radius`, past MAX_BALL_VERTICES vertices.
+
+    The rows follow from the coset indices alone, with no vertex built.
+    Factors alternate along every path, so a vertex at even depth is one
+    of A and at odd depth one of B.  A vertex g Y lies on one edge g y H
+    per coset of H in Y: the edge g H toward its parent, and one edge per
+    nontrivial representative t, whose far end g t X is a child.  So its
+    degree is 1 + |transversal of Y|, and its children come in ascending
+    order of t.  The base vertex has no parent, and its edge H leads to
+    the child 1 B, with A's identity as letter, listed first."""
     ball_radius(amalgam, radius)
-    tree = BassSerreTree(amalgam)
-    depth = tree.ball(tree.base_vertex("A"), radius)
-    rows = {v: [None, None] for v in depth}
-    for i, (vertex, d) in enumerate(depth.items()):
-        if d == radius:
-            continue
-        around = tree.neighbors(vertex)
-        rows[vertex].append(len(around))
-        tag, key = vertex
-        for child in around:
-            if depth[child] > d:  # not the parent
-                rows[child] = [i, child[1][-1][1] if len(child[1]) > len(key) else amalgam.factor(tag).identity]
-    return list(rows.values())
+    rows: list[list] = [[None, None]]
+    start = 0
+    for depth in range(radius):
+        end = len(rows)
+        if start == end:  # a finite tree: no vertex is further out
+            break
+        transversal = amalgam.transversal("A" if depth % 2 == 0 else "B")
+        degree = 1 + len(transversal)
+        for i in range(start, end):
+            rows[i].append(degree)
+            if i == 0:
+                rows.append([0, amalgam.group_a.identity])
+            rows.extend([i, t] for t in transversal)
+        start = end
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +590,7 @@ class TreeEvidence(Record):
         g = player.element
         a_plus, r_plus, _, _ = expected = axis_shadow_sets(tree, g, cls)
         for (label, s), e in zip(player.sets(), expected):
-            if (s.x, s.y) != (e.x, e.y):
+            if s != e:
                 return False, f"{player.name}: declared {label} does not match the axis data"
         # re-derive the forward identity g(Shadow_{x->y} complement) = A+
         gx, gy = tree.act(g, r_plus.y), tree.act(g, r_plus.x)

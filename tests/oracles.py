@@ -11,7 +11,7 @@ from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim
 from freecert.scalar import cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper, word_string
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
-from freecert.tree import DEFAULT_RADIUS, FiniteGroup, TreeError
+from freecert.tree import DEFAULT_RADIUS, BassSerreTree, FiniteGroup, TreeError
 
 
 def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -120,6 +120,66 @@ def group_from_permutations(gens: list[tuple[int, ...]]) -> FiniteGroup:
     elems.sort()
     index = {p: i for i, p in enumerate(elems)}
     return FiniteGroup(tuple(tuple(index[tuple(p[q[i]] for i in range(deg))] for q in elems) for p in elems))
+
+
+def group_table_scan(table) -> tuple[int, tuple[int, ...]]:
+    """The identity and inverses of a multiplication table, or the
+    TreeError of its first malformed row, missing inverse or failing
+    triple, by element-wise scans (reference for the row checks of
+    `FiniteGroup`)."""
+    tab = tuple(tuple(r) for r in table)
+    n = len(tab)
+    for i, row in enumerate(tab):
+        if len(row) != n or any(not 0 <= x < n for x in row):
+            raise TreeError(f"row {i} of the multiplication table is malformed")
+    ident = next((e for e in range(n) if all(tab[e][x] == x and tab[x][e] == x for x in range(n))), None)
+    if ident is None:
+        raise TreeError("multiplication table has no identity")
+    inv = []
+    for x in range(n):
+        xi = next((y for y in range(n) if tab[x][y] == ident and tab[y][x] == ident), None)
+        if xi is None:
+            raise TreeError(f"element {x} has no inverse")
+        inv.append(xi)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
+                    raise TreeError(f"associativity fails at ({a}, {b}, {c})")
+    return ident, tuple(inv)
+
+
+def embedding_scan(group_a, group_b, group_h, embed_a, embed_b) -> None:
+    """The TreeError of the first embedding of H that is not injective or
+    not a homomorphism, at its first failing pair, by element-wise scans
+    (reference for the row checks of `AmalgamData`)."""
+    for tag, grp, emb in (("A", group_a, embed_a), ("B", group_b, embed_b)):
+        emb = tuple(emb)
+        if len(emb) != group_h.order or len(set(emb)) != len(emb):
+            raise TreeError(f"embedding into {tag} is not injective")
+        for x in range(group_h.order):
+            for y in range(group_h.order):
+                if grp.mul(emb[x], emb[y]) != emb[group_h.mul(x, y)]:
+                    raise TreeError(f"embedding into {tag} is not a homomorphism at ({x}, {y})")
+
+
+def ball_rows_bfs(amalgam, radius: int) -> list[list]:
+    """The rows of `tree.ball_rows`, read off the vertices of the
+    breadth-first `BassSerreTree.ball` and their `neighbors` (reference
+    for its index arithmetic)."""
+    tree = BassSerreTree(amalgam)
+    depth = tree.ball(tree.base_vertex("A"), radius)
+    rows = {v: [None, None] for v in depth}
+    for i, (vertex, d) in enumerate(depth.items()):
+        if d == radius:
+            continue
+        around = tree.neighbors(vertex)
+        rows[vertex].append(len(around))
+        tag, key = vertex
+        for child in around:
+            if depth[child] > d:  # not the parent
+                rows[child] = [i, child[1][-1][1] if len(child[1]) > len(key) else amalgam.factor(tag).identity]
+    return list(rows.values())
 
 
 def coset_index(amalgam, tag: str) -> int:

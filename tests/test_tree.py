@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freecert import tree as tree_module
-from freecert.pingpong import freeness_oracle
+from freecert.pingpong import PingPongPlayer, freeness_oracle
 from freecert.tree import (
     AmalgamData,
     BassSerreTree,
@@ -18,7 +20,18 @@ from freecert.tree import (
     parse_word,
     tree_pingpong,
 )
-from oracles import all_subgroups, coset_index, geodesic_bfs, group_from_permutations, higman_neumann_applicable, min_displacement, shadow_member
+from oracles import (
+    all_subgroups,
+    ball_rows_bfs,
+    coset_index,
+    embedding_scan,
+    geodesic_bfs,
+    group_from_permutations,
+    group_table_scan,
+    higman_neumann_applicable,
+    min_displacement,
+    shadow_member,
+)
 
 
 def c2():
@@ -71,6 +84,80 @@ def test_amalgam_embedding_validation():
     with pytest.raises(TreeError):
         # wrong homomorphism: send generator of C2 to t in C3
         AmalgamData(c3(), c3(), c2(), (0, 1), (0, 1))
+
+
+def _outcome(build):
+    """What `build()` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _cyclic(n: int) -> tuple:
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+# every group of order <= 4, as tables
+SMALL_TABLES = [_cyclic(1), _cyclic(2), _cyclic(3), _cyclic(4), ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))]
+
+
+@st.composite
+def _tables(draw):
+    """A table of order <= 4: a group's with up to three entries changed,
+    or one drawn entry by entry, and now and then a row one entry short or
+    long.  Entries are mostly in 0..n-1, sometimes -1 or n, and rarely no
+    integer at all."""
+    n = draw(st.integers(1, 4))
+
+    def entry():
+        roll = draw(st.integers(0, 29))  # Hypothesis favours small draws
+        return draw(st.sampled_from(range(n) if roll < 27 else [-1, n] if roll < 29 else [True, "1", None]))
+
+    if draw(st.integers(0, 7)) < 7:
+        table = [list(row) for row in draw(st.sampled_from([t for t in SMALL_TABLES if len(t) == n]))]
+        # the identity is 0: a change off its row and column keeps it
+        low = draw(st.integers(0, min(1, n - 1)))
+        for _ in range(draw(st.integers(1, 3))):
+            table[draw(st.integers(low, n - 1))][draw(st.integers(low, n - 1))] = entry()
+    else:
+        table = [[entry() for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 7)) == 7:
+        i = draw(st.integers(0, n - 1))
+        table[i] = table[i][:-1] if draw(st.booleans()) else table[i] + [0]
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables())
+def test_group_table_checks_match_the_element_wise_scans(table):
+    def checked():
+        g = FiniteGroup(table)
+        return g.identity, tuple(map(g.inv, range(g.order)))
+
+    assert _outcome(checked) == _outcome(lambda: group_table_scan(table))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_embedding_checks_match_the_element_wise_scans(data):
+    a, b, h = (FiniteGroup(data.draw(st.sampled_from(SMALL_TABLES))) for _ in range(3))
+
+    def embedding(grp):
+        # a random map is seldom injective, and an injective one seldom a
+        # homomorphism: half are drawn as homomorphisms where there are
+        # any, a quarter as injective maps
+        kind = data.draw(st.integers(0, 3))
+        homs = [f for f in itertools.permutations(range(grp.order), h.order) if _outcome(lambda: embedding_scan(grp, grp, h, f, f)) is None]
+        if kind < 2 and homs:
+            return data.draw(st.sampled_from(homs))
+        unique = kind < 3 and h.order <= grp.order + 2
+        size = h.order if unique else data.draw(st.sampled_from([h.order, h.order - 1, h.order + 1]))
+        return tuple(data.draw(st.lists(st.integers(-1, grp.order), min_size=size, max_size=size, unique=unique)))
+
+    embed_a, embed_b = embedding(a), embedding(b)
+    built = _outcome(lambda: AmalgamData(a, b, h, embed_a, embed_b))
+    assert (None if isinstance(built, AmalgamData) else built) == _outcome(lambda: embedding_scan(a, b, h, embed_a, embed_b))
 
 
 def test_normal_form_oracle_values():
@@ -148,6 +235,18 @@ def test_ball_rows_spell_the_ball_in_its_order():
         rows = ball_rows(am, radius)
         assert _vertices_of_rows(am, rows) == list(ball)
         assert all(parent is None or parent < i for i, (parent, *_) in enumerate(rows))
+
+
+def test_ball_rows_match_the_vertex_bfs():
+    c2_over_c2_in_s3 = AmalgamData(c2(), s3(), c2(), (0, 1), (0, 1))  # a finite tree: a star of 3 edges
+    s3_over_s3 = AmalgamData(s3(), s3(), s3(), tuple(range(6)), tuple(range(6)))  # a single edge
+    for am in (mod_amalgam(), s3_over_c2(), s3_over_a3(), c2_over_c2_in_s3, s3_over_s3):
+        for radius in range(9):
+            try:
+                ball_radius(am, radius)
+            except TreeError:
+                break
+            assert ball_rows(am, radius) == ball_rows_bfs(am, radius)
 
 
 def test_ball_of_a_finite_tree_ends_with_its_last_vertex():
@@ -278,6 +377,21 @@ def test_tree_pingpong_duplicates_refuted():
     st = parse_word(am, "s t")
     out = tree_pingpong([st, st], am)
     assert out.verdict == "refuted"
+
+
+def test_tree_evidence_refuses_a_declared_shadow_off_the_axis():
+    am = mod_amalgam()
+    g = parse_word(am, "s t s t")
+    player = tree_pingpong([g], am).players[0]
+    evidence = player.evidence
+    assert evidence.check_mapping(player) == (True, "")
+    a_plus = player.a_plus
+    # equal on another tree object, since a shadow compares by its edge
+    same = ShadowSet(BassSerreTree(am), a_plus.x, a_plus.y)
+    assert evidence.check_mapping(PingPongPlayer(player.name, g, same, player.r_plus, player.a_minus, player.r_minus, evidence)) == (True, "")
+    flipped = ShadowSet(a_plus.tree, a_plus.y, a_plus.x)
+    off_axis = PingPongPlayer(player.name, g, flipped, player.r_plus, player.a_minus, player.r_minus, evidence)
+    assert evidence.check_mapping(off_axis) == (False, "t0: declared A+ does not match the axis data")
 
 
 def test_tree_pingpong_elliptic_rejected():

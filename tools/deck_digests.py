@@ -11,8 +11,9 @@ with every freecert `lru_cache` cleared first.  FILE gets one line per
 request: its label, the solve exit code, the sha256 of the certificate
 bytes and the exit code of `verify` on it ("-" where no certificate was
 written).  stderr gets the deck's split of solve and verify exit codes,
-each workload's summed in-process solve and verify seconds, and the
-total bytes of its certificates.
+each workload's summed in-process solve and verify seconds, followed by
+those of each of its strata (the requests of one label), and the total
+bytes of its certificates.
 
 Two source trees give identical FILEs exactly when they give the same
 exit codes and certificate bytes on the whole deck, so diffing the file
@@ -55,9 +56,9 @@ def main(argv=None) -> int:
     cli_main = load_freecert(args.src.resolve())
     caches = find_caches()
 
-    seconds = defaultdict(float)  # (workload, "solve" or "verify") -> summed wall time
+    seconds = defaultdict(lambda: [0.0, 0.0])  # (workload, label) -> summed solve and verify wall time
 
-    def call(argv: list[str], key: tuple[str, str]):
+    def call(argv: list[str], times: list[float], kind: int):
         for c in caches:
             c.cache_clear()
         start = time.perf_counter()
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
             except Exception as e:  # a crash is recorded, not fatal
                 return f"crash:{type(e).__name__}"
             finally:
-                seconds[key] += time.perf_counter() - start
+                times[kind] += time.perf_counter() - start
 
     lines, total_bytes = [], 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,18 +78,22 @@ def main(argv=None) -> int:
                 for req in rnd:
                     prob.write_text(req.text, encoding="utf-8")
                     cert.unlink(missing_ok=True)
-                    code = call([req.cmd, str(prob), "--out", str(cert)], (workload, "solve"))
+                    times = seconds[workload, req.label]
+                    code = call([req.cmd, str(prob), "--out", str(cert)], times, 0)
                     digest, vcode = "-", "-"
                     if cert.exists():
                         data = cert.read_bytes()
                         digest, total_bytes = hashlib.sha256(data).hexdigest(), total_bytes + len(data)
-                        vcode = call(["verify", str(cert)], (workload, "verify"))
+                        vcode = call(["verify", str(cert)], times, 1)
                     lines.append(f"{workload} {len(lines):04d} {req.label} {code} {digest} {vcode}\n")
     for column, name in ((3, "solve"), (5, "verify")):
         split = Counter(line.split()[column] for line in lines)
         print(f"{name} exit codes: " + ", ".join(f"{code} x{n}" for code, n in sorted(split.items())), file=sys.stderr)
     for workload in ROUNDS:
-        print(f"{workload}: solve {seconds[workload, 'solve']:.3f} s, verify {seconds[workload, 'verify']:.3f} s", file=sys.stderr)
+        strata = {label: times for (w, label), times in seconds.items() if w == workload}
+        rows = [(workload, *map(sum, zip(*strata.values())))] + [(f"  {label}", *times) for label, times in strata.items()]
+        for name, solve, verify in rows:
+            print(f"{name}: solve {solve:.3f} s, verify {verify:.3f} s", file=sys.stderr)
     print(f"certificate bytes: {total_bytes}", file=sys.stderr)
     if args.out is not None:
         args.out.write_text("".join(lines), encoding="utf-8")
