@@ -49,7 +49,7 @@ from .projective import (
     set_disjoint,
     word_inverse,
 )
-from .scalar import PAIR_LABELS, VERY_PAIRS, Place, Rat, Record, format_rat, pair_count, parse_place, tuple_pairs, word_tokens
+from .scalar import PAIR_LABELS, VERY_PAIRS, Place, Rat, Record, format_rat, letter_count, pair_count, parse_place, tuple_pairs
 from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, ball_rows, classify, kernel_of_action, parse_word
 
 FORMAT = "freecert-certificate/2"
@@ -60,6 +60,16 @@ FORMAT = "freecert-certificate/2"
 #: value would not fail but run for minutes.  `verify` refuses a larger
 #: `max_n` before it forms g^n, which at n = 10^6 took seconds.
 MAX_EXPONENT = 64
+#: Most letters a problem-file word may expand to.  Each letter is a
+#: matrix product whose entries grow with the word, or a tree normal-form
+#: step, so a long word would not fail but run for minutes and overflow
+#: the certificate's numbers.
+MAX_WORD_LEN = 64
+#: Longest key `verify` reads for a shadow vertex, in letters.  The axis
+#: of a word of L letters runs through c y, with c its `_cyclic_reduce`
+#: conjugator, y a prefix of its core or of the core's inverse and
+#: |c| + |core| <= L.  A geodesic costs the square of its keys' length.
+MAX_VERTEX_KEY = MAX_WORD_LEN
 #: Longest word the freeness oracle may be asked to search.  It stores
 #: the reduced words of half that length, (2k)(2k - 1)^(L/2 - 1) of them
 #: for k players, which `pingpong.MAX_ORACLE_WORDS` bounds as well.
@@ -245,6 +255,8 @@ def _int(x) -> int:
 
 
 def _vertex_from(data) -> tuple:
+    if len(data[1]) > MAX_VERTEX_KEY:
+        raise VerifyError(f"vertex key of {len(data[1])} letters exceeds MAX_VERTEX_KEY = {MAX_VERTEX_KEY}")
     return (data[0], tuple((l[0], l[1] if type(l[1]) is int else _int(l[1])) for l in data[1]))
 
 
@@ -605,7 +617,7 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
         syllables, tail = claim["syllables"], claim["tail"]
         return [[*s] for s in w.syllables] == syllables and w.tail == tail and _ints(tail, *(i for _, i in syllables))
     if kind == "tree-classify":
-        out = classify(parse_word(am, claim["word"]), am)
+        out = classify(parse_word(am, claim["word"]))
         length = claim["translation_length"]
         return out.kind == claim["kind"] and out.translation_length == length and (length is None or _ints(length))
     if kind == "shadow-disjoint":
@@ -613,14 +625,13 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
         s1 = ShadowSet(tree, _vertex_from(claim["left"]["x"]), _vertex_from(claim["left"]["y"]))
         s2 = ShadowSet(tree, _vertex_from(claim["right"]["x"]), _vertex_from(claim["right"]["y"]))
         return s1.disjoint_from(s2).kind == "disjoint"
-    if kind == "tree-evidence":
-        g = parse_word(am, claim["word"])
-        cls = classify(g, am)
-        if cls.kind != "hyperbolic":
-            return False
-        sets = [shadow_json(s) for s in axis_shadow_sets(ctx.tree, g, cls)]
-        return sets == claim["sets"] and _ints(*(i for s in claim["sets"] for v in (s["x"], s["y"]) for _, i in v[1]))
-    raise VerifyError(f"unknown tree claim {kind!r}")
+    # tree-evidence, the last kind `check_claim` sends here
+    g = parse_word(am, claim["word"])
+    cls = classify(g)
+    if cls.kind != "hyperbolic":
+        return False
+    sets = [shadow_json(s) for s in axis_shadow_sets(ctx.tree, g, cls)]
+    return sets == claim["sets"] and _ints(*(i for s in claim["sets"] for v in (s["x"], s["y"]) for _, i in v[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +736,7 @@ def _relation(b: Binding) -> None:
     players, max_len, word, names = b.task["players"], b.task["oracle_len"], b.given().get("word"), b.given().get("names")
     b.check(_ints(max_len) and 1 <= max_len <= MAX_ORACLE_LEN, f"oracle_len is outside 1..MAX_ORACLE_LEN = {MAX_ORACLE_LEN}")
     b.check(isinstance(names, list) and sorted(names) == sorted(players), "oracle names are not the task's players")
-    b.check(1 <= sum(abs(k) for _, k in word_tokens(word)) <= max_len, f"relation {word!r} is not of 1 to {max_len} letters")
+    b.check(1 <= letter_count(word) <= max_len, f"relation {word!r} is not of 1 to {max_len} letters")
     group = MarkedGroup(tuple((name, b.ctx.eval(players[name])) for name in names))
     w = group.parse_word(word)
     b.check(group.word_str(w) == word, f"relation {word!r} is not freely reduced")

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import certfmt
-from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, PRODENSE_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
+from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, MAX_WORD_LEN, PRODENSE_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
 from .certfmt import shadow_json, vertex_json
 from .dynamics import (
     certify_contracting,
@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .pingpong import MAX_ORACLE_WORDS, PingPongPlayer, certify_tuple, freeness_oracle, oracle_words, simple_player
 from .projective import MAX_DIM, MarkedGroup, ProjHyperplane, ProjMat, ProjPoint, ProjSet, Word, ball, concat, hnbhd, word_inverse
-from .scalar import ARCH, Place, parse_place, parse_rat, word_tokens
+from .scalar import ARCH, Place, letter_count, parse_place, parse_rat
 from .synthesis import (
     Budgets,
     NormalData,
@@ -58,11 +58,6 @@ EXIT_INPUT = 2
 #: certifies every pair of words up to that length, 2809 pairs for two
 #: generators at length 3, so a longer one would run for minutes.
 MAX_SEARCH_WORD_LEN = 3
-#: Most letters a problem-file word may expand to.  Each letter is a
-#: matrix product whose entries grow with the word, or a tree normal-form
-#: step, so a long word would not fail but run for minutes and overflow
-#: the certificate's numbers.
-MAX_WORD_LEN = 64
 #: Largest height of a problem-file matrix word: the sum, over its
 #: letters, of the bit length of the largest entry of the letter's
 #: primitive integer matrix.  That bounds the bits of the word's entries,
@@ -231,10 +226,11 @@ def parse_problem(text: str) -> Problem:
             continue
         body = stripped.strip()
         if pending_table is not None:
-            if all(tok.lstrip("-").isdigit() for tok in body.split()):
+            try:  # a line of integers is a table row
                 table_rows.append([int(t) for t in body.split()])
                 continue
-            close_table(line_no)
+            except ValueError:
+                close_table(line_no)
         if body.startswith("[") and body.endswith("]"):
             section = body[1:-1].strip()
             if section not in ("matrix-group", "amalgam", "task"):
@@ -350,7 +346,7 @@ def _budget(spec: str, what: str = "budget") -> tuple[str, int]:
 def _bounded(text: str) -> str:
     """`text`, refused when its word has more than MAX_WORD_LEN letters
     (a^n counts n), before any letter is expanded."""
-    letters = sum(abs(k) for _, k in word_tokens(text))
+    letters = letter_count(text)
     if letters > MAX_WORD_LEN:
         raise ValueError(f"word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
     return text
@@ -722,7 +718,7 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
         result = {"syllables": [list(s) for s in w.syllables], "tail": w.tail, "is_identity": w.is_identity()}
         return emit("ok", result, [certfmt.normal_form_claim(task["word"], result["syllables"], w.tail)])
     if subop == "classify":
-        out = classify(w, am)
+        out = classify(w)
         result = {"kind": out.kind}
         if out.kind == "hyperbolic":
             result["translation_length"] = out.translation_length

@@ -15,8 +15,8 @@ iteration continues the Krylov moments mu_i = x^T S^i x of each start
 column x by its recurrence (Cayley-Hamilton).  Every number the
 iteration tests is a moment: |v|^2, v.Sv and |Sv|^2 of the k-th iterate
 are mu_2k, mu_(2k+1) and mu_(2k+2) up to one positive factor, which the
-scale-free bound cancels; Sv = 0 iff mu_(2k+2) = 0, and the iterate
-stalls iff mu_2k mu_(2k+2) = mu_(2k+1)^2 (Cauchy-Schwarz).
+scale-free bound cancels, and the iterate stalls iff
+mu_2k mu_(2k+2) = mu_(2k+1)^2 (Cauchy-Schwarz).
 
 Fixed points are certified by a self-mapping ball: a region on which the
 map is certifiably L-Lipschitz with L < 1 and which it maps strictly into
@@ -73,14 +73,33 @@ class SingularProfile(Record):
 # ---------------------------------------------------------------------------
 
 
+def _padic_pivot(a, k: int, p: int, floor: int) -> tuple[int | None, int, int]:
+    """(v, i, j): the pivot of elimination step k, the first entry a[i][j]
+    of least valuation v in row-major order of the block a[k:][k:], found
+    by a scan that stops at `floor`, a lower bound; v is None on a zero block."""
+    best, pi, pj = None, k, k
+    n = len(a)
+    for i in range(k, n):
+        row = a[i]
+        for j in range(k, n):
+            x = row[j]
+            if x:
+                v = int_valuation(x, p)
+                if best is None or v < best:
+                    best, pi, pj = v, i, j
+                    if v == floor:
+                        return best, pi, pj
+    return best, pi, pj
+
+
 def padic_exponents(rows, p: int) -> list[int]:
     """Ascending elementary-divisor exponents of an invertible integer
     matrix over the localization of Z at p; |sigma_i| = p^(-e_i).
 
     Fraction-free (Bareiss) elimination with p-adic pivoting on a copy of
     the integer rows; a matrix over a scale is shifted by its caller,
-    `singular_profile`.  Each step pivots on the first entry
-    of minimal valuation in row-major order of the remaining block.
+    `singular_profile`.  Each step pivots on the first entry of minimal
+    valuation in row-major order of the remaining block (`_padic_pivot`).
     After k steps every remaining entry is det of the leading k x k pivot
     block times an entry of its Schur complement, so the k-th pivot has
     valuation e_1 + ... + e_k and consecutive differences are the
@@ -92,19 +111,7 @@ def padic_exponents(rows, p: int) -> list[int]:
     prev = 1
     prev_v = floor = 0  # floor: least valuation the next pivot can have
     for k in range(n):
-        best = None
-        for i in range(k, n):
-            row = a[i]
-            for j in range(k, n):
-                x = row[j]
-                if x:
-                    v = int_valuation(x, p)
-                    if best is None or v < best:
-                        best, pi, pj = v, i, j
-                        if v == floor:
-                            break
-            if best == floor:
-                break
+        best, pi, pj = _padic_pivot(a, k, p, floor)
         if best is None:
             raise ValueError("singular matrix has no p-adic profile")
         if pi != k:
@@ -247,7 +254,7 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat, charpoly: tuple[int, ...]
     sin^2(angle) <= |Su - ru|^2 / (|u|^2 (r - lam2_hi)^2),
     as (numerator, denominator), or None when no iterate has r > lam2_hi.
 
-    Power iteration from each nonzero column of T, the integer rows over
+    Power iteration from each column of T, the integer rows over
     their content d (S's eigenvectors, smaller moments), read off the
     Krylov moments mu_i = x^T T^i x of its primitive multiple x.  The
     k-th iterate v is the projective point of T^k x and u = s_rows v =
@@ -256,8 +263,8 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat, charpoly: tuple[int, ...]
     and the bound is the rational
     (q d)^2 (mu_2k mu_(2k+2) - mu_(2k+1)^2) / (q d mu_(2k+1) - p scale mu_2k)^2,
     compared as integer pairs.  Both sides have degree 4 in v, so this
-    is the bound of the primitive iterate and no gcd is taken.  The tests
-    are exact: u = 0 iff mu_(2k+2) = |T^(k+1) x|^2 = 0, and the next
+    is the bound of the primitive iterate and no gcd is taken.  S is
+    positive definite, so no column and no iterate is zero, and the next
     point equals v, a stall on an eigenvector, iff u is a multiple of v:
     the equality case mu_2k mu_(2k+2) = mu_(2k+1)^2 of Cauchy-Schwarz.
 
@@ -278,10 +285,7 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat, charpoly: tuple[int, ...]
     recur = None  # the recurrence's coefficients, lined up with mu_i .. mu_(i+n-1)
     best_err = None  # (numerator, denominator) of the best bound
     for j in range(n):
-        col = [row[j] for row in s_rows]
-        if not any(col):
-            continue
-        y = primitive(col)
+        y = primitive([row[j] for row in s_rows])
         ys = [y]  # T^k x while the moments are seeded
         mu = [sum(map(mul, y, y))]
         uu = mu[0]
@@ -300,8 +304,6 @@ def _power_direction(s_rows, scale: int, lam2_hi: Rat, charpoly: tuple[int, ...]
                 mu.append(w)
                 uu = sum(map(mul, recur, mu[-n:]))
                 mu.append(uu)
-            if not uu:
-                break
             slack = vv * uu - w * w
             gap = q * w - p_scale * vv
             if gap > 0:
@@ -330,9 +332,9 @@ def _krylov_point(t_rows, ys, k: int) -> ProjPoint:
 def direction_candidates(g: ProjMat) -> DirectionData:
     """Attracting/repelling candidates with certified enclosure errors.
 
-    p-adic: exact, from a scan of the integer rows for the first entry of
-    least valuation in row-major order, which is the first pivot of the
-    elimination in `padic_exponents`.  Its column is the top singular
+    p-adic: exact, from the first pivot of the elimination in
+    `padic_exponents`, the first entry of least valuation of the integer
+    rows in row-major order (`_padic_pivot`).  Its column is the top singular
     (attracting) direction and its row the functional of the repelling
     hyperplane.  Archimedean: power iteration on g g^T and g^T g with
     residual bounds against the second eigenvalue's enclosure.
@@ -341,7 +343,7 @@ def direction_candidates(g: ProjMat) -> DirectionData:
     if g.place.is_padic:
         # the common scale shifts every valuation equally
         p = g.place.prime
-        _, i, j = min((int_valuation(x, p), i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        _, i, j = _padic_pivot(rows, 0, p, 0)
         return DirectionData(ProjPoint._of(primitive([r[j] for r in rows])), Fraction(0), ProjHyperplane._of(primitive(rows[i])), Fraction(0))
     lam2_hi = singular_profile(g).values_sq[1].hi
     gtg, scale = g.gram
@@ -605,19 +607,17 @@ def push_ball(m: ProjMat, b: Ball) -> Ball:
     place = m.place
     profile = singular_profile(m)
     center = apply(m, b.center)
-    candidates: list[Rat] = []
+    # (sigma1 sigma2 / sigma_n^2)^2 = lam1 lam2 / lam_n^2; every profile
+    # interval has lo > 0, as m is invertible
     lam_n_lo = profile.values_sq[-1].lo
-    if lam_n_lo > 0:
-        # (sigma1 sigma2 / sigma_n^2)^2 = lam1 lam2 / lam_n^2
-        glob_sq = profile.values_sq[0].hi * profile.values_sq[1].hi / (lam_n_lo * lam_n_lo)
-        candidates.append(glob_sq * b.radius_sq)
+    candidates = [profile.values_sq[0].hi * profile.values_sq[1].hi / (lam_n_lo * lam_n_lo) * b.radius_sq]
     dirs = direction_candidates(m)
     if dirs.repel_err_sq is not None:
         l_d = sqrt_lower(dist_to_hyperplane_sq(b.center, dirs.repel, place))
         d_low = l_d - sqrt_upper(b.radius_sq) - sqrt_upper(dirs.repel_err_sq)
         if d_low > 0:
             candidates.append(contraction_gap_sq(m).hi * b.radius_sq / d_low**4)
-    radius_sq = min(candidates) if candidates else Fraction(1)
+    radius_sq = min(candidates)
     if radius_sq > 1:
         radius_sq = Fraction(1)
     return Ball(center, radius_sq)
@@ -627,10 +627,7 @@ def push_hnbhd(m: ProjMat, h: HNbhd) -> HNbhd:
     """Hyperplane neighborhood certifiably containing m(h): the image
     plane with radius grown by the global bi-Lipschitz bound sigma1/sigma_n."""
     profile = singular_profile(m)
-    lam_n_lo = profile.values_sq[-1].lo
-    if lam_n_lo <= 0:
-        return HNbhd(apply_hyperplane(m, h.plane), Fraction(1))
-    radius_sq = profile.values_sq[0].hi / lam_n_lo * h.radius_sq
+    radius_sq = profile.values_sq[0].hi / profile.values_sq[-1].lo * h.radius_sq
     if radius_sq > 1:
         radius_sq = Fraction(1)
     return HNbhd(apply_hyperplane(m, h.plane), radius_sq)

@@ -615,9 +615,9 @@ def dual_ball_of_hnbhd(c: HNbhd) -> Ball:
     return Ball(ProjPoint._of(primitive((-f[1], f[0]))), c.radius_sq)
 
 
-def _kernel_intersection_point(h1: ProjHyperplane, h2: ProjHyperplane) -> ProjPoint | None:
-    """A rational point on ker f1 and ker f2 when one exists (n >= 3, or
-    equal planes).
+def _kernel_intersection_point(h1: ProjHyperplane, h2: ProjHyperplane) -> ProjPoint:
+    """A rational point on ker f1 and ker f2, for n >= 3 (its one caller
+    handles P^1 apart).
 
     For distinct planes it is the kernel vector supported on three
     columns: p1, the first where f1 or f2 is nonzero, p2, the first after
@@ -629,8 +629,6 @@ def _kernel_intersection_point(h1: ProjHyperplane, h2: ProjHyperplane) -> ProjPo
     n = len(f)
     if h1 == h2:  # e_0 lies on ker f when f_0 = 0, else (f_1, -f_0, 0, ...) does
         return ProjPoint._of(primitive([f[1], -f[0]] if f[0] else [1, 0]) + (0,) * (n - 2))
-    if n < 3:
-        return None
     p1 = next(j for j in range(n) if f[j] or g[j])
     p2 = next(j for j in range(p1 + 1, n) if f[p1] * g[j] - f[j] * g[p1])
     free = next(j for j in range(n) if j != p1 and j != p2)
@@ -646,10 +644,7 @@ def _component_disjoint(a: Component, b: Component, place: Place) -> DisjointVer
     if isinstance(a, HNbhd) and isinstance(b, HNbhd):
         if a.dim == 2:
             return _component_disjoint(dual_ball_of_hnbhd(a), dual_ball_of_hnbhd(b), place)
-        w = _kernel_intersection_point(a.plane, b.plane)
-        if w is not None:
-            return overlap(w)
-        return UNKNOWN
+        return overlap(_kernel_intersection_point(a.plane, b.plane))
     if isinstance(a, HNbhd):
         a, b = b, a
     if isinstance(b, Ball):
@@ -695,7 +690,8 @@ def _chord_witness(p: ProjPoint, q: ProjPoint, comps: tuple[Component, Component
     """Search the chord between the canonical representatives of p and q
     for a common point.  With P, Q the integer representatives and p0, q0
     their (positive) first nonzero coordinates, the chord's point at
-    t = k/64 is the class of (64 - k) q0 P + k p0 Q."""
+    t = k/64 is the class of (64 - k) q0 P + k p0 Q, never zero since
+    p != q."""
     if p == q:
         return p if all(component_member(p, c, place) for c in comps) else None
     big_p, big_q = p.coords, q.coords
@@ -703,10 +699,7 @@ def _chord_witness(p: ProjPoint, q: ProjPoint, comps: tuple[Component, Component
     q0 = next(x for x in big_q if x)
     for k in range(0, 65):
         a, b = (64 - k) * q0, k * p0
-        cand = [a * x + b * y for x, y in zip(big_p, big_q)]
-        if not any(cand):
-            continue
-        pt = ProjPoint._of(primitive(cand))
+        pt = ProjPoint._of(primitive([a * x + b * y for x, y in zip(big_p, big_q)]))
         if all(component_member(pt, c, place) for c in comps):
             return pt
     return None
@@ -734,23 +727,20 @@ def set_disjoint(s: ProjSet, t: ProjSet, place: Place) -> DisjointVerdict:
 def _component_contains(outer: Component, inner: Component, place: Place, closed_inner: bool = False) -> bool:
     """Certified inner <= outer (strictly stronger when closed_inner:
     the closure of inner must sit inside the open outer)."""
-    strict = closed_inner
-    if isinstance(outer, Ball) and isinstance(inner, Ball):
-        d2 = dist_sq(inner.center, outer.center, place)
-        c = cmp_sqrt_sum(d2, inner.radius_sq, outer.radius_sq)
-        return c < 0 if strict else c <= 0
-    if isinstance(outer, HNbhd) and isinstance(inner, HNbhd):
+    if isinstance(inner, Ball):
+        if isinstance(outer, Ball):
+            d2 = dist_sq(inner.center, outer.center, place)
+        else:
+            d2 = dist_to_hyperplane_sq(inner.center, outer.plane, place)
+    elif isinstance(outer, HNbhd):
         d2 = dual_dist_sq(inner.plane, outer.plane, place)
-        c = cmp_sqrt_sum(d2, inner.radius_sq, outer.radius_sq)
-        return c < 0 if strict else c <= 0
-    if isinstance(outer, HNbhd) and isinstance(inner, Ball):
-        d2 = dist_to_hyperplane_sq(inner.center, outer.plane, place)
-        c = cmp_sqrt_sum(d2, inner.radius_sq, outer.radius_sq)
-        return c < 0 if strict else c <= 0
-    # ball can contain a hyperplane neighborhood only through the dual in P^1
-    if inner.dim == 2:
+    elif inner.dim == 2:
+        # a ball contains a hyperplane neighborhood only through the dual in P^1
         return _component_contains(outer, dual_ball_of_hnbhd(inner), place, closed_inner)
-    return False
+    else:
+        return False
+    c = cmp_sqrt_sum(d2, inner.radius_sq, outer.radius_sq)
+    return c < 0 if closed_inner else c <= 0
 
 
 def set_contains(outer: ProjSet, inner: ProjSet, place: Place, closed_inner: bool = False) -> bool:

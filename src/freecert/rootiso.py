@@ -137,12 +137,11 @@ def pquo(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def pgcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """The primitive gcd with a positive leading coefficient."""
+    """The primitive gcd, with a positive leading coefficient, of p and q,
+    not both zero."""
     a, b = ptrim(list(p)), ptrim(list(q))
     while b:
         a, b = b, prem(a, b)
-    if not a:
-        return []
     a = _primitive(a)
     return a if a[-1] > 0 else [-c for c in a]
 

@@ -342,6 +342,11 @@ def word_tokens(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+def letter_count(text: str) -> int:
+    """The letters sum |k| of a word `name^k name ...`, counted unexpanded."""
+    return sum(abs(k) for _, k in word_tokens(text))
+
+
 def word_string(letters, names) -> str:
     parts = []
     for idx, exp in letters:

@@ -9,7 +9,7 @@ makes the freeness oracle exact on this backend.
 
 Boundary points are never materialized: shadows are handled through
 their base edges, and every boundary statement used here is decided on
-a lazily expanded finite ball of the tree.
+the geodesics between their vertices, read off the vertices' keys.
 """
 
 from __future__ import annotations
@@ -290,7 +290,8 @@ Vertex = tuple[str, tuple[Letter, ...]]
 
 
 class BassSerreTree:
-    """Lazily expanded tree; adjacency is memoized (single writer)."""
+    """The tree's vertices as canonical keys; adjacency is memoized
+    (single writer)."""
 
     def __init__(self, amalgam: AmalgamData):
         self.amalgam = amalgam
@@ -343,14 +344,13 @@ class BassSerreTree:
             frontier = nxt
         return depth
 
-    def geodesic(self, u: Vertex, v: Vertex, cap: int | None = 64) -> list[Vertex]:
+    def geodesic(self, u: Vertex, v: Vertex) -> list[Vertex]:
         """The path from u to v, read off the canonical keys.
 
         The edge from a vertex toward the base edge drops the key's last
         letter and lands on a vertex of that letter's factor, so the path
         climbs from each end to the longest common key prefix.  The two
         turn vertices are equal, or they are the two ends of the base edge.
-        Raises TreeError when the path has more than `cap` edges.
         """
         (_, p), (_, q) = u, v
         c = 0
@@ -360,10 +360,7 @@ class BassSerreTree:
             c += 1
         up = [u] + [(p[k][0], p[:k]) for k in range(len(p) - 1, c - 1, -1)]
         down = [(q[k][0], q[:k]) for k in range(c, len(q))] + [v]
-        path = up + down[1:] if up[-1] == down[0] else up + down
-        if cap is not None and len(path) - 1 > cap:
-            raise TreeError("expand further: path exceeds the radius budget")
-        return path
+        return up + down[1:] if up[-1] == down[0] else up + down
 
     def distance(self, u: Vertex, v: Vertex) -> int:
         return len(self.geodesic(u, v)) - 1
@@ -449,13 +446,12 @@ def _cyclic_reduce(w: TreeAut) -> tuple[TreeAut, TreeAut]:
     return c, core
 
 
-def classify(w: TreeAut, amalgam: AmalgamData | None = None) -> Classification:
+def classify(w: TreeAut) -> Classification:
     """Elliptic iff the cyclically reduced length is <= 1 (with an explicit
     fixed vertex); else hyperbolic with translation length the cyclically
     reduced length, cross-checked against the displacement of the base
     vertex and by a coherent-edge witness."""
-    am = amalgam or w.amalgam
-    tree = BassSerreTree(am)
+    tree = BassSerreTree(w.amalgam)
     c, core = _cyclic_reduce(w)
     if core.length <= 1:
         if core.length == 0:
@@ -466,22 +462,22 @@ def classify(w: TreeAut, amalgam: AmalgamData | None = None) -> Classification:
         return Classification("elliptic", fixed_vertex=tree.act(c, fixed))
     tau = core.length
     base = tree.base_vertex("A")
-    path = tree.geodesic(base, tree.act(core, base), cap=None)
+    path = tree.geodesic(base, tree.act(core, base))
     if len(path) - 1 != tau:
         raise AssertionError("translation length disagrees with the geodesic displacement")
     s, t = path[0], path[1]
     gs, gt = tree.act(core, s), tree.act(core, t)
-    if not _coherent(tree, s, t, gs, gt, cap=2 * tau + 4):
+    if not _coherent(tree, s, t, gs, gt):
         raise AssertionError("axis edge fails the coherent-edge criterion")
     axis = (tree.act(c, s), tree.act(c, t))
     return Classification("hyperbolic", translation_length=tau, axis_edge=axis)
 
 
-def _coherent(tree: BassSerreTree, s: Vertex, t: Vertex, gs: Vertex, gt: Vertex, cap: int) -> bool:
+def _coherent(tree: BassSerreTree, s: Vertex, t: Vertex, gs: Vertex, gt: Vertex) -> bool:
     """(s, t) not fixed and [s, g s] contains exactly one of t, g t."""
     if (s, t) == (gs, gt):
         return False
-    path = tree.geodesic(s, gs, cap=cap)
+    path = tree.geodesic(s, gs)
     on_path = sum(1 for v in (t, gt) if v in path)
     return on_path == 1
 
@@ -551,7 +547,7 @@ def axis_window(tree: BassSerreTree, g: TreeAut, cls: Classification) -> dict[in
     and g x_j = x_(j+tau)."""
     u, _ = cls.axis_edge
     tau = cls.translation_length
-    fwd = tree.geodesic(u, tree.act(g, u), cap=2 * tau + 4)
+    fwd = tree.geodesic(u, tree.act(g, u))
     gi = g.inverse()
     window = {j: v for j, v in enumerate(fwd)}  # 0 .. tau
     for j in range(0, tau + 1):
@@ -602,13 +598,13 @@ class TreeEvidence(Record):
 def tree_pingpong(elements: list[TreeAut], amalgam: AmalgamData):
     """Certify a ping-pong tuple of hyperbolic tree automorphisms with
     localized shadow sets read off their axes; shadow disjointness is
-    decided exactly on the expanded ball."""
+    decided exactly on the geodesics between their base edges."""
     from .pingpong import PingPongPlayer, certify_tuple
 
     tree = BassSerreTree(amalgam)
     players = []
     for i, g in enumerate(elements):
-        cls = classify(g, amalgam)
+        cls = classify(g)
         if cls.kind != "hyperbolic":
             raise TreeError(f"element {i} is not hyperbolic")
         a_plus, r_plus, a_minus, r_minus = axis_shadow_sets(tree, g, cls)

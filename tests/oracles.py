@@ -76,9 +76,8 @@ def geodesic_bfs(tree, u, v, cap: int = 64) -> list:
 def min_displacement(tree, w, radius: int = DEFAULT_RADIUS) -> int:
     """Brute-force displacement minimum over the ball (oracle for classify)."""
     best = None
-    cap = 2 * radius + 2 * (w.length + 1)
     for v in tree.ball(tree.base_vertex("A"), radius):
-        d = len(tree.geodesic(v, tree.act(w, v), cap)) - 1
+        d = tree.distance(v, tree.act(w, v))
         if best is None or d < best:
             best = d
             if best == 0:
@@ -86,17 +85,11 @@ def min_displacement(tree, w, radius: int = DEFAULT_RADIUS) -> int:
     return best
 
 
-def shadow_member(prefix_vertex, shadow, radius_budget: int = DEFAULT_RADIUS) -> bool:
+def shadow_member(prefix_vertex, shadow) -> bool:
     """Whether the geodesic from the shadow's basepoint through the given
     vertex passes through the shadow's gate y."""
     tree = shadow.tree
-    try:
-        d_xw = len(tree.geodesic(shadow.x, prefix_vertex, radius_budget)) - 1
-        d_xy = len(tree.geodesic(shadow.x, shadow.y, radius_budget)) - 1
-        d_yw = len(tree.geodesic(shadow.y, prefix_vertex, radius_budget)) - 1
-    except TreeError:
-        raise TreeError("expand further: prefix outside the expanded region") from None
-    return d_xy + d_yw == d_xw
+    return tree.distance(shadow.x, shadow.y) + tree.distance(shadow.y, prefix_vertex) == tree.distance(shadow.x, prefix_vertex)
 
 
 def group_from_permutations(gens: list[tuple[int, ...]]) -> FiniteGroup:

@@ -391,9 +391,9 @@ def test_criterion_08_tree_classification_vs_bfs():
     t0 = time.perf_counter()
     am = mod_amalgam()
     tree = BassSerreTree(am)
-    s_cls = classify(parse_word(am, "s"), am)
-    t_cls = classify(parse_word(am, "t"), am)
-    st_cls = classify(parse_word(am, "s t"), am)
+    s_cls = classify(parse_word(am, "s"))
+    t_cls = classify(parse_word(am, "t"))
+    st_cls = classify(parse_word(am, "s t"))
     assert s_cls.kind == "elliptic" and t_cls.kind == "elliptic"
     assert st_cls.kind == "hyperbolic" and st_cls.translation_length == 2
 
@@ -413,7 +413,7 @@ def test_criterion_08_tree_classification_vs_bfs():
         for start_a in (True, False):
             for seq in alternating(length, start_a):
                 w = parse_word(am, " ".join(seq))
-                out = classify(w, am)
+                out = classify(w)
                 best = min(_bi_bfs(tree, v, tree.act(w, v)) for v in ball_vertices)
                 if out.kind == "elliptic":
                     assert best == 0, seq

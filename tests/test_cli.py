@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from freecert.certfmt import dumps
+from freecert.certfmt import MAX_VERTEX_KEY, dumps
 from freecert.cli import MAX_PROBLEM_BYTES, main
 from oracles import group_from_permutations
 
@@ -863,6 +863,29 @@ def test_tree_word_beyond_limit_fails_fast(tmp_path, capsys):
     # within the limit the certificate echoes the word as written
     code, cert, _ = run(tmp_path, "tree", task.format("classify") + "word s t^63\n")
     assert code == 0 and cert["task"]["word"] == "s t^63"
+
+
+def test_tree_pingpong_of_two_words_at_the_length_limit(tmp_path, capsys):
+    # two 64-letter words on Z/2 * Z/3: the gates of a player's A+ and A-
+    # are 66 edges apart
+    text = mod_amalgam_header() + "\n[task]\nop tree\nsubop pingpong\nword " + "s t " * 32 + "\nword " + "s u " * 32 + "\n"
+    code, cert, out = run(tmp_path, "tree", text)
+    assert code == 0 and cert["verdict"] == "certified", capsys.readouterr().err
+    assert verify_file(out) == 0
+
+
+def test_verify_refuses_a_shadow_vertex_past_the_key_bound(tmp_path, capsys):
+    text = mod_amalgam_header() + "\n[task]\nop tree\nsubop pingpong\nword s t s t\nword t s t s\n"
+    _, cert, out = run(tmp_path, "tree", text)
+    claim = next(c for c in cert["claims"] if c["type"] == "shadow-disjoint")
+    # MAX_VERTEX_KEY + 1 letters, alternating nontrivial representatives
+    claim["left"]["x"][1] = [["A", 1], ["B", 1]] * (MAX_VERTEX_KEY // 2) + [["A", 1]]
+    out.write_text(dumps(cert))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert verify_file(out) == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert f"verify: vertex key of {MAX_VERTEX_KEY + 1} letters exceeds MAX_VERTEX_KEY = {MAX_VERTEX_KEY}" in capsys.readouterr().err
 
 
 def test_bad_values_fail_before_any_search_with_a_position(tmp_path, capsys):

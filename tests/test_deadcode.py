@@ -427,7 +427,7 @@ def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
 #: The integer kernel: functions that run on cleared integers alone.
 INTEGER_KERNEL = {
     "projective.py": ("det", "_eliminate", "inverse_rows", "_kernel_intersection_point"),
-    "dynamics.py": ("padic_exponents", "gram_charpoly", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
+    "dynamics.py": ("_padic_pivot", "padic_exponents", "gram_charpoly", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
 }
 
 

@@ -128,7 +128,7 @@ def test_mismatched_backends_rejected():
     )
     tree = BassSerreTree(am)
     st = parse_word(am, "s t")
-    cls = classify(st, am)
+    cls = classify(st)
     u, v = cls.axis_edge
     sh = ShadowSet(tree, u, v)
     tree_player = PingPongPlayer("t0", st, sh, sh, sh, sh, TreeEvidence(cls))

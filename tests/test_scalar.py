@@ -5,7 +5,9 @@ import pytest
 
 from freecert.scalar import (
     ARCH,
+    MR_LIMIT,
     Place,
+    _is_prime,
     clear_denominators,
     cmp_sqrt_sum,
     format_rat,
@@ -37,6 +39,26 @@ def test_place_primality_is_deterministic_miller_rabin():
         padic(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
     with pytest.raises(ValueError, match="prime too large"):
         padic(100000000000000000000000000319)
+
+
+#: The least strong pseudoprime to the first k prime bases, k = 1..13
+#: (OEIS A014233); the last is MR_LIMIT itself.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_miller_rabin_agrees_with_sympy():
+    import sympy
+
+    assert [n for n in range(10**5) if _is_prime(n)] == list(sympy.primerange(10**5))
+    assert STRONG_PSEUDOPRIMES[-1] == MR_LIMIT
+    for n in STRONG_PSEUDOPRIMES[:-1]:
+        assert not _is_prime(n) and not sympy.isprime(n), n
+        assert _is_prime(sympy.nextprime(n)), n
+    # 53 - 1 = 4 * 13: the base 2 reaches -1 only at the squaring step
+    assert parse_place("p:53").prime == 53
 
 
 def test_valuation_oracle_values():

@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freecert import tree as tree_module
+from freecert.certfmt import MAX_VERTEX_KEY, MAX_WORD_LEN
 from freecert.pingpong import PingPongPlayer, freeness_oracle
 from freecert.tree import (
     AmalgamData,
@@ -287,12 +288,12 @@ def test_classify_oracle_values():
     am = mod_amalgam()
     s, t = parse_word(am, "s"), parse_word(am, "t")
     st = parse_word(am, "s t")
-    assert classify(s, am).kind == "elliptic"
-    assert classify(t, am).kind == "elliptic"
-    out = classify(st, am)
+    assert classify(s).kind == "elliptic"
+    assert classify(t).kind == "elliptic"
+    out = classify(st)
     assert out.kind == "hyperbolic" and out.translation_length == 2
     ident = parse_word(am, "")
-    e = classify(ident, am)
+    e = classify(ident)
     assert e.kind == "elliptic" and e.fixed_vertex == ("A", ())
 
 
@@ -303,7 +304,7 @@ def test_classify_matches_brute_force_displacement():
     for k in range(1, 5):
         for combo in itertools.product(letters, repeat=k):
             w = parse_word(am, " ".join(combo))
-            out = classify(w, am)
+            out = classify(w)
             disp = min_displacement(tree, w, radius=6)
             if out.kind == "elliptic":
                 assert disp == 0
@@ -316,7 +317,7 @@ def test_classify_conjugate_keeps_translation_length():
     w = parse_word(am, "s t s t u")
     c = parse_word(am, "t s")
     conj = c @ w @ c.inverse()
-    a, b = classify(w, am), classify(conj, am)
+    a, b = classify(w), classify(conj)
     assert a.kind == b.kind
     if a.kind == "hyperbolic":
         assert a.translation_length == b.translation_length
@@ -334,9 +335,6 @@ def test_shadow_membership():
     # a third vertex behind y stays in the shadow
     z = next(v for v in tree.neighbors(y) if v != x)
     assert shadow_member(z, sh)
-    with pytest.raises(TreeError, match="expand further"):
-        far = parse_word(am, "s t " * 30)
-        shadow_member(tree.act(far, x), sh, radius_budget=4)
 
 
 def test_shadow_disjointness():
@@ -350,6 +348,60 @@ def test_shadow_disjointness():
     v = fwd.disjoint_from(fwd)
     assert v.kind == "overlap" and v.witness is not None
     assert fwd.side_contains_vertex(v.witness)
+
+
+def line_amalgam():
+    """Z/2 * Z/2: every vertex has degree 2, so the tree is a line."""
+    return AmalgamData(c2(), FiniteGroup(((0, 1), (1, 0)), names=("e", "r")), trivial(), (0,), (0,))
+
+
+@pytest.mark.parametrize("amalgam", [line_amalgam, mod_amalgam], ids=["Z2*Z2", "Z2*Z3"])
+def test_shadow_disjointness_matches_the_far_vertices(amalgam):
+    # every vertex has degree >= 2, so every vertex lies on an end; for base
+    # edges within 3 of the base vertex, two shadows share an end exactly
+    # when some vertex at distance 4 lies in both (`shadow_member`).  On the
+    # line, facing halftrees share a segment that no branch leaves, so
+    # their shadows, the line's two ends, are disjoint
+    am = amalgam()
+    tree = BassSerreTree(am)
+    depth = tree.ball(tree.base_vertex("A"), 4)
+    edges = [(x, y) for x, d in depth.items() if d < 3 for y in tree.neighbors(x)]
+    far = [v for v, d in depth.items() if d == 4]
+    shadows = [ShadowSet(tree, x, y) for x, y in edges]
+    members = [{v for v in far if shadow_member(v, sh)} for sh in shadows]
+    kinds = set()
+    for s, ms in zip(shadows, members):
+        for t, mt in zip(shadows, members):
+            verdict = s.disjoint_from(t)
+            assert (verdict.kind == "disjoint") == (not ms & mt), (s, t)
+            facing = s.side_contains_vertex(t.y) and t.side_contains_vertex(s.y)
+            kinds.add((facing, verdict.kind))
+    assert (True, "disjoint") in kinds
+
+
+def test_a_name_of_both_factors_is_no_letter_unless_it_names_the_identity():
+    am = AmalgamData(c2(), c2(), trivial(), (0,), (0,))  # both factors name their involution s
+    assert "s" not in am.letter_names()
+    with pytest.raises(TreeError, match="unknown letter 's'"):
+        parse_word(am, "s")
+    assert parse_word(am, "e").is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_shadow_of_a_bounded_word_lies_within_the_vertex_bound(data):
+    # a word of at most MAX_WORD_LEN letters, often a conjugate c g c^-1
+    # with a long c, which moves the axis furthest from the base edge
+    am = data.draw(st.sampled_from([mod_amalgam(), s3_over_a3(), s3_over_c2()]))
+    letter = st.tuples(st.sampled_from("AB"), st.integers(0, 5)).map(lambda l: (l[0], l[1] % am.factor(l[0]).order))
+    conj = data.draw(st.lists(letter, max_size=MAX_WORD_LEN // 2 - 1))
+    core = data.draw(st.lists(letter, min_size=1, max_size=MAX_WORD_LEN - 2 * len(conj)))
+    inverse = [(tag, am.factor(tag).inv(x)) for tag, x in reversed(conj)]
+    g = normal_form(am, conj + core + inverse)
+    assume(classify(g).kind == "hyperbolic")
+    tup = tree_pingpong([g], am)
+    keys = [len(v[1]) for p in tup.players for _, sh in p.sets() for v in (sh.x, sh.y)]
+    assert max(keys) <= MAX_VERTEX_KEY
 
 
 def test_tree_pingpong_certified_and_free():
@@ -451,7 +503,7 @@ def test_distance_formula_matches_bfs():
         rng = random.Random(31)
         for _ in range(300):
             u, v = rng.choice(ball), rng.choice(ball)
-            assert len(tree.geodesic(u, v, None)) == len(geodesic_bfs(tree, u, v, cap=40))
+            assert len(tree.geodesic(u, v)) == len(geodesic_bfs(tree, u, v, cap=40))
 
 
 def test_geodesic_matches_bfs_on_radius_4_balls():
@@ -460,11 +512,6 @@ def test_geodesic_matches_bfs_on_radius_4_balls():
         ball = list(tree.ball(tree.base_vertex("A"), 4))
         for u in ball:
             for v in ball:
-                path = tree.geodesic(u, v, cap=None)
+                path = tree.geodesic(u, v)
                 assert path == geodesic_bfs(tree, u, v, cap=8)
-                d = len(path) - 1
-                assert tree.distance(u, v) == d
-                assert tree.geodesic(u, v, cap=d) == path
-                if d:
-                    with pytest.raises(TreeError, match="expand further"):
-                        tree.geodesic(u, v, cap=d - 1)
+                assert tree.distance(u, v) == len(path) - 1

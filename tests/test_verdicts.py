@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, dumps, mat_from, plane_from, point_from
+from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, CertContext, check_claim, dumps, mat_from, place_from, plane_from, point_from
 from freecert.checker import selfmap_at, selfmap_radii
 from freecert.cli import main
+from freecert.dynamics import contraction_gap_sq, direction_candidates
 from freecert.projective import Ball
 from freecert.scalar import ARCH, parse_rat
 from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run
@@ -224,6 +225,52 @@ def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "failed" not in err  # no claim fails: the row does
     assert "verdict 'yes' of analyze very-proximal: claim 3 (selfmap-enclosure) repel_err_sq differs from the rebuilt claim" in err
+
+
+def _golden_claim(tmp_path, name: str, kind: str):
+    """A golden's certificate, its first claim of type `kind` and the
+    context `check_claim` checks it in."""
+    command, text, extra = PROBLEMS[name]
+    _, cert, _ = run(tmp_path, command, text, *extra)
+    claim = next(c for c in cert["claims"] if c["type"] == kind)
+    ctx = CertContext(place_from(cert["place"]), cert["header"], cert["task"])
+    assert check_claim(claim, ctx)
+    return cert, claim, ctx
+
+
+@pytest.mark.parametrize("field", ["attract", "repel"])
+def test_a_contraction_claim_states_the_recomputed_candidates(tmp_path, field):
+    _, claim, ctx = _golden_claim(tmp_path, "analyze-contracting", "contraction")
+    assert claim["cert"][field] == ["1", "0"]
+    claim["cert"][field] = ["0", "1"]
+    assert not check_claim(claim, ctx)
+
+
+def test_a_contraction_claim_bounds_the_recomputed_direction_error(tmp_path, capsys):
+    cert, claim, ctx = _golden_claim(tmp_path, "analyze-very-proximal", "contraction")
+    err = direction_candidates(mat_from(claim["matrix"], ctx.place)).attract_err_sq
+    assert err > 0
+    claim["cert"]["attract_err_sq"] = str(err / 2)
+    assert not check_claim(claim, ctx)
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    assert "verify: claim 1 (contraction) failed" in capsys.readouterr().err
+
+
+def test_a_selfmap_claim_bounds_kappa_squared(tmp_path):
+    # gap_sq_hi halved, below kappa^2, with the three numbers selfmap_at
+    # derives at that gap restated, so only the gap check can refuse it
+    _, claim, ctx = _golden_claim(tmp_path, "analyze-proximal", "selfmap-enclosure")
+    matrix = mat_from(claim["matrix"], ctx.place)
+    gap = contraction_gap_sq(matrix).hi / 2
+    claim["gap_sq_hi"] = str(gap)
+    enc = claim["enclosure"]
+    center, t_sq = point_from(enc["center"], 2), parse_rat(enc["radius_sq"])
+    args = (point_from(claim["attract"], 2), plane_from(claim["repel"], 2), parse_rat(claim["repel_err_sq"]), gap, parse_rat(claim["epsilon_sq"]))
+    _, derived = selfmap_at(matrix, center, *args, selfmap_radii([t_sq]))
+    assert derived.ball == Ball(center, t_sq)
+    enc.update(lipschitz_sq=str(derived.lipschitz_sq), region_low_sq=str(derived.region_low_sq), move_sq=str(derived.move_sq))
+    assert not check_claim(claim, ctx)
 
 
 @pytest.mark.parametrize(
