@@ -393,6 +393,17 @@ def certificate(place: Place | None, backend: str, header: dict, task: dict, ver
     }
 
 
+def _refuse(obj):
+    """The encoder's hook for a value it does not write: `dumps` turns the
+    CertificateError carrying `obj` into the one that names its field."""
+    raise CertificateError(obj)
+
+
+#: The one canonical encoder, `json`'s C one.  A certificate is a freshly
+#: built tree, so it skips the check for circular references.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False, default=_refuse)
+
+
 def dumps(cert: dict) -> str:
     """The canonical certificate text: that of `json.dumps(cert,
     sort_keys=True, separators=(",", ":"))` and a newline, which `json`'s C
@@ -402,11 +413,10 @@ def dumps(cert: dict) -> str:
     CertificateError names the first field, in key order, whose number has
     too many digits to write; any other value `json` does not write is a
     TypeError."""
-
-    def refuse(obj):
-        raise _refusal(cert, obj)
-
-    return json.dumps(cert, sort_keys=True, separators=(",", ":"), default=refuse) + "\n"
+    try:
+        return _ENCODER.encode(cert) + "\n"
+    except CertificateError as e:
+        raise _refusal(cert, e.args[0]) from None
 
 
 def _refusal(cert: dict, obj) -> Exception:

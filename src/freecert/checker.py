@@ -9,7 +9,6 @@ calling the same ones on its parsed numbers.  Only `scalar` and
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter
 
 from .projective import (
     Ball,
@@ -24,7 +23,7 @@ from .projective import (
     dist_to_hyperplane_sq_pair,
     set_contains,
 )
-from .scalar import Place, Rat, Record, cmp_sqrt_sum, sqrt_lower, sqrt_upper
+from .scalar import SQRT_BOUND_BITS, Place, Rat, Record, cmp_sqrt_sum, sqrt_lower, sqrt_upper
 
 
 def image_radius_bound(gap_sq_hi: Rat, epsilon_sq: Rat, attract_err_sq: Rat | None, repel_err_sq: Rat | None) -> Rat | None:
@@ -75,19 +74,47 @@ class Enclosure(Record):
     __slots__ = ("ball", "lipschitz_sq", "region_low_sq", "move_sq")  # move_sq: d(g.center, center)^2
 
 
-def selfmap_radii(radii_sq) -> tuple[tuple[Rat, Rat, Rat], ...]:
-    """(t^2, u, the largest u so far) for each squared radius in the given
-    ascending order, with u = sqrt_upper(t^2): what `selfmap_at` reads."""
-    out, top = [], None
-    for t_sq in radii_sq:
-        u = sqrt_upper(t_sq)
-        top = u if top is None or u > top else top
-        out.append((t_sq, u, top))
-    return tuple(out)
+_SQRT_SLACK = Rat(1, 1 << SQRT_BOUND_BITS)  # sqrt_upper(q) - sqrt(q) is at most this
+
+
+class Ladder(Record):
+    """Ascending squared radii t^2 for `selfmap_at`, each with its bound
+    u = sqrt_upper(t^2), computed the first time a test reads it: a test
+    reads about one rung, and a ladder serves every test of a search."""
+
+    __slots__ = ("radii_sq", "_upper")
+
+    def __init__(self, radii_sq) -> None:
+        Record.__init__(self, tuple(radii_sq))
+        object.__setattr__(self, "_upper", [None] * len(self.radii_sq))
+
+    def upper(self, i: int) -> Rat:
+        u = self._upper[i]
+        if u is None:
+            u = self._upper[i] = sqrt_upper(self.radii_sq[i])
+        return u
+
+    def ends_below(self, start: int, reach: Rat) -> bool:
+        """Whether some rung below `start` has u >= reach.  The rungs
+        ascend, so every u below rung i is at most sqrt(t_i^2) + 2^-40 <=
+        u_i + 2^-40: the scan down from rung start - 1 stops at the first
+        rung whose u is more than 2^-40 under reach."""
+        for i in reversed(range(start)):
+            u = self.upper(i)
+            if reach <= u:
+                return True
+            if reach - u > _SQRT_SLACK:
+                return False
+        return False
+
+
+def selfmap_radii(radii_sq) -> Ladder:
+    """The ladder `selfmap_at` reads, of squared radii in ascending order."""
+    return Ladder(radii_sq)
 
 
 def selfmap_at(
-    g: ProjMat, center: ProjPoint, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, radii
+    g: ProjMat, center: ProjPoint, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, radii: Ladder
 ) -> tuple[ProjPoint, Enclosure | None]:
     """(g center, the enclosure of the first passing radius in the ascending
     `selfmap_radii` radii, or None).  B(center, t) passes when d_low =
@@ -97,29 +124,31 @@ def selfmap_at(
     attract.  A radius with d_low <= 0 ends the search.  The image, move
     and distances are computed once for all radii, and the radii up to the
     move are skipped, as 0 <= L < 1 makes (1 - L)^2 t^2 <= t^2: they fail
-    the move test, and the largest bound u among them tells whether one
-    would have ended the search."""
+    the move test, and `Ladder.ends_below` tells whether one would have
+    ended the search."""
     place = g.place
     gc = apply(g, center)
     move_sq = dist_sq(gc, center, place)
     reach = sqrt_lower(dist_to_hyperplane_sq(center, repel, place)) - sqrt_upper(repel_err_sq)
-    start = bisect_right(radii, move_sq, key=itemgetter(0))
-    if start and reach <= radii[start - 1][2]:
+    rungs = radii.radii_sq
+    start = bisect_right(rungs, move_sq)
+    if radii.ends_below(start, reach):
         return gc, None
     u_kappa = sqrt_upper(gap_sq_hi)
-    near_sq = None
-    for t_sq, u_t, _ in radii[start:]:
-        d_low = reach - u_t
+    near = None
+    for i in range(start, len(rungs)):
+        d_low = reach - radii.upper(i)
         if d_low <= 0:
             break
         low_sq = d_low * d_low
         if u_kappa >= low_sq:
             continue  # L >= 1
         lip = u_kappa / low_sq
+        t_sq = rungs[i]
         if move_sq < (1 - lip) ** 2 * t_sq:
-            if near_sq is None:
-                near_sq = dist_sq(center, attract, place)
-            if cmp_sqrt_sum(near_sq, t_sq, epsilon_sq) <= 0:
+            if near is None:
+                near = dist_sq_pair(center, attract, place)
+            if cmp_sqrt_sum(near, t_sq.as_integer_ratio(), epsilon_sq.as_integer_ratio()) <= 0:
                 return gc, Enclosure(Ball(center, t_sq), lip * lip, low_sq, move_sq)
     return gc, None
 

@@ -731,7 +731,7 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
         return emit("ok", {"ball": rows, "count": len(rows)})
     if subop == "pingpong":
         elements = [w for _, w in words]
-        tup = tree_pingpong(elements, am)
+        tup = tree_pingpong(elements)
         lengths = [p.evidence.classification.translation_length for p in tup.players]
         shadows = [[shadow_json(s) for _, s in p.sets()] for p in tup.players]
         claims = certfmt.tree_tuple_claims(texts, lengths, shadows, tup.passed)

@@ -456,7 +456,7 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> Verdict:
             gap_sq_hi=gap.hi,
             image_radius_sq=bound * bound,
         )
-        return Verdict("yes", cert=cert)
+        return Verdict("yes", cert)
     for x in _witness_pool(g.dim):
         if witness_refutes(g, x, dirs.attract, dirs.repel, epsilon_sq):
             return Verdict("no", counterexample=x, refutes=g)
@@ -474,11 +474,15 @@ def _selfmap_ladder(epsilon_sq: Rat):
     return selfmap_radii(epsilon_sq / 4**j for j in range(45, 0, -1))
 
 
+@lru_cache(maxsize=4096)
 def selfmap_enclosure(
     g: ProjMat, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat
 ) -> Enclosure | None:
     """Iterate g on the attracting candidate until a ball, of radius
-    eps / 2^j for j = 45 down to 1, passes the checker's self-map test."""
+    eps / 2^j for j = 45 down to 1, passes the checker's self-map test.
+    Cached: for a symmetric g the two problems of
+    `ContractionCert.selfmap_problems` are one, as g^T = g and the
+    repelling hyperplane's covector is the attracting point."""
     radii = _selfmap_ladder(epsilon_sq)
     c = attract
     for _ in range(ITER_BUDGET):
@@ -530,12 +534,15 @@ class ProximalCert(Record):
         return True, ""
 
 
+@lru_cache(maxsize=4096)
 def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     """(r, eps)-proximality with r > 2 eps enforced.
 
     Yes needs (a) certified eps-contraction, (b) d(attract, repel) >= r
     for the certificate's own witness pair (exact), (c) self-mapping
-    enclosures for the fixed point and the fixed hyperplane.
+    enclosures for the fixed point and the fixed hyperplane.  Cached:
+    `certify_very_proximal` proves g and g^-1, and a later search often
+    asks for the same pair the other way round.
     """
     r_sq = Fraction(r_sq)
     epsilon_sq = Fraction(epsilon_sq)
@@ -553,7 +560,7 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
         if enc is None:
             return Verdict("unknown")
         encs.append(enc)
-    return Verdict("yes", cert=ProximalCert(r_sq, epsilon_sq, cert, *encs))
+    return Verdict("yes", ProximalCert(r_sq, epsilon_sq, cert, *encs))
 
 
 def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
@@ -576,7 +583,7 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     sets = paired.eps_sets
     if any(set_disjoint(sets[i], sets[j], g.place).kind != "disjoint" for i, j in VERY_PAIRS):
         return Verdict("unknown")
-    return Verdict("yes", cert=paired)
+    return Verdict("yes", paired)
 
 
 def power_to_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat, max_n: int) -> tuple[int, ProximalCert] | None:

@@ -16,13 +16,15 @@ metric is the standard one, d([v],[w]) = |v ^ w| / (|v| |w|), handled
 throughout in squared form on the integer representatives: sums of
 squares at the archimedean place; at a p-adic place the sup norm
 replaces the Euclidean one, and an integer vector has norm
-p^(-min v_p).  A distance is one Fraction, built from an integer pair
-that callers which only compare cross-multiply instead.
+p^(-min v_p).  A distance is an integer (numerator, denominator) pair,
+which callers that only compare cross-multiply; `dist_sq` and
+`dist_to_hyperplane_sq` build a Fraction for callers that need the number.
 
 Sets are finite unions of open balls and open hyperplane neighborhoods,
 the only shapes the attracting/repelling machinery needs.  Disjointness
 and containment are decided by exact comparisons of sqrt(a) + sqrt(b)
-against sqrt(c); Unknown is a legal verdict.
+against sqrt(c), on the distance pairs and the radii's numerators and
+denominators; Unknown is a legal verdict.
 """
 
 from __future__ import annotations
@@ -170,9 +172,10 @@ def dist_to_hyperplane_sq(p: ProjPoint, h: ProjHyperplane, place: Place) -> Rat:
     return Fraction(*dist_to_hyperplane_sq_pair(p, h, place))
 
 
-def dual_dist_sq(h1: ProjHyperplane, h2: ProjHyperplane, place: Place) -> Rat:
-    """Distance between hyperplanes, measured between their dual points."""
-    return dist_sq(h1.dual_point(), h2.dual_point(), place)
+def dual_dist_sq(h1: ProjHyperplane, h2: ProjHyperplane, place: Place) -> tuple[int, int]:
+    """The squared distance between hyperplanes, measured between their
+    dual points, as (numerator, denominator)."""
+    return dist_sq_pair(h1.dual_point(), h2.dual_point(), place)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +536,10 @@ class MarkedGroup(Record):
 
 def _radius_sq(radius_sq: Rat) -> Fraction:
     """A component's squared radius as a Fraction, refused outside (0, 1]."""
-    radius_sq = Fraction(radius_sq)
-    if not 0 < radius_sq <= 1:
+    if type(radius_sq) is not Fraction:
+        radius_sq = Fraction(radius_sq)
+    num, den = radius_sq.as_integer_ratio()
+    if not 0 < num <= den:
         raise ValueError("radius_sq must lie in (0, 1]")
     return radius_sq
 
@@ -647,9 +652,9 @@ def _component_disjoint(a: Component, b: Component, place: Place) -> DisjointVer
         return overlap(_kernel_intersection_point(a.plane, b.plane))
     if isinstance(a, HNbhd):
         a, b = b, a
+    radii = a.radius_sq.as_integer_ratio(), b.radius_sq.as_integer_ratio()
     if isinstance(b, Ball):
-        d2 = dist_sq(a.center, b.center, place)
-        if cmp_sqrt_sum(a.radius_sq, b.radius_sq, d2) <= 0:
+        if cmp_sqrt_sum(*radii, dist_sq_pair(a.center, b.center, place)) <= 0:
             return CERTIFIED_DISJOINT
         if component_member(a.center, b, place):
             return overlap(a.center)
@@ -658,8 +663,7 @@ def _component_disjoint(a: Component, b: Component, place: Place) -> DisjointVer
         w = _chord_witness(a.center, b.center, (a, b), place)
         return overlap(w) if w is not None else UNKNOWN
     # ball vs hyperplane neighborhood
-    d2 = dist_to_hyperplane_sq(a.center, b.plane, place)
-    if cmp_sqrt_sum(a.radius_sq, b.radius_sq, d2) <= 0:
+    if cmp_sqrt_sum(*radii, dist_to_hyperplane_sq_pair(a.center, b.plane, place)) <= 0:
         return CERTIFIED_DISJOINT
     if component_member(a.center, b, place):
         return overlap(a.center)
@@ -729,9 +733,9 @@ def _component_contains(outer: Component, inner: Component, place: Place, closed
     the closure of inner must sit inside the open outer)."""
     if isinstance(inner, Ball):
         if isinstance(outer, Ball):
-            d2 = dist_sq(inner.center, outer.center, place)
+            d2 = dist_sq_pair(inner.center, outer.center, place)
         else:
-            d2 = dist_to_hyperplane_sq(inner.center, outer.plane, place)
+            d2 = dist_to_hyperplane_sq_pair(inner.center, outer.plane, place)
     elif isinstance(outer, HNbhd):
         d2 = dual_dist_sq(inner.plane, outer.plane, place)
     elif inner.dim == 2:
@@ -739,7 +743,7 @@ def _component_contains(outer: Component, inner: Component, place: Place, closed
         return _component_contains(outer, dual_ball_of_hnbhd(inner), place, closed_inner)
     else:
         return False
-    c = cmp_sqrt_sum(d2, inner.radius_sq, outer.radius_sq)
+    c = cmp_sqrt_sum(d2, inner.radius_sq.as_integer_ratio(), outer.radius_sq.as_integer_ratio())
     return c < 0 if closed_inner else c <= 0
 
 

@@ -251,7 +251,8 @@ def int_valuation(n: int, p: int) -> int:
 # Quantities like distances are kept squared; when a statement genuinely
 # involves sqrt's we either bound them outward to width 2^-40 or, for the
 # frequent shape sqrt(a) + sqrt(b) vs sqrt(c), decide the sign exactly by
-# squaring twice.
+# squaring twice, on the integer (numerator, denominator) pairs the metric
+# returns: no Fraction is built for a comparison.
 # ---------------------------------------------------------------------------
 
 
@@ -290,27 +291,27 @@ def sqrt_upper(q: Rat) -> Rat:
     return Fraction(r + 1, d << SQRT_BOUND_BITS)
 
 
-def cmp_sqrt_sum(a: Rat, b: Rat, c: Rat) -> int:
-    """Exact sign of (sqrt(a) + sqrt(b)) - sqrt(c) for nonnegative rationals.
+def cmp_sqrt_sum(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
+    """Exact sign of (sqrt(a) + sqrt(b)) - sqrt(c) for nonnegative
+    rationals given as (numerator, denominator) pairs, denominators
+    positive.
 
-    Decided purely over Q: sqrt(a)+sqrt(b) <= sqrt(c) iff
-    a + b + 2*sqrt(a*b) <= c, and the remaining single square root is
-    compared by squaring once more (signs tracked).
+    Over the common denominator ad bd cd, with A, B, C the numerators
+    there, sqrt(A) + sqrt(B) <= sqrt(C) iff A + B + 2 sqrt(AB) <= C: so
+    the sign is 1 when T = C - A - B < 0, else that of 4AB - T^2.  Only
+    integers are multiplied.
     """
-    if a < 0 or b < 0 or c < 0:
+    an, ad = a
+    bn, bd = b
+    cn, cd = c
+    if an < 0 or bn < 0 or cn < 0:
         raise ValueError("negative input to cmp_sqrt_sum")
-    # (sqrt(a)+sqrt(b))^2 = a + b + 2 sqrt(ab); compare with c.
-    t = c - a - b
-    ab4 = 4 * a * b
+    big_a, big_b, big_c = an * bd * cd, bn * ad * cd, cn * ad * bd
+    t = big_c - big_a - big_b
     if t < 0:
-        return 1  # lhs^2 > c already from a+b > c
-    # compare 2 sqrt(ab) with t >= 0: sign of 4ab - t^2
-    s = ab4 - t * t
-    if s > 0:
         return 1
-    if s < 0:
-        return -1
-    return 0
+    s = 4 * big_a * big_b - t * t
+    return (s > 0) - (s < 0)
 
 
 def parse_rat(text: str) -> Rat:

@@ -207,49 +207,50 @@ class TreeAut(Record):
         return self
 
     def append_letter(self, tag: str, x: int) -> "TreeAut":
+        return self._fold(((tag, x),))
+
+    def _fold(self, letters: Iterable[Letter]) -> "TreeAut":
+        """self times the letters, folded into one syllable list, so that
+        a word of L letters builds one TreeAut, not L of them."""
         am = self.amalgam
-        grp = am.factor(tag)
-        y = grp.mul(am.h_image(tag, self.tail), x)
         syl = list(self.syllables)
-        while True:
-            h = am.h_preimage(tag, y)
-            if h is not None:
-                if not syl:
-                    return TreeAut(am, (), h)
-                last_tag, last_x = syl[-1]
-                if last_tag != tag:
-                    return TreeAut(am, tuple(syl), h)
-                # merge the H-part into the previous same-factor syllable
-                syl.pop()
-                y = am.factor(tag).mul(last_x, am.h_image(tag, h))
-                continue
-            rep = am.coset_rep(tag, y)
-            h = am.h_preimage(tag, grp.mul(grp.inv(rep), y))
-            assert h is not None
-            if syl and syl[-1][0] == tag:
-                last_tag, last_x = syl.pop()
-                y = grp.mul(last_x, y)
-                continue
-            return TreeAut(am, tuple(syl) + ((tag, rep),), h)
+        h = self.tail
+        for tag, x in letters:
+            grp = am.factor(tag)
+            y = grp.mul(am.h_image(tag, h), x)
+            while True:
+                same = syl and syl[-1][0] == tag
+                h = am.h_preimage(tag, y)
+                if h is not None:
+                    if not same:
+                        break
+                    # merge the H-part into the previous same-factor syllable
+                    y = grp.mul(syl.pop()[1], am.h_image(tag, h))
+                    continue
+                if same:
+                    y = grp.mul(syl.pop()[1], y)
+                    continue
+                rep = am.coset_rep(tag, y)
+                h = am.h_preimage(tag, grp.mul(grp.inv(rep), y))
+                assert h is not None
+                syl.append((tag, rep))
+                break
+        return TreeAut(am, tuple(syl), h)
 
     def __matmul__(self, other: "TreeAut") -> "TreeAut":
         if self.amalgam is not other.amalgam:
             raise TreeError("elements of different amalgams")
-        out = self
-        for tag, x in other.syllables:
-            out = out.append_letter(tag, x)
+        letters = other.syllables
         if other.tail != self.amalgam.group_h.identity:
-            out = out.append_letter("A", self.amalgam.h_image("A", other.tail))
-        return out
+            letters += (("A", self.amalgam.h_image("A", other.tail)),)
+        return self._fold(letters)
 
     def inverse(self) -> "TreeAut":
         am = self.amalgam
-        out = identity_aut(am)
+        letters = [(tag, am.factor(tag).inv(x)) for tag, x in reversed(self.syllables)]
         if self.tail != am.group_h.identity:
-            out = out.append_letter("A", am.h_image("A", am.group_h.inv(self.tail)))
-        for tag, x in reversed(self.syllables):
-            out = out.append_letter(tag, am.factor(tag).inv(x))
-        return out
+            letters.insert(0, ("A", am.h_image("A", am.group_h.inv(self.tail))))
+        return identity_aut(am)._fold(letters)
 
 
 def identity_aut(amalgam: AmalgamData) -> TreeAut:
@@ -258,14 +259,16 @@ def identity_aut(amalgam: AmalgamData) -> TreeAut:
 
 def normal_form(amalgam: AmalgamData, letters: Iterable[Letter]) -> TreeAut:
     """Fold letters into the unique reduced alternating form; empty iff identity."""
-    out = identity_aut(amalgam)
-    for tag, x in letters:
-        if tag not in ("A", "B"):
-            raise TreeError(f"letter factor must be A or B, got {tag!r}")
-        if not 0 <= x < amalgam.factor(tag).order:
-            raise TreeError(f"letter {x} outside factor {tag}")
-        out = out.append_letter(tag, x)
-    return out
+
+    def checked():
+        for tag, x in letters:
+            if tag not in ("A", "B"):
+                raise TreeError(f"letter factor must be A or B, got {tag!r}")
+            if not 0 <= x < amalgam.factor(tag).order:
+                raise TreeError(f"letter {x} outside factor {tag}")
+            yield tag, x
+
+    return identity_aut(amalgam)._fold(checked())
 
 
 def parse_word(amalgam: AmalgamData, text: str) -> TreeAut:
@@ -321,10 +324,7 @@ class BassSerreTree:
 
     def act(self, w: TreeAut, v: Vertex) -> Vertex:
         tag, key = v
-        g = w
-        for letter in key:
-            g = g.append_letter(*letter)
-        return self.vertex_of(g, tag)
+        return self.vertex_of(w._fold(key), tag)
 
     def ball(self, center: Vertex, radius: int) -> dict[Vertex, int]:
         """The depth of every vertex within `radius` of `center`, in
@@ -595,13 +595,16 @@ class TreeEvidence(Record):
         return True, ""
 
 
-def tree_pingpong(elements: list[TreeAut], amalgam: AmalgamData):
-    """Certify a ping-pong tuple of hyperbolic tree automorphisms with
-    localized shadow sets read off their axes; shadow disjointness is
-    decided exactly on the geodesics between their base edges."""
+def tree_pingpong(elements: list[TreeAut]):
+    """Certify a ping-pong tuple of hyperbolic tree automorphisms, one or
+    more of one amalgam, with localized shadow sets read off their axes;
+    shadow disjointness is decided exactly on the geodesics between their
+    base edges."""
     from .pingpong import PingPongPlayer, certify_tuple
 
-    tree = BassSerreTree(amalgam)
+    if not elements or any(g.amalgam is not elements[0].amalgam for g in elements):
+        raise TreeError("a ping-pong tuple needs one or more elements of one amalgam")
+    tree = BassSerreTree(elements[0].amalgam)
     players = []
     for i, g in enumerate(elements):
         cls = classify(g)

@@ -9,7 +9,7 @@ from freecert.dynamics import ITER_BUDGET
 from freecert.pingpong import OracleResult
 from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim
-from freecert.scalar import cmp_sqrt_sum, int_valuation, sqrt_lower, sqrt_upper, word_string
+from freecert.scalar import int_valuation, sqrt_lower, sqrt_upper, word_string
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
 from freecert.tree import DEFAULT_RADIUS, BassSerreTree, FiniteGroup, TreeError
 
@@ -363,6 +363,16 @@ def fraction_chord_witness(v, w, comps, place):
     return None
 
 
+def fraction_cmp_sqrt_sum(a: Fraction, b: Fraction, c: Fraction) -> int:
+    """Sign of sqrt(a) + sqrt(b) - sqrt(c) over Fraction, by squaring twice
+    (reference for the integer `scalar.cmp_sqrt_sum`)."""
+    t = c - a - b
+    if t < 0:
+        return 1
+    s = 4 * a * b - t * t
+    return (s > 0) - (s < 0)
+
+
 def fraction_selfmap_at(g, center, attract, repel, repel_err_sq, gap_sq_hi, epsilon_sq, radii_sq):
     """The self-map test over Fraction on canonical representatives, every
     radius in turn (reference for `checker.selfmap_at`)."""
@@ -380,7 +390,7 @@ def fraction_selfmap_at(g, center, attract, repel, repel_err_sq, gap_sq_hi, epsi
         lip = u_kappa / (d_low * d_low)
         if lip >= 1:
             continue
-        if move_sq < (1 - lip) ** 2 * t_sq and cmp_sqrt_sum(fraction_dist_sq(c, attract.rep, place), t_sq, epsilon_sq) <= 0:
+        if move_sq < (1 - lip) ** 2 * t_sq and fraction_cmp_sqrt_sum(fraction_dist_sq(c, attract.rep, place), t_sq, epsilon_sq) <= 0:
             return ProjPoint(gc), Enclosure(Ball(center, t_sq), lip * lip, d_low * d_low, move_sq)
     return ProjPoint(gc), None
 

@@ -302,7 +302,7 @@ def test_criterion_05_pingpong_implies_free():
     am = mod_amalgam()
     st2 = parse_word(am, "s t s t")
     conj2 = parse_word(am, "t s t s")
-    tree_out = tree_pingpong([st2, conj2], am)
+    tree_out = tree_pingpong([st2, conj2])
     assert tree_out.verdict == "certified"
     assert freeness_oracle([st2, conj2], 8).kind == "no-relation"
 

@@ -428,6 +428,7 @@ def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
 INTEGER_KERNEL = {
     "projective.py": ("det", "_eliminate", "inverse_rows", "_kernel_intersection_point"),
     "dynamics.py": ("_padic_pivot", "padic_exponents", "gram_charpoly", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
+    "scalar.py": ("cmp_sqrt_sum",),
 }
 
 
@@ -435,8 +436,9 @@ def test_integer_kernel_names_no_fraction():
     """Denominators are cleared once, by `scalar.clear_denominators`, on
     the way in; past that the determinant, the elimination, the inverse,
     the p-adic exponents, the Gram characteristic polynomial, the Krylov
-    moments of the power iteration and the kernel of two covectors never
-    build or name a `Fraction`."""
+    moments of the power iteration, the kernel of two covectors and the
+    sign test of sqrt(a) + sqrt(b) - sqrt(c) never build or name a
+    `Fraction`."""
     found = []
     for module, names in INTEGER_KERNEL.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
@@ -542,12 +544,15 @@ def _json_calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
 
 def test_certfmt_dumps_is_the_only_certificate_writer():
     """`certfmt.dumps` is the one writer of certificate text: the package
-    references `json.dumps` once, inside that function, and `json.dump`
-    never.  `certfmt.loads` reads with `json.loads`, also once."""
-    written = [(path.name, line) for path, tree in _trees(PACKAGE) for line in _json_calls(tree, ("dump", "dumps"))]
+    builds one `json.JSONEncoder`, certfmt's `_ENCODER`, which only that
+    function reads, and references `json.dumps` and `json.dump` never.
+    `certfmt.loads` reads with `json.loads`, also once."""
+    assert [path.name for path, tree in _trees(PACKAGE) for _ in _json_calls(tree, ("dump", "dumps"))] == []
+    assert [path.name for path, tree in _trees(PACKAGE) for _ in _json_calls(tree, ("JSONEncoder",))] == ["certfmt.py"]
     (certfmt,) = [tree for path, tree in _trees(PACKAGE) if path.name == "certfmt.py"]
     writer = next(n for n in ast.walk(certfmt) if isinstance(n, ast.FunctionDef) and n.name == "dumps")
-    assert [name for name, line in written if writer.lineno <= line <= writer.end_lineno] == ["certfmt.py"] == [name for name, _ in written]
+    reads = [n.lineno for n in ast.walk(certfmt) if isinstance(n, ast.Name) and n.id == "_ENCODER" and isinstance(n.ctx, ast.Load)]
+    assert reads and all(writer.lineno <= line <= writer.end_lineno for line in reads)
     assert len(_json_calls(certfmt, ("loads",))) == 1
 
 

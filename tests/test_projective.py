@@ -164,7 +164,7 @@ def test_triangle_inequality_sampled():
             a, b, c = (rand_point(rng) for _ in range(3))
             ab, bc, ac = dist_sq(a, b, place), dist_sq(b, c, place), dist_sq(c, a, place)
             # d(a,c) <= d(a,b) + d(b,c), via bounded sqrt of the cross term
-            assert ac <= ab + bc + 2 * sqrt_lower(ab * bc) or cmp_sqrt_sum(ab, bc, ac) >= 0
+            assert ac <= ab + bc + 2 * sqrt_lower(ab * bc) or cmp_sqrt_sum(ab.as_integer_ratio(), bc.as_integer_ratio(), ac.as_integer_ratio()) >= 0
 
 
 def test_point_to_plane_lipschitz_sampled():
@@ -179,7 +179,7 @@ def test_point_to_plane_lipschitz_sampled():
             d = dist_sq(p, q, place)
             hi, lo = max(dp, dq), min(dp, dq)
             # |sqrt(dp) - sqrt(dq)| <= sqrt(d)
-            assert cmp_sqrt_sum(lo, d, hi) >= 0
+            assert cmp_sqrt_sum(lo.as_integer_ratio(), d.as_integer_ratio(), hi.as_integer_ratio()) >= 0
 
 
 def test_set_member_oracle_values():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freecert.scalar import (
     ARCH,
@@ -17,7 +19,7 @@ from freecert.scalar import (
     sqrt_lower,
     sqrt_upper,
 )
-from oracles import abs_value, padic_valuation
+from oracles import abs_value, fraction_cmp_sqrt_sum, padic_valuation
 
 
 def test_place_validation():
@@ -134,11 +136,16 @@ def test_sqrt_bounds_exact_on_squares():
 
 def test_cmp_sqrt_sum_exact():
     # sqrt(1/4) + sqrt(1/4) == sqrt(1)
-    assert cmp_sqrt_sum(F(1, 4), F(1, 4), F(1)) == 0
+    assert cmp_sqrt_sum((1, 4), (1, 4), (1, 1)) == 0
     # sqrt(2) + sqrt(2) < sqrt(9)
-    assert cmp_sqrt_sum(F(2), F(2), F(9)) == -1
+    assert cmp_sqrt_sum((2, 1), (2, 1), (9, 1)) == -1
     # sqrt(4) + sqrt(1) > sqrt(8)
-    assert cmp_sqrt_sum(F(4), F(1), F(8)) == 1
+    assert cmp_sqrt_sum((4, 1), (1, 1), (8, 1)) == 1
+    # a pair need not be reduced: sqrt(2/8) + sqrt(3/12) == sqrt(4/4)
+    assert cmp_sqrt_sum((2, 8), (3, 12), (4, 4)) == 0
+    for bad in (((-1, 2), (0, 1), (0, 1)), ((0, 1), (-1, 1), (0, 1)), ((0, 1), (0, 1), (-3, 4))):
+        with pytest.raises(ValueError, match="negative input to cmp_sqrt_sum"):
+            cmp_sqrt_sum(*bad)
 
 
 def test_cmp_sqrt_sum_randomized_against_bounds():
@@ -147,7 +154,7 @@ def test_cmp_sqrt_sum_randomized_against_bounds():
         a = F(rng.randint(0, 30), rng.randint(1, 12))
         b = F(rng.randint(0, 30), rng.randint(1, 12))
         c = F(rng.randint(0, 60), rng.randint(1, 12))
-        sign = cmp_sqrt_sum(a, b, c)
+        sign = cmp_sqrt_sum(a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio())
         lo = sqrt_lower(a) + sqrt_lower(b) - sqrt_upper(c)
         hi = sqrt_upper(a) + sqrt_upper(b) - sqrt_lower(c)
         if sign < 0:
@@ -156,6 +163,32 @@ def test_cmp_sqrt_sum_randomized_against_bounds():
             assert hi > 0
         else:
             assert lo <= 0 <= hi
+
+
+_NONNEG = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NONNEG, _NONNEG, _NONNEG, st.integers(1, 10**6), st.sampled_from(["any", "t = 0", "4ab = t^2"]))
+@example(F(0), F(0), F(0), 1, "any")
+@example(F(1, 4), F(1, 4), F(1), 3, "any")
+def test_cmp_sqrt_sum_agrees_with_the_fraction_reference(a, b, c, scale, case):
+    """On pairs scaled by any factor, the integer kernel gives the sign the
+    Fraction reference gives; the two boundary cases t = c - a - b = 0
+    and 4ab = t^2 (sqrt(c) = sqrt(a) + sqrt(b), with a = x^2 and b = y^2)
+    are built on purpose."""
+    if case == "t = 0":
+        c = a + b
+    elif case == "4ab = t^2":
+        x, y = a, b
+        a, b, c = x * x, y * y, (x + y) ** 2
+    pairs = [(q.numerator * scale, q.denominator * scale) for q in (a, b, c)]
+    want = fraction_cmp_sqrt_sum(a, b, c)
+    assert cmp_sqrt_sum(*pairs) == want
+    if case == "4ab = t^2":
+        assert want == 0
+    elif case == "t = 0":
+        assert want == (1 if a and b else 0)
 
 
 def test_parse_and_format_rat():

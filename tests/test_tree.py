@@ -16,6 +16,7 @@ from freecert.tree import (
     ball_radius,
     ball_rows,
     classify,
+    identity_aut,
     kernel_of_action,
     normal_form,
     parse_word,
@@ -195,6 +196,31 @@ def test_normal_form_random_consistency():
         seq2 = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
         w1, w2 = normal_form(am, seq1), normal_form(am, seq2)
         assert (w1 @ w2) == normal_form(am, seq1 + seq2)
+
+
+def _letter_by_letter(w, letters):
+    for tag, x in letters:
+        w = w.append_letter(tag, x)
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_fold_equals_the_letter_by_letter_fold(data):
+    """`act` folds a vertex key of up to MAX_VERTEX_KEY letters in one pass,
+    and `normal_form`, products and inverses fold theirs the same way: each
+    gives what `append_letter` gives one letter at a time."""
+    am = data.draw(st.sampled_from([mod_amalgam(), s3_over_a3(), s3_over_c2()]))
+    letter = st.tuples(st.sampled_from("AB"), st.integers(0, 5)).map(lambda l: (l[0], l[1] % am.factor(l[0]).order))
+    word, key = data.draw(st.lists(letter, max_size=MAX_WORD_LEN)), data.draw(st.lists(letter, max_size=MAX_VERTEX_KEY))
+    w = _letter_by_letter(identity_aut(am), word)
+    tag = data.draw(st.sampled_from("AB"))
+    tree = BassSerreTree(am)
+    assert tree.act(w, (tag, tuple(key))) == tree.vertex_of(_letter_by_letter(w, key), tag)
+    assert normal_form(am, word) == w
+    assert w @ normal_form(am, key) == _letter_by_letter(w, key)
+    assert _letter_by_letter(w, key) @ w.inverse() @ w == _letter_by_letter(w, key)
+    assert (w @ w.inverse()).is_identity() and (w.inverse() @ w).is_identity()
 
 
 def test_expand_tree_degrees():
@@ -399,7 +425,7 @@ def test_every_shadow_of_a_bounded_word_lies_within_the_vertex_bound(data):
     inverse = [(tag, am.factor(tag).inv(x)) for tag, x in reversed(conj)]
     g = normal_form(am, conj + core + inverse)
     assume(classify(g).kind == "hyperbolic")
-    tup = tree_pingpong([g], am)
+    tup = tree_pingpong([g])
     keys = [len(v[1]) for p in tup.players for _, sh in p.sets() for v in (sh.x, sh.y)]
     assert max(keys) <= MAX_VERTEX_KEY
 
@@ -410,7 +436,7 @@ def test_tree_pingpong_certified_and_free():
     am = mod_amalgam()
     st = parse_word(am, "s t")
     conj = parse_word(am, "s") @ st @ parse_word(am, "s")  # s is an involution
-    out = tree_pingpong([st @ st, conj @ conj], am)
+    out = tree_pingpong([st @ st, conj @ conj])
     assert out.verdict == "certified"
     oracle = freeness_oracle([st @ st, conj @ conj], 8, names=["x", "y"])
     assert oracle.kind == "no-relation"
@@ -420,21 +446,21 @@ def test_tree_pingpong_shared_axis_segment_refuted():
     am = mod_amalgam()
     st = parse_word(am, "s t")
     conj = parse_word(am, "s") @ st @ parse_word(am, "s")
-    out = tree_pingpong([st, conj], am)
+    out = tree_pingpong([st, conj])
     assert out.verdict == "refuted"
 
 
 def test_tree_pingpong_duplicates_refuted():
     am = mod_amalgam()
     st = parse_word(am, "s t")
-    out = tree_pingpong([st, st], am)
+    out = tree_pingpong([st, st])
     assert out.verdict == "refuted"
 
 
 def test_tree_evidence_refuses_a_declared_shadow_off_the_axis():
     am = mod_amalgam()
     g = parse_word(am, "s t s t")
-    player = tree_pingpong([g], am).players[0]
+    player = tree_pingpong([g]).players[0]
     evidence = player.evidence
     assert evidence.check_mapping(player) == (True, "")
     a_plus = player.a_plus
@@ -449,7 +475,14 @@ def test_tree_evidence_refuses_a_declared_shadow_off_the_axis():
 def test_tree_pingpong_elliptic_rejected():
     am = mod_amalgam()
     with pytest.raises(TreeError, match="not hyperbolic"):
-        tree_pingpong([parse_word(am, "s")], am)
+        tree_pingpong([parse_word(am, "s")])
+
+
+def test_tree_pingpong_refuses_elements_of_different_amalgams():
+    g = parse_word(mod_amalgam(), "s t s t")
+    for elements in ([g, parse_word(mod_amalgam(), "s t s t")], [g, normal_form(s3_over_a3(), [("A", 1)])], []):
+        with pytest.raises(TreeError, match="one or more elements of one amalgam"):
+            tree_pingpong(elements)
 
 
 def test_oracle_finds_torsion_relation():

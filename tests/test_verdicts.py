@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, CertContext, check_claim, dumps, mat_from, place_from, plane_from, point_from
+from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, CertContext, VerifyError, check_claim, dumps, mat_from, place_from, plane_from, point_from
 from freecert.checker import selfmap_at, selfmap_radii
 from freecert.cli import main
 from freecert.dynamics import contraction_gap_sq, direction_candidates
@@ -285,8 +285,20 @@ def test_a_selfmap_claim_bounds_kappa_squared(tmp_path):
         (lambda c: c["result"].update(note="x"), 3, "result field 'note' is neither bound nor stated"),
         (lambda c: c["claims"].append(dict(c["claims"][0])), 3, "claim 2 (word-eval) belongs to no group of the verdict"),
         (lambda c: c["task"].update(epsilon_sq="1/9"), 3, "claim 1 (contraction) cert.epsilon_sq differs from the rebuilt claim"),
+        (lambda c: c.update(result=[c["result"]]), 3, "verify: verdict 'yes' of analyze contracting: result is not an object"),
     ],
-    ids=["unknown-subop", "task-not-an-object", "op-not-a-string", "partial", "verdict-not-a-string", "verdict-of-another-subop", "unnamed-field", "extra-claim", "task-epsilon"],
+    ids=[
+        "unknown-subop",
+        "task-not-an-object",
+        "op-not-a-string",
+        "partial",
+        "verdict-not-a-string",
+        "verdict-of-another-subop",
+        "unnamed-field",
+        "extra-claim",
+        "task-epsilon",
+        "result-not-an-object",
+    ],
 )
 def test_verify_names_the_verdict_and_what_it_lacks(tmp_path, capsys, tamper, code, message):
     text = MATRIX_HEADER + TASK + "op analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n"
@@ -295,6 +307,24 @@ def test_verify_names_the_verdict_and_what_it_lacks(tmp_path, capsys, tamper, co
     capsys.readouterr()
     assert _verify(tmp_path, cert) == code
     assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_a_set_component_of_an_unknown_kind(tmp_path, capsys):
+    cert, claim, ctx = _golden_claim(tmp_path, "analyze-very-proximal", "set-disjoint")
+    claim["left"][0]["kind"] = "disk"
+    with pytest.raises(VerifyError, match="^bad set component kind 'disk'$"):
+        check_claim(claim, ctx)
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 2
+    assert "verify: bad set component kind 'disk'" in capsys.readouterr().err
+
+
+def test_verify_reports_an_input_error_that_a_binder_meets(tmp_path, capsys, goldens):
+    # `tree expand` has no claim, so its binder is first to read the header's amalgam
+    cert = {**goldens["tree-expand"], "header": {}}
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 2
+    assert "verify: certificate lacks an amalgam table" in capsys.readouterr().err
 
 
 def _method_in_claim_and_result(cert):
