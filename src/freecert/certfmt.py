@@ -31,6 +31,7 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import gcd
 
 from . import __version__
 from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
@@ -63,8 +64,21 @@ MAX_EXPONENT = 64
 #: Most letters a problem-file word may expand to.  Each letter is a
 #: matrix product whose entries grow with the word, or a tree normal-form
 #: step, so a long word would not fail but run for minutes and overflow
-#: the certificate's numbers.
+#: the certificate's numbers.  `verify` refuses a longer task word before
+#: it evaluates any word: `a^1000000` ran for minutes.
 MAX_WORD_LEN = 64
+#: Largest height of a problem-file matrix word: the sum, over its
+#: letters, of the bit length of the largest entry of the letter's
+#: primitive integer matrix.  That bounds the bits of the word's entries,
+#: and a certificate's numbers grow with them: for `analyze contracting`
+#: on (a b)^k with a = [[99, 98], [1, 1]], b = [[1, 0], [99, 1]], each bit
+#: of height costs about 14 decimal digits, so 256 keeps them near 3500,
+#: under the 4300 digits Python converts to text.
+MAX_WORD_HEIGHT = 256
+#: Longest word `synthesize very-proximal` tries for f1 and f2.  It
+#: certifies every pair of words up to that length, 2809 pairs for two
+#: generators at length 3, so a longer one would run for minutes.
+MAX_SEARCH_WORD_LEN = 3
 #: Longest key `verify` reads for a shadow vertex, in letters.  The axis
 #: of a word of L letters runs through c y, with c its `_cyclic_reduce`
 #: conjugator, y a prefix of its core or of the core's inverse and
@@ -116,20 +130,31 @@ def rat(x: Rat) -> "str | _Unprintable":
         return _Unprintable(x)
 
 
-def rat_from(text: str) -> int | Rat:
-    """The rational that `format_rat` writes as `text`, an `int` if it has
-    no denominator.  Any other text of it (`2/13122` for 1/6561, `2/1`,
-    `+1`, ` 1`, `-0`), and any text of no rational, is a ValueError, which
-    fails the claim that holds it: a certificate binds a number by its one
-    text."""
+def pair_from(text: str) -> tuple[int, int]:
+    """The rational that `format_rat` writes as `text`, as its (numerator,
+    denominator) pair in lowest terms.  That text is the `str` of the
+    numerator, then, for a denominator over 1 and prime to it, "/" and
+    the `str` of the denominator.  Any other text of it (`2/13122` for
+    1/6561, `2/1`, `+1`, ` 1`, `-0`), and any text of no rational, is a
+    ValueError, which fails the claim that holds it: a certificate binds a
+    number by its one text.  The one reader of a certificate's numbers."""
     try:
         num, slash, den = text.partition("/")
-        x = Fraction(int(num), int(den)) if slash else int(num)
-    except (AttributeError, ValueError, ZeroDivisionError):  # no string, no integers, or q = 0
+        n = int(num)
+        d = int(den) if slash else 1
+    except (AttributeError, ValueError):  # no string, or no integers
         raise ValueError(f"malformed rational literal {text!r}") from None
-    if format_rat(x) != text:
-        raise ValueError(f"rational {text!r} is not written as certificates write {x}")
-    return x
+    if str(n) == num and (not slash or (d > 1 and gcd(n, d) == 1 and str(d) == den)):
+        return n, d
+    if d == 0:
+        raise ValueError(f"malformed rational literal {text!r}")
+    raise ValueError(f"rational {text!r} is not written as certificates write {Fraction(n, d)}")
+
+
+def rat_from(text: str) -> int | Rat:
+    """The number of `pair_from`, an `int` if it has no denominator."""
+    n, d = pair_from(text)
+    return n if d == 1 else Fraction(n, d)
 
 
 def place_from(s: str) -> Place:
@@ -145,14 +170,18 @@ def vec_json(v) -> list[str]:
     return [rat(c) for c in v]
 
 
-def vec_from(data, dim: int | None) -> tuple:
-    """The coordinates of `data`, refused over MAX_DIM.  Unless `dim` is
-    None, a count other than `dim` is a ValueError, which fails the claim."""
+def _within_max_dim(data, what: str) -> None:
+    """Refuse a matrix or vector of more than MAX_DIM rows or coordinates."""
     if len(data) > MAX_DIM:
-        raise VerifyError(f"vector of {len(data)} coordinates exceeds MAX_DIM = {MAX_DIM}")
+        raise VerifyError(f"{what.format(len(data))} exceeds MAX_DIM = {MAX_DIM}")
+
+
+def _coords(data, dim: int | None) -> list[tuple[int, int]]:
+    """The coordinates of `data` as pairs.  Unless `dim` is None, a count
+    other than `dim` is a ValueError, which fails the claim."""
     if dim is not None and len(data) != dim:
         raise ValueError(f"vector of {len(data)} coordinates in a certificate of dimension {dim}")
-    return tuple(rat_from(c) for c in data)
+    return [pair_from(c) for c in data]
 
 
 def mat_json(m: ProjMat) -> list[list[str]]:
@@ -160,10 +189,7 @@ def mat_json(m: ProjMat) -> list[list[str]]:
 
 
 def mat_from(data, place: Place) -> ProjMat:
-    """The matrix of `data`, refused over MAX_DIM before its det is computed."""
-    if len(data) > MAX_DIM:
-        raise VerifyError(f"matrix of {len(data)} rows exceeds MAX_DIM = {MAX_DIM}")
-    return ProjMat(tuple(tuple(rat_from(c) for c in row) for row in data), place)
+    return ProjMat([[pair_from(c) for c in row] for row in data], place)
 
 
 def point_json(p: ProjPoint) -> list[str]:
@@ -171,7 +197,7 @@ def point_json(p: ProjPoint) -> list[str]:
 
 
 def point_from(data, dim: int | None) -> ProjPoint:
-    return ProjPoint(vec_from(data, dim))
+    return ProjPoint(_coords(data, dim))
 
 
 def plane_json(h: ProjHyperplane) -> list[str]:
@@ -179,7 +205,7 @@ def plane_json(h: ProjHyperplane) -> list[str]:
 
 
 def plane_from(data, dim: int | None) -> ProjHyperplane:
-    return ProjHyperplane(vec_from(data, dim))
+    return ProjHyperplane(_coords(data, dim))
 
 
 def ball_json(center: list, radius_sq: str) -> dict:
@@ -190,11 +216,11 @@ def hnbhd_json(plane: list, radius_sq: str) -> dict:
     return {"kind": "hnbhd", "plane": plane, "radius_sq": radius_sq}
 
 
-def component_from(data, dim: int | None):
+def component_from(data, ctx: CertContext):
     if data["kind"] == "ball":
-        return Ball(point_from(data["center"], dim), rat_from(data["radius_sq"]))
+        return Ball(ctx.point(data["center"]), rat_from(data["radius_sq"]))
     if data["kind"] == "hnbhd":
-        return HNbhd(plane_from(data["plane"], dim), rat_from(data["radius_sq"]))
+        return HNbhd(ctx.plane(data["plane"]), rat_from(data["radius_sq"]))
     raise VerifyError(f"bad set component kind {data.get('kind')!r}")
 
 
@@ -202,8 +228,8 @@ def set_json(s: ProjSet) -> list[dict]:
     return [ball_json(point_json(c.center), rat(c.radius_sq)) if isinstance(c, Ball) else hnbhd_json(plane_json(c.plane), rat(c.radius_sq)) for c in s.components]
 
 
-def set_from(data, dim: int | None) -> ProjSet:
-    return ProjSet(tuple(component_from(c, dim) for c in data))
+def set_from(data, ctx: CertContext) -> ProjSet:
+    return ProjSet(tuple(component_from(c, ctx) for c in data))
 
 
 # Records: each layout is written once, over the JSON of its numbers, from
@@ -476,7 +502,7 @@ def verify_text(text: str) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _check_contraction(matrix: ProjMat, stored: dict, dim: int | None) -> bool:
+def _check_contraction(matrix: ProjMat, stored: dict, ctx: CertContext) -> bool:
     """Re-derive the contraction facts for the stored candidate pair.
 
     Checks, in order: the stored gap bound is a genuine upper bound for
@@ -491,7 +517,7 @@ def _check_contraction(matrix: ProjMat, stored: dict, dim: int | None) -> bool:
     if gap_hi < contraction_gap_sq(matrix).hi:
         return False
     dirs = direction_candidates(matrix)
-    if dirs.attract != point_from(stored["attract"], dim) or dirs.repel != plane_from(stored["repel"], dim):
+    if dirs.attract != ctx.point(stored["attract"]) or dirs.repel != ctx.plane(stored["repel"]):
         return False
     if dirs.attract_err_sq is None or dirs.repel_err_sq is None:
         return False
@@ -501,17 +527,48 @@ def _check_contraction(matrix: ProjMat, stored: dict, dim: int | None) -> bool:
     return bound is not None and bound * bound <= rat_from(stored["image_radius_sq"]) <= eps_sq
 
 
+def _rows_key(data) -> tuple:
+    return tuple(map(tuple, data))
+
+
+#: The task fields that hold words: a word, a list of words, or an object
+#: whose values are words or lists of words.
+TASK_WORDS = ("element", "x", "word", "words", "players", "normals")
+
+
+def _bound_task_words(task) -> None:
+    """VerifyError when a word the task holds has more than MAX_WORD_LEN
+    letters, counted unexpanded, as the problem reader counts them.  A
+    value that is no word is left to the claim or binder that reads it."""
+    if not isinstance(task, dict):
+        return
+    for field in TASK_WORDS:
+        value = task.get(field)
+        if value is None:
+            continue
+        for item in value.values() if isinstance(value, dict) else [value]:
+            for word in item if isinstance(item, list) else [item]:
+                if not isinstance(word, str):
+                    continue
+                try:
+                    letters = letter_count(word)
+                except ValueError:  # a bad exponent
+                    continue
+                if letters > MAX_WORD_LEN:
+                    raise VerifyError(f"task {field} word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
+
+
 def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
     """The stored ball passes the self-map test with the stored numbers,
     and the stored Lipschitz, region and move numbers are the derived ones."""
-    matrix, dim = mat_from(claim["matrix"], ctx.place), ctx.dim
+    matrix = ctx.matrix(claim["matrix"])
     gap_hi = rat_from(claim["gap_sq_hi"])
     if contraction_gap_sq(matrix).hi > gap_hi:
         return False
     enc = claim["enclosure"]
-    center, t_sq = point_from(enc["center"], dim), rat_from(enc["radius_sq"])
+    center, t_sq = ctx.point(enc["center"]), rat_from(enc["radius_sq"])
     r_err, eps_sq = rat_from(claim["repel_err_sq"]), rat_from(claim["epsilon_sq"])
-    attract, repel = point_from(claim["attract"], dim), plane_from(claim["repel"], dim)
+    attract, repel = ctx.point(claim["attract"]), ctx.plane(claim["repel"])
     _, derived = selfmap_at(matrix, center, attract, repel, r_err, gap_hi, eps_sq, selfmap_radii([t_sq]))
     stored = Enclosure(Ball(center, t_sq), *(rat_from(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
     return derived == stored
@@ -523,13 +580,52 @@ class CertContext:
     Bass-Serre tree that the header describes, and the header evaluation
     of each word (the task's element among them), the one exact value of
     that word's matrix.  Each is built once, on first use, for all claims
-    of the certificate and for its verdict's row."""
+    of the certificate and for its verdict's row.  So is each matrix,
+    point and hyperplane a claim holds: `matrix`, `point` and `plane`
+    refuse a value over MAX_DIM, then read it once per certificate, at its
+    place and dimension, and return the same object wherever it recurs.  A task
+    word of more than MAX_WORD_LEN letters is refused before any word is
+    evaluated."""
 
     def __init__(self, place: Place | None, header: dict, task: dict):
         if not isinstance(header, dict):
             raise VerifyError("certificate header is not an object")
+        _bound_task_words(task)
         self.place, self.header, self.task = place, header, task
         self._evals: dict[str, ProjMat] = {}
+        self._matrices: dict = {}
+        self._points: dict = {}
+        self._planes: dict = {}
+
+    @staticmethod
+    def _once(memo: dict, key_of, read, data, *args):
+        """read(data, *args), kept in `memo` under key_of(data), the JSON
+        value's strings: equal keys are equal texts, which read alike.  A
+        value whose key does not build or hash is read uncached, and a read
+        that raises stores nothing, so it fails alike wherever it recurs."""
+        try:
+            key = key_of(data)
+            return memo[key]
+        except KeyError:
+            memo[key] = out = read(data, *args)
+            return out
+        except TypeError:  # no key: a row that is no list, or a value that does not hash
+            return read(data, *args)
+
+    def matrix(self, data) -> ProjMat:
+        """`mat_from(data)` at the certificate's place, once per value."""
+        _within_max_dim(data, "matrix of {} rows")
+        return self._once(self._matrices, _rows_key, mat_from, data, self.place)
+
+    def point(self, data) -> ProjPoint:
+        """`point_from(data)` at the certificate's dimension, once per value."""
+        _within_max_dim(data, "vector of {} coordinates")
+        return self._once(self._points, tuple, point_from, data, self.dim)
+
+    def plane(self, data) -> ProjHyperplane:
+        """`plane_from(data)` at the certificate's dimension, once per value."""
+        _within_max_dim(data, "vector of {} coordinates")
+        return self._once(self._planes, tuple, plane_from, data, self.dim)
 
     @cached_property
     def dim(self) -> int | None:
@@ -545,7 +641,7 @@ class CertContext:
         matrices = []
         for name, m in sorted(gens.items()):
             try:
-                matrices.append((name, mat_from(m, self.place)))
+                matrices.append((name, self.matrix(m)))
             except (ValueError, TypeError) as e:  # no invertible square matrix of rationals: no word evaluates
                 raise VerifyError(f"bad generator {name}: {e}") from None
         return MarkedGroup(tuple(matrices))
@@ -571,8 +667,8 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
     p-adic places the pair must be that matrix's direction candidates; the
     archimedean ones come from power iteration, which is not re-run here.
     Which matrix a verdict may refute is its row's to bind."""
-    m = mat_from(claim["matrix"], ctx.place)
-    x, attract, repel = point_from(claim["witness"], ctx.dim), point_from(claim["attract"], ctx.dim), plane_from(claim["repel"], ctx.dim)
+    m = ctx.matrix(claim["matrix"])
+    x, attract, repel = ctx.point(claim["witness"]), ctx.point(claim["attract"]), ctx.plane(claim["repel"])
     if ctx.place.is_padic:
         dirs = direction_candidates(m)
         if (dirs.attract, dirs.repel) != (attract, repel):
@@ -582,19 +678,19 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
 
 def check_claim(claim: dict, ctx: CertContext) -> bool:
     """Re-check one claim against the certificate context `verify` builds."""
-    place, dim = ctx.place, ctx.dim
+    place, _ = ctx.place, ctx.dim  # a generator table that does not read fails every claim
     kind = claim.get("type")
     if kind == "set-disjoint":
-        return set_disjoint(set_from(claim["left"], dim), set_from(claim["right"], dim), place).kind == "disjoint"
+        return set_disjoint(set_from(claim["left"], ctx), set_from(claim["right"], ctx), place).kind == "disjoint"
     if kind == "set-contains":
         closed = claim.get("closed_inner", False)
-        return type(closed) is bool and set_contains(set_from(claim["outer"], dim), set_from(claim["inner"], dim), place, closed)
+        return type(closed) is bool and set_contains(set_from(claim["outer"], ctx), set_from(claim["inner"], ctx), place, closed)
     if kind == "point-plane-far":
-        return point_plane_far(point_from(claim["point"], dim), plane_from(claim["plane"], dim), rat_from(claim["r_sq"]), place)
+        return point_plane_far(ctx.point(claim["point"]), ctx.plane(claim["plane"]), rat_from(claim["r_sq"]), place)
     if kind == "word-eval":
-        return ctx.eval(claim["word"]) == mat_from(claim["matrix"], place)
+        return ctx.eval(claim["word"]) == ctx.matrix(claim["matrix"])
     if kind == "contraction":
-        return _check_contraction(mat_from(claim["matrix"], place), claim["cert"], dim)
+        return _check_contraction(ctx.matrix(claim["matrix"]), claim["cert"], ctx)
     if kind == "contraction-refuted":
         return _check_refutation(claim, ctx)
     if kind == "selfmap-enclosure":

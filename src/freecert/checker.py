@@ -8,7 +8,7 @@ calling the same ones on its parsed numbers.  Only `scalar` and
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from fractions import Fraction
 
 from .projective import (
     Ball,
@@ -19,26 +19,29 @@ from .projective import (
     apply,
     dist_sq,
     dist_sq_pair,
-    dist_to_hyperplane_sq,
     dist_to_hyperplane_sq_pair,
     set_contains,
 )
-from .scalar import SQRT_BOUND_BITS, Place, Rat, Record, cmp_sqrt_sum, sqrt_lower, sqrt_upper
+from .scalar import SQRT_BOUND_BITS, Place, Rat, Record, cmp_sqrt_sum, sqrt_lower_pair, sqrt_upper_pair
 
 
 def image_radius_bound(gap_sq_hi: Rat, epsilon_sq: Rat, attract_err_sq: Rat | None, repel_err_sq: Rat | None) -> Rat | None:
     """Certified upper bound B = kappa/(eps - beta) + alpha on the radius of
     the image of {d(., repel) >= eps}, with kappa^2 <= gap_sq_hi, alpha^2 =
     attract_err_sq and beta^2 = repel_err_sq; None unless B <= eps (so also
-    for a None error, meaning no certified direction bound)."""
+    for a None error, meaning no certified direction bound).  The bounds
+    are integer pairs; only B is built as a Fraction."""
     if attract_err_sq is None or repel_err_sq is None:
         return None
-    l_eps = sqrt_lower(epsilon_sq)
-    denom = l_eps - sqrt_upper(repel_err_sq)
-    if denom <= 0:
+    ln, ld = sqrt_lower_pair(*epsilon_sq.as_integer_ratio())
+    bn, bd = sqrt_upper_pair(*repel_err_sq.as_integer_ratio())
+    dn = ln * bd - bn * ld  # eps - beta = dn / (ld bd)
+    if dn <= 0:
         return None
-    bound = sqrt_upper(gap_sq_hi) / denom + sqrt_upper(attract_err_sq)
-    return bound if bound <= l_eps else None
+    kn, kd = sqrt_upper_pair(*gap_sq_hi.as_integer_ratio())
+    an, ad = sqrt_upper_pair(*attract_err_sq.as_integer_ratio())
+    num, den = kn * ld * bd * ad + an * kd * dn, kd * dn * ad
+    return Fraction(num, den) if num * ld <= ln * den else None
 
 
 def witness_refutes(g: ProjMat, x: ProjPoint, attract: ProjPoint, repel: ProjHyperplane, epsilon_sq: Rat) -> bool:
@@ -74,36 +77,48 @@ class Enclosure(Record):
     __slots__ = ("ball", "lipschitz_sq", "region_low_sq", "move_sq")  # move_sq: d(g.center, center)^2
 
 
-_SQRT_SLACK = Rat(1, 1 << SQRT_BOUND_BITS)  # sqrt_upper(q) - sqrt(q) is at most this
-
-
 class Ladder(Record):
-    """Ascending squared radii t^2 for `selfmap_at`, each with its bound
-    u = sqrt_upper(t^2), computed the first time a test reads it: a test
-    reads about one rung, and a ladder serves every test of a search."""
+    """Ascending squared radii t^2 for `selfmap_at`, with their integer
+    pairs, each with its bound u = sqrt_upper(t^2) as a pair, computed the
+    first time a test reads it: a test reads about one rung, and a ladder
+    serves every test of a search."""
 
-    __slots__ = ("radii_sq", "_upper")
+    __slots__ = ("radii_sq", "_pairs", "_upper")
 
     def __init__(self, radii_sq) -> None:
         Record.__init__(self, tuple(radii_sq))
+        object.__setattr__(self, "_pairs", tuple(t.as_integer_ratio() for t in self.radii_sq))
         object.__setattr__(self, "_upper", [None] * len(self.radii_sq))
 
-    def upper(self, i: int) -> Rat:
+    def upper(self, i: int) -> tuple[int, int]:
         u = self._upper[i]
         if u is None:
-            u = self._upper[i] = sqrt_upper(self.radii_sq[i])
+            u = self._upper[i] = sqrt_upper_pair(*self._pairs[i])
         return u
 
-    def ends_below(self, start: int, reach: Rat) -> bool:
-        """Whether some rung below `start` has u >= reach.  The rungs
-        ascend, so every u below rung i is at most sqrt(t_i^2) + 2^-40 <=
-        u_i + 2^-40: the scan down from rung start - 1 stops at the first
-        rung whose u is more than 2^-40 under reach."""
+    def above(self, n: int, d: int) -> int:
+        """The first rung above n/d (`bisect_right` on the pairs)."""
+        lo, hi = 0, len(self._pairs)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            tn, td = self._pairs[mid]
+            if n * td < tn * d:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def ends_below(self, start: int, rn: int, rd: int) -> bool:
+        """Whether some rung below `start` has u >= reach = rn/rd, rd > 0.
+        The rungs ascend, so every u below rung i is at most sqrt(t_i^2) +
+        2^-40 <= u_i + 2^-40: the scan down from rung start - 1 stops at the
+        first rung whose u is more than 2^-40 under reach."""
         for i in reversed(range(start)):
-            u = self.upper(i)
-            if reach <= u:
+            un, ud = self.upper(i)
+            gap = rn * ud - un * rd  # reach - u = gap / (rd ud)
+            if gap <= 0:
                 return True
-            if reach - u > _SQRT_SLACK:
+            if gap << SQRT_BOUND_BITS > rd * ud:
                 return False
         return False
 
@@ -125,31 +140,37 @@ def selfmap_at(
     and distances are computed once for all radii, and the radii up to the
     move are skipped, as 0 <= L < 1 makes (1 - L)^2 t^2 <= t^2: they fail
     the move test, and `Ladder.ends_below` tells whether one would have
-    ended the search."""
+    ended the search.  Every comparison is on integer pairs; Fractions are
+    built only for the numbers an enclosure records."""
     place = g.place
     gc = apply(g, center)
     move_sq = dist_sq(gc, center, place)
-    reach = sqrt_lower(dist_to_hyperplane_sq(center, repel, place)) - sqrt_upper(repel_err_sq)
-    rungs = radii.radii_sq
-    start = bisect_right(rungs, move_sq)
-    if radii.ends_below(start, reach):
+    mn, md = move_sq.as_integer_ratio()
+    ln, ld = sqrt_lower_pair(*dist_to_hyperplane_sq_pair(center, repel, place))
+    bn, bd = sqrt_upper_pair(*repel_err_sq.as_integer_ratio())
+    rn, rd = ln * bd - bn * ld, ld * bd  # reach = d(center, repel) - beta
+    start = radii.above(mn, md)
+    if radii.ends_below(start, rn, rd):
         return gc, None
-    u_kappa = sqrt_upper(gap_sq_hi)
+    kn, kd = sqrt_upper_pair(*gap_sq_hi.as_integer_ratio())
     near = None
-    for i in range(start, len(rungs)):
-        d_low = reach - radii.upper(i)
-        if d_low <= 0:
+    for i in range(start, len(radii.radii_sq)):
+        un, ud = radii.upper(i)
+        dn, dd = rn * ud - un * rd, rd * ud  # d_low
+        if dn <= 0:
             break
-        low_sq = d_low * d_low
-        if u_kappa >= low_sq:
+        low_n, low_d = dn * dn, dd * dd
+        lip_d = kd * low_n  # L = kn low_d / lip_d
+        slack = lip_d - kn * low_d  # 1 - L = slack / lip_d
+        if slack <= 0:
             continue  # L >= 1
-        lip = u_kappa / low_sq
-        t_sq = rungs[i]
-        if move_sq < (1 - lip) ** 2 * t_sq:
+        tn, td = radii._pairs[i]
+        if mn * lip_d * lip_d * td < slack * slack * tn * md:
             if near is None:
                 near = dist_sq_pair(center, attract, place)
-            if cmp_sqrt_sum(near, t_sq.as_integer_ratio(), epsilon_sq.as_integer_ratio()) <= 0:
-                return gc, Enclosure(Ball(center, t_sq), lip * lip, low_sq, move_sq)
+            if cmp_sqrt_sum(near, (tn, td), epsilon_sq.as_integer_ratio()) <= 0:
+                lip_sq = Fraction(kn * low_d, lip_d) ** 2
+                return gc, Enclosure(Ball(center, radii.radii_sq[i]), lip_sq, Fraction(low_n, low_d), move_sq)
     return gc, None
 
 

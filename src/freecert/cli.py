@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import certfmt
-from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, MAX_WORD_LEN, PRODENSE_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
+from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, MAX_SEARCH_WORD_LEN, MAX_WORD_HEIGHT, MAX_WORD_LEN, PRODENSE_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
 from .certfmt import shadow_json, vertex_json
 from .dynamics import (
     certify_contracting,
@@ -54,18 +54,6 @@ from .tree import (
 
 EXIT_INPUT = 2
 
-#: Longest word `synthesize very-proximal` tries for f1 and f2.  It
-#: certifies every pair of words up to that length, 2809 pairs for two
-#: generators at length 3, so a longer one would run for minutes.
-MAX_SEARCH_WORD_LEN = 3
-#: Largest height of a problem-file matrix word: the sum, over its
-#: letters, of the bit length of the largest entry of the letter's
-#: primitive integer matrix.  That bounds the bits of the word's entries,
-#: and a certificate's numbers grow with them: for `analyze contracting`
-#: on (a b)^k with a = [[99, 98], [1, 1]], b = [[1, 0], [99, 1]], each bit
-#: of height costs about 14 decimal digits, so 256 keeps them near 3500,
-#: under the 4300 digits Python converts to text.
-MAX_WORD_HEIGHT = 256
 #: Largest problem file, in bytes: over a thousand times the largest
 #: problem of the tests (983 bytes) and of the benchmark deck (414).  At most one
 #: byte more is read, so a huge file is refused before it is parsed.

@@ -64,8 +64,11 @@ class SingularProfile(Record):
 
     @cached_property
     def gap_sq(self) -> Interval:
-        """Enclosure of kappa^2 = (sigma_2/sigma_1)^2, divided once per profile."""
-        return self.values_sq[1].divide(self.values_sq[0])
+        """Enclosure of kappa^2 = (sigma_2/sigma_1)^2, divided once per
+        profile: every value is positive, so its ends are v1.lo / v0.hi and
+        v1.hi / v0.lo."""
+        v0, v1 = self.values_sq[:2]
+        return Interval(v1.lo / v0.hi, v1.hi / v0.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +473,10 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> Verdict:
 
 @lru_cache(maxsize=64)
 def _selfmap_ladder(epsilon_sq: Rat):
-    """The radii eps / 2^j, j = 45 down to 1, ascending, built once per eps."""
-    return selfmap_radii(epsilon_sq / 4**j for j in range(45, 0, -1))
+    """The radii eps / 2^j, j = 45 down to 1, ascending, built once per eps
+    by shifting its denominator."""
+    n, d = epsilon_sq.as_integer_ratio()
+    return selfmap_radii(Fraction(n, d << 2 * j) for j in range(45, 0, -1))
 
 
 @lru_cache(maxsize=4096)

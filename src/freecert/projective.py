@@ -8,11 +8,13 @@ rational views (first nonzero coordinate 1) that certificates print.  A
 matrix stores its integer rows over one positive scale, the lcm of its
 entries' denominators; equality and hashing read that unique form, a
 product is cleared by one gcd, and `.entries` is the rational view.
-Coordinates and entries given as input are ints and Fractions, cleared
-by `scalar.clear_denominators` in `class_rep` and `ProjMat.__init__`, and
-anything else is a TypeError; past that, `det`, inverses and kernels take
-and return integers alone.  The
-metric is the standard one, d([v],[w]) = |v ^ w| / (|v| |w|), handled
+Coordinates and entries given as input are ints, Fractions and integer
+(numerator, denominator) pairs in lowest terms, the form in which
+`certfmt.pair_from` reads a certificate's numbers.
+`scalar.clear_denominators` clears them in `class_rep` and
+`ProjMat.__init__`, and anything else is a TypeError.  Past that, `det`,
+inverses and kernels take and return integers alone.  The metric is the
+standard one, d([v],[w]) = |v ^ w| / (|v| |w|), handled
 throughout in squared form on the integer representatives: sums of
 squares at the archimedean place; at a p-adic place the sup norm
 replaces the Euclidean one, and an integer vector has norm
@@ -195,8 +197,8 @@ class ProjMat:
     checked once, on construction from input.  Products, transposes and
     inverses of invertible matrices are invertible, so they are built by
     `_of`, which skips `det`.  `entries` is the Fraction view that
-    certificates print.  Input entries are ints and Fractions; a float
-    or a string is a TypeError.
+    certificates print.  Input entries are ints, Fractions and integer
+    pairs (`clear_denominators`); a float or a string is a TypeError.
     """
 
     def __init__(self, entries, place: Place) -> None:

@@ -46,16 +46,6 @@ class Interval(Record):
     def exact(self) -> bool:
         return self.lo == self.hi
 
-    def __mul__(self, other: "Interval") -> "Interval":
-        cands = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(cands), max(cands))
-
-    def divide(self, other: "Interval") -> "Interval":
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("interval division through zero")
-        inv = Interval(Fraction(1) / other.hi, Fraction(1) / other.lo)
-        return self * inv
-
 
 def point(x: Rat) -> Interval:
     x = Fraction(x)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, takewhile
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter
 
 Rat = Fraction
@@ -224,16 +224,25 @@ def parse_place(text: str) -> Place:
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
-    """(scale * values as integers, scale) for a sequence of ints and
-    Fractions, scale the lcm of their denominators; any other entry is a
-    TypeError.  The one place where denominators are cleared."""
+    """(scale * values as integers, scale) for a sequence of ints,
+    Fractions and (numerator, denominator) pairs of ints in lowest terms
+    with a positive denominator, scale the lcm of their denominators; any
+    other entry is a TypeError, and a pair not in lowest terms a
+    ValueError.  The one place where denominators are cleared."""
     if all(type(c) is int for c in values):
         return list(values), 1
+    pairs = []
     for c in values:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"coordinate {c!r} is not an int or a Fraction")
-    scale = lcm(*(c.denominator for c in values))
-    return [c.numerator * (scale // c.denominator) for c in values], scale
+        if type(c) is tuple and len(c) == 2 and type(c[0]) is int and type(c[1]) is int:
+            if c[1] <= 0 or gcd(*c) != 1:
+                raise ValueError(f"pair {c!r} is not a rational in lowest terms")
+            pairs.append(c)
+        elif isinstance(c, (int, Fraction)):
+            pairs.append(c.as_integer_ratio())
+        else:
+            raise TypeError(f"coordinate {c!r} is not an int, a Fraction or a pair")
+    scale = lcm(*(d for _, d in pairs))
+    return [n * (scale // d) for n, d in pairs], scale
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -256,39 +265,51 @@ def int_valuation(n: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def sqrt_lower_pair(n: int, d: int) -> tuple[int, int]:
+    """The lower bound of `sqrt_lower` on sqrt(n/d), d > 0, as a
+    (numerator, denominator) pair: the bound is read off n/d in lowest
+    terms, so any pair of one rational gives the same value."""
+    if n < 0:
+        raise ValueError("sqrt of negative rational")
+    if n == 0:
+        return 0, 1
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return rn, rd
+    # sqrt(n/d) = sqrt(n*d)/d; scale by 4^SQRT_BOUND_BITS so the floor isqrt is tight.
+    return isqrt((n * d) << (2 * SQRT_BOUND_BITS)), d << SQRT_BOUND_BITS
+
+
+def sqrt_upper_pair(n: int, d: int) -> tuple[int, int]:
+    """The upper bound of `sqrt_upper` on sqrt(n/d), d > 0, as a
+    (numerator, denominator) pair, read off n/d in lowest terms."""
+    if n < 0:
+        raise ValueError("sqrt of negative rational")
+    if n == 0:
+        return 0, 1
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return rn, rd
+    return isqrt((n * d) << (2 * SQRT_BOUND_BITS)) + 1, d << SQRT_BOUND_BITS
+
+
 def sqrt_lower(q: Rat) -> Rat:
     """Largest convenient rational l with l <= sqrt(q), within
     2^-SQRT_BOUND_BITS of it.
 
     Exact when q is a square of a rational.
     """
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    # sqrt(n/d) = sqrt(n*d)/d; scale by 4^SQRT_BOUND_BITS so the floor isqrt is tight.
-    big = (n * d) << (2 * SQRT_BOUND_BITS)
-    return Fraction(isqrt(big), d << SQRT_BOUND_BITS)
+    return Fraction(*sqrt_lower_pair(*q.as_integer_ratio()))
 
 
 def sqrt_upper(q: Rat) -> Rat:
     """Rational u with sqrt(q) <= u <= sqrt(q) + 2^-SQRT_BOUND_BITS; exact
     on squares."""
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    big = (n * d) << (2 * SQRT_BOUND_BITS)
-    r = isqrt(big)
-    return Fraction(r + 1, d << SQRT_BOUND_BITS)
+    return Fraction(*sqrt_upper_pair(*q.as_integer_ratio()))
 
 
 def cmp_sqrt_sum(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:

@@ -200,10 +200,22 @@ def interval_contains(iv: Interval, x) -> bool:
     return iv.lo <= x <= iv.hi
 
 
+def interval_mul(a: Interval, b: Interval) -> Interval:
+    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(min(cands), max(cands))
+
+
+def interval_divide(a: Interval, b: Interval) -> Interval:
+    """a / b by the reciprocal of b (reference for `SingularProfile.gap_sq`)."""
+    if b.lo <= 0 <= b.hi:
+        raise ZeroDivisionError("interval division through zero")
+    return interval_mul(a, Interval(Fraction(1) / b.hi, Fraction(1) / b.lo))
+
+
 def interval_power(iv: Interval, n: int) -> Interval:
     out = Interval(Fraction(1), Fraction(1))
     for _ in range(n):
-        out = out * iv
+        out = interval_mul(out, iv)
     return out
 
 
@@ -371,6 +383,32 @@ def fraction_cmp_sqrt_sum(a: Fraction, b: Fraction, c: Fraction) -> int:
         return 1
     s = 4 * a * b - t * t
     return (s > 0) - (s < 0)
+
+
+def fraction_image_radius_bound(gap_sq_hi, epsilon_sq, attract_err_sq, repel_err_sq):
+    """B = kappa/(eps - beta) + alpha over Fraction, or None unless B <= eps
+    (reference for the integer-pair `checker.image_radius_bound`)."""
+    if attract_err_sq is None or repel_err_sq is None:
+        return None
+    l_eps = sqrt_lower(epsilon_sq)
+    denom = l_eps - sqrt_upper(repel_err_sq)
+    if denom <= 0:
+        return None
+    bound = sqrt_upper(gap_sq_hi) / denom + sqrt_upper(attract_err_sq)
+    return bound if bound <= l_eps else None
+
+
+def fraction_rat_from(text):
+    """A certificate's number read over Fraction, then written back and
+    compared with its text (reference for `certfmt.pair_from`)."""
+    try:
+        num, slash, den = text.partition("/")
+        x = Fraction(int(num), int(den)) if slash else int(num)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed rational literal {text!r}") from None
+    if str(x) != text:
+        raise ValueError(f"rational {text!r} is not written as certificates write {x}")
+    return x
 
 
 def fraction_selfmap_at(g, center, attract, repel, repel_err_sq, gap_sq_hi, epsilon_sq, radii_sq):

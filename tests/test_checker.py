@@ -19,11 +19,11 @@ from freecert.certfmt import (
     refutation_claim,
     selfmap_claim,
 )
-from freecert.checker import selfmap_at, selfmap_radii, witness_refutes
+from freecert.checker import image_radius_bound, selfmap_at, selfmap_radii, witness_refutes
 from freecert.dynamics import certify_contracting, contraction_gap_sq, direction_candidates, selfmap_enclosure
 from freecert.projective import ProjHyperplane, ProjMat, ProjPoint
 from freecert.scalar import ARCH, padic, sqrt_upper
-from oracles import fraction_selfmap_at
+from oracles import fraction_image_radius_bound, fraction_selfmap_at
 
 PLACES = {"arch": ARCH, "p:5": padic(5)}
 
@@ -127,3 +127,23 @@ def test_selfmap_at_skipped_radius_still_ends_the_search():
     assert fraction_selfmap_at(*args, [t1, t2]) == (ProjPoint((1, 1)), None)
     assert selfmap_at(*args, selfmap_radii([t1, t2])) == (ProjPoint((1, 1)), None)
     assert selfmap_at(*args, selfmap_radii([t2]))[1] is not None  # t2 alone passes
+
+
+_SMALL = st.fractions(min_value=0, max_value=F(1, 4), max_denominator=10**6)
+_SQUARE = st.builds(lambda a, b: F(a, b) ** 2, st.integers(0, 30), st.integers(1, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_SMALL, _SQUARE, st.builds(lambda a, k: F(a, 2**k), st.integers(1, 9), st.integers(4, 90))),
+    st.one_of(st.sampled_from([F(1, 4), F(1, 9), F(1, 25), F(1, 100), F(9, 100), F(1, 2**20)]), _SMALL.filter(bool)),
+    st.one_of(st.none(), _SMALL, _SQUARE, st.just(F(0))),
+    st.one_of(st.none(), _SMALL, _SQUARE, st.just(F(0))),
+)
+@example(F(1, 10**6), F(1, 4), F(0), F(0))
+@example(F(0), F(1, 4), F(1, 16), F(1, 4))
+def test_image_radius_bound_matches_fraction_reference(gap_sq_hi, epsilon_sq, attract_err_sq, repel_err_sq):
+    """The integer-pair bound is the reference's Fraction, or None alike."""
+    assert image_radius_bound(gap_sq_hi, epsilon_sq, attract_err_sq, repel_err_sq) == fraction_image_radius_bound(
+        gap_sq_hi, epsilon_sq, attract_err_sq, repel_err_sq
+    )

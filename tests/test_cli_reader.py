@@ -1,7 +1,7 @@
 """The command-line reader of `cli.main`, and the input refusals that sit
 beside it: a repeated single-valued `[task]` key, and a certificate whose
-claim note is no string, whose header is malformed or whose matrix is over
-MAX_DIM."""
+claim note is no string, whose header is malformed, whose matrix is over
+MAX_DIM or whose task word is over MAX_WORD_LEN."""
 
 import json
 import os
@@ -183,3 +183,63 @@ def test_verify_refuses_a_matrix_or_vector_over_max_dim_fast(tmp_path, capsys, c
     assert time.perf_counter() - t0 < 1
     assert f"verify: {message}" in capsys.readouterr().err
     assert cli.MAX_DIM == MAX_DIM
+
+
+@pytest.mark.parametrize(
+    "command, text, path",
+    [
+        ("analyze", MATRIX_HEADER + "\n[task]\nop analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n", ("element",)),
+        ("pingpong", MATRIX_HEADER + "\n[task]\nop pingpong\nsubop oracle\nplayer a = a\nplayer b = b\noracle-len 4\n", ("players", "b")),
+        ("tree", mod_amalgam_header() + "\n[task]\nop tree\nsubop classify\nword s t\n", ("word",)),
+    ],
+    ids=["element", "players", "tree-word"],
+)
+def test_verify_refuses_a_task_word_over_max_word_len_before_evaluating_it(tmp_path, capsys, command, text, path):
+    # a^1000000 as the task element and its word-eval word kept verify
+    # busy for minutes, evaluating the header; a^100000 took 2 s
+    code, cert, out = run(tmp_path, command, text)
+    assert code == 0
+    *outer, last = path
+    holder = cert["task"]
+    for key in outer:
+        holder = holder[key]
+    word, holder[last] = holder[last], "a^1000000"
+    for claim in cert["claims"]:
+        if claim.get("word") == word:
+            claim["word"] = "a^1000000"
+    out.write_text(dumps(cert))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert verify_file(out) == 2
+    assert time.perf_counter() - t0 < 1
+    assert f"verify: task {path[0]} word of 1000000 letters exceeds MAX_WORD_LEN = 64" in capsys.readouterr().err
+
+
+PINGPONG = MATRIX_HEADER + "\n[task]\nop pingpong\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n"
+ELEMENT = MATRIX_HEADER + "\n[task]\nop analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, path, value, message",
+    [
+        ("analyze", ELEMENT, ("element",), 5, "claim 0 (word-eval) word differs from the rebuilt claim"),
+        ("analyze", ELEMENT, ("element",), 1.5, "claim 0 (word-eval) word differs from the rebuilt claim"),
+        ("pingpong", PINGPONG, ("players", "g1"), None, "AttributeError: 'NoneType' object has no attribute 'split'"),
+        ("pingpong", PINGPONG, ("players", "g1"), 5, "AttributeError: 'int' object has no attribute 'split'"),
+    ],
+    ids=["element-int", "element-float", "players-null", "players-int"],
+)
+def test_verify_leaves_a_task_word_that_is_no_string_to_its_binder(tmp_path, capsys, command, text, path, value, message):
+    # the task-word bound counts strings only: any other value fails in the
+    # binder that reads it (exit 3)
+    code, cert, out = run(tmp_path, command, text)
+    assert code == 0
+    *outer, last = path
+    holder = cert["task"]
+    for key in outer:
+        holder = holder[key]
+    holder[last] = value
+    out.write_text(json.dumps(cert, sort_keys=True, separators=(",", ":")) + "\n")
+    capsys.readouterr()
+    assert verify_file(out) == 3
+    assert message in capsys.readouterr().err

@@ -424,11 +424,13 @@ def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
         assert id(vars(obj)[name]) in scanned, f"{module} {owner or ''} {name} escapes find_caches"
 
 
-#: The integer kernel: functions that run on cleared integers alone.
+#: The integer kernel: functions, and methods named `Class.method`, that
+#: run on cleared integers alone.
 INTEGER_KERNEL = {
     "projective.py": ("det", "_eliminate", "inverse_rows", "_kernel_intersection_point"),
     "dynamics.py": ("_padic_pivot", "padic_exponents", "gram_charpoly", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
-    "scalar.py": ("cmp_sqrt_sum",),
+    "scalar.py": ("cmp_sqrt_sum", "sqrt_lower_pair", "sqrt_upper_pair"),
+    "checker.py": ("Ladder.upper", "Ladder.above", "Ladder.ends_below"),
 }
 
 
@@ -436,13 +438,15 @@ def test_integer_kernel_names_no_fraction():
     """Denominators are cleared once, by `scalar.clear_denominators`, on
     the way in; past that the determinant, the elimination, the inverse,
     the p-adic exponents, the Gram characteristic polynomial, the Krylov
-    moments of the power iteration, the kernel of two covectors and the
-    sign test of sqrt(a) + sqrt(b) - sqrt(c) never build or name a
-    `Fraction`."""
+    moments of the power iteration, the kernel of two covectors, the
+    sign test of sqrt(a) + sqrt(b) - sqrt(c), the square-root bounds on
+    integer pairs and the self-map ladder's bisection and scan never build
+    or name a `Fraction`."""
     found = []
     for module, names in INTEGER_KERNEL.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        funcs.update({f"{c.name}.{f.name}": f for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)})
         for name in names:
             assert name in funcs, f"{module} has no function {name}"
             for node in ast.walk(funcs[name]):
@@ -471,7 +475,9 @@ def test_denominators_are_cleared_only_where_input_enters():
     point or hyperplane from input.  A point or hyperplane is built from
     input only by the certificate decoders and the problem-file set
     parser; the package builds its own with `_of`, from a vector that is
-    primitive already.  The kernels take their integers."""
+    primitive already.  The kernels take their integers.  A certificate's
+    numbers enter as integer pairs, read by `certfmt.pair_from` alone: its
+    callers are the decoders of coordinates, matrices and scalars."""
 
     def callers(name: str) -> list[str]:
         return sorted(c for path, tree in _trees(PACKAGE) for c in _callers(tree, name, path.stem))
@@ -480,6 +486,7 @@ def test_denominators_are_cleared_only_where_input_enters():
     assert callers("class_rep") == ["projective._IntegerClass.__init__"]
     assert callers("ProjPoint") == ["certfmt.point_from", "cli._parse_set"]
     assert callers("ProjHyperplane") == ["certfmt.plane_from", "cli._parse_set"]
+    assert callers("pair_from") == ["certfmt._coords", "certfmt.mat_from", "certfmt.rat_from"]
 
 
 def test_root_isolation_sees_only_gram_polynomials():

@@ -46,6 +46,7 @@ from oracles import (
     fraction_isolate_positive_roots,
     fraction_power_direction,
     interval_contains,
+    interval_divide,
     padic_valuation,
     set_member,
     sqrt_bounds,
@@ -85,6 +86,17 @@ def test_padic_exponents_with_denominators():
     g = ProjMat(((F(3, 49), 0), (0, 1)), padic(7))
     assert g._integer_form == (((3, 0), (0, 49)), 49)
     assert sorted(_profile_exponents(g)) == [-2, 0]
+
+
+def test_gap_is_the_quotient_interval_of_the_top_two_values():
+    # the ends v1.lo / v0.hi and v1.hi / v0.lo are the reference's
+    # quotient of intervals, exact or not, at every place
+    rng = random.Random(36)
+    for place in (ARCH, P5):
+        for n in (2, 3, 4):
+            for _ in range(8):
+                prof = singular_profile(_random_invertible(rng, n, place, lambda: rng.randint(-9, 9)))
+                assert prof.gap_sq == interval_divide(prof.values_sq[1], prof.values_sq[0])
 
 
 def test_arch_profile_identity_exact():

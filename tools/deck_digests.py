@@ -15,6 +15,12 @@ each workload's summed in-process solve and verify seconds, followed by
 those of each of its strata (the requests of one label), and the total
 bytes of its certificates.
 
+Each call is timed by `perfbench/speed.py`'s `SpeedClock`, as `run.py`
+times its requests: its wall time scaled to the reference speed.  On a
+shared 2-core box the raw `perf_counter` totals of one unchanged source
+tree varied by 1.5x between runs, as the machine's speed moved; the
+scaled seconds of two trees compare like with like.
+
 Two source trees give identical FILEs exactly when they give the same
 exit codes and certificate bytes on the whole deck, so diffing the file
 of a parent commit against that of a change is the byte-identity check.
@@ -31,7 +37,6 @@ import hashlib
 import io
 import sys
 import tempfile
-import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -39,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import find_caches, load_freecert  # noqa: E402
+from speed import SpeedClock  # noqa: E402
 from workloads import GENERATORS  # noqa: E402
 
 SEED = 1000
@@ -56,22 +62,24 @@ def main(argv=None) -> int:
     cli_main = load_freecert(args.src.resolve())
     caches = find_caches()
 
-    seconds = defaultdict(lambda: [0.0, 0.0])  # (workload, label) -> summed solve and verify wall time
+    seconds = defaultdict(lambda: [0.0, 0.0])  # (workload, label) -> summed solve and verify seconds at the reference speed
 
-    def call(argv: list[str], times: list[float], kind: int):
-        for c in caches:
-            c.cache_clear()
-        start = time.perf_counter()
+    def invoke(argv: list[str]):
         with contextlib.redirect_stderr(io.StringIO()):
             try:
                 return cli_main(argv)
             except Exception as e:  # a crash is recorded, not fatal
                 return f"crash:{type(e).__name__}"
-            finally:
-                times[kind] += time.perf_counter() - start
+
+    def call(argv: list[str], times: list[float], kind: int):
+        for c in caches:
+            c.cache_clear()
+        code, seconds_at_reference = clock.timed(invoke, argv)
+        times[kind] += seconds_at_reference
+        return code
 
     lines, total_bytes = [], 0
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, SpeedClock() as clock:
         prob, cert = Path(tmp) / "r.prob", Path(tmp) / "r.cert"
         for workload, n_rounds in ROUNDS.items():
             for rnd in GENERATORS[workload](SEED, n_rounds):
