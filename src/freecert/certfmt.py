@@ -34,7 +34,7 @@ from itertools import chain
 from math import gcd
 
 from . import __version__
-from .checker import Enclosure, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
+from .checker import Enclosure, Ladder, image_radius_bound, point_plane_far, selfmap_at, witness_refutes
 from .dynamics import contraction_gap_sq, direction_candidates
 from .projective import (
     MAX_DIM,
@@ -323,6 +323,13 @@ def disjoint_claim(left: list, right: list, note: str) -> dict:
     return {"type": "set-disjoint", "left": left, "right": right, "note": note}
 
 
+#: The claims of a proximal group before a very-proximal record's inverse
+#: group: the contraction, the point-plane-far and the two self-maps, in the
+#: order `proximal_claims` lays them out.  `_very` finds the inverse's group
+#: this far past the group's first claim.
+PROXIMAL_LEN = 4
+
+
 def proximal_claims(matrix: list, cert: dict, inverse: list | None = None) -> list[dict]:
     """The proximal group of `matrix` from its record: the contraction
     claim, the point-plane-far claim of its pair at r^2, and the self-map
@@ -345,7 +352,7 @@ def proximal_claims(matrix: list, cert: dict, inverse: list | None = None) -> li
     return out
 
 
-def certified_claims(word: str, matrix: list, cert: dict, inverse: list | None = None, membership: dict | None = None) -> list[dict]:
+def certified_claims(word: str, matrix: list, cert: dict, inverse: list | None, membership: dict | None) -> list[dict]:
     """A certified word: its word-eval claim, the normal-membership claim
     when given, then its contraction claim or, for a proximal record, its
     proximal group."""
@@ -569,7 +576,7 @@ def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
     center, t_sq = ctx.point(enc["center"]), rat_from(enc["radius_sq"])
     r_err, eps_sq = rat_from(claim["repel_err_sq"]), rat_from(claim["epsilon_sq"])
     attract, repel = ctx.point(claim["attract"]), ctx.plane(claim["repel"])
-    _, derived = selfmap_at(matrix, center, attract, repel, r_err, gap_hi, eps_sq, selfmap_radii([t_sq]))
+    _, derived = selfmap_at(matrix, center, attract, repel, r_err, gap_hi, eps_sq, Ladder([t_sq]))
     stored = Enclosure(Ball(center, t_sq), *(rat_from(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
     return derived == stored
 
@@ -805,7 +812,7 @@ def _proximal(b: Binding, at: int, eps_sq: str | None, r_sq: str | None) -> dict
 
 
 def _very(b: Binding, at: int, eps_sq: str | None, r_sq: str | None) -> dict:
-    return {**_proximal(b, at, eps_sq, r_sq), "inverse": _proximal(b, at + 4, eps_sq, r_sq)}
+    return {**_proximal(b, at, eps_sq, r_sq), "inverse": _proximal(b, at + PROXIMAL_LEN, eps_sq, r_sq)}
 
 
 def _set_of(data: list) -> list[dict]:
@@ -906,7 +913,7 @@ def _matrix_tuple(b: Binding) -> None:
     at, groups = pair_count(k), []
     for name in names:
         groups.append(proximal_claims(mat_json(b.ctx.eval(words[name])), _very(b, at, None, None), b.inverse(words[name])))
-        at += 11
+        at += len(groups[-1])
     b.rebuilt += matrix_tuple_claims(laid, names, groups, [True] * pair_count(k))
     _oracle(b, result=b.result["oracle"], names=names)
     _echoed(b)

@@ -123,16 +123,11 @@ class Ladder(Record):
         return False
 
 
-def selfmap_radii(radii_sq) -> Ladder:
-    """The ladder `selfmap_at` reads, of squared radii in ascending order."""
-    return Ladder(radii_sq)
-
-
 def selfmap_at(
     g: ProjMat, center: ProjPoint, attract: ProjPoint, repel: ProjHyperplane, repel_err_sq: Rat, gap_sq_hi: Rat, epsilon_sq: Rat, radii: Ladder
 ) -> tuple[ProjPoint, Enclosure | None]:
-    """(g center, the enclosure of the first passing radius in the ascending
-    `selfmap_radii` radii, or None).  B(center, t) passes when d_low =
+    """(g center, the enclosure of the first passing radius of the ladder
+    `radii`, or None).  B(center, t) passes when d_low =
     d(center, repel) - t - beta bounds its distance from the true repelling
     hyperplane with Lipschitz bound L = kappa / d_low^2 < 1, g moves center
     by less than (1 - L) t, and the ball lies in the closed eps-ball around

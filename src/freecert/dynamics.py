@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
-from .checker import Enclosure, evidence_outside, image_radius_bound, point_plane_far, selfmap_at, selfmap_radii, witness_refutes
+from .checker import Enclosure, Ladder, evidence_outside, image_radius_bound, point_plane_far, selfmap_at, witness_refutes
 from .projective import (
     Ball,
     HNbhd,
@@ -476,7 +476,7 @@ def _selfmap_ladder(epsilon_sq: Rat):
     """The radii eps / 2^j, j = 45 down to 1, ascending, built once per eps
     by shifting its denominator."""
     n, d = epsilon_sq.as_integer_ratio()
-    return selfmap_radii(Fraction(n, d << 2 * j) for j in range(45, 0, -1))
+    return Ladder(Fraction(n, d << 2 * j) for j in range(45, 0, -1))
 
 
 @lru_cache(maxsize=4096)
@@ -539,15 +539,12 @@ class ProximalCert(Record):
         return True, ""
 
 
-@lru_cache(maxsize=4096)
 def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     """(r, eps)-proximality with r > 2 eps enforced.
 
     Yes needs (a) certified eps-contraction, (b) d(attract, repel) >= r
     for the certificate's own witness pair (exact), (c) self-mapping
-    enclosures for the fixed point and the fixed hyperplane.  Cached:
-    `certify_very_proximal` proves g and g^-1, and a later search often
-    asks for the same pair the other way round.
+    enclosures for the fixed point and the fixed hyperplane.
     """
     r_sq = Fraction(r_sq)
     epsilon_sq = Fraction(epsilon_sq)

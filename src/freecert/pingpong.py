@@ -98,11 +98,11 @@ def simple_player(name: str, element, attract, repel, evidence) -> PingPongPlaye
 
 
 class OracleResult(Record):
-    """kind is "no-relation" or "relation"; a relation's letters are
-    (generator index, +-1) pairs, and word spells them."""
+    """kind is "no-relation" or "relation"; a relation's word spells it
+    in the oracle's names."""
 
-    __slots__ = ("kind", "letters", "word")
-    _defaults = {"letters": None, "word": None}
+    __slots__ = ("kind", "word")
+    _defaults = {"word": None}
 
 
 #: Most words the oracle may store: one half level of (2k)(2k - 1)^(h - 1)
@@ -135,9 +135,10 @@ def _extend(level: list, values: list, inverse: list[int], kept: list | None):
             yield item
 
 
-def freeness_oracle(elements: list, max_len: int, names: list[str] | None = None) -> OracleResult:
+def freeness_oracle(elements: list, max_len: int, names: list[str]) -> OracleResult:
     """The shortlex-least nonempty reduced word of length <= max_len that
-    multiplies out to the identity, or no-relation.
+    multiplies out to the identity, spelled in `names`, one per element,
+    or no-relation.
 
     Elements must support @ (composition), inverse(), is_identity() and
     class_key(), a hashable key equal exactly for equal group elements;
@@ -161,15 +162,12 @@ def freeness_oracle(elements: list, max_len: int, names: list[str] | None = None
         raise ValueError("no elements given")
     if oracle_words(k, max_len) > MAX_ORACLE_WORDS:
         raise ValueError(f"{k} elements at length {max_len} exceed MAX_ORACLE_WORDS = {MAX_ORACLE_WORDS}")
-    if names is None:
-        names = [f"g{i}" for i in range(k)]
     letters = [(i, 1) for i in range(k)] + [(i, -1) for i in range(k)]
     values = [elements[i] if e > 0 else elements[i].inverse() for i, e in letters]
     inverse = [(s + k) % (2 * k) for s in range(2 * k)]
 
     def relation(word) -> OracleResult:
-        w = tuple(letters[s] for s in word)
-        return OracleResult("relation", w, word_string(w, names))
+        return OracleResult("relation", word_string((letters[s] for s in word), names))
 
     levels = [[((), None, None)]]  # levels[m]: the reduced words of length m
     index: dict = {}  # key of v -> [(letters of v^-1, last letter of v)], least first

@@ -46,7 +46,7 @@ IntVec = tuple[int, ...]
 #: (singular profile and power iteration) takes up to 0.02 s at n = 12 and
 #: 0.04 s at n = 16 on random entries in -9..9 (one core of an Intel Xeon
 #: VM); its cost grows with n and with the entries' size, which grows in
-#: the powers a search takes.  A search certifies up to `cli.MAX_EXPONENT`
+#: the powers a search takes.  A search certifies up to `certfmt.MAX_EXPONENT`
 #: such matrices, and `verify` re-runs it for each contraction claim, so
 #: a larger n would not fail but run ever longer.
 #: The contraction witness search stays bounded at any n: it tries at
@@ -730,7 +730,7 @@ def set_disjoint(s: ProjSet, t: ProjSet, place: Place) -> DisjointVerdict:
     return UNKNOWN if saw_unknown else CERTIFIED_DISJOINT
 
 
-def _component_contains(outer: Component, inner: Component, place: Place, closed_inner: bool = False) -> bool:
+def _component_contains(outer: Component, inner: Component, place: Place, closed_inner: bool) -> bool:
     """Certified inner <= outer (strictly stronger when closed_inner:
     the closure of inner must sit inside the open outer)."""
     if isinstance(inner, Ball):

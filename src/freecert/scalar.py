@@ -26,7 +26,7 @@ ping-pong must show disjoint (`PAIR_LABELS`, `VERY_PAIRS`, `pair_count`,
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import attrgetter
 
@@ -74,17 +74,13 @@ class Record:
     `_`-prefixed slots of derived data are not fields.  `__init__` binds
     positional values in field order, then named ones, then `_defaults`
     (field -> value); a missing, unknown or repeated field is a TypeError,
-    and assignment afterwards raises.  Positional values that leave only
-    trailing defaulted fields out take those defaults from `_tail`, built
-    once per class, without the general `_bind`.  Equality asks for the
-    exact class and equal `_key()`, the tuple of the fields (even of one)
-    unless a class narrows it; the hash is that of `_key()`, and the repr
-    lists it."""
+    and assignment afterwards raises.  Equality asks for the exact class
+    and equal `_key()`, the tuple of the fields (even of one) unless a
+    class narrows it; the hash is that of `_key()`, and the repr lists it."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
-    _tail: tuple = ()  # the defaults of the longest run of trailing fields that have one
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -93,17 +89,11 @@ class Record:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)  # past the refusing __setattr__
         get = attrgetter(*cls._fields)  # a tuple only for two names or more
         cls._fields_of = get if len(cls._fields) > 1 else staticmethod(lambda record: (get(record),))
-        tail = list(takewhile(cls._defaults.__contains__, reversed(cls._fields)))
-        cls._tail = tuple(cls._defaults[name] for name in reversed(tail))
 
     def __init__(self, *values, **named) -> None:
         setters = self._setters
-        short = len(setters) - len(values)
-        if named or short:
-            if not named and 0 < short <= len(self._tail):
-                values += self._tail[-short:]
-            else:
-                values = self._bind(values, named)
+        if named or len(values) != len(setters):
+            values = self._bind(values, named)
         for set_field, value in zip(setters, values):
             set_field(self, value)
 

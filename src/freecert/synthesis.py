@@ -666,11 +666,7 @@ def _host_power_avoiding(
     return next(((n, cert) for n, _, cert in powers if _clear(cert.eps_sets, used, group.place)), None)
 
 
-def truncated_prodense(
-    group: MarkedGroup,
-    normals: list[NormalData],
-    budgets: Budgets | None = None,
-) -> SynthesisReport:
+def truncated_prodense(group: MarkedGroup, normals: list[NormalData], budgets: Budgets) -> SynthesisReport:
     """Desk-scale embodiment of the two-step construction: a very-proximal
     element in every listed normal closure (nested along a fixed host), a
     certified coset element for every listed coset, and one combined
@@ -678,7 +674,6 @@ def truncated_prodense(
     PRODENSE_ORACLE_LEN."""
     if not normals:
         raise ValueError("nothing to intersect")
-    budgets = budgets or Budgets()
     notes: list[str] = []
     host = find_host(group, budgets)
     if host is None:

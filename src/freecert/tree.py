@@ -38,17 +38,13 @@ class FiniteGroup(Record):
     __slots__ = ("table", "names", "_identity", "_inverse")
 
     def __init__(self, table: tuple[tuple[int, ...], ...], names: tuple[str, ...] | None = None) -> None:
-        # Each check compares whole rows at C speed and, where that fails
-        # or raises, runs the element-wise scan, which names the first
-        # failing row, element or triple.
+        # Each check compares whole rows at C speed and, where that fails,
+        # runs the element-wise scan, which names the first failing
+        # element or triple.  An entry must be an int: `True` equals 1.
         tab = tuple(tuple(r) for r in table)
         n = len(tab)
         for i, row in enumerate(tab):
-            try:
-                ok = len(row) == n and 0 <= min(row) and max(row) < n
-            except TypeError:
-                ok = False
-            if not ok and (len(row) != n or any(not 0 <= x < n for x in row)):
+            if not (len(row) == n and set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n):
                 raise TreeError(f"row {i} of the multiplication table is malformed")
         ids = tuple(range(n))
         ident = next((e for e, row in enumerate(tab) if row == ids and tuple(map(itemgetter(e), tab)) == ids), None)
@@ -112,6 +108,8 @@ class AmalgamData(Record):
         embeds = []
         for tag, grp, emb in (("A", group_a, embed_a), ("B", group_b, embed_b)):
             emb = tuple(emb)
+            if any(type(x) is not int for x in emb):
+                raise TreeError(f"embedding into {tag} has an entry that is not an integer")
             if len(emb) != group_h.order or len(set(emb)) != len(emb):
                 raise TreeError(f"embedding into {tag} is not injective")
             # emb(x) emb(y) = emb(xy) for every y: the row of emb(x) read
@@ -300,7 +298,7 @@ class BassSerreTree:
         self.amalgam = amalgam
         self._adj: dict[Vertex, tuple[Vertex, ...]] = {}
 
-    def base_vertex(self, tag: str = "A") -> Vertex:
+    def base_vertex(self, tag: str) -> Vertex:
         return (tag, ())
 
     def vertex_of(self, w: TreeAut, tag: str) -> Vertex:

@@ -123,7 +123,7 @@ def group_table_scan(table) -> tuple[int, tuple[int, ...]]:
     tab = tuple(tuple(r) for r in table)
     n = len(tab)
     for i, row in enumerate(tab):
-        if len(row) != n or any(not 0 <= x < n for x in row):
+        if len(row) != n or any(type(x) is not int or not 0 <= x < n for x in row):
             raise TreeError(f"row {i} of the multiplication table is malformed")
     ident = next((e for e in range(n) if all(tab[e][x] == x and tab[x][e] == x for x in range(n))), None)
     if ident is None:
@@ -148,6 +148,8 @@ def embedding_scan(group_a, group_b, group_h, embed_a, embed_b) -> None:
     (reference for the row checks of `AmalgamData`)."""
     for tag, grp, emb in (("A", group_a, embed_a), ("B", group_b, embed_b)):
         emb = tuple(emb)
+        if any(type(x) is not int for x in emb):
+            raise TreeError(f"embedding into {tag} has an entry that is not an integer")
         if len(emb) != group_h.order or len(set(emb)) != len(emb):
             raise TreeError(f"embedding into {tag} is not injective")
         for x in range(group_h.order):
@@ -656,14 +658,12 @@ def pow2_at_least_loop(x):
     return best
 
 
-def freeness_dfs(elements: list, max_len: int, names: list[str] | None = None) -> OracleResult:
+def freeness_dfs(elements: list, max_len: int, names: list[str]) -> OracleResult:
     """Iterative-deepening search of every nonempty reduced word of length
     <= max_len, in shortlex order with positives before inverses, for one
     that multiplies out to the identity (reference for
     `pingpong.freeness_oracle`)."""
     k = len(elements)
-    if names is None:
-        names = [f"g{i}" for i in range(k)]
     letters = [(i, 1) for i in range(k)] + [(i, -1) for i in range(k)]
     values = [elements[i] if e > 0 else elements[i].inverse() for i, e in letters]
 
@@ -681,5 +681,5 @@ def freeness_dfs(elements: list, max_len: int, names: list[str] | None = None) -
     for length in range(1, max_len + 1):
         w = dfs([], None, length)
         if w is not None:
-            return OracleResult("relation", w, word_string(w, names))
+            return OracleResult("relation", word_string(w, names))
     return OracleResult("no-relation")

@@ -29,6 +29,7 @@ from freecert.projective import (
 )
 from freecert.scalar import ARCH, padic, sqrt_lower
 from freecert.synthesis import (
+    Budgets,
     NormalData,
     auto_very_proximal,
     b1b2b3_synthesize,
@@ -290,26 +291,26 @@ def test_criterion_05_pingpong_implies_free():
     players, mats = matrix_tuple_fixture()
     out = certify_tuple(players)
     assert out.verdict == "certified"
-    assert freeness_oracle(mats, 6).kind == "no-relation"
-    assert freeness_oracle(mats, 8).kind == "no-relation"  # 2-generator tuple
+    assert freeness_oracle(mats, 6, ["g", "h"]).kind == "no-relation"
+    assert freeness_oracle(mats, 8, ["g", "h"]).kind == "no-relation"  # 2-generator tuple
 
     players5, mats5 = padic_tuple_fixture()
     out5 = certify_tuple(players5)
     assert out5.verdict == "certified"
-    assert freeness_oracle(mats5, 6).kind == "no-relation"
-    assert freeness_oracle(mats5, 8).kind == "no-relation"
+    assert freeness_oracle(mats5, 6, ["g", "h"]).kind == "no-relation"
+    assert freeness_oracle(mats5, 8, ["g", "h"]).kind == "no-relation"
 
     am = mod_amalgam()
     st2 = parse_word(am, "s t s t")
     conj2 = parse_word(am, "t s t s")
     tree_out = tree_pingpong([st2, conj2])
     assert tree_out.verdict == "certified"
-    assert freeness_oracle([st2, conj2], 8).kind == "no-relation"
+    assert freeness_oracle([st2, conj2], 8, ["x", "y"]).kind == "no-relation"
 
     # known-free control
     sanov = [ProjMat(((1, 2), (0, 1)), ARCH), ProjMat(((1, 0), (2, 1)), ARCH)]
-    assert freeness_oracle(sanov, 6).kind == "no-relation"
-    assert freeness_oracle(sanov, 8).kind == "no-relation"
+    assert freeness_oracle(sanov, 6, ["a", "b"]).kind == "no-relation"
+    assert freeness_oracle(sanov, 8, ["a", "b"]).kind == "no-relation"
     report(5, "certified tuples (matrix, p-adic, tree) all pass the freeness oracle", 60, t0)
 
 
@@ -347,7 +348,7 @@ def test_criterion_07_truncated_prodense():
         (("a", ProjMat(((1, 2), (0, 1)), ARCH)), ("b", ProjMat(((1, 0), (2, 1)), ARCH)))
     )
     data = NormalData("N", (grp.parse_word("a a"),), (grp.parse_word("a"), grp.parse_word("b")))
-    rep = truncated_prodense(grp, [data])
+    rep = truncated_prodense(grp, [data], Budgets())
     assert rep.verdict == "certified"
     assert rep.combined is not None and rep.combined.verdict == "certified"
     assert rep.oracle is not None and rep.oracle.kind == "no-relation"

@@ -96,10 +96,9 @@ def _optional_params(func: ast.FunctionDef, is_method: bool) -> list[tuple[str, 
     return out
 
 
-def unpassed_optional_parameters(*dirs: Path) -> list[str]:
-    """Optional parameters of package functions that no call under `dirs`
-    passes, by position or by keyword.  Calls match by bare name or
-    attribute name."""
+def _optional_parameters() -> dict[str, list[tuple[str, int | None, str]]]:
+    """{function name: [(parameter, position or None, place)]} of every
+    optional parameter of a package function."""
     optional: dict[str, list[tuple[str, int | None, str]]] = {}
     for path, tree in _trees(PACKAGE):
         methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
@@ -108,7 +107,14 @@ def unpassed_optional_parameters(*dirs: Path) -> list[str]:
                 for name, pos in _optional_params(node, id(node) in methods):
                     where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name})"
                     optional.setdefault(node.name, []).append((name, pos, where))
-    passed: set[tuple[str, str]] = set()
+    return optional
+
+
+def _optional_calls(optional: dict, *dirs: Path):
+    """(function name, parameter, whether the call passes it) for every
+    call under `dirs` of a function in `optional` and each of its optional
+    parameters, by position or by keyword.  Calls match by bare name or
+    attribute name."""
     for _, tree in _trees(*dirs):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -121,9 +127,23 @@ def unpassed_optional_parameters(*dirs: Path) -> list[str]:
             keywords = {k.arg for k in node.keywords}
             for name, pos, _ in optional[fname]:
                 by_position = pos is not None and (starred or pos < len(node.args))
-                if by_position or name in keywords or None in keywords:
-                    passed.add((fname, name))
+                yield fname, name, by_position or name in keywords or None in keywords
+
+
+def unpassed_optional_parameters(*dirs: Path) -> list[str]:
+    """Optional parameters of package functions that no call under `dirs`
+    passes."""
+    optional = _optional_parameters()
+    passed = {(fname, name) for fname, name, given in _optional_calls(optional, *dirs) if given}
     return sorted(where for fname, params in optional.items() for name, _, where in params if (fname, name) not in passed)
+
+
+def always_passed_optional_parameters(*dirs: Path) -> list[str]:
+    """Optional parameters of package functions that every call under
+    `dirs` passes: none of those calls takes the default."""
+    optional = _optional_parameters()
+    defaulted = {(fname, name) for fname, name, given in _optional_calls(optional, *dirs) if not given}
+    return sorted(where for fname, params in optional.items() for name, _, where in params if (fname, name) not in defaulted)
 
 
 def test_every_optional_parameter_is_passed():
@@ -143,6 +163,19 @@ def test_no_optional_parameter_passed_only_from_tests():
     test_only = set(unpassed_optional_parameters(*users)) - set(unpassed_optional_parameters(*users, ROOT / "tests"))
     test_only = sorted(where for where in test_only if where.rsplit(" ", 1)[-1] not in TEST_ONLY_EXEMPT)
     assert not test_only, "optional parameters only the tests pass:\n" + "\n".join(test_only)
+
+
+#: `cli._budget(what)`: the package passes `_budget` as a value through
+#: `Problem.values`, whose call `parse(val)` no name match sees.
+DEFAULT_ONLY_EXEMPT = TEST_ONLY_EXEMPT | {"_budget(what)"}
+
+
+def test_no_default_used_only_from_tests():
+    """A default that every package, tool and benchmark call overrides is
+    a test convenience in the package: the tests pass the value themselves."""
+    users = (ROOT / "src", ROOT / "tools", ROOT / "perfbench")
+    test_only = [where for where in always_passed_optional_parameters(*users) if where.rsplit(" ", 1)[-1] not in DEFAULT_ONLY_EXEMPT]
+    assert not test_only, "defaults only the tests use:\n" + "\n".join(test_only)
 
 
 def _package_imports(path: Path) -> tuple[dict[str, set[str]], set[str]]:

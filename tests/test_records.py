@@ -13,6 +13,7 @@ assignment once built.
 import importlib
 import pkgutil
 from fractions import Fraction as F
+from itertools import takewhile
 
 import pytest
 
@@ -206,15 +207,15 @@ def _defaulted_records() -> list[type]:
 
 def test_records_bind_trailing_defaults_the_same_both_ways():
     """Positional values that leave only trailing defaulted fields out
-    take the class's `_tail`; `_bind`, the general path, gives the same
-    fields for every such count, and a count that leaves a field without
-    a default out still refuses."""
+    take those defaults; the constructor and `_bind` give the same fields
+    for every such count, and a count that leaves a field without a
+    default out still refuses."""
     records = _defaulted_records()
     assert {"Budgets", "DisjointVerdict", "ProximalCert", "Verdict"} <= {c.__name__ for c in records}
     for cls in records:
         assert cls.__init__ is Record.__init__
         fields = cls._fields
-        given = len(fields) - len(cls._tail)
+        given = len(fields) - len(list(takewhile(cls._defaults.__contains__, reversed(fields))))
         assert all(name in cls._defaults for name in fields[given:])
         assert given == 0 or fields[given - 1] not in cls._defaults
         values = tuple(object() for _ in fields)

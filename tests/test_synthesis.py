@@ -197,7 +197,7 @@ def test_normal_proximal_host_too_small():
 
 def test_truncated_prodense_empty_normals():
     with pytest.raises(ValueError, match="nothing to intersect"):
-        truncated_prodense(sanov(), [])
+        truncated_prodense(sanov(), [], Budgets())
 
 
 def test_truncated_prodense_zero_budgets():
@@ -215,7 +215,7 @@ def test_truncated_prodense_sanov_end_to_end():
         (grp.parse_word("a a"),),
         (grp.parse_word("a"), grp.parse_word("b")),
     )
-    rep = truncated_prodense(grp, [data])
+    rep = truncated_prodense(grp, [data], Budgets())
     assert rep.verdict == "certified"
     assert rep.step1_tuple is not None and rep.step1_tuple.verdict == "certified"
     assert rep.combined is not None and rep.combined.verdict == "certified"

@@ -75,6 +75,8 @@ def test_group_table_validation():
         FiniteGroup(((0, 1), (0, 1)))  # no inverse for 1
     with pytest.raises(TreeError):
         FiniteGroup(((1, 0), (0, 0)))  # no identity
+    with pytest.raises(TreeError, match="row 0 of the multiplication table is malformed"):
+        FiniteGroup(((0, True), (True, 0)))  # True equals 1 but is no int
     g = s3()
     assert g.order == 6
     assert g.identity == 0
@@ -86,6 +88,8 @@ def test_amalgam_embedding_validation():
     with pytest.raises(TreeError):
         # wrong homomorphism: send generator of C2 to t in C3
         AmalgamData(c3(), c3(), c2(), (0, 1), (0, 1))
+    with pytest.raises(TreeError, match="embedding into B has an entry that is not an integer"):
+        AmalgamData(c2(), c3(), trivial(), (0,), (False,))
 
 
 def _outcome(build):

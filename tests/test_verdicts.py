@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import PRODENSE_ORACLE_LEN, VERDICTS, CertContext, VerifyError, check_claim, dumps, mat_from, place_from, plane_from, point_from
-from freecert.checker import selfmap_at, selfmap_radii
+from freecert.certfmt import PRODENSE_ORACLE_LEN, PROXIMAL_LEN, VERDICTS, CertContext, VerifyError, check_claim, dumps, mat_from, place_from, plane_from, point_from
+from freecert.checker import Ladder, selfmap_at
 from freecert.cli import main
 from freecert.dynamics import contraction_gap_sq, direction_candidates
 from freecert.projective import Ball
-from freecert.scalar import ARCH, parse_rat
+from freecert.scalar import ARCH, VERY_PAIRS, parse_rat
 from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run
 from test_golden import PROBLEMS
 
@@ -217,7 +217,7 @@ def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
     enc = claim["enclosure"]
     center, t_sq = point_from(enc["center"], 2), parse_rat(enc["radius_sq"])
     args = (point_from(claim["attract"], 2), plane_from(claim["repel"], 2), 0, parse_rat(claim["gap_sq_hi"]), parse_rat(claim["epsilon_sq"]))
-    _, derived = selfmap_at(mat_from(claim["matrix"], ARCH), center, *args, selfmap_radii([t_sq]))
+    _, derived = selfmap_at(mat_from(claim["matrix"], ARCH), center, *args, Ladder([t_sq]))
     assert derived.ball == Ball(center, t_sq)
     enc.update(lipschitz_sq=str(derived.lipschitz_sq), region_low_sq=str(derived.region_low_sq), move_sq=str(derived.move_sq))
     capsys.readouterr()
@@ -225,6 +225,16 @@ def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "failed" not in err  # no claim fails: the row does
     assert "verdict 'yes' of analyze very-proximal: claim 3 (selfmap-enclosure) repel_err_sq differs from the rebuilt claim" in err
+
+
+def test_a_very_proximal_group_puts_its_inverse_proximal_len_claims_on(tmp_path):
+    # `_very` reads the inverse's group at PROXIMAL_LEN past the first claim
+    text = MATRIX_HEADER + TASK + "op analyze\nsubop very-proximal\nelement b\nepsilon-sq 1/25\nr-sq 1/4\n"
+    _, cert, _ = run(tmp_path, "analyze", text)
+    group = [c["type"] for c in cert["claims"][1:]]  # past the word-eval claim
+    own = ["contraction", "point-plane-far", "selfmap-enclosure", "selfmap-enclosure"]
+    assert len(own) == PROXIMAL_LEN
+    assert group == own + own + ["set-disjoint"] * len(VERY_PAIRS)
 
 
 def _golden_claim(tmp_path, name: str, kind: str):
@@ -267,7 +277,7 @@ def test_a_selfmap_claim_bounds_kappa_squared(tmp_path):
     enc = claim["enclosure"]
     center, t_sq = point_from(enc["center"], 2), parse_rat(enc["radius_sq"])
     args = (point_from(claim["attract"], 2), plane_from(claim["repel"], 2), parse_rat(claim["repel_err_sq"]), gap, parse_rat(claim["epsilon_sq"]))
-    _, derived = selfmap_at(matrix, center, *args, selfmap_radii([t_sq]))
+    _, derived = selfmap_at(matrix, center, *args, Ladder([t_sq]))
     assert derived.ball == Ball(center, t_sq)
     enc.update(lipschitz_sq=str(derived.lipschitz_sq), region_low_sq=str(derived.region_low_sq), move_sq=str(derived.move_sq))
     assert not check_claim(claim, ctx)
@@ -325,6 +335,23 @@ def test_verify_reports_an_input_error_that_a_binder_meets(tmp_path, capsys, gol
     capsys.readouterr()
     assert _verify(tmp_path, cert) == 2
     assert "verify: certificate lacks an amalgam table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("table_a", [[0, True], [True, 0]], "row 0 of the multiplication table is malformed"),
+        ("embed_b", [False], "embedding into B has an entry that is not an integer"),
+    ],
+    ids=["table", "embedding"],
+)
+def test_verify_refuses_an_amalgam_entry_that_is_no_json_integer(tmp_path, capsys, field, value, message):
+    # Z/2 * Z/3: `true` equals 1 and `false` 0, so range and group laws alone pass both tables
+    _, cert, _ = run(tmp_path, "tree", mod_amalgam_header() + "\n[task]\nop tree\nsubop kernel\n")
+    cert["header"]["amalgam"][field] = value
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    assert f"claim 0 (kernel): {message}" in capsys.readouterr().err
 
 
 def _method_in_claim_and_result(cert):

@@ -12,8 +12,10 @@ request: its label, the solve exit code, the sha256 of the certificate
 bytes and the exit code of `verify` on it ("-" where no certificate was
 written).  stderr gets the deck's split of solve and verify exit codes,
 each workload's summed in-process solve and verify seconds, followed by
-those of each of its strata (the requests of one label), and the total
-bytes of its certificates.
+those of each of its strata (the requests of one label) and by each
+freecert `lru_cache`'s hits and calls summed over the workload's
+requests (read after each call, before the next one clears them), and
+the total bytes of its certificates.
 
 Each call is timed by `perfbench/speed.py`'s `SpeedClock`, as `run.py`
 times its requests: its wall time scaled to the reference speed.  On a
@@ -63,6 +65,8 @@ def main(argv=None) -> int:
     caches = find_caches()
 
     seconds = defaultdict(lambda: [0.0, 0.0])  # (workload, label) -> summed solve and verify seconds at the reference speed
+    memos = {f"{c.__module__.removeprefix('freecert.')}.{c.__qualname__}": c for c in caches}
+    traffic = defaultdict(lambda: [0, 0])  # (workload, memo) -> summed hits and calls
 
     def invoke(argv: list[str]):
         with contextlib.redirect_stderr(io.StringIO()):
@@ -71,11 +75,15 @@ def main(argv=None) -> int:
             except Exception as e:  # a crash is recorded, not fatal
                 return f"crash:{type(e).__name__}"
 
-    def call(argv: list[str], times: list[float], kind: int):
+    def call(argv: list[str], workload: str, times: list[float], kind: int):
         for c in caches:
             c.cache_clear()
         code, seconds_at_reference = clock.timed(invoke, argv)
         times[kind] += seconds_at_reference
+        for name, c in memos.items():
+            info, row = c.cache_info(), traffic[workload, name]
+            row[0] += info.hits
+            row[1] += info.hits + info.misses
         return code
 
     lines, total_bytes = [], 0
@@ -87,12 +95,12 @@ def main(argv=None) -> int:
                     prob.write_text(req.text, encoding="utf-8")
                     cert.unlink(missing_ok=True)
                     times = seconds[workload, req.label]
-                    code = call([req.cmd, str(prob), "--out", str(cert)], times, 0)
+                    code = call([req.cmd, str(prob), "--out", str(cert)], workload, times, 0)
                     digest, vcode = "-", "-"
                     if cert.exists():
                         data = cert.read_bytes()
                         digest, total_bytes = hashlib.sha256(data).hexdigest(), total_bytes + len(data)
-                        vcode = call(["verify", str(cert)], times, 1)
+                        vcode = call(["verify", str(cert)], workload, times, 1)
                     lines.append(f"{workload} {len(lines):04d} {req.label} {code} {digest} {vcode}\n")
     for column, name in ((3, "solve"), (5, "verify")):
         split = Counter(line.split()[column] for line in lines)
@@ -102,6 +110,9 @@ def main(argv=None) -> int:
         rows = [(workload, *map(sum, zip(*strata.values())))] + [(f"  {label}", *times) for label, times in strata.items()]
         for name, solve, verify in rows:
             print(f"{name}: solve {solve:.3f} s, verify {verify:.3f} s", file=sys.stderr)
+        for name in sorted(memos):
+            hits, calls = traffic[workload, name]
+            print(f"  memo {name}: {hits} hits of {calls} calls", file=sys.stderr)
     print(f"certificate bytes: {total_bytes}", file=sys.stderr)
     if args.out is not None:
         args.out.write_text("".join(lines), encoding="utf-8")
