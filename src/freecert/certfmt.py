@@ -166,10 +166,6 @@ def place_from(s: str) -> Place:
         raise VerifyError(f"bad place {s!r}: {e}") from None
 
 
-def vec_json(v) -> list[str]:
-    return [rat(c) for c in v]
-
-
 def _within_max_dim(data, what: str) -> None:
     """Refuse a matrix or vector of more than MAX_DIM rows or coordinates."""
     if len(data) > MAX_DIM:
@@ -184,8 +180,19 @@ def _coords(data, dim: int | None) -> list[tuple[int, int]]:
     return [pair_from(c) for c in data]
 
 
+def _over(values, den: int) -> list:
+    """The texts of x / den for integers x and a positive den: a point or
+    hyperplane is written over its first nonzero coordinate, a matrix's
+    integer rows over their scale.  Over 1, the common scale of an input
+    matrix, the integers are written as they are, with no Fraction."""
+    if den == 1:
+        return [rat(x) for x in values]
+    return [rat(Fraction(x, den)) for x in values]
+
+
 def mat_json(m: ProjMat) -> list[list[str]]:
-    return [[rat(c) for c in row] for row in m.entries]
+    rows, scale = m._integer_form
+    return [_over(row, scale) for row in rows]
 
 
 def mat_from(data, place: Place) -> ProjMat:
@@ -193,7 +200,7 @@ def mat_from(data, place: Place) -> ProjMat:
 
 
 def point_json(p: ProjPoint) -> list[str]:
-    return vec_json(p.rep)
+    return _over(p.coords, next(x for x in p.coords if x))
 
 
 def point_from(data, dim: int | None) -> ProjPoint:
@@ -201,7 +208,7 @@ def point_from(data, dim: int | None) -> ProjPoint:
 
 
 def plane_json(h: ProjHyperplane) -> list[str]:
-    return vec_json(h.functional)
+    return _over(h.coords, next(x for x in h.coords if x))
 
 
 def plane_from(data, dim: int | None) -> ProjHyperplane:
@@ -261,7 +268,8 @@ def proximal_record(r_sq: str, epsilon_sq: str, contraction: dict, fixed_point: 
 
 def proximal_json(c) -> dict:
     """The record of a `dynamics.ProximalCert`, with its inverse's if very-proximal."""
-    out = proximal_record(rat(c.r_sq), rat(c.epsilon_sq), contraction_json(c.contraction), enclosure_json(c.fixed_point), enclosure_json(c.fixed_plane_dual))
+    contraction = contraction_json(c.contraction)
+    out = proximal_record(rat(c.r_sq), contraction["epsilon_sq"], contraction, enclosure_json(c.fixed_point), enclosure_json(c.fixed_plane_dual))
     return out if c.very is None else {**out, "inverse": proximal_json(c.very)}
 
 
@@ -576,7 +584,7 @@ def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
     center, t_sq = ctx.point(enc["center"]), rat_from(enc["radius_sq"])
     r_err, eps_sq = rat_from(claim["repel_err_sq"]), rat_from(claim["epsilon_sq"])
     attract, repel = ctx.point(claim["attract"]), ctx.plane(claim["repel"])
-    _, derived = selfmap_at(matrix, center, attract, repel, r_err, gap_hi, eps_sq, Ladder([t_sq]))
+    _, derived = selfmap_at(matrix, center, attract, repel, r_err, gap_hi, eps_sq, Ladder([t_sq.as_integer_ratio()]))
     stored = Enclosure(Ball(center, t_sq), *(rat_from(enc[k]) for k in ("lipschitz_sq", "region_low_sq", "move_sq")))
     return derived == stored
 

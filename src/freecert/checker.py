@@ -78,30 +78,29 @@ class Enclosure(Record):
 
 
 class Ladder(Record):
-    """Ascending squared radii t^2 for `selfmap_at`, with their integer
-    pairs, each with its bound u = sqrt_upper(t^2) as a pair, computed the
-    first time a test reads it: a test reads about one rung, and a ladder
-    serves every test of a search."""
+    """Ascending squared radii t^2 for `selfmap_at`, as integer pairs in
+    lowest terms, each with its bound u = sqrt_upper(t^2) as a pair,
+    computed the first time a test reads it: a test reads about one rung,
+    and a ladder serves every test of a search."""
 
-    __slots__ = ("radii_sq", "_pairs", "_upper")
+    __slots__ = ("rungs", "_upper")
 
-    def __init__(self, radii_sq) -> None:
-        Record.__init__(self, tuple(radii_sq))
-        object.__setattr__(self, "_pairs", tuple(t.as_integer_ratio() for t in self.radii_sq))
-        object.__setattr__(self, "_upper", [None] * len(self.radii_sq))
+    def __init__(self, rungs) -> None:
+        Record.__init__(self, tuple(rungs))
+        object.__setattr__(self, "_upper", [None] * len(self.rungs))
 
     def upper(self, i: int) -> tuple[int, int]:
         u = self._upper[i]
         if u is None:
-            u = self._upper[i] = sqrt_upper_pair(*self._pairs[i])
+            u = self._upper[i] = sqrt_upper_pair(*self.rungs[i])
         return u
 
     def above(self, n: int, d: int) -> int:
         """The first rung above n/d (`bisect_right` on the pairs)."""
-        lo, hi = 0, len(self._pairs)
+        lo, hi = 0, len(self.rungs)
         while lo < hi:
             mid = (lo + hi) // 2
-            tn, td = self._pairs[mid]
+            tn, td = self.rungs[mid]
             if n * td < tn * d:
                 hi = mid
             else:
@@ -149,7 +148,7 @@ def selfmap_at(
         return gc, None
     kn, kd = sqrt_upper_pair(*gap_sq_hi.as_integer_ratio())
     near = None
-    for i in range(start, len(radii.radii_sq)):
+    for i in range(start, len(radii.rungs)):
         un, ud = radii.upper(i)
         dn, dd = rn * ud - un * rd, rd * ud  # d_low
         if dn <= 0:
@@ -159,13 +158,13 @@ def selfmap_at(
         slack = lip_d - kn * low_d  # 1 - L = slack / lip_d
         if slack <= 0:
             continue  # L >= 1
-        tn, td = radii._pairs[i]
+        tn, td = radii.rungs[i]
         if mn * lip_d * lip_d * td < slack * slack * tn * md:
             if near is None:
                 near = dist_sq_pair(center, attract, place)
             if cmp_sqrt_sum(near, (tn, td), epsilon_sq.as_integer_ratio()) <= 0:
                 lip_sq = Fraction(kn * low_d, lip_d) ** 2
-                return gc, Enclosure(Ball(center, radii.radii_sq[i]), lip_sq, Fraction(low_n, low_d), move_sq)
+                return gc, Enclosure(Ball(center, Fraction(tn, td)), lip_sq, Fraction(low_n, low_d), move_sq)
     return gc, None
 
 

@@ -60,7 +60,12 @@ ITER_BUDGET = 64
 class SingularProfile(Record):
     """Certified squared singular values, descending; exact at p-adic places."""
 
-    __slots__ = ("values_sq", "exact", "__dict__")  # the dict holds `gap_sq`
+    __slots__ = ("values_sq", "__dict__")  # the dict holds `gap_sq`
+
+    @property
+    def exact(self) -> bool:
+        """Whether every value is known exactly (a degenerate interval)."""
+        return all(v.exact for v in self.values_sq)
 
     @cached_property
     def gap_sq(self) -> Interval:
@@ -205,7 +210,7 @@ def singular_profile(g: ProjMat) -> SingularProfile:
         shift = int_valuation(scale, p)  # g = rows / scale
         exps = [e - shift for e in padic_exponents(rows, p)]
         vals = [point(Fraction(1, p ** (2 * e)) if e >= 0 else Fraction(p ** (-2 * e))) for e in exps]
-        return SingularProfile(tuple(vals), exact=True)
+        return SingularProfile(tuple(vals))
     roots = isolate_positive_roots(_charpoly_gram(g))
     vals: list[Interval] = []
     for iv, mult in roots:
@@ -213,7 +218,7 @@ def singular_profile(g: ProjMat) -> SingularProfile:
     if len(vals) != g.dim:
         raise AssertionError("gram matrix must have a full set of positive eigenvalues")
     vals.sort(key=lambda i: (i.hi, i.lo), reverse=True)
-    return SingularProfile(tuple(vals), exact=all(v.exact for v in vals))
+    return SingularProfile(tuple(vals))
 
 
 def contraction_gap_sq(g: ProjMat) -> Interval:
@@ -476,7 +481,7 @@ def _selfmap_ladder(epsilon_sq: Rat):
     """The radii eps / 2^j, j = 45 down to 1, ascending, built once per eps
     by shifting its denominator."""
     n, d = epsilon_sq.as_integer_ratio()
-    return Ladder(Fraction(n, d << 2 * j) for j in range(45, 0, -1))
+    return Ladder(Fraction(n, d << 2 * j).as_integer_ratio() for j in range(45, 0, -1))
 
 
 @lru_cache(maxsize=4096)
@@ -501,11 +506,12 @@ class ProximalCert(Record):
     """(r, eps)-proximality: the contraction certificate's candidate pair
     satisfies d(attract, repel) >= r, and both the fixed point and the
     fixed hyperplane are pinned inside self-mapping enclosures.
-    `contraction` is a ContractionCert, `fixed_point` an Enclosure, and
-    `fixed_plane_dual` the Enclosure of the hyperplane's dual point in the
-    dual space; `very`, when set, is the ProximalCert of the inverse."""
+    `contraction` is a ContractionCert, which holds eps, `fixed_point` an
+    Enclosure, and `fixed_plane_dual` the Enclosure of the hyperplane's
+    dual point in the dual space; `very`, when set, is the ProximalCert of
+    the inverse."""
 
-    __slots__ = ("r_sq", "epsilon_sq", "contraction", "fixed_point", "fixed_plane_dual", "very")
+    __slots__ = ("r_sq", "contraction", "fixed_point", "fixed_plane_dual", "very")
     _defaults = {"very": None}
 
     @property
@@ -562,7 +568,7 @@ def certify_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
         if enc is None:
             return Verdict("unknown")
         encs.append(enc)
-    return Verdict("yes", ProximalCert(r_sq, epsilon_sq, cert, *encs))
+    return Verdict("yes", ProximalCert(r_sq, cert, *encs))
 
 
 def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
@@ -581,7 +587,7 @@ def certify_very_proximal(g: ProjMat, r_sq: Rat, epsilon_sq: Rat) -> Verdict:
     if bwd.kind != "yes":
         return bwd
     c = fwd.cert
-    paired = ProximalCert(c.r_sq, c.epsilon_sq, c.contraction, c.fixed_point, c.fixed_plane_dual, very=bwd.cert)
+    paired = ProximalCert(c.r_sq, c.contraction, c.fixed_point, c.fixed_plane_dual, very=bwd.cert)
     sets = paired.eps_sets
     if any(set_disjoint(sets[i], sets[j], g.place).kind != "disjoint" for i, j in VERY_PAIRS):
         return Verdict("unknown")

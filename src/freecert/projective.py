@@ -3,11 +3,11 @@
 A point or hyperplane stores the primitive integer representative of its
 class with first nonzero coordinate positive, the key `primitive` also
 gives a matrix's class, so equality and hashing are exact and no
-coordinate is ever divided.  `.rep` and `.functional` are the canonical
-rational views (first nonzero coordinate 1) that certificates print.  A
-matrix stores its integer rows over one positive scale, the lcm of its
-entries' denominators; equality and hashing read that unique form, a
-product is cleared by one gcd, and `.entries` is the rational view.
+coordinate is ever divided.  A matrix stores its integer rows over one
+positive scale, the lcm of its entries' denominators; equality and
+hashing read that unique form, and a product is cleared by one gcd.
+That integer form is the only stored form: `certfmt` writes a point over
+its first nonzero coordinate and a matrix's rows over their scale.
 Coordinates and entries given as input are ints, Fractions and integer
 (numerator, denominator) pairs in lowest terms, the form in which
 `certfmt.pair_from` reads a certificate's numbers.
@@ -38,7 +38,6 @@ from operator import mul
 
 from .scalar import DisjointVerdict, Place, Rat, Record, clear_denominators, cmp_sqrt_sum, int_valuation, word_string, word_tokens
 
-Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 #: Largest matrix dimension of a problem file, and of a matrix, point or
@@ -67,7 +66,7 @@ class _IntegerClass(Record):
     """A class of P(Q^n) or of its dual, stored by `class_rep`.  A point
     never equals a hyperplane: equality asks for the same class."""
 
-    __slots__ = ("coords", "__dict__")  # the dict holds `_canonical`
+    __slots__ = ("coords",)
 
     def __init__(self, coords) -> None:
         Record.__init__(self, class_rep(coords))
@@ -83,30 +82,15 @@ class _IntegerClass(Record):
     def dim(self) -> int:
         return len(self.coords)
 
-    @cached_property
-    def _canonical(self) -> Vec:
-        first = next(x for x in self.coords if x)
-        return tuple(Fraction(x, first) for x in self.coords)
-
 
 class ProjPoint(_IntegerClass):
     __slots__ = ()
-
-    @property
-    def rep(self) -> Vec:
-        """The canonical representative: first nonzero coordinate 1."""
-        return self._canonical
 
 
 class ProjHyperplane(_IntegerClass):
     """ker(f), stored by the class of the covector f."""
 
     __slots__ = ()
-
-    @property
-    def functional(self) -> Vec:
-        """The canonical covector: first nonzero coordinate 1."""
-        return self._canonical
 
     def dual_point(self) -> ProjPoint:
         return ProjPoint._of(self.coords)
@@ -196,9 +180,9 @@ class ProjMat:
     the form is unique; equality and hashing read it.  Invertibility is
     checked once, on construction from input.  Products, transposes and
     inverses of invertible matrices are invertible, so they are built by
-    `_of`, which skips `det`.  `entries` is the Fraction view that
-    certificates print.  Input entries are ints, Fractions and integer
-    pairs (`clear_denominators`); a float or a string is a TypeError.
+    `_of`, which skips `det`.  Input entries are ints, Fractions and
+    integer pairs (`clear_denominators`); a float or a string is a
+    TypeError.
     """
 
     def __init__(self, entries, place: Place) -> None:
@@ -226,12 +210,6 @@ class ProjMat:
         return len(self._integer_form[0])
 
     @cached_property
-    def entries(self) -> tuple[Vec, ...]:
-        """The rational entries, row by row."""
-        rows, scale = self._integer_form
-        return tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
-
-    @cached_property
     def _hash(self) -> int:
         return hash((self._integer_form, self.place))
 
@@ -244,7 +222,7 @@ class ProjMat:
         return self is other or (self._integer_form == other._integer_form and self.place == other.place)
 
     def __repr__(self) -> str:
-        return f"ProjMat({self.entries!r}, {self.place!r})"
+        return f"ProjMat({self._integer_form!r}, {self.place!r})"
 
     @cached_property
     def gram(self) -> tuple[IntRows, int]:

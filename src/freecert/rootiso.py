@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .scalar import Rat, Record
 
@@ -79,11 +79,6 @@ def _homogeneous(p: IntPoly, num: int, den: int) -> int:
         acc = acc * num + c * dk
         dk *= den
     return acc
-
-
-def _sign_at(p: IntPoly, x: Rat) -> int:
-    v = _homogeneous(p, x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
 
 
 def prem(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -187,10 +182,11 @@ def _squarefree(p: IntPoly) -> IntPoly:
     return p if len(g) == 1 else pquo(p, g)
 
 
-def _bisect(sf: IntPoly) -> tuple[list[tuple[Rat, Rat]], list[Rat]]:
-    """(the open intervals that each hold one positive root of the
-    squarefree sf, the roots hit at a midpoint): root counts split
-    (0, cauchy_bound(sf)] until no piece holds more than one root.
+def _bisect(sf: IntPoly) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """(the open intervals (a/w, b/w), as (a, b, w), that each hold one
+    positive root of the squarefree sf, the roots hit at a midpoint as
+    (numerator, denominator)): root counts split (0, cauchy_bound(sf)]
+    until no piece holds more than one root.
 
     The points are numerators over a denominator that doubles with each
     split, as in `_refine`, so no step reduces a fraction."""
@@ -200,47 +196,47 @@ def _bisect(sf: IntPoly) -> tuple[list[tuple[Rat, Rat]], list[Rat]]:
     # root left to count: the bound is above all roots, a root at a
     # midpoint is hit
     stack = [(0, bound.numerator, bound.denominator, total, total)]
-    isolated: list[tuple[Rat, Rat]] = []
-    hit: list[Rat] = []
+    isolated: list[tuple[int, int, int]] = []
+    hit: list[tuple[int, int]] = []
     while stack:
         a, b, w, above_a, cnt = stack.pop()
         if cnt == 0:
             continue
         if cnt == 1:
-            isolated.append((Fraction(a, w), Fraction(b, w)))
+            isolated.append((a, b, w))
             continue
         mid, w = a + b, 2 * w
         above_mid, at_mid = _roots_above(sf, mid, w)
         if at_mid:
-            hit.append(Fraction(mid, w))
+            hit.append((mid, w))
         lo_cnt = above_a - above_mid - at_mid
         stack.append((2 * a, mid, w, above_a, lo_cnt))
         stack.append((mid, 2 * b, w, above_mid, cnt - lo_cnt - at_mid))
     return isolated, hit
 
 
-def _rational_root(sf: IntPoly, a: Rat, b: Rat) -> Rat | None:
-    """The one root of sf inside the isolated (a, b) if it is rational,
-    else None.
+def _rational_root(sf: IntPoly, a: int, b: int, w: int) -> tuple[int, int] | None:
+    """The one root of sf inside the isolated (a/w, b/w), w > 0, as
+    (numerator, denominator) if it is rational, else None.
 
     By Gauss's lemma a rational root of the integer polynomial sf is k/L
     with L = |lead(sf)| and k an integer, so a binary search over the k
-    with a < k/L < b finds it, in about log2((b - a) L) sign tests.  The
-    root is simple, so it lies below k/L iff sf(k/L) has the sign sf
-    takes just left of b.  b may be a root the bisection hit; there that
-    sign comes from sf'(b).  The endpoint a may be a root too (0, or a
-    hit root), so its sign is never read.
+    with a/w < k/L < b/w finds it, in about log2((b - a) L / w) sign
+    tests.  The root is simple, so it lies below k/L iff sf(k/L) has the
+    sign sf takes just left of b/w.  b/w may be a root the bisection hit;
+    there that sign comes from sf'(b/w).  The endpoint a/w may be a root
+    too (0, or a hit root), so its sign is never read.
     """
     lead = abs(sf[-1])
-    fb = _sign_at(sf, b)
-    positive_left_of_b = fb > 0 if fb else _sign_at(pderiv(sf), b) < 0
-    lo = a.numerator * lead // a.denominator + 1
-    hi = (b.numerator * lead - 1) // b.denominator
+    fb = _homogeneous(sf, b, w)
+    positive_left_of_b = fb > 0 if fb else _homogeneous(pderiv(sf), b, w) < 0
+    lo = a * lead // w + 1
+    hi = (b * lead - 1) // w
     while lo <= hi:
         k = (lo + hi) // 2
         v = _homogeneous(sf, k, lead)
         if not v:
-            return Fraction(k, lead)
+            return k, lead
         if (v > 0) == positive_left_of_b:
             hi = k - 1
         else:
@@ -278,8 +274,9 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
     if pdeg(work) < 1:
         return ()
     sf = _squarefree(work)
-    isolated, rational = _bisect(sf)
-    rational += [r for a, b in isolated if (r := _rational_root(sf, a, b)) is not None]
+    isolated, roots = _bisect(sf)
+    roots += [r for a, b, w in isolated if (r := _rational_root(sf, a, b, w)) is not None]
+    rational = [Fraction(*r) for r in roots]
     out: list[tuple[Interval, int]] = []
     if rational:
         for r in rational:
@@ -287,35 +284,34 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
             out.append((point(r), m))
         sf = _squarefree(work)
         isolated = _bisect(sf)[0]
-    for a, b in isolated:
-        lo, hi = _refine(sf, a, b)
-        # the roots of work in (lo, hi]; hi is rational, so no root
-        m = 1 if len(sf) == len(work) else _roots_above(work, *lo.as_integer_ratio())[0] - _roots_above(work, *hi.as_integer_ratio())[0]
-        out.append((Interval(lo, hi), m))
+    for a, b, w in isolated:
+        a, b, w = _refine(sf, a, b, w)
+        # the roots of work in (a/w, b/w]; b/w is rational, so no root
+        m = 1 if len(sf) == len(work) else _roots_above(work, a, w)[0] - _roots_above(work, b, w)[0]
+        out.append((Interval(Fraction(a, w), Fraction(b, w)), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return tuple(out)
 
 
-def _refine(sf: IntPoly, a: Rat, b: Rat) -> tuple[Rat, Rat]:
+def _refine(sf: IntPoly, a: int, b: int, w: int) -> tuple[int, int, int]:
     """Bisection by sign tests: the one root of sf inside the isolated
-    (a, b) is bisected down to relative width 2^-ROOT_REL_BITS.
+    (a/w, b/w), w > 0, is bisected down to relative width
+    2^-ROOT_REL_BITS, and returned as the (a, b, w) of its last interval.
 
     The open interval holds exactly one root, as the Descartes counts of
     `isolate_positive_roots` show exactly on the real-rooted sf.  That
-    root is simple and irrational, and b is the Cauchy bound or a
+    root is simple and irrational, and b/w is the Cauchy bound or a
     midpoint, so no point the bisection reads is a root, and the root
-    lies below mid iff sf(mid) has the sign of sf(b).  The endpoint a may
-    be the root 0, so its sign is never read.
+    lies below mid iff sf(mid) has the sign of sf(b/w).  The endpoint a/w
+    may be the root 0, so its sign is never read.
 
     The points are numerators over one denominator that doubles each step.
     """
-    positive_at_b = _sign_at(sf, b) > 0
-    w = lcm(a.denominator, b.denominator)
-    na, nb = a.numerator * (w // a.denominator), b.numerator * (w // b.denominator)
-    while na <= 0 or (nb - na) << ROOT_REL_BITS > na:
-        mid, w = na + nb, 2 * w
+    positive_at_b = _homogeneous(sf, b, w) > 0
+    while a <= 0 or (b - a) << ROOT_REL_BITS > a:
+        mid, w = a + b, 2 * w
         if (_homogeneous(sf, mid, w) > 0) == positive_at_b:
-            na, nb = 2 * na, mid
+            a, b = 2 * a, mid
         else:
-            na, nb = mid, 2 * nb
-    return Fraction(na, w), Fraction(nb, w)
+            a, b = mid, 2 * b
+    return a, b, w

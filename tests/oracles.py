@@ -7,7 +7,7 @@ from math import isqrt
 from freecert.checker import Enclosure
 from freecert.dynamics import ITER_BUDGET
 from freecert.pingpong import OracleResult
-from freecert.projective import Ball, ProjPoint, component_member, dot, wedge
+from freecert.projective import Ball, ProjMat, ProjPoint, component_member, dot, wedge
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim
 from freecert.scalar import int_valuation, sqrt_lower, sqrt_upper, word_string
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
@@ -247,6 +247,16 @@ def canonical_rep(v) -> tuple:
     raise ValueError("zero vector has no projective class")
 
 
+def fraction_view(x) -> tuple:
+    """The Fraction view of a point or hyperplane, its canonical
+    representative (first nonzero coordinate 1), or of a matrix, its
+    rational entries row by row: the numbers a certificate prints."""
+    if isinstance(x, ProjMat):
+        rows, scale = x._integer_form
+        return tuple(tuple(Fraction(c, scale) for c in r) for r in rows)
+    return canonical_rep(x.coords)
+
+
 def is_zero_vec(v) -> bool:
     return all(c == 0 for c in v)
 
@@ -287,7 +297,7 @@ def fraction_dist_to_hyperplane_sq(v, f, place) -> Fraction:
 
 def fraction_apply(g, v) -> tuple:
     """Canonical representative of g v, multiplied out over Fraction."""
-    return canonical_rep(tuple(dot(r, v) for r in g.entries))
+    return canonical_rep(tuple(dot(r, v) for r in fraction_view(g)))
 
 
 def fraction_kernel_intersection_point(h1, h2):
@@ -305,7 +315,7 @@ def fraction_kernel_intersection_point(h1, h2):
                 cand[i], cand[j] = f[j], -f[i]
                 if any(cand):
                     return ProjPoint(tuple(cand))
-    rows = [list(h1.functional), list(h2.functional)]
+    rows = [list(fraction_view(h1)), list(fraction_view(h2))]
     pivots = []
     r = 0
     for col in range(n):
@@ -351,8 +361,8 @@ def fraction_member(v, comp, place) -> bool:
     """Membership of the rational point [v] in an open ball or hyperplane
     neighborhood, over Fraction."""
     if isinstance(comp, Ball):
-        return fraction_dist_sq(v, comp.center.rep, place) < comp.radius_sq
-    return fraction_dist_to_hyperplane_sq(v, comp.plane.functional, place) < comp.radius_sq
+        return fraction_dist_sq(v, fraction_view(comp.center), place) < comp.radius_sq
+    return fraction_dist_to_hyperplane_sq(v, fraction_view(comp.plane), place) < comp.radius_sq
 
 
 def fraction_point_on_plane_near(v, f):
@@ -417,10 +427,10 @@ def fraction_selfmap_at(g, center, attract, repel, repel_err_sq, gap_sq_hi, epsi
     """The self-map test over Fraction on canonical representatives, every
     radius in turn (reference for `checker.selfmap_at`)."""
     place = g.place
-    c = center.rep
+    c = fraction_view(center)
     gc = fraction_apply(g, c)
     move_sq = fraction_dist_sq(gc, c, place)
-    l_d = sqrt_lower(fraction_dist_to_hyperplane_sq(c, repel.functional, place))
+    l_d = sqrt_lower(fraction_dist_to_hyperplane_sq(c, fraction_view(repel), place))
     u_kappa = sqrt_upper(gap_sq_hi)
     u_beta = sqrt_upper(repel_err_sq)
     for t_sq in radii_sq:
@@ -430,7 +440,7 @@ def fraction_selfmap_at(g, center, attract, repel, repel_err_sq, gap_sq_hi, epsi
         lip = u_kappa / (d_low * d_low)
         if lip >= 1:
             continue
-        if move_sq < (1 - lip) ** 2 * t_sq and fraction_cmp_sqrt_sum(fraction_dist_sq(c, attract.rep, place), t_sq, epsilon_sq) <= 0:
+        if move_sq < (1 - lip) ** 2 * t_sq and fraction_cmp_sqrt_sum(fraction_dist_sq(c, fraction_view(attract), place), t_sq, epsilon_sq) <= 0:
             return ProjPoint(gc), Enclosure(Ball(center, t_sq), lip * lip, d_low * d_low, move_sq)
     return ProjPoint(gc), None
 
@@ -571,7 +581,7 @@ def fraction_charpoly_gram(g) -> list:
     """Characteristic polynomial of g^T g by Faddeev-LeVerrier over
     Fraction, lowest degree first (reference for `dynamics._charpoly_gram`)."""
     n = g.dim
-    s = fraction_gram(list(zip(*g.entries)))
+    s = fraction_gram(list(zip(*fraction_view(g))))
     m = [[Fraction(0)] * n for _ in range(n)]
     coeffs = [Fraction(1)]
     for k in range(1, n + 1):

@@ -44,7 +44,7 @@ from freecert.tree import (
     parse_word,
     tree_pingpong,
 )
-from oracles import all_subgroups, group_from_permutations, set_member
+from oracles import all_subgroups, fraction_view, group_from_permutations, set_member
 
 P5 = padic(5)
 
@@ -186,7 +186,7 @@ def test_criterion_03_contraction_soundness_sampled():
     rng = random.Random(103)
     for g, eps_sq in fixtures:
         v = certify_contracting(g, eps_sq)
-        assert v.kind == "yes", (g.entries, eps_sq)
+        assert v.kind == "yes", (fraction_view(g), eps_sq)
         cert = v.cert
         checked = 0
         attempts = 0
@@ -225,7 +225,7 @@ def test_criterion_04_fixed_point_enclosures_and_decay():
     assert len(fixtures) == 50
     for g in fixtures:
         cert = auto_very_proximal(g)
-        assert cert is not None, g.entries
+        assert cert is not None, fraction_view(g)
         # enclosure self-maps: re-checked through the certificate checker
         c = cert.contraction
         claim = selfmap_claim(
@@ -235,7 +235,7 @@ def test_criterion_04_fixed_point_enclosures_and_decay():
             plane_json(c.repel),
             rat(c.repel_err_sq),
             rat(c.gap_sq_hi),
-            rat(cert.epsilon_sq),
+            rat(c.epsilon_sq),
         )
         assert check_claim(claim, CertContext(g.place, {}, {}))
         uppers = [contraction_gap_sq(g.power(n)).hi for n in range(1, 9)]

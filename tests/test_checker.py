@@ -69,6 +69,11 @@ def _ladder(epsilon_sq):
     return [epsilon_sq / 4**j for j in range(45, 0, -1)]
 
 
+def _rungs(radii_sq) -> Ladder:
+    """The ladder of the squared radii `radii_sq`, given as Fractions."""
+    return Ladder([t.as_integer_ratio() for t in radii_sq])
+
+
 @settings(max_examples=100, deadline=None)
 @given(_matrices(), st.sampled_from([F(1, 4), F(1, 9), F(1, 25), F(1, 100)]), st.integers(0, 5))
 @example(ProjMat(((81, 0), (0, 1)), ARCH), F(1, 4), 3)
@@ -85,7 +90,7 @@ def test_selfmap_at_matches_fraction_reference(g, epsilon_sq, steps):
     for m, attract, repel, repel_err_sq in problems:
         c = attract
         for _ in range(steps + 1):
-            got = selfmap_at(m, c, attract, repel, repel_err_sq, gap_hi, epsilon_sq, Ladder(radii_sq))
+            got = selfmap_at(m, c, attract, repel, repel_err_sq, gap_hi, epsilon_sq, _rungs(radii_sq))
             assert got == fraction_selfmap_at(m, c, attract, repel, repel_err_sq, gap_hi, epsilon_sq, radii_sq)
             c = got[0]
 
@@ -108,7 +113,7 @@ def test_selfmap_at_matches_fraction_reference_on_any_pair(g, data):
     tiny = st.builds(lambda a, k: F(a, 2**k), st.integers(1, 9), st.integers(4, 100))
     radii_sq = sorted(set(data.draw(st.lists(tiny, min_size=1, max_size=12))))
     radii_sq = data.draw(st.sampled_from([radii_sq, _ladder(epsilon_sq)]))
-    got = selfmap_at(g, center, attract, repel, repel_err_sq, gap_hi, epsilon_sq, Ladder(radii_sq))
+    got = selfmap_at(g, center, attract, repel, repel_err_sq, gap_hi, epsilon_sq, _rungs(radii_sq))
     assert got == fraction_selfmap_at(g, center, attract, repel, repel_err_sq, gap_hi, epsilon_sq, radii_sq)
 
 
@@ -125,8 +130,8 @@ def test_selfmap_at_skipped_radius_still_ends_the_search():
     rot = ProjMat(((1, -1), (1, 1)), ARCH)  # moves e1 by exactly d^2 = 1/2
     args = (rot, e1, e1, ProjHyperplane((1, 0)), s * s, F(0), F(1))
     assert fraction_selfmap_at(*args, [t1, t2]) == (ProjPoint((1, 1)), None)
-    assert selfmap_at(*args, Ladder([t1, t2])) == (ProjPoint((1, 1)), None)
-    assert selfmap_at(*args, Ladder([t2]))[1] is not None  # t2 alone passes
+    assert selfmap_at(*args, _rungs([t1, t2])) == (ProjPoint((1, 1)), None)
+    assert selfmap_at(*args, _rungs([t2]))[1] is not None  # t2 alone passes
 
 
 _SMALL = st.fractions(min_value=0, max_value=F(1, 4), max_denominator=10**6)

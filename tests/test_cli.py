@@ -255,6 +255,17 @@ def test_pingpong_certified_and_verify(tmp_path):
     assert verify_file(out) == 0
 
 
+def test_pingpong_gives_up_on_a_player_whose_gap_leaves_no_epsilon(tmp_path):
+    # kappa^2 = 4/9: every eps^2 above the gap is at least 1, so
+    # `auto_very_proximal` tries none and the tuple names its player
+    text = "format 1\nplace arch\n[matrix-group]\ngen a = [[3, 0, 0], [0, 2, 0], [0, 0, 1]]\n"
+    text += "\n[task]\nop pingpong\nsubop tuple\nplayer g1 = a\nradius-sq 1/10\n"
+    code, cert, out = run(tmp_path, "pingpong", text)
+    assert code == 4
+    assert cert["result"] == {"failed_player": "g1"}
+    assert verify_file(out) == 0
+
+
 def test_pingpong_player_name_with_vs(tmp_path):
     text = MATRIX_HEADER + "\n[task]\nop pingpong\nsubop tuple\nplayer x vs y = a\nplayer g2 = b\nradius-sq 1/10\n"
     code, cert, out = run(tmp_path, "pingpong", text)
@@ -479,6 +490,17 @@ def test_synthesize_b1b2b3(tmp_path):
     code, cert, out = run(tmp_path, "synthesize", text)
     assert code == 0
     assert cert["result"]["k"] <= 32
+    assert verify_file(out) == 0
+
+
+def test_synthesize_b1b2b3_with_a_hyperplane_neighborhood(tmp_path):
+    # in P^1 the neighborhood of ker(x) is the ball around [0 : 1], so the
+    # task of `test_synthesize_b1b2b3` still solves with it as its repel
+    # set, and the produced sets, its images, are hyperplane neighborhoods
+    text = B1B2B3_TASK + "attract ball [1, 0] 1/25\nrepel hnbhd [1, 0] 1/25\n"
+    code, cert, out = run(tmp_path, "synthesize", text)
+    assert code == 0 and cert["verdict"] == "yes"
+    assert {c["kind"] for c in cert["result"]["attract"] + cert["result"]["repel"]} == {"hnbhd"}
     assert verify_file(out) == 0
 
 

@@ -464,7 +464,17 @@ INTEGER_KERNEL = {
     "dynamics.py": ("_padic_pivot", "padic_exponents", "gram_charpoly", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
     "scalar.py": ("cmp_sqrt_sum", "sqrt_lower_pair", "sqrt_upper_pair"),
     "checker.py": ("Ladder.upper", "Ladder.above", "Ladder.ends_below"),
+    "rootiso.py": ("_bisect", "_rational_root", "_refine"),
 }
+
+
+def _fraction_lines(node: ast.AST) -> list[int]:
+    """The lines under `node` that name `Fraction`, bare or as an attribute."""
+    return [
+        sub.lineno
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Name) and sub.id == "Fraction") or (isinstance(sub, ast.Attribute) and sub.attr == "Fraction")
+    ]
 
 
 def test_integer_kernel_names_no_fraction():
@@ -473,8 +483,9 @@ def test_integer_kernel_names_no_fraction():
     the p-adic exponents, the Gram characteristic polynomial, the Krylov
     moments of the power iteration, the kernel of two covectors, the
     sign test of sqrt(a) + sqrt(b) - sqrt(c), the square-root bounds on
-    integer pairs and the self-map ladder's bisection and scan never build
-    or name a `Fraction`."""
+    integer pairs, the self-map ladder's bisection and scan, and the
+    bisection, rational-root search and refinement of root isolation
+    never build or name a `Fraction`."""
     found = []
     for module, names in INTEGER_KERNEL.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
@@ -482,10 +493,22 @@ def test_integer_kernel_names_no_fraction():
         funcs.update({f"{c.name}.{f.name}": f for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)})
         for name in names:
             assert name in funcs, f"{module} has no function {name}"
-            for node in ast.walk(funcs[name]):
-                if (isinstance(node, ast.Name) and node.id == "Fraction") or (isinstance(node, ast.Attribute) and node.attr == "Fraction"):
-                    found.append(f"{module}:{node.lineno} {name}")
+            found += [f"{module}:{line} {name}" for line in _fraction_lines(funcs[name])]
     assert not found, "Fraction in the integer kernel:\n" + "\n".join(found)
+
+
+def test_projective_objects_store_only_their_integer_form():
+    """No class of `projective` builds or names a `Fraction`: a point,
+    hyperplane or matrix keeps its integer form alone, and `certfmt`
+    writes the rational text from it.  A point or hyperplane has no
+    `__dict__` to cache a second form in."""
+    tree = ast.parse((PACKAGE / "projective.py").read_text(encoding="utf-8"))
+    found = [f"projective.py:{line} {c.name}" for c in tree.body if isinstance(c, ast.ClassDef) for line in _fraction_lines(c)]
+    assert not found, "Fraction in a projective class:\n" + "\n".join(found)
+    from freecert.projective import ProjHyperplane, ProjPoint, _IntegerClass
+
+    assert "__dict__" not in _IntegerClass.__slots__
+    assert not any(hasattr(x, "__dict__") for x in (ProjPoint((1, 2)), ProjHyperplane((1, 2))))
 
 
 def _callers(tree: ast.AST, name: str, scope: str) -> list[str]:

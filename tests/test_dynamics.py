@@ -45,6 +45,7 @@ from oracles import (
     fraction_gram,
     fraction_isolate_positive_roots,
     fraction_power_direction,
+    fraction_view,
     interval_contains,
     interval_divide,
     padic_valuation,
@@ -145,7 +146,7 @@ def _padic_snf_transforms(g: ProjMat) -> tuple[list[int], tuple, tuple]:
     """
     p = g.place.prime
     n = g.dim
-    d = [list(r) for r in g.entries]
+    d = [list(r) for r in fraction_view(g)]
     uinv = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
     vinv = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
     exps: list[int] = []
@@ -259,7 +260,7 @@ def test_padic_exponents_match_sympy_invariant_factors():
             place = padic(p)
             a, b = (_random_invertible(rng, n, place, lambda: F(rng.randint(-5, 5))) for _ in range(2))
             d = ProjMat(tuple(tuple(p ** rng.randint(0, 3) if i == j else 0 for j in range(n)) for i in range(n)), place)
-            rows = [[int(x) for x in r] for r in (a @ d @ b).entries]
+            rows = [[int(x) for x in r] for r in fraction_view(a @ d @ b)]
             factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
             expected = sorted(padic_valuation(int(f), p) for f in factors)
             assert padic_exponents(rows, p) == expected
@@ -322,7 +323,7 @@ def test_contraction_soundness_sampled():
     ]
     for g, eps_sq in fixtures:
         v = certify_contracting(g, eps_sq)
-        assert v.kind == "yes", (g.entries, eps_sq)
+        assert v.kind == "yes", (fraction_view(g), eps_sq)
         cert = v.cert
         checked = 0
         while checked < 400:
@@ -391,7 +392,7 @@ def test_power_to_proximal_fibonacci():
     lo5, hi5 = sqrt_bounds(F(5), 100)
     # canonical rep of the eigenvector is (1, (sqrt5-1)/2); second coordinate interval:
     y_lo, y_hi = (lo5 - 1) / 2, (hi5 - 1) / 2
-    c = enc.ball.center.rep if hasattr(enc, "ball") else enc.center.rep
+    c = fraction_view(enc.ball.center) if hasattr(enc, "ball") else fraction_view(enc.center)
     assert c[0] == 1
     # distance^2 from center to the true eigendirection, evaluated by intervals
     def d2(y):
@@ -517,10 +518,10 @@ def test_witness_pool_order():
         for coords in itertools.product((0, 1, -1), repeat=n):
             if any(coords):
                 p = ProjPoint(coords)
-                if p.rep not in seen:
-                    seen.add(p.rep)
+                if fraction_view(p) not in seen:
+                    seen.add(fraction_view(p))
                     expected.append(p)
-        expected.sort(key=lambda p: (sum(1 for c in p.rep if c != 0), p.rep))
+        expected.sort(key=lambda p: (sum(1 for c in fraction_view(p) if c != 0), fraction_view(p)))
         assert list(_witness_pool(n)) == expected
 
 
@@ -538,8 +539,8 @@ def _power_directions(g: ProjMat) -> list:
     charpoly = gram_charpoly(g)
     ours = [_power_direction(gram_matrix(rows), scale, lam2_hi, charpoly), _power_direction(gtg, scale, lam2_hi, charpoly)]
     ours = [(point, None if err is None else F(*err)) for point, err in ours]
-    cols = list(zip(*g.entries))
-    ref = [fraction_power_direction(fraction_gram(g.entries), lam2_hi), fraction_power_direction(fraction_gram(cols), lam2_hi)]
+    cols = list(zip(*fraction_view(g)))
+    ref = [fraction_power_direction(fraction_gram(fraction_view(g)), lam2_hi), fraction_power_direction(fraction_gram(cols), lam2_hi)]
     return [ours, ref]
 
 
@@ -659,13 +660,13 @@ def test_power_direction_keeps_the_first_of_tied_bounds():
 def test_double_irrational_squared_singular_values():
     # blockdiag(FIB, FIB): g^T g has charpoly (x^2 - 7x + 1)^2, not
     # squarefree, so each root's multiplicity comes from `_multiplicity`
-    roots = _assert_matches_fraction_reference(_blockdiag(FIB.entries, FIB.entries))
+    roots = _assert_matches_fraction_reference(_blockdiag(fraction_view(FIB), fraction_view(FIB)))
     assert [m for _, m in roots] == [2, 2]
     assert not any(iv.exact for iv, _ in roots)
 
 
 def test_rational_squared_singular_value_split_off():
-    roots = _assert_matches_fraction_reference(_blockdiag(FIB.entries, ((2,),)))
+    roots = _assert_matches_fraction_reference(_blockdiag(fraction_view(FIB), ((2,),)))
     assert (point(4), 1) in roots
     assert [iv.exact for iv, _ in roots] == [False, True, False]
 

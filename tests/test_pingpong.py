@@ -145,7 +145,7 @@ def _tiny_attracting_balls(cert, p):
 
 
 def _forward_only(cert, p):
-    one_way = ProximalCert(cert.r_sq, cert.epsilon_sq, cert.contraction, cert.fixed_point, cert.fixed_plane_dual)
+    one_way = ProximalCert(cert.r_sq, cert.contraction, cert.fixed_point, cert.fixed_plane_dual)
     return PingPongPlayer(p.name, p.element, p.a_plus, p.r_plus, p.a_minus, p.r_minus, one_way)
 
 

@@ -39,6 +39,7 @@ from oracles import (
     fraction_matmul,
     fraction_member,
     fraction_point_on_plane_near,
+    fraction_view,
     set_member,
 )
 
@@ -104,20 +105,20 @@ def test_apply_respects_projective_equivalence():
     for _ in range(50):
         p = rand_point(rng)
         lam = F(rng.choice([1, 2, 3, -1, -5]), rng.choice([1, 2, 7]))
-        scaled = ProjPoint(tuple(lam * c for c in p.rep))
+        scaled = ProjPoint(tuple(lam * c for c in fraction_view(p)))
         assert apply(g, p) == apply(g, scaled)
 
 
 def test_canonical_representatives():
-    assert ProjPoint((0, 3, 6)).rep == (0, 1, 2)
-    assert ProjPoint((-2, 4)).rep == (1, -2)
+    assert fraction_view(ProjPoint((0, 3, 6))) == (0, 1, 2)
+    assert fraction_view(ProjPoint((-2, 4))) == (1, -2)
     assert ProjPoint((2, 4)) == ProjPoint((1, 2))
     assert hash(ProjPoint((2, 4))) == hash(ProjPoint((1, 2)))
     # stored: the primitive integer representative, first nonzero entry positive
     assert ProjPoint((F(-1, 2), F(1, 3), 0)).coords == (3, -2, 0)
-    assert ProjPoint((F(-1, 2), F(1, 3), 0)).rep == (1, F(-2, 3), 0)
+    assert fraction_view(ProjPoint((F(-1, 2), F(1, 3), 0))) == (1, F(-2, 3), 0)
     assert ProjHyperplane((0, -6, 4)).coords == (0, 3, -2)
-    assert ProjHyperplane((0, -6, 4)).functional == (0, 1, F(-2, 3))
+    assert fraction_view(ProjHyperplane((0, -6, 4))) == (0, 1, F(-2, 3))
     assert ProjPoint((1, 2)) != ProjHyperplane((1, 2))
     with pytest.raises(ValueError):
         ProjPoint((0, 0))
@@ -173,7 +174,7 @@ def test_point_to_plane_lipschitz_sampled():
     for place in (ARCH, P5):
         for _ in range(10_000):
             p, q = rand_point(rng), rand_point(rng)
-            h = ProjHyperplane(rand_point(rng).rep)
+            h = ProjHyperplane(fraction_view(rand_point(rng)))
             dp = dist_to_hyperplane_sq(p, h, place)
             dq = dist_to_hyperplane_sq(q, h, place)
             d = dist_sq(p, q, place)
@@ -295,15 +296,15 @@ def test_products_match_fraction_reference_without_det(rows, data):
         gh, gt, gi = g @ h, g.transpose(), g.inverse()
         ladder = list(g.powers(5))
         assert det_spy.call_count == 0
-    assert gh.entries == fraction_matmul(g.entries, h.entries)
-    assert gt.entries == tuple(tuple(g.entries[j][i] for j in range(n)) for i in range(n))
+    assert fraction_view(gh) == fraction_matmul(fraction_view(g), fraction_view(h))
+    assert fraction_view(gt) == tuple(tuple(fraction_view(g)[j][i] for j in range(n)) for i in range(n))
     ident = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
-    assert fraction_matmul(g.entries, gi.entries) == ident
+    assert fraction_matmul(fraction_view(g), fraction_view(gi)) == ident
     acc = ident
     for k, gk in ladder:
-        acc = fraction_matmul(acc, g.entries)
-        assert gk.entries == acc, k
-    assert hash(gh) == hash(ProjMat(gh.entries, ARCH)) and gh == ProjMat(gh.entries, ARCH)
+        acc = fraction_matmul(acc, fraction_view(g))
+        assert fraction_view(gk) == acc, k
+    assert hash(gh) == hash(ProjMat(fraction_view(gh), ARCH)) and gh == ProjMat(fraction_view(gh), ARCH)
 
 
 def test_products_clear_each_matrix_once():
@@ -320,7 +321,7 @@ def test_products_clear_each_matrix_once():
         d = projective.det(g._integer_form[0])  # eliminates in place on lists of its own
         assert spy.call_count == 2
     assert g._integer_form == (((21, 126, 0), (0, 28, 42), (42, 0, 30)), 42)
-    assert all(x.entries == first.entries == fraction_matmul(g.entries, h.entries) for x in again)
+    assert all(fraction_view(x) == fraction_view(first) == fraction_matmul(fraction_view(g), fraction_view(h)) for x in again)
     assert projective.det(g._integer_form[0]) == d == 21 * 28 * 30 - 126 * (0 * 30 - 42 * 42)
 
 
@@ -345,7 +346,7 @@ def test_is_identity_means_scalar():
 def test_class_key_is_equality_in_pgl(rows, data):
     g = _invertible(rows)
     c = data.draw(_ENTRY.filter(bool))
-    scaled = ProjMat(tuple(tuple(c * x for x in r) for r in g.entries), ARCH)
+    scaled = ProjMat(tuple(tuple(c * x for x in r) for r in fraction_view(g)), ARCH)
     assert g.class_key() == scaled.class_key() and g.proportional_to(scaled)
     key = g.class_key()
     assert all(isinstance(x, int) for x in key) and next(x for x in key if x) > 0
@@ -376,14 +377,14 @@ def test_metric_and_apply_match_fraction_reference(n, place, data):
     p, q, h = ProjPoint(v), ProjPoint(w), ProjHyperplane(f)
     # any representative gives the same class, and the class its canonical view
     assert ProjPoint([lam * c for c in v]) == p and ProjHyperplane([mu * c for c in f]) == h
-    assert p.rep == canonical_rep(v) and h.functional == canonical_rep(f)
+    assert fraction_view(p) == canonical_rep(v) and fraction_view(h) == canonical_rep(f)
     assert all(type(c) is int for c in p.coords + h.coords) and gcd(*p.coords) == 1
     assert dist_sq(p, q, place) == fraction_dist_sq(v, [mu * c for c in w], place)
     assert dist_to_hyperplane_sq(p, h, place) == fraction_dist_to_hyperplane_sq([lam * c for c in v], f, place)
     g = _invertible(tuple(tuple(data.draw(_ENTRY) for _ in range(n)) for _ in range(n)))
-    assert apply(g, p).rep == fraction_apply(g, [lam * c for c in v])
+    assert fraction_view(apply(g, p)) == fraction_apply(g, [lam * c for c in v])
     image = apply_hyperplane(g, h)
-    assert image.functional == canonical_rep([sum(f[i] * x for i, x in enumerate(col)) for col in zip(*fraction_inverse(g.entries))])
+    assert fraction_view(image) == canonical_rep([sum(f[i] * x for i, x in enumerate(col)) for col in zip(*fraction_inverse(fraction_view(g)))])
     assert dist_to_hyperplane_sq(apply(g, p), image, place) == 0 or dist_to_hyperplane_sq(p, h, place) != 0
 
 
@@ -397,13 +398,13 @@ def test_set_witnesses_match_fraction_reference(n, place, data):
     radii = st.fractions(min_value=F(1, 100), max_value=1, max_denominator=100)
     comps = (Ball(c, data.draw(radii)), data.draw(st.sampled_from([Ball(q, data.draw(radii)), HNbhd(h, data.draw(radii))])))
     got = projective._chord_witness(p, q, comps, place)
-    want = fraction_chord_witness(p.rep, q.rep, comps, place)
-    assert (got is None and want is None) or got.rep == want
+    want = fraction_chord_witness(fraction_view(p), fraction_view(q), comps, place)
+    assert (got is None and want is None) or fraction_view(got) == want
     foot = projective._point_on_plane_near(p, h)
-    want_foot = fraction_point_on_plane_near(p.rep, h.functional)
-    assert (foot is None and want_foot is None) or foot.rep == want_foot
+    want_foot = fraction_point_on_plane_near(fraction_view(p), fraction_view(h))
+    assert (foot is None and want_foot is None) or fraction_view(foot) == want_foot
     for comp in comps:
-        assert component_member(p, comp, place) == fraction_member(p.rep, comp, place)
+        assert component_member(p, comp, place) == fraction_member(fraction_view(p), comp, place)
 
 
 def test_chord_witness_walks_canonical_representatives():
@@ -412,8 +413,8 @@ def test_chord_witness_walks_canonical_representatives():
     p, q = ProjPoint((3, 1)), ProjPoint((1, 3))
     comps = (Ball(ProjPoint((3, 5)), F(1, 1000)), Ball(ProjPoint((3, 5)), F(1, 1000)))
     got = projective._chord_witness(p, q, comps, ARCH)
-    assert got is not None and got.rep == fraction_chord_witness(p.rep, q.rep, comps, ARCH)
-    assert fraction_chord_witness((F(3), F(1)), (F(1), F(3)), comps, ARCH) != got.rep
+    assert got is not None and fraction_view(got) == fraction_chord_witness(fraction_view(p), fraction_view(q), comps, ARCH)
+    assert fraction_chord_witness((F(3), F(1)), (F(1), F(3)), comps, ARCH) != fraction_view(got)
 
 
 def test_matrix_refuses_a_float_entry():
@@ -465,7 +466,7 @@ def test_no_float_coordinate_anywhere():
     g = ProjMat(((2, 1, 0), (1, 1, 3), (0, 2, 1)), ARCH)
     p, h = ProjPoint((F(1, 2), 3, F(-2, 5))), ProjHyperplane((3, F(7, 4), 1))
     foot = projective._point_on_plane_near(p, h)
-    assert foot.rep == fraction_point_on_plane_near(p.rep, h.functional)
+    assert fraction_view(foot) == fraction_point_on_plane_near(fraction_view(p), fraction_view(h))
     h2 = ProjHyperplane((1, 0, 1))
     points = [apply(g, p), foot, projective._kernel_intersection_point(h, h2), projective._kernel_intersection_point(h, h)]
     points.append(projective._chord_witness(p, foot, (Ball(p, F(1)), HNbhd(h, F(1))), ARCH))
@@ -473,7 +474,7 @@ def test_no_float_coordinate_anywhere():
     planes = [apply_hyperplane(g, h), h2]
     for x in points + planes:
         assert all(type(c) is int for c in x.coords)
-        assert all(type(c) is F for c in (x.rep if isinstance(x, ProjPoint) else x.functional))
+        assert all(type(c) is F for c in fraction_view(x))
     for place in (ARCH, P5):
         assert type(dist_sq(p, foot, place)) is F and type(dist_to_hyperplane_sq(p, h, place)) is F
 
@@ -485,7 +486,7 @@ def test_no_float_coordinate_anywhere():
 def test_inverse_matches_fraction_reference_once(rows):
     g = _invertible(rows)
     gi = g.inverse()
-    assert gi.entries == fraction_inverse(g.entries)
+    assert fraction_view(gi) == fraction_inverse(fraction_view(g))
     assert g.inverse() is gi and gi.inverse() is g
 
 
@@ -496,7 +497,7 @@ def test_inverse_matches_fraction_reference_once(rows):
 
 def _assert_cleared(m: ProjMat, want) -> None:
     """m's Fraction view is `want`, and its integer form is the lcm-cleared one."""
-    assert m.entries == want
+    assert fraction_view(m) == want
     rows, scale = m._integer_form
     assert scale == lcm(*(x.denominator for r in want for x in r))
     assert rows == tuple(tuple(int(x * scale) for x in r) for r in want)
@@ -523,13 +524,13 @@ def test_integer_matrices_match_fraction_reference(n, place, data):
     _assert_cleared(g, tuple(tuple(F(x) for x in r) for r in g_rows))
     _assert_cleared(g @ h, fraction_matmul(g_rows, h_rows))
     _assert_cleared(g.inverse(), g_inv)
-    _assert_cleared(g.transpose(), tuple(zip(*g.entries)))
+    _assert_cleared(g.transpose(), tuple(zip(*fraction_view(g))))
     _assert_cleared(g.power(k), want_power)
     _assert_cleared(identity(n, place), ident)
     # equal matrices built along different paths are equal, with equal hashes
     for x, y in (
         (g @ g.inverse(), identity(n, place)),
-        (g @ h, ProjMat((g @ h).entries, place)),
+        (g @ h, ProjMat(fraction_view(g @ h), place)),
         ((g @ h).inverse(), h.inverse() @ g.inverse()),
         (g.transpose().transpose(), g),
         (g.power(-2), g.inverse() @ g.inverse()),
@@ -547,7 +548,7 @@ def test_product_scale_shrinks():
     assert a._integer_form == (((3, 2), (0, 6)), 6) and b._integer_form == (((2, 0), (0, 3)), 2)
     ab = a @ b
     assert ab._integer_form == (((1, 1), (0, 3)), 2)
-    assert ab == ProjMat(((F(1, 2), F(1, 2)), (0, F(3, 2))), ARCH) and ab.entries == fraction_matmul(a.entries, b.entries)
+    assert ab == ProjMat(((F(1, 2), F(1, 2)), (0, F(3, 2))), ARCH) and fraction_view(ab) == fraction_matmul(fraction_view(a), fraction_view(b))
     # and to scale 1 when the product is integral; the inverse's last pivot
     # is -2 here, and its sign moves into the rows
     flip = ProjMat(((F(-1, 2), 0), (0, 1)), ARCH)

@@ -119,7 +119,7 @@ def test_cache_key_records_refuse_assignment(name):
 VALUE_RECORDS = {
     "Verdict": (Verdict, ("no", None, ProjPoint((1, 0)), None)),
     "ContractionCert": (ContractionCert, (F(1, 4), ProjPoint((1, 0)), ProjHyperplane((0, 1)), F(0), F(0), F(1, 16), F(1, 9))),
-    "ProximalCert": (ProximalCert, (F(1, 4), F(1, 64), None, None, None, None)),
+    "ProximalCert": (ProximalCert, (F(1, 4), None, None, None, None)),
     "Budgets": (Budgets, (2, 16, 1, 2, 6, 10, 12, 12, 8)),
 }
 
@@ -171,7 +171,7 @@ def test_value_records_refuse_an_unknown_or_repeated_field(name):
 def test_value_records_fill_in_defaults_and_refuse_a_missing_field():
     assert Verdict("unknown") == Verdict("unknown", None, None, None)
     assert Verdict("yes", refutes=None, cert=1) == Verdict("yes", 1, None, None)
-    assert ProximalCert(F(1, 4), F(1, 64), None, None, None) == ProximalCert(F(1, 4), F(1, 64), None, None, None, None)
+    assert ProximalCert(F(1, 4), None, None, None) == ProximalCert(F(1, 4), None, None, None, None)
     assert Budgets() == Budgets(*VALUE_RECORDS["Budgets"][1])
     assert Budgets(nest_max=2).nest_max == 2 and Budgets(nest_max=2).m_max == 12
     cls, values = VALUE_RECORDS["ContractionCert"]
@@ -180,7 +180,7 @@ def test_value_records_fill_in_defaults_and_refuse_a_missing_field():
     with pytest.raises(TypeError, match="missing the field 'kind'"):
         Verdict(cert=None)
     with pytest.raises(TypeError, match="missing the field 'fixed_plane_dual'"):
-        ProximalCert(F(1, 4), F(1, 64), None, None)
+        ProximalCert(F(1, 4), None, None)
 
 
 def test_both_disjointness_tests_answer_with_one_verdict_record():

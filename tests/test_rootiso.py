@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -175,6 +175,24 @@ def test_interval_arithmetic():
     assert interval_power(a, 2).lo == 1 and interval_power(a, 2).hi == 4
 
 
+def _over_one(a, b) -> tuple[int, int, int]:
+    """The rationals a and b as numerators over one denominator."""
+    w = lcm(a.denominator, b.denominator)
+    return a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), w
+
+
+def _rational_root_of(sf, a, b):
+    """`_rational_root` of the cleared sf on the bracket (a, b), as a Fraction or None."""
+    r = _rational_root(_cleared(sf), *_over_one(a, b))
+    return None if r is None else F(*r)
+
+
+def _refined(sf, a, b):
+    """`_refine` of the cleared sf on the bracket (a, b), as two Fractions."""
+    na, nb, w = _refine(_cleared(sf), *_over_one(a, b))
+    return F(na, w), F(nb, w)
+
+
 def _one_root_brackets(sf, points):
     """Pairs a < b of the points whose open interval holds exactly one root of sf."""
     seq = fraction_sturm_sequence(sf)
@@ -203,32 +221,32 @@ def test_refine_and_rational_roots_match_references(rational, irrational_sq):
     assert brackets
     for a, b in brackets:
         root = next((r for r in rational if a < r < b), None)
-        assert _rational_root(_cleared(sf), a, b) == root, (a, b)
+        assert _rational_root_of(sf, a, b) == root, (a, b)
         if root is None and b not in rational:
-            assert _refine(_cleared(sf), a, b) == sturm_refine(sf, a, b), (a, b)
+            assert _refined(sf, a, b) == sturm_refine(sf, a, b), (a, b)
 
 
 def test_refine_with_a_root_at_an_endpoint():
     # sf(0) = 0 with the bracket starting at 0
     sf = pmul([F(0), F(1)], [F(-2), F(0), F(1)])
-    assert _refine(_cleared(sf), F(0), F(2)) == sturm_refine(sf, F(0), F(2))
-    assert _rational_root(_cleared(sf), F(0), F(2)) is None
+    assert _refined(sf, F(0), F(2)) == sturm_refine(sf, F(0), F(2))
+    assert _rational_root_of(sf, F(0), F(2)) is None
     # left end a rational root, whose sign is never read
     sf = pmul(poly_from_roots([F(1)]), [F(-3), F(0), F(1)])
-    assert _refine(_cleared(sf), F(1), F(2)) == sturm_refine(sf, F(1), F(2))
-    assert _rational_root(_cleared(sf), F(1), F(2)) is None
+    assert _refined(sf, F(1), F(2)) == sturm_refine(sf, F(1), F(2))
+    assert _rational_root_of(sf, F(1), F(2)) is None
     # right end a root the bisection hit: the sign left of it is -sf'(b)'s
     sf = pmul(poly_from_roots([F(2)]), [F(-3), F(0), F(1)])
-    assert _rational_root(_cleared(sf), F(1), F(2)) is None
+    assert _rational_root_of(sf, F(1), F(2)) is None
     for r in (F(5, 4), F(7, 4), F(9, 5)):
         sf = pmul(poly_from_roots([r, F(2)]), [F(-5), F(0), F(1)])
-        assert _rational_root(_cleared(sf), F(1), F(2)) == r
+        assert _rational_root_of(sf, F(1), F(2)) == r
     # both ends roots
     sf = pmul(poly_from_roots([F(3, 2), F(2)]), [F(-3), F(0), F(1)])
-    assert _rational_root(_cleared(sf), F(3, 2), F(2)) is None
+    assert _rational_root_of(sf, F(3, 2), F(2)) is None
     # the root at a lattice point in the middle
     sf = pmul(poly_from_roots([F(3, 2)]), [F(-5), F(0), F(1)])
-    assert _rational_root(_cleared(sf), F(1), F(2)) == F(3, 2)
+    assert _rational_root_of(sf, F(1), F(2)) == F(3, 2)
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)

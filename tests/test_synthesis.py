@@ -154,7 +154,7 @@ def test_very_proximal_search_found():
     out = very_proximal_search(grp, grp.parse_word("g"), 2, F(1, 4), F(1, 25))
     assert out is not None
     f1, f2, w, cert = out
-    assert cert.r_sq == F(1, 4) and cert.epsilon_sq == F(1, 25)
+    assert cert.r_sq == F(1, 4) and cert.contraction.epsilon_sq == F(1, 25)
     assert len(f1) <= 2 and len(f2) <= 2
 
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecert import tree as tree_module
@@ -420,15 +420,22 @@ def test_a_name_of_both_factors_is_no_letter_unless_it_names_the_identity():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_every_shadow_of_a_bounded_word_lies_within_the_vertex_bound(data):
-    # a word of at most MAX_WORD_LEN letters, often a conjugate c g c^-1
-    # with a long c, which moves the axis furthest from the base edge
+    # a hyperbolic word of at most MAX_WORD_LEN letters, often a conjugate
+    # c g c^-1 with a long c, which moves the axis furthest from the base
+    # edge.  The core g alternates syllables outside H, and its first and
+    # last lie in different factors, so it is cyclically reduced of even
+    # length at least 2: hyperbolic by construction
     am = data.draw(st.sampled_from([mod_amalgam(), s3_over_a3(), s3_over_c2()]))
     letter = st.tuples(st.sampled_from("AB"), st.integers(0, 5)).map(lambda l: (l[0], l[1] % am.factor(l[0]).order))
     conj = data.draw(st.lists(letter, max_size=MAX_WORD_LEN // 2 - 1))
-    core = data.draw(st.lists(letter, min_size=1, max_size=MAX_WORD_LEN - 2 * len(conj)))
+    outside = {tag: [x for x in range(am.factor(tag).order) if am.h_preimage(tag, x) is None] for tag in "AB"}
+    syllable_pairs = st.tuples(st.sampled_from(outside["A"]), st.sampled_from(outside["B"]))
+    pairs = data.draw(st.lists(syllable_pairs, min_size=1, max_size=(MAX_WORD_LEN - 2 * len(conj)) // 2))
+    order = data.draw(st.sampled_from(["AB", "BA"]))
+    core = [(tag, pair["AB".index(tag)]) for pair in pairs for tag in order]
     inverse = [(tag, am.factor(tag).inv(x)) for tag, x in reversed(conj)]
     g = normal_form(am, conj + core + inverse)
-    assume(classify(g).kind == "hyperbolic")
+    assert classify(g).kind == "hyperbolic"
     tup = tree_pingpong([g])
     keys = [len(v[1]) for p in tup.players for _, sh in p.sets() for v in (sh.x, sh.y)]
     assert max(keys) <= MAX_VERTEX_KEY

@@ -217,7 +217,7 @@ def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
     enc = claim["enclosure"]
     center, t_sq = point_from(enc["center"], 2), parse_rat(enc["radius_sq"])
     args = (point_from(claim["attract"], 2), plane_from(claim["repel"], 2), 0, parse_rat(claim["gap_sq_hi"]), parse_rat(claim["epsilon_sq"]))
-    _, derived = selfmap_at(mat_from(claim["matrix"], ARCH), center, *args, Ladder([t_sq]))
+    _, derived = selfmap_at(mat_from(claim["matrix"], ARCH), center, *args, Ladder([t_sq.as_integer_ratio()]))
     assert derived.ball == Ball(center, t_sq)
     enc.update(lipschitz_sq=str(derived.lipschitz_sq), region_low_sq=str(derived.region_low_sq), move_sq=str(derived.move_sq))
     capsys.readouterr()
@@ -277,7 +277,7 @@ def test_a_selfmap_claim_bounds_kappa_squared(tmp_path):
     enc = claim["enclosure"]
     center, t_sq = point_from(enc["center"], 2), parse_rat(enc["radius_sq"])
     args = (point_from(claim["attract"], 2), plane_from(claim["repel"], 2), parse_rat(claim["repel_err_sq"]), gap, parse_rat(claim["epsilon_sq"]))
-    _, derived = selfmap_at(matrix, center, *args, Ladder([t_sq]))
+    _, derived = selfmap_at(matrix, center, *args, Ladder([t_sq.as_integer_ratio()]))
     assert derived.ball == Ball(center, t_sq)
     enc.update(lipschitz_sq=str(derived.lipschitz_sq), region_low_sq=str(derived.region_low_sq), move_sq=str(derived.move_sq))
     assert not check_claim(claim, ctx)
