@@ -17,11 +17,11 @@ A binder rebuilds the claims its verdict needs with the same builders,
 from the task, the result and the numbers only a search finds, read from
 the claims; `verify` compares them whole with the certificate's claims.
 
-A certificate matrix has one value, its header evaluation: a word-eval
-claim's matrix must equal it exactly, and a binder derives every matrix
-no word-eval claim states (an inverse, a power, a tuple player's) as
-`mat_json` of that evaluation.  Only a normal-membership claim, which
-states equality in PGL, compares matrices up to a scalar.
+A certificate matrix has one value, its header evaluation: a binder
+derives every matrix its claims hold (a word's, an inverse, a power, a
+tuple player's) as `mat_json` of that evaluation, so a claim's matrix
+must equal it exactly.  Only a normal-membership claim, which states
+equality in PGL, compares matrices up to a scalar.
 """
 
 from __future__ import annotations
@@ -96,6 +96,28 @@ PRODENSE_ORACLE_LEN = 6
 
 class VerifyError(ValueError):
     """Certificate is structurally unusable (distinct from failing checks)."""
+
+
+class WordBoundError(ValueError):
+    """A word over MAX_WORD_LEN letters or, in a group, over MAX_WORD_HEIGHT."""
+
+
+def bounded_word(text: str, group: MarkedGroup | None):
+    """The word `text` parsed in `group` (`text` itself without one), or
+    WordBoundError when it has more than MAX_WORD_LEN letters, counted
+    before any is expanded, or in `group` a height over MAX_WORD_HEIGHT.
+    A bad exponent or an unknown generator is the parse's ValueError or KeyError."""
+    letters = letter_count(text)
+    if letters > MAX_WORD_LEN:
+        raise WordBoundError(f"word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
+    if group is None:
+        return text
+    w = group.parse_word(text)
+    heights = {letter: max(map(abs, group.eval((letter,)).class_key())).bit_length() for letter in set(w)}
+    height = sum(heights[letter] for letter in w)
+    if height > MAX_WORD_HEIGHT:
+        raise WordBoundError(f"word of height {height} bits exceeds MAX_WORD_HEIGHT = {MAX_WORD_HEIGHT}")
+    return w
 
 
 class CertificateError(ValueError):
@@ -338,13 +360,14 @@ def disjoint_claim(left: list, right: list, note: str) -> dict:
 PROXIMAL_LEN = 4
 
 
-def proximal_claims(matrix: list, cert: dict, inverse: list | None = None) -> list[dict]:
-    """The proximal group of `matrix` from its record: the contraction
-    claim, the point-plane-far claim of its pair at r^2, and the self-map
+def proximal_claims(m: ProjMat, cert: dict) -> list[dict]:
+    """The proximal group of `m` from its record: the contraction claim,
+    the point-plane-far claim of its pair at r^2, and the self-map
     enclosures of `ContractionCert.selfmap_problems` (the matrix's, then
     its transpose's with the pair's roles swapped).  A very-proximal record
-    adds the group of `inverse` and the disjointness of the eps-sets that
+    adds the group of m^-1 and the disjointness of the eps-sets that
     `dynamics.certify_very_proximal` checks, the pairs `VERY_PAIRS`."""
+    matrix = mat_json(m)
     c, eps_sq, transpose = cert["contraction"], cert["epsilon_sq"], [list(col) for col in zip(*matrix)]
     out = [
         contraction_claim(matrix, c),
@@ -355,17 +378,18 @@ def proximal_claims(matrix: list, cert: dict, inverse: list | None = None) -> li
     if "inverse" in cert:
         ends = (c, cert["inverse"]["contraction"])  # the eps-sets A+, R+, A-, R-
         sets = [one for d in ends for one in ([ball_json(d["attract"], d["epsilon_sq"])], [hnbhd_json(d["repel"], d["epsilon_sq"])])]
-        out += proximal_claims(inverse, cert["inverse"])
+        out += proximal_claims(m.inverse(), cert["inverse"])
         out += [disjoint_claim(sets[i], sets[j], f"very: {PAIR_LABELS[i]} vs {PAIR_LABELS[j]}") for i, j in VERY_PAIRS]
     return out
 
 
-def certified_claims(word: str, matrix: list, cert: dict, inverse: list | None, membership: dict | None) -> list[dict]:
-    """A certified word: its word-eval claim, the normal-membership claim
-    when given, then its contraction claim or, for a proximal record, its
-    proximal group."""
-    evidence = proximal_claims(matrix, cert, inverse) if "contraction" in cert else [contraction_claim(matrix, cert)]
-    return [word_eval_claim(word, matrix), *([membership] if membership else []), *evidence]
+def certified_claims(word: str, m: ProjMat, cert: dict, membership: dict | None = None) -> list[dict]:
+    """A certified word of matrix m: its word-eval claim, the
+    normal-membership claim when given, then its contraction claim or, for
+    a proximal record, its proximal group.  The word-eval claim shares the
+    text of m that the evidence's first claim holds."""
+    evidence = proximal_claims(m, cert) if "contraction" in cert else [contraction_claim(mat_json(m), cert)]
+    return [word_eval_claim(word, evidence[0]["matrix"]), *([membership] if membership else []), *evidence]
 
 
 def b1b2b3_claims(attract: list, repel: list, host: list) -> list[dict]:
@@ -551,10 +575,10 @@ def _rows_key(data) -> tuple:
 TASK_WORDS = ("element", "x", "word", "words", "players", "normals")
 
 
-def _bound_task_words(task) -> None:
-    """VerifyError when a word the task holds has more than MAX_WORD_LEN
-    letters, counted unexpanded, as the problem reader counts them.  A
-    value that is no word is left to the claim or binder that reads it."""
+def _bound_task_words(task, group: MarkedGroup | None) -> None:
+    """VerifyError when a word the task holds is over `bounded_word`'s bounds
+    in `group`.  A value that is no string, or a word with a bad exponent or
+    an unknown generator, is left to the claim or binder that reads it."""
     if not isinstance(task, dict):
         return
     for field in TASK_WORDS:
@@ -566,11 +590,11 @@ def _bound_task_words(task) -> None:
                 if not isinstance(word, str):
                     continue
                 try:
-                    letters = letter_count(word)
-                except ValueError:  # a bad exponent
-                    continue
-                if letters > MAX_WORD_LEN:
-                    raise VerifyError(f"task {field} word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
+                    bounded_word(word, group)
+                except WordBoundError as e:
+                    raise VerifyError(f"task {field} {e}") from None
+                except (ValueError, KeyError):  # a bad exponent, an unknown generator
+                    pass
 
 
 def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
@@ -599,18 +623,18 @@ class CertContext:
     point and hyperplane a claim holds: `matrix`, `point` and `plane`
     refuse a value over MAX_DIM, then read it once per certificate, at its
     place and dimension, and return the same object wherever it recurs.  A task
-    word of more than MAX_WORD_LEN letters is refused before any word is
-    evaluated."""
+    word over the bounds of `bounded_word` is refused before any word is
+    evaluated, its height once the generators' group is built."""
 
     def __init__(self, place: Place | None, header: dict, task: dict):
         if not isinstance(header, dict):
             raise VerifyError("certificate header is not an object")
-        _bound_task_words(task)
         self.place, self.header, self.task = place, header, task
         self._evals: dict[str, ProjMat] = {}
         self._matrices: dict = {}
         self._points: dict = {}
         self._planes: dict = {}
+        _bound_task_words(task, None)
 
     @staticmethod
     def _once(memo: dict, key_of, read, data, *args):
@@ -659,7 +683,9 @@ class CertContext:
                 matrices.append((name, self.matrix(m)))
             except (ValueError, TypeError) as e:  # no invertible square matrix of rationals: no word evaluates
                 raise VerifyError(f"bad generator {name}: {e}") from None
-        return MarkedGroup(tuple(matrices))
+        group = MarkedGroup(tuple(matrices))
+        _bound_task_words(self.task, group)
+        return group
 
     def eval(self, word: str) -> ProjMat:
         if word not in self._evals:
@@ -788,9 +814,13 @@ class Binding:
         out = out if key is None else out.get(key)
         return out if isinstance(out, dict) else {}
 
-    def inverse(self, word: str) -> list:
-        """The matrix of `word`'s inverse, from its header evaluation."""
-        return mat_json(self.ctx.eval(word).inverse())
+    def eval(self, word) -> ProjMat:
+        """The header evaluation of `word`, whose word-eval claim comes next; a
+        word that is no string rebuilds that claim with no matrix, then is Unbound."""
+        if not isinstance(word, str):
+            self.rebuilt.append(word_eval_claim(word, None))
+            raise Unbound(f"{word!r} is no word")
+        return self.ctx.eval(word)
 
     def word(self, text: str):
         """The word that `MarkedGroup.word_str` writes as `text`, "e" for
@@ -829,14 +859,14 @@ def _set_of(data: list) -> list[dict]:
 
 
 def _certified(b: Binding, word: str, evidence, eps_sq: str | None = None, r_sq: str | None = None, member: str | None = None) -> dict:
-    """Rebuild a certified word's claims (`certified_claims`), whose record
-    `evidence` reads: _contraction, _proximal or _very.  Returns the record."""
-    matrix = b.given().get("matrix")
+    """Rebuild a certified word's claims (`certified_claims`) of its header
+    evaluation, whose record `evidence` reads: _contraction, _proximal or
+    _very.  Returns the record."""
+    m = b.eval(word)
     membership = None if member is None else membership_claim(member, b.given(1).get("factorization"))
     at = 1 if member is None else 2
     cert = evidence(b, at, eps_sq, r_sq)
-    inverse = b.inverse(word) if "inverse" in cert else None
-    b.rebuilt += certified_claims(word, matrix, cert, inverse, membership)
+    b.rebuilt += certified_claims(word, m, cert, membership)
     return cert
 
 
@@ -876,7 +906,8 @@ def _echoed(b: Binding) -> None:
 
 
 def _element(b: Binding) -> None:
-    b.rebuilt.append(word_eval_claim(b.task["element"], b.given().get("matrix")))
+    word = b.task["element"]
+    b.rebuilt.append(word_eval_claim(word, mat_json(b.eval(word))))
 
 
 def _decided(b: Binding) -> None:
@@ -887,12 +918,13 @@ def _decided(b: Binding) -> None:
 
 
 def _refuted(b: Binding) -> None:
-    """The element's contraction-refuted claim, or for very-proximal its inverse's."""
+    """The element's contraction-refuted claim, or for very-proximal its
+    inverse's: the one binder that reads a claim's matrix, to learn which."""
     _element(b)
     matrix, given = b.rebuilt[0]["matrix"], b.given()
     refuted = given.get("matrix")
     # the inverse is derived only when the matrix is not the element's
-    if not (b.task["subop"] == "very-proximal" and refuted != matrix and refuted == b.inverse(b.task["element"])):
+    if not (b.task["subop"] == "very-proximal" and refuted != matrix and refuted == mat_json(b.ctx.eval(b.task["element"]).inverse())):
         refuted = matrix
     b.rebuilt.append(refutation_claim(refuted, b.task["epsilon_sq"], b.result["counterexample"], given.get("attract"), given.get("repel")))
 
@@ -903,7 +935,7 @@ def _power(b: Binding) -> None:
     b.check(_ints(n, t["max_n"]) and 1 <= n <= t["max_n"] <= MAX_EXPONENT, f"result n is outside 1..max_n, or max_n over MAX_EXPONENT = {MAX_EXPONENT}")
     _element(b)
     cert = _proximal(b, 0, t["epsilon_sq"], t["r_sq"])
-    b.rebuilt += proximal_claims(mat_json(b.ctx.eval(t["element"]).power(n)), cert)
+    b.rebuilt += proximal_claims(b.ctx.eval(t["element"]).power(n), cert)
     b.check(b.result["cert"] == cert, "result cert is not the claims'")
 
 
@@ -920,7 +952,7 @@ def _matrix_tuple(b: Binding) -> None:
     b.check(players == laid, "result players are not the claims' sets")
     at, groups = pair_count(k), []
     for name in names:
-        groups.append(proximal_claims(mat_json(b.ctx.eval(words[name])), _very(b, at, None, None), b.inverse(words[name])))
+        groups.append(proximal_claims(b.ctx.eval(words[name]), _very(b, at, None, None)))
         at += len(groups[-1])
     b.rebuilt += matrix_tuple_claims(laid, names, groups, [True] * pair_count(k))
     _oracle(b, result=b.result["oracle"], names=names)
@@ -1029,9 +1061,9 @@ def _kernel(b: Binding) -> None:
 class Row(Record):
     """What one (op, subop, verdict) means: its exit code, the binder of
     the claims it needs (None: it needs none), the result fields that
-    binder binds, and what the verdict states without a claim: result
-    fields (`field.sub` for a part of one) and claims the task cannot
-    bind.  A result field the row names in neither fails the certificate."""
+    binder binds, and the result fields the verdict states without a
+    claim (`field.sub` for a part of one).  A result field the row names
+    in neither fails the certificate."""
 
     __slots__ = ("exit", "needs", "binds", "stated", "_named")
 
@@ -1073,20 +1105,20 @@ VERDICTS = {
         EXIT_OK,
         _prodense,
         ("verdict", "step1", "step2", "oracle"),
-        ("host", "notes", "step1_tuple", "combined", "step1.nest", "step2.coset", "step2.power", "the oracle's elements"),
+        ("host", "notes", "step1_tuple", "combined", "step1.nest", "step2.coset", "step2.power"),
     ),
     ("synthesize", "truncated-prodense", "unknown"): Row(
         EXIT_UNKNOWN, stated=("host", "notes", "verdict", "step1", "step1_tuple", "step2", "combined", "oracle")
     ),
     ("synthesize", "conjugate-contract", "yes"): Row(EXIT_OK, _conjugate, ("word", "cert"), ("m",)),
     ("synthesize", "conjugate-contract", "not-found"): Row(EXIT_UNKNOWN),
-    ("synthesize", "b1b2b3", "yes"): Row(EXIT_OK, _b1b2b3, ("word", "cert", "attract", "repel"), ("k", "the host set")),
+    ("synthesize", "b1b2b3", "yes"): Row(EXIT_OK, _b1b2b3, ("word", "cert", "attract", "repel"), ("k",)),
     ("synthesize", "b1b2b3", "not-found"): Row(EXIT_UNKNOWN),
     ("synthesize", "very-proximal", "yes"): Row(EXIT_OK, _very_search, ("f1", "f2", "word", "cert")),
     ("synthesize", "very-proximal", "not-found"): Row(EXIT_UNKNOWN),
-    ("synthesize", "normal-proximal", "yes"): Row(EXIT_OK, _normal_proximal, ("word", "cert"), ("normal-membership",)),
+    ("synthesize", "normal-proximal", "yes"): Row(EXIT_OK, _normal_proximal, ("word", "cert")),
     ("synthesize", "normal-proximal", "not-found"): Row(EXIT_UNKNOWN),
-    ("synthesize", "coset-pingpong", "yes"): Row(EXIT_OK, _cosets, ("deltas", "failed"), ("a_N", "deltas.power", "normal-membership")),
+    ("synthesize", "coset-pingpong", "yes"): Row(EXIT_OK, _cosets, ("deltas", "failed"), ("a_N", "deltas.power")),
     ("synthesize", "coset-pingpong", "unknown"): Row(EXIT_UNKNOWN, stated=_COSETS),
     ("synthesize", "coset-pingpong", "not-found"): Row(EXIT_UNKNOWN, stated=_COSETS),
     ("synthesize", "double-coset", "yes"): Row(EXIT_OK, _double_coset, ("wrapped",), ("wrapped.coset", "wrapped.m", "wrapped.n", "wrapped.skipped")),

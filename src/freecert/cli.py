@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import certfmt
-from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, MAX_SEARCH_WORD_LEN, MAX_WORD_HEIGHT, MAX_WORD_LEN, PRODENSE_ORACLE_LEN, VerifyError, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json
-from .certfmt import shadow_json, vertex_json
+from .certfmt import EXIT_OK, EXIT_REFUTED, MAX_EXPONENT, MAX_ORACLE_LEN, MAX_SEARCH_WORD_LEN, PRODENSE_ORACLE_LEN, VerifyError, bounded_word, contraction_json, mat_json, plane_json, point_json, proximal_json, rat, set_json, shadow_json, vertex_json
 from .dynamics import (
     certify_contracting,
     certify_proximal,
@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .pingpong import MAX_ORACLE_WORDS, PingPongPlayer, certify_tuple, freeness_oracle, oracle_words, simple_player
 from .projective import MAX_DIM, MarkedGroup, ProjHyperplane, ProjMat, ProjPoint, ProjSet, Word, ball, concat, hnbhd, word_inverse
-from .scalar import ARCH, Place, letter_count, parse_place, parse_rat
+from .scalar import ARCH, Place, parse_place, parse_rat
 from .synthesis import (
     Budgets,
     NormalData,
@@ -331,33 +331,6 @@ def _budget(spec: str, what: str = "budget") -> tuple[str, int]:
     return name, _int_in(f"{what} {name}", 0, MAX_EXPONENT)(val)
 
 
-def _bounded(text: str) -> str:
-    """`text`, refused when its word has more than MAX_WORD_LEN letters
-    (a^n counts n), before any letter is expanded."""
-    letters = letter_count(text)
-    if letters > MAX_WORD_LEN:
-        raise ValueError(f"word of {letters} letters exceeds MAX_WORD_LEN = {MAX_WORD_LEN}")
-    return text
-
-
-def _matrix_word(group: MarkedGroup):
-    """A parser of a word in the group's generators, refused when it has
-    more than MAX_WORD_LEN letters or a height over MAX_WORD_HEIGHT."""
-    heights: dict[tuple[int, int], int] = {}
-
-    def parse(text: str) -> Word:
-        w = group.parse_word(_bounded(text))
-        for idx, e in set(w) - heights.keys():
-            m = group.gens[idx][1]
-            heights[idx, e] = max(map(abs, (m if e > 0 else m.inverse()).class_key())).bit_length()
-        height = sum(heights[letter] for letter in w)
-        if height > MAX_WORD_HEIGHT:
-            raise ValueError(f"word of height {height} bits exceeds MAX_WORD_HEIGHT = {MAX_WORD_HEIGHT}")
-        return w
-
-    return parse
-
-
 def _int_in(what: str, low: int, high: int):
     """A parser of an integer `what` in low..high."""
 
@@ -406,12 +379,6 @@ def _parse_set(text: str, dim: int) -> ProjSet:
 # ---------------------------------------------------------------------------
 
 
-def _certified(word: str, m: ProjMat, cert: dict, membership: dict | None = None) -> list[dict]:
-    """The claims of `word`, of matrix m, certified by the record `cert`."""
-    inverse = mat_json(m.inverse()) if "inverse" in cert else None
-    return certfmt.certified_claims(word, mat_json(m), cert, inverse, membership)
-
-
 def _emitter(place: Place | None, backend: str, header: dict, task: dict):
     """emit(verdict, result, claims) -> (certificate, exit code) for one
     command, the exit code that of the verdict's row of `certfmt.VERDICTS`."""
@@ -426,7 +393,7 @@ def _emitter(place: Place | None, backend: str, header: dict, task: dict):
 def cmd_analyze(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = prob.value("subop", _one_of("analyze subop", "profile", "contracting", "proximal", "very-proximal", "power-proximal"))
-    word = prob.value("element", _matrix_word(group))
+    word = prob.value("element", partial(bounded_word, group=group))
     task = {"op": "analyze", "subop": subop, "element": group.word_str(word)}
     if subop != "profile":
         eps_sq = prob.value("epsilon-sq", parse_rat)
@@ -439,6 +406,15 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
     prob.all_read()
     m = group.eval(word)
     emit = _emitter(group.place, "matrix", _group_header(group), task)
+    if subop in ("contracting", "proximal", "very-proximal"):
+        if subop == "contracting":
+            v, cert_json = certify_contracting(m, eps_sq), contraction_json
+        else:
+            v, cert_json = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq), proximal_json
+        if v.kind == "yes":
+            result = {"cert": cert_json(v.cert)}
+            return emit("yes", result, certfmt.certified_claims(task["element"], m, result["cert"]))
+    # every other verdict starts with the element's word-eval claim
     word_eval = [certfmt.word_eval_claim(task["element"], mat_json(m))]
     if subop == "profile":
         prof = singular_profile(m)
@@ -450,16 +426,7 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
             return emit("not-found", {}, word_eval)
         n, cert = out
         result = {"n": n, "cert": proximal_json(cert)}
-        return emit("yes", result, word_eval + certfmt.proximal_claims(mat_json(m.power(n)), result["cert"]))
-    if subop == "contracting":
-        v = certify_contracting(m, eps_sq)
-        cert_json = contraction_json
-    else:
-        v = (certify_proximal if subop == "proximal" else certify_very_proximal)(m, r_sq, eps_sq)
-        cert_json = proximal_json
-    if v.kind == "yes":
-        result = {"cert": cert_json(v.cert)}
-        return emit("yes", result, _certified(task["element"], m, result["cert"]))
+        return emit("yes", result, word_eval + certfmt.proximal_claims(m.power(n), result["cert"]))
     if v.kind == "no":
         result = {"counterexample": point_json(v.counterexample)}
         dirs = direction_candidates(v.refutes)
@@ -472,7 +439,7 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = prob.value("subop", _one_of("pingpong subop", "tuple", "simple-tuple", "oracle"), "tuple")
     oracle_len = _oracle_len_of(prob, 6)
-    word = _matrix_word(group)
+    word = partial(bounded_word, group=group)
 
     def player(spec: str) -> tuple[str, Word]:
         name, eq, word_text = spec.partition("=")
@@ -510,7 +477,7 @@ def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     tup = certify_tuple(players)
     players_json = {p.name: {label: set_json(s) for label, s in p.sets()} for p in players}
     result = {"verdict": tup.verdict, "witness_detail": tup.witness_detail, "players": players_json}
-    groups = [certfmt.proximal_claims(mat_json(p.element), proximal_json(p.evidence), mat_json(p.element.inverse())) for p in players]
+    groups = [certfmt.proximal_claims(p.element, proximal_json(p.evidence)) for p in players]
     claims = certfmt.matrix_tuple_claims(result["players"], names, groups, tup.passed)
     if tup.witness is not None:
         result["witness"] = point_json(tup.witness)
@@ -532,7 +499,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     if subop in ("truncated-prodense", "normal-proximal", "coset-pingpong", "double-coset"):
         budgets = Budgets(**dict(prob.values("budget", _budget) + prob.flag_values("--budget", lambda spec: _budget(spec, "--budget"))))
 
-    word = _matrix_word(group)
+    word = partial(bounded_word, group=group)
 
     def parse_normals() -> list[NormalData]:
         def normal(spec: str) -> tuple[str, tuple[Word, ...]]:
@@ -570,12 +537,12 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         task["normals"] = {d.label: [ws(w) for w in d.class_reps] for d in normals}
         claims, step1, step2 = [], [], {}
         for r in report.step1:
-            claims += _certified(ws(r.word), group.eval(r.word), proximal_json(r.cert))
+            claims += certfmt.certified_claims(ws(r.word), group.eval(r.word), proximal_json(r.cert))
             step1.append({"label": r.label, "word": ws(r.word), "nest": r.nest_exponent})
         for label, crs in report.step2.items():
             step2[label] = []
             for cr in crs:
-                claims += _certified(ws(cr.word), group.eval(cr.word), proximal_json(cr.cert))
+                claims += certfmt.certified_claims(ws(cr.word), group.eval(cr.word), proximal_json(cr.cert))
                 step2[label].append({"coset": ws(cr.coset_rep), "word": ws(cr.word), "power": cr.power})
         result = {
             "host": {"word": ws(report.host_word), "power": report.host_power},
@@ -602,7 +569,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
             return emit("not-found")
         m, w, cert = out
         result = {"m": m, "word": ws(w), "cert": contraction_json(cert)}
-        return emit("yes", result, _certified(ws(w), group.eval(w), result["cert"]))
+        return emit("yes", result, certfmt.certified_claims(ws(w), group.eval(w), result["cert"]))
     if subop == "b1b2b3":
         g = prob.value("element", word)
         b1, b2, b3 = prob.value("b1", word), prob.value("b2", word), prob.value("b3", word)
@@ -616,7 +583,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
             return emit("not-found")
         attract, repel = set_json(out.attract), set_json(out.repel)
         result = {"k": out.k, "word": ws(out.word), "attract": attract, "repel": repel, "cert": contraction_json(out.cert)}
-        claims = _certified(ws(out.word), group.eval(out.word), result["cert"]) + certfmt.b1b2b3_claims(attract, repel, set_json(a_set))
+        claims = certfmt.certified_claims(ws(out.word), group.eval(out.word), result["cert"]) + certfmt.b1b2b3_claims(attract, repel, set_json(a_set))
         return emit("yes", result, claims)
     if subop == "very-proximal":
         g = prob.value("element", word)
@@ -630,7 +597,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
             return emit("not-found")
         f1, f2, w, cert = out
         result = {"f1": ws(f1), "f2": ws(f2), "word": ws(w), "cert": proximal_json(cert)}
-        return emit("yes", result, _certified(ws(w), group.eval(w), result["cert"]))
+        return emit("yes", result, certfmt.certified_claims(ws(w), group.eval(w), result["cert"]))
     if subop == "normal-proximal":
         prob.all_read()
         out = normal_proximal(group, normals[0], None, budgets)
@@ -638,7 +605,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
             return emit("not-found")
         membership = certfmt.membership_claim(ws(out.word), ws(out.proof.to_word(list(normals[0].class_reps))))
         result = {"word": ws(out.word), "cert": proximal_json(out.cert)}
-        return emit("yes", result, _certified(ws(out.word), group.eval(out.word), result["cert"], membership))
+        return emit("yes", result, certfmt.certified_claims(ws(out.word), group.eval(out.word), result["cert"], membership))
     if subop == "coset-pingpong":
         data = normals[0]
         if not data.coset_reps:
@@ -651,7 +618,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         claims, deltas = [], []
         for cr in got:
             membership = certfmt.membership_claim(ws(concat(cr.word, word_inverse(cr.coset_rep))), ws(cr.membership.to_word(list(data.class_reps))))
-            claims += _certified(ws(cr.word), group.eval(cr.word), proximal_json(cr.cert), membership)
+            claims += certfmt.certified_claims(ws(cr.word), group.eval(cr.word), proximal_json(cr.cert), membership)
             deltas.append({"coset": ws(cr.coset_rep), "word": ws(cr.word), "power": cr.power})
         result = {"deltas": deltas, "failed": [ws(w) for w in failed], "a_N": ws(a_n.word)}
         return emit("yes" if got and not failed else ("unknown" if got else "not-found"), result, claims)
@@ -670,7 +637,7 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
         if r.skipped:
             items.append({"coset": ws(r.original), "skipped": r.skipped})
             continue
-        claims += _certified(ws(r.word), group.eval(r.word), contraction_json(r.cert))
+        claims += certfmt.certified_claims(ws(r.word), group.eval(r.word), contraction_json(r.cert))
         items.append({"coset": ws(r.original), "m": r.m, "n": r.n, "word": ws(r.word)})
     # every representative wrapped, or skipped as a trivial double coset
     return emit("yes" if len(out) == len(cs) else "unknown", {"wrapped": items}, claims)
@@ -683,7 +650,7 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
 
     def word(text: str) -> tuple[str, object]:
         # certificates echo the word as written
-        return text, tree_parse_word(am, _bounded(text))
+        return text, tree_parse_word(am, bounded_word(text, None))
 
     if subop in ("normal-form", "classify"):
         task["word"], w = prob.value("word", word)

@@ -1,7 +1,7 @@
 """The command-line reader of `cli.main`, and the input refusals that sit
 beside it: a repeated single-valued `[task]` key, and a certificate whose
 claim note is no string, whose header is malformed, whose matrix is over
-MAX_DIM or whose task word is over MAX_WORD_LEN."""
+MAX_DIM or whose task word is over MAX_WORD_LEN or MAX_WORD_HEIGHT."""
 
 import json
 import os
@@ -243,3 +243,38 @@ def test_verify_leaves_a_task_word_that_is_no_string_to_its_binder(tmp_path, cap
     capsys.readouterr()
     assert verify_file(out) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [("a^x", "ValueError: bad exponent in 'a^x'"), ("zz", "KeyError: \"unknown generator 'zz'\"")],
+    ids=["bad-exponent", "unknown-generator"],
+)
+def test_verify_leaves_a_task_word_that_does_not_parse_to_its_binder(tmp_path, capsys, word, message):
+    # the task-word bound refuses only a word over a bound: one it cannot
+    # parse fails in the binder that evaluates it (exit 3)
+    code, cert, out = run(tmp_path, "analyze", ELEMENT)
+    assert code == 0
+    cert["task"]["element"] = word
+    out.write_text(dumps(cert))
+    capsys.readouterr()
+    assert verify_file(out) == 3
+    assert f"verify: verdict 'yes' of analyze contracting: {message}" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_task_word_over_max_word_height(tmp_path, capsys):
+    # a = diag(2^200, 1) has height 201, so `a a` has height 402: solve
+    # refuses the word, and verify refuses it as the task element of a
+    # profile certificate whose word-eval claim states its matrix
+    text = f"format 1\nplace arch\n[matrix-group]\ngen a = [[{2**200}, 0], [0, 1]]\n[task]\nop analyze\nsubop profile\nelement {{}}\n"
+    code, cert, _ = run(tmp_path, "analyze", text.format("a a"))
+    assert code == 2 and cert is None
+    assert "in.prob:8:9: word of height 402 bits exceeds MAX_WORD_HEIGHT = 256" in capsys.readouterr().err
+    code, cert, out = run(tmp_path, "analyze", text.format("a"))
+    assert code == 0
+    cert["task"]["element"] = cert["claims"][0]["word"] = "a a"
+    cert["claims"][0]["matrix"] = [[str(2**400), "0"], ["0", "1"]]
+    out.write_text(dumps(cert))
+    capsys.readouterr()
+    assert verify_file(out) == 2
+    assert "verify: task element word of height 402 bits exceeds MAX_WORD_HEIGHT = 256" in capsys.readouterr().err

@@ -511,18 +511,29 @@ def test_projective_objects_store_only_their_integer_form():
     assert not any(hasattr(x, "__dict__") for x in (ProjPoint((1, 2)), ProjHyperplane((1, 2))))
 
 
-def _callers(tree: ast.AST, name: str, scope: str) -> list[str]:
-    """The dotted scopes (classes and functions) under `scope` that call
-    `name`, by bare or attribute name, once per call."""
+def _scopes(tree: ast.AST, match, scope: str) -> list[str]:
+    """The dotted scopes (classes and functions) under `scope` that hold a
+    node `match` accepts, once per node."""
     out = []
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out += _callers(child, name, f"{scope}.{child.name}")
+            out += _scopes(child, match, f"{scope}.{child.name}")
             continue
-        if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
+        if match(child):
             out.append(scope)
-        out += _callers(child, name, scope)
+        out += _scopes(child, match, scope)
     return out
+
+
+def _calls(name: str):
+    """A match of a call of `name`, by bare or attribute name."""
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def _callers(tree: ast.AST, name: str, scope: str) -> list[str]:
+    """The dotted scopes (classes and functions) under `scope` that call
+    `name`, by bare or attribute name, once per call."""
+    return _scopes(tree, _calls(name), scope)
 
 
 def test_denominators_are_cleared_only_where_input_enters():
@@ -543,6 +554,40 @@ def test_denominators_are_cleared_only_where_input_enters():
     assert callers("ProjPoint") == ["certfmt.point_from", "cli._parse_set"]
     assert callers("ProjHyperplane") == ["certfmt.plane_from", "cli._parse_set"]
     assert callers("pair_from") == ["certfmt._coords", "certfmt.mat_from", "certfmt.rat_from"]
+
+
+def test_one_function_bounds_a_word():
+    """`certfmt.bounded_word` alone compares a word with MAX_WORD_LEN and
+    MAX_WORD_HEIGHT: the problem reader parses every matrix and tree word
+    with it, and `verify` bounds every word a certificate's task holds."""
+
+    def compares_a_bound(node: ast.AST) -> bool:
+        return isinstance(node, ast.Compare) and any(getattr(n, "id", None) in ("MAX_WORD_LEN", "MAX_WORD_HEIGHT") for n in ast.walk(node))
+
+    bounds = sorted({c for path, tree in _trees(PACKAGE) for c in _scopes(tree, compares_a_bound, path.stem)})
+    assert bounds == ["certfmt.bounded_word"]
+    users = sorted(c for path, tree in _trees(PACKAGE) for c in _scopes(tree, lambda n: getattr(n, "id", None) == "bounded_word", path.stem))
+    assert users == ["certfmt._bound_task_words", "cli.cmd_analyze", "cli.cmd_pingpong", "cli.cmd_synthesize", "cli.cmd_tree.word"]
+
+
+def test_binders_derive_every_matrix_but_the_refuted_one():
+    """A binder (a `certfmt` function whose first parameter is a
+    `Binding`) derives each matrix its claims hold from the header and
+    reads no claim's "matrix", except `_refuted`, which learns from it
+    whether the element or its inverse is refuted."""
+    tree = ast.parse((PACKAGE / "certfmt.py").read_text(encoding="utf-8"))
+    binders = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.args.args and getattr(f.args.args[0].annotation, "id", None) == "Binding"]
+    assert len(binders) > 10
+    readers = [f.name for f in binders if any(isinstance(n, ast.Constant) and n.value == "matrix" for n in ast.walk(f))]
+    assert readers == ["_refuted"]
+
+
+def test_cli_writes_few_matrix_texts():
+    """`cli` writes a matrix's text only for the header, an `analyze`
+    element's word-eval claim and a refuted matrix: every other claim
+    matrix is written by the `certfmt` builder that takes the `ProjMat`."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert len([n for n in ast.walk(tree) if _calls("mat_json")(n)]) <= 3
 
 
 def test_root_isolation_sees_only_gram_polynomials():

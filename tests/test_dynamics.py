@@ -392,7 +392,7 @@ def test_power_to_proximal_fibonacci():
     lo5, hi5 = sqrt_bounds(F(5), 100)
     # canonical rep of the eigenvector is (1, (sqrt5-1)/2); second coordinate interval:
     y_lo, y_hi = (lo5 - 1) / 2, (hi5 - 1) / 2
-    c = fraction_view(enc.ball.center) if hasattr(enc, "ball") else fraction_view(enc.center)
+    c = fraction_view(enc.center)
     assert c[0] == 1
     # distance^2 from center to the true eigendirection, evaluated by intervals
     def d2(y):

@@ -474,7 +474,6 @@ def test_no_float_coordinate_anywhere():
     planes = [apply_hyperplane(g, h), h2]
     for x in points + planes:
         assert all(type(c) is int for c in x.coords)
-        assert all(type(c) is F for c in fraction_view(x))
     for place in (ARCH, P5):
         assert type(dist_sq(p, foot, place)) is F and type(dist_to_hyperplane_sq(p, h, place)) is F
 

@@ -207,6 +207,32 @@ def test_a_sufficing_golden_fails_without_claims_result_or_its_verdict(tmp_path,
         assert _verify(tmp_path, {**goldens[name], **tamper}) == 3, tamper
 
 
+def test_every_stated_entry_is_a_result_field():
+    # what a row states beyond its result fields is prose, in the README
+    prose = [(key, s) for key, row in VERDICTS.items() for s in row.stated if not re.fullmatch(r"\w+(\.\w+)?", s)]
+    assert not prose, prose
+
+
+#: the rows that once stated prose, each reached by its golden, and that prose
+STATED_PROSE = [
+    ("synthesize-normal-proximal", "normal-membership"),
+    ("synthesize-coset-pingpong", "normal-membership"),
+    ("synthesize-b1b2b3", "the host set"),
+    ("synthesize-truncated-prodense-full", "the oracle's elements"),
+]
+
+
+@pytest.mark.parametrize("name, key", STATED_PROSE, ids=[name for name, _ in STATED_PROSE])
+def test_a_result_field_named_like_stated_prose_fails(tmp_path, capsys, name, key):
+    command, text, extra = PROBLEMS[name]
+    code, cert, _ = run(tmp_path, command, text, *extra)
+    assert code == 0
+    cert["result"][key] = "anything at all"
+    capsys.readouterr()
+    assert _verify(tmp_path, cert) == 3
+    assert f"result field {key!r} is neither bound nor stated" in capsys.readouterr().err
+
+
 def test_verify_binds_selfmap_enclosures_to_their_contraction(tmp_path, capsys):
     # the first selfmap claim's repel_err_sq set to 0, with the three numbers
     # selfmap_at derives for it restated: each claim alone still checks
