@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd
 
@@ -113,8 +112,7 @@ def bounded_word(text: str, group: MarkedGroup | None):
     if group is None:
         return text
     w = group.parse_word(text)
-    heights = {letter: max(map(abs, group.eval((letter,)).class_key())).bit_length() for letter in set(w)}
-    height = sum(heights[letter] for letter in w)
+    height = sum(group.eval((letter,)).height for letter in w)
     if height > MAX_WORD_HEIGHT:
         raise WordBoundError(f"word of height {height} bits exceeds MAX_WORD_HEIGHT = {MAX_WORD_HEIGHT}")
     return w
@@ -339,9 +337,14 @@ def contraction_claim(matrix: list, cert: dict) -> dict:
     return {"type": "contraction", "matrix": matrix, "cert": cert}
 
 
-def refutation_claim(matrix: list, epsilon_sq: str, witness: list, attract: list, repel: list) -> dict:
-    """The witness refutes eps-contraction for the matrix's candidate pair."""
-    return {"type": "contraction-refuted", "matrix": matrix, "epsilon_sq": epsilon_sq, "witness": witness, "attract": attract, "repel": repel}
+def refuted_claims(word: str, m: ProjMat, refutes: ProjMat, epsilon_sq: str, witness: list, attract: list, repel: list) -> list[dict]:
+    """A refuted word of matrix m: its word-eval claim, then the claim that
+    the witness refutes eps-contraction for the candidate pair of
+    `refutes`, m itself or, for very-proximal, its inverse.  The claims
+    share the text of m when m is refuted."""
+    matrix = mat_json(m)
+    refuted = {"type": "contraction-refuted", "matrix": matrix if refutes is m else mat_json(refutes), "epsilon_sq": epsilon_sq, "witness": witness, "attract": attract, "repel": repel}
+    return [word_eval_claim(word, matrix), refuted]
 
 
 def selfmap_claim(matrix: list, enclosure: dict, attract: list, repel: list, repel_err_sq: str, gap_sq_hi: str, epsilon_sq: str) -> dict:
@@ -575,26 +578,26 @@ def _rows_key(data) -> tuple:
 TASK_WORDS = ("element", "x", "word", "words", "players", "normals")
 
 
-def _bound_task_words(task, group: MarkedGroup | None) -> None:
-    """VerifyError when a word the task holds is over `bounded_word`'s bounds
-    in `group`.  A value that is no string, or a word with a bad exponent or
-    an unknown generator, is left to the claim or binder that reads it."""
-    if not isinstance(task, dict):
-        return
+def _bound_task_words(task: dict, group: MarkedGroup | None) -> dict:
+    """Each word the task holds, by its text, as `bounded_word` returns it
+    in `group`: its parse, or with no group the text itself, whose length
+    alone is bounded.  VerifyError when a word is over the bounds.  A value
+    that is no string, or a word with a bad exponent or an unknown
+    generator, is left to the claim or binder that reads it."""
+    words = {}
     for field in TASK_WORDS:
         value = task.get(field)
-        if value is None:
-            continue
         for item in value.values() if isinstance(value, dict) else [value]:
             for word in item if isinstance(item, list) else [item]:
                 if not isinstance(word, str):
                     continue
                 try:
-                    bounded_word(word, group)
+                    words[word] = bounded_word(word, group)
                 except WordBoundError as e:
                     raise VerifyError(f"task {field} {e}") from None
                 except (ValueError, KeyError):  # a bad exponent, an unknown generator
                     pass
+    return words
 
 
 def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
@@ -615,33 +618,58 @@ def _check_selfmap(claim: dict, ctx: CertContext) -> bool:
 
 class CertContext:
     """What a certificate's claims are checked against, beyond the claim
-    itself: the generator group and its dimension, the amalgam and its
-    Bass-Serre tree that the header describes, and the header evaluation
-    of each word (the task's element among them), the one exact value of
-    that word's matrix.  Each is built once, on first use, for all claims
-    of the certificate and for its verdict's row.  So is each matrix,
-    point and hyperplane a claim holds: `matrix`, `point` and `plane`
-    refuse a value over MAX_DIM, then read it once per certificate, at its
-    place and dimension, and return the same object wherever it recurs.  A task
-    word over the bounds of `bounded_word` is refused before any word is
-    evaluated, its height once the generators' group is built."""
+    itself, for all claims of the certificate and for its verdict's row.
+    The header is read once, when the context is built: the generator
+    group and its dimension when it has `generators`, the amalgam and its
+    Bass-Serre tree when it has `amalgam`.  A certificate with a place
+    must have the former and one without the latter, and a table that
+    does not read is VerifyError, whatever the claims.  Then one walk
+    bounds every task word with `bounded_word` in the group, before any
+    word is evaluated, and keeps the word each bound parses.
+
+    Every claim check and binder reads a word through the one reader of
+    its backend, once per text: `word` and `eval` (its header evaluation,
+    the one exact value of that word's matrix) in the group, a task word
+    from its bound's parse, and `tree_word` in the amalgam.  Each matrix,
+    point and hyperplane a claim holds is read once too: `matrix`,
+    `point` and `plane` refuse a value over MAX_DIM, then read it at the
+    certificate's place and dimension, and return the same object
+    wherever it recurs."""
 
     def __init__(self, place: Place | None, header: dict, task: dict):
         if not isinstance(header, dict):
             raise VerifyError("certificate header is not an object")
-        self.place, self.header, self.task = place, header, task
-        self._evals: dict[str, ProjMat] = {}
-        self._matrices: dict = {}
-        self._points: dict = {}
-        self._planes: dict = {}
-        _bound_task_words(task, None)
+        self.place, self.task = place, task if isinstance(task, dict) else {}
+        self._matrices, self._points, self._planes, self._evals, self._tree_words = {}, {}, {}, {}, {}
+        gens, amalgam = header.get("generators"), header.get("amalgam")
+        self._group = self._generators(gens) if gens or place is not None else None
+        self._amalgam = amalgam_from(amalgam) if amalgam or place is None else None
+        self.dim = None if self._group is None else self._group.dim
+        self.tree = None if self._amalgam is None else BassSerreTree(self._amalgam)
+        self._words = _bound_task_words(self.task, self._group)
+
+    def _generators(self, gens) -> MarkedGroup:
+        """The group of the header's generator table, each matrix read at the place."""
+        if not gens or not isinstance(gens, dict):
+            raise VerifyError("certificate lacks a generator table")
+        matrices = []
+        for name, m in sorted(gens.items()):
+            try:
+                matrices.append((name, self.matrix(m)))
+            except (ValueError, TypeError) as e:  # no invertible square matrix of rationals: no word evaluates
+                raise VerifyError(f"bad generator {name}: {e}") from None
+        try:
+            return MarkedGroup(tuple(matrices))
+        except ValueError as e:  # of two dimensions or places
+            raise VerifyError(str(e)) from None
 
     @staticmethod
     def _once(memo: dict, key_of, read, data, *args):
         """read(data, *args), kept in `memo` under key_of(data), the JSON
         value's strings: equal keys are equal texts, which read alike.  A
-        value whose key does not build or hash is read uncached, and a read
-        that raises stores nothing, so it fails alike wherever it recurs."""
+        value whose key does not build or hash (a TypeError) is read
+        uncached, and a read that raises stores nothing, so it fails alike
+        wherever it recurs."""
         try:
             key = key_of(data)
             return memo[key]
@@ -666,41 +694,42 @@ class CertContext:
         _within_max_dim(data, "vector of {} coordinates")
         return self._once(self._planes, tuple, plane_from, data, self.dim)
 
-    @cached_property
-    def dim(self) -> int | None:
-        """The generators' dimension, which every point, hyperplane and set
-        component of a claim must have; None without a generator table."""
-        return self.group.dim if self.header.get("generators") else None
-
-    @cached_property
-    def group(self):
-        gens = self.header.get("generators")
-        if not gens or not isinstance(gens, dict):
+    @property
+    def group(self) -> MarkedGroup:
+        """The generator group, which a claim or binder of the other
+        backend lacks."""
+        if self._group is None:
             raise VerifyError("certificate lacks a generator table")
-        matrices = []
-        for name, m in sorted(gens.items()):
-            try:
-                matrices.append((name, self.matrix(m)))
-            except (ValueError, TypeError) as e:  # no invertible square matrix of rationals: no word evaluates
-                raise VerifyError(f"bad generator {name}: {e}") from None
-        group = MarkedGroup(tuple(matrices))
-        _bound_task_words(self.task, group)
-        return group
+        return self._group
 
-    def eval(self, word: str) -> ProjMat:
-        if word not in self._evals:
-            self._evals[word] = self.group.eval(self.group.parse_word(word))
-        return self._evals[word]
-
-    @cached_property
-    def amalgam(self):
-        if not self.header.get("amalgam"):
+    @property
+    def amalgam(self) -> AmalgamData:
+        """The amalgam, which a claim or binder of the other backend lacks."""
+        if self._amalgam is None:
             raise VerifyError("certificate lacks an amalgam table")
-        return amalgam_from(self.header["amalgam"])
+        return self._amalgam
 
-    @cached_property
-    def tree(self):
-        return BassSerreTree(self.amalgam)
+    def word(self, text: str):
+        """The word `text` parsed in the generator group, once per text: the
+        one reader of a matrix word."""
+        return self._once(self._words, _word_text, self.group.parse_word, text)
+
+    def eval(self, text: str) -> ProjMat:
+        """The header evaluation of the word `text`, once per text."""
+        return self._once(self._evals, _word_text, lambda t: self.group.eval(self.word(t)), text)
+
+    def tree_word(self, text: str):
+        """The word `text` in the amalgam, in normal form, once per text:
+        the one reader of a tree word."""
+        return self._once(self._tree_words, _word_text, lambda t: parse_word(self.amalgam, t), text)
+
+
+def _word_text(text) -> str:
+    """A word's text, the key its reader keeps it under; a value that is
+    no string is a ValueError that names it."""
+    if not isinstance(text, str):
+        raise ValueError(f"word {text!r} is no string")
+    return text
 
 
 def _check_refutation(claim: dict, ctx: CertContext) -> bool:
@@ -719,8 +748,7 @@ def _check_refutation(claim: dict, ctx: CertContext) -> bool:
 
 def check_claim(claim: dict, ctx: CertContext) -> bool:
     """Re-check one claim against the certificate context `verify` builds."""
-    place, _ = ctx.place, ctx.dim  # a generator table that does not read fails every claim
-    kind = claim.get("type")
+    place, kind = ctx.place, claim.get("type")
     if kind == "set-disjoint":
         return set_disjoint(set_from(claim["left"], ctx), set_from(claim["right"], ctx), place).kind == "disjoint"
     if kind == "set-contains":
@@ -745,14 +773,20 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
     raise VerifyError(f"unknown claim type {kind!r}")
 
 
-def amalgam_from(data: dict):
-    """The amalgam described by a header's `amalgam` tables."""
+def amalgam_from(data: dict) -> AmalgamData:
+    """The amalgam described by a header's `amalgam` tables; VerifyError
+    when they are missing or do not read."""
+    if not data:
+        raise VerifyError("certificate lacks an amalgam table")
 
     def factor(tag: str) -> FiniteGroup:
         names = data.get(f"names_{tag}")
         return FiniteGroup(data[f"table_{tag}"], tuple(names) if names else None)
 
-    return AmalgamData(factor("a"), factor("b"), factor("h"), tuple(data["embed_a"]), tuple(data["embed_b"]))
+    try:
+        return AmalgamData(factor("a"), factor("b"), factor("h"), tuple(data["embed_a"]), tuple(data["embed_b"]))
+    except Exception as e:  # a table missing, or of the wrong kind
+        raise VerifyError(f"bad amalgam: {e}") from None
 
 
 def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
@@ -760,11 +794,11 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
     if kind == "kernel":
         return kernel_of_action(am) == claim["elements"] and _ints(*claim["elements"])
     if kind == "tree-normal-form":
-        w = parse_word(am, claim["word"])
+        w = ctx.tree_word(claim["word"])
         syllables, tail = claim["syllables"], claim["tail"]
         return [[*s] for s in w.syllables] == syllables and w.tail == tail and _ints(tail, *(i for _, i in syllables))
     if kind == "tree-classify":
-        out = classify(parse_word(am, claim["word"]))
+        out = classify(ctx.tree_word(claim["word"]))
         length = claim["translation_length"]
         return out.kind == claim["kind"] and out.translation_length == length and (length is None or _ints(length))
     if kind == "shadow-disjoint":
@@ -773,7 +807,7 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
         s2 = ShadowSet(tree, _vertex_from(claim["right"]["x"]), _vertex_from(claim["right"]["y"]))
         return s1.disjoint_from(s2).kind == "disjoint"
     # tree-evidence, the last kind `check_claim` sends here
-    g = parse_word(am, claim["word"])
+    g = ctx.tree_word(claim["word"])
     cls = classify(g)
     if cls.kind != "hyperbolic":
         return False
@@ -814,19 +848,11 @@ class Binding:
         out = out if key is None else out.get(key)
         return out if isinstance(out, dict) else {}
 
-    def eval(self, word) -> ProjMat:
-        """The header evaluation of `word`, whose word-eval claim comes next; a
-        word that is no string rebuilds that claim with no matrix, then is Unbound."""
-        if not isinstance(word, str):
-            self.rebuilt.append(word_eval_claim(word, None))
-            raise Unbound(f"{word!r} is no word")
-        return self.ctx.eval(word)
-
     def word(self, text: str):
         """The word that `MarkedGroup.word_str` writes as `text`, "e" for
         the empty one; a word written any other way is unbound."""
         group = self.ctx.group
-        w = () if text == "e" and "e" not in group.names else group.parse_word(text)
+        w = () if text == "e" and "e" not in group.names else self.ctx.word(text)
         self.check(group.word_str(w) == text, f"{text!r} is not a word as certificates write it")
         return w
 
@@ -862,7 +888,7 @@ def _certified(b: Binding, word: str, evidence, eps_sq: str | None = None, r_sq:
     """Rebuild a certified word's claims (`certified_claims`) of its header
     evaluation, whose record `evidence` reads: _contraction, _proximal or
     _very.  Returns the record."""
-    m = b.eval(word)
+    m = b.ctx.eval(word)
     membership = None if member is None else membership_claim(member, b.given(1).get("factorization"))
     at = 1 if member is None else 2
     cert = evidence(b, at, eps_sq, r_sq)
@@ -907,7 +933,7 @@ def _echoed(b: Binding) -> None:
 
 def _element(b: Binding) -> None:
     word = b.task["element"]
-    b.rebuilt.append(word_eval_claim(word, mat_json(b.eval(word))))
+    b.rebuilt.append(word_eval_claim(word, mat_json(b.ctx.eval(word))))
 
 
 def _decided(b: Binding) -> None:
@@ -918,15 +944,13 @@ def _decided(b: Binding) -> None:
 
 
 def _refuted(b: Binding) -> None:
-    """The element's contraction-refuted claim, or for very-proximal its
-    inverse's: the one binder that reads a claim's matrix, to learn which."""
-    _element(b)
-    matrix, given = b.rebuilt[0]["matrix"], b.given()
-    refuted = given.get("matrix")
+    """The element's `refuted_claims`, of its own matrix or for
+    very-proximal its inverse's: the one binder that reads a claim's
+    matrix, to learn which."""
+    t, given, m = b.task, b.given(1), b.ctx.eval(b.task["element"])
     # the inverse is derived only when the matrix is not the element's
-    if not (b.task["subop"] == "very-proximal" and refuted != matrix and refuted == mat_json(b.ctx.eval(b.task["element"]).inverse())):
-        refuted = matrix
-    b.rebuilt.append(refutation_claim(refuted, b.task["epsilon_sq"], b.result["counterexample"], given.get("attract"), given.get("repel")))
+    refutes = m.inverse() if t["subop"] == "very-proximal" and given.get("matrix") != mat_json(m) else m
+    b.rebuilt += refuted_claims(t["element"], m, refutes, t["epsilon_sq"], b.result["counterexample"], given.get("attract"), given.get("repel"))
 
 
 def _power(b: Binding) -> None:
@@ -1134,8 +1158,7 @@ SUBOPS = {(op, subop) for op, subop, _ in VERDICTS}
 def check_verdict(cert: dict, ctx: CertContext) -> str | None:
     """Why the certificate's claims and result do not carry its verdict,
     or None; VerifyError for a task the table does not know."""
-    task = ctx.task if isinstance(ctx.task, dict) else {}
-    op, subop, verdict = task.get("op"), task.get("subop"), cert.get("verdict")
+    op, subop, verdict = ctx.task.get("op"), ctx.task.get("subop"), cert.get("verdict")
     if not (isinstance(op, str) and isinstance(subop, str) and (op, subop) in SUBOPS):
         raise VerifyError(f"unknown task {op!r} {subop!r}")
     row = VERDICTS.get((op, subop, verdict)) if isinstance(verdict, str) else None
@@ -1183,7 +1206,7 @@ def verify(cert: dict) -> tuple[bool, list[str]]:
     """Re-check every claim, then the verdict against its row of
     VERDICTS; returns (all passed, failure messages)."""
     place = place_from(cert["place"]) if cert.get("place") else None
-    ctx = CertContext(place, cert.get("header", {}), cert.get("task") or {})
+    ctx = CertContext(place, cert.get("header", {}), cert.get("task"))
     failures = []
     claims = cert.get("claims")
     if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):

@@ -43,7 +43,6 @@ from .synthesis import (
 from .tree import (
     DEFAULT_RADIUS,
     AmalgamData,
-    TreeError,
     ball_radius,
     ball_rows,
     classify,
@@ -305,8 +304,8 @@ def _build_amalgam(prob: Problem) -> tuple[AmalgamData, dict]:
     data = {k: raw.get(k) for k in needed + ("names_a", "names_b", "names_h")}
     try:
         return certfmt.amalgam_from(data), {"amalgam": data}
-    except TreeError as e:
-        raise ProblemError(1, 1, f"bad amalgam: {e}") from None
+    except VerifyError as e:
+        raise ProblemError(1, 1, str(e)) from None
 
 
 def _group_header(group: MarkedGroup) -> dict:
@@ -414,6 +413,10 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
         if v.kind == "yes":
             result = {"cert": cert_json(v.cert)}
             return emit("yes", result, certfmt.certified_claims(task["element"], m, result["cert"]))
+        if v.kind == "no":
+            result = {"counterexample": point_json(v.counterexample)}
+            dirs = direction_candidates(v.refutes)
+            return emit("no", result, certfmt.refuted_claims(task["element"], m, v.refutes, task["epsilon_sq"], result["counterexample"], point_json(dirs.attract), plane_json(dirs.repel)))
     # every other verdict starts with the element's word-eval claim
     word_eval = [certfmt.word_eval_claim(task["element"], mat_json(m))]
     if subop == "profile":
@@ -427,11 +430,6 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
         n, cert = out
         result = {"n": n, "cert": proximal_json(cert)}
         return emit("yes", result, word_eval + certfmt.proximal_claims(m.power(n), result["cert"]))
-    if v.kind == "no":
-        result = {"counterexample": point_json(v.counterexample)}
-        dirs = direction_candidates(v.refutes)
-        refuted = certfmt.refutation_claim(mat_json(v.refutes), task["epsilon_sq"], result["counterexample"], point_json(dirs.attract), plane_json(dirs.repel))
-        return emit("no", result, word_eval + [refuted])
     return emit(v.kind, {}, word_eval)
 
 
@@ -750,7 +748,7 @@ def _run_problem(command: str, path: str, flags: dict[str, list[str]], runner) -
     except ProblemError as e:
         print(f"{path}:{e}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, TreeError, KeyError) as e:
+    except (ValueError, KeyError) as e:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_INPUT
     if out:

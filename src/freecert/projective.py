@@ -289,6 +289,12 @@ class ProjMat:
         d = rows[0][0]
         return all(x == (d if i == j else 0) for i, r in enumerate(rows) for j, x in enumerate(r))
 
+    @cached_property
+    def height(self) -> int:
+        """The bit length of the largest entry of `class_key`, computed once
+        per matrix: a word's height is the sum of its letters'."""
+        return max(map(abs, self.class_key())).bit_length()
+
     def class_key(self) -> tuple[int, ...]:
         """The entries, row by row, of the primitive integer multiple whose
         first nonzero entry is positive: equal exactly for matrices equal

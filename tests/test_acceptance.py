@@ -237,7 +237,7 @@ def test_criterion_04_fixed_point_enclosures_and_decay():
             rat(c.gap_sq_hi),
             rat(c.epsilon_sq),
         )
-        assert check_claim(claim, CertContext(g.place, {}, {}))
+        assert check_claim(claim, CertContext(g.place, {"generators": {"g": mat_json(g)}}, {}))
         uppers = [contraction_gap_sq(g.power(n)).hi for n in range(1, 9)]
         assert all(x >= y for x, y in zip(uppers, uppers[1:]))
     for d in (4, 9, 25):

@@ -1,12 +1,14 @@
-"""How `verify` reads a certificate's numbers: once per certificate, as
-integers.
+"""How `verify` reads a certificate's numbers, once per certificate, as
+integers, and its words, once per text.
 
 `certfmt.pair_from` is the one reader of a certificate's numbers.  It
 reads back every text `format_rat` writes, as its integer pair, and
 refuses every other text with the message the Fraction reader of
 `oracles.fraction_rat_from` gives.  `CertContext` reads each matrix,
 point and hyperplane value once per certificate, and a certificate
-verifies exactly as it does with every value read afresh.
+verifies exactly as it does with every value read afresh.  It parses each
+word once: a task word in the bound that reads the task, any other word
+on first use.
 """
 
 import random
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 
 from freecert import certfmt
 from freecert.certfmt import CertContext, VerifyError, _Float, pair_from, verify
-from freecert.projective import MAX_DIM
+from freecert.projective import MAX_DIM, MarkedGroup
 from freecert.scalar import format_rat
 from oracles import fraction_rat_from
 from test_cli import MATRIX_HEADER, run, verify_file
+from test_golden import PROBLEMS
 
 PROXIMAL = MATRIX_HEADER + "\n[task]\nop analyze\nsubop proximal\nelement b\nepsilon-sq 1/25\nr-sq 1/4\n"
 TUPLE = MATRIX_HEADER + "\n[task]\nop pingpong\nsubop tuple\nplayer a = a\nplayer b = b\nradius-sq 1/10\n"
@@ -176,3 +179,20 @@ def test_a_matrix_over_max_dim_is_refused_before_its_key_is_built(tmp_path, monk
     out.write_text(certfmt.dumps(cert))
     assert verify_file(out) == 2
     assert keys and max(keys) <= MAX_DIM  # the generator table's and claim 0's matrices only
+
+
+@pytest.mark.parametrize("name", ["pingpong-tuple", "analyze-contracting", "tree-pingpong"])
+def test_verify_parses_each_word_once(tmp_path, monkeypatch, name):
+    # the bound's parse of a task word is the one its reader keeps, and the
+    # tree claims that hold a word read it through one memo
+    command, text, extra = PROBLEMS[name]
+    code, cert, _ = run(tmp_path, command, text, *extra)
+    assert code == 0
+    parsed = []
+    group_parse, tree_parse = MarkedGroup.parse_word, certfmt.parse_word
+    monkeypatch.setattr(MarkedGroup, "parse_word", lambda group, text: parsed.append(text) or group_parse(group, text))
+    monkeypatch.setattr(certfmt, "parse_word", lambda amalgam, text: parsed.append(text) or tree_parse(amalgam, text))
+    assert verify(cert) == (True, [])
+    task = cert["task"]
+    words = [task["element"]] if "element" in task else [*task["players"].values()] if "players" in task else task["words"]
+    assert sorted(parsed) == sorted(set(words))

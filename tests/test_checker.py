@@ -16,7 +16,7 @@ from freecert.certfmt import (
     plane_json,
     point_json,
     rat,
-    refutation_claim,
+    refuted_claims,
     selfmap_claim,
 )
 from freecert.checker import Ladder, image_radius_bound, selfmap_at, witness_refutes
@@ -52,8 +52,8 @@ def test_every_producer_verdict_passes_the_checker(g, epsilon_sq):
     if v.kind == "no":
         dirs = direction_candidates(g)
         assert witness_refutes(g, v.counterexample, dirs.attract, dirs.repel, epsilon_sq)
-        claim = refutation_claim(mat_json(g), rat(epsilon_sq), point_json(v.counterexample), point_json(dirs.attract), plane_json(dirs.repel))
-        assert check_claim(claim, ctx)
+        claims = refuted_claims("g", g, g, rat(epsilon_sq), point_json(v.counterexample), point_json(dirs.attract), plane_json(dirs.repel))
+        assert all(check_claim(claim, ctx) for claim in claims)
     if v.kind != "yes":
         return
     c = v.cert

@@ -779,7 +779,7 @@ _IDENTITY_3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     [
         (lambda c: c["header"].pop("generators"), 2, "certificate lacks a generator table"),
         (lambda c: c["claims"][0].update(word="zz"), 3, "unknown generator 'zz'"),
-        (lambda c: c["header"]["generators"].update(c=_IDENTITY_3), 3, "generators must share dimension and place"),
+        (lambda c: c["header"]["generators"].update(c=_IDENTITY_3), 2, "generators must share dimension and place"),
         (lambda c: c["claims"].append({"type": "kernel", "elements": [0]}), 2, "certificate lacks an amalgam table"),
     ],
     ids=["no-generators", "unknown-generator", "mixed-dimension", "kernel-without-amalgam"],

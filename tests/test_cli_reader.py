@@ -1,6 +1,6 @@
 """The command-line reader of `cli.main`, and the input refusals that sit
 beside it: a repeated single-valued `[task]` key, and a certificate whose
-claim note is no string, whose header is malformed, whose matrix is over
+claim note is no string, whose header is malformed or empty, whose matrix is over
 MAX_DIM or whose task word is over MAX_WORD_LEN or MAX_WORD_HEIGHT."""
 
 import json
@@ -154,6 +154,28 @@ def test_verify_refuses_a_malformed_header(tmp_path, capsys, tamper, message):
     assert f"verify: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"generators": {"a": [["1", "1"], ["1", "1"]], "b": [["2", "1"], ["1", "1"]]}}, "bad generator a: matrix must be invertible"),
+        ({}, "certificate lacks a generator table"),
+    ],
+    ids=["singular", "empty"],
+)
+def test_verify_reads_the_header_of_a_certificate_with_no_claims(tmp_path, capsys, header, message):
+    # the identity player fails first: an unknown tuple with no claim and no
+    # binder, so no word is evaluated and only the header read refuses it
+    text = "format 1\nplace arch\n[matrix-group]\ngen a = [[1, 0], [0, 1]]\ngen b = [[2, 1], [1, 1]]\n"
+    code, cert, out = run(tmp_path, "pingpong", text + "[task]\nop pingpong\nsubop tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n")
+    assert (code, cert["verdict"], cert["result"]["failed_player"], cert["claims"]) == (4, "unknown", "g1", [])
+    assert verify_file(out) == 0
+    cert["header"] = header
+    out.write_text(dumps(cert))
+    capsys.readouterr()
+    assert verify_file(out) == 2
+    assert f"verify: {message}" in capsys.readouterr().err
+
+
 def _random_rows(n: int) -> list[list[str]]:
     rng = random.Random(n)
     return [[str(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
@@ -222,16 +244,16 @@ ELEMENT = MATRIX_HEADER + "\n[task]\nop analyze\nsubop contracting\nelement a\ne
 @pytest.mark.parametrize(
     "command, text, path, value, message",
     [
-        ("analyze", ELEMENT, ("element",), 5, "claim 0 (word-eval) word differs from the rebuilt claim"),
-        ("analyze", ELEMENT, ("element",), 1.5, "claim 0 (word-eval) word differs from the rebuilt claim"),
-        ("pingpong", PINGPONG, ("players", "g1"), None, "AttributeError: 'NoneType' object has no attribute 'split'"),
-        ("pingpong", PINGPONG, ("players", "g1"), 5, "AttributeError: 'int' object has no attribute 'split'"),
+        ("analyze", ELEMENT, ("element",), 5, "verdict 'yes' of analyze contracting: ValueError: word 5 is no string"),
+        ("analyze", ELEMENT, ("element",), 1.5, "verdict 'yes' of analyze contracting: ValueError: word _Float('1.5') is no string"),
+        ("pingpong", PINGPONG, ("players", "g1"), None, "verdict 'certified' of pingpong tuple: ValueError: word None is no string"),
+        ("pingpong", PINGPONG, ("players", "g1"), 5, "verdict 'certified' of pingpong tuple: ValueError: word 5 is no string"),
     ],
     ids=["element-int", "element-float", "players-null", "players-int"],
 )
 def test_verify_leaves_a_task_word_that_is_no_string_to_its_binder(tmp_path, capsys, command, text, path, value, message):
-    # the task-word bound counts strings only: any other value fails in the
-    # binder that reads it (exit 3)
+    # the task-word bound counts strings only: any other value fails, by
+    # name, in the binder that reads it (exit 3)
     code, cert, out = run(tmp_path, command, text)
     assert code == 0
     *outer, last = path

@@ -559,7 +559,9 @@ def test_denominators_are_cleared_only_where_input_enters():
 def test_one_function_bounds_a_word():
     """`certfmt.bounded_word` alone compares a word with MAX_WORD_LEN and
     MAX_WORD_HEIGHT: the problem reader parses every matrix and tree word
-    with it, and `verify` bounds every word a certificate's task holds."""
+    with it, and `verify` bounds every word a certificate's task holds in
+    one walk, `_bound_task_words`, which `CertContext` runs once, when it
+    reads the header."""
 
     def compares_a_bound(node: ast.AST) -> bool:
         return isinstance(node, ast.Compare) and any(getattr(n, "id", None) in ("MAX_WORD_LEN", "MAX_WORD_HEIGHT") for n in ast.walk(node))
@@ -568,6 +570,24 @@ def test_one_function_bounds_a_word():
     assert bounds == ["certfmt.bounded_word"]
     users = sorted(c for path, tree in _trees(PACKAGE) for c in _scopes(tree, lambda n: getattr(n, "id", None) == "bounded_word", path.stem))
     assert users == ["certfmt._bound_task_words", "cli.cmd_analyze", "cli.cmd_pingpong", "cli.cmd_synthesize", "cli.cmd_tree.word"]
+    walks = sorted(c for path, tree in _trees(PACKAGE) for c in _callers(tree, "_bound_task_words", path.stem))
+    assert walks == ["certfmt.CertContext.__init__"]
+
+
+def test_one_reader_parses_the_words_of_a_certificate():
+    """Inside `certfmt` only the reader of a word's backend refers to a
+    `parse_word`: `CertContext.word` in the generator group and
+    `CertContext.tree_word` in the amalgam, and `bounded_word`, whose parse
+    of a task word the reader keeps.  The one exception is `_relation`,
+    which parses the oracle's relation in a group of its own, over the
+    players' matrices."""
+
+    def refers(node: ast.AST) -> bool:
+        return isinstance(node, (ast.Name, ast.Attribute)) and getattr(node, "id", getattr(node, "attr", None)) == "parse_word"
+
+    tree = ast.parse((PACKAGE / "certfmt.py").read_text(encoding="utf-8"))
+    parsers = sorted(_scopes(tree, refers, "certfmt"))
+    assert parsers == ["certfmt.CertContext.tree_word", "certfmt.CertContext.word", "certfmt._relation", "certfmt.bounded_word"]
 
 
 def test_binders_derive_every_matrix_but_the_refuted_one():
@@ -583,11 +603,11 @@ def test_binders_derive_every_matrix_but_the_refuted_one():
 
 
 def test_cli_writes_few_matrix_texts():
-    """`cli` writes a matrix's text only for the header, an `analyze`
-    element's word-eval claim and a refuted matrix: every other claim
-    matrix is written by the `certfmt` builder that takes the `ProjMat`."""
+    """`cli` writes a matrix's text only for the header and an `analyze`
+    element's word-eval claim: every other claim matrix, a refuted one
+    among them, is written by the `certfmt` builder that takes the `ProjMat`."""
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    assert len([n for n in ast.walk(tree) if _calls("mat_json")(n)]) <= 3
+    assert len([n for n in ast.walk(tree) if _calls("mat_json")(n)]) <= 2
 
 
 def test_root_isolation_sees_only_gram_polynomials():

@@ -356,7 +356,7 @@ def test_verify_refuses_a_set_component_of_an_unknown_kind(tmp_path, capsys):
 
 
 def test_verify_reports_an_input_error_that_a_binder_meets(tmp_path, capsys, goldens):
-    # `tree expand` has no claim, so its binder is first to read the header's amalgam
+    # `tree expand` has no claim: the header is read before any claim or binder
     cert = {**goldens["tree-expand"], "header": {}}
     capsys.readouterr()
     assert _verify(tmp_path, cert) == 2
@@ -376,8 +376,8 @@ def test_verify_refuses_an_amalgam_entry_that_is_no_json_integer(tmp_path, capsy
     _, cert, _ = run(tmp_path, "tree", mod_amalgam_header() + "\n[task]\nop tree\nsubop kernel\n")
     cert["header"]["amalgam"][field] = value
     capsys.readouterr()
-    assert _verify(tmp_path, cert) == 3
-    assert f"claim 0 (kernel): {message}" in capsys.readouterr().err
+    assert _verify(tmp_path, cert) == 2
+    assert f"verify: bad amalgam: {message}" in capsys.readouterr().err
 
 
 def _method_in_claim_and_result(cert):
