@@ -50,7 +50,7 @@ from .projective import (
     word_inverse,
 )
 from .scalar import PAIR_LABELS, VERY_PAIRS, Place, Rat, Record, format_rat, letter_count, pair_count, parse_place, tuple_pairs
-from .tree import AmalgamData, BassSerreTree, FiniteGroup, ShadowSet, axis_shadow_sets, ball_rows, classify, kernel_of_action, parse_word
+from .tree import AmalgamData, BassSerreTree, Classification, FiniteGroup, ShadowSet, axis_shadow_sets, ball_rows, classify, kernel_of_action, parse_word
 
 FORMAT = "freecert-certificate/2"
 
@@ -511,13 +511,21 @@ def _field_of(node, target, path: str = "") -> str | None:
     return next((found for p, v in children if (found := _field_of(v, target, p)) is not None), None)
 
 
+#: The one decoder, built once as `_ENCODER` is: `json.loads` with these
+#: hooks would build a decoder and its scanner for every certificate.
+_DECODER = json.JSONDecoder(parse_float=_Float, parse_constant=_Float)
+
+
 def loads(text: str) -> dict:
     """The certificate in `text`, each number with a fraction or exponent
     (and NaN, Infinity) read as a `_Float`; VerifyError on text that is not
     JSON, is nested too deep to decode, holds an integer of more digits than
-    Python converts, or lacks the format marker."""
+    Python converts, or lacks the format marker.  A leading byte order mark
+    is refused as `json.loads` refuses it."""
     try:
-        data = json.loads(text, parse_float=_Float, parse_constant=_Float)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise VerifyError(f"not valid certificate JSON: {e}") from None
     if not isinstance(data, dict) or data.get("format") != FORMAT:
@@ -630,7 +638,8 @@ class CertContext:
     Every claim check and binder reads a word through the one reader of
     its backend, once per text: `word` and `eval` (its header evaluation,
     the one exact value of that word's matrix) in the group, a task word
-    from its bound's parse, and `tree_word` in the amalgam.  Each matrix,
+    from its bound's parse, and `tree_word` in the amalgam, whose
+    `classify` `tree_class` keeps beside it.  Each matrix,
     point and hyperplane a claim holds is read once too: `matrix`,
     `point` and `plane` refuse a value over MAX_DIM, then read it at the
     certificate's place and dimension, and return the same object
@@ -640,7 +649,7 @@ class CertContext:
         if not isinstance(header, dict):
             raise VerifyError("certificate header is not an object")
         self.place, self.task = place, task if isinstance(task, dict) else {}
-        self._matrices, self._points, self._planes, self._evals, self._tree_words = {}, {}, {}, {}, {}
+        self._matrices, self._points, self._planes, self._evals, self._tree_words, self._classes = {}, {}, {}, {}, {}, {}
         gens, amalgam = header.get("generators"), header.get("amalgam")
         self._group = self._generators(gens) if gens or place is not None else None
         self._amalgam = amalgam_from(amalgam) if amalgam or place is None else None
@@ -723,6 +732,11 @@ class CertContext:
         the one reader of a tree word."""
         return self._once(self._tree_words, _word_text, lambda t: parse_word(self.amalgam, t), text)
 
+    def tree_class(self, text: str) -> Classification:
+        """`classify` of the tree word `text`, once per text: the
+        `tree-classify` and `tree-evidence` claims of a word share it."""
+        return self._once(self._classes, _word_text, lambda t: classify(self.tree_word(t)), text)
+
 
 def _word_text(text) -> str:
     """A word's text, the key its reader keeps it under; a value that is
@@ -798,7 +812,7 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
         syllables, tail = claim["syllables"], claim["tail"]
         return [[*s] for s in w.syllables] == syllables and w.tail == tail and _ints(tail, *(i for _, i in syllables))
     if kind == "tree-classify":
-        out = classify(ctx.tree_word(claim["word"]))
+        out = ctx.tree_class(claim["word"])
         length = claim["translation_length"]
         return out.kind == claim["kind"] and out.translation_length == length and (length is None or _ints(length))
     if kind == "shadow-disjoint":
@@ -807,8 +821,7 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
         s2 = ShadowSet(tree, _vertex_from(claim["right"]["x"]), _vertex_from(claim["right"]["y"]))
         return s1.disjoint_from(s2).kind == "disjoint"
     # tree-evidence, the last kind `check_claim` sends here
-    g = ctx.tree_word(claim["word"])
-    cls = classify(g)
+    g, cls = ctx.tree_word(claim["word"]), ctx.tree_class(claim["word"])
     if cls.kind != "hyperbolic":
         return False
     sets = [shadow_json(s) for s in axis_shadow_sets(ctx.tree, g, cls)]
@@ -913,7 +926,7 @@ def _relation(b: Binding) -> None:
     players, max_len, word, names = b.task["players"], b.task["oracle_len"], b.given().get("word"), b.given().get("names")
     b.check(_ints(max_len) and 1 <= max_len <= MAX_ORACLE_LEN, f"oracle_len is outside 1..MAX_ORACLE_LEN = {MAX_ORACLE_LEN}")
     b.check(isinstance(names, list) and sorted(names) == sorted(players), "oracle names are not the task's players")
-    b.check(1 <= letter_count(word) <= max_len, f"relation {word!r} is not of 1 to {max_len} letters")
+    b.check(1 <= letter_count(_word_text(word)) <= max_len, f"relation {word!r} is not of 1 to {max_len} letters")
     group = MarkedGroup(tuple((name, b.ctx.eval(players[name])) for name in names))
     w = group.parse_word(word)
     b.check(group.word_str(w) == word, f"relation {word!r} is not freely reduced")

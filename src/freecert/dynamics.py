@@ -151,12 +151,22 @@ def gram_charpoly(g: ProjMat) -> tuple[int, ...]:
     lambda^n + c_1 lambda^(n-1) + ... + c_n of the integer Gram matrix
     S = A^T A of `ProjMat.gram`, highest degree first.  A A^T has the same
     one, so the profile and both power iterations of a matrix read it.
+    It is (1, -tr S, det S) in dimension 2, else `_faddeev_leverrier`.
+    """
+    s_rows, _ = g.gram
+    if len(s_rows) == 2:
+        (p, q), (_, t) = s_rows  # S is symmetric
+        return 1, -(p + t), p * t - q * q
+    return _faddeev_leverrier(s_rows)
+
+
+def _faddeev_leverrier(s_rows) -> tuple[int, ...]:
+    """`gram_charpoly` of the integer Gram matrix S, at any dimension.
 
     Faddeev-LeVerrier: M <- S (M + c_(k-1) I), c_k = -tr(M) / k.  An
     integer matrix has an integer characteristic polynomial, so every
     division is exact.
     """
-    s_rows, _ = g.gram
     n = len(s_rows)
     m = [[0] * n for _ in range(n)]
     coeffs = [1]  # c_0, the leading coefficient

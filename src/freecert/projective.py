@@ -6,6 +6,9 @@ gives a matrix's class, so equality and hashing are exact and no
 coordinate is ever divided.  A matrix stores its integer rows over one
 positive scale, the lcm of its entries' denominators; equality and
 hashing read that unique form, and a product is cleared by one gcd.
+In dimension 2, read off the input's length alone, a product, an image,
+an inverse and a wedge take their closed forms; the general loops serve
+every larger dimension.
 That integer form is the only stored form: `certfmt` writes a point over
 its first nonzero coordinate and a matrix's rows over their scale.
 Coordinates and entries given as input are ints, Fractions and integer
@@ -114,9 +117,17 @@ def norm_sq(v: IntVec, place: Place) -> tuple[int, int]:
 
 
 def wedge(v, w) -> tuple:
-    """2x2 minors v_i w_j - v_j w_i, i < j, in lexicographic order."""
+    """2x2 minors v_i w_j - v_j w_i, i < j, in lexicographic order: the
+    single minor in dimension 2, else `_minors`."""
     if len(v) != len(w):
         raise ValueError("wedge of vectors of different dimension")
+    if len(v) == 2:
+        return (v[0] * w[1] - v[1] * w[0],)
+    return _minors(v, w)
+
+
+def _minors(v, w) -> tuple:
+    """Every 2x2 minor of two vectors of one dimension, in the order of `wedge`."""
     n = len(v)
     return tuple(v[i] * w[j] - v[j] * w[i] for i in range(n) for j in range(i + 1, n))
 
@@ -234,13 +245,18 @@ class ProjMat:
         return gram_matrix(tuple(zip(*rows))), scale * scale
 
     def __matmul__(self, other: "ProjMat") -> "ProjMat":
-        if self.place != other.place or self.dim != other.dim:
-            raise ValueError("matrix product across places or dimensions")
-        # (A/sa)(B/sb) = AB/(sa sb), cleared by one gcd
+        # (A/sa)(B/sb) = AB/(sa sb), cleared by one gcd; eight products in
+        # dimension 2
         a, sa = self._integer_form
         b, sb = other._integer_form
-        cols = tuple(zip(*b))
-        rows = [[sum(map(mul, r, c)) for c in cols] for r in a]
+        if self.place != other.place or len(a) != len(b):
+            raise ValueError("matrix product across places or dimensions")
+        if len(a) == 2:
+            (a0, a1), (a2, a3) = a
+            (b0, b1), (b2, b3) = b
+            rows = ((a0 * b0 + a1 * b2, a0 * b1 + a1 * b3), (a2 * b0 + a3 * b2, a2 * b1 + a3 * b3))
+        else:
+            rows = _product(a, b)
         return ProjMat._of(*_cleared(rows, sa * sb), self.place)
 
     def transpose(self) -> "ProjMat":
@@ -318,7 +334,13 @@ def known_not_proximal(m: ProjMat) -> bool:
     return disc == 0 or (disc < 0 and not m.place.is_padic)
 
 
-def _cleared(rows: list[list[int]], scale: int) -> tuple[IntRows, int]:
+def _product(a: IntRows, b: IntRows) -> IntRows:
+    """The integer rows of the product of two square integer matrices."""
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in a])
+
+
+def _cleared(rows: IntRows, scale: int) -> tuple[IntRows, int]:
     """The form of `_integer_form` of the matrix rows / scale, for integer
     rows and a positive scale.  Entry x / scale has denominator
     scale / gcd(x, scale), and the lcm of those is scale / gcd(scale, rows),
@@ -327,7 +349,7 @@ def _cleared(rows: list[list[int]], scale: int) -> tuple[IntRows, int]:
         g = gcd(scale, *(x for r in rows for x in r))
         if g != 1:
             return tuple(tuple(x // g for x in r) for r in rows), scale // g
-    return tuple(map(tuple, rows)), scale
+    return rows, scale
 
 
 def det(rows: IntRows) -> int:
@@ -386,7 +408,19 @@ def gram_matrix(vectors) -> IntRows:
 
 def inverse_rows(a: IntRows, scale: int) -> tuple[IntRows, int]:
     """The `_integer_form` of (a / scale)^-1 for an invertible integer
-    matrix a.
+    matrix a: scale adj(a) over det(a), with det(a) made positive and
+    then cleared.  In dimension 2 the adjugate of ((p, q), (r, t)) is
+    ((t, -q), (-r, p)); else `_eliminated_inverse` finds it."""
+    if len(a) == 2:
+        (p, q), (r, t) = a
+        d = p * t - q * r
+        s = scale if d > 0 else -scale
+        return _cleared(((s * t, -s * q), (-s * r, s * p)), abs(d))
+    return _eliminated_inverse(a, scale)
+
+
+def _eliminated_inverse(a: IntRows, scale: int) -> tuple[IntRows, int]:
+    """`inverse_rows` by elimination, at any dimension.
 
     `_eliminate` on [a | I] leaves an upper triangular U beside Y with
     U X = Y for X = a^-1, and returns d = det(a).  Then d X is the
@@ -406,7 +440,7 @@ def inverse_rows(a: IntRows, scale: int) -> tuple[IntRows, int]:
                 acc = [s - ri[k] * t for s, t in zip(acc, x[k])]
         x[i] = [s // ri[i] for s in acc]
     sign_scale = scale if d > 0 else -scale
-    return _cleared([[sign_scale * v for v in row] for row in x], abs(d))
+    return _cleared(tuple([tuple([sign_scale * v for v in row]) for row in x]), abs(d))
 
 
 def identity(n: int, place: Place) -> ProjMat:
@@ -414,12 +448,22 @@ def identity(n: int, place: Place) -> ProjMat:
 
 
 def apply(g: ProjMat, p: ProjPoint) -> ProjPoint:
-    """[g v], on the integer rows of g."""
-    if p.dim != g.dim:
-        raise ValueError("dimension mismatch")
+    """[g v], on the integer rows of g: four products in dimension 2,
+    else `_image`."""
     rows, _ = g._integer_form
     v = p.coords
-    return ProjPoint._of(primitive([sum(map(mul, r, v)) for r in rows]))
+    if len(v) != len(rows):
+        raise ValueError("dimension mismatch")
+    if len(v) == 2:
+        (a, b), (c, d) = rows
+        x, y = v
+        return ProjPoint._of(primitive((a * x + b * y, c * x + d * y)))
+    return ProjPoint._of(primitive(_image(rows, v)))
+
+
+def _image(rows: IntRows, v: IntVec) -> list[int]:
+    """The integer vector rows v."""
+    return [sum(map(mul, r, v)) for r in rows]
 
 
 def apply_hyperplane(g: ProjMat, h: ProjHyperplane) -> ProjHyperplane:

@@ -6,8 +6,13 @@ Roots are counted by Descartes' rule of signs, exact on a real-rooted
 polynomial, and isolated by bisection.  Rational roots are found exactly
 by a binary search over the multiples of 1/lead in their isolating
 intervals (Gauss's lemma) and split off; the others are enclosed by
-bisection to a requested relative width.  Intervals carry rational
-endpoints; a degenerate interval (lo == hi) marks an exactly known root.
+bisection to a requested relative width.  A squarefree part of degree 2,
+the case of every 2 x 2 matrix, has closed forms chosen by that degree
+alone: it has a rational root iff its discriminant is a square, so only
+then is the binary search run, and the interval the bisection of an
+irrational root would end on is read off the quadratic formula
+(`_refine_quadratic`).  Intervals carry rational endpoints; a degenerate
+interval (lo == hi) marks an exactly known root.
 
 Polynomials are integer coefficient sequences, lowest degree first:
 `isolate_positive_roots` takes the tuple of the singular profiles'
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .scalar import Rat, Record
 
@@ -257,9 +262,11 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
     bisection that encloses the irrational roots always starts at the
     Cauchy bound of the squarefree part with the rational roots divided
     out.  `_refine` halves each of its intervals by sign tests until
-    hi - lo <= lo * 2^-ROOT_REL_BITS.  The union of returned intervals is
-    pairwise disjoint and, counted with multiplicity, covers exactly the
-    positive roots.
+    hi - lo <= lo * 2^-ROOT_REL_BITS.  A squarefree part of degree 2 runs
+    `_rational_root` only when its discriminant is a square, and
+    `_refine_quadratic` gives the interval `_refine` ends on.  The union
+    of returned intervals is pairwise disjoint and, counted with
+    multiplicity, covers exactly the positive roots.
 
     Counts are Descartes' rule of signs (`_roots_above`), exact because
     the one caller passes the characteristic polynomial of a symmetric
@@ -275,7 +282,8 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
         return ()
     sf = _squarefree(work)
     isolated, roots = _bisect(sf)
-    roots += [r for a, b, w in isolated if (r := _rational_root(sf, a, b, w)) is not None]
+    if len(sf) != 3 or _is_square(sf[1] * sf[1] - 4 * sf[0] * sf[2]):
+        roots += [r for a, b, w in isolated if (r := _rational_root(sf, a, b, w)) is not None]
     rational = [Fraction(*r) for r in roots]
     out: list[tuple[Interval, int]] = []
     if rational:
@@ -284,8 +292,9 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
             out.append((point(r), m))
         sf = _squarefree(work)
         isolated = _bisect(sf)[0]
+    refine = _refine_quadratic if len(sf) == 3 else _refine
     for a, b, w in isolated:
-        a, b, w = _refine(sf, a, b, w)
+        a, b, w = refine(sf, a, b, w)
         # the roots of work in (a/w, b/w]; b/w is rational, so no root
         m = 1 if len(sf) == len(work) else _roots_above(work, a, w)[0] - _roots_above(work, b, w)[0]
         out.append((Interval(Fraction(a, w), Fraction(b, w)), m))
@@ -315,3 +324,60 @@ def _refine(sf: IntPoly, a: int, b: int, w: int) -> tuple[int, int, int]:
         else:
             a, b = mid, 2 * b
     return a, b, w
+
+
+def _is_square(n: int) -> bool:
+    """Whether the integer n is the square of an integer."""
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _refine_quadratic(sf: IntPoly, a: int, b: int, w: int) -> tuple[int, int, int]:
+    """`_refine` in closed form, for a squarefree quadratic
+    sf = c0 + c1 x + c2 x^2 whose root in (a/w, b/w) is irrational, so
+    that D = c1^2 - 4 c0 c2 is no square.
+
+    Each bisection step keeps the numerator width L = b - a and doubles
+    the denominator, so level s holds the grid interval
+    (a_s, a_s + L) / (w 2^s), a_s = a 2^s + j L, that contains the root
+    rho = (-c1 +- sqrt(D)) / (2 c2).  With K = rho w and G(s) the floor
+    of K 2^s, j is floor((G(s) - a 2^s) / L), as K 2^s is no integer.
+    With c2 > 0 (sf negated if need be, which keeps its roots), rho is
+    the larger root, +sqrt(D), iff sf(b/w) > 0, and
+    G(t) = floor((P +- sqrt(Q)) / 2c2) with u = w 2^t, P = -c1 u and
+    Q = D u^2, no square; for r = isqrt(Q) that is (P + r) // 2c2 or
+    (P - r - 1) // 2c2, and G(s) = G(t) >> (t - s) for s <= t.
+
+    The bisection stops at the first level with a_s >= M = L 2^ROOT_REL_BITS
+    (then a_s > 0).  As a_s <= G(s) < a_s + L, a level with G(s) < M
+    fails and the one after the first level s1 with G(s1) >= M passes,
+    since G(s1 + 1) >= 2M >= M + L; so the stop is at s1 or s1 + 1.  A
+    G(t) >= 2M gives both from shifts of it: s1 is the least s >= 0
+    with G(t) // M >= 2^(t - s).  The first t is the one K > a asks for
+    (b standing in for a = 0); a G(t) below 2M sets the next t from its
+    bit length.
+    """
+    c0, c1, c2 = sf
+    disc = c1 * c1 - 4 * c0 * c2
+    larger = (_homogeneous(sf, b, w) > 0) == (c2 > 0)
+    if c2 < 0:
+        c1, c2 = -c1, -c2
+    span = b - a
+    bar = span << ROOT_REL_BITS
+    t = max(0, bar.bit_length() + 2 - (a or b).bit_length())
+    while True:
+        u = w << t
+        r = isqrt(disc * u * u)
+        g = (r - c1 * u) // (2 * c2) if larger else (-c1 * u - r - 1) // (2 * c2)
+        q = g // bar
+        if q > 1:
+            break
+        # K 2^t >= 2^(bitlen(g) - 1), so this t has G(t) >= 2M; with
+        # g = 0, K 2^t < 1 only, and t grows by at least the bits of 2M
+        t += bar.bit_length() + 2 - g.bit_length() + (0 if g else t)
+    s = max(0, t + 1 - q.bit_length())  # s1; s1 + 1 <= t, as q >= 2
+    while True:
+        base = a << s
+        lo = base + span * (((g >> (t - s)) - base) // span)
+        if lo >= bar:
+            return lo, lo + span, w << s
+        s += 1

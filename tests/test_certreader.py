@@ -196,3 +196,18 @@ def test_verify_parses_each_word_once(tmp_path, monkeypatch, name):
     task = cert["task"]
     words = [task["element"]] if "element" in task else [*task["players"].values()] if "players" in task else task["words"]
     assert sorted(parsed) == sorted(set(words))
+
+
+def test_verify_classifies_each_tree_word_once(tmp_path, monkeypatch):
+    # a word's tree-classify and tree-evidence claims share one classify
+    command, text, extra = PROBLEMS["tree-pingpong"]
+    code, cert, _ = run(tmp_path, command, text, *extra)
+    assert code == 0
+    classified = []
+    real = certfmt.classify
+    monkeypatch.setattr(certfmt, "classify", lambda w: classified.append(w) or real(w))
+    assert verify(cert) == (True, [])
+    words = cert["task"]["words"]
+    kinds = [c["type"] for c in cert["claims"]]
+    assert kinds.count("tree-classify") == kinds.count("tree-evidence") == len(words) == 2
+    assert len(classified) == len(words)

@@ -267,6 +267,19 @@ def test_verify_leaves_a_task_word_that_is_no_string_to_its_binder(tmp_path, cap
     assert message in capsys.readouterr().err
 
 
+def test_verify_names_a_relation_word_that_is_no_string(tmp_path, capsys):
+    # the oracle claim's relation word is read as a string before its
+    # letters are counted, so null fails by name (exit 3)
+    text = SANOV_HEADER + "\n[task]\nop pingpong\nsubop oracle\nplayer g1 = a\nplayer g2 = a\noracle-len 2\n"
+    code, cert, out = run(tmp_path, "pingpong", text)
+    assert code == 3 and cert["result"] == {"oracle": "relation", "relation": "g1 g2^-1"}
+    cert["claims"][0]["word"] = cert["result"]["relation"] = None
+    out.write_text(dumps(cert))
+    capsys.readouterr()
+    assert verify_file(out) == 3
+    assert "verdict 'relation' of pingpong oracle: ValueError: word None is no string" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "word, message",
     [("a^x", "ValueError: bad exponent in 'a^x'"), ("zz", "KeyError: \"unknown generator 'zz'\"")],

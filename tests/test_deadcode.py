@@ -460,11 +460,11 @@ def test_every_memo_is_cleared_between_benchmark_requests(monkeypatch):
 #: The integer kernel: functions, and methods named `Class.method`, that
 #: run on cleared integers alone.
 INTEGER_KERNEL = {
-    "projective.py": ("det", "_eliminate", "inverse_rows", "_kernel_intersection_point"),
-    "dynamics.py": ("_padic_pivot", "padic_exponents", "gram_charpoly", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
+    "projective.py": ("det", "_eliminate", "inverse_rows", "_eliminated_inverse", "_kernel_intersection_point"),
+    "dynamics.py": ("_padic_pivot", "padic_exponents", "gram_charpoly", "_faddeev_leverrier", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
     "scalar.py": ("cmp_sqrt_sum", "sqrt_lower_pair", "sqrt_upper_pair"),
     "checker.py": ("Ladder.upper", "Ladder.above", "Ladder.ends_below"),
-    "rootiso.py": ("_bisect", "_rational_root", "_refine"),
+    "rootiso.py": ("_bisect", "_rational_root", "_refine", "_refine_quadratic"),
 }
 
 
@@ -644,10 +644,11 @@ def _takes_a_trace(node: ast.AST) -> bool:
 
 def test_one_characteristic_polynomial_loop():
     """Faddeev-LeVerrier, a loop that takes the trace of a matrix product
-    each step, runs in one function, `dynamics.gram_charpoly`.  The
-    singular profile's root-isolation key and the Krylov recurrence of
-    the power iteration are both read from its coefficients, so a matrix
-    has one characteristic polynomial and both consumers call it."""
+    each step, runs in one function, `dynamics._faddeev_leverrier`, which
+    `dynamics.gram_charpoly` calls beyond dimension 2.  The singular
+    profile's root-isolation key and the Krylov recurrence of the power
+    iteration are both read from `gram_charpoly`'s coefficients, so a
+    matrix has one characteristic polynomial and both consumers call it."""
     loops = sorted(
         f"{path.stem}.{func.name}"
         for path, tree in _trees(PACKAGE)
@@ -655,7 +656,8 @@ def test_one_characteristic_polynomial_loop():
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(isinstance(loop, (ast.For, ast.While)) and any(map(_takes_a_trace, ast.walk(loop))) for loop in ast.walk(func))
     )
-    assert loops == ["dynamics.gram_charpoly"]
+    assert loops == ["dynamics._faddeev_leverrier"]
+    assert sorted(c for path, tree in _trees(PACKAGE) for c in _callers(tree, "_faddeev_leverrier", path.stem)) == ["dynamics.gram_charpoly"]
     readers = sorted(c for path, tree in _trees(PACKAGE) for c in _callers(tree, "gram_charpoly", path.stem))
     assert readers == ["dynamics._charpoly_gram", "dynamics.direction_candidates"]
 
@@ -674,14 +676,20 @@ def test_certfmt_dumps_is_the_only_certificate_writer():
     """`certfmt.dumps` is the one writer of certificate text: the package
     builds one `json.JSONEncoder`, certfmt's `_ENCODER`, which only that
     function reads, and references `json.dumps` and `json.dump` never.
-    `certfmt.loads` reads with `json.loads`, also once."""
+    `certfmt.loads` reads with the one `json.JSONDecoder`, certfmt's
+    `_DECODER`, which only that function reads, and `json.loads` is
+    referenced never."""
     assert [path.name for path, tree in _trees(PACKAGE) for _ in _json_calls(tree, ("dump", "dumps"))] == []
     assert [path.name for path, tree in _trees(PACKAGE) for _ in _json_calls(tree, ("JSONEncoder",))] == ["certfmt.py"]
     (certfmt,) = [tree for path, tree in _trees(PACKAGE) if path.name == "certfmt.py"]
     writer = next(n for n in ast.walk(certfmt) if isinstance(n, ast.FunctionDef) and n.name == "dumps")
     reads = [n.lineno for n in ast.walk(certfmt) if isinstance(n, ast.Name) and n.id == "_ENCODER" and isinstance(n.ctx, ast.Load)]
     assert reads and all(writer.lineno <= line <= writer.end_lineno for line in reads)
-    assert len(_json_calls(certfmt, ("loads",))) == 1
+    assert [path.name for path, tree in _trees(PACKAGE) for _ in _json_calls(tree, ("loads", "load"))] == []
+    assert [path.name for path, tree in _trees(PACKAGE) for _ in _json_calls(tree, ("JSONDecoder",))] == ["certfmt.py"]
+    reader = next(n for n in ast.walk(certfmt) if isinstance(n, ast.FunctionDef) and n.name == "loads")
+    reads = [n.lineno for n in ast.walk(certfmt) if isinstance(n, ast.Name) and n.id == "_DECODER" and isinstance(n.ctx, ast.Load)]
+    assert reads and all(reader.lineno <= line <= reader.end_lineno for line in reads)
 
 
 def test_a_large_certificate_skips_the_pure_python_json_encoder(tmp_path, monkeypatch):

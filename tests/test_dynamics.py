@@ -11,6 +11,7 @@ from freecert.dynamics import (
     ITER_BUDGET,
     _below,
     _charpoly_gram,
+    _faddeev_leverrier,
     _power_direction,
     _witness_pool,
     certify_contracting,
@@ -681,3 +682,17 @@ def test_a_matrix_and_its_inverse_share_one_isolation():
     singular_profile(g.inverse())
     info = isolate_positive_roots.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([ARCH, padic(3)]),
+    st.lists(st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=5), st.integers(-(2**80), 2**80)), min_size=4, max_size=4),
+)
+def test_dimension_2_gram_charpoly_matches_the_faddeev_leverrier_loop(place, entries):
+    # (1, -tr S, det S) is the loop's polynomial of every 2 x 2 Gram matrix
+    try:
+        g = ProjMat([entries[:2], entries[2:]], place)
+    except ValueError:
+        assume(False)
+    assert gram_charpoly(g) == _faddeev_leverrier(g.gram[0])

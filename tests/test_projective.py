@@ -555,3 +555,42 @@ def test_product_scale_shrinks():
     assert (flip @ flip.inverse())._integer_form == (((1, 0), (0, 1)), 1) == identity(2, ARCH)._integer_form
     swap = ProjMat(((0, F(1, 2)), (2, 0)), ARCH)
     assert swap.inverse()._integer_form == (((0, 1), (4, 0)), 2)
+
+
+# ---------------------------------------------------------------------------
+# Dimension 2: the closed forms against the general path
+# ---------------------------------------------------------------------------
+
+# entries of both sizes: small rationals, and integers of 80 bits
+_ENTRY_2 = st.one_of(_COORD, st.integers(-(2**80), 2**80))
+_PLACES_2 = st.sampled_from([ARCH, padic(3)])
+
+
+def _matrix_2(data, place) -> ProjMat:
+    try:
+        return ProjMat([[data.draw(_ENTRY_2) for _ in range(2)] for _ in range(2)], place)
+    except ValueError:
+        assume(False)
+
+
+def _point_2(data) -> ProjPoint:
+    return ProjPoint(data.draw(st.lists(_ENTRY_2, min_size=2, max_size=2).filter(any)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PLACES_2, st.data())
+def test_dimension_2_products_images_and_inverses_match_the_general_path(place, data):
+    g, h, p = _matrix_2(data, place), _matrix_2(data, place), _point_2(data)
+    (a, sa), (b, sb) = g._integer_form, h._integer_form
+    assert (g @ h)._integer_form == projective._cleared(projective._product(a, b), sa * sb)
+    assert apply(g, p).coords == projective.primitive(projective._image(a, p.coords))
+    assert projective.inverse_rows(a, sa) == projective._eliminated_inverse(a, sa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PLACES_2, st.data())
+def test_dimension_2_wedge_and_distance_match_the_general_path(place, data):
+    p, q = _point_2(data), _point_2(data)
+    v, w = p.coords, q.coords
+    assert wedge(v, w) == projective._minors(v, w)
+    assert projective.dist_sq_pair(p, q, place) == projective._ratio_sq(projective._minors(v, w), v, w, place)

@@ -1,14 +1,19 @@
 from fractions import Fraction as F
 from math import isqrt, lcm
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from freecert import rootiso
 from freecert.rootiso import (
     Interval,
+    _bisect,
+    _homogeneous,
     _rational_root,
     _refine,
+    _refine_quadratic,
     _roots_above,
     cauchy_bound,
     isolate_positive_roots,
@@ -328,3 +333,95 @@ def test_prem_is_a_positive_multiple_of_the_remainder():
         quo.pop()
     ratio = F(r[-1]) / quo[-1]
     assert ratio > 0 and all(F(x) == ratio * y for x, y in zip(r, quo))
+
+
+# ---------------------------------------------------------------------------
+# Quadratics: the closed forms against the bisection
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def quadratics(draw, kinds=("irrational", "rational", "repeated")):
+    """An integer quadratic, lowest degree first, with real roots of one
+    of `kinds`: m +- sqrt(d) for rationals m and d > 0 with d no square,
+    two distinct rationals, or one rational twice.  Its numbers have up to
+    4, 40 or 210 bits, its leading coefficient either sign; a monic one,
+    up to sign, has integer roots or m and d."""
+    bits, monic = draw(st.sampled_from((4, 40, 210))), draw(st.booleans())
+    num, den = st.integers(-(2**bits), 2**bits), st.integers(1, 1 if monic else 2**bits)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "irrational":
+        m, d = F(draw(num), draw(den)), F(draw(st.integers(1, 2**bits)), draw(den))
+        assume(isqrt(d.numerator * d.denominator) ** 2 != d.numerator * d.denominator)
+        p = [m * m - d, -2 * m, F(1)]
+    elif kind == "rational":
+        r, t = F(draw(num), draw(den)), F(draw(num), draw(den))
+        assume(r != t)
+        p = poly_from_roots([r, t])
+    else:
+        r = F(draw(num), draw(den))
+        p = poly_from_roots([r, r])
+    lead = draw(st.sampled_from((1, -1))) * draw(st.integers(1, 1 if monic else 2**bits))
+    return tuple(lead * c for c in _cleared(p))
+
+
+def _bisected(coeffs):
+    """`isolate_positive_roots` of coeffs on the general path: every
+    squarefree part goes to `_rational_root`, and `_refine` bisects every
+    irrational root."""
+    with mock.patch.object(rootiso, "_is_square", lambda n: True), mock.patch.object(rootiso, "_refine_quadratic", _refine):
+        return isolate_positive_roots.__wrapped__(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratics(), st.lists(st.integers(0, 2**210), max_size=2))
+@example((1, -(2**100), 1), [])  # roots near 2^-100 and 2^100
+@example((-3, 0, 1), [])  # x^2 - 3
+@example((6, -5, 1), [])  # (x - 2)(x - 3)
+@example((-4, 4, -1), [])  # -(x - 2)^2
+def test_quadratic_isolation_matches_the_bisection(coeffs, roots):
+    # the quadratic times x - r for each r in roots: its squarefree part
+    # is quadratic once the rational roots are divided out
+    p = list(coeffs)
+    for r in roots:
+        p = [x - r * y for x, y in zip([0] + p, p + [0])]
+    assert isolate_positive_roots.__wrapped__(tuple(p)) == _bisected(tuple(p))
+
+
+def _floor_of_root(sf, a, b, w, den):
+    """floor(rho den) for the one root rho of sf in the isolated
+    (a/w, b/w), rho irrational, by a binary search of sign tests."""
+    positive_at_b = _homogeneous(sf, b, w) > 0
+    lo, hi = a * den // w, -(-b * den // w)  # lo <= rho den < hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        inside = a * den < mid * w < b * den
+        if mid * w >= b * den or (inside and (_homogeneous(sf, mid, den) > 0) == positive_at_b):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratics(("irrational",)), st.integers(1, 2**100), st.integers(1, 2**12), st.integers(0, 2**12))
+@example((1, -(2**100), 1), 1, 1, 0)
+def test_quadratic_refine_matches_the_bisection(coeffs, den, span, offset):
+    # on each interval `_bisect` isolates, and on the interval of numerator
+    # width `span` over `den` that holds its root `offset % span` from its
+    # left end's floor
+    sf = list(coeffs)
+    for a, b, w in _bisect(sf)[0]:
+        assert _refine_quadratic(sf, a, b, w) == _refine(sf, a, b, w)
+        lo = _floor_of_root(sf, a, b, w, den) - offset % span
+        if lo >= 0 and _roots_above(sf, lo, den)[0] - _roots_above(sf, lo + span, den)[0] == 1:
+            assert _refine_quadratic(sf, lo, lo + span, den) == _refine(sf, lo, lo + span, den)
+
+
+def test_quadratic_refine_stops_where_the_width_bound_is_met_exactly():
+    # 1/sqrt(2) w lies in (2^30, 2^30 + 1) for this w: the interval of
+    # width 1 starting at 2^30 meets hi - lo <= lo 2^-ROOT_REL_BITS with
+    # equality, so both keep it
+    sf, w = [-1, 0, 2], isqrt(2**61) + 1
+    a = 1 << rootiso.ROOT_REL_BITS
+    assert _refine_quadratic(sf, a, a + 1, w) == _refine(sf, a, a + 1, w) == (a, a + 1, w)
