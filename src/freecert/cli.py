@@ -73,21 +73,20 @@ _REQUIRED = object()
 
 
 class Problem:
-    """A parsed problem file and the command-line flags given with it.
-    Commands read `[task]` values only through `value` and `values`,
-    which parse, position errors and record each key as read, and flags
-    only through `flag`, so a key or flag no command reads can be
-    refused by `all_read`."""
+    """A parsed problem file, the whole of its task.  Commands read `[task]`
+    values only through `value` and `values`, which parse, position errors
+    and record each key as read, so a key no command reads can be refused
+    by `all_read`."""
 
     def __init__(self):
         self.command = ""  # the subcommand running the task
         self.place: Place | None = None
+        self.place_line = 0  # the line of the place directive, 0 without one
         self.dim: int | None = None
         self.generators: list[tuple[int, str, list[list[Fraction]]]] = []  # (line, name, rows)
         self.amalgam_raw: dict = {}
         self.task: dict[str, list[tuple[int, str]]] = {}  # key -> [(line, value)]
-        self.flags: dict[str, list[str]] = {}  # command-line flag -> its values as given, in order
-        self.read: set[str] = set()  # task keys and flags a command read
+        self.read: set[str] = set()  # task keys a command read
 
     def value(self, key: str, parse, default=_REQUIRED):
         """`parse` of the key's value, or `default` when the key is absent
@@ -109,28 +108,13 @@ class Problem:
         self.read.add(key)
         return [_parsed(parse, text, line) for line, text in self.task.get(key, [])]
 
-    def flag(self, name: str, parse, default=None):
-        """`parse` of the last value of the flag `name` (such as `--place`),
-        or `default` when it was not given."""
-        self.read.add(name)
-        given = self.flags.get(name)
-        return default if given is None else parse(given[-1])
-
-    def flag_values(self, name: str, parse) -> list:
-        """`parse` of every value of a repeatable flag, in command-line order."""
-        self.read.add(name)
-        return [parse(text) for text in self.flags.get(name, [])]
-
     def all_read(self) -> None:
-        """Refuse a `[task]` key or a flag the command did not read.  Each
-        command calls this once it has read every value it reads, before
-        it searches, so a stray key fails fast."""
+        """Refuse a `[task]` key the command did not read.  Each command
+        calls this once it has read every value it reads, before it
+        searches, so a stray key fails fast."""
         unread = min(((lines[0][0], key) for key, lines in self.task.items() if key not in self.read), default=None)
         if unread:
             raise ProblemError(unread[0], 1, f"'{unread[1]}' is not a key of this {self.command} task")
-        flag = next((name for name in self.flags if name not in self.read), None)
-        if flag:
-            raise ValueError(f"{flag} is not a flag of this {self.command} task")
 
     def oracle_fits(self, key: str, k: int, oracle_len: int) -> None:
         """Refuse k oracle elements, at the last `key` line, when the search
@@ -231,7 +215,9 @@ def parse_problem(text: str) -> Problem:
                     raise ProblemError(line_no, len(key) + 2, f"unsupported format {rest!r}")
                 saw_format = True
             elif key == "place":
-                prob.place = _parsed(parse_place, rest, line_no, len(key) + 2)
+                if prob.place_line:
+                    raise ProblemError(line_no, 1, f"'place' is already given on line {prob.place_line}")
+                prob.place, prob.place_line = _parsed(parse_place, rest, line_no, len(key) + 2), line_no
             else:
                 raise ProblemError(line_no, 1, f"unexpected directive {key!r} before any section")
             continue
@@ -281,7 +267,7 @@ def parse_problem(text: str) -> Problem:
 def _build_group(prob: Problem) -> MarkedGroup:
     if not prob.generators:
         raise ProblemError(1, 1, "task needs a [matrix-group] section")
-    place = prob.flag("--place", parse_place, prob.place or ARCH)
+    place = prob.place or ARCH
     gens = []
     for line, name, rows in prob.generators:
         if gens and len(rows) != gens[0][1].dim:
@@ -296,6 +282,8 @@ def _build_group(prob: Problem) -> MarkedGroup:
 
 def _build_amalgam(prob: Problem) -> tuple[AmalgamData, dict]:
     """The amalgam and the certificate header that records its tables."""
+    if prob.place_line:  # an amalgam acts on its tree, at no place
+        raise ProblemError(prob.place_line, 1, f"'place' is not a directive of this {prob.command} task")
     raw = prob.amalgam_raw
     needed = ("table_a", "table_b", "table_h", "embed_a", "embed_b")
     missing = [k for k in needed if k not in raw]
@@ -312,22 +300,21 @@ def _group_header(group: MarkedGroup) -> dict:
     return {"generators": {name: mat_json(m) for name, m in group.gens}}
 
 
-def _budget(spec: str, what: str = "budget") -> tuple[str, int]:
+def _budget(spec: str) -> tuple[str, int]:
     """A `NAME=INT` budget of `Budgets`.  The word lengths are refused
     outside 0..MAX_SEARCH_WORD_LEN and the power and adjuster counts
     outside 0..MAX_EXPONENT: each is the size of a search that would not
     fail but run for minutes.  `num_factors` is 1 or 2, the products of
-    conjugates the normal-closure pool builds.  `what` names the line or
-    flag in the error."""
+    conjugates the normal-closure pool builds."""
     name, eq, val = spec.partition("=")
     name = name.strip()
     if not eq or name not in Budgets._fields:
         raise ValueError(f"unknown budget {name!r}")
     if name in ("host_word_len", "conj_len"):
-        return name, _int_in(f"{what} {name}", 0, MAX_SEARCH_WORD_LEN)(val)
+        return name, _int_in(f"budget {name}", 0, MAX_SEARCH_WORD_LEN)(val)
     if name == "num_factors":
-        return name, _int_in(f"{what} {name}", 1, 2)(val)
-    return name, _int_in(f"{what} {name}", 0, MAX_EXPONENT)(val)
+        return name, _int_in(f"budget {name}", 1, 2)(val)
+    return name, _int_in(f"budget {name}", 0, MAX_EXPONENT)(val)
 
 
 def _int_in(what: str, low: int, high: int):
@@ -340,12 +327,6 @@ def _int_in(what: str, low: int, high: int):
         return n
 
     return parse
-
-
-def _oracle_len_of(prob: Problem, default: int) -> int:
-    """The file's `oracle-len`, checked even when `--oracle-len` overrides it."""
-    n = prob.value("oracle-len", _int_in("oracle-len", 1, MAX_ORACLE_LEN), default)
-    return prob.flag("--oracle-len", _int_in("--oracle-len", 1, MAX_ORACLE_LEN), n)
 
 
 def _one_of(what: str, *names: str):
@@ -436,7 +417,7 @@ def cmd_analyze(prob: Problem) -> tuple[dict, int]:
 def cmd_pingpong(prob: Problem) -> tuple[dict, int]:
     group = _build_group(prob)
     subop = prob.value("subop", _one_of("pingpong subop", "tuple", "simple-tuple", "oracle"), "tuple")
-    oracle_len = _oracle_len_of(prob, 6)
+    oracle_len = prob.value("oracle-len", _int_in("oracle-len", 1, MAX_ORACLE_LEN), 6)
     word = partial(bounded_word, group=group)
 
     def player(spec: str) -> tuple[str, Word]:
@@ -493,9 +474,9 @@ def cmd_synthesize(prob: Problem) -> tuple[dict, int]:
     subop = prob.value("subop", _one_of("synthesize subop", *subops))
     task = {"op": "synthesize", "subop": subop}
     emit = _emitter(group.place, "matrix", _group_header(group), task)
-    # the file's budget lines, then the --budget flags over them (all_read refuses them elsewhere)
+    # the budgeted subops read the budget lines (all_read refuses them elsewhere)
     if subop in ("truncated-prodense", "normal-proximal", "coset-pingpong", "double-coset"):
-        budgets = Budgets(**dict(prob.values("budget", _budget) + prob.flag_values("--budget", lambda spec: _budget(spec, "--budget"))))
+        budgets = Budgets(**dict(prob.values("budget", _budget)))
 
     word = partial(bounded_word, group=group)
 
@@ -653,12 +634,9 @@ def cmd_tree(prob: Problem) -> tuple[dict, int]:
     if subop in ("normal-form", "classify"):
         task["word"], w = prob.value("word", word)
     elif subop == "expand":
-        def radius_of(text: str) -> int:
-            return ball_radius(am, int(text))
-
-        task["radius"] = radius = prob.flag("--radius", radius_of, prob.value("radius", radius_of, DEFAULT_RADIUS))
+        task["radius"] = radius = prob.value("radius", lambda text: ball_radius(am, int(text)), DEFAULT_RADIUS)
     elif subop == "pingpong":
-        oracle_len = _oracle_len_of(prob, 8)
+        oracle_len = prob.value("oracle-len", _int_in("oracle-len", 1, MAX_ORACLE_LEN), 8)
         words = prob.values("word", word)
         if not words:
             raise ProblemError(1, 1, "tree pingpong needs 'word' lines")
@@ -719,14 +697,13 @@ def cmd_verify(path: str) -> int:
 
 
 USAGE = """\
-usage: freecert {analyze,pingpong,synthesize,tree} PROBLEM [--out PATH] [--place arch|p:PRIME]
-                [--budget NAME=VALUE ...] [--radius N] [--oracle-len N]
+usage: freecert {analyze,pingpong,synthesize,tree} PROBLEM [--out PATH]
        freecert verify CERTIFICATE
-A flag is --name value or --name=value; one the task does not read is an input error.
+The problem file holds the whole task; --out PATH (or --out=PATH) names the certificate file.
 """
 
 
-def _run_problem(command: str, path: str, flags: dict[str, list[str]], runner) -> int:
+def _run_problem(command: str, path: str, out: str, runner) -> int:
     try:
         with open(path, "rb") as fh:
             data = fh.read(MAX_PROBLEM_BYTES + 1)
@@ -739,8 +716,7 @@ def _run_problem(command: str, path: str, flags: dict[str, list[str]], runner) -
             byte = MAX_PROBLEM_BYTES - data.rfind(b"\n", 0, MAX_PROBLEM_BYTES)
             raise ProblemError(line, byte, f"problem file is longer than MAX_PROBLEM_BYTES = {MAX_PROBLEM_BYTES}")
         prob = parse_problem(data.decode("utf-8"))
-        prob.command, prob.flags = command, flags
-        out = prob.flag("--out", str)
+        prob.command = command
         prob.value("op", _one_of("op", command), None)
         cert, code = runner(prob)
         prob.all_read()  # the commands call it before searching; this guards a path that did not
@@ -765,11 +741,11 @@ def _run_problem(command: str, path: str, flags: dict[str, list[str]], runner) -
 
 def main(argv=None) -> int:
     words = iter(sys.argv[1:] if argv is None else argv)
-    command, files, flags = next(words, ""), [], {}
+    command, files, flags = next(words, ""), [], []  # flags: (name, value) in order; only --out takes a value
     for word in words:
         if word.startswith("--") and word != "--help":
             name, eq, value = word.partition("=")
-            flags.setdefault(name, []).append(value if eq else next(words, None))
+            flags.append((name, value if eq or name != "--out" else next(words, None)))
         else:
             files.append(word)
     if {"-h", "--help"} & {command, *files}:
@@ -777,18 +753,20 @@ def main(argv=None) -> int:
         return EXIT_OK
     # built at each call, so that a cmd_* wrapped on the module (by a tracer) runs
     runner = {"analyze": cmd_analyze, "pingpong": cmd_pingpong, "synthesize": cmd_synthesize, "tree": cmd_tree}.get(command)
-    no_value = [name for name, values in flags.items() if None in values]
+    unknown = [name for name, _ in flags if name != "--out"]
+    out = flags[-1][1] if flags else ""  # the last --out wins; only a bare --out at the end is None
     error = (
         (f"unknown command {command!r}" if command else "missing command") if runner is None and command != "verify"
+        else f"verify takes no flag, not {flags[0][0]}" if runner is None and flags
+        else f"unknown flag {unknown[0]}" if unknown
         else f"{command} takes one file, {len(files)} given" if len(files) != 1
-        else f"{no_value[0]} needs a value" if no_value
-        else f"verify takes no flag, not {next(iter(flags))}" if runner is None and flags
+        else "--out needs a value" if out is None
         else None
     )
     if error:
         sys.stderr.write(f"{USAGE}freecert: {error}\n")
         return EXIT_INPUT
-    return cmd_verify(files[0]) if runner is None else _run_problem(command, files[0], flags, runner)
+    return cmd_verify(files[0]) if runner is None else _run_problem(command, files[0], out, runner)
 
 
 if __name__ == "__main__":

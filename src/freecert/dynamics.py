@@ -489,9 +489,16 @@ def certify_contracting(g: ProjMat, epsilon_sq: Rat) -> Verdict:
 @lru_cache(maxsize=64)
 def _selfmap_ladder(epsilon_sq: Rat):
     """The radii eps / 2^j, j = 45 down to 1, ascending, built once per eps
-    by shifting its denominator."""
+    by shifting its denominator.  n / d is in lowest terms, so a rung
+    n / (d 4^j) reduces only by the 2^s, s = min(v2(n), 2j), that divides
+    both."""
     n, d = epsilon_sq.as_integer_ratio()
-    return Ladder(Fraction(n, d << 2 * j).as_integer_ratio() for j in range(45, 0, -1))
+    v = (n & -n).bit_length() - 1
+    rungs = []
+    for j in range(45, 0, -1):
+        s = min(v, 2 * j)
+        rungs.append((n >> s, d << 2 * j - s))
+    return Ladder(rungs)
 
 
 @lru_cache(maxsize=4096)

@@ -8,7 +8,8 @@ refuses every other text with the message the Fraction reader of
 point and hyperplane value once per certificate, and a certificate
 verifies exactly as it does with every value read afresh.  It parses each
 word once: a task word in the bound that reads the task, any other word
-on first use.
+on first use.  A certificate it cannot read, one with a byte order mark or
+with a claim or binder of the other backend, is an input error.
 """
 
 import random
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freecert import certfmt
-from freecert.certfmt import CertContext, VerifyError, _Float, pair_from, verify
+from freecert.certfmt import CertContext, VerifyError, _Float, dumps, pair_from, verify
 from freecert.projective import MAX_DIM, MarkedGroup
 from freecert.scalar import format_rat
 from oracles import fraction_rat_from
@@ -185,8 +186,8 @@ def test_a_matrix_over_max_dim_is_refused_before_its_key_is_built(tmp_path, monk
 def test_verify_parses_each_word_once(tmp_path, monkeypatch, name):
     # the bound's parse of a task word is the one its reader keeps, and the
     # tree claims that hold a word read it through one memo
-    command, text, extra = PROBLEMS[name]
-    code, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS[name]
+    code, cert, _ = run(tmp_path, command, text)
     assert code == 0
     parsed = []
     group_parse, tree_parse = MarkedGroup.parse_word, certfmt.parse_word
@@ -200,8 +201,8 @@ def test_verify_parses_each_word_once(tmp_path, monkeypatch, name):
 
 def test_verify_classifies_each_tree_word_once(tmp_path, monkeypatch):
     # a word's tree-classify and tree-evidence claims share one classify
-    command, text, extra = PROBLEMS["tree-pingpong"]
-    code, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS["tree-pingpong"]
+    code, cert, _ = run(tmp_path, command, text)
     assert code == 0
     classified = []
     real = certfmt.classify
@@ -211,3 +212,34 @@ def test_verify_classifies_each_tree_word_once(tmp_path, monkeypatch):
     kinds = [c["type"] for c in cert["claims"]]
     assert kinds.count("tree-classify") == kinds.count("tree-evidence") == len(words) == 2
     assert len(classified) == len(words)
+
+
+def _word_eval_on_a_tree(cert: dict) -> str:
+    cert["claims"].append({"type": "word-eval", "word": "s", "matrix": [["1", "0"], ["0", "1"]], "note": ""})
+    return dumps(cert)
+
+
+def _tree_kernel_on_a_matrix_header(cert: dict) -> str:
+    cert.update(task={"op": "tree", "subop": "kernel"}, verdict="ok", result={"elements": [0], "names": ["e"]}, claims=[])
+    return dumps(cert)
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("tree-classify", _word_eval_on_a_tree, "verify: certificate lacks a generator table\n"),
+        ("analyze-profile", _tree_kernel_on_a_matrix_header, "verify: certificate lacks an amalgam table\n"),
+        ("analyze-profile", lambda cert: "\ufeff" + dumps(cert), "verify: not valid certificate JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ],
+    ids=["claim-of-the-matrix-backend", "binder-of-the-tree-backend", "byte-order-mark"],
+)
+def test_a_certificate_the_reader_cannot_read_is_an_input_error(tmp_path, capsys, name, edit, message):
+    # a claim or a binder of the other backend finds no table to read, and a
+    # byte order mark is refused as `json.loads` refuses it
+    command, text = PROBLEMS[name]
+    code, cert, out = run(tmp_path, command, text)
+    assert code == 0
+    out.write_text(edit(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert verify_file(out) == 2
+    assert capsys.readouterr().err.startswith(message)

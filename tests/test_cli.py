@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from freecert.certfmt import MAX_VERTEX_KEY, dumps
-from freecert.cli import MAX_PROBLEM_BYTES, main
+from freecert.cli import MAX_PROBLEM_BYTES, USAGE, main
 from oracles import group_from_permutations
 
 MATRIX_HEADER = """format 1
@@ -228,8 +228,8 @@ def test_place_prime_beyond_primality_limit_fails_fast(tmp_path):
 
 
 def test_verify_rejects_certificate_place_beyond_primality_limit(tmp_path):
-    text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
-    _, cert, out = run(tmp_path, "analyze", text, "--place", "p:5")
+    text = MATRIX_HEADER.replace("place arch", "place p:5") + "\n[task]\nop analyze\nsubop profile\nelement a\n"
+    _, cert, out = run(tmp_path, "analyze", text)
     cert["place"] = "p:100000000000000000000000000319"
     out.write_text(json.dumps(cert))
     assert verify_file(out) == 2
@@ -393,8 +393,8 @@ def test_synthesize_prodense_empty_normals(tmp_path):
 
 
 def test_synthesize_prodense_zero_budgets(tmp_path):
-    text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = a\n"
-    code, cert, _ = run(tmp_path, "synthesize", text, "--budget", "host_word_len=0")
+    text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = a\nbudget host_word_len=0\n"
+    code, cert, _ = run(tmp_path, "synthesize", text)
     assert code == 4
     assert cert["verdict"] == "unknown"
 
@@ -403,16 +403,17 @@ def test_search_budgets_are_bounded_at_parse_time(tmp_path, capsys):
     # conj_len 8 would build about 6.9e8 normal words for two generators
     text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
     t0 = time.perf_counter()
-    for extra, where in (
-        (("budget conj_len=8\n",), "in.prob:13:1: budget conj_len 8 is outside 0..3"),
-        (("budget host_word_len=-1\n",), "in.prob:13:1: budget host_word_len -1 is outside 0..3"),
-        (("", "--budget", "n_max=65"), "in.prob: --budget n_max 65 is outside 0..64"),
-        (("", "--budget", "power_max=100000"), "in.prob: --budget power_max 100000 is outside 0..64"),
+    for line, where in (
+        ("budget conj_len=8\n", "in.prob:13:1: budget conj_len 8 is outside 0..3"),
+        ("budget host_word_len=-1\n", "in.prob:13:1: budget host_word_len -1 is outside 0..3"),
+        ("budget n_max=65\n", "in.prob:13:1: budget n_max 65 is outside 0..64"),
+        ("budget power_max=100000\n", "in.prob:13:1: budget power_max 100000 is outside 0..64"),
     ):
-        code, cert, _ = run(tmp_path, "synthesize", text + extra[0], *extra[1:])
+        code, cert, _ = run(tmp_path, "synthesize", text + line)
         assert code == 2 and cert is None
         assert where in capsys.readouterr().err
-    code, cert, _ = run(tmp_path, "synthesize", text.replace("normal-proximal", "truncated-prodense") + "cosets N = a\n", "--budget", "host_word_len=0", "--budget", "conj_len=3", "--budget", "m_max=64")
+    budgets = "budget host_word_len=0\nbudget conj_len=3\nbudget m_max=64\n"
+    code, cert, _ = run(tmp_path, "synthesize", text.replace("normal-proximal", "truncated-prodense") + "cosets N = a\n" + budgets)
     assert code == 4 and cert["verdict"] == "unknown"
     assert time.perf_counter() - t0 < 1
 
@@ -421,17 +422,17 @@ def test_factor_and_adjuster_budgets_are_bounded_at_parse_time(tmp_path, capsys)
     # general_position is a slice bound, so -1 would drop the last adjuster
     text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
     t0 = time.perf_counter()
-    for extra, where in (
-        (("budget general_position=-1\n",), "in.prob:13:1: budget general_position -1 is outside 0..64"),
-        (("budget num_factors=0\n",), "in.prob:13:1: budget num_factors 0 is outside 1..2"),
-        (("", "--budget", "num_factors=3"), "in.prob: --budget num_factors 3 is outside 1..2"),
-        (("", "--budget", "general_position=65"), "in.prob: --budget general_position 65 is outside 0..64"),
+    for line, where in (
+        ("budget general_position=-1\n", "in.prob:13:1: budget general_position -1 is outside 0..64"),
+        ("budget num_factors=0\n", "in.prob:13:1: budget num_factors 0 is outside 1..2"),
+        ("budget num_factors=3\n", "in.prob:13:1: budget num_factors 3 is outside 1..2"),
+        ("budget general_position=65\n", "in.prob:13:1: budget general_position 65 is outside 0..64"),
     ):
-        code, cert, _ = run(tmp_path, "synthesize", text + extra[0], *extra[1:])
+        code, cert, _ = run(tmp_path, "synthesize", text + line)
         assert code == 2 and cert is None
         assert where in capsys.readouterr().err
-    prodense = text.replace("normal-proximal", "truncated-prodense") + "cosets N = a\n"
-    code, cert, _ = run(tmp_path, "synthesize", prodense, "--budget", "host_word_len=0", "--budget", "num_factors=1", "--budget", "general_position=0")
+    prodense = text.replace("normal-proximal", "truncated-prodense") + "cosets N = a\nbudget host_word_len=0\nbudget num_factors=1\nbudget general_position=0\n"
+    code, cert, _ = run(tmp_path, "synthesize", prodense)
     assert code == 4 and cert["verdict"] == "unknown"
     assert time.perf_counter() - t0 < 1
 
@@ -461,9 +462,9 @@ def test_synthesize_conjugate_contract(tmp_path):
 
 def test_removed_budget_is_unknown(tmp_path, capsys):
     text = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
-    code, cert, _ = run(tmp_path, "synthesize", text, "--budget", "k_max=1")
+    code, cert, _ = run(tmp_path, "synthesize", text + "budget k_max=1\n")
     assert code == 2 and cert is None
-    assert "unknown budget 'k_max'" in capsys.readouterr().err
+    assert "in.prob:13:1: unknown budget 'k_max'" in capsys.readouterr().err
 
 
 def test_conjugate_contract_refuses_budgets(tmp_path, capsys):
@@ -472,12 +473,9 @@ def test_conjugate_contract_refuses_budgets(tmp_path, capsys):
         "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n"
         "[task]\nop synthesize\nsubop conjugate-contract\nelement g\nx-element r\nepsilon-sq 1/100\nm-max 6\n"
     )
-    code, cert, _ = run(tmp_path, "synthesize", text + "budget m_max=1\nbudget conj_len=2\n", "--budget", "n_max=3")
+    code, cert, _ = run(tmp_path, "synthesize", text + "budget m_max=1\nbudget conj_len=2\n")
     assert code == 2 and cert is None
     assert "in.prob:13:1: 'budget' is not a key of this synthesize task" in capsys.readouterr().err
-    code, cert, _ = run(tmp_path, "synthesize", text, "--budget", "n_max=3")
-    assert code == 2 and cert is None
-    assert "--budget is not a flag of this synthesize task" in capsys.readouterr().err
 
 
 def test_synthesize_b1b2b3(tmp_path):
@@ -613,14 +611,6 @@ def test_verify_rejects_truncation(tmp_path):
     assert verify_file(bad) == 2
 
 
-def test_place_override_flag(tmp_path):
-    text = "format 1\nplace arch\n[matrix-group]\ngen g = [[5, 0], [0, 1]]\n[task]\nop analyze\nsubop profile\nelement g\n"
-    code, cert, _ = run(tmp_path, "analyze", text, "--place", "p:5")
-    assert code == 0
-    assert cert["place"] == "p:5"
-    assert cert["result"]["exact"] is True
-
-
 def test_unknown_section_is_positioned_error(tmp_path, capsys):
     prob = tmp_path / "x.prob"
     prob.write_text("format 1\n[weird]\n")
@@ -661,8 +651,8 @@ def test_repeated_generator_name_is_refused(tmp_path, capsys):
     ids=["singular-later", "singular-first", "mixed-size-without-dim", "one-by-one"],
 )
 def test_generator_errors_name_their_line(tmp_path, capsys, gens, message):
-    text = "format 1\nplace arch\n[matrix-group]\n" + gens + "[task]\nop analyze\nsubop profile\nelement a\n"
-    code, cert, _ = run(tmp_path, "analyze", text, "--place", "p:3")
+    text = "format 1\nplace p:3\n[matrix-group]\n" + gens + "[task]\nop analyze\nsubop profile\nelement a\n"
+    code, cert, _ = run(tmp_path, "analyze", text)
     assert code == 2 and cert is None
     assert "in.prob:" + message in capsys.readouterr().err
 
@@ -739,11 +729,11 @@ def test_input_errors_are_positioned(tmp_path, capsys, command, text, message):
 
 
 def test_place_syntax_errors_keep_their_framing(tmp_path, capsys):
-    text = MATRIX_HEADER.replace("place arch", "place q:5") + "\n[task]\nop analyze\nsubop profile\nelement a\n"
-    assert run(tmp_path, "analyze", text)[0] == 2
-    assert "2:7: place must be arch or p:PRIME" in capsys.readouterr().err
     text = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
-    assert run(tmp_path, "analyze", text, "--place", "p:6")[0] == 2
+    assert run(tmp_path, "analyze", text.replace("place arch", "place q:5"))[0] == 2
+    assert "2:7: place must be arch or p:PRIME" in capsys.readouterr().err
+    assert run(tmp_path, "analyze", text.replace("place arch", "place p:6"))[0] == 2
+    assert "2:7: p-adic place needs a prime, got 6" in capsys.readouterr().err
     _, cert, out = run(tmp_path, "analyze", text)
     for bad in ("p:x", 5):
         cert["place"] = bad
@@ -828,9 +818,6 @@ def test_oracle_len_beyond_limit_fails_fast(tmp_path, capsys):
     code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + body + "oracle-len 13\n")
     assert code == 2 and cert is None
     assert "in.prob:14:12: oracle-len 13 is outside 1..12" in capsys.readouterr().err
-    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + body, "--oracle-len", "40")
-    assert code == 2 and cert is None
-    assert "--oracle-len 40 is outside 1..12" in capsys.readouterr().err
     code, cert, _ = run(tmp_path, "tree", mod_amalgam_header() + "\n[task]\nop pingpong\nword s t\noracle-len 99\n")
     assert code == 2 and cert is None
     assert time.perf_counter() - t0 < 1
@@ -935,14 +922,6 @@ def test_unread_key_and_mismatched_op_are_input_errors(tmp_path, capsys):
     code, cert, _ = run(tmp_path, "analyze", power.replace("op analyze", "op tree"))
     assert code == 2 and cert is None
     assert "in.prob:6:4: op 'tree' is not one of: analyze" in capsys.readouterr().err
-    # a flag that overrides a key still reads and checks the file's value
-    oracle = SANOV_HEADER + "\n[task]\nop pingpong\nsubop oracle\nplayer a = a\nplayer b = b\noracle-len 99\n"
-    expand = mod_amalgam_header() + "\n[task]\nop tree\nsubop expand\nradius x\n"
-    budget = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\nbudget k_max=1\n"
-    for command, text, flag in (("pingpong", oracle, "--oracle-len"), ("tree", expand, "--radius"), ("synthesize", budget, "--budget")):
-        code, cert, _ = run(tmp_path, command, text, flag, "host_word_len=1" if flag == "--budget" else "2")
-        assert code == 2 and cert is None
-        assert re.search(r"in\.prob:\d+:\d+: ", capsys.readouterr().err)
 
 
 def test_tree_expand_beyond_vertex_limit_fails_fast(tmp_path, capsys):
@@ -954,8 +933,6 @@ def test_tree_expand_beyond_vertex_limit_fails_fast(tmp_path, capsys):
     code, cert, _ = run(tmp_path, "tree", task.format(16))
     assert code == 2 and cert is None
     assert "in.prob:20:8: a ball of radius 16 holds more than MAX_BALL_VERTICES = 10000 vertices" in capsys.readouterr().err
-    code, cert, _ = run(tmp_path, "tree", task.format(2), "--radius", "16")
-    assert code == 2 and cert is None
     assert time.perf_counter() - t0 < 1
     code, cert, _ = run(tmp_path, "tree", task.format(4))
     assert code == 0 and cert["result"]["count"] == 1 + 3 + 3 * 2 + 3 * 2 * 2 + 3 * 2 * 2 * 2
@@ -991,8 +968,6 @@ def test_oracle_past_its_word_limit_fails_fast(tmp_path, capsys):
     code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + players)
     assert code == 2 and cert is None
     assert "in.prob:16:1: 4 elements at oracle-len 12 store 134456 words, over MAX_ORACLE_WORDS = 20000" in capsys.readouterr().err
-    code, cert, _ = run(tmp_path, "pingpong", SANOV_HEADER + players.replace("oracle-len 12", "oracle-len 6"), "--oracle-len", "12")
-    assert code == 2 and cert is None
     code, cert, _ = run(tmp_path, "tree", words)
     assert code == 2 and cert is None
     assert "in.prob:26:1: 4 elements" in capsys.readouterr().err
@@ -1030,21 +1005,20 @@ def test_integer_search_bound_beyond_limit_fails_fast(tmp_path, capsys, key, tex
 
 
 def test_flag_the_command_does_not_read_is_an_input_error(tmp_path, capsys):
+    # every task value comes from the problem file, so argv names only the
+    # command, the file and --out; any other flag is refused before the file is read
     profile = MATRIX_HEADER + "\n[task]\nop analyze\nsubop profile\nelement a\n"
-    code, cert, _ = run(tmp_path, "analyze", profile, "--budget", "bogus=1", "--radius", "-5")
-    assert code == 2 and cert is None
-    assert "in.prob: --budget is not a flag of this analyze task" in capsys.readouterr().err
-    code, cert, _ = run(tmp_path, "analyze", profile, "--oracle-len", "4")
-    assert code == 2 and cert is None
-    assert "--oracle-len is not a flag of this analyze task" in capsys.readouterr().err
-    kernel = mod_amalgam_header() + "\n[task]\nop tree\nsubop kernel\n"
-    for flag, value in (("--place", "p:5"), ("--radius", "2"), ("--budget", "power_max=1")):
-        code, cert, _ = run(tmp_path, "tree", kernel, flag, value)
+    missing = str(tmp_path / "missing.prob")
+    assert main(["analyze", missing]) == 2  # without a flag, the file is read
+    assert capsys.readouterr().err.startswith("error: ")
+    for flag in (["--place", "p:5"], ["--place=p:5"], ["--budget", "n_max=3"], ["--radius", "2"], ["--oracle-len", "4"], ["--bogus"]):
+        for command in ("analyze", "tree"):
+            assert main([command, missing, *flag]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"{USAGE}freecert: unknown flag {flag[0].split('=')[0]}\n"
+        code, cert, _ = run(tmp_path, "analyze", profile, *flag)
         assert code == 2 and cert is None
-        assert f"{flag} is not a flag of this tree task" in capsys.readouterr().err
-    # flags the command reads are accepted
-    code, cert, _ = run(tmp_path, "analyze", profile, "--place", "p:5")
-    assert code == 0 and cert["place"] == "p:5"
+        assert capsys.readouterr().err.endswith(f"freecert: unknown flag {flag[0].split('=')[0]}\n")
 
 
 def test_unread_key_or_flag_is_refused_before_the_search(tmp_path, capsys):
@@ -1057,7 +1031,7 @@ def test_unread_key_or_flag_is_refused_before_the_search(tmp_path, capsys):
     t0 = time.perf_counter()
     code, cert, _ = run(tmp_path, "analyze", jordan, "--radius", "3")
     assert code == 2 and cert is None
-    assert "in.prob: --radius is not a flag of this analyze task" in capsys.readouterr().err
+    assert "freecert: unknown flag --radius" in capsys.readouterr().err
     code, cert, _ = run(tmp_path, "analyze", jordan + "radius-sq 1/4\n")
     assert code == 2 and cert is None
     assert "in.prob:12:1: 'radius-sq' is not a key of this analyze task" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """The command-line reader of `cli.main`, and the input refusals that sit
-beside it: a repeated single-valued `[task]` key, and a certificate whose
+beside it: a repeated single-valued `[task]` key, a `place` line the task
+does not read or that repeats, and a certificate whose
 claim note is no string, whose header is malformed or empty, whose matrix is over
 MAX_DIM or whose task word is over MAX_WORD_LEN or MAX_WORD_HEIGHT."""
 
@@ -15,9 +16,8 @@ import pytest
 
 from freecert import cli
 from freecert.certfmt import dumps
-from freecert.cli import USAGE, _budget, main, parse_problem
+from freecert.cli import USAGE, main
 from freecert.projective import MAX_DIM
-from freecert.scalar import parse_place
 from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run, verify_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,37 +51,34 @@ def test_usage_errors_exit_2_with_the_usage_on_stderr(capsys, argv, message):
 
 
 def test_both_flag_forms_give_the_same_certificate(tmp_path):
+    # --out PATH and --out=PATH; the last --out wins
     prob = tmp_path / "in.prob"
-    prob.write_text(PROFILE)
-    spaced, joined = tmp_path / "spaced.cert", tmp_path / "joined.cert"
-    assert main(["analyze", str(prob), "--out", str(spaced), "--place", "p:5"]) == 0
-    assert main(["analyze", f"--out={joined}", str(prob), "--place=p:5"]) == 0
+    prob.write_text(PROFILE.replace("place arch", "place p:5"))
+    spaced, joined, first = tmp_path / "spaced.cert", tmp_path / "joined.cert", tmp_path / "first.cert"
+    assert main(["analyze", str(prob), "--out", str(spaced)]) == 0
+    assert main(["analyze", f"--out={first}", str(prob), f"--out={joined}"]) == 0
     assert json.loads(spaced.read_text())["place"] == "p:5"
     assert spaced.read_bytes() == joined.read_bytes()
-
-
-def test_repeated_flags_keep_their_order_and_the_last_single_value(tmp_path, capsys):
-    prob = parse_problem("format 1\n")
-    prob.flags = {"--budget": ["n_max=3", "m_max=2", "n_max=5"], "--place": ["arch", "p:7"]}
-    assert prob.flag_values("--budget", _budget) == [("n_max", 3), ("m_max", 2), ("n_max", 5)]
-    assert prob.flag("--place", parse_place) == parse_place("p:7")
-    # the first budget given is the first one parsed
-    normal = SANOV_HEADER + "\n[task]\nop synthesize\nsubop normal-proximal\nnormal N = a a\n"
-    for first, second, message in (("conj_len=9", "n_max=99", "conj_len 9"), ("n_max=99", "conj_len=9", "n_max 99")):
-        code, cert, _ = run(tmp_path, "synthesize", normal, "--budget", first, f"--budget={second}")
-        assert code == 2 and cert is None
-        assert f"in.prob: --budget {message} is outside" in capsys.readouterr().err
-    code, cert, _ = run(tmp_path, "analyze", PROFILE, "--place", "p:5", "--place=p:7")
-    assert code == 0 and cert["place"] == "p:7"
-    expand = mod_amalgam_header() + "\n[task]\nop tree\nsubop expand\n"
-    code, cert, _ = run(tmp_path, "tree", expand, "--radius", "3", "--radius=1")
-    assert code == 0 and cert["task"]["radius"] == 1
+    assert not first.exists()
 
 
 def test_unknown_flag_is_refused_as_unread(tmp_path, capsys):
+    # a flag no command reads is a usage error, named before the file is read
     code, cert, _ = run(tmp_path, "analyze", PROFILE, "--bogus", "1")
     assert code == 2 and cert is None
-    assert "in.prob: --bogus is not a flag of this analyze task" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{USAGE}freecert: unknown flag --bogus\n"
+
+
+def test_place_is_refused_where_the_task_does_not_read_it(tmp_path, capsys):
+    # an amalgam acts on its tree at no place, and a second place line would override the first
+    classify = mod_amalgam_header().replace("format 1\n", "format 1\nplace p:3\n") + "\n[task]\nop tree\nsubop classify\nword s t\n"
+    code, cert, _ = run(tmp_path, "tree", classify)
+    assert code == 2 and cert is None
+    assert "in.prob:2:1: 'place' is not a directive of this tree task" in capsys.readouterr().err
+    code, cert, _ = run(tmp_path, "analyze", PROFILE.replace("place arch\n", "place arch\nplace p:3\n"))
+    assert code == 2 and cert is None
+    assert "in.prob:3:1: 'place' is already given on line 2" in capsys.readouterr().err
 
 
 def test_module_entry_point_writes_the_certificate_to_stdout(tmp_path):

@@ -165,16 +165,11 @@ def test_no_optional_parameter_passed_only_from_tests():
     assert not test_only, "optional parameters only the tests pass:\n" + "\n".join(test_only)
 
 
-#: `cli._budget(what)`: the package passes `_budget` as a value through
-#: `Problem.values`, whose call `parse(val)` no name match sees.
-DEFAULT_ONLY_EXEMPT = TEST_ONLY_EXEMPT | {"_budget(what)"}
-
-
 def test_no_default_used_only_from_tests():
     """A default that every package, tool and benchmark call overrides is
     a test convenience in the package: the tests pass the value themselves."""
     users = (ROOT / "src", ROOT / "tools", ROOT / "perfbench")
-    test_only = [where for where in always_passed_optional_parameters(*users) if where.rsplit(" ", 1)[-1] not in DEFAULT_ONLY_EXEMPT]
+    test_only = [where for where in always_passed_optional_parameters(*users) if where.rsplit(" ", 1)[-1] not in TEST_ONLY_EXEMPT]
     assert not test_only, "defaults only the tests use:\n" + "\n".join(test_only)
 
 

@@ -13,6 +13,7 @@ from freecert.dynamics import (
     _charpoly_gram,
     _faddeev_leverrier,
     _power_direction,
+    _selfmap_ladder,
     _witness_pool,
     certify_contracting,
     certify_proximal,
@@ -696,3 +697,14 @@ def test_dimension_2_gram_charpoly_matches_the_faddeev_leverrier_loop(place, ent
     except ValueError:
         assume(False)
     assert gram_charpoly(g) == _faddeev_leverrier(g.gram[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**70), st.integers(0, 120), st.integers(1, 2**70))
+def test_selfmap_ladder_rungs_are_the_reduced_fractions(odd, twos, extra):
+    # numerators with every power of 2 up to past 2 * 45, so both sides of
+    # s = min(v2(n), 2j) are reached
+    n = (2 * odd - 1) << twos
+    eps_sq = F(n, n + extra)
+    rungs = _selfmap_ladder.__wrapped__(eps_sq).rungs
+    assert rungs == tuple(F(eps_sq.numerator, eps_sq.denominator << 2 * j).as_integer_ratio() for j in range(45, 0, -1))

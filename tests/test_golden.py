@@ -19,7 +19,7 @@ from test_cli import MATRIX_HEADER, SANOV_HEADER, mod_amalgam_header, run, s3_am
 TASK = "\n[task]\n"
 
 PROBLEMS = {
-    "analyze-profile": ("analyze", MATRIX_HEADER + TASK + "op analyze\nsubop profile\nelement a b\n", []),
+    "analyze-profile": ("analyze", MATRIX_HEADER + TASK + "op analyze\nsubop profile\nelement a b\n"),
     # a repeated rational root: exact values_sq 9166361760000, 442050625, 442050625
     "analyze-profile-rational-roots": (
         "analyze",
@@ -27,29 +27,24 @@ PROBLEMS = {
         "gen g = [[1451025, 1201200, 900900], [1201200, 1030033, 756756], [900900, 756756, 588592]]\n"
         + TASK
         + "op analyze\nsubop profile\nelement g\n",
-        [],
     ),
     "analyze-contracting": (
         "analyze",
         MATRIX_HEADER + TASK + "op analyze\nsubop contracting\nelement a\nepsilon-sq 1/4\n",
-        [],
     ),
     "analyze-contracting-no": (
         "analyze",
         "format 1\nplace arch\n[matrix-group]\ngen e = [[1, 0], [0, 1]]\n"
         + TASK
         + "op analyze\nsubop contracting\nelement e\nepsilon-sq 1/4\n",
-        [],
     ),
     "analyze-proximal": (
         "analyze",
         MATRIX_HEADER + TASK + "op analyze\nsubop proximal\nelement a\nepsilon-sq 1/25\nr-sq 1/4\n",
-        [],
     ),
     "analyze-very-proximal": (
         "analyze",
         MATRIX_HEADER + TASK + "op analyze\nsubop very-proximal\nelement b\nepsilon-sq 1/25\nr-sq 1/4\n",
-        [],
     ),
     "analyze-very-proximal-no": (
         "analyze",
@@ -57,19 +52,16 @@ PROBLEMS = {
         "gen g = [[-18734, -29976, 0], [12490, 19985, 0], [39968, 59952, 1250]]\n"
         + TASK
         + "op analyze\nsubop very-proximal\nelement g\nepsilon-sq 1/25\nr-sq 1/4\n",
-        [],
     ),
     "analyze-power-proximal": (
         "analyze",
         "format 1\nplace arch\n[matrix-group]\ngen g = [[2, 0], [0, 1]]\n"
         + TASK
         + "op analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\nmax-n 20\n",
-        [],
     ),
     "pingpong-tuple": (
         "pingpong",
         MATRIX_HEADER + TASK + "op pingpong\nsubop tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n",
-        [],
     ),
     # unknown: 14 of its 22 pairs are shown disjoint, and only those have claims
     "pingpong-tuple-unknown": (
@@ -78,41 +70,34 @@ PROBLEMS = {
         "gen a = [[-9437, 2904], [-31460, 9681]]\ngen b = [[961, -240], [3520, -879]]\n"
         + TASK
         + "op pingpong\nsubop tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n",
-        [],
     ),
-    "pingpong-tuple-auto-sets": ("pingpong", MATRIX_HEADER + TASK + "op pingpong\nplayer g1 = a\nplayer g2 = b\n", []),
+    "pingpong-tuple-auto-sets": ("pingpong", MATRIX_HEADER + TASK + "op pingpong\nplayer g1 = a\nplayer g2 = b\n"),
     "pingpong-simple-tuple": (
         "pingpong",
         MATRIX_HEADER + TASK + "op pingpong\nsubop simple-tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/10\n",
-        [],
     ),
     "pingpong-refuted": (
         "pingpong",
         MATRIX_HEADER + TASK + "op pingpong\nplayer g1 = a\nplayer g2 = a\nradius-sq 1/10\n",
-        [],
     ),
     "pingpong-oracle": (
         "pingpong",
         SANOV_HEADER + TASK + "op pingpong\nsubop oracle\nplayer a = a\nplayer b = b\noracle-len 6\n",
-        [],
     ),
     "synthesize-truncated-prodense": (
         "synthesize",
-        SANOV_HEADER + TASK + "op synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = a\n",
-        ["--budget", "host_word_len=0"],
+        SANOV_HEADER + TASK + "op synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = a\nbudget host_word_len=0\n",
     ),
     # the whole pipeline: host, Step 1 nested once, both cosets, combined tuple, oracle
     "synthesize-truncated-prodense-full": (
         "synthesize",
         SANOV_HEADER + TASK + "op synthesize\nsubop truncated-prodense\nnormal N = a a\ncosets N = a | b\n",
-        [],
     ),
     "synthesize-conjugate-contract": (
         "synthesize",
         "format 1\nplace arch\n[matrix-group]\ngen g = [[9, 0], [0, 1]]\ngen r = [[0, -1], [1, 0]]\n"
         + TASK
         + "op synthesize\nsubop conjugate-contract\nelement g\nx-element r\nepsilon-sq 1/100\nm-max 6\n",
-        [],
     ),
     "synthesize-b1b2b3": (
         "synthesize",
@@ -121,24 +106,20 @@ PROBLEMS = {
         + TASK
         + "op synthesize\nsubop b1b2b3\nelement g\nb1 r\nb2 r\nb3 s\n"
         "attract ball [1, 0] 1/25\nrepel ball [0, 1] 1/25\nk-max 32\n",
-        [],
     ),
     "synthesize-very-proximal": (
         "synthesize",
         "format 1\nplace arch\n[matrix-group]\ngen g = [[25, 0], [0, 1]]\ngen s = [[1, -1], [1, 1]]\n"
         + TASK
         + "op synthesize\nsubop very-proximal\nelement g\nword-len 2\nr-sq 1/4\nepsilon-sq 1/25\n",
-        [],
     ),
     "synthesize-normal-proximal": (
         "synthesize",
         SANOV_HEADER + TASK + "op synthesize\nsubop normal-proximal\nnormal N = a a\n",
-        [],
     ),
     "synthesize-coset-pingpong": (
         "synthesize",
         SANOV_HEADER + TASK + "op synthesize\nsubop coset-pingpong\nnormal N = a a\ncosets N = b\n",
-        [],
     ),
     "synthesize-double-coset": (
         "synthesize",
@@ -146,15 +127,14 @@ PROBLEMS = {
         "gen g = [[25, 0], [0, 1]]\ngen h = [[13, 12], [12, 13]]\ngen r = [[0, -1], [1, 0]]\n"
         + TASK
         + "op synthesize\nsubop double-coset\nh1 g\nh2 h\ncoset-rep r\n",
-        [],
     ),
-    "tree-normal-form": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop normal-form\nword s t s\n", []),
-    "tree-classify": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop classify\nword s t\n", []),
-    "tree-classify-elliptic": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop classify\nword s\n", []),
-    "tree-expand": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop expand\nradius 3\n", []),
-    "tree-pingpong": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t s t\nword t s t s\n", []),
-    "tree-pingpong-refuted": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t\nword t s\n", []),
-    "tree-kernel": ("tree", s3_amalgam_header("a3") + TASK + "op tree\nsubop kernel\n", []),
+    "tree-normal-form": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop normal-form\nword s t s\n"),
+    "tree-classify": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop classify\nword s t\n"),
+    "tree-classify-elliptic": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop classify\nword s\n"),
+    "tree-expand": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop expand\nradius 3\n"),
+    "tree-pingpong": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t s t\nword t s t s\n"),
+    "tree-pingpong-refuted": ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t\nword t s\n"),
+    "tree-kernel": ("tree", s3_amalgam_header("a3") + TASK + "op tree\nsubop kernel\n"),
 }
 
 GOLDEN = {
@@ -192,8 +172,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_golden_certificate(tmp_path, name):
-    command, text, extra = PROBLEMS[name]
-    code, _, out = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS[name]
+    code, _, out = run(tmp_path, command, text)
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN[name]
 
 
@@ -201,16 +181,16 @@ def test_golden_profile_of_a_repeated_rational_root(tmp_path):
     """charpoly(g^T g) of this g has the rational roots 9166361760000 and
     442050625 (double), whose numerators a rational root test by trial
     division could not factor cheaply; the profile gives them exactly."""
-    command, text, extra = PROBLEMS["analyze-profile-rational-roots"]
-    code, data, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS["analyze-profile-rational-roots"]
+    code, data, _ = run(tmp_path, command, text)
     values = ["9166361760000", "442050625", "442050625"]
     assert (code, data["result"]) == (0, {"exact": True, "values_sq": [{"hi": v, "lo": v} for v in values]})
 
 
 def _verify_edited(tmp_path, capsys, name: str, edit) -> tuple[int, str]:
     """verify's exit code and stderr on the golden `name`'s text after `edit`."""
-    command, text, extra = PROBLEMS[name]
-    _, _, out = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS[name]
+    _, _, out = run(tmp_path, command, text)
     edited = edit(out.read_text())
     assert edited != out.read_text()
     out.write_text(edited)

@@ -71,85 +71,69 @@ ROW_PROBLEMS = {
     ("analyze", "contracting", "unknown"): (
         "analyze",
         _one("gen g = [[-7, -24], [3, 10]]\n", "p:2") + "op analyze\nsubop contracting\nelement g\nepsilon-sq 1/4\n",
-        [],
     ),
     ("analyze", "proximal", "no"): (
         "analyze",
         _one("gen g = [[289, -96], [792, -263]]\n", "p:5") + "op analyze\nsubop proximal\nelement g\nepsilon-sq 1/36\nr-sq 1/2\n",
-        [],
     ),
     ("analyze", "proximal", "unknown"): (
         "analyze",
         _one("gen g = [[1, 93], [0, 32]]\n", "p:2") + "op analyze\nsubop proximal\nelement g\nepsilon-sq 1/36\nr-sq 1/2\n",
-        [],
     ),
     ("analyze", "very-proximal", "unknown"): (
         "analyze",
         _one("gen g = [[79, -78], [52, -51]]\n", "p:3") + "op analyze\nsubop very-proximal\nelement g\nepsilon-sq 1/36\nr-sq 1/2\n",
-        [],
     ),
     ("analyze", "power-proximal", "not-found"): (
         "analyze",
         _one(_ROTATION) + "op analyze\nsubop power-proximal\nelement g\nr-sq 1/4\nepsilon-sq 1/64\nmax-n 4\n",
-        [],
     ),
     ("pingpong", "oracle", "relation"): (
         "pingpong",
         _one("gen a = [[592, 756], [756, 1033]]\ngen b = [[3, 7], [-5, -3]]\n") + "op pingpong\nsubop oracle\nplayer a = a\nplayer b = b\n",
-        [],
     ),
     ("pingpong", "tuple", "unknown"): (
         "pingpong",
         _one("gen a = [[-804, -322], [2415, 967]]\ngen b = [[-467, 156], [-1482, 495]]\n", "p:3") + "op pingpong\nplayer g1 = a\nplayer g2 = b\n",
-        [],
     ),
     ("pingpong", "simple-tuple", "refuted"): (
         "pingpong",
         _one("gen a = [[1, -248], [0, 125]]\ngen b = [[1, 98], [0, 50]]\n", "p:5")
         + "op pingpong\nsubop simple-tuple\nplayer g1 = a\nplayer g2 = b\nradius-sq 1/50\n",
-        [],
     ),
     ("pingpong", "simple-tuple", "unknown"): (
         "pingpong",
         _one("gen a = [[81, -240], [0, 1]]\ngen b = [[-794, -636], [1060, 849]]\n", "p:3")
         + "op pingpong\nsubop simple-tuple\nplayer g1 = a\nplayer g2 = b\n",
-        [],
     ),
-    ("pingpong", "tree", "refuted"): ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t\nword s u s t s u s u\n", []),
+    ("pingpong", "tree", "refuted"): ("tree", mod_amalgam_header() + TASK + "op tree\nsubop pingpong\nword s t\nword s u s t s u s u\n"),
     ("synthesize", "conjugate-contract", "not-found"): (
         "synthesize",
         _one("gen g = [[9, 0], [0, 1]]\n" + _ROTATION.replace("g =", "r =")) + "op synthesize\nsubop conjugate-contract\nelement g\nx-element r\nepsilon-sq 1/100\nm-max 1\n",
-        [],
     ),
     ("synthesize", "b1b2b3", "not-found"): (
         "synthesize",
         _one(_B1B2B3) + "op synthesize\nsubop b1b2b3\nelement g\nb1 r\nb2 r\nb3 s\nattract ball [1, 0] 1/25\nrepel ball [0, 1] 1/25\nk-max 0\n",
-        [],
     ),
     ("synthesize", "very-proximal", "not-found"): (
         "synthesize",
         _one(_ONE_WAY, "p:5") + "op synthesize\nsubop very-proximal\nelement g\nword-len 1\nr-sq 1/4\nepsilon-sq 1/25\n",
-        [],
     ),
     ("synthesize", "normal-proximal", "not-found"): (
         "synthesize",
         SANOV_HEADER + TASK + "op synthesize\nsubop normal-proximal\nnormal N = a a\nbudget power_max=0\n",
-        [],
     ),
     ("synthesize", "coset-pingpong", "unknown"): (
         "synthesize",
         SANOV_HEADER + TASK + "op synthesize\nsubop coset-pingpong\nnormal N = a a\ncosets N = b | b^-1\n",
-        [],
     ),
     ("synthesize", "coset-pingpong", "not-found"): (
         "synthesize",
         SANOV_HEADER + TASK + "op synthesize\nsubop coset-pingpong\nnormal N = a a\ncosets N = b\nbudget nest_max=0\n",
-        [],
     ),
     ("synthesize", "double-coset", "unknown"): (
         "synthesize",
         _one(_ROTATION + "gen h = [[13, 12], [12, 13]]\n" + _ROTATION.replace("g =", "r =")) + "op synthesize\nsubop double-coset\nh1 g\nh2 h\ncoset-rep r\n",
-        [],
     ),
 }
 
@@ -160,8 +144,8 @@ def test_every_row_has_a_problem():
 
 @pytest.mark.parametrize("row", sorted(ROW_PROBLEMS), ids=["/".join(r) for r in sorted(ROW_PROBLEMS)])
 def test_every_row_is_reached_and_verifies(tmp_path, row):
-    command, text, extra = ROW_PROBLEMS[row]
-    code, cert, out = run(tmp_path, command, text, *extra)
+    command, text = ROW_PROBLEMS[row]
+    code, cert, out = run(tmp_path, command, text)
     assert (cert["task"]["op"], cert["task"]["subop"], cert["verdict"]) == row
     assert code == VERDICTS[row].exit
     assert main(["verify", str(out)]) == 0
@@ -195,8 +179,8 @@ def goldens(tmp_path_factory) -> dict:
     """The certificate of each sufficing golden problem, solved once."""
     out = {}
     for name in SUFFICING:
-        command, text, extra = PROBLEMS[name]
-        out[name] = run(tmp_path_factory.mktemp(name), command, text, *extra)[1]
+        command, text = PROBLEMS[name]
+        out[name] = run(tmp_path_factory.mktemp(name), command, text)[1]
     return out
 
 
@@ -224,8 +208,8 @@ STATED_PROSE = [
 
 @pytest.mark.parametrize("name, key", STATED_PROSE, ids=[name for name, _ in STATED_PROSE])
 def test_a_result_field_named_like_stated_prose_fails(tmp_path, capsys, name, key):
-    command, text, extra = PROBLEMS[name]
-    code, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS[name]
+    code, cert, _ = run(tmp_path, command, text)
     assert code == 0
     cert["result"][key] = "anything at all"
     capsys.readouterr()
@@ -266,8 +250,8 @@ def test_a_very_proximal_group_puts_its_inverse_proximal_len_claims_on(tmp_path)
 def _golden_claim(tmp_path, name: str, kind: str):
     """A golden's certificate, its first claim of type `kind` and the
     context `check_claim` checks it in."""
-    command, text, extra = PROBLEMS[name]
-    _, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS[name]
+    _, cert, _ = run(tmp_path, command, text)
     claim = next(c for c in cert["claims"] if c["type"] == kind)
     ctx = CertContext(place_from(cert["place"]), cert["header"], cert["task"])
     assert check_claim(claim, ctx)
@@ -415,8 +399,8 @@ def test_verify_compares_the_claims_whole(tmp_path, capsys, tamper, message):
 )
 def test_verify_tells_json_integers_from_booleans_and_floats(tmp_path, capsys, name, field, value, message):
     # `false` equals 0 and `11.0` equals 11 in Python
-    command, text, extra = PROBLEMS[name]
-    _, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS[name]
+    _, cert, _ = run(tmp_path, command, text)
     assert cert["result"][field] == value and type(cert["result"][field]) is int
     cert["result"][field] = value
     capsys.readouterr()
@@ -440,8 +424,8 @@ def test_verify_forms_no_power_past_max_exponent(tmp_path, capsys):
 def test_verify_builds_no_tuple_pairs_past_its_claims(tmp_path, capsys):
     # 2000 players would need 31,990,000 pairs, which take seconds and
     # gigabytes to list; the certificate holds 44 claims
-    command, text, extra = PROBLEMS["pingpong-tuple"]
-    _, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS["pingpong-tuple"]
+    _, cert, _ = run(tmp_path, command, text)
     names = [f"p{i}" for i in range(2000)]
     cert["task"]["players"] = dict.fromkeys(names, "a")
     cert["result"]["players"] = dict.fromkeys(names, cert["result"]["players"]["g1"])
@@ -466,8 +450,8 @@ def test_verify_builds_no_tuple_pairs_past_its_claims(tmp_path, capsys):
 def test_verify_checks_a_relation(tmp_path, capsys, word, names, oracle_len, message):
     # the Sanov pair is free: each forged relation agrees in the claim, the
     # result and the task, so only the relation's own check can fail it
-    command, text, extra = PROBLEMS["pingpong-oracle"]
-    _, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS["pingpong-oracle"]
+    _, cert, _ = run(tmp_path, command, text)
     cert["verdict"], cert["task"]["oracle_len"] = "relation", oracle_len
     cert["result"] = {"oracle": "relation", "relation": word}
     cert["claims"][0].update(result="relation", word=word, names=names, max_len=oracle_len)
@@ -505,8 +489,8 @@ def test_verify_binds_each_matrix_exactly(tmp_path, capsys, goldens, name, first
 
 @pytest.mark.parametrize("max_len", [1, 12])
 def test_verify_binds_the_prodense_oracle_length(tmp_path, capsys, max_len):
-    command, text, extra = PROBLEMS["synthesize-truncated-prodense-full"]
-    _, cert, _ = run(tmp_path, command, text, *extra)
+    command, text = PROBLEMS["synthesize-truncated-prodense-full"]
+    _, cert, _ = run(tmp_path, command, text)
     oracle = cert["claims"][-1]
     assert (oracle["type"], oracle["max_len"]) == ("oracle", PRODENSE_ORACLE_LEN)
     oracle["max_len"] = max_len

@@ -131,11 +131,11 @@ def golden_certificates(names) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or PROBLEMS:
-            command, text, extra = PROBLEMS[name]
+            command, text = PROBLEMS[name]
             prob, cert = Path(tmp) / "in.prob", Path(tmp) / "out.cert"
             prob.write_text(text)
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                cli_main([command, str(prob), "--out", str(cert), *extra])
+                cli_main([command, str(prob), "--out", str(cert)])
             out[name] = json.loads(cert.read_text())
     return out
 
