@@ -50,7 +50,7 @@ from .projective import (
     word_inverse,
 )
 from .scalar import PAIR_LABELS, VERY_PAIRS, Place, Rat, Record, format_rat, letter_count, pair_count, parse_place, tuple_pairs
-from .tree import AmalgamData, BassSerreTree, Classification, FiniteGroup, ShadowSet, axis_shadow_sets, ball_rows, classify, kernel_of_action, parse_word
+from .tree import AmalgamData, BassSerreTree, Classification, FiniteGroup, ShadowSet, TreeError, axis_shadow_sets, ball_rows, classify, kernel_of_action, parse_word
 
 FORMAT = "freecert-certificate/2"
 
@@ -94,7 +94,10 @@ PRODENSE_ORACLE_LEN = 6
 
 
 class VerifyError(ValueError):
-    """Certificate is structurally unusable (distinct from failing checks)."""
+    """Certificate is structurally unusable (distinct from failing checks).
+    `part` is the header key at fault where the check names one."""
+
+    part: str | None = None
 
 
 class WordBoundError(ValueError):
@@ -203,11 +206,18 @@ def _coords(data, dim: int | None) -> list[tuple[int, int]]:
 def _over(values, den: int) -> list:
     """The texts of x / den for integers x and a positive den: a point or
     hyperplane is written over its first nonzero coordinate, a matrix's
-    integer rows over their scale.  Over 1, the common scale of an input
-    matrix, the integers are written as they are, with no Fraction."""
-    if den == 1:
-        return [rat(x) for x in values]
-    return [rat(Fraction(x, den)) for x in values]
+    integer rows over their scale.  Each is `rat`'s text of the reduced
+    pair (x // g, den // g), g = gcd(x, den), built with no Fraction; a
+    part with too many digits to write is an `_Unprintable`."""
+    out = []
+    for x in values:
+        g = gcd(x, den)
+        n, d = x // g, den // g
+        try:
+            out.append(str(n) if d == 1 else f"{n}/{d}")
+        except ValueError:  # too many digits
+            out.append(_Unprintable(Fraction(n, d)))
+    return out
 
 
 def mat_json(m: ProjMat) -> list[list[str]]:
@@ -789,18 +799,25 @@ def check_claim(claim: dict, ctx: CertContext) -> bool:
 
 def amalgam_from(data: dict) -> AmalgamData:
     """The amalgam described by a header's `amalgam` tables; VerifyError
-    when they are missing or do not read."""
+    when they are missing or do not read, its `part` the key of the
+    table, names or embedding whose check failed."""
     if not data:
         raise VerifyError("certificate lacks an amalgam table")
 
     def factor(tag: str) -> FiniteGroup:
         names = data.get(f"names_{tag}")
-        return FiniteGroup(data[f"table_{tag}"], tuple(names) if names else None)
+        try:
+            return FiniteGroup(data[f"table_{tag}"], tuple(names) if names else None)
+        except TreeError as e:  # "table" or "names" of this factor
+            e.part = f"{e.part}_{tag}"
+            raise
 
     try:
         return AmalgamData(factor("a"), factor("b"), factor("h"), tuple(data["embed_a"]), tuple(data["embed_b"]))
     except Exception as e:  # a table missing, or of the wrong kind
-        raise VerifyError(f"bad amalgam: {e}") from None
+        err = VerifyError(f"bad amalgam: {e}")
+        err.part = getattr(e, "part", None)
+        raise err from None
 
 
 def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:

@@ -85,6 +85,7 @@ class Problem:
         self.dim: int | None = None
         self.generators: list[tuple[int, str, list[list[Fraction]]]] = []  # (line, name, rows)
         self.amalgam_raw: dict = {}
+        self.amalgam_lines: dict[str, int] = {}  # amalgam_raw key -> line of its directive
         self.task: dict[str, list[tuple[int, str]]] = {}  # key -> [(line, value)]
         self.read: set[str] = set()  # task keys a command read
 
@@ -244,6 +245,7 @@ def parse_problem(text: str) -> Problem:
                 name, k = wrong[0]
                 raise ProblemError(line_no, 1, f"generator {name} is {k}x{k}, but dim is {prob.dim}")
         elif section == "amalgam":
+            prob.amalgam_lines[key.replace("-", "_")] = line_no
             if key in ("table-a", "table-b", "table-h"):
                 pending_table = key
                 table_rows = []
@@ -292,8 +294,8 @@ def _build_amalgam(prob: Problem) -> tuple[AmalgamData, dict]:
     data = {k: raw.get(k) for k in needed + ("names_a", "names_b", "names_h")}
     try:
         return certfmt.amalgam_from(data), {"amalgam": data}
-    except VerifyError as e:
-        raise ProblemError(1, 1, str(e)) from None
+    except VerifyError as e:  # at the directive of the part at fault
+        raise ProblemError(prob.amalgam_lines.get(e.part, 1), 1, str(e)) from None
 
 
 def _group_header(group: MarkedGroup) -> dict:

@@ -355,7 +355,9 @@ def direction_candidates(g: ProjMat) -> DirectionData:
     rows in row-major order (`_padic_pivot`).  Its column is the top singular
     (attracting) direction and its row the functional of the repelling
     hyperplane.  Archimedean: power iteration on g g^T and g^T g with
-    residual bounds against the second eigenvalue's enclosure.
+    residual bounds against the second eigenvalue's enclosure; where the
+    top enclosure ends no higher than the second, as at sigma_1 = sigma_2,
+    no bound can exist and the first basis vector comes back unbounded.
     """
     rows, _ = g._integer_form
     if g.place.is_padic:
@@ -363,7 +365,13 @@ def direction_candidates(g: ProjMat) -> DirectionData:
         p = g.place.prime
         _, i, j = _padic_pivot(rows, 0, p, 0)
         return DirectionData(ProjPoint._of(primitive([r[j] for r in rows])), Fraction(0), ProjHyperplane._of(primitive(rows[i])), Fraction(0))
-    lam2_hi = singular_profile(g).values_sq[1].hi
+    top, second = singular_profile(g).values_sq[:2]
+    lam2_hi = second.hi
+    if top.hi <= lam2_hi:
+        # every Rayleigh quotient is at most lambda_1 <= lam2_hi, so no
+        # iterate of `_power_direction` has a gap: its no-bound result
+        e0 = ProjPoint._of(tuple(int(i == 0) for i in range(g.dim)))
+        return DirectionData(e0, None, ProjHyperplane._of(e0.coords), None)
     gtg, scale = g.gram
     charpoly = gram_charpoly(g)  # g g^T and g^T g share it
     attract, a_err = _power_direction(gram_matrix(rows), scale, lam2_hi, charpoly)

@@ -6,10 +6,13 @@ Roots are counted by Descartes' rule of signs, exact on a real-rooted
 polynomial, and isolated by bisection.  Rational roots are found exactly
 by a binary search over the multiples of 1/lead in their isolating
 intervals (Gauss's lemma) and split off; the others are enclosed by
-bisection to a requested relative width.  A squarefree part of degree 2,
-the case of every 2 x 2 matrix, has closed forms chosen by that degree
-alone: it has a rational root iff its discriminant is a square, so only
-then is the binary search run, and the interval the bisection of an
+bisection to a requested relative width.  A quadratic, the Gram
+polynomial of every 2 x 2 matrix, is solved in closed form, chosen by
+its degree alone (`_quadratic`): the quadratic formula gives its roots
+exactly when the discriminant is a square, and otherwise the intervals
+the bisection would isolate.  A squarefree part of degree 2 on the
+general path, of a higher-degree polynomial, runs the binary search only
+at a square discriminant.  On both, the interval the bisection of an
 irrational root would end on is read off the quadratic formula
 (`_refine_quadratic`).  Intervals carry rational endpoints; a degenerate
 interval (lo == hi) marks an exactly known root.
@@ -264,8 +267,12 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
     out.  `_refine` halves each of its intervals by sign tests until
     hi - lo <= lo * 2^-ROOT_REL_BITS.  A squarefree part of degree 2 runs
     `_rational_root` only when its discriminant is a square, and
-    `_refine_quadratic` gives the interval `_refine` ends on.  The union
-    of returned intervals is pairwise disjoint and, counted with
+    `_refine_quadratic` gives the interval `_refine` ends on.  A quadratic
+    `coeffs` with real roots runs none of this: `_quadratic` gives its
+    exact roots and the intervals `_bisect` would isolate, in integers,
+    and only those intervals are refined.  The general path, `_isolate`,
+    serves every other degree and a quadratic with no real root.  The
+    union of returned intervals is pairwise disjoint and, counted with
     multiplicity, covers exactly the positive roots.
 
     Counts are Descartes' rule of signs (`_roots_above`), exact because
@@ -280,6 +287,19 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
     work = ptrim(list(coeffs))
     if pdeg(work) < 1:
         return ()
+    if len(work) == 3 and (closed := _quadratic(*work)) is not None:
+        exact, isolated = closed
+        out = [(point(Fraction(n, d)), m) for n, d, m in exact]
+        for a, b, w in isolated:
+            a, b, w = _refine_quadratic(work, a, b, w)
+            out.append((Interval(Fraction(a, w), Fraction(b, w)), 1))
+        return tuple(out)
+    return _isolate(work)
+
+
+def _isolate(work: IntPoly) -> tuple[tuple[Interval, int], ...]:
+    """The body of `isolate_positive_roots` for any degree >= 1, the one
+    path of degree 3 and up, and the reference of `_quadratic`."""
     sf = _squarefree(work)
     isolated, roots = _bisect(sf)
     if len(sf) != 3 or _is_square(sf[1] * sf[1] - 4 * sf[0] * sf[2]):
@@ -324,6 +344,47 @@ def _refine(sf: IntPoly, a: int, b: int, w: int) -> tuple[int, int, int]:
         else:
             a, b = mid, 2 * b
     return a, b, w
+
+
+def _quadratic(c0: int, c1: int, c2: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]] | None:
+    """What the general path `_isolate` finds for c0 + c1 x + c2 x^2,
+    c2 != 0, in closed form, ascending: (the positive rational roots as
+    (numerator, denominator, multiplicity), the `_bisect` intervals
+    (a, b, w) of the positive irrational roots), or None when
+    D = c1^2 - 4 c0 c2 < 0, which no Gram polynomial has.
+
+    With c2 > 0 (every coefficient negated if need be, which keeps the
+    roots) they are (-c1 +- sqrt(D)) / 2c2.  A square D gives them
+    exactly, one root of multiplicity 2 at D = 0.  Otherwise c0 != 0, and
+    the roots, of product c0/c2 and sum -c1/c2, are one positive at
+    c0 < 0, two at c1 < 0 < c0 and none else.  `_bisect` splits (0, B) at B = Bn/Bd, the Cauchy bound, so
+    its level-s pieces are (i Bn, (i + 1) Bn) / (Bd 2^s): it keeps one
+    root at level 0, and two at the least level s >= 1 whose indices
+    i = floor(rho Bd 2^s) // Bn differ, read as in `_refine_quadratic`
+    from one isqrt per level.
+    """
+    if c2 < 0:
+        c0, c1, c2 = -c0, -c1, -c2
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        return None
+    r = isqrt(disc)
+    if r * r == disc:
+        m = 2 if r == 0 else 1
+        return [(n, 2 * c2, m) for n in sorted({-c1 - r, -c1 + r}) if n > 0], []
+    top = max(abs(c0), abs(c1))
+    g = gcd(top, c2)
+    bn, bd = (c2 + top) // g, c2 // g  # cauchy_bound, 1 + top / c2, reduced
+    if not (c1 < 0 < c0):
+        return [], [(0, bn, bd)] if c0 < 0 else []
+    u = bd
+    while True:  # level s >= 1 reads u = Bd 2^s
+        u <<= 1
+        r = isqrt(disc * u * u)
+        lo = (-c1 * u - r - 1) // (2 * c2) // bn
+        hi = (r - c1 * u) // (2 * c2) // bn
+        if lo != hi:
+            return [], [(lo * bn, (lo + 1) * bn, u), (hi * bn, (hi + 1) * bn, u)]
 
 
 def _is_square(n: int) -> bool:

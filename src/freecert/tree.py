@@ -29,7 +29,13 @@ MAX_BALL_VERTICES = 10_000
 
 
 class TreeError(ValueError):
-    pass
+    """Input the tree code refuses.  `part` names the argument at fault
+    where a constructor takes several: "table" or "names" of a
+    FiniteGroup, "embed_a" or "embed_b" of an AmalgamData."""
+
+    def __init__(self, message: str, part: str | None = None) -> None:
+        super().__init__(message)
+        self.part = part
 
 
 class FiniteGroup(Record):
@@ -45,18 +51,18 @@ class FiniteGroup(Record):
         n = len(tab)
         for i, row in enumerate(tab):
             if not (len(row) == n and set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n):
-                raise TreeError(f"row {i} of the multiplication table is malformed")
+                raise TreeError(f"row {i} of the multiplication table is malformed", "table")
         ids = tuple(range(n))
         ident = next((e for e, row in enumerate(tab) if row == ids and tuple(map(itemgetter(e), tab)) == ids), None)
         if ident is None:
-            raise TreeError("multiplication table has no identity")
+            raise TreeError("multiplication table has no identity", "table")
         inv = []
         for x, row in enumerate(tab):
             xi = row.index(ident) if ident in row else None
             if xi is not None and tab[xi][x] != ident:  # a right inverse only: the scan looks further
                 xi = next((y for y in range(xi + 1, n) if row[y] == ident and tab[y][x] == ident), None)
             if xi is None:
-                raise TreeError(f"element {x} has no inverse")
+                raise TreeError(f"element {x} has no inverse", "table")
             inv.append(xi)
         # (ab)c = a(bc) for every c: the row of ab is the row of b read
         # through the row of a.  For n = 1 a getter returns no tuple and
@@ -67,11 +73,11 @@ class FiniteGroup(Record):
                 if tab[ab] != through[b](row_a):
                     for c in range(n):
                         if tab[ab][c] != row_a[tab[b][c]]:
-                            raise TreeError(f"associativity fails at ({a}, {b}, {c})")
+                            raise TreeError(f"associativity fails at ({a}, {b}, {c})", "table")
         if names is not None:
             names = tuple(names)
             if len(names) != n or len(set(names)) != n:
-                raise TreeError("names must be distinct, one per element")
+                raise TreeError("names must be distinct, one per element", "names")
         Record.__init__(self, tab, names)
         object.__setattr__(self, "_identity", ident)
         object.__setattr__(self, "_inverse", tuple(inv))
@@ -106,12 +112,12 @@ class AmalgamData(Record):
         self, group_a: FiniteGroup, group_b: FiniteGroup, group_h: FiniteGroup, embed_a: tuple[int, ...], embed_b: tuple[int, ...]
     ) -> None:
         embeds = []
-        for tag, grp, emb in (("A", group_a, embed_a), ("B", group_b, embed_b)):
+        for tag, part, grp, emb in (("A", "embed_a", group_a, embed_a), ("B", "embed_b", group_b, embed_b)):
             emb = tuple(emb)
             if any(type(x) is not int for x in emb):
-                raise TreeError(f"embedding into {tag} has an entry that is not an integer")
+                raise TreeError(f"embedding into {tag} has an entry that is not an integer", part)
             if len(emb) != group_h.order or len(set(emb)) != len(emb):
-                raise TreeError(f"embedding into {tag} is not injective")
+                raise TreeError(f"embedding into {tag} is not injective", part)
             # emb(x) emb(y) = emb(xy) for every y: the row of emb(x) read
             # at the image equals the image read at the row of x.  Where
             # that fails or raises, the scan names the first failing pair.
@@ -124,7 +130,7 @@ class AmalgamData(Record):
                 if not ok:
                     for y in range(group_h.order):
                         if grp.mul(emb[x], emb[y]) != emb[group_h.mul(x, y)]:
-                            raise TreeError(f"embedding into {tag} is not a homomorphism at ({x}, {y})")
+                            raise TreeError(f"embedding into {tag} is not a homomorphism at ({x}, {y})", part)
             embeds.append(emb)
         Record.__init__(self, group_a, group_b, group_h, *embeds)
         object.__setattr__(self, "_h_in_a", {a: h for h, a in enumerate(self.embed_a)})

@@ -700,6 +700,27 @@ POSITIONED_ERRORS = {
         mod_amalgam_header().replace("embed-b 0\n", "") + "[task]\nop tree\nsubop classify\nword s t\n",
         "1:1: amalgam section incomplete: missing embed-b",
     ),
+    # amalgam tables, each at the directive of the part at fault
+    "amalgam-names": (
+        "tree",
+        mod_amalgam_header().replace("\n\n", "\n", 1).replace("names-a e s", "names-a e e") + "[task]\nop tree\nsubop kernel\n",
+        "3:1: bad amalgam: names must be distinct, one per element",
+    ),
+    "amalgam-names-h": (
+        "tree",
+        mod_amalgam_header().replace("names-h e", "names-h e p") + "[task]\nop tree\nsubop kernel\n",
+        "13:1: bad amalgam: names must be distinct, one per element",
+    ),
+    "amalgam-table": (
+        "tree",
+        mod_amalgam_header().replace("1 2 0\n", "1 2 2\n") + "[task]\nop tree\nsubop kernel\n",
+        "9:1: bad amalgam: element 1 has no inverse",
+    ),
+    "amalgam-embed": (
+        "tree",
+        mod_amalgam_header().replace("embed-b 0", "embed-b 1") + "[task]\nop tree\nsubop kernel\n",
+        "17:1: bad amalgam: embedding into B is not a homomorphism at (0, 0)",
+    ),
     "no-matrix-group": ("analyze", "format 1\n" + PROFILE_TASK, "1:1: task needs a [matrix-group] section"),
     # task values
     "missing-key": ("analyze", MATRIX_HEADER + "[task]\nop analyze\nsubop contracting\nelement a\n", "1:1: task needs 'epsilon-sq'"),

@@ -459,7 +459,7 @@ INTEGER_KERNEL = {
     "dynamics.py": ("_padic_pivot", "padic_exponents", "gram_charpoly", "_faddeev_leverrier", "_charpoly_gram", "_below", "_power_direction", "_krylov_point"),
     "scalar.py": ("cmp_sqrt_sum", "sqrt_lower_pair", "sqrt_upper_pair"),
     "checker.py": ("Ladder.upper", "Ladder.above", "Ladder.ends_below"),
-    "rootiso.py": ("_bisect", "_rational_root", "_refine", "_refine_quadratic"),
+    "rootiso.py": ("_bisect", "_rational_root", "_refine", "_refine_quadratic", "_quadratic"),
 }
 
 

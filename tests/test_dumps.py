@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freecert.certfmt import FORMAT, CertificateError, dumps, rat
+from freecert.certfmt import FORMAT, CertificateError, _over, _Unprintable, dumps, rat
 
 
 def oracle(value) -> str:
@@ -79,3 +79,25 @@ def test_an_unprintable_number_names_its_field():
 def test_dumps_refuses_values_no_certificate_holds(value, name):
     with pytest.raises(TypeError, match=f"^{name} is not JSON serializable$"):
         dumps({"claims": [{"value": value}]})
+
+
+_ints = st.integers(-8, 8) | st.integers(-(10**60), 10**60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ints, max_size=4), st.integers(1, 12) | st.integers(1, 10**60))
+@example([0, -4, 6, 3], 6)
+@example([5, -7], 1)
+def test_over_writes_the_text_of_each_fraction(values, den):
+    """`_over` writes x / den from the reduced integer pair; the text is
+    `rat`'s of the Fraction."""
+    assert _over(values, den) == [rat(F(x, den)) for x in values]
+
+
+def test_over_keeps_the_refusal_of_a_part_with_too_many_digits():
+    huge = 10**5000
+    for values, den in (([3, huge], 3), ([1, 2], 2 * huge), ([huge, 1], 1)):
+        out = _over(values, den)
+        want = [rat(F(x, den)) for x in values]
+        assert [type(t) for t in out] == [type(t) for t in want]
+        assert [t.x if isinstance(t, _Unprintable) else t for t in out] == [t.x if isinstance(t, _Unprintable) else t for t in want]

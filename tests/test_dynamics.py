@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from freecert.dynamics import (
     ITER_BUDGET,
+    DirectionData,
     _below,
     _charpoly_gram,
     _faddeev_leverrier,
@@ -657,6 +658,27 @@ def test_power_direction_keeps_the_first_of_tied_bounds():
     assert ours == ref
     for point, err in ours:
         assert point.coords[0] > point.coords[1] > 0 and err > F(1, 2**80)
+
+
+def test_direction_candidates_run_no_iteration_at_a_repeated_top_singular_value(monkeypatch):
+    """The inverse of the `analyze/very-proximal/3x3/conj` matrix of
+    matrix-small's seed-1001 request 0184 has sigma_1 = sigma_2 exactly.
+    Every start column of both power iterations then runs its ITER_BUDGET
+    steps and ends with no bound, and `direction_candidates` gives that
+    result, the first basis vector unbounded, without iterating."""
+    from freecert import dynamics
+
+    g = ProjMat(((1176841, 338688, 1612800), (338688, 114409, 470400), (1612800, 470400, 2255625)), ARCH).inverse()
+    top, second = singular_profile(g).values_sq[:2]
+    assert top.exact and top == second
+    ours, ref = _power_directions(g)
+    assert ours == ref == [(ProjPoint((1, 0, 0)), None)] * 2
+    calls = []
+    monkeypatch.setattr(dynamics, "_power_direction", lambda *args: calls.append(args))
+    direction_candidates.cache_clear()
+    got = direction_candidates(g)
+    assert not calls
+    assert got == DirectionData(ours[0][0], None, ProjHyperplane._of(ours[1][0].coords), None)
 
 
 def test_double_irrational_squared_singular_values():

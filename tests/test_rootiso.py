@@ -341,16 +341,18 @@ def test_prem_is_a_positive_multiple_of_the_remainder():
 
 
 @st.composite
-def quadratics(draw, kinds=("irrational", "rational", "repeated")):
+def quadratics(draw, kinds=("irrational", "rational", "repeated", "zero")):
     """An integer quadratic, lowest degree first, with real roots of one
     of `kinds`: m +- sqrt(d) for rationals m and d > 0 with d no square,
-    two distinct rationals, or one rational twice.  Its numbers have up to
+    two distinct rationals, one rational twice, or 0 and a rational.  Its numbers have up to
     4, 40 or 210 bits, its leading coefficient either sign; a monic one,
     up to sign, has integer roots or m and d."""
     bits, monic = draw(st.sampled_from((4, 40, 210))), draw(st.booleans())
     num, den = st.integers(-(2**bits), 2**bits), st.integers(1, 1 if monic else 2**bits)
     kind = draw(st.sampled_from(kinds))
-    if kind == "irrational":
+    if kind == "zero":
+        p = poly_from_roots([0, F(draw(num), draw(den))])
+    elif kind == "irrational":
         m, d = F(draw(num), draw(den)), F(draw(st.integers(1, 2**bits)), draw(den))
         assume(isqrt(d.numerator * d.denominator) ** 2 != d.numerator * d.denominator)
         p = [m * m - d, -2 * m, F(1)]
@@ -366,11 +368,11 @@ def quadratics(draw, kinds=("irrational", "rational", "repeated")):
 
 
 def _bisected(coeffs):
-    """`isolate_positive_roots` of coeffs on the general path: every
-    squarefree part goes to `_rational_root`, and `_refine` bisects every
-    irrational root."""
+    """`isolate_positive_roots` of coeffs on the general path, `_isolate`,
+    with no closed form: every squarefree part goes to `_rational_root`,
+    and `_refine` bisects every irrational root."""
     with mock.patch.object(rootiso, "_is_square", lambda n: True), mock.patch.object(rootiso, "_refine_quadratic", _refine):
-        return isolate_positive_roots.__wrapped__(coeffs)
+        return rootiso._isolate(list(coeffs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -386,6 +388,57 @@ def test_quadratic_isolation_matches_the_bisection(coeffs, roots):
     for r in roots:
         p = [x - r * y for x, y in zip([0] + p, p + [0])]
     assert isolate_positive_roots.__wrapped__(tuple(p)) == _bisected(tuple(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratics())
+@example((0, 0, 1))  # x^2: 0 twice
+@example((0, -3, 1))  # roots 0 and 3
+@example((2, 3, 1))  # roots -1 and -2
+@example((-1, 0, 1 << 200))  # roots +- 2^-100
+@example((1, -(2**100), 1))  # roots near 2^-100 and 2^100
+@example((-1, 1, 1))  # one positive irrational root
+@example((38, -25, 4))  # at level 2 the smaller root times Bd 2^s is just below Bn = 21
+def test_quadratic_closed_form_matches_the_general_path(coeffs):
+    """`_quadratic` gives the exact roots the general path splits off and
+    the intervals `_bisect` isolates, and `isolate_positive_roots` of a
+    quadratic runs no part of the general path yet returns what it does."""
+    exact, isolated = rootiso._quadratic(*coeffs)
+    sf = rootiso._squarefree(list(coeffs))
+    if len(sf) == 3 and not rootiso._is_square(sf[1] ** 2 - 4 * sf[0] * sf[2]):
+        assert not exact and isolated == sorted(_bisect(sf)[0])
+    else:
+        assert not isolated
+    with mock.patch.object(rootiso, "_isolate", side_effect=AssertionError("general path")):
+        closed = isolate_positive_roots.__wrapped__(coeffs)
+    assert closed == rootiso._isolate(list(coeffs))
+
+
+def test_quadratic_with_no_real_root_takes_the_general_path():
+    assert rootiso._quadratic(1, 0, 1) is rootiso._quadratic(-5, 2, -1) is None
+    with mock.patch.object(rootiso, "_isolate", wraps=rootiso._isolate) as general:
+        assert isolate_positive_roots.__wrapped__((1, 0, 1)) == ()
+    assert general.call_count == 1
+
+
+@pytest.mark.parametrize(
+    "p, squares, refines",
+    [
+        ((2, -2, -1, 1), 0, 1),  # (x - 1)(x^2 - 2): x^2 - 2 is left once 1 is split off
+        ((4, 0, -4, 0, 1), 1, 1),  # (x^2 - 2)^2: squarefree part x^2 - 2, no square discriminant
+        ((-2, 5, -4, 1), 1, 0),  # (x - 1)^2 (x - 2): squarefree part (x - 1)(x - 2), square discriminant
+    ],
+)
+def test_general_path_keeps_its_quadratic_branches(p, squares, refines):
+    """Above degree 2 a squarefree part of degree 2 still meets the
+    `_is_square` gate and `_refine_quadratic` in the general path."""
+    with (
+        mock.patch.object(rootiso, "_is_square", wraps=rootiso._is_square) as square,
+        mock.patch.object(rootiso, "_refine_quadratic", wraps=_refine_quadratic) as refine,
+    ):
+        out = isolate_positive_roots.__wrapped__(p)
+    assert (square.call_count, refine.call_count) == (squares, refines)
+    assert out == _bisected(p) and list(out) == fraction_isolate_positive_roots(list(p))
 
 
 def _floor_of_root(sf, a, b, w, den):
