@@ -324,6 +324,11 @@ def _vertex_from(data) -> tuple:
     return (data[0], tuple((l[0], l[1] if type(l[1]) is int else _int(l[1])) for l in data[1]))
 
 
+def _edge_from(data) -> tuple[tuple, tuple]:
+    """The vertices (x, y) of a shadow's base edge `data`."""
+    return _vertex_from(data["x"]), _vertex_from(data["y"])
+
+
 def shadow_json(s) -> dict:
     return {"x": vertex_json(s.x), "y": vertex_json(s.y)}
 
@@ -653,13 +658,14 @@ class CertContext:
     point and hyperplane a claim holds is read once too: `matrix`,
     `point` and `plane` refuse a value over MAX_DIM, then read it at the
     certificate's place and dimension, and return the same object
-    wherever it recurs."""
+    wherever it recurs.  So is each shadow: `shadow` refuses a vertex key
+    over MAX_VERTEX_KEY, then builds the shadow of its base edge."""
 
     def __init__(self, place: Place | None, header: dict, task: dict):
         if not isinstance(header, dict):
             raise VerifyError("certificate header is not an object")
         self.place, self.task = place, task if isinstance(task, dict) else {}
-        self._matrices, self._points, self._planes, self._evals, self._tree_words, self._classes = {}, {}, {}, {}, {}, {}
+        self._matrices, self._points, self._planes, self._evals, self._tree_words, self._classes, self._shadows = {}, {}, {}, {}, {}, {}, {}
         gens, amalgam = header.get("generators"), header.get("amalgam")
         self._group = self._generators(gens) if gens or place is not None else None
         self._amalgam = amalgam_from(amalgam) if amalgam or place is None else None
@@ -684,19 +690,20 @@ class CertContext:
 
     @staticmethod
     def _once(memo: dict, key_of, read, data, *args):
-        """read(data, *args), kept in `memo` under key_of(data), the JSON
-        value's strings: equal keys are equal texts, which read alike.  A
+        """read(data, *args), kept in `memo` under key_of(data): the JSON
+        value's strings, equal only for equal texts, or the vertices of a
+        base edge, whose integers are checked, so equal keys read alike.  A
         value whose key does not build or hash (a TypeError) is read
         uncached, and a read that raises stores nothing, so it fails alike
         wherever it recurs."""
         try:
             key = key_of(data)
-            return memo[key]
-        except KeyError:
-            memo[key] = out = read(data, *args)
-            return out
+            out = memo.get(key, _UNREAD)
         except TypeError:  # no key: a row that is no list, or a value that does not hash
             return read(data, *args)
+        if out is _UNREAD:
+            memo[key] = out = read(data, *args)
+        return out
 
     def matrix(self, data) -> ProjMat:
         """`mat_from(data)` at the certificate's place, once per value."""
@@ -746,6 +753,15 @@ class CertContext:
         """`classify` of the tree word `text`, once per text: the
         `tree-classify` and `tree-evidence` claims of a word share it."""
         return self._once(self._classes, _word_text, lambda t: classify(self.tree_word(t)), text)
+
+    def shadow(self, data) -> ShadowSet:
+        """The shadow of the base edge `data` ({"x": vertex, "y": vertex})
+        on the tree, once per edge: every `shadow-disjoint` claim that
+        names it shares it."""
+        return self._once(self._shadows, _edge_from, lambda d: ShadowSet(self.tree, *_edge_from(d)), data)
+
+
+_UNREAD = object()  # what `_once` finds under a key not yet read
 
 
 def _word_text(text) -> str:
@@ -833,10 +849,7 @@ def _check_tree_claim(kind: str, claim: dict, ctx: CertContext) -> bool:
         length = claim["translation_length"]
         return out.kind == claim["kind"] and out.translation_length == length and (length is None or _ints(length))
     if kind == "shadow-disjoint":
-        tree = ctx.tree
-        s1 = ShadowSet(tree, _vertex_from(claim["left"]["x"]), _vertex_from(claim["left"]["y"]))
-        s2 = ShadowSet(tree, _vertex_from(claim["right"]["x"]), _vertex_from(claim["right"]["y"]))
-        return s1.disjoint_from(s2).kind == "disjoint"
+        return ctx.shadow(claim["left"]).disjoint_from(ctx.shadow(claim["right"])).kind == "disjoint"
     # tree-evidence, the last kind `check_claim` sends here
     g, cls = ctx.tree_word(claim["word"]), ctx.tree_class(claim["word"])
     if cls.kind != "hyperbolic":

@@ -11,11 +11,12 @@ polynomial of every 2 x 2 matrix, is solved in closed form, chosen by
 its degree alone (`_quadratic`): the quadratic formula gives its roots
 exactly when the discriminant is a square, and otherwise the intervals
 the bisection would isolate.  A squarefree part of degree 2 on the
-general path, of a higher-degree polynomial, runs the binary search only
-at a square discriminant.  On both, the interval the bisection of an
-irrational root would end on is read off the quadratic formula
-(`_refine_quadratic`).  Intervals carry rational endpoints; a degenerate
-interval (lo == hi) marks an exactly known root.
+general path, of a higher-degree polynomial or what is left of one once
+its rational roots are split off, takes the same closed form, with the
+multiplicities read off the polynomial.  On both, the interval the
+bisection of an irrational root would end on is read off the quadratic
+formula (`_refine_quadratic`).  Intervals carry rational endpoints; a
+degenerate interval (lo == hi) marks an exactly known root.
 
 Polynomials are integer coefficient sequences, lowest degree first:
 `isolate_positive_roots` takes the tuple of the singular profiles'
@@ -265,8 +266,8 @@ def isolate_positive_roots(coeffs: tuple[int, ...]) -> tuple[tuple[Interval, int
     bisection that encloses the irrational roots always starts at the
     Cauchy bound of the squarefree part with the rational roots divided
     out.  `_refine` halves each of its intervals by sign tests until
-    hi - lo <= lo * 2^-ROOT_REL_BITS.  A squarefree part of degree 2 runs
-    `_rational_root` only when its discriminant is a square, and
+    hi - lo <= lo * 2^-ROOT_REL_BITS.  A squarefree part of degree 2
+    takes `_quadratic` in place of `_bisect` and `_rational_root`, and
     `_refine_quadratic` gives the interval `_refine` ends on.  A quadratic
     `coeffs` with real roots runs none of this: `_quadratic` gives its
     exact roots and the intervals `_bisect` would isolate, in integers,
@@ -301,9 +302,7 @@ def _isolate(work: IntPoly) -> tuple[tuple[Interval, int], ...]:
     """The body of `isolate_positive_roots` for any degree >= 1, the one
     path of degree 3 and up, and the reference of `_quadratic`."""
     sf = _squarefree(work)
-    isolated, roots = _bisect(sf)
-    if len(sf) != 3 or _is_square(sf[1] * sf[1] - 4 * sf[0] * sf[2]):
-        roots += [r for a, b, w in isolated if (r := _rational_root(sf, a, b, w)) is not None]
+    isolated, roots = _positive_roots(sf, True)
     rational = [Fraction(*r) for r in roots]
     out: list[tuple[Interval, int]] = []
     if rational:
@@ -311,7 +310,7 @@ def _isolate(work: IntPoly) -> tuple[tuple[Interval, int], ...]:
             work, m = _divide_out(work, r)
             out.append((point(r), m))
         sf = _squarefree(work)
-        isolated = _bisect(sf)[0]
+        isolated = _positive_roots(sf, False)[0]
     refine = _refine_quadratic if len(sf) == 3 else _refine
     for a, b, w in isolated:
         a, b, w = refine(sf, a, b, w)
@@ -320,6 +319,23 @@ def _isolate(work: IntPoly) -> tuple[tuple[Interval, int], ...]:
         out.append((Interval(Fraction(a, w), Fraction(b, w)), m))
     out.sort(key=lambda t: (t[0].lo, t[0].hi))
     return tuple(out)
+
+
+def _positive_roots(sf: IntPoly, rational: bool) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """(the `_bisect` intervals (a, b, w) of the positive roots of the
+    squarefree sf, the positive rational roots as (numerator,
+    denominator)).  A quadratic sf with real roots takes `_quadratic`,
+    whose intervals hold only its irrational roots; otherwise `_bisect`
+    isolates every root, and unless `rational` is False, as when no
+    rational root is left, `_rational_root` reads one in each interval."""
+    closed = _quadratic(*sf) if len(sf) == 3 else None
+    if closed is not None:
+        exact, isolated = closed
+        return isolated, [(n, d) for n, d, _ in exact]
+    isolated, roots = _bisect(sf)
+    if rational:
+        roots += [r for a, b, w in isolated if (r := _rational_root(sf, a, b, w)) is not None]
+    return isolated, roots
 
 
 def _refine(sf: IntPoly, a: int, b: int, w: int) -> tuple[int, int, int]:
@@ -385,11 +401,6 @@ def _quadratic(c0: int, c1: int, c2: int) -> tuple[list[tuple[int, int, int]], l
         hi = (r - c1 * u) // (2 * c2) // bn
         if lo != hi:
             return [], [(lo * bn, (lo + 1) * bn, u), (hi * bn, (hi + 1) * bn, u)]
-
-
-def _is_square(n: int) -> bool:
-    """Whether the integer n is the square of an integer."""
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def _refine_quadratic(sf: IntPoly, a: int, b: int, w: int) -> tuple[int, int, int]:

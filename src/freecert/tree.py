@@ -5,11 +5,14 @@ form, classification, kernel) runs over the full finite tables, so all
 verdicts are exact.  Words reduce to the canonical amalgam normal form
 t1 t2 ... tk h with alternating nontrivial transversal representatives
 and h in the common subgroup; the empty form is the identity, which
-makes the freeness oracle exact on this backend.
+makes the freeness oracle exact on this backend.  Every fold, of a
+word, a product or a vertex key, is one walk over fold tables the
+amalgam builds once: a table lookup per letter.
 
 Boundary points are never materialized: shadows are handled through
 their base edges, and every boundary statement used here is decided on
-the geodesics between their vertices, read off the vertices' keys.
+the geodesics between their vertices, read off the vertices' keys;
+a distance is read off the keys alone, with no path built.
 """
 
 from __future__ import annotations
@@ -104,9 +107,16 @@ Letter = tuple[str, int]  # ("A" | "B", element index in that factor)
 
 
 class AmalgamData(Record):
-    """A *_H B with finite factors, H given by injections into both."""
+    """A *_H B with finite factors, H given by injections into both.
 
-    __slots__ = ("group_a", "group_b", "group_h", "embed_a", "embed_b", "_h_in_a", "_h_in_b", "_coset_rep", "_transversal")
+    Built once with the tables every word and vertex is folded through:
+    for each factor X, its rows at the images of H and its multiplication
+    table, and the split of each element y = t emb(h) into the letter
+    (X, t) of its coset's representative t (None for H itself) and h; its
+    nontrivial representatives, ascending; and every element name that
+    is a letter, with the letter of its inverse."""
+
+    __slots__ = ("group_a", "group_b", "group_h", "embed_a", "embed_b", "_fold_tables", "_transversal", "_letters")
 
     def __init__(
         self, group_a: FiniteGroup, group_b: FiniteGroup, group_h: FiniteGroup, embed_a: tuple[int, ...], embed_b: tuple[int, ...]
@@ -133,12 +143,49 @@ class AmalgamData(Record):
                             raise TreeError(f"embedding into {tag} is not a homomorphism at ({x}, {y})", part)
             embeds.append(emb)
         Record.__init__(self, group_a, group_b, group_h, *embeds)
-        object.__setattr__(self, "_h_in_a", {a: h for h, a in enumerate(self.embed_a)})
-        object.__setattr__(self, "_h_in_b", {b: h for h, b in enumerate(self.embed_b)})
-        reps = {"A": self._cosets("A"), "B": self._cosets("B")}
-        object.__setattr__(self, "_coset_rep", reps)
-        transversal = {tag: tuple(sorted(set(rep.values()) - {self.factor(tag).identity})) for tag, rep in reps.items()}
+        tables, transversal = {}, {}
+        for tag, grp, emb in (("A", group_a, embeds[0]), ("B", group_b, embeds[1])):
+            tables[tag], transversal[tag] = self._cosets(tag, grp, emb)
+        object.__setattr__(self, "_fold_tables", tables)
         object.__setattr__(self, "_transversal", transversal)
+        object.__setattr__(self, "_letters", self._letter_table())
+
+    @staticmethod
+    def _cosets(tag: str, grp: FiniteGroup, emb: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+        """The fold table of the factor `tag` and its nontrivial coset
+        representatives, ascending, from one pass over the left cosets
+        x H: the trivial coset is represented by the identity, the others
+        by their least element index, the first x met in each."""
+        split: list = [None] * grp.order
+        reps = []
+        for x, row in enumerate(grp.table):
+            if split[x] is None:
+                coset = [row[e] for e in emb]  # x emb(h), h ascending
+                if grp.identity in coset:
+                    letter, coset = None, emb
+                else:
+                    letter = (tag, x)
+                    reps.append(x)
+                for h, y in enumerate(coset):
+                    split[y] = (letter, h)
+        return ([grp.table[e] for e in emb], grp.table, split), tuple(reps)
+
+    def _letter_table(self) -> dict[str, tuple[Letter, Letter]]:
+        """Each element name that is a letter, with the letter of its
+        inverse.  A name of both factors is none, unless it names A's
+        identity, which the names of identities may share harmlessly."""
+
+        def letters(tag: str, grp: FiniteGroup) -> dict[str, tuple[Letter, Letter]]:
+            tags = repeat(tag)
+            names = grp.names or map(str, range(grp.order))
+            return dict(zip(names, zip(zip(tags, range(grp.order)), zip(tags, grp._inverse))))
+
+        in_a, in_b = letters("A", self.group_a), letters("B", self.group_b)
+        out = {**in_b, **in_a}
+        for nm in in_a.keys() & in_b.keys():
+            if in_a[nm][0][1] != self.group_a.identity:
+                del out[nm]
+        return out
 
     def factor(self, tag: str) -> FiniteGroup:
         return self.group_a if tag == "A" else self.group_b
@@ -146,45 +193,9 @@ class AmalgamData(Record):
     def h_image(self, tag: str, h: int) -> int:
         return (self.embed_a if tag == "A" else self.embed_b)[h]
 
-    def h_preimage(self, tag: str, x: int) -> int | None:
-        return (self._h_in_a if tag == "A" else self._h_in_b).get(x)
-
-    def _cosets(self, tag: str) -> dict[int, int]:
-        """Map every element to its left-coset representative of H; the
-        trivial coset is represented by the identity, others by their
-        least element index."""
-        grp = self.factor(tag)
-        emb = self.embed_a if tag == "A" else self.embed_b
-        rep_of: dict[int, int] = {}
-        for x, row in enumerate(grp.table):
-            if x not in rep_of:
-                coset = [row[e] for e in emb]
-                rep_of.update(dict.fromkeys(coset, grp.identity if grp.identity in coset else min(coset)))
-        return rep_of
-
-    def coset_rep(self, tag: str, x: int) -> int:
-        return self._coset_rep[tag][x]
-
     def transversal(self, tag: str) -> tuple[int, ...]:
         """Nontrivial coset representatives, ascending."""
         return self._transversal[tag]
-
-    def letter_names(self) -> dict[str, Letter]:
-        out: dict[str, Letter] = {}
-        ambiguous: set[str] = set()
-        for tag in ("A", "B"):
-            grp = self.factor(tag)
-            for i in range(grp.order):
-                nm = grp.name_of(i)
-                if nm in out and out[nm] != (tag, i):
-                    ambiguous.add(nm)
-                out.setdefault(nm, (tag, i))
-        for nm in ambiguous:
-            a_tag, a_idx = out[nm]
-            # identity letters may collide harmlessly
-            if a_idx != self.factor(a_tag).identity:
-                del out[nm]
-        return out
 
 
 class TreeAut(Record):
@@ -216,30 +227,8 @@ class TreeAut(Record):
     def _fold(self, letters: Iterable[Letter]) -> "TreeAut":
         """self times the letters, folded into one syllable list, so that
         a word of L letters builds one TreeAut, not L of them."""
-        am = self.amalgam
-        syl = list(self.syllables)
-        h = self.tail
-        for tag, x in letters:
-            grp = am.factor(tag)
-            y = grp.mul(am.h_image(tag, h), x)
-            while True:
-                same = syl and syl[-1][0] == tag
-                h = am.h_preimage(tag, y)
-                if h is not None:
-                    if not same:
-                        break
-                    # merge the H-part into the previous same-factor syllable
-                    y = grp.mul(syl.pop()[1], am.h_image(tag, h))
-                    continue
-                if same:
-                    y = grp.mul(syl.pop()[1], y)
-                    continue
-                rep = am.coset_rep(tag, y)
-                h = am.h_preimage(tag, grp.mul(grp.inv(rep), y))
-                assert h is not None
-                syl.append((tag, rep))
-                break
-        return TreeAut(am, tuple(syl), h)
+        syl, h = _table_fold(self.amalgam, self.syllables, self.tail, letters)
+        return TreeAut(self.amalgam, tuple(syl), h)
 
     def __matmul__(self, other: "TreeAut") -> "TreeAut":
         if self.amalgam is not other.amalgam:
@@ -257,36 +246,42 @@ class TreeAut(Record):
         return identity_aut(am)._fold(letters)
 
 
+def _table_fold(amalgam: AmalgamData, syllables: tuple[Letter, ...], h: int, letters: Iterable[Letter]) -> tuple[list[Letter], int]:
+    """The syllables and H-tail of (syllables, h) times the letters, one
+    table walk per letter (tag, x): y = emb(h) x in the factor, times the
+    last syllable first when that is of the same factor (syllables
+    alternate, so at most one merges), then split into the letter of its
+    coset, appended unless it is H, and the next h."""
+    tables = amalgam._fold_tables
+    syl = list(syllables)
+    for tag, x in letters:
+        h_rows, mul, split = tables[tag]
+        y = h_rows[h][x]
+        if syl and syl[-1][0] == tag:
+            y = mul[syl.pop()[1]][y]
+        letter, h = split[y]
+        if letter:
+            syl.append(letter)
+    return syl, h
+
+
 def identity_aut(amalgam: AmalgamData) -> TreeAut:
     return TreeAut(amalgam, (), amalgam.group_h.identity)
 
 
-def normal_form(amalgam: AmalgamData, letters: Iterable[Letter]) -> TreeAut:
-    """Fold letters into the unique reduced alternating form; empty iff identity."""
-
-    def checked():
-        for tag, x in letters:
-            if tag not in ("A", "B"):
-                raise TreeError(f"letter factor must be A or B, got {tag!r}")
-            if not 0 <= x < amalgam.factor(tag).order:
-                raise TreeError(f"letter {x} outside factor {tag}")
-            yield tag, x
-
-    return identity_aut(amalgam)._fold(checked())
-
-
 def parse_word(amalgam: AmalgamData, text: str) -> TreeAut:
-    """Parse a whitespace word of element names, with optional ^k."""
-    table = amalgam.letter_names()
+    """Parse a whitespace word of element names, with optional ^k, into
+    its normal form.  The letters are folded as they are read, so a large
+    exponent never becomes a list."""
+    table = amalgam._letters
 
     def letters():
         for name, e in word_tokens(text):
             if name not in table:
                 raise TreeError(f"unknown letter {name!r}")
-            tag, idx = table[name]
-            yield from repeat((tag, idx if e >= 0 else amalgam.factor(tag).inv(idx)), abs(e))
+            yield from repeat(table[name][e < 0], abs(e))
 
-    return normal_form(amalgam, letters())
+    return identity_aut(amalgam)._fold(letters())
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +302,6 @@ class BassSerreTree:
     def base_vertex(self, tag: str) -> Vertex:
         return (tag, ())
 
-    def vertex_of(self, w: TreeAut, tag: str) -> Vertex:
-        syl = w.syllables
-        if syl and syl[-1][0] == tag:
-            syl = syl[:-1]
-        return (tag, syl)
-
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         cached = self._adj.get(v)
         if cached is not None:
@@ -327,8 +316,13 @@ class BassSerreTree:
         return out
 
     def act(self, w: TreeAut, v: Vertex) -> Vertex:
+        """The image of the vertex v = (X, key), the coset key X: the coset
+        (w key) X, keyed by the syllables of w key less a last one of X."""
         tag, key = v
-        return self.vertex_of(w._fold(key), tag)
+        syl, _ = _table_fold(self.amalgam, w.syllables, w.tail, key)
+        if syl and syl[-1][0] == tag:
+            syl.pop()
+        return (tag, tuple(syl))
 
     def ball(self, center: Vertex, radius: int) -> dict[Vertex, int]:
         """The depth of every vertex within `radius` of `center`, in
@@ -367,7 +361,18 @@ class BassSerreTree:
         return up + down[1:] if up[-1] == down[0] else up + down
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        return len(self.geodesic(u, v)) - 1
+        """len(geodesic(u, v)) - 1, read off the keys with no path built:
+        both climbs to the common prefix of length c, plus the edge
+        between the turn vertices where their factors differ."""
+        (tu, p), (tv, q) = u, v
+        c = 0
+        for x, y in zip(p, q):
+            if x != y:
+                break
+            c += 1
+        turn_u = p[c][0] if len(p) > c else tu
+        turn_v = q[c][0] if len(q) > c else tv
+        return len(p) + len(q) - 2 * c + (turn_u != turn_v)
 
 
 def ball_radius(amalgam: AmalgamData, radius: int) -> int:

@@ -11,7 +11,7 @@ from freecert.projective import Ball, ProjMat, ProjPoint, component_member, dot,
 from freecert.rootiso import ROOT_REL_BITS, Interval, cauchy_bound, point, ptrim
 from freecert.scalar import int_valuation, sqrt_lower, sqrt_upper, word_string
 from freecert.synthesis import EPS_SQ_FLOOR_BITS
-from freecert.tree import DEFAULT_RADIUS, BassSerreTree, FiniteGroup, TreeError
+from freecert.tree import DEFAULT_RADIUS, BassSerreTree, FiniteGroup, TreeAut, TreeError, identity_aut
 
 
 def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -71,6 +71,77 @@ def geodesic_bfs(tree, u, v, cap: int = 64) -> list:
                     nxt.append(y)
         frontier = nxt
     raise TreeError("expand further: path exceeds the radius budget")
+
+
+def h_preimage(amalgam, tag: str, x: int) -> int | None:
+    """The h in H with emb(h) = x in the factor `tag`, or None, by a scan
+    of the embedding."""
+    emb = amalgam.embed_a if tag == "A" else amalgam.embed_b
+    return emb.index(x) if x in emb else None
+
+
+def coset_rep(amalgam, tag: str, x: int) -> int:
+    """The representative of the left coset x H in the factor `tag`: the
+    identity for H itself, else the coset's least element index."""
+    grp = amalgam.factor(tag)
+    emb = amalgam.embed_a if tag == "A" else amalgam.embed_b
+    coset = [grp.mul(x, e) for e in emb]
+    return grp.identity if grp.identity in coset else min(coset)
+
+
+def fold_reference(w: TreeAut, letters) -> TreeAut:
+    """w times the letters, folded method by method: each letter is
+    multiplied in, merged into a last syllable of its factor, and split
+    by its coset and the H-part (reference for the table walk of
+    `TreeAut._fold` and `BassSerreTree.act`)."""
+    am = w.amalgam
+    syl = list(w.syllables)
+    h = w.tail
+    for tag, x in letters:
+        grp = am.factor(tag)
+        y = grp.mul(am.h_image(tag, h), x)
+        while True:
+            same = syl and syl[-1][0] == tag
+            h = h_preimage(am, tag, y)
+            if h is not None:
+                if not same:
+                    break
+                # merge the H-part into the previous same-factor syllable
+                y = grp.mul(syl.pop()[1], am.h_image(tag, h))
+                continue
+            if same:
+                y = grp.mul(syl.pop()[1], y)
+                continue
+            rep = coset_rep(am, tag, y)
+            h = h_preimage(am, tag, grp.mul(grp.inv(rep), y))
+            assert h is not None
+            syl.append((tag, rep))
+            break
+    return TreeAut(am, tuple(syl), h)
+
+
+def normal_form(amalgam, letters) -> TreeAut:
+    """The letters, each checked, folded by `fold_reference` into the
+    unique reduced alternating form; empty iff the identity."""
+
+    def checked():
+        for tag, x in letters:
+            if tag not in ("A", "B"):
+                raise TreeError(f"letter factor must be A or B, got {tag!r}")
+            if not 0 <= x < amalgam.factor(tag).order:
+                raise TreeError(f"letter {x} outside factor {tag}")
+            yield tag, x
+
+    return fold_reference(identity_aut(amalgam), checked())
+
+
+def vertex_of(w: TreeAut, tag: str) -> tuple:
+    """The vertex w X of the base vertex X = (tag, ()): w's syllables less
+    a last one of X."""
+    syl = w.syllables
+    if syl and syl[-1][0] == tag:
+        syl = syl[:-1]
+    return (tag, syl)
 
 
 def min_displacement(tree, w, radius: int = DEFAULT_RADIUS) -> int:

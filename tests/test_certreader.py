@@ -214,6 +214,54 @@ def test_verify_classifies_each_tree_word_once(tmp_path, monkeypatch):
     assert len(classified) == len(words)
 
 
+def _leaf(node, path):
+    for k in path:
+        node = node[k]
+    return node
+
+
+def test_verify_reads_each_shadow_once(tmp_path, monkeypatch):
+    # the shadow-disjoint claims name each shadow of the tuple many times;
+    # each distinct base edge builds one ShadowSet
+    command, text = PROBLEMS["tree-pingpong"]
+    code, cert, _ = run(tmp_path, command, text)
+    assert code == 0
+    built = []
+    real = certfmt.ShadowSet
+    monkeypatch.setattr(certfmt, "ShadowSet", lambda tree, x, y: built.append((x, y)) or real(tree, x, y))
+    assert verify(cert) == (True, [])
+    sides = [repr(c[side]) for c in cert["claims"] if c["type"] == "shadow-disjoint" for side in ("left", "right")]
+    assert len(built) == len(set(built)) == len(set(sides)) < len(sides)
+
+
+def test_a_tampered_shadow_fails_as_when_each_is_read_afresh(tmp_path, monkeypatch):
+    # every vertex leaf of the shadow-disjoint claims, tampered: a shadow
+    # read once fails, or passes, each claim that names it as a fresh read
+    # would, a letter `true` for 1 too
+    command, text = PROBLEMS["tree-pingpong"]
+    code, cert, _ = run(tmp_path, command, text)
+    assert code == 0
+    holders = [i for i, c in enumerate(cert["claims"]) if c["type"] == "shadow-disjoint"]
+    leaves = []
+    for i in holders:
+        for side in ("left", "right"):
+            for end in ("x", "y"):
+                vertex = cert["claims"][i][side][end]
+                leaves.append(("claims", i, side, end, 0))
+                leaves += [("claims", i, side, end, 1, k, j) for k in range(len(vertex[1])) for j in (0, 1)]
+    rng = random.Random(0)
+    cases = [_tampered(cert, p, v) for p in rng.sample(leaves, 40) for v in (True, 1, "B", [0], None)]
+    cases.append(_tampered(cert, ("claims", holders[0], "left"), []))
+    # a letter 1 written `true` in the last claim that names its shadow
+    last = holders[-1]
+    path = next(p for p in leaves if p[1] == last and len(p) == 7 and p[-1] == 1 and _leaf(cert, p) == 1)
+    cases.append(_tampered(cert, path, True))
+    cached = [_outcome(c) for c in cases]
+    assert sum(ok is not True for ok, _ in cached) > len(cases) // 2
+    monkeypatch.setattr(CertContext, "_once", staticmethod(_uncached))
+    assert [_outcome(c) for c in cases] == cached
+
+
 def _word_eval_on_a_tree(cert: dict) -> str:
     cert["claims"].append({"type": "word-eval", "word": "s", "matrix": [["1", "0"], ["0", "1"]], "note": ""})
     return dumps(cert)

@@ -16,8 +16,8 @@ from freecert.pingpong import (
 )
 from freecert.projective import ProjMat, ProjPoint, ball, hnbhd
 from freecert.scalar import ARCH, padic, pair_count, tuple_pairs, word_string
-from freecert.tree import AmalgamData, FiniteGroup, normal_form
-from oracles import freeness_dfs, group_from_permutations, set_member
+from freecert.tree import AmalgamData, FiniteGroup
+from oracles import freeness_dfs, group_from_permutations, normal_form, set_member
 
 E1 = ProjPoint((1, 0))
 E2 = ProjPoint((0, 1))

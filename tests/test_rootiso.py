@@ -369,9 +369,9 @@ def quadratics(draw, kinds=("irrational", "rational", "repeated", "zero")):
 
 def _bisected(coeffs):
     """`isolate_positive_roots` of coeffs on the general path, `_isolate`,
-    with no closed form: every squarefree part goes to `_rational_root`,
-    and `_refine` bisects every irrational root."""
-    with mock.patch.object(rootiso, "_is_square", lambda n: True), mock.patch.object(rootiso, "_refine_quadratic", _refine):
+    with no closed form: every squarefree part goes to `_bisect` and
+    `_rational_root`, and `_refine` bisects every irrational root."""
+    with mock.patch.object(rootiso, "_quadratic", lambda *c: None), mock.patch.object(rootiso, "_refine_quadratic", _refine):
         return rootiso._isolate(list(coeffs))
 
 
@@ -405,13 +405,13 @@ def test_quadratic_closed_form_matches_the_general_path(coeffs):
     quadratic runs no part of the general path yet returns what it does."""
     exact, isolated = rootiso._quadratic(*coeffs)
     sf = rootiso._squarefree(list(coeffs))
-    if len(sf) == 3 and not rootiso._is_square(sf[1] ** 2 - 4 * sf[0] * sf[2]):
+    if len(sf) == 3 and isqrt(sf[1] ** 2 - 4 * sf[0] * sf[2]) ** 2 != sf[1] ** 2 - 4 * sf[0] * sf[2]:
         assert not exact and isolated == sorted(_bisect(sf)[0])
     else:
         assert not isolated
     with mock.patch.object(rootiso, "_isolate", side_effect=AssertionError("general path")):
         closed = isolate_positive_roots.__wrapped__(coeffs)
-    assert closed == rootiso._isolate(list(coeffs))
+    assert closed == _bisected(coeffs)
 
 
 def test_quadratic_with_no_real_root_takes_the_general_path():
@@ -421,24 +421,66 @@ def test_quadratic_with_no_real_root_takes_the_general_path():
     assert general.call_count == 1
 
 
+def _no_quadratic_searched():
+    """Spies on `_bisect` and `_rational_root` that refuse a squarefree
+    part of degree 2, which `_quadratic` gives in closed form."""
+
+    def refusing(f):
+        def spy(sf, *args):
+            assert len(sf) != 3, f"{f.__name__} of a quadratic"
+            return f(sf, *args)
+
+        return spy
+
+    return mock.patch.object(rootiso, "_bisect", refusing(_bisect)), mock.patch.object(rootiso, "_rational_root", refusing(_rational_root))
+
+
 @pytest.mark.parametrize(
-    "p, squares, refines",
+    "p, closed, refines",
     [
-        ((2, -2, -1, 1), 0, 1),  # (x - 1)(x^2 - 2): x^2 - 2 is left once 1 is split off
+        ((2, -2, -1, 1), 1, 1),  # (x - 1)(x^2 - 2): x^2 - 2 is left once 1 is split off
         ((4, 0, -4, 0, 1), 1, 1),  # (x^2 - 2)^2: squarefree part x^2 - 2, no square discriminant
         ((-2, 5, -4, 1), 1, 0),  # (x - 1)^2 (x - 2): squarefree part (x - 1)(x - 2), square discriminant
     ],
 )
-def test_general_path_keeps_its_quadratic_branches(p, squares, refines):
-    """Above degree 2 a squarefree part of degree 2 still meets the
-    `_is_square` gate and `_refine_quadratic` in the general path."""
+def test_general_path_keeps_its_quadratic_branches(p, closed, refines):
+    """Above degree 2 a squarefree part of degree 2, first or once the
+    rational roots are split off, goes to `_quadratic` and not to
+    `_bisect` or `_rational_root`, and its irrational roots to
+    `_refine_quadratic`."""
+    bisect, rational_root = _no_quadratic_searched()
     with (
-        mock.patch.object(rootiso, "_is_square", wraps=rootiso._is_square) as square,
+        mock.patch.object(rootiso, "_quadratic", wraps=rootiso._quadratic) as quadratic,
         mock.patch.object(rootiso, "_refine_quadratic", wraps=_refine_quadratic) as refine,
+        bisect,
+        rational_root,
     ):
         out = isolate_positive_roots.__wrapped__(p)
-    assert (square.call_count, refine.call_count) == (squares, refines)
+    assert (quadratic.call_count, refine.call_count) == (closed, refines)
     assert out == _bisected(p) and list(out) == fraction_isolate_positive_roots(list(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rationals, small_rationals, st.integers(-6, 6), st.integers(1, 40), st.sampled_from((1, -1, 3)))
+@example(F(1), F(2), 0, 2, 1)  # (x - 1)^2 (x - 2): a double and a simple root
+@example(F(3, 2), F(3, 2), 0, 2, 1)  # (x - 3/2)^3: a triple root
+@example(F(1), F(0), 0, 2, -1)  # -(x - 1)^2 x: a root at 0
+@example(F(-2), F(1, 3), 0, 2, 1)  # a double root below 0
+def test_cubics_with_a_repeated_root_match_the_general_path(r, s, b, c, lead):
+    """A cubic with a repeated root, lead (x - r)^2 (x - s), whose
+    squarefree part is quadratic, and one with a rational root and an
+    irrational pair, lead (x - r)(x^2 + b x - c) with c > 0 no square
+    plus b^2 / 4, whose part left once r is split off is quadratic:
+    `_quadratic` gives what the bisection of the general path gives, with
+    each multiplicity, and `_bisect` and `_rational_root` see no quadratic."""
+    repeated = tuple(lead * x for x in _cleared(poly_from_roots([r, r, s])))
+    assume(isqrt(b * b + 4 * c) ** 2 != b * b + 4 * c)
+    pair = tuple(lead * x for x in _cleared(pmul(poly_from_roots([r]), [F(-c), F(b), F(1)])))
+    for p in (repeated, pair):
+        bisect, rational_root = _no_quadratic_searched()
+        with bisect, rational_root:
+            out = isolate_positive_roots.__wrapped__(p)
+        assert out == _bisected(p) and list(out) == fraction_isolate_positive_roots(list(p))
 
 
 def _floor_of_root(sf, a, b, w, den):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from freecert.tree import (
     classify,
     identity_aut,
     kernel_of_action,
-    normal_form,
     parse_word,
     tree_pingpong,
 )
@@ -27,12 +27,16 @@ from oracles import (
     ball_rows_bfs,
     coset_index,
     embedding_scan,
+    fold_reference,
     geodesic_bfs,
     group_from_permutations,
     group_table_scan,
+    h_preimage,
     higman_neumann_applicable,
     min_displacement,
+    normal_form,
     shadow_member,
+    vertex_of,
 )
 
 
@@ -68,6 +72,32 @@ def s3_over_c2():
     # (0,2,1) is the transposition fixing 0, at index 1
     h = FiniteGroup(((0, 1), (1, 0)))
     return AmalgamData(g, g, h, (0, 1), (0, 1))
+
+
+PERMUTATION_GENERATORS = (
+    [(1, 2, 3, 0)],  # Z/4
+    [(1, 0, 3, 2), (2, 3, 0, 1)],  # the Klein four-group
+    [(1, 0, 2), (0, 2, 1)],  # S3
+    [(1, 2, 3, 4, 5, 0)],  # Z/6
+    [(1, 2, 3, 0), (3, 2, 1, 0)],  # D4
+)
+
+
+def _powers(group, x, m):
+    return tuple(itertools.accumulate(range(m - 1), lambda y, _: group.mul(y, x), initial=group.identity))
+
+
+def seeded_amalgam(seed=10):
+    """A *_H B over two permutation groups the seed draws, with H cyclic
+    of order 2 or 3 embedded in each as the powers of an element of that
+    order: the shape of the benchmark deck's random amalgams."""
+    rng = random.Random(seed)
+    while True:
+        ga, gb = (group_from_permutations(rng.choice(PERMUTATION_GENERATORS)) for _ in range(2))
+        m = rng.choice((2, 3))
+        xa, xb = ([x for x in range(g.order) if len(set(_powers(g, x, m + 1))) == m] for g in (ga, gb))
+        if xa and xb and m < min(ga.order, gb.order):
+            return AmalgamData(ga, gb, FiniteGroup(_cyclic(m)), _powers(ga, rng.choice(xa), m), _powers(gb, rng.choice(xb), m))
 
 
 def test_group_table_validation():
@@ -211,19 +241,23 @@ def _letter_by_letter(w, letters):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_one_fold_equals_the_letter_by_letter_fold(data):
-    """`act` folds a vertex key of up to MAX_VERTEX_KEY letters in one pass,
-    and `normal_form`, products and inverses fold theirs the same way: each
-    gives what `append_letter` gives one letter at a time."""
-    am = data.draw(st.sampled_from([mod_amalgam(), s3_over_a3(), s3_over_c2()]))
-    letter = st.tuples(st.sampled_from("AB"), st.integers(0, 5)).map(lambda l: (l[0], l[1] % am.factor(l[0]).order))
+    """The table fold of a word, `act` on a vertex key of up to
+    MAX_VERTEX_KEY letters, `append_letter`, products and inverses each
+    give what the method-by-method `fold_reference` gives."""
+    am = data.draw(st.sampled_from([mod_amalgam(), s3_over_a3(), s3_over_c2(), seeded_amalgam()]))
+    letter = st.tuples(st.sampled_from("AB"), st.integers(0, 7)).map(lambda l: (l[0], l[1] % am.factor(l[0]).order))
     word, key = data.draw(st.lists(letter, max_size=MAX_WORD_LEN)), data.draw(st.lists(letter, max_size=MAX_VERTEX_KEY))
-    w = _letter_by_letter(identity_aut(am), word)
+    ident = identity_aut(am)
+    w = ident._fold(word)
+    assert w == fold_reference(ident, word) == normal_form(am, word)
     tag = data.draw(st.sampled_from("AB"))
     tree = BassSerreTree(am)
-    assert tree.act(w, (tag, tuple(key))) == tree.vertex_of(_letter_by_letter(w, key), tag)
-    assert normal_form(am, word) == w
-    assert w @ normal_form(am, key) == _letter_by_letter(w, key)
-    assert _letter_by_letter(w, key) @ w.inverse() @ w == _letter_by_letter(w, key)
+    wk = fold_reference(w, key)
+    assert tree.act(w, (tag, tuple(key))) == vertex_of(wk, tag)
+    assert _letter_by_letter(w, key) == wk
+    assert w @ ident._fold(key) == wk
+    assert w.inverse() == fold_reference(ident, [(t, am.factor(t).inv(x)) for t, x in reversed(word)])
+    assert wk @ w.inverse() @ w == wk
     assert (w @ w.inverse()).is_identity() and (w.inverse() @ w).is_identity()
 
 
@@ -411,7 +445,7 @@ def test_shadow_disjointness_matches_the_far_vertices(amalgam):
 
 def test_a_name_of_both_factors_is_no_letter_unless_it_names_the_identity():
     am = AmalgamData(c2(), c2(), trivial(), (0,), (0,))  # both factors name their involution s
-    assert "s" not in am.letter_names()
+    assert "s" not in am._letters
     with pytest.raises(TreeError, match="unknown letter 's'"):
         parse_word(am, "s")
     assert parse_word(am, "e").is_identity()
@@ -428,7 +462,7 @@ def test_every_shadow_of_a_bounded_word_lies_within_the_vertex_bound(data):
     am = data.draw(st.sampled_from([mod_amalgam(), s3_over_a3(), s3_over_c2()]))
     letter = st.tuples(st.sampled_from("AB"), st.integers(0, 5)).map(lambda l: (l[0], l[1] % am.factor(l[0]).order))
     conj = data.draw(st.lists(letter, max_size=MAX_WORD_LEN // 2 - 1))
-    outside = {tag: [x for x in range(am.factor(tag).order) if am.h_preimage(tag, x) is None] for tag in "AB"}
+    outside = {tag: [x for x in range(am.factor(tag).order) if h_preimage(am, tag, x) is None] for tag in "AB"}
     syllable_pairs = st.tuples(st.sampled_from(outside["A"]), st.sampled_from(outside["B"]))
     pairs = data.draw(st.lists(syllable_pairs, min_size=1, max_size=(MAX_WORD_LEN - 2 * len(conj)) // 2))
     order = data.draw(st.sampled_from(["AB", "BA"]))
@@ -551,11 +585,27 @@ def test_distance_formula_matches_bfs():
 
 
 def test_geodesic_matches_bfs_on_radius_4_balls():
-    for am in (mod_amalgam(), s3_over_a3(), s3_over_c2()):
+    # every fixture, the line and the finite trees among them: the
+    # key-only distance is the length of the geodesic and of the BFS path
+    c2_over_c2_in_s3 = AmalgamData(c2(), s3(), c2(), (0, 1), (0, 1))
+    c2_over_c2 = AmalgamData(c2(), c2(), c2(), (0, 1), (0, 1))
+    for am in (mod_amalgam(), s3_over_a3(), s3_over_c2(), line_amalgam(), seeded_amalgam(), c2_over_c2_in_s3, c2_over_c2):
         tree = BassSerreTree(am)
         ball = list(tree.ball(tree.base_vertex("A"), 4))
         for u in ball:
             for v in ball:
-                path = tree.geodesic(u, v)
-                assert path == geodesic_bfs(tree, u, v, cap=8)
-                assert tree.distance(u, v) == len(path) - 1
+                path, bfs = tree.geodesic(u, v), geodesic_bfs(tree, u, v, cap=8)
+                assert path == bfs
+                assert tree.distance(u, v) == len(path) - 1 == len(bfs) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_distance_of_any_keys_is_the_length_of_their_geodesic(data):
+    # keys need not be canonical, as in a tampered certificate: the
+    # key-only distance still counts the vertices `geodesic` lists
+    letter = st.tuples(st.sampled_from("AB"), st.integers(0, 2))
+    prefix = data.draw(st.lists(letter, max_size=4))
+    u, v = ((data.draw(st.sampled_from("AB")), tuple(prefix + data.draw(st.lists(letter, max_size=4)))) for _ in range(2))
+    tree = BassSerreTree(mod_amalgam())
+    assert tree.distance(u, v) == len(tree.geodesic(u, v)) - 1
